@@ -63,8 +63,8 @@ func WithShards(n int) Option {
 }
 
 // WithReaders sets the number of parallel reader/dispatcher partitions
-// feeding the shards. 1 (the default) keeps the classic single-dispatcher
-// pipeline; n > 1 stripes raw frames over n dispatchers by a header-peek
+// feeding the shards. 1 (the default) keeps a single dispatcher on the Run
+// goroutine; n > 1 stripes raw frames over n dispatchers by a header-peek
 // hash of the client address, each with its own parser and flow tracker,
 // so the parse stage scales past one core. Pass a negative value to use
 // one partition per available CPU. Requires more than one shard AND

@@ -21,6 +21,24 @@ import (
 // reads the shared default pool's counters.
 func TestCancelReleasesEveryBlock(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(31))
+
+	// The single-shard pipeline finishes with each block before the next
+	// read, so it borrows a buffer-reusing BlockSource's frames and never
+	// touches the pool at all.
+	t.Run("shards=1/borrowed-blocks", func(t *testing.T) {
+		before := netio.DefaultBlockPool().Stats()
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelAtBlockSource{cancelAtSource{inner: tr.Source(), at: len(tr.Packets) / 3, cancel: cancel}}
+		_, err := NewEngine(EngineConfig{Shards: 1}).Run(ctx, src)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+		if gets := netio.DefaultBlockPool().Stats().Gets - before.Gets; gets != 0 {
+			t.Fatalf("single-shard run took %d blocks from the pool, want 0", gets)
+		}
+	})
+
 	for _, shards := range []int{1, 4} {
 		for _, readers := range []int{1, 4} {
 			if readers > shards {
@@ -58,9 +76,9 @@ func TestCancelReleasesEveryBlock(t *testing.T) {
 // a ReadBlockRef block is being filled, the hardest point in the abort
 // path.
 type cancelAtSource struct {
-	inner netio.PacketSource
-	at    int
-	n     int
+	inner  netio.PacketSource
+	at     int
+	n      int
 	cancel context.CancelFunc
 }
 
@@ -73,4 +91,19 @@ func (c *cancelAtSource) Next() (netio.Packet, error) {
 	}
 	c.n++
 	return c.inner.Next()
+}
+
+// cancelAtBlockSource is cancelAtSource as a BlockSource that promises its
+// frames only until the next read (it does not declare DataStable).
+type cancelAtBlockSource struct{ cancelAtSource }
+
+func (c *cancelAtBlockSource) ReadBlock(dst []netio.Packet) (int, error) {
+	for n := range dst {
+		pkt, err := c.Next()
+		if err != nil {
+			return n, err
+		}
+		dst[n] = pkt
+	}
+	return len(dst), nil
 }

@@ -22,15 +22,15 @@ type EngineConfig struct {
 	// negative means GOMAXPROCS.
 	Shards int
 	// Readers is the number of parallel reader/dispatcher partitions feeding
-	// the shards. 1 (the default) keeps the classic single-dispatcher shape;
-	// N > 1 stripes raw frames over N dispatchers by a header-peek hash of
-	// the client address (see stripe.go), each with its own parser and flow
-	// tracker, so the parse itself scales past one core. 0 means 1; negative
-	// means GOMAXPROCS. Forced to 1 when Shards <= 1 (no dispatch stage) or
-	// when Flows.ClientNets is empty: client-address striping needs to know
-	// which endpoint is the client, and without the nets every flow would
-	// ride the best-effort symmetric fallback — losing the DNS-before-flow
-	// ordering guarantee for no labeling benefit.
+	// the shards. With 1 (the default) the Run goroutine reads, parses, and
+	// dispatches; N > 1 stripes raw frames over N dispatchers by a
+	// header-peek hash of the client address (see stripe.go), each with its
+	// own parser and flow tracker, so the parse itself scales past one core.
+	// 0 means 1; negative means GOMAXPROCS. Forced to 1 when Shards <= 1 (no
+	// dispatch stage) or when Flows.ClientNets is empty: client-address
+	// striping needs to know which endpoint is the client, and without the
+	// nets every flow would ride the best-effort symmetric fallback — losing
+	// the DNS-before-flow ordering guarantee for no labeling benefit.
 	Readers int
 	// Batch is the number of entries per dispatcher→shard ring slot (the
 	// hand-off granularity); 0 means 512. Only used when Shards > 1.
@@ -78,7 +78,7 @@ type EngineConfig struct {
 	// gauges, flattened shard-major: ring i*Readers+r is reader r → shard
 	// i), tapReaders the per-reader backpressure counters.
 	tapPipelines func([]*DNHunter)
-	tapRings     func([]*spscRing)
+	tapRings     func([]*ring[shardEntry])
 	tapReaders   func([]readerCell)
 }
 
@@ -141,37 +141,6 @@ type Result struct {
 	Readers []ReaderStat
 }
 
-// blockFetcher adapts any PacketSource to block reads: sources that
-// implement netio.BlockSource frame many packets per call, others fall
-// back to one Next per read (Next's buffer-reuse contract forbids batching
-// it — the second packet would invalidate the first).
-type blockFetcher struct {
-	bs  netio.BlockSource
-	src netio.PacketSource
-}
-
-func newBlockFetcher(src netio.PacketSource) blockFetcher {
-	f := blockFetcher{src: src}
-	if bs, ok := src.(netio.BlockSource); ok {
-		f.bs = bs
-	}
-	return f
-}
-
-// read fills dst with at least one packet unless err is non-nil; dst[:n]
-// is valid even alongside a non-nil err (including io.EOF).
-func (f blockFetcher) read(dst []netio.Packet) (int, error) {
-	if f.bs != nil {
-		return f.bs.ReadBlock(dst)
-	}
-	pkt, err := f.src.Next()
-	if err != nil {
-		return 0, err
-	}
-	dst[0] = pkt
-	return 1, nil
-}
-
 // yieldEvery bounds how many packets are processed between explicit
 // scheduler yields. The near-allocation-free hot loop no longer enters the
 // scheduler via GC assists, so on a saturated GOMAXPROCS=1 machine the
@@ -187,15 +156,21 @@ const yieldEvery = 8192
 // configured Sink is closed exactly once before Run returns, on success,
 // error, and cancellation alike.
 func (e *Engine) Run(ctx context.Context, src netio.PacketSource) (*Result, error) {
-	var (
-		res *Result
-		err error
-	)
-	if e.cfg.Shards <= 1 {
-		res, err = e.runSingle(ctx, src)
-	} else {
-		res, err = e.runSharded(ctx, src)
-	}
+	return e.runAndClose(ctx, e.adapt(src))
+}
+
+// adapt is the edge of the pipeline: the one place a user's PacketSource
+// becomes the engine-facing read contract. Only the sharded engine retains
+// payloads past a read (ring entries alias them); the single-shard pipeline
+// finishes with each block before the next read, so it borrows the source's
+// buffers and never touches the block pool.
+func (e *Engine) adapt(src netio.PacketSource) netio.BlockRefSource {
+	return netio.NewRefAdapter(src, nil, e.cfg.Shards > 1)
+}
+
+// runAndClose is Run past the edge adapter.
+func (e *Engine) runAndClose(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
+	res, err := e.run(ctx, src)
 	if e.cfg.Sink != nil {
 		cerr := e.cfg.Sink.Close()
 		if err == nil && cerr != nil {
@@ -208,9 +183,50 @@ func (e *Engine) Run(ctx context.Context, src netio.PacketSource) (*Result, erro
 	return res, nil
 }
 
+// run picks the pipeline shape for the shard count; the sink stays open.
+func (e *Engine) run(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
+	if e.cfg.Shards <= 1 {
+		return e.runSingle(ctx, src)
+	}
+	return e.runSharded(ctx, src)
+}
+
+// readLoop is the engine's read loop, shared by every pipeline shape: it
+// yields (see yieldEvery), polls the context, reads one block, hands it to
+// consume, and returns the reader's block reference. consume must be done
+// with — or hold its own references on — the block's payloads when it
+// returns. A nil return means the source reported io.EOF.
+func readLoop(ctx context.Context, src netio.BlockRefSource, consume func([]netio.Packet, *netio.Block)) error {
+	done := ctx.Done()
+	block := make([]netio.Packet, blockLen)
+	for processed := 0; ; {
+		if processed&^(yieldEvery-1) != 0 {
+			processed &= yieldEvery - 1
+			runtime.Gosched() // see yieldEvery
+		}
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		n, blk, err := src.ReadBlockRef(block)
+		consume(block[:n], blk)
+		if blk != nil {
+			blk.Release(1) // the reader's own reference, after distribution
+		}
+		processed += n
+		if err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("core: packet source: %w", err)
+		}
+	}
+}
+
 // runSingle is the Shards==1 path: the legacy pipeline, inline, plus
 // context polling. It reproduces the single-threaded results exactly.
-func (e *Engine) runSingle(ctx context.Context, src netio.PacketSource) (*Result, error) {
+func (e *Engine) runSingle(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
 	fcfg := e.cfg.Flows
 	fcfg.DisableAutoSweep = false // engine-managed; see EngineConfig.Flows
 	fcfg.OnRecord = nil
@@ -224,30 +240,13 @@ func (e *Engine) runSingle(ctx context.Context, src netio.PacketSource) (*Result
 	if e.cfg.tapPipelines != nil {
 		e.cfg.tapPipelines([]*DNHunter{h})
 	}
-	done := ctx.Done()
-	block := make([]netio.Packet, blockLen)
-	fetch := newBlockFetcher(src)
-	for processed := 0; ; {
-		if processed&^(yieldEvery-1) != 0 {
-			processed &= yieldEvery - 1
-			runtime.Gosched() // see yieldEvery
+	err := readLoop(ctx, src, func(pkts []netio.Packet, _ *netio.Block) {
+		for i := range pkts {
+			h.HandlePacket(pkts[i])
 		}
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		n, err := fetch.read(block)
-		for i := 0; i < n; i++ {
-			h.HandlePacket(block[i])
-		}
-		processed += n
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("core: packet source: %w", err)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	h.Close()
 	return &Result{DB: h.DB(), Stats: h.Stats()}, nil

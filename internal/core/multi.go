@@ -141,58 +141,25 @@ func (c *vclock) close() {
 	c.mu.Unlock()
 }
 
-// pacedSource wraps a vantage's PacketSource with merged-clock pacing. It
-// enters the clock only when trace time has advanced by a tick — pacing is
-// a coarse-grained rendezvous, so the per-packet hot path stays lock-free.
-// It forwards block reads (netio.BlockSource) so paced vantages keep the
-// bulk reader stage; the clock is then entered at block granularity, which
-// is within the rendezvous' tick-level coarseness.
+// pacedSource wraps a vantage's source with merged-clock pacing. It enters
+// the clock only when trace time has advanced by a tick, and at block
+// granularity (on the newest timestamp read) — pacing is a coarse-grained
+// rendezvous, so the per-packet hot path stays lock-free.
 type pacedSource struct {
-	fetch blockFetcher
-	ref   *netio.RefAdapter
+	src   netio.BlockRefSource
 	clock *vclock
 	idx   int
 	tick  time.Duration
 	next  time.Duration // next trace time at which to enter the clock
 }
 
-func newPacedSource(src netio.PacketSource, clock *vclock, idx int, tick time.Duration) *pacedSource {
-	return &pacedSource{fetch: newBlockFetcher(src), ref: netio.NewRefAdapter(src, nil), clock: clock, idx: idx, tick: tick}
-}
-
-func (p *pacedSource) pace(ts time.Duration) {
-	if ts >= p.next {
-		p.next = ts + p.tick
-		p.clock.advance(p.idx, ts)
-	}
-}
-
-func (p *pacedSource) Next() (netio.Packet, error) {
-	pkt, err := p.fetch.src.Next()
-	if err != nil {
-		return pkt, err
-	}
-	p.pace(pkt.Timestamp)
-	return pkt, nil
-}
-
-// ReadBlock implements netio.BlockSource. The clock is entered once per
-// block, on the newest timestamp read.
-func (p *pacedSource) ReadBlock(dst []netio.Packet) (int, error) {
-	n, err := p.fetch.read(dst)
-	if n > 0 {
-		p.pace(dst[n-1].Timestamp)
-	}
-	return n, err
-}
-
-// ReadBlockRef implements netio.BlockRefSource through an embedded
-// RefAdapter over the vantage's source, so paced vantages keep the engine's
-// handle-based zero-copy dispatch.
 func (p *pacedSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
-	n, blk, err := p.ref.ReadBlockRef(dst)
+	n, blk, err := p.src.ReadBlockRef(dst)
 	if n > 0 {
-		p.pace(dst[n-1].Timestamp)
+		if ts := dst[n-1].Timestamp; ts >= p.next {
+			p.next = ts + p.tick
+			p.clock.advance(p.idx, ts)
+		}
 	}
 	return n, blk, err
 }
@@ -284,16 +251,12 @@ func (e *Engine) runSources(ctx context.Context, sources []NamedSource) (*MultiR
 			if s.Truth != nil {
 				sub.cfg.Truth = s.Truth
 			}
-			src := s.Src
+			src := sub.adapt(s.Src)
 			if pace {
-				src = newPacedSource(src, clock, i, window/8)
+				src = &pacedSource{src: src, clock: clock, idx: i, tick: window / 8}
 			}
 			var out vantageOut
-			if sub.cfg.Shards <= 1 {
-				out.res, out.err = sub.runSingle(runCtx, src)
-			} else {
-				out.res, out.err = sub.runSharded(runCtx, src)
-			}
+			out.res, out.err = sub.run(runCtx, src)
 			if out.err != nil {
 				out.err = fmt.Errorf("vantage %q: %w", s.Name, out.err)
 			}

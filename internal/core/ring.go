@@ -1,14 +1,14 @@
 package core
 
-// Bounded lock-free SPSC rings: the dispatcher→shard hand-off. Each
-// (reader, shard) pair owns one ring whose slots carry pre-parsed entry
-// batches. Entries no longer embed payload copies: since PR 9 they carry
-// handles into refcounted netio.Block arenas (or stable source storage), so
-// a payload moves from the packet source to the shard by reference — the
-// per-slot payload arenas (and their ~525 dispatch bytes/pkt of copying)
-// are gone. All slot storage is allocated once when the ring is built and
-// recycled in place forever after — no sync.Pool round-trips, no per-batch
-// reallocation.
+// The bounded lock-free SPSC ring behind both hand-offs of the sharded
+// engine: dispatcher→shard (one ring of pre-parsed shardEntry batches per
+// (reader, shard) pair) and, with Readers > 1, stripe→dispatcher (one ring
+// of raw-frame srcEntry batches per reader; see stripe.go). Entries carry
+// payloads by handle into refcounted netio.Block arenas (or stable source
+// storage), so a payload moves from the packet source to the shard by
+// reference, never by copy. Slot storage is allocated on a slot's first use
+// and recycled in place forever after — no sync.Pool round-trips, no
+// per-batch reallocation.
 //
 // The synchronization is the classic single-producer/single-consumer ring:
 // a head index advanced only by the producer and a tail index advanced
@@ -16,7 +16,7 @@ package core
 // false-share. The producer side spins briefly (yielding to the scheduler,
 // which on a saturated machine is the fast path) and then parks on a
 // buffered wake channel, with the usual set-flag/recheck/sleep protocol so
-// a wake is never lost. The consumer side is shared: one shard drains R
+// a wake is never lost. The consumer side may be shared: one shard drains R
 // rings (one per reader) through a single consGate, so the MPSC hand-off
 // is composed from SPSC rings without any new lock-free structure — see
 // shardWorker.run for the fair drain loop.
@@ -46,8 +46,8 @@ const (
 // was delivered in. The payload handle (pay/blk) is slab-adjacent: pay
 // aliases blk's refcounted arena (or stable source storage when blk is
 // nil), the dispatcher takes one block reference per appended entry, and
-// releaseSlotBlocks returns them when the slot retires — so the bytes
-// behind pay are valid for exactly as long as the entry itself.
+// the ring returns them when the slot retires — so the bytes behind pay
+// are valid for exactly as long as the entry itself.
 //
 //dnhunter:slab
 type shardEntry struct {
@@ -61,7 +61,7 @@ type shardEntry struct {
 	// storage when blk is nil); nil when the entry carries no payload.
 	pay []byte
 	// blk is the refcounted block backing pay; the entry holds one
-	// reference, released by releaseSlotBlocks when the slot retires.
+	// reference, returned when the slot retires.
 	blk   *netio.Block
 	kind  uint8
 	c2s   bool // entryFlow: packet direction under key's orientation
@@ -69,34 +69,17 @@ type shardEntry struct {
 	flags layers.TCPFlags
 }
 
-// ringSlot is one batch in flight. Capacity is fixed at ring construction.
-type ringSlot struct {
-	entries []shardEntry
+// dropRef clears the entry's payload handle and returns the block it held
+// a reference on (nil for none).
+func (e *shardEntry) dropRef() *netio.Block {
+	b := e.blk
+	e.blk, e.pay = nil, nil
+	return b
 }
 
-// releaseSlotBlocks returns every block reference the slot's entries hold,
-// batching consecutive same-block runs into one atomic add (entries from
-// one read block are adjacent, so a full slot usually costs a handful of
-// adds, not one per entry). It also clears the handles so recycled slot
-// storage never pins a block or a source buffer.
-func releaseSlotBlocks(s *ringSlot) {
-	var run *netio.Block
-	var n int64
-	for i := range s.entries {
-		e := &s.entries[i]
-		b := e.blk
-		e.blk, e.pay = nil, nil
-		if b != run {
-			if run != nil {
-				run.Release(n)
-			}
-			run, n = b, 0
-		}
-		n++
-	}
-	if run != nil {
-		run.Release(n)
-	}
+// ringSlot is one batch in flight. Capacity is fixed at ring construction.
+type ringSlot[E any] struct {
+	entries []E
 }
 
 // Spin budgets before parking. Each spin is a runtime.Gosched, which on a
@@ -124,14 +107,15 @@ type consGate struct {
 
 func newConsGate() *consGate { return &consGate{wake: make(chan struct{}, 1)} }
 
-// spscRing is the bounded single-producer/single-consumer slot ring.
-// Exactly one goroutine may call producer methods (slot, publish, close)
-// and exactly one may call consumer methods (tryConsume, release) — the
-// consumer may be shared across rings via the consGate.
+// ring is the bounded single-producer/single-consumer slot ring over
+// entries of type E. Exactly one goroutine may call producer methods (slot,
+// trySlot, publish, discardFill, close) and exactly one may call consumer
+// methods (tryConsume, consume, release) — the consumer may be shared across
+// rings via the consGate.
 //
 //dnhunter:hotatomic
-type spscRing struct {
-	slots []ringSlot
+type ring[E any] struct {
+	slots []ringSlot[E]
 	mask  uint64
 
 	_    cacheLinePad
@@ -149,6 +133,10 @@ type spscRing struct {
 	// spin budget) — the per-reader backpressure gauge.
 	parks *atomic.Uint64
 
+	// dropRef clears one entry's payload handle and returns the block it
+	// referenced (E's own method; a type parameter has no fields to reach).
+	dropRef func(*E) *netio.Block
+
 	// acquired tracks whether the producer's current fill slot has been
 	// claimed (waited free and reset). batch sizes slot storage on first
 	// use. Producer-only state.
@@ -161,7 +149,7 @@ type spscRing struct {
 // storage is allocated on a slot's first use — a short trace that never
 // wraps the ring only pays for the slots it touches — and recycled in
 // place forever after.
-func newRing(depth, batch int, gate *consGate) *spscRing {
+func newRing[E any](depth, batch int, gate *consGate, dropRef func(*E) *netio.Block) *ring[E] {
 	if depth < 2 {
 		depth = 2
 	}
@@ -169,22 +157,46 @@ func newRing(depth, batch int, gate *consGate) *spscRing {
 	for size < depth {
 		size <<= 1
 	}
-	return &spscRing{
-		slots:    make([]ringSlot, size),
+	return &ring[E]{
+		slots:    make([]ringSlot[E], size),
 		mask:     uint64(size - 1),
 		batch:    batch,
 		prodWake: make(chan struct{}, 1),
 		gate:     gate,
+		dropRef:  dropRef,
+	}
+}
+
+// releaseBlocks returns every block reference the slot's entries hold,
+// batching consecutive same-block runs into one atomic add (entries from
+// one read block are adjacent, so a full slot usually costs a handful of
+// adds, not one per entry). It also clears the handles so recycled slot
+// storage never pins a block or a source buffer.
+func (r *ring[E]) releaseBlocks(s *ringSlot[E]) {
+	var run *netio.Block
+	var n int64
+	for i := range s.entries {
+		b := r.dropRef(&s.entries[i])
+		if b != run {
+			if run != nil {
+				run.Release(n)
+			}
+			run, n = b, 0
+		}
+		n++
+	}
+	if run != nil {
+		run.Release(n)
 	}
 }
 
 // claim resets and acquires the fill slot at head position h. The caller
 // has verified the slot is free (consumer released it).
-func (r *spscRing) claim(h uint64) *ringSlot {
+func (r *ring[E]) claim(h uint64) *ringSlot[E] {
 	s := &r.slots[h&r.mask]
 	if s.entries == nil {
 		//dnhunter:alloc-ok one-time lazy slot init; storage is recycled in place forever after
-		s.entries = make([]shardEntry, 0, r.batch)
+		s.entries = make([]E, 0, r.batch)
 	}
 	s.entries = s.entries[:0]
 	r.acquired = true
@@ -194,7 +206,7 @@ func (r *spscRing) claim(h uint64) *ringSlot {
 // slot returns the producer's current fill slot, blocking until the
 // consumer has freed it on wraparound. The slot is reset on first use
 // after acquisition.
-func (r *spscRing) slot() *ringSlot {
+func (r *ring[E]) slot() *ringSlot[E] {
 	h := r.head.Load()
 	if !r.acquired {
 		size := uint64(len(r.slots))
@@ -222,10 +234,10 @@ func (r *spscRing) slot() *ringSlot {
 }
 
 // trySlot is slot without the wraparound wait: ok=false when the ring is
-// full and no fill slot is currently acquired. The overload-shedding
-// dispatch path uses it to drop instead of blocking the reader when a
-// shard backs up.
-func (r *spscRing) trySlot() (*ringSlot, bool) {
+// full and no fill slot is currently acquired. The overload-shedding paths
+// use it to drop instead of blocking a live reader when the consumer backs
+// up.
+func (r *ring[E]) trySlot() (*ringSlot[E], bool) {
 	h := r.head.Load()
 	if !r.acquired {
 		if h-r.tail.Load() >= uint64(len(r.slots)) {
@@ -239,13 +251,13 @@ func (r *spscRing) trySlot() (*ringSlot, bool) {
 // depth reports the number of published-but-unreleased slots, 0 to
 // len(slots). Safe to call from any goroutine (a metrics gauge): it
 // touches only the atomic indices, not the producer-owned fill state.
-func (r *spscRing) depth() int {
+func (r *ring[E]) depth() int {
 	return int(r.head.Load() - r.tail.Load())
 }
 
 // publish hands the current fill slot to the consumer. A no-op when the
 // slot is empty or unacquired.
-func (r *spscRing) publish() {
+func (r *ring[E]) publish() {
 	if !r.acquired {
 		return
 	}
@@ -260,23 +272,23 @@ func (r *spscRing) publish() {
 // discardFill releases the unpublished fill slot's block references (the
 // abort path: entries that will never reach a shard must still return
 // their refs so blocks recycle).
-func (r *spscRing) discardFill() {
+func (r *ring[E]) discardFill() {
 	if !r.acquired {
 		return
 	}
 	s := &r.slots[r.head.Load()&r.mask]
-	releaseSlotBlocks(s)
+	r.releaseBlocks(s)
 	s.entries = s.entries[:0]
 }
 
 // close marks the stream finished (after a final publish) and wakes the
 // consumer so it can observe the close. Producer side only.
-func (r *spscRing) close() {
+func (r *ring[E]) close() {
 	r.closed.Store(true)
 	r.wakeConsumer()
 }
 
-func (r *spscRing) wakeConsumer() {
+func (r *ring[E]) wakeConsumer() {
 	if r.gate.parked.Load() {
 		select {
 		case r.gate.wake <- struct{}{}:
@@ -287,7 +299,7 @@ func (r *spscRing) wakeConsumer() {
 
 // tryConsume returns the next published slot without blocking; ok=false
 // when none is ready. The slot stays valid until release.
-func (r *spscRing) tryConsume() (*ringSlot, bool) {
+func (r *ring[E]) tryConsume() (*ringSlot[E], bool) {
 	t := r.tail.Load()
 	if r.head.Load() > t {
 		return &r.slots[t&r.mask], true
@@ -298,7 +310,7 @@ func (r *spscRing) tryConsume() (*ringSlot, bool) {
 // drained reports a closed ring with no published slot left. The head
 // re-load after observing the close matters: the producer's final publish
 // happens before close, but a first head load may predate it.
-func (r *spscRing) drained() bool {
+func (r *ring[E]) drained() bool {
 	if !r.closed.Load() {
 		return false
 	}
@@ -307,13 +319,14 @@ func (r *spscRing) drained() bool {
 
 // ready reports that the consumer should rescan this ring: a published
 // slot is waiting, or the ring closed (so the drain check can retire it).
-func (r *spscRing) ready() bool {
+func (r *ring[E]) ready() bool {
 	return r.head.Load() > r.tail.Load() || r.closed.Load()
 }
 
-// release returns the consumed slot to the producer. The caller has
-// already returned the slot's block references (releaseSlotBlocks).
-func (r *spscRing) release() {
+// release retires the consumed slot: its entries' block references are
+// returned, then the slot goes back to the producer.
+func (r *ring[E]) release() {
+	r.releaseBlocks(&r.slots[r.tail.Load()&r.mask])
 	r.tail.Add(1)
 	if r.prodParked.Load() {
 		select {
@@ -323,10 +336,10 @@ func (r *spscRing) release() {
 	}
 }
 
-// consume is the single-ring blocking drain (tests and simple consumers):
-// it returns the next published slot, blocking until one is available, and
-// ok=false once the ring is closed and drained.
-func (r *spscRing) consume() (*ringSlot, bool) {
+// consume is the single-ring blocking drain (a consumer with one ring, such
+// as a striped dispatcher): it returns the next published slot, blocking
+// until one is available, and ok=false once the ring is closed and drained.
+func (r *ring[E]) consume() (*ringSlot[E], bool) {
 	for spins := 0; ; {
 		if s, ok := r.tryConsume(); ok {
 			return s, true

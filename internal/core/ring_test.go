@@ -10,16 +10,52 @@ import (
 	"repro/internal/synth"
 )
 
+// ringKind adapts the ring tests to one entry type: the ring is generic
+// over its entries, and both instantiations the engine uses (shard entries
+// on the dispatcher→shard mesh, ingress entries on the stripe→dispatcher
+// rings) run every test body below.
+type ringKind[E any] struct {
+	dropRef func(*E) *netio.Block
+	// mk builds an entry carrying a sequence number and a payload handle;
+	// get reads them back.
+	mk  func(seq int, pay []byte, blk *netio.Block) E
+	get func(*E) (seq int, pay []byte, blk *netio.Block)
+}
+
+var shardKind = ringKind[shardEntry]{
+	dropRef: (*shardEntry).dropRef,
+	mk: func(seq int, pay []byte, blk *netio.Block) shardEntry {
+		return shardEntry{at: time.Duration(seq), kind: entryFlow, pay: pay, blk: blk}
+	},
+	get: func(e *shardEntry) (int, []byte, *netio.Block) { return int(e.at), e.pay, e.blk },
+}
+
+var srcKind = ringKind[srcEntry]{
+	dropRef: (*srcEntry).dropRef,
+	mk: func(seq int, pay []byte, blk *netio.Block) srcEntry {
+		return srcEntry{at: time.Duration(seq), kind: srcPacket, data: pay, blk: blk}
+	},
+	get: func(e *srcEntry) (int, []byte, *netio.Block) { return int(e.at), e.data, e.blk },
+}
+
+// bothRings runs one generic test body over both ring instantiations.
+func bothRings(t *testing.T, shard func(*testing.T, ringKind[shardEntry]), ingress func(*testing.T, ringKind[srcEntry])) {
+	t.Run("shard", func(t *testing.T) { shard(t, shardKind) })
+	t.Run("ingress", func(t *testing.T) { ingress(t, srcKind) })
+}
+
+func (k ringKind[E]) newRing(depth, batch int) *ring[E] {
+	return newRing(depth, batch, newConsGate(), k.dropRef)
+}
+
 // fillEntries publishes count sequence-numbered entries through r in slots
-// of the ring's batch size, using the `at` field as the sequence number.
-// Payloads are per-entry heap slices (blk nil — the stable-storage case).
-func fillEntries(r *spscRing, count, batch int) {
+// of the ring's batch size. Payloads are per-entry heap slices (blk nil —
+// the stable-storage case).
+func fillEntries[E any](k ringKind[E], r *ring[E], count, batch int) {
 	for seq := 0; seq < count; {
 		s := r.slot()
 		for len(s.entries) < batch && seq < count {
-			e := shardEntry{at: time.Duration(seq), kind: entryFlow}
-			e.pay = []byte(fmt.Sprintf("p%d", seq))
-			s.entries = append(s.entries, e)
+			s.entries = append(s.entries, k.mk(seq, []byte(fmt.Sprintf("p%d", seq)), nil))
 			seq++
 		}
 		r.publish()
@@ -28,9 +64,8 @@ func fillEntries(r *spscRing, count, batch int) {
 }
 
 // drainEntries consumes everything from r, verifying FIFO order and
-// payload integrity, and returns the number of entries seen. It releases
-// slot handles before returning slots, exactly like shardWorker.run.
-func drainEntries(t *testing.T, r *spscRing) int {
+// payload integrity, and returns the number of entries seen.
+func drainEntries[E any](t *testing.T, k ringKind[E], r *ring[E]) int {
 	t.Helper()
 	seq := 0
 	for {
@@ -39,16 +74,15 @@ func drainEntries(t *testing.T, r *spscRing) int {
 			return seq
 		}
 		for i := range s.entries {
-			e := &s.entries[i]
-			if got, want := int(e.at), seq; got != want {
-				t.Fatalf("entry %d: sequence %d out of order", want, got)
+			got, pay, _ := k.get(&s.entries[i])
+			if got != seq {
+				t.Fatalf("entry %d: sequence %d out of order", seq, got)
 			}
-			if got, want := string(e.pay), fmt.Sprintf("p%d", seq); got != want {
+			if got, want := string(pay), fmt.Sprintf("p%d", seq); got != want {
 				t.Fatalf("entry %d: payload %q, want %q", seq, got, want)
 			}
 			seq++
 		}
-		releaseSlotBlocks(s)
 		r.release()
 	}
 }
@@ -57,8 +91,12 @@ func drainEntries(t *testing.T, r *spscRing) int {
 // and tail wrap the index space repeatedly; full and empty transitions are
 // exercised at every boundary because producer and consumer alternate.
 func TestRingWraparound(t *testing.T) {
+	bothRings(t, testRingWraparound[shardEntry], testRingWraparound[srcEntry])
+}
+
+func testRingWraparound[E any](t *testing.T, k ringKind[E]) {
 	const batch = 3
-	r := newRing(4, batch, newConsGate())
+	r := k.newRing(4, batch)
 	depth := len(r.slots)
 	const rounds = 10
 	total := depth * rounds * batch
@@ -73,20 +111,19 @@ func TestRingWraparound(t *testing.T) {
 				return
 			}
 			for i := range s.entries {
-				e := &s.entries[i]
-				if int(e.at) != n {
-					t.Errorf("entry %d: sequence %d out of order", n, int(e.at))
+				seq, pay, _ := k.get(&s.entries[i])
+				if seq != n {
+					t.Errorf("entry %d: sequence %d out of order", n, seq)
 				}
-				if got, want := string(e.pay), fmt.Sprintf("p%d", n); got != want {
+				if got, want := string(pay), fmt.Sprintf("p%d", n); got != want {
 					t.Errorf("entry %d: payload %q, want %q", n, got, want)
 				}
 				n++
 			}
-			releaseSlotBlocks(s)
 			r.release()
 		}
 	}()
-	fillEntries(r, total, batch)
+	fillEntries(k, r, total, batch)
 	if got := <-done; got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
@@ -97,15 +134,19 @@ func TestRingWraparound(t *testing.T) {
 // not overwrite) until wraparound space frees up. The park counter must
 // record the stall.
 func TestRingBackpressure(t *testing.T) {
+	bothRings(t, testRingBackpressure[shardEntry], testRingBackpressure[srcEntry])
+}
+
+func testRingBackpressure[E any](t *testing.T, k ringKind[E]) {
 	const batch = 4
-	r := newRing(2, batch, newConsGate())
+	r := k.newRing(2, batch)
 	var parks atomic.Uint64
 	r.parks = &parks
 	total := len(r.slots) * batch * 8
 
 	produced := make(chan struct{})
 	go func() {
-		fillEntries(r, total, batch)
+		fillEntries(k, r, total, batch)
 		close(produced)
 	}()
 	// Give the producer time to hit the full ring and park.
@@ -115,7 +156,7 @@ func TestRingBackpressure(t *testing.T) {
 		t.Fatal("producer finished before consumer freed any slot; ring not bounded")
 	default:
 	}
-	if got := drainEntries(t, r); got != total {
+	if got := drainEntries(t, k, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 	<-produced
@@ -127,11 +168,15 @@ func TestRingBackpressure(t *testing.T) {
 // TestRingCloseDrainsPartial publishes a final partial slot before close;
 // the consumer must see every entry, then observe the close.
 func TestRingCloseDrainsPartial(t *testing.T) {
+	bothRings(t, testRingCloseDrainsPartial[shardEntry], testRingCloseDrainsPartial[srcEntry])
+}
+
+func testRingCloseDrainsPartial[E any](t *testing.T, k ringKind[E]) {
 	const batch = 8
-	r := newRing(4, batch, newConsGate())
+	r := k.newRing(4, batch)
 	const total = batch*2 + 3 // last slot deliberately partial
-	go fillEntries(r, total, batch)
-	if got := drainEntries(t, r); got != total {
+	go fillEntries(k, r, total, batch)
+	if got := drainEntries(t, k, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 }
@@ -139,7 +184,11 @@ func TestRingCloseDrainsPartial(t *testing.T) {
 // TestRingCloseEmpty closes a ring that never published; the consumer must
 // return immediately with ok=false even from a parked wait.
 func TestRingCloseEmpty(t *testing.T) {
-	r := newRing(2, 4, newConsGate())
+	bothRings(t, testRingCloseEmpty[shardEntry], testRingCloseEmpty[srcEntry])
+}
+
+func testRingCloseEmpty[E any](t *testing.T, k ringKind[E]) {
+	r := k.newRing(2, 4)
 	go func() {
 		time.Sleep(5 * time.Millisecond) // let the consumer park first
 		r.close()
@@ -153,28 +202,36 @@ func TestRingCloseEmpty(t *testing.T) {
 // race detector: the SPSC protocol's only synchronization is the pair of
 // atomic indices, so any missing happens-before edge shows up here.
 func TestRingConcurrentStress(t *testing.T) {
+	bothRings(t, testRingConcurrentStress[shardEntry], testRingConcurrentStress[srcEntry])
+}
+
+func testRingConcurrentStress[E any](t *testing.T, k ringKind[E]) {
 	const batch = 16
-	r := newRing(8, batch, newConsGate())
+	r := k.newRing(8, batch)
 	const total = 100_000
-	go fillEntries(r, total, batch)
-	if got := drainEntries(t, r); got != total {
+	go fillEntries(k, r, total, batch)
+	if got := drainEntries(t, k, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 }
 
 // TestRingBlockHandleRelease runs block-backed payloads through a ring:
-// every appended entry takes a reference, the consumer's releaseSlotBlocks
-// must return them all (the pool sees the block retire exactly once), and
+// every appended entry takes a reference, the consumer's release must
+// return them all (the pool sees the block retire exactly once), and
 // discardFill must do the same for an unpublished fill slot (abort path).
 func TestRingBlockHandleRelease(t *testing.T) {
+	bothRings(t, testRingBlockHandleRelease[shardEntry], testRingBlockHandleRelease[srcEntry])
+}
+
+func testRingBlockHandleRelease[E any](t *testing.T, k ringKind[E]) {
 	pool := netio.NewBlockPool(1024, 4)
-	r := newRing(2, 4, newConsGate())
+	r := k.newRing(2, 4)
 
 	blk := pool.Get(0)
 	s := r.slot()
 	for i := 0; i < 3; i++ {
 		blk.Retain(1)
-		s.entries = append(s.entries, shardEntry{at: time.Duration(i), kind: entryFlow, pay: []byte("x"), blk: blk})
+		s.entries = append(s.entries, k.mk(i, []byte("x"), blk))
 	}
 	r.publish()
 	r.close()
@@ -187,23 +244,22 @@ func TestRingBlockHandleRelease(t *testing.T) {
 	if n := len(got.entries); n != 3 {
 		t.Fatalf("consumed %d entries, want 3", n)
 	}
-	releaseSlotBlocks(got)
 	r.release()
 	if st := pool.Stats(); st.Retired != 1 {
 		t.Fatalf("block retired %d times after consumer release, want 1", st.Retired)
 	}
 	for i := range got.entries {
-		if got.entries[i].blk != nil || got.entries[i].pay != nil {
-			t.Fatalf("entry %d: handles not cleared after releaseSlotBlocks", i)
+		if _, pay, blk := k.get(&got.entries[i]); blk != nil || pay != nil {
+			t.Fatalf("entry %d: handles not cleared after release", i)
 		}
 	}
 
 	// Abort path: entries sitting in a never-published fill slot.
 	blk2 := pool.Get(0)
-	r2 := newRing(2, 4, newConsGate())
+	r2 := k.newRing(2, 4)
 	s2 := r2.slot()
 	blk2.Retain(1)
-	s2.entries = append(s2.entries, shardEntry{kind: entryFlow, pay: []byte("y"), blk: blk2})
+	s2.entries = append(s2.entries, k.mk(0, []byte("y"), blk2))
 	blk2.Release(1) // producer's Get reference
 	r2.discardFill()
 	r2.close()

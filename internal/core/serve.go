@@ -10,11 +10,11 @@ package core
 //
 // Graceful drain reuses the batch pipeline's own end-of-capture path
 // rather than duplicating it: cancelling the Serve context does not
-// cancel the inner engine — it makes the packet source report EOF, so
-// runSingle/runSharded take their normal EOF exit (flush all flows, merge
-// stats, close the sink, flush the final window). Only if the drain
-// exceeds DrainTimeout is the inner context hard-cancelled, which aborts
-// without flushing, exactly like a cancelled batch Run.
+// cancel the inner engine — it makes the packet source report EOF, so the
+// engine takes its normal EOF exit (flush all flows, merge stats, close the
+// sink, flush the final window). Only if the drain exceeds DrainTimeout is
+// the inner context hard-cancelled, which aborts without flushing, exactly
+// like a cancelled batch Run.
 
 import (
 	"context"
@@ -186,7 +186,7 @@ type ServeMetrics struct {
 	Shed ShedStats
 
 	win     atomic.Pointer[flowdb.Windowed]
-	rings   atomic.Pointer[[]*spscRing]
+	rings   atomic.Pointer[[]*ring[shardEntry]]
 	readers atomic.Pointer[[]readerCell]
 }
 
@@ -418,23 +418,21 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		cfg.Shed = &s.metrics.Shed
 	}
 	cfg.tapPipelines = s.tapPipelines
-	cfg.tapRings = func(rs []*spscRing) { s.metrics.rings.Store(&rs) }
+	cfg.tapRings = func(rs []*ring[shardEntry]) { s.metrics.rings.Store(&rs) }
 	cfg.tapReaders = func(cs []readerCell) { s.metrics.readers.Store(&cs) }
 	cfg.Sink = &serveSink{inner: cfg.Sink, m: &s.metrics, win: win}
 
+	eng := NewEngine(cfg)
+	ds := &drainSource{src: eng.adapt(src), m: &s.metrics}
 	// Supervision sits under the drain wrapper: the drain signal must
 	// keep winning (stop means EOF now, not after a backoff), so the
 	// supervisor shares the drainSource's stop flag and aborts any
 	// in-progress recovery when it flips.
-	var sup *supervisedSource
 	if s.scfg.Restart != nil {
-		sup = newSupervisedSource(src, *s.scfg.Restart, &s.metrics)
-		s.metrics.restartBudget.Store(int64(sup.pol.MaxRestarts))
-		src = sup
-	}
-	ds := &drainSource{src: src, fetch: newBlockFetcher(src), ref: netio.NewRefAdapter(src, nil), m: &s.metrics}
-	if sup != nil {
+		sup := newSupervisedSource(ds.src, eng.adapt, *s.scfg.Restart, &s.metrics)
 		sup.stop = &ds.stop
+		s.metrics.restartBudget.Store(int64(sup.pol.MaxRestarts))
+		ds.src = sup
 	}
 
 	// The inner context is NOT derived from ctx: cancellation must drain,
@@ -452,7 +450,7 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 	}
 	runC := make(chan runOut, 1)
 	go func() {
-		res, err := NewEngine(cfg).Run(inner, ds)
+		res, err := eng.runAndClose(inner, ds)
 		runC <- runOut{res, err}
 	}()
 
@@ -616,62 +614,27 @@ func writeCheckpointFile(path string, entries []resolver.SnapshotEntry) error {
 // the trace clock for the metrics, and turns the drain signal (stop) into
 // io.EOF so the engine takes its normal end-of-capture path.
 type drainSource struct {
-	src   netio.PacketSource
-	fetch blockFetcher
-	ref   *netio.RefAdapter
-	m     *ServeMetrics
-	stop  atomic.Bool
+	src  netio.BlockRefSource
+	m    *ServeMetrics
+	stop atomic.Bool
 }
 
-// Next implements netio.PacketSource.
-func (d *drainSource) Next() (netio.Packet, error) {
-	if d.stop.Load() {
-		return netio.Packet{}, io.EOF
-	}
-	pkt, err := d.src.Next()
-	if err == nil {
-		d.m.packets.Add(1)
-		d.m.bytes.Add(uint64(len(pkt.Data)))
-		d.m.clockNs.Store(int64(pkt.Timestamp))
-	}
-	return pkt, err
-}
-
-// ReadBlock implements netio.BlockSource (falling back to per-packet
-// reads when the wrapped source lacks it).
-func (d *drainSource) ReadBlock(dst []netio.Packet) (int, error) {
-	if d.stop.Load() {
-		return 0, io.EOF
-	}
-	n, err := d.fetch.read(dst)
-	d.count(dst, n)
-	return n, err
-}
-
-// ReadBlockRef implements netio.BlockRefSource through an embedded
-// RefAdapter over the wrapped source, so the engine's handle-based dispatch
-// stays zero-copy through serve mode (the adapter delegates directly when
-// the source is itself a BlockRefSource).
+// ReadBlockRef implements netio.BlockRefSource.
 func (d *drainSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
 	if d.stop.Load() {
 		return 0, nil, io.EOF
 	}
-	n, blk, err := d.ref.ReadBlockRef(dst)
-	d.count(dst, n)
+	n, blk, err := d.src.ReadBlockRef(dst)
+	if n > 0 {
+		var b uint64
+		for i := 0; i < n; i++ {
+			b += uint64(len(dst[i].Data))
+		}
+		d.m.packets.Add(uint64(n))
+		d.m.bytes.Add(b)
+		d.m.clockNs.Store(int64(dst[n-1].Timestamp))
+	}
 	return n, blk, err
-}
-
-func (d *drainSource) count(dst []netio.Packet, n int) {
-	if n <= 0 {
-		return
-	}
-	var b uint64
-	for i := 0; i < n; i++ {
-		b += uint64(len(dst[i].Data))
-	}
-	d.m.packets.Add(uint64(n))
-	d.m.bytes.Add(b)
-	d.m.clockNs.Store(int64(dst[n-1].Timestamp))
 }
 
 // serveSink wraps the user sink: it counts events for the metrics and

@@ -8,13 +8,13 @@ package core
 // parallel deployments (§3.1.1): all state is keyed by client, so clients
 // can be split across independent pipelines with no shared mutable state.
 //
-// With Readers == 1 the classic shape applies: one goroutine block-reads,
-// parses, and dispatches. With Readers > 1 the same argument is applied
-// once more, upstream: the parse itself is keyed by client too, so a thin
-// stripe stage (see stripe.go) routes raw frames by a ~40-byte header peek
-// onto R dispatcher partitions, each with its own parser and flow tracker,
-// and every (reader, shard) pair gets its own SPSC ring — the MPSC
-// hand-off is composed from R×S SPSC rings, no new lock-free structure.
+// With Readers == 1 one goroutine block-reads, parses, and dispatches. With
+// Readers > 1 the same argument is applied once more, upstream: the parse
+// itself is keyed by client too, so a thin stripe stage (see stripe.go)
+// routes raw frames by a ~40-byte header peek onto R dispatcher partitions,
+// each with its own parser and flow tracker, and every (reader, shard) pair
+// gets its own SPSC ring — the MPSC hand-off is composed from R×S SPSC
+// rings, no new lock-free structure.
 //
 // Equivalence with the single-threaded pipeline is exact, not approximate,
 // because each dispatcher mirrors every piece of global state that decides
@@ -50,8 +50,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math/bits"
 	"math/rand/v2"
 	"net/netip"
@@ -82,7 +80,7 @@ const blockLen = 256
 // shardWorker owns one pipeline shard, draining one ring per reader.
 type shardWorker struct {
 	h     *DNHunter
-	rings []*spscRing // one per reader, all waking the shared gate
+	rings []*ring[shardEntry] // one per reader, all waking the shared gate
 	gate  *consGate
 }
 
@@ -91,7 +89,7 @@ type shardWorker struct {
 // consumes at most one slot per ring, so no reader partition can starve
 // another, and the shard parks once on its shared gate (any producer
 // wakes it) when no ring has work. When abort is set (cancellation) it
-// keeps consuming — and keeps returning block references — so no
+// keeps consuming — release keeps returning block references — so no
 // dispatcher ever blocks on a full ring, but stops processing.
 //
 //dnhunter:hotpath
@@ -109,7 +107,6 @@ func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 				if !abort.Load() {
 					w.process(s)
 				}
-				releaseSlotBlocks(s)
 				r.release()
 				progressed = true
 				continue
@@ -161,7 +158,7 @@ func (w *shardWorker) anyReady(done []bool) bool {
 // process applies one consumed slot to the shard pipeline.
 //
 //dnhunter:hotpath
-func (w *shardWorker) process(s *ringSlot) {
+func (w *shardWorker) process(s *ringSlot[shardEntry]) {
 	for i := range s.entries {
 		e := &s.entries[i]
 		switch e.kind {
@@ -180,8 +177,9 @@ type dispatcher struct {
 	reader  int
 	nshards int
 	parser  layers.Parser
-	rings   []*spscRing // this reader's row of the (reader, shard) mesh
+	rings   []*ring[shardEntry] // this reader's row of the (reader, shard) mesh
 	batch   int
+	cell    *readerCell
 
 	// tracker mirrors the shard tables' flow lifecycle over this partition's
 	// packet order; assign/expire are its prebound callbacks (bound once so
@@ -203,7 +201,7 @@ type dispatcher struct {
 }
 
 // runSharded is the Shards>1 path.
-func (e *Engine) runSharded(ctx context.Context, src netio.PacketSource) (*Result, error) {
+func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
 	n := e.cfg.Shards
 	nr := e.cfg.Readers
 	if nr < 1 {
@@ -234,17 +232,17 @@ func (e *Engine) runSharded(ctx context.Context, src netio.PacketSource) (*Resul
 	// The (reader, shard) ring mesh: dispatcher r produces into mesh[r],
 	// shard s consumes mesh[·][s] through its shared gate.
 	cells := make([]readerCell, nr)
-	mesh := make([][]*spscRing, nr)
+	mesh := make([][]*ring[shardEntry], nr)
 	for r := range mesh {
-		mesh[r] = make([]*spscRing, n)
+		mesh[r] = make([]*ring[shardEntry], n)
 		for s := range mesh[r] {
-			ring := newRing(ringDepth, e.cfg.Batch, gates[s])
+			ring := newRing(ringDepth, e.cfg.Batch, gates[s], (*shardEntry).dropRef)
 			ring.parks = &cells[r].meshParks
 			mesh[r][s] = ring
 		}
 	}
 	for i, w := range workers {
-		w.rings = make([]*spscRing, nr)
+		w.rings = make([]*ring[shardEntry], nr)
 		for r := 0; r < nr; r++ {
 			w.rings[r] = mesh[r][i]
 		}
@@ -278,6 +276,7 @@ func (e *Engine) runSharded(ctx context.Context, src netio.PacketSource) (*Resul
 			nshards: n,
 			rings:   mesh[r],
 			batch:   e.cfg.Batch,
+			cell:    &cells[r],
 			tracker: tracker,
 			idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
 		}
@@ -294,7 +293,7 @@ func (e *Engine) runSharded(ctx context.Context, src netio.PacketSource) (*Resul
 	if e.cfg.tapRings != nil {
 		// Shard-major flattening: ring i*nr+r is (reader r → shard i), so
 		// per-shard gauges group a shard's rings contiguously.
-		flat := make([]*spscRing, 0, nr*n)
+		flat := make([]*ring[shardEntry], 0, nr*n)
 		for s := 0; s < n; s++ {
 			for r := 0; r < nr; r++ {
 				flat = append(flat, mesh[r][s])
@@ -306,61 +305,20 @@ func (e *Engine) runSharded(ctx context.Context, src netio.PacketSource) (*Resul
 		e.cfg.tapReaders(cells)
 	}
 
+	// One read loop for both shapes. With one reader the Run goroutine
+	// parses and dispatches each block itself; with more it becomes the
+	// stripe (raw-frame routing only) and each dispatcher drains its own
+	// ingress ring on its own goroutine.
 	var runErr error
-	done := ctx.Done()
-	block := make([]netio.Packet, blockLen)
-	adapter := netio.NewRefAdapter(src, nil)
 	if nr == 1 {
-		// Classic shape: the Run goroutine reads, parses, and dispatches.
 		d := dispatchers[0]
-		for processed := 0; ; {
-			if processed&^(yieldEvery-1) != 0 {
-				processed &= yieldEvery - 1
-				runtime.Gosched() // see yieldEvery
-			}
-			select {
-			case <-done:
-				runErr = ctx.Err()
-			default:
-			}
-			if runErr != nil {
-				break
-			}
-			bn, blk, err := adapter.ReadBlockRef(block)
-			cells[0].pkts.Add(uint64(bn))
-			for i := 0; i < bn; i++ {
-				d.dispatch(block[i], blk)
-			}
-			if blk != nil {
-				blk.Release(1) // the reader's own reference, after distribution
-			}
-			processed += bn
-			if err != nil {
-				if err != io.EOF {
-					runErr = fmt.Errorf("core: packet source: %w", err)
-				}
-				break
-			}
-		}
-		if runErr != nil {
-			abort.Store(true)
-			for _, r := range d.rings {
-				r.discardFill() // return refs held by never-published entries
-			}
-		} else {
-			for _, r := range d.rings {
-				r.publish() // final partial slots
-			}
-		}
-		for _, r := range d.rings {
-			r.close()
-		}
+		runErr = readLoop(ctx, src, d.dispatchBlock)
+		abort.Store(runErr != nil)
+		finishRings(d.rings, runErr != nil)
 	} else {
-		// Striped shape: the Run goroutine becomes the stripe (raw-frame
-		// routing only), and each dispatcher runs on its own goroutine.
-		ingress := make([]*srcRing, nr)
+		ingress := make([]*ring[srcEntry], nr)
 		for r := range ingress {
-			ingress[r] = newSrcRing(ringDepth, e.cfg.Batch)
+			ingress[r] = newRing(ringDepth, e.cfg.Batch, newConsGate(), (*srcEntry).dropRef)
 			ingress[r].parks = &cells[r].parks
 		}
 		st := &stripe{
@@ -376,47 +334,9 @@ func (e *Engine) runSharded(ctx context.Context, src netio.PacketSource) (*Resul
 			dwg.Add(1)
 			go d.runLoop(&dwg, ingress[r], &abort)
 		}
-		for processed := 0; ; {
-			if processed&^(yieldEvery-1) != 0 {
-				processed &= yieldEvery - 1
-				runtime.Gosched()
-			}
-			select {
-			case <-done:
-				runErr = ctx.Err()
-			default:
-			}
-			if runErr != nil {
-				break
-			}
-			bn, blk, err := adapter.ReadBlockRef(block)
-			for i := 0; i < bn; i++ {
-				st.route(block[i], blk)
-			}
-			if blk != nil {
-				blk.Release(1)
-			}
-			processed += bn
-			if err != nil {
-				if err != io.EOF {
-					runErr = fmt.Errorf("core: packet source: %w", err)
-				}
-				break
-			}
-		}
-		if runErr != nil {
-			abort.Store(true)
-			for _, ir := range ingress {
-				ir.discardFill()
-			}
-		} else {
-			for _, ir := range ingress {
-				ir.publish()
-			}
-		}
-		for _, ir := range ingress {
-			ir.close()
-		}
+		runErr = readLoop(ctx, src, st.routeBlock)
+		abort.Store(runErr != nil)
+		finishRings(ingress, runErr != nil)
 		// Dispatchers drain their ingress rings (releasing block refs even
 		// under abort), finish their mesh rows, and close them; shards keep
 		// consuming under abort, so this join cannot deadlock.
@@ -520,18 +440,85 @@ func (d *dispatcher) shardOf(client netip.Addr) uint32 {
 	return shardOfAddr(client, d.nshards)
 }
 
-// dispatch parses one frame and routes it (the Readers==1 path). Mirrors
-// DNHunter.HandlePacket's branching exactly: parse failures are only
-// counted, UDP port-53 traffic goes to the DNS path, everything else to
-// the flow path.
+// finishRings ends a producer's streams: each ring's final partial slot is
+// published — or, on abort, discarded, returning the block references of
+// entries that will never reach the consumer — and the ring is closed.
+func finishRings[E any](rings []*ring[E], abort bool) {
+	for _, r := range rings {
+		if abort {
+			r.discardFill()
+		} else {
+			r.publish()
+		}
+		r.close()
+	}
+}
+
+// dispatchBlock is the Readers==1 read-loop consumer: route each frame,
+// then run the amortized sweep, after the packet, at the same trace times
+// a single-threaded table would sweep inside Add.
 //
 //dnhunter:hotpath
-func (d *dispatcher) dispatch(pkt netio.Packet, blk *netio.Block) {
-	dec, err := d.parser.Parse(pkt.Data)
-	if err != nil {
+func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
+	d.cell.pkts.Add(uint64(len(pkts)))
+	for i := range pkts {
+		at := pkts[i].Timestamp
+		if d.route(at, pkts[i].Data, blk) && at-d.sweepMark >= d.idle {
+			d.sweepMark = at
+			d.tracker.ExpireIdle(at, d.expire)
+		}
+	}
+}
+
+// runLoop is a striped dispatcher's goroutine body: drain this partition's
+// ingress ring, then finish and close its mesh row. Under abort it keeps
+// draining — returning every block reference — but stops processing, so
+// the stripe never wedges on a full ingress ring.
+func (d *dispatcher) runLoop(dwg *sync.WaitGroup, in *ring[srcEntry], abort *atomic.Bool) {
+	defer dwg.Done()
+	for {
+		s, ok := in.consume()
+		if !ok {
+			break
+		}
+		if !abort.Load() {
+			for i := range s.entries {
+				d.dispatchEntry(&s.entries[i])
+			}
+		}
+		in.release()
+	}
+	finishRings(d.rings, abort.Load())
+}
+
+// dispatchEntry handles one striped ingress entry: sweep markers expire
+// this partition; packets are routed with the tracker clock pre-advanced to
+// the stripe's global flow clock so lastSeen stamps match the single-reader
+// pipeline exactly (Route's own monotone-max then no-ops: at ≤ the shipped
+// clock by construction; the clock is only read when Route stamps a flow,
+// so advancing it for DNS and unparseable frames too changes nothing).
+//
+//dnhunter:hotpath
+func (d *dispatcher) dispatchEntry(se *srcEntry) {
+	if se.kind == srcSweep {
+		d.tracker.ExpireIdle(se.at, d.expire)
 		return
 	}
-	at := pkt.Timestamp
+	d.tracker.AdvanceClock(se.clock)
+	d.route(se.at, se.data, se.blk)
+}
+
+// route parses one frame and routes it, reporting whether it took the flow
+// path. It mirrors DNHunter.HandlePacket's branching exactly: parse
+// failures are only counted, UDP port-53 traffic goes to the DNS path,
+// everything else to the flow path.
+//
+//dnhunter:hotpath
+func (d *dispatcher) route(at time.Duration, frame []byte, blk *netio.Block) bool {
+	dec, err := d.parser.Parse(frame)
+	if err != nil {
+		return false
+	}
 	if dec.HasUDP && (dec.SrcPort == 53 || dec.DstPort == 53) {
 		// handleDNS attributes every response to DstIP, so responses MUST
 		// land on shardOf(DstIP) — regardless of which port is 53 — or the
@@ -549,10 +536,10 @@ func (d *dispatcher) dispatch(pkt netio.Packet, blk *netio.Block) {
 			kind: entryDNS,
 			key:  flows.Key{ClientIP: dec.DstIP},
 		}, dec.Payload, blk)
-		return
+		return false
 	}
 	if !dec.HasTCP && !dec.HasUDP {
-		return // the flow table ignores these; don't ship them
+		return false // the flow table ignores these; don't ship them
 	}
 	// The tracker mirrors the table's orientation and entry lifecycle, so
 	// the oriented key/direction ship with the entry and the shard's table
@@ -567,90 +554,7 @@ func (d *dispatcher) dispatch(pkt netio.Packet, blk *netio.Block) {
 		tcp:   dec.HasTCP,
 		flags: dec.TCPFlags,
 	}, dec.Payload, blk)
-	// Amortized sweep, after the packet, at the same trace times a
-	// single-threaded table would sweep inside Add.
-	if at-d.sweepMark >= d.idle {
-		d.sweepMark = at
-		d.tracker.ExpireIdle(at, d.expire)
-	}
-}
-
-// runLoop is a striped dispatcher's goroutine body: drain this partition's
-// ingress ring, then finish and close its mesh row. Under abort it keeps
-// draining — returning every block reference — but stops processing, so
-// the stripe never wedges on a full ingress ring.
-func (d *dispatcher) runLoop(dwg *sync.WaitGroup, in *srcRing, abort *atomic.Bool) {
-	defer dwg.Done()
-	for {
-		s, ok := in.consume()
-		if !ok {
-			break
-		}
-		if !abort.Load() {
-			for i := range s.entries {
-				d.dispatchEntry(&s.entries[i])
-			}
-		}
-		releaseSrcSlotBlocks(s)
-		in.release()
-	}
-	if abort.Load() {
-		for _, r := range d.rings {
-			r.discardFill()
-		}
-	} else {
-		for _, r := range d.rings {
-			r.publish()
-		}
-	}
-	for _, r := range d.rings {
-		r.close()
-	}
-}
-
-// dispatchEntry handles one striped ingress entry: sweep markers expire
-// this partition; packets follow dispatch's branching, with the tracker
-// clock pre-advanced to the stripe's global flow clock so lastSeen stamps
-// match the single-reader pipeline exactly (Route's own monotone-max then
-// no-ops: at ≤ the shipped clock by construction).
-//
-//dnhunter:hotpath
-func (d *dispatcher) dispatchEntry(se *srcEntry) {
-	if se.kind == srcSweep {
-		d.tracker.ExpireIdle(se.at, d.expire)
-		return
-	}
-	dec, err := d.parser.Parse(se.data)
-	if err != nil {
-		return
-	}
-	at := se.at
-	if dec.HasUDP && (dec.SrcPort == 53 || dec.DstPort == 53) {
-		client := dec.SrcIP
-		if len(dec.Payload) >= 3 && dec.Payload[2]&0x80 != 0 {
-			client = dec.DstIP
-		}
-		d.enqueue(int(d.shardOf(client)), shardEntry{
-			at:   at,
-			kind: entryDNS,
-			key:  flows.Key{ClientIP: dec.DstIP},
-		}, dec.Payload, se.blk)
-		return
-	}
-	if !dec.HasTCP && !dec.HasUDP {
-		return
-	}
-	d.tracker.AdvanceClock(se.clock)
-	key, c2s, kh, sh := d.tracker.Route(dec, at, d.assign)
-	d.enqueue(int(sh), shardEntry{
-		at:    at,
-		kind:  entryFlow,
-		key:   key,
-		hash:  kh,
-		c2s:   c2s,
-		tcp:   dec.HasTCP,
-		flags: dec.TCPFlags,
-	}, dec.Payload, se.blk)
+	return true
 }
 
 // enqueueExpire ships one centrally-computed idle expiry to the owning
@@ -663,8 +567,8 @@ func (d *dispatcher) enqueueExpire(key flows.Key, hash uint64, shard uint32) {
 // enqueue appends an entry to the shard's current ring slot, publishing
 // when the slot fills. The payload travels by handle: pay aliases blk's
 // refcounted arena (or stable source storage when blk is nil) and the
-// entry takes one block reference, returned by releaseSlotBlocks when the
-// slot retires — no byte of payload is copied on this path. In the default
+// entry takes one block reference, returned when the slot retires — no
+// byte of payload is copied on this path. In the default
 // (batch) mode, acquiring a slot may block on ring wraparound: that is the
 // back-pressure that bounds dispatcher run-ahead. In shed mode the
 // blocking acquire is replaced by trySlot and the entry is dropped (and
@@ -678,7 +582,7 @@ func (d *dispatcher) enqueueExpire(key flows.Key, hash uint64, shard uint32) {
 // stall the reader at packet rate.
 func (d *dispatcher) enqueue(sh int, e shardEntry, pay []byte, blk *netio.Block) {
 	r := d.rings[sh]
-	var s *ringSlot
+	var s *ringSlot[shardEntry]
 	if d.shed != nil && e.kind != entryExpire &&
 		(!e.tcp || e.flags&(layers.TCPRst|layers.TCPFin) == 0) {
 		var ok bool

@@ -32,8 +32,6 @@ package core
 
 import (
 	"net/netip"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netio"
@@ -64,213 +62,17 @@ type srcEntry struct {
 	noShed bool
 }
 
-// srcSlot is one ingress batch in flight.
-type srcSlot struct {
-	entries []srcEntry
-}
-
-// releaseSrcSlotBlocks returns the slot's block references (run-length
-// batched, handles cleared) — the ingress twin of releaseSlotBlocks.
-func releaseSrcSlotBlocks(s *srcSlot) {
-	var run *netio.Block
-	var n int64
-	for i := range s.entries {
-		e := &s.entries[i]
-		b := e.blk
-		e.blk, e.data = nil, nil
-		if b != run {
-			if run != nil {
-				run.Release(n)
-			}
-			run, n = b, 0
-		}
-		n++
-	}
-	if run != nil {
-		run.Release(n)
-	}
-}
-
-// srcRing is the bounded SPSC ingress ring (stripe → one dispatcher). Same
-// protocol as spscRing, over srcEntry slots; each ring has its own
-// consGate because a dispatcher drains exactly one ingress ring.
-//
-//dnhunter:hotatomic
-type srcRing struct {
-	slots []srcSlot
-	mask  uint64
-
-	_    cacheLinePad
-	head atomic.Uint64 // slots published; advanced only by the producer
-	_    cacheLinePad
-	tail atomic.Uint64 // slots released; advanced only by the consumer
-	_    cacheLinePad
-
-	closed     atomic.Bool
-	prodParked atomic.Bool
-	prodWake   chan struct{}
-	gate       *consGate
-
-	// parks, when non-nil, counts producer park events (ring full past the
-	// spin budget) — the per-reader ingress backpressure gauge.
-	parks *atomic.Uint64
-
-	acquired bool
-	batch    int
-}
-
-func newSrcRing(depth, batch int) *srcRing {
-	if depth < 2 {
-		depth = 2
-	}
-	size := 1
-	for size < depth {
-		size <<= 1
-	}
-	return &srcRing{
-		slots:    make([]srcSlot, size),
-		mask:     uint64(size - 1),
-		batch:    batch,
-		prodWake: make(chan struct{}, 1),
-		gate:     newConsGate(),
-	}
-}
-
-func (r *srcRing) claim(h uint64) *srcSlot {
-	s := &r.slots[h&r.mask]
-	if s.entries == nil {
-		//dnhunter:alloc-ok one-time lazy slot init; storage is recycled in place forever after
-		s.entries = make([]srcEntry, 0, r.batch)
-	}
-	s.entries = s.entries[:0]
-	r.acquired = true
-	return s
-}
-
-// slot returns the producer's fill slot, blocking on wraparound.
-func (r *srcRing) slot() *srcSlot {
-	h := r.head.Load()
-	if !r.acquired {
-		size := uint64(len(r.slots))
-		for spins := 0; h-r.tail.Load() >= size; {
-			if spins < ringProducerSpins {
-				spins++
-				runtime.Gosched()
-				continue
-			}
-			if r.parks != nil {
-				r.parks.Add(1)
-			}
-			r.prodParked.Store(true)
-			if h-r.tail.Load() < size {
-				r.prodParked.Store(false)
-				break
-			}
-			<-r.prodWake
-			r.prodParked.Store(false)
-			spins = 0
-		}
-		return r.claim(h)
-	}
-	return &r.slots[h&r.mask]
-}
-
-// trySlot is slot without the wait; ok=false when the ring is full (the
-// ingress shedding path drops raw frames rather than stall a live reader).
-func (r *srcRing) trySlot() (*srcSlot, bool) {
-	h := r.head.Load()
-	if !r.acquired {
-		if h-r.tail.Load() >= uint64(len(r.slots)) {
-			return nil, false
-		}
-		return r.claim(h), true
-	}
-	return &r.slots[h&r.mask], true
-}
-
-// publish hands the fill slot to the consumer (no-op if empty/unacquired).
-func (r *srcRing) publish() {
-	if !r.acquired {
-		return
-	}
-	if len(r.slots[r.head.Load()&r.mask].entries) == 0 {
-		return
-	}
-	r.acquired = false
-	r.head.Add(1)
-	if r.gate.parked.Load() {
-		select {
-		case r.gate.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// discardFill releases the unpublished fill slot's block refs (abort path).
-func (r *srcRing) discardFill() {
-	if !r.acquired {
-		return
-	}
-	s := &r.slots[r.head.Load()&r.mask]
-	releaseSrcSlotBlocks(s)
-	s.entries = s.entries[:0]
-}
-
-// close marks the stream finished and wakes the consumer.
-func (r *srcRing) close() {
-	r.closed.Store(true)
-	if r.gate.parked.Load() {
-		select {
-		case r.gate.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// consume blocks for the next published slot; ok=false once closed and
-// drained (with the post-close head recheck, as in spscRing).
-func (r *srcRing) consume() (*srcSlot, bool) {
-	t := r.tail.Load()
-	for spins := 0; ; {
-		if r.head.Load() > t {
-			return &r.slots[t&r.mask], true
-		}
-		if r.closed.Load() {
-			if r.head.Load() > t {
-				return &r.slots[t&r.mask], true
-			}
-			return nil, false
-		}
-		if spins < ringConsumerSpins {
-			spins++
-			runtime.Gosched()
-			continue
-		}
-		r.gate.parked.Store(true)
-		if r.head.Load() > t || r.closed.Load() {
-			r.gate.parked.Store(false)
-			continue
-		}
-		<-r.gate.wake
-		r.gate.parked.Store(false)
-		spins = 0
-	}
-}
-
-// release returns the consumed slot to the producer.
-func (r *srcRing) release() {
-	r.tail.Add(1)
-	if r.prodParked.Load() {
-		select {
-		case r.prodWake <- struct{}{}:
-		default:
-		}
-	}
+// dropRef clears the entry's frame handle and returns the block it held a
+// reference on (nil for none).
+func (e *srcEntry) dropRef() *netio.Block {
+	b := e.blk
+	e.blk, e.data = nil, nil
+	return b
 }
 
 // stripe is the reader-fanout stage state (one goroutine).
 type stripe struct {
-	ingress []*srcRing
+	ingress []*ring[srcEntry] // one per reader, each with its own consGate
 	nets    []netip.Prefix
 	cells   []readerCell
 
@@ -293,6 +95,15 @@ func inNets(nets []netip.Prefix, a netip.Addr) bool {
 	return false
 }
 
+// routeBlock is the stripe's read-loop consumer.
+//
+//dnhunter:hotpath
+func (st *stripe) routeBlock(pkts []netio.Packet, blk *netio.Block) {
+	for i := range pkts {
+		st.route(pkts[i], blk)
+	}
+}
+
 // route classifies one raw frame and appends it to its reader's ingress
 // ring, then broadcasts a sweep marker when the frame crossed the sweep
 // schedule — the same "after the triggering packet" order the
@@ -307,8 +118,8 @@ func (st *stripe) route(pkt netio.Packet, blk *netio.Block) {
 	flowPath := false
 	if ok {
 		if pk.UDP && (pk.SrcPort == 53 || pk.DstPort == 53) {
-			// Mirror dispatch's DNS attribution: responses (QR set) belong
-			// to DstIP, everything else spreads by SrcIP.
+			// Mirror dispatcher.route's DNS attribution: responses (QR set)
+			// belong to DstIP, everything else spreads by SrcIP.
 			client := pk.Src
 			if pk.DNSResponse {
 				client = pk.Dst
@@ -352,7 +163,7 @@ func (st *stripe) route(pkt netio.Packet, blk *netio.Block) {
 // always block.
 func (st *stripe) append(r int, e srcEntry) {
 	ring := st.ingress[r]
-	var s *srcSlot
+	var s *ringSlot[srcEntry]
 	if st.shed && !e.noShed {
 		var ok bool
 		if s, ok = ring.trySlot(); !ok {

@@ -84,9 +84,10 @@ func DefaultClassify(err error) bool {
 // read from the single engine reader goroutine (like any source), so its
 // bookkeeping needs no locking; only the metrics it publishes are shared.
 type supervisedSource struct {
-	src   netio.PacketSource
-	fetch blockFetcher
-	ref   *netio.RefAdapter
+	src netio.BlockRefSource
+	// adapt is the engine's edge adapter, applied to each source Reopen
+	// hands back.
+	adapt func(netio.PacketSource) netio.BlockRefSource
 	pol   RestartPolicy
 	m     *ServeMetrics
 	// stop is the drain signal shared with the drainSource above it:
@@ -101,17 +102,9 @@ type supervisedSource struct {
 	restarts int
 }
 
-func newSupervisedSource(src netio.PacketSource, pol RestartPolicy, m *ServeMetrics) *supervisedSource {
+func newSupervisedSource(src netio.BlockRefSource, adapt func(netio.PacketSource) netio.BlockRefSource, pol RestartPolicy, m *ServeMetrics) *supervisedSource {
 	pol = pol.withDefaults()
-	s := &supervisedSource{src: src, pol: pol, m: m, rng: pol.Seed}
-	s.rebind()
-	return s
-}
-
-// rebind refreshes the read adapters after the source is (re)opened.
-func (s *supervisedSource) rebind() {
-	s.fetch = newBlockFetcher(s.src)
-	s.ref = netio.NewRefAdapter(s.src, nil)
+	return &supervisedSource{src: src, adapt: adapt, pol: pol, m: m, rng: pol.Seed}
 }
 
 func (s *supervisedSource) draining() bool { return s.stop != nil && s.stop.Load() }
@@ -146,8 +139,7 @@ func (s *supervisedSource) recover(err error) error {
 			s.m.faultFatal.Add(1)
 			return fmt.Errorf("core: reopening source after restart %d: %w", s.restarts, oerr)
 		}
-		s.src = nsrc
-		s.rebind()
+		s.src = s.adapt(nsrc)
 	}
 	return nil
 }
@@ -188,22 +180,6 @@ func (s *supervisedSource) sleep(d time.Duration) {
 	}
 }
 
-// Next implements netio.PacketSource.
-func (s *supervisedSource) Next() (netio.Packet, error) {
-	for {
-		if err := s.takePending(); err != nil {
-			return netio.Packet{}, err
-		}
-		pkt, err := s.src.Next()
-		if err == nil || errors.Is(err, io.EOF) {
-			return pkt, err
-		}
-		if rerr := s.recover(err); rerr != nil {
-			return netio.Packet{}, rerr
-		}
-	}
-}
-
 // takePending runs deferred recovery from a previous partial delivery.
 func (s *supervisedSource) takePending() error {
 	if s.pending == nil {
@@ -214,39 +190,18 @@ func (s *supervisedSource) takePending() error {
 	return s.recover(err)
 }
 
-// ReadBlock implements netio.BlockSource.
-func (s *supervisedSource) ReadBlock(dst []netio.Packet) (int, error) {
-	for {
-		if err := s.takePending(); err != nil {
-			return 0, err
-		}
-		n, err := s.fetch.read(dst)
-		if err == nil || errors.Is(err, io.EOF) {
-			return n, err
-		}
-		if n > 0 {
-			// Deliver the partial block now; recover on the next call.
-			s.pending = err
-			return n, nil
-		}
-		if rerr := s.recover(err); rerr != nil {
-			return 0, rerr
-		}
-	}
-}
-
-// ReadBlockRef implements netio.BlockRefSource, so supervision keeps the
-// engine's zero-copy dispatch path.
+// ReadBlockRef implements netio.BlockRefSource.
 func (s *supervisedSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
 	for {
 		if err := s.takePending(); err != nil {
 			return 0, nil, err
 		}
-		n, blk, err := s.ref.ReadBlockRef(dst)
+		n, blk, err := s.src.ReadBlockRef(dst)
 		if err == nil || errors.Is(err, io.EOF) {
 			return n, blk, err
 		}
 		if n > 0 {
+			// Deliver the partial block now; recover on the next call.
 			s.pending = err
 			return n, blk, nil
 		}
@@ -259,9 +214,3 @@ func (s *supervisedSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, 
 		}
 	}
 }
-
-var (
-	_ netio.PacketSource   = (*supervisedSource)(nil)
-	_ netio.BlockSource    = (*supervisedSource)(nil)
-	_ netio.BlockRefSource = (*supervisedSource)(nil)
-)

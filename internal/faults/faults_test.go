@@ -189,13 +189,13 @@ func TestSourceShortBlock(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(15))
 	src := NewSource(tr.Source(), SourceConfig{ShortBlock: At(0)})
 	dst := make([]netio.Packet, 64)
-	n, err := src.ReadBlock(dst)
+	n, _, err := src.ReadBlockRef(dst)
 	if err != nil || n != 1 {
 		t.Fatalf("short block read = (%d, %v), want (1, nil)", n, err)
 	}
 	total := n
 	for {
-		n, err := src.ReadBlock(dst)
+		n, _, err := src.ReadBlockRef(dst)
 		total += n
 		if err != nil {
 			break

@@ -12,8 +12,8 @@ import (
 // counters drive the schedules:
 //
 //   - stream-level faults (Err, Stall, ShortBlock) see the read-call
-//     index: the n-th Next/ReadBlock/ReadBlockRef call, whatever the
-//     caller's batching;
+//     index: the n-th Next/ReadBlockRef call, whatever the caller's
+//     batching;
 //   - frame-level faults (EOF, Truncate, ClockBack, ClockSkew) see the
 //     packet index: the n-th packet delivered, regardless of how calls
 //     blocked them together.
@@ -69,13 +69,12 @@ func (c *SourceConfig) armed() bool {
 }
 
 // Source wraps a packet source with schedule-driven fault injection. It
-// implements netio.PacketSource, netio.BlockSource, and
-// netio.BlockRefSource, so it can sit at the engine's read seam in any
-// mode (including serve) without changing the read path shape. Like the
-// sources it wraps, it is not safe for concurrent use.
+// implements netio.PacketSource and netio.BlockRefSource, so it can sit at
+// the engine's read seam in any mode (including serve) without changing
+// the read path shape. Like the sources it wraps, it is not safe for
+// concurrent use.
 type Source struct {
 	src netio.PacketSource
-	bs  netio.BlockSource // nil when src lacks block reads
 	ref *netio.RefAdapter
 	cfg SourceConfig
 	err error // resolved ErrValue
@@ -91,11 +90,7 @@ type Source struct {
 // wrapper is transparent: identical packets, timestamps, block handles,
 // and errors, at one boolean test of overhead per call.
 func NewSource(src netio.PacketSource, cfg SourceConfig) *Source {
-	s := &Source{src: src, cfg: cfg, off: !cfg.armed()}
-	if bs, ok := src.(netio.BlockSource); ok {
-		s.bs = bs
-	}
-	s.ref = netio.NewRefAdapter(src, nil)
+	s := &Source{src: src, ref: netio.NewRefAdapter(src, nil, true), cfg: cfg, off: !cfg.armed()}
 	s.err = cfg.ErrValue
 	if s.err == nil {
 		s.err = ErrInjected
@@ -174,48 +169,6 @@ func (s *Source) Next() (netio.Packet, error) {
 	return pkt, nil
 }
 
-// fill reads one block from the wrapped source, falling back to a single
-// Next when it lacks block reads (Next's buffer-reuse contract forbids
-// batching it).
-//
-//dnhunter:hotpath
-func (s *Source) fill(dst []netio.Packet) (int, error) {
-	if s.bs != nil {
-		return s.bs.ReadBlock(dst)
-	}
-	pkt, err := s.src.Next()
-	if err != nil {
-		return 0, err
-	}
-	dst[0] = pkt
-	return 1, nil
-}
-
-// ReadBlock implements netio.BlockSource.
-//
-//dnhunter:hotpath
-func (s *Source) ReadBlock(dst []netio.Packet) (int, error) {
-	if s.off {
-		if s.bs != nil {
-			return s.bs.ReadBlock(dst)
-		}
-		return s.fill(dst)
-	}
-	short, err := s.enter()
-	if err != nil {
-		return 0, err
-	}
-	if short && len(dst) > 1 {
-		dst = dst[:1]
-	}
-	n, err := s.fill(dst)
-	n = s.admitBlock(dst, n)
-	if s.done && n == 0 {
-		return 0, io.EOF
-	}
-	return n, err
-}
-
 // ReadBlockRef implements netio.BlockRefSource: block handles pass
 // through untouched (truncation merely re-slices packet views into the
 // block), so the refcount discipline under test is the engine's own.
@@ -259,9 +212,6 @@ func (s *Source) admitBlock(dst []netio.Packet, n int) int {
 	return n
 }
 
-// Compile-time interface checks.
-var (
-	_ netio.PacketSource   = (*Source)(nil)
-	_ netio.BlockSource    = (*Source)(nil)
-	_ netio.BlockRefSource = (*Source)(nil)
-)
+// The engine discovers ReadBlockRef by type assertion; without it the
+// wrapper would silently degrade to per-packet Next reads.
+var _ netio.BlockRefSource = (*Source)(nil)

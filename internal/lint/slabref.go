@@ -111,13 +111,21 @@ func checkSlabFields(pass *analysis.Pass, ds *directives, st *ast.StructType, is
 }
 
 // containsSlabPtr reports whether t is, or directly contains, a
-// slab-slot pointer (through slices, arrays, maps, and channels).
+// slab-slot pointer (through slices, arrays, maps, channels, and the type
+// arguments of a generic container such as the engine's ring[E]).
 func containsSlabPtr(t types.Type, isSlabPtr func(types.Type) bool, depth int) bool {
 	if depth > 4 {
 		return false
 	}
 	if isSlabPtr(t) {
 		return true
+	}
+	if n, ok := t.(*types.Named); ok {
+		for i := 0; i < n.TypeArgs().Len(); i++ {
+			if containsSlabPtr(n.TypeArgs().At(i), isSlabPtr, depth+1) {
+				return true
+			}
+		}
 	}
 	switch t := t.Underlying().(type) {
 	case *types.Slice:

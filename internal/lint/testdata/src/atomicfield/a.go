@@ -41,3 +41,24 @@ type fine struct {
 }
 
 func (f *fine) get() uint64 { return f.v.Load() }
+
+// Generic structs keep the padding rule: the engine's ring is ring[E].
+
+//dnhunter:hotatomic
+type genericRing[E any] struct {
+	slots [][]E
+	head  atomic.Uint64
+	tail  atomic.Uint64 // want `share a cache line`
+}
+
+//dnhunter:hotatomic
+type paddedGenericRing[E any] struct {
+	slots [][]E
+	head  atomic.Uint64
+	_     [56]byte
+	tail  atomic.Uint64 // 64 bytes from head: allowed
+}
+
+func (r *genericRing[E]) depth() uint64 { return r.head.Load() - r.tail.Load() }
+
+func (r *paddedGenericRing[E]) depth() uint64 { return r.head.Load() - r.tail.Load() }

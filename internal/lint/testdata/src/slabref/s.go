@@ -51,3 +51,29 @@ func (t *table) lit(i uint32) {
 type other struct{ v int }
 
 type holder struct{ o *other }
+
+// A slab type used as a type argument stays in scope: slots[node] is how
+// the engine's ring[E] holds its entries, and a *node that comes out of the
+// generic container is still a slab-slot pointer.
+type slots[E any] struct {
+	entries []E
+}
+
+func (s *slots[E]) at(i int) *E { return &s.entries[i] }
+
+type batch struct {
+	slots slots[node]
+	last  *node          // want `struct field holds a slab-slot pointer`
+	ptrs  slots[*node]   // want `struct field holds a slab-slot pointer`
+	byKey map[uint64]int // handles, not pointers: allowed
+}
+
+func (b *batch) first() *node {
+	return b.slots.at(0) // want `returning a slab-slot pointer`
+}
+
+func (b *batch) keep() {
+	n := b.slots.at(0)           // local variable: statement-scoped, allowed
+	b.last = n                   // want `storing a slab-slot pointer outside a local variable`
+	global = &b.slots.entries[0] // want `storing a slab-slot pointer outside a local variable`
+}

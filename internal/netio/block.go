@@ -1,13 +1,13 @@
 package netio
 
-// Refcounted block arenas: the storage contract behind ReadBlockRef. The
-// classic ReadBlock contract ("Data valid until the next call") forces every
-// pipeline stage that outlives one read to copy the payload — the sharded
-// engine paid that copy twice (reader arena → ring slot arena). A Block
-// instead carries an explicit reference count: the reader fills a pooled
-// block once, every ring entry that aliases it takes a reference, and the
-// block returns to its pool when the last reference retires. Payload bytes
-// then move through the whole dispatch fanout by handle, never by copy.
+// Refcounted block arenas: the storage contract behind ReadBlockRef. A
+// borrowed buffer ("Data valid until the next call", the Next and ReadBlock
+// contract) forces every pipeline stage that outlives one read to copy the
+// payload. A Block instead carries an explicit reference count: the reader
+// fills a pooled block once, every ring entry that aliases it takes a
+// reference, and the block returns to its pool when the last reference
+// retires. Payload bytes then move through the whole dispatch fanout by
+// handle, never by copy.
 //
 // The pool is a plain mutex freelist, deliberately not a sync.Pool: GC
 // cycles would clear a sync.Pool and force 256 KiB block reallocations at
@@ -169,13 +169,21 @@ func (p *BlockPool) Stats() BlockPoolStats {
 	}
 }
 
-// BlockRefSource is the refcounted bulk extension of PacketSource: one call
-// frames up to len(dst) packets whose Data all alias the returned Block (or
-// storage stable for the source's lifetime, when blk is nil). The caller
-// receives blk holding one reference and must Release it exactly once when
-// done distributing; any consumer that keeps a Data slice beyond that must
-// Retain its own reference first. dst[:n] is valid alongside a non-nil err
-// (io.EOF after the final partial block).
+// BlockRefSource is the engine-facing read contract, the only one spoken
+// past the edge of the pipeline: one call frames up to len(dst) packets
+// whose Data all alias the returned Block (or, when blk is nil, storage the
+// producer vouches for — see NewRefAdapter). The caller receives blk holding
+// one reference and must Release it exactly once when done distributing; any
+// consumer that keeps a Data slice beyond that must Retain its own reference
+// first. dst[:n] is valid alongside a non-nil err (io.EOF after the final
+// partial block).
+//
+// Writing a packet source: implement Next. Optionally add ReadBlock (bulk
+// reads), DataStable (buffers never reused, so no copy is needed), or — for
+// a source that frames straight into pooled blocks — ReadBlockRef. A wrapper
+// around another source implements Next and ReadBlockRef over a RefAdapter
+// of its inner source, never the optional methods: the adapter is the only
+// code that knows them.
 type BlockRefSource interface {
 	ReadBlockRef(dst []Packet) (n int, blk *Block, err error)
 }
@@ -188,47 +196,49 @@ type StableSource interface {
 }
 
 // RefAdapter turns any PacketSource into a BlockRefSource, picking the
-// cheapest strategy once at construction: direct delegation when the source
-// already implements BlockRefSource, zero-copy block reads when the source
-// declares stable Data (nil blocks), and otherwise a single copy of each
-// frame into a pooled block (the source's reuse contract forbids keeping
-// its buffers).
+// cheapest read strategy once at construction. It is applied exactly once
+// per source, at the edge where a PacketSource enters the pipeline.
 type RefAdapter struct {
-	ref    BlockRefSource
-	stable bool
-	bs     BlockSource
-	src    PacketSource
-	pool   *BlockPool
+	ref  BlockRefSource // delegate; nil when the adapter reads through bs/src
+	bs   BlockSource    // bulk reads; nil falls back to one src.Next per call
+	src  PacketSource
+	copy bool // frames must be copied into a pooled block to outlive the read
+	pool *BlockPool
 }
 
-// NewRefAdapter wraps src; a nil pool selects DefaultBlockPool.
-func NewRefAdapter(src PacketSource, pool *BlockPool) *RefAdapter {
+// NewRefAdapter wraps src; a nil pool selects DefaultBlockPool. retain says
+// whether the consumer keeps payloads past its next read (the sharded
+// engine's rings do; the single-shard pipeline does not).
+//
+// With retain, a source that already frames into blocks is delegated to,
+// a StableSource is read zero-copy (nil blocks), and anything else has each
+// frame copied once into a pooled block, since its reuse contract forbids
+// keeping its buffers. Without retain nothing is ever copied and the pool is
+// never touched: frames are borrowed until the next read (nil blocks), and
+// plain block reads are preferred over ReadBlockRef so that a source offering
+// both (the pcap Reader) fills its own arena rather than a pooled block.
+func NewRefAdapter(src PacketSource, pool *BlockPool, retain bool) *RefAdapter {
 	if pool == nil {
 		pool = defaultPool
 	}
 	a := &RefAdapter{src: src, pool: pool}
-	if rs, ok := src.(BlockRefSource); ok {
+	a.bs, _ = src.(BlockSource)
+	if rs, ok := src.(BlockRefSource); ok && (retain || a.bs == nil) {
 		a.ref = rs
 		return a
 	}
-	if ss, ok := src.(StableSource); ok && ss.DataStable() {
-		a.stable = true
-	}
-	if bs, ok := src.(BlockSource); ok {
-		a.bs = bs
-	}
+	ss, ok := src.(StableSource)
+	a.copy = retain && !(ok && ss.DataStable())
 	return a
 }
 
-// ReadBlockRef fills dst per the BlockRefSource contract (RefAdapter is
-// itself a BlockRefSource, so wrappers like paced replay sources delegate
-// to an embedded adapter and stay zero-copy end to end).
+// ReadBlockRef fills dst per the BlockRefSource contract.
 func (a *RefAdapter) ReadBlockRef(dst []Packet) (int, *Block, error) {
 	if a.ref != nil {
 		return a.ref.ReadBlockRef(dst)
 	}
 	n, err := a.fetch(dst)
-	if n == 0 || a.stable {
+	if n == 0 || !a.copy {
 		return n, nil, err
 	}
 	// Copy every frame once into a single pooled block: total length is
@@ -247,7 +257,9 @@ func (a *RefAdapter) ReadBlockRef(dst []Packet) (int, *Block, error) {
 	return n, blk, err
 }
 
-// fetch is the plain-block fallback read.
+// fetch is the plain read: one block when the source has bulk reads, else
+// one Next (its buffer-reuse contract forbids batching — the second packet
+// would invalidate the first).
 func (a *RefAdapter) fetch(dst []Packet) (int, error) {
 	if a.bs != nil {
 		return a.bs.ReadBlock(dst)

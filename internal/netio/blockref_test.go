@@ -89,7 +89,7 @@ func TestRefAdapterStable(t *testing.T) {
 		{Timestamp: 1, Data: []byte("alpha")},
 		{Timestamp: 2, Data: []byte("beta")},
 	}
-	a := NewRefAdapter(NewSlicePacketSource(orig), nil)
+	a := NewRefAdapter(NewSlicePacketSource(orig), nil, true)
 	dst := make([]Packet, 4)
 	n, blk, _ := a.ReadBlockRef(dst)
 	if n != 2 || blk != nil {
@@ -106,7 +106,7 @@ func TestRefAdapterStable(t *testing.T) {
 func TestRefAdapterCopies(t *testing.T) {
 	pool := NewBlockPool(1024, 2)
 	src := &fakeReusingSource{frames: [][]byte{[]byte("first"), []byte("second")}}
-	a := NewRefAdapter(src, pool)
+	a := NewRefAdapter(src, pool, true)
 
 	dst := make([]Packet, 1)
 	n, blk, err := a.ReadBlockRef(dst)
@@ -134,7 +134,7 @@ func TestRefAdapterDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewRefAdapter(r, nil)
+	a := NewRefAdapter(r, nil, true)
 	dst := make([]Packet, 16)
 	n, blk, _ := a.ReadBlockRef(dst)
 	if n != 10 || blk == nil {

@@ -8,7 +8,7 @@ package netio
 // PacedSource throttles any source to its capture timeline so a
 // minutes-long trace takes minutes (or any speedup thereof) to serve.
 //
-// Both return from every ReadBlock call in bounded time — PacedSource
+// Both return from every read call in bounded time — PacedSource
 // sleeps at most one block's worth of trace time — which is what lets the
 // engine's drain-on-cancel path (poll between blocks) stay responsive.
 // Sources that can block indefinitely (ChanPacketSource on an idle
@@ -107,36 +107,36 @@ func (l *LoopSource) Passes() int { return l.pass }
 // sleep until the frame's wall time arrives. It paces at block
 // granularity — the sleep happens before a block is returned, based on
 // its first packet — so throughput stays high while long-run pacing
-// tracks the trace clock. It implements PacketSource and BlockSource.
+// tracks the trace clock. It implements PacketSource and BlockRefSource.
 type PacedSource struct {
 	src     PacketSource
-	bs      BlockSource
+	ref     *RefAdapter
 	speedup float64
-	start   time.Time
+	start   time.Time     // wall time of the first read
+	t0      time.Duration // trace time of the first packet
 	started bool
 }
 
 // NewPacedSource wraps src. speedup scales trace time onto wall time: 1
 // replays in real time, 10 replays ten times faster; values <= 0 mean 1.
 func NewPacedSource(src PacketSource, speedup float64) *PacedSource {
-	p := &PacedSource{src: src, speedup: speedup}
+	p := &PacedSource{src: src, ref: NewRefAdapter(src, nil, true), speedup: speedup}
 	if p.speedup <= 0 {
 		p.speedup = 1
-	}
-	if bs, ok := src.(BlockSource); ok {
-		p.bs = bs
 	}
 	return p
 }
 
-// pace sleeps until ts maps to a wall time that has arrived.
+// pace sleeps until ts maps to a wall time that has arrived. The first
+// packet anchors both clocks, so a trace that starts at T0 does not stall
+// T0/speedup before its second packet.
 func (p *PacedSource) pace(ts time.Duration) {
 	if !p.started {
 		p.started = true
-		p.start = time.Now()
+		p.start, p.t0 = time.Now(), ts
 		return
 	}
-	due := p.start.Add(time.Duration(float64(ts) / p.speedup))
+	due := p.start.Add(time.Duration(float64(ts-p.t0) / p.speedup))
 	if d := time.Until(due); d > 0 {
 		time.Sleep(d)
 	}
@@ -152,24 +152,15 @@ func (p *PacedSource) Next() (Packet, error) {
 	return pkt, nil
 }
 
-// ReadBlock implements BlockSource.
-func (p *PacedSource) ReadBlock(dst []Packet) (int, error) {
-	var (
-		n   int
-		err error
-	)
-	if p.bs != nil {
-		n, err = p.bs.ReadBlock(dst)
-	} else {
-		var pkt Packet
-		pkt, err = p.src.Next()
-		if err == nil {
-			dst[0] = pkt
-			n = 1
-		}
-	}
+// ReadBlockRef implements BlockRefSource.
+func (p *PacedSource) ReadBlockRef(dst []Packet) (int, *Block, error) {
+	n, blk, err := p.ref.ReadBlockRef(dst)
 	if n > 0 {
 		p.pace(dst[0].Timestamp)
 	}
-	return n, err
+	return n, blk, err
 }
+
+// The engine discovers ReadBlockRef by type assertion; without it the
+// wrapper would silently degrade to per-packet Next reads.
+var _ BlockRefSource = (*PacedSource)(nil)

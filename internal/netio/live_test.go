@@ -73,24 +73,45 @@ func TestLoopSourceEmpty(t *testing.T) {
 	}
 }
 
+// drainPaced reads p to EOF through block reads of len(dst) packets and
+// returns how many packets arrived and how long the paced replay took.
+func drainPaced(t *testing.T, p *PacedSource, dst []Packet) (int, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	total := 0
+	for {
+		n, blk, err := p.ReadBlockRef(dst)
+		total += n
+		if blk != nil {
+			blk.Release(1)
+		}
+		if err == io.EOF {
+			return total, time.Since(start)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPacedSourcePacesBlocks(t *testing.T) {
 	// 40ms of trace at 4x speedup ≈ 10ms of wall time minimum.
 	pkts := []Packet{
 		{Timestamp: 0, Data: []byte{1}},
 		{Timestamp: 40 * time.Millisecond, Data: []byte{2}},
 	}
-	p := NewPacedSource(NewSlicePacketSource(pkts), 4)
-	start := time.Now()
 	dst := make([]Packet, 1)
-	for {
-		if _, err := p.ReadBlock(dst); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 8*time.Millisecond {
+	if _, elapsed := drainPaced(t, NewPacedSource(NewSlicePacketSource(pkts), 4), dst); elapsed < 8*time.Millisecond {
 		t.Fatalf("paced replay took %v, want >= ~10ms", elapsed)
+	}
+	// Pacing is relative to the first packet: a trace that starts 500ms
+	// into trace time replays its 10ms in ~10ms, not 510ms.
+	late := []Packet{
+		{Timestamp: 500 * time.Millisecond, Data: []byte{1}},
+		{Timestamp: 510 * time.Millisecond, Data: []byte{2}},
+	}
+	if _, elapsed := drainPaced(t, NewPacedSource(NewSlicePacketSource(late), 1), dst); elapsed < 8*time.Millisecond || elapsed > 250*time.Millisecond {
+		t.Fatalf("late-start replay took %v, want ~10ms", elapsed)
 	}
 }
 
@@ -98,19 +119,7 @@ func TestPacedSourceUnpacedFallback(t *testing.T) {
 	// A non-BlockSource inner source goes through the Next fallback.
 	type nextOnly struct{ PacketSource }
 	p := NewPacedSource(nextOnly{NewSlicePacketSource(loopPackets())}, 1000)
-	dst := make([]Packet, 4)
-	total := 0
-	for {
-		n, err := p.ReadBlock(dst)
-		total += n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if total != 3 {
+	if total, _ := drainPaced(t, p, make([]Packet, 4)); total != 3 {
 		t.Fatalf("fallback replayed %d packets, want 3", total)
 	}
 }
