@@ -32,8 +32,10 @@ type EngineConfig struct {
 	// nets every flow would ride the best-effort symmetric fallback — losing
 	// the DNS-before-flow ordering guarantee for no labeling benefit.
 	Readers int
-	// Batch is the number of entries per dispatcher→shard ring slot (the
-	// hand-off granularity); 0 means 512. Only used when Shards > 1.
+	// Batch sizes the dispatcher→shard rings: each holds 8×Batch entries and
+	// a shard takes at most Batch from one ring per pass; 0 means 512. It is
+	// not a latency knob — entries are published per read block, however
+	// few (see ring.go). Only used when Shards > 1.
 	Batch int
 	// Resolver configures each shard's DNS cache replica. Note the Clist
 	// size applies per shard.

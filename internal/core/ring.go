@@ -1,14 +1,22 @@
 package core
 
 // The bounded lock-free SPSC ring behind both hand-offs of the sharded
-// engine: dispatcher→shard (one ring of pre-parsed shardEntry batches per
-// (reader, shard) pair) and, with Readers > 1, stripe→dispatcher (one ring
-// of raw-frame srcEntry batches per reader; see stripe.go). Entries carry
-// payloads by handle into refcounted netio.Block arenas (or stable source
-// storage), so a payload moves from the packet source to the shard by
-// reference, never by copy. Slot storage is allocated on a slot's first use
-// and recycled in place forever after — no sync.Pool round-trips, no
-// per-batch reallocation.
+// engine: dispatcher→shard (one ring of pre-parsed shardEntry per (reader,
+// shard) pair) and, with Readers > 1, stripe→dispatcher (one ring of
+// raw-frame srcEntry per reader; see stripe.go). Entries carry payloads by
+// handle into refcounted netio.Block arenas (or stable source storage), so a
+// payload moves from the packet source to the shard by reference, never by
+// copy. Entry storage is one flat array allocated with the ring and reused
+// in place forever after.
+//
+// Publication is entry-granular and decoupled from capacity: the producer
+// appends entries privately (put) and makes them visible with one store of
+// the head cursor (publish) at the end of every read block — and before it
+// ever waits on a full ring — while the consumer takes whatever is
+// published, at most batch entries per pass. So a tag waits for the read in
+// progress and the shard's queue, never for later traffic, and batches size
+// themselves: a hundred-odd entries per publish when reads are full, a
+// handful when the link is quiet.
 //
 // The synchronization is the classic single-producer/single-consumer ring:
 // a head index advanced only by the producer and a tail index advanced
@@ -31,7 +39,7 @@ import (
 	"repro/internal/netio"
 )
 
-// Entry kinds carried by ring slots.
+// Entry kinds carried by the dispatcher→shard rings.
 const (
 	entryFlow   uint8 = iota // pre-routed flow packet
 	entryDNS                 // UDP/53 payload
@@ -41,13 +49,13 @@ const (
 // shardEntry is one pre-parsed unit of shard work. The dispatcher has
 // already parsed the frame, extracted and oriented the flow key, and
 // decided the direction, so the shard touches only its own flow table and
-// resolver — no re-parse, no re-orient. Entries live in slot storage that
-// is recycled on release, so a *shardEntry must never outlive the batch it
+// resolver — no re-parse, no re-orient. Entries live in ring storage that
+// is reused on release, so a *shardEntry must never outlive the batch it
 // was delivered in. The payload handle (pay/blk) is slab-adjacent: pay
 // aliases blk's refcounted arena (or stable source storage when blk is
 // nil), the dispatcher takes one block reference per appended entry, and
-// the ring returns them when the slot retires — so the bytes behind pay
-// are valid for exactly as long as the entry itself.
+// the ring returns them as the consumer's tail advances — so the bytes
+// behind pay are valid for exactly as long as the entry itself.
 //
 //dnhunter:slab
 type shardEntry struct {
@@ -61,7 +69,7 @@ type shardEntry struct {
 	// storage when blk is nil); nil when the entry carries no payload.
 	pay []byte
 	// blk is the refcounted block backing pay; the entry holds one
-	// reference, returned when the slot retires.
+	// reference, returned when the consumer releases it.
 	blk   *netio.Block
 	kind  uint8
 	c2s   bool // entryFlow: packet direction under key's orientation
@@ -75,11 +83,6 @@ func (e *shardEntry) dropRef() *netio.Block {
 	b := e.blk
 	e.blk, e.pay = nil, nil
 	return b
-}
-
-// ringSlot is one batch in flight. Capacity is fixed at ring construction.
-type ringSlot[E any] struct {
-	entries []E
 }
 
 // Spin budgets before parking. Each spin is a runtime.Gosched, which on a
@@ -107,22 +110,28 @@ type consGate struct {
 
 func newConsGate() *consGate { return &consGate{wake: make(chan struct{}, 1)} }
 
-// ring is the bounded single-producer/single-consumer slot ring over
-// entries of type E. Exactly one goroutine may call producer methods (slot,
-// trySlot, publish, discardFill, close) and exactly one may call consumer
-// methods (tryConsume, consume, release) — the consumer may be shared across
-// rings via the consGate.
+// ring is the bounded single-producer/single-consumer ring over entries of
+// type E. Exactly one goroutine may call producer methods (put, publish,
+// close) and exactly one may call consumer methods (tryConsume, consume,
+// release) — the consumer may be shared across rings via the consGate.
 //
 //dnhunter:hotatomic
 type ring[E any] struct {
-	slots []ringSlot[E]
-	mask  uint64
+	buf   []E    // len is limit rounded up to a power of two
+	mask  uint64 // len(buf) − 1
+	limit uint64 // capacity: at most this many unreleased entries
+	batch uint64 // most entries one tryConsume hands out; the unit of depth()
 
-	_    cacheLinePad
-	head atomic.Uint64 // slots published; advanced only by the producer
-	_    cacheLinePad
-	tail atomic.Uint64 // slots released; advanced only by the consumer
-	_    cacheLinePad
+	// The producer's line. Entries in [head, fill) are written but not yet
+	// visible to the consumer; tailSeen is the producer's last reading of
+	// tail, so put touches the consumer's line only when the ring looks full.
+	_        cacheLinePad
+	head     atomic.Uint64 // entries published; advanced only by the producer
+	fill     uint64
+	tailSeen uint64
+	_        cacheLinePad
+	tail     atomic.Uint64 // entries released; advanced only by the consumer
+	_        cacheLinePad
 
 	closed     atomic.Bool
 	prodParked atomic.Bool
@@ -136,81 +145,50 @@ type ring[E any] struct {
 	// dropRef clears one entry's payload handle and returns the block it
 	// referenced (E's own method; a type parameter has no fields to reach).
 	dropRef func(*E) *netio.Block
-
-	// acquired tracks whether the producer's current fill slot has been
-	// claimed (waited free and reset). batch sizes slot storage on first
-	// use. Producer-only state.
-	acquired bool
-	batch    int
 }
 
-// newRing builds a ring of `depth` slots (rounded up to a power of two),
-// each holding up to batch entries, waking its consumer through gate. Slot
-// storage is allocated on a slot's first use — a short trace that never
-// wraps the ring only pays for the slots it touches — and recycled in
-// place forever after.
+// newRing builds a ring holding up to depth×batch entries (both positive),
+// waking its consumer through gate.
 func newRing[E any](depth, batch int, gate *consGate, dropRef func(*E) *netio.Block) *ring[E] {
-	if depth < 2 {
-		depth = 2
-	}
+	limit := depth * batch
 	size := 1
-	for size < depth {
+	for size < limit {
 		size <<= 1
 	}
 	return &ring[E]{
-		slots:    make([]ringSlot[E], size),
+		buf:      make([]E, size),
 		mask:     uint64(size - 1),
-		batch:    batch,
+		limit:    uint64(limit),
+		batch:    uint64(batch),
 		prodWake: make(chan struct{}, 1),
 		gate:     gate,
 		dropRef:  dropRef,
 	}
 }
 
-// releaseBlocks returns every block reference the slot's entries hold,
-// batching consecutive same-block runs into one atomic add (entries from
-// one read block are adjacent, so a full slot usually costs a handful of
-// adds, not one per entry). It also clears the handles so recycled slot
-// storage never pins a block or a source buffer.
-func (r *ring[E]) releaseBlocks(s *ringSlot[E]) {
-	var run *netio.Block
-	var n int64
-	for i := range s.entries {
-		b := r.dropRef(&s.entries[i])
-		if b != run {
-			if run != nil {
-				run.Release(n)
-			}
-			run, n = b, 0
+// full reports whether the ring has no room for another entry, refreshing
+// the producer's view of tail only when the cached one says so.
+func (r *ring[E]) full() bool {
+	if r.fill-r.tailSeen < r.limit {
+		return false
+	}
+	r.tailSeen = r.tail.Load()
+	return r.fill-r.tailSeen >= r.limit
+}
+
+// put appends e to the producer's unpublished run; the consumer sees it at
+// the next publish. On a full ring the run is published first (the consumer
+// can only free what it can see) and then put either blocks until the
+// consumer releases space (wait: the back-pressure that bounds producer
+// run-ahead) or reports false without queuing e (the overload-shedding
+// paths drop instead of stalling a live reader).
+func (r *ring[E]) put(e E, wait bool) bool {
+	if r.full() {
+		r.publish()
+		if !wait {
+			return false
 		}
-		n++
-	}
-	if run != nil {
-		run.Release(n)
-	}
-}
-
-// claim resets and acquires the fill slot at head position h. The caller
-// has verified the slot is free (consumer released it).
-func (r *ring[E]) claim(h uint64) *ringSlot[E] {
-	s := &r.slots[h&r.mask]
-	if s.entries == nil {
-		//dnhunter:alloc-ok one-time lazy slot init; storage is recycled in place forever after
-		s.entries = make([]E, 0, r.batch)
-	}
-	s.entries = s.entries[:0]
-	r.acquired = true
-	return s
-}
-
-// slot returns the producer's current fill slot, blocking until the
-// consumer has freed it on wraparound. The slot is reset on first use
-// after acquisition.
-func (r *ring[E]) slot() *ringSlot[E] {
-	h := r.head.Load()
-	if !r.acquired {
-		size := uint64(len(r.slots))
-		for spins := 0; h-r.tail.Load() >= size; {
+		for spins := 0; r.full(); {
 			if spins < ringProducerSpins {
 				spins++
 				runtime.Gosched()
@@ -220,7 +198,7 @@ func (r *ring[E]) slot() *ringSlot[E] {
 				r.parks.Add(1)
 			}
 			r.prodParked.Store(true)
-			if h-r.tail.Load() < size {
+			if !r.full() {
 				r.prodParked.Store(false)
 				break
 			}
@@ -228,62 +206,38 @@ func (r *ring[E]) slot() *ringSlot[E] {
 			r.prodParked.Store(false)
 			spins = 0
 		}
-		return r.claim(h)
 	}
-	return &r.slots[h&r.mask]
+	r.buf[r.fill&r.mask] = e
+	r.fill++
+	return true
 }
 
-// trySlot is slot without the wraparound wait: ok=false when the ring is
-// full and no fill slot is currently acquired. The overload-shedding paths
-// use it to drop instead of blocking a live reader when the consumer backs
-// up.
-func (r *ring[E]) trySlot() (*ringSlot[E], bool) {
-	h := r.head.Load()
-	if !r.acquired {
-		if h-r.tail.Load() >= uint64(len(r.slots)) {
-			return nil, false
-		}
-		return r.claim(h), true
-	}
-	return &r.slots[h&r.mask], true
-}
-
-// depth reports the number of published-but-unreleased slots, 0 to
-// len(slots). Safe to call from any goroutine (a metrics gauge): it
-// touches only the atomic indices, not the producer-owned fill state.
-func (r *ring[E]) depth() int {
-	return int(r.head.Load() - r.tail.Load())
-}
-
-// publish hands the current fill slot to the consumer. A no-op when the
-// slot is empty or unacquired.
+// publish makes every entry put so far visible to the consumer and wakes
+// it. A no-op when nothing is unpublished.
 func (r *ring[E]) publish() {
-	if !r.acquired {
+	if r.head.Load() == r.fill {
 		return
 	}
-	if len(r.slots[r.head.Load()&r.mask].entries) == 0 {
-		return
-	}
-	r.acquired = false
-	r.head.Add(1)
+	r.head.Store(r.fill)
 	r.wakeConsumer()
 }
 
-// discardFill releases the unpublished fill slot's block references (the
-// abort path: entries that will never reach a shard must still return
-// their refs so blocks recycle).
-func (r *ring[E]) discardFill() {
-	if !r.acquired {
-		return
-	}
-	s := &r.slots[r.head.Load()&r.mask]
-	r.releaseBlocks(s)
-	s.entries = s.entries[:0]
+// depth reports the published-but-unreleased backlog in batches, rounded
+// up: 0 to the depth the ring was built with. Safe to call from any
+// goroutine (a metrics gauge): it touches only the atomic indices. tail is
+// read first so a racing consumer can only make the figure stale-high.
+func (r *ring[E]) depth() int {
+	t := r.tail.Load()
+	n := min(r.head.Load()-t, r.limit)
+	return int((n + r.batch - 1) / r.batch)
 }
 
-// close marks the stream finished (after a final publish) and wakes the
-// consumer so it can observe the close. Producer side only.
+// close publishes what is left and marks the stream finished, waking the
+// consumer so it can observe the close. Producer side only. It is also the
+// abort path: consumers keep releasing under abort, which returns the block
+// references of entries that will never be processed.
 func (r *ring[E]) close() {
+	r.publish()
 	r.closed.Store(true)
 	r.wakeConsumer()
 }
@@ -297,17 +251,17 @@ func (r *ring[E]) wakeConsumer() {
 	}
 }
 
-// tryConsume returns the next published slot without blocking; ok=false
-// when none is ready. The slot stays valid until release.
-func (r *ring[E]) tryConsume() (*ringSlot[E], bool) {
+// tryConsume returns the next run of published entries without blocking —
+// at most batch of them, and never across the storage wrap — empty when
+// none is published. The run stays valid until it is handed to release.
+func (r *ring[E]) tryConsume() []E {
 	t := r.tail.Load()
-	if r.head.Load() > t {
-		return &r.slots[t&r.mask], true
-	}
-	return nil, false
+	lo := t & r.mask
+	n := min(r.head.Load()-t, r.batch, uint64(len(r.buf))-lo)
+	return r.buf[lo : lo+n]
 }
 
-// drained reports a closed ring with no published slot left. The head
+// drained reports a closed ring with no published entry left. The head
 // re-load after observing the close matters: the producer's final publish
 // happens before close, but a first head load may predate it.
 func (r *ring[E]) drained() bool {
@@ -317,17 +271,34 @@ func (r *ring[E]) drained() bool {
 	return r.head.Load() == r.tail.Load()
 }
 
-// ready reports that the consumer should rescan this ring: a published
-// slot is waiting, or the ring closed (so the drain check can retire it).
+// ready reports that the consumer should rescan this ring: published
+// entries are waiting, or the ring closed (so the drain check can retire it).
 func (r *ring[E]) ready() bool {
-	return r.head.Load() > r.tail.Load() || r.closed.Load()
+	return r.head.Load() != r.tail.Load() || r.closed.Load()
 }
 
-// release retires the consumed slot: its entries' block references are
-// returned, then the slot goes back to the producer.
-func (r *ring[E]) release() {
-	r.releaseBlocks(&r.slots[r.tail.Load()&r.mask])
-	r.tail.Add(1)
+// release retires a run returned by tryConsume or consume: its entries'
+// block references are returned — consecutive same-block entries batched
+// into one atomic add (entries from one read block are adjacent) — and
+// their handles cleared, so reused storage never pins a block or a source
+// buffer; then the space goes back to the producer.
+func (r *ring[E]) release(s []E) {
+	var run *netio.Block
+	var n int64
+	for i := range s {
+		b := r.dropRef(&s[i])
+		if b != run {
+			if run != nil {
+				run.Release(n)
+			}
+			run, n = b, 0
+		}
+		n++
+	}
+	if run != nil {
+		run.Release(n)
+	}
+	r.tail.Add(uint64(len(s)))
 	if r.prodParked.Load() {
 		select {
 		case r.prodWake <- struct{}{}:
@@ -337,15 +308,15 @@ func (r *ring[E]) release() {
 }
 
 // consume is the single-ring blocking drain (a consumer with one ring, such
-// as a striped dispatcher): it returns the next published slot, blocking
-// until one is available, and ok=false once the ring is closed and drained.
-func (r *ring[E]) consume() (*ringSlot[E], bool) {
+// as a striped dispatcher): it returns the next published run, blocking
+// until one is available, and nil once the ring is closed and drained.
+func (r *ring[E]) consume() []E {
 	for spins := 0; ; {
-		if s, ok := r.tryConsume(); ok {
-			return s, true
+		if s := r.tryConsume(); len(s) > 0 {
+			return s
 		}
 		if r.drained() {
-			return nil, false
+			return nil
 		}
 		if spins < ringConsumerSpins {
 			spins++

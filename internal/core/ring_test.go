@@ -48,124 +48,146 @@ func (k ringKind[E]) newRing(depth, batch int) *ring[E] {
 	return newRing(depth, batch, newConsGate(), k.dropRef)
 }
 
-// fillEntries publishes count sequence-numbered entries through r in slots
-// of the ring's batch size. Payloads are per-entry heap slices (blk nil —
-// the stable-storage case).
-func fillEntries[E any](k ringKind[E], r *ring[E], count, batch int) {
-	for seq := 0; seq < count; {
-		s := r.slot()
-		for len(s.entries) < batch && seq < count {
-			s.entries = append(s.entries, k.mk(seq, []byte(fmt.Sprintf("p%d", seq)), nil))
-			seq++
+// fillEntries puts count sequence-numbered entries on r, publishing after
+// every `read` of them the way a producer publishes per read block, then
+// closes the ring — which must publish the final partial read. Payloads are
+// per-entry heap slices (blk nil — the stable-storage case).
+func fillEntries[E any](k ringKind[E], r *ring[E], count, read int) {
+	for seq := 0; seq < count; seq++ {
+		r.put(k.mk(seq, []byte(fmt.Sprintf("p%d", seq)), nil), true)
+		if (seq+1)%read == 0 {
+			r.publish()
 		}
-		r.publish()
 	}
 	r.close()
 }
 
-// drainEntries consumes everything from r, verifying FIFO order and
-// payload integrity, and returns the number of entries seen.
+// drainEntries consumes everything from r, verifying FIFO order, payload
+// integrity and the per-pass batch cap, and returns the number of entries
+// seen. It reports with Errorf so it may run off the test goroutine.
 func drainEntries[E any](t *testing.T, k ringKind[E], r *ring[E]) int {
 	t.Helper()
 	seq := 0
 	for {
-		s, ok := r.consume()
-		if !ok {
+		s := r.consume()
+		if s == nil {
 			return seq
 		}
-		for i := range s.entries {
-			got, pay, _ := k.get(&s.entries[i])
+		if uint64(len(s)) > r.batch {
+			t.Errorf("consume handed out %d entries, batch cap is %d", len(s), r.batch)
+		}
+		for i := range s {
+			got, pay, _ := k.get(&s[i])
 			if got != seq {
-				t.Fatalf("entry %d: sequence %d out of order", seq, got)
+				t.Errorf("entry %d: sequence %d out of order", seq, got)
 			}
 			if got, want := string(pay), fmt.Sprintf("p%d", seq); got != want {
-				t.Fatalf("entry %d: payload %q, want %q", seq, got, want)
+				t.Errorf("entry %d: payload %q, want %q", seq, got, want)
 			}
 			seq++
 		}
-		r.release()
+		r.release(s)
 	}
 }
 
-// TestRingWraparound pushes far more slots than the ring holds, so head
-// and tail wrap the index space repeatedly; full and empty transitions are
-// exercised at every boundary because producer and consumer alternate.
+// TestRingWraparound pushes far more entries than the ring holds, in reads
+// whose size divides neither the batch nor the storage size, so head and
+// tail wrap the storage repeatedly and published runs straddle both the
+// wrap and the batch cap; full and empty transitions are exercised at
+// every boundary because producer and consumer alternate.
 func TestRingWraparound(t *testing.T) {
 	bothRings(t, testRingWraparound[shardEntry], testRingWraparound[srcEntry])
 }
 
 func testRingWraparound[E any](t *testing.T, k ringKind[E]) {
-	const batch = 3
-	r := k.newRing(4, batch)
-	depth := len(r.slots)
-	const rounds = 10
-	total := depth * rounds * batch
+	const batch, read = 3, 5
+	r := k.newRing(4, batch) // 12 entries in 16 of storage
+	total := len(r.buf) * 10 * batch
 
 	done := make(chan int, 1)
-	go func() {
-		n := 0
-		for {
-			s, ok := r.consume()
-			if !ok {
-				done <- n
-				return
-			}
-			for i := range s.entries {
-				seq, pay, _ := k.get(&s.entries[i])
-				if seq != n {
-					t.Errorf("entry %d: sequence %d out of order", n, seq)
-				}
-				if got, want := string(pay), fmt.Sprintf("p%d", n); got != want {
-					t.Errorf("entry %d: payload %q, want %q", n, got, want)
-				}
-				n++
-			}
-			r.release()
-		}
-	}()
-	fillEntries(k, r, total, batch)
+	go func() { done <- drainEntries(t, k, r) }()
+	fillEntries(k, r, total, read)
 	if got := <-done; got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 }
 
 // TestRingBackpressure parks the producer on a full ring: the consumer
-// releases slots only after a delay, so the producer must block (not drop,
-// not overwrite) until wraparound space frees up. The park counter must
-// record the stall.
+// releases entries only after a delay, so the producer must block (not
+// drop, not overwrite) until space frees up — having first published
+// everything it holds, or the consumer could never free anything. The park
+// counter must record the stall and the depth gauge must read full.
 func TestRingBackpressure(t *testing.T) {
 	bothRings(t, testRingBackpressure[shardEntry], testRingBackpressure[srcEntry])
 }
 
 func testRingBackpressure[E any](t *testing.T, k ringKind[E]) {
-	const batch = 4
-	r := k.newRing(2, batch)
+	const depth, batch = 2, 4
+	r := k.newRing(depth, batch)
 	var parks atomic.Uint64
 	r.parks = &parks
-	total := len(r.slots) * batch * 8
+	total := depth * batch * 8
 
 	produced := make(chan struct{})
 	go func() {
-		fillEntries(k, r, total, batch)
+		fillEntries(k, r, total, total) // one read longer than the ring: only a full ring publishes
 		close(produced)
 	}()
-	// Give the producer time to hit the full ring and park.
-	time.Sleep(10 * time.Millisecond)
+	for parks.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	select {
 	case <-produced:
-		t.Fatal("producer finished before consumer freed any slot; ring not bounded")
+		t.Fatal("producer finished before consumer freed any entry; ring not bounded")
 	default:
+	}
+	if got := r.head.Load(); got != depth*batch {
+		t.Fatalf("parked producer has published %d entries, want the full ring (%d)", got, depth*batch)
+	}
+	if got := r.depth(); got != depth {
+		t.Fatalf("depth gauge reads %d on a full ring, want %d", got, depth)
 	}
 	if got := drainEntries(t, k, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 	<-produced
-	if parks.Load() == 0 {
-		t.Error("producer parked on a full ring but the park counter stayed zero")
+	if got := r.depth(); got != 0 {
+		t.Fatalf("depth gauge reads %d on a drained ring, want 0", got)
 	}
 }
 
-// TestRingCloseDrainsPartial publishes a final partial slot before close;
+// TestRingShedsOnlyWhenFull is the capacity contract of the non-blocking
+// put: however small the reads that published them, exactly depth×batch
+// entries fit before the first refusal, and a refused entry leaves the
+// ring untouched.
+func TestRingShedsOnlyWhenFull(t *testing.T) {
+	bothRings(t, testRingShedsOnlyWhenFull[shardEntry], testRingShedsOnlyWhenFull[srcEntry])
+}
+
+func testRingShedsOnlyWhenFull[E any](t *testing.T, k ringKind[E]) {
+	const depth, batch = 8, 4
+	r := k.newRing(depth, batch)
+	for seq := 0; seq < depth*batch; seq++ {
+		if !r.put(k.mk(seq, []byte(fmt.Sprintf("p%d", seq)), nil), false) {
+			t.Fatalf("entry %d refused; the ring holds %d", seq, depth*batch)
+		}
+		if seq%3 != 1 { // reads of one or two entries
+			r.publish()
+		}
+	}
+	if r.put(k.mk(-1, nil, nil), false) {
+		t.Fatal("put succeeded on a full ring")
+	}
+	if got := r.depth(); got != depth {
+		t.Fatalf("depth gauge reads %d on a full ring, want %d", got, depth)
+	}
+	r.close()
+	if got := drainEntries(t, k, r); got != depth*batch {
+		t.Fatalf("consumed %d entries, want %d", got, depth*batch)
+	}
+}
+
+// TestRingCloseDrainsPartial closes with a final partial read unpublished;
 // the consumer must see every entry, then observe the close.
 func TestRingCloseDrainsPartial(t *testing.T) {
 	bothRings(t, testRingCloseDrainsPartial[shardEntry], testRingCloseDrainsPartial[srcEntry])
@@ -174,7 +196,7 @@ func TestRingCloseDrainsPartial(t *testing.T) {
 func testRingCloseDrainsPartial[E any](t *testing.T, k ringKind[E]) {
 	const batch = 8
 	r := k.newRing(4, batch)
-	const total = batch*2 + 3 // last slot deliberately partial
+	const total = batch*2 + 3 // last read deliberately partial
 	go fillEntries(k, r, total, batch)
 	if got := drainEntries(t, k, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
@@ -182,7 +204,7 @@ func testRingCloseDrainsPartial[E any](t *testing.T, k ringKind[E]) {
 }
 
 // TestRingCloseEmpty closes a ring that never published; the consumer must
-// return immediately with ok=false even from a parked wait.
+// return immediately with nil even from a parked wait.
 func TestRingCloseEmpty(t *testing.T) {
 	bothRings(t, testRingCloseEmpty[shardEntry], testRingCloseEmpty[srcEntry])
 }
@@ -193,8 +215,8 @@ func testRingCloseEmpty[E any](t *testing.T, k ringKind[E]) {
 		time.Sleep(5 * time.Millisecond) // let the consumer park first
 		r.close()
 	}()
-	if _, ok := r.consume(); ok {
-		t.Fatal("consume returned a slot from an empty closed ring")
+	if s := r.consume(); s != nil {
+		t.Fatal("consume returned entries from an empty closed ring")
 	}
 }
 
@@ -209,16 +231,18 @@ func testRingConcurrentStress[E any](t *testing.T, k ringKind[E]) {
 	const batch = 16
 	r := k.newRing(8, batch)
 	const total = 100_000
-	go fillEntries(k, r, total, batch)
+	go fillEntries(k, r, total, 7)
 	if got := drainEntries(t, k, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 }
 
 // TestRingBlockHandleRelease runs block-backed payloads through a ring:
-// every appended entry takes a reference, the consumer's release must
-// return them all (the pool sees the block retire exactly once), and
-// discardFill must do the same for an unpublished fill slot (abort path).
+// every put entry takes a reference and the consumer's release must return
+// them all (the pool sees the block retire exactly once) and clear the
+// handles. The abort path is the same path: entries still unpublished when
+// the producer gives up are published by close, and a consumer that
+// releases them without processing them returns their references.
 func TestRingBlockHandleRelease(t *testing.T) {
 	bothRings(t, testRingBlockHandleRelease[shardEntry], testRingBlockHandleRelease[srcEntry])
 }
@@ -228,50 +252,52 @@ func testRingBlockHandleRelease[E any](t *testing.T, k ringKind[E]) {
 	r := k.newRing(2, 4)
 
 	blk := pool.Get(0)
-	s := r.slot()
 	for i := 0; i < 3; i++ {
 		blk.Retain(1)
-		s.entries = append(s.entries, k.mk(i, []byte("x"), blk))
+		r.put(k.mk(i, []byte("x"), blk), true)
 	}
 	r.publish()
-	r.close()
 	blk.Release(1) // the producer's own Get reference
 
-	got, ok := r.consume()
-	if !ok {
-		t.Fatal("no slot")
-	}
-	if n := len(got.entries); n != 3 {
+	got := r.consume()
+	if n := len(got); n != 3 {
 		t.Fatalf("consumed %d entries, want 3", n)
 	}
-	r.release()
+	if st := pool.Stats(); st.Retired != 0 {
+		t.Fatalf("block retired %d times while the consumer still holds its entries", st.Retired)
+	}
+	r.release(got)
 	if st := pool.Stats(); st.Retired != 1 {
 		t.Fatalf("block retired %d times after consumer release, want 1", st.Retired)
 	}
-	for i := range got.entries {
-		if _, pay, blk := k.get(&got.entries[i]); blk != nil || pay != nil {
+	for i := range got {
+		if _, pay, blk := k.get(&got[i]); blk != nil || pay != nil {
 			t.Fatalf("entry %d: handles not cleared after release", i)
 		}
 	}
 
-	// Abort path: entries sitting in a never-published fill slot.
+	// Abort path: entries put but never published when the producer stops.
 	blk2 := pool.Get(0)
-	r2 := k.newRing(2, 4)
-	s2 := r2.slot()
 	blk2.Retain(1)
-	s2.entries = append(s2.entries, k.mk(0, []byte("y"), blk2))
+	r.put(k.mk(0, []byte("y"), blk2), true)
 	blk2.Release(1) // producer's Get reference
-	r2.discardFill()
-	r2.close()
+	if s := r.tryConsume(); len(s) != 0 {
+		t.Fatalf("consumer sees %d unpublished entries", len(s))
+	}
+	r.close()
+	for s := r.consume(); s != nil; s = r.consume() {
+		r.release(s) // an aborting consumer releases without processing
+	}
 	if st := pool.Stats(); st.Retired != 2 {
-		t.Fatalf("block retired %d times after discardFill, want 2", st.Retired)
+		t.Fatalf("block retired %d times after the aborted entries drained, want 2", st.Retired)
 	}
 }
 
 // TestEngineShardEquivalenceBatchBoundaries sweeps the hand-off batch size
-// across the boundaries where slot-full flushes and ring wraparound kick
-// in — 1 (every entry publishes), capacity−1, capacity, capacity+1 around
-// a mid-size slot — and checks exact equivalence against shards=1 at each.
+// across the boundaries where the per-pass cap, ring-full publishes and
+// storage wraparound kick in — 1 (an 8-entry ring), capacity−1, capacity,
+// capacity+1 around a mid-size batch — and checks exact equivalence
+// against shards=1 at each.
 func TestEngineShardEquivalenceBatchBoundaries(t *testing.T) {
 	tr := synth.Generate(synth.NamedScenario(synth.NameEU1FTTH, 0.1, 9))
 	single := runEngine(t, tr, 1)
@@ -295,8 +321,8 @@ func TestEngineShardEquivalenceBatchBoundaries(t *testing.T) {
 
 // FuzzShardBatchEquivalence fuzzes the (seed, shards, batch) space: any
 // combination must reproduce the single-shard flow multiset and stats
-// exactly. Seeds cover the batch boundaries around the default slot
-// capacity and degenerate single-entry slots.
+// exactly. Seeds cover the batch boundaries around the default batch and
+// the degenerate single-entry batch.
 func FuzzShardBatchEquivalence(f *testing.F) {
 	f.Add(uint64(7), 2, 1)
 	f.Add(uint64(7), 3, defaultBatch-1)

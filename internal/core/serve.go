@@ -67,7 +67,7 @@ func (s *ShedStats) init(readers, shards int) {
 }
 
 // drop records one shed entry. Called only from a dispatcher, after a
-// failed trySlot, so it is off the no-drop fast path.
+// failed put, so it is off the no-drop fast path.
 func (s *ShedStats) drop(reader, sh int, kind uint8, payloadLen int) {
 	m := s.m.Load()
 	if m == nil {
@@ -267,10 +267,10 @@ func (m *ServeMetrics) WindowFlushLag() time.Duration {
 	return 0
 }
 
-// RingDepths returns each dispatch ring's published-but-unconsumed slot
-// count, flattened shard-major (ring i*Readers+r is reader r → shard i);
-// nil for a single-shard engine (no rings). A depth pinned at the ring
-// capacity (8) is a saturated shard.
+// RingDepths returns each dispatch ring's backlog — published-but-unreleased
+// entries in units of Batch, rounded up — flattened shard-major (ring
+// i*Readers+r is reader r → shard i); nil for a single-shard engine (no
+// rings). A depth pinned at the ring capacity (8) is a saturated shard.
 func (m *ServeMetrics) RingDepths() []int {
 	p := m.rings.Load()
 	if p == nil {

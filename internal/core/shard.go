@@ -64,14 +64,17 @@ import (
 	"repro/internal/netio"
 )
 
-// defaultBatch is the dispatcher→shard hand-off granularity (entries per
-// ring slot). Large enough to amortize the publish/consume hand-off, small
-// enough to keep shards busy on short traces.
+// defaultBatch is the most entries a shard takes from one ring per pass:
+// large enough to amortize the consume/release hand-off, small enough that
+// the fair sweep over a shard's reader rings stays fair. It is not a
+// latency knob — producers publish per read block, however few entries
+// that is (see ring.go).
 const defaultBatch = 512
 
-// ringDepth is the number of slots per ring: enough in-flight batches that
-// a briefly stalled consumer does not back-pressure its producer, few
-// enough that total slot memory stays modest.
+// ringDepth is a ring's capacity in batches (ringDepth × Batch entries) and
+// the top of the ring_depth gauge: enough queue that a briefly stalled
+// consumer does not back-pressure its producer, little enough that total
+// ring memory stays modest.
 const ringDepth = 8
 
 // blockLen is how many packets the reader stage requests per block read.
@@ -86,7 +89,7 @@ type shardWorker struct {
 
 // run drains the shard's reader rings until all close, then flushes the
 // shard's flow table. The scan is a fair fixed-order sweep: each pass
-// consumes at most one slot per ring, so no reader partition can starve
+// consumes at most one batch per ring, so no reader partition can starve
 // another, and the shard parks once on its shared gate (any producer
 // wakes it) when no ring has work. When abort is set (cancellation) it
 // keeps consuming — release keeps returning block references — so no
@@ -103,11 +106,11 @@ func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 			if done[i] {
 				continue
 			}
-			if s, ok := r.tryConsume(); ok {
+			if s := r.tryConsume(); len(s) > 0 {
 				if !abort.Load() {
 					w.process(s)
 				}
-				r.release()
+				r.release(s)
 				progressed = true
 				continue
 			}
@@ -144,7 +147,7 @@ func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 	}
 }
 
-// anyReady reports whether any still-open ring has a published slot or a
+// anyReady reports whether any still-open ring has published entries or a
 // close to observe.
 func (w *shardWorker) anyReady(done []bool) bool {
 	for i, r := range w.rings {
@@ -155,12 +158,12 @@ func (w *shardWorker) anyReady(done []bool) bool {
 	return false
 }
 
-// process applies one consumed slot to the shard pipeline.
+// process applies one consumed batch to the shard pipeline.
 //
 //dnhunter:hotpath
-func (w *shardWorker) process(s *ringSlot[shardEntry]) {
-	for i := range s.entries {
-		e := &s.entries[i]
+func (w *shardWorker) process(s []shardEntry) {
+	for i := range s {
+		e := &s[i]
 		switch e.kind {
 		case entryFlow:
 			w.h.handleOrientedFlow(e, e.pay)
@@ -172,13 +175,12 @@ func (w *shardWorker) process(s *ringSlot[shardEntry]) {
 	}
 }
 
-// dispatcher parses, routes, and batches one reader partition.
+// dispatcher parses and routes one reader partition.
 type dispatcher struct {
 	reader  int
 	nshards int
 	parser  layers.Parser
 	rings   []*ring[shardEntry] // this reader's row of the (reader, shard) mesh
-	batch   int
 	cell    *readerCell
 
 	// tracker mirrors the shard tables' flow lifecycle over this partition's
@@ -275,7 +277,6 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 			reader:  r,
 			nshards: n,
 			rings:   mesh[r],
-			batch:   e.cfg.Batch,
 			cell:    &cells[r],
 			tracker: tracker,
 			idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
@@ -314,7 +315,7 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		d := dispatchers[0]
 		runErr = readLoop(ctx, src, d.dispatchBlock)
 		abort.Store(runErr != nil)
-		finishRings(d.rings, runErr != nil)
+		closeRings(d.rings)
 	} else {
 		ingress := make([]*ring[srcEntry], nr)
 		for r := range ingress {
@@ -326,7 +327,6 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 			nets:    e.cfg.Flows.ClientNets,
 			cells:   cells,
 			idle:    dispatchers[0].idle,
-			batch:   e.cfg.Batch,
 			shed:    e.cfg.Shed != nil,
 		}
 		var dwg sync.WaitGroup
@@ -336,10 +336,10 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		}
 		runErr = readLoop(ctx, src, st.routeBlock)
 		abort.Store(runErr != nil)
-		finishRings(ingress, runErr != nil)
+		closeRings(ingress)
 		// Dispatchers drain their ingress rings (releasing block refs even
-		// under abort), finish their mesh rows, and close them; shards keep
-		// consuming under abort, so this join cannot deadlock.
+		// under abort) and close their mesh rows; shards keep consuming
+		// under abort, so this join cannot deadlock.
 		dwg.Wait()
 	}
 	wg.Wait()
@@ -440,23 +440,28 @@ func (d *dispatcher) shardOf(client netip.Addr) uint32 {
 	return shardOfAddr(client, d.nshards)
 }
 
-// finishRings ends a producer's streams: each ring's final partial slot is
-// published — or, on abort, discarded, returning the block references of
-// entries that will never reach the consumer — and the ring is closed.
-func finishRings[E any](rings []*ring[E], abort bool) {
+// publishRings makes everything a producer has put on its rings visible.
+// Producers call it whenever they are about to wait for more input — the
+// end of a read block, an ingress ring run dry — so an entry is never
+// parked behind traffic that has not arrived yet.
+func publishRings[E any](rings []*ring[E]) {
 	for _, r := range rings {
-		if abort {
-			r.discardFill()
-		} else {
-			r.publish()
-		}
+		r.publish()
+	}
+}
+
+// closeRings ends a producer's streams (see ring.close).
+func closeRings[E any](rings []*ring[E]) {
+	for _, r := range rings {
 		r.close()
 	}
 }
 
 // dispatchBlock is the Readers==1 read-loop consumer: route each frame,
 // then run the amortized sweep, after the packet, at the same trace times
-// a single-threaded table would sweep inside Add.
+// a single-threaded table would sweep inside Add; then publish the block's
+// entries before the next read, which may block for as long as the link
+// is quiet.
 //
 //dnhunter:hotpath
 func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
@@ -468,27 +473,32 @@ func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
 			d.tracker.ExpireIdle(at, d.expire)
 		}
 	}
+	publishRings(d.rings)
 }
 
 // runLoop is a striped dispatcher's goroutine body: drain this partition's
-// ingress ring, then finish and close its mesh row. Under abort it keeps
-// draining — returning every block reference — but stops processing, so
-// the stripe never wedges on a full ingress ring.
+// ingress ring — publishing the mesh row whenever the ingress runs dry, so
+// no entry waits on an idle upstream — then close the mesh row. Under abort
+// it keeps draining — returning every block reference — but stops
+// processing, so the stripe never wedges on a full ingress ring.
 func (d *dispatcher) runLoop(dwg *sync.WaitGroup, in *ring[srcEntry], abort *atomic.Bool) {
 	defer dwg.Done()
 	for {
-		s, ok := in.consume()
-		if !ok {
-			break
-		}
-		if !abort.Load() {
-			for i := range s.entries {
-				d.dispatchEntry(&s.entries[i])
+		s := in.tryConsume()
+		if len(s) == 0 {
+			publishRings(d.rings)
+			if s = in.consume(); s == nil {
+				break
 			}
 		}
-		in.release()
+		if !abort.Load() {
+			for i := range s {
+				d.dispatchEntry(&s[i])
+			}
+		}
+		in.release(s)
 	}
-	finishRings(d.rings, abort.Load())
+	closeRings(d.rings)
 }
 
 // dispatchEntry handles one striped ingress entry: sweep markers expire
@@ -564,44 +574,32 @@ func (d *dispatcher) enqueueExpire(key flows.Key, hash uint64, shard uint32) {
 	d.enqueue(int(shard), shardEntry{kind: entryExpire, key: key, hash: hash}, nil, nil)
 }
 
-// enqueue appends an entry to the shard's current ring slot, publishing
-// when the slot fills. The payload travels by handle: pay aliases blk's
+// enqueue puts an entry on the shard's ring; the caller's next publishRings
+// makes it visible. The payload travels by handle: pay aliases blk's
 // refcounted arena (or stable source storage when blk is nil) and the
-// entry takes one block reference, returned when the slot retires — no
-// byte of payload is copied on this path. In the default
-// (batch) mode, acquiring a slot may block on ring wraparound: that is the
-// back-pressure that bounds dispatcher run-ahead. In shed mode the
-// blocking acquire is replaced by trySlot and the entry is dropped (and
-// counted per reader per shard) when the ring is full — a live reader must
-// never stall on a slow shard. Two entry classes are still never shed,
-// because dropping them would corrupt state rather than degrade coverage:
-// expiry commands (auto-sweep is disabled on shard tables, so a dropped
-// expiry leaks the flow entry until drain) and RST/FIN segments (the
-// tracker has already forgotten the flow, so the shard table must see the
-// close too). Both are rare, so the bounded wait they may incur does not
-// stall the reader at packet rate.
+// entry takes one block reference, returned when the shard releases it — no
+// byte of payload is copied on this path. In the default (batch) mode a
+// full ring blocks: that is the back-pressure that bounds dispatcher
+// run-ahead. In shed mode the entry is dropped instead (and counted per
+// reader per shard) — a live reader must never stall on a slow shard. Two
+// entry classes are still never shed, because dropping them would corrupt
+// state rather than degrade coverage: expiry commands (auto-sweep is
+// disabled on shard tables, so a dropped expiry leaks the flow entry until
+// drain) and RST/FIN segments (the tracker has already forgotten the flow,
+// so the shard table must see the close too). Both are rare, so the
+// bounded wait they may incur does not stall the reader at packet rate.
 func (d *dispatcher) enqueue(sh int, e shardEntry, pay []byte, blk *netio.Block) {
-	r := d.rings[sh]
-	var s *ringSlot[shardEntry]
-	if d.shed != nil && e.kind != entryExpire &&
-		(!e.tcp || e.flags&(layers.TCPRst|layers.TCPFin) == 0) {
-		var ok bool
-		if s, ok = r.trySlot(); !ok {
-			d.shed.drop(d.reader, sh, e.kind, len(pay))
-			return
-		}
-	} else {
-		s = r.slot()
-	}
+	wait := d.shed == nil || e.kind == entryExpire ||
+		e.tcp && e.flags&(layers.TCPRst|layers.TCPFin) != 0
 	if len(pay) > 0 {
-		e.pay = pay
-		if blk != nil {
-			blk.Retain(1)
-			e.blk = blk
-		}
+		e.pay, e.blk = pay, blk
 	}
-	s.entries = append(s.entries, e)
-	if len(s.entries) >= d.batch {
-		r.publish()
+	if !d.rings[sh].put(e, wait) {
+		d.shed.drop(d.reader, sh, e.kind, len(pay))
+		return
+	}
+	// The caller's own reference keeps blk alive until the entry has its own.
+	if e.blk != nil {
+		blk.Retain(1)
 	}
 }

@@ -37,7 +37,7 @@ import (
 	"repro/internal/netio"
 )
 
-// srcEntry kinds carried by ingress ring slots.
+// srcEntry kinds carried by the ingress rings.
 const (
 	srcPacket uint8 = iota // one raw frame
 	srcSweep               // sweep marker: expire the partition at time at
@@ -45,10 +45,10 @@ const (
 
 // srcEntry is one stripe→dispatcher unit: a raw frame plus the global flow
 // clock at its position in the stream (srcPacket), or an in-band sweep
-// marker (srcSweep). Entries live in recycled slot storage; a *srcEntry
+// marker (srcSweep). Entries live in reused ring storage; a *srcEntry
 // must never outlive the batch it was delivered in. data aliases blk's
 // refcounted arena (or stable source storage when blk is nil) and the
-// entry holds one block reference, returned when the slot retires.
+// entry holds one block reference, returned when the dispatcher releases it.
 //
 //dnhunter:slab
 type srcEntry struct {
@@ -79,8 +79,7 @@ type stripe struct {
 	idle      time.Duration
 	sweepMark time.Duration
 	clock     time.Duration // global flow clock (monotone max)
-	batch     int
-	shed      bool // drop raw frames instead of blocking on a full ring
+	shed      bool          // drop raw frames instead of blocking on a full ring
 }
 
 // inNets reports whether any prefix contains a (flows.containsAddr's rule;
@@ -95,13 +94,15 @@ func inNets(nets []netip.Prefix, a netip.Addr) bool {
 	return false
 }
 
-// routeBlock is the stripe's read-loop consumer.
+// routeBlock is the stripe's read-loop consumer: route the block's frames,
+// then publish them before the next read.
 //
 //dnhunter:hotpath
 func (st *stripe) routeBlock(pkts []netio.Packet, blk *netio.Block) {
 	for i := range pkts {
 		st.route(pkts[i], blk)
 	}
+	publishRings(st.ingress)
 }
 
 // route classifies one raw frame and appends it to its reader's ingress
@@ -157,27 +158,16 @@ func (st *stripe) route(pkt netio.Packet, blk *netio.Block) {
 	}
 }
 
-// append adds one entry to reader r's ingress ring, taking a block
-// reference for the frame it carries. In shed mode a full ring drops the
-// frame (counted per reader) instead of stalling the stripe; sweep markers
-// always block.
+// append puts one entry on reader r's ingress ring, taking a block
+// reference for the frame it carries (routeBlock's own reference covers the
+// moment in between). In shed mode a full ring drops the frame (counted per
+// reader) instead of stalling the stripe; sweep markers always block.
 func (st *stripe) append(r int, e srcEntry) {
-	ring := st.ingress[r]
-	var s *ringSlot[srcEntry]
-	if st.shed && !e.noShed {
-		var ok bool
-		if s, ok = ring.trySlot(); !ok {
-			st.cells[r].shedFrames.Add(1)
-			return
-		}
-	} else {
-		s = ring.slot()
+	if !st.ingress[r].put(e, !st.shed || e.noShed) {
+		st.cells[r].shedFrames.Add(1)
+		return
 	}
 	if e.blk != nil {
 		e.blk.Retain(1)
-	}
-	s.entries = append(s.entries, e)
-	if len(s.entries) >= st.batch {
-		ring.publish()
 	}
 }

@@ -310,7 +310,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	counter("dnhunter_windows_flushed_total", "Completed flowdb windows flushed.", sm.Windows)
 	gaugeF("dnhunter_window_flush_lag_seconds", "Trace time of flows buffered in the open window.", sm.FlushLag)
 	if len(sm.RingDepths) > 0 {
-		fmt.Fprintf(&b, "# HELP dnhunter_ring_depth Published-but-unconsumed slots per shard ring.\n# TYPE dnhunter_ring_depth gauge\n")
+		fmt.Fprintf(&b, "# HELP dnhunter_ring_depth Published-but-unreleased entries per shard ring, in batches (0 to 8).\n# TYPE dnhunter_ring_depth gauge\n")
 		for i, d := range sm.RingDepths {
 			fmt.Fprintf(&b, "dnhunter_ring_depth{shard=\"%d\"} %d\n", i, d)
 		}
