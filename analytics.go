@@ -73,8 +73,8 @@ func ExactQueries(odb *OrgDB) []AnalyticsQuery {
 
 // NewTopContentQuery builds the Algorithm 3 content-discovery query (the
 // Table 5 view): the top-k second-level domains served from org's
-// addresses. Register it in a pipeline and feed with ObserveDB — the
-// Query replacement for the deprecated TopDomainsOnOrg.
+// addresses. Register it in a pipeline and feed with ObserveDB; the
+// snapshot is a []ContentShare.
 func NewTopContentQuery(org string, odb *OrgDB, k int) AnalyticsQuery {
 	return analytics.NewExactTopContent(org, analytics.OrgLookupDB(odb), analytics.BySLD, k)
 }

@@ -8,16 +8,12 @@ package dnhunter
 // as the reproduction record.
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/flows"
 	"repro/internal/resolver"
 	"repro/internal/synth"
@@ -337,80 +333,4 @@ func BenchmarkAblationTagScore(b *testing.B) {
 		analytics.ExtractTags(run.DB, 25, 5)
 		analytics.ExtractTagsRaw(run.DB, 25, 5)
 	}
-}
-
-// BenchmarkPipelineEndToEnd measures the full sniffer throughput:
-// packets/sec through parse → resolver → tagger.
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	tr := GenerateQuickTrace(5)
-	b.SetBytes(int64(traceBytes(tr)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunTrace(tr, Options{})
-	}
-	b.ReportMetric(float64(len(tr.Packets)), "pkts/op")
-}
-
-// BenchmarkEngineEU1FTTH compares the legacy single-threaded path against
-// the sharded Engine on the EU1-FTTH scenario. With GOMAXPROCS > 1 the
-// multi-shard variants exceed legacy throughput (bytes/sec and pkts/sec);
-// shard count 1 measures the dispatch-free inline path, which matches
-// legacy minus noise.
-func BenchmarkEngineEU1FTTH(b *testing.B) {
-	tr := GenerateTrace("EU1-FTTH", 0.35, 1)
-	size := int64(traceBytes(tr))
-	pkts := float64(len(tr.Packets))
-
-	b.Run("legacy-single-threaded", func(b *testing.B) {
-		b.SetBytes(size)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h := core.New(core.Config{})
-			if err := h.Run(tr.Source()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(pkts, "pkts/op")
-	})
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			eng := NewEngine(WithShards(shards))
-			ctx := context.Background()
-			b.SetBytes(size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunTrace(ctx, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(pkts, "pkts/op")
-		})
-	}
-	// The same single-shard run behind an unarmed fault-injection wrapper:
-	// with no schedules armed the wrapper must be a pure pass-through, and
-	// CI pins its ns/op within 2% of shards-1 from the same bench run
-	// (benchcheck -overhead).
-	b.Run("shards-1-faults-off", func(b *testing.B) {
-		eng := NewEngine(WithShards(1))
-		ctx := context.Background()
-		b.SetBytes(size)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src := faults.NewSource(tr.Source(), faults.SourceConfig{})
-			if _, err := eng.run(ctx, src, tr.TruthFunc()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(pkts, "pkts/op")
-	})
-}
-
-func traceBytes(tr *Trace) int {
-	n := 0
-	for _, p := range tr.Packets {
-		n += len(p.Data)
-	}
-	return n
 }

@@ -76,7 +76,9 @@ func main() {
 	case "content":
 		// Algorithm 3: what does this hosting org serve?
 		needOrgs()
-		top := analytics.TopDomainsOnOrg(db, odb, target, *topK)
+		p := analytics.NewPipeline(analytics.NewExactTopContent(target, analytics.OrgLookupDB(odb), analytics.BySLD, *topK))
+		p.ObserveDB(db)
+		top, _ := p.Snapshot()[0].Result.([]analytics.ContentShare)
 		fmt.Printf("top %d domains hosted on %s:\n", len(top), target)
 		for i, c := range top {
 			fmt.Printf("  %2d. %-28s %6d flows (%4.1f%%)\n", i+1, c.Name, c.Flows, 100*c.Share)

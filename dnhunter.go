@@ -31,20 +31,16 @@
 // Any shard count yields the same flow set and aggregate statistics (as
 // long as the per-shard resolver Clist never overflows; see WithShards);
 // one shard reproduces the deterministic single-threaded pipeline
-// exactly. Event consumers implement the Sink interface (see WithSink);
-// the legacy single-threaded Pipeline, Options and RunTrace remain as
-// deprecated wrappers over the Engine.
+// exactly. Event consumers implement the Sink interface (see WithSink).
 package dnhunter
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/flowdb"
 	"repro/internal/flows"
-	"repro/internal/netio"
 	"repro/internal/orgdb"
 	"repro/internal/resolver"
 	"repro/internal/synth"
@@ -52,15 +48,6 @@ import (
 
 // Re-exported types: the facade keeps downstream imports to one package.
 type (
-	// Pipeline is the assembled single-threaded DN-Hunter instance.
-	//
-	// Deprecated: use Engine, which adds sharded parallelism, context
-	// cancellation, and error returns.
-	Pipeline = core.DNHunter
-	// Config assembles a Pipeline.
-	//
-	// Deprecated: configure an Engine with Option values instead.
-	Config = core.Config
 	// Stats aggregates pipeline counters.
 	Stats = core.Stats
 	// TagEvent fires at flow start with the assigned label.
@@ -98,12 +85,6 @@ const (
 	ActionBlock        = core.ActionBlock
 )
 
-// NewPipeline assembles a single-threaded DN-Hunter pipeline.
-//
-// Deprecated: use NewEngine; the Engine with one shard is the same
-// pipeline with context support and error returns.
-func NewPipeline(cfg Config) *Pipeline { return core.New(cfg) }
-
 // NewPolicy builds an ordered policy rule set.
 func NewPolicy(rules ...Rule) *Policy { return core.NewPolicy(rules...) }
 
@@ -121,68 +102,15 @@ func GenerateQuickTrace(seed uint64) *Trace {
 // ScenarioNames lists the five named captures in paper order.
 func ScenarioNames() []string { return append([]string(nil), synth.ScenarioNames...) }
 
-// Options tunes RunTrace.
-//
-// Deprecated: configure an Engine with Option values; OnTag becomes a Sink
-// (WithSink), KeepDNSTimes becomes WithDNSTimes.
-type Options struct {
-	// Resolver overrides the resolver configuration (defaults: 1M-entry
-	// Clist, hash maps).
-	Resolver ResolverConfig
-	// OnTag, when set, receives every flow-start tag event.
-	OnTag func(TagEvent)
-	// KeepDNSTimes collects DNS response timestamps into Result.DNSTimes
-	// (needed by the Fig. 14 experiment).
-	KeepDNSTimes bool
-}
-
 // Result is the outcome of running the pipeline over a trace.
 type Result struct {
 	DB       *FlowDB
 	Stats    Stats
 	DNSTimes []time.Duration
 	Trace    *Trace
-	// Readers holds per-reader-partition counters from Engine runs (one
-	// entry per partition; nil from the legacy single-threaded pipeline).
+	// Readers holds per-reader-partition counters (one entry per
+	// partition; nil for single-shard runs).
 	Readers []ReaderStat
-	// Err records a pipeline failure for callers of the deprecated,
-	// non-error-returning RunTrace wrapper. Engine.Run reports errors
-	// directly and never sets it.
-	Err error
-}
-
-// RunTrace replays a synthetic trace through the full pipeline (parser →
-// resolver → tagger) and returns the labeled flow database and statistics.
-//
-// Deprecated: use Engine.RunTrace, which shards across cores, honors a
-// context, and returns errors. This wrapper runs one shard and reports a
-// failure (impossible with in-memory traces) via Result.Err.
-func RunTrace(tr *Trace, opts Options) *Result {
-	eopts := []Option{WithResolver(opts.Resolver)}
-	if opts.OnTag != nil {
-		eopts = append(eopts, WithSink(&FuncSink{Tag: opts.OnTag}))
-	}
-	if opts.KeepDNSTimes {
-		eopts = append(eopts, WithDNSTimes())
-	}
-	res, err := NewEngine(eopts...).RunTrace(context.Background(), tr)
-	if err != nil {
-		return &Result{Trace: tr, Err: err}
-	}
-	return res
-}
-
-// RunPcap runs the single-threaded pipeline over any packet source (e.g. a
-// netio.Reader over a pcap file) and returns the database and stats.
-//
-// Deprecated: use Engine.Run, which shards across cores and honors a
-// context.
-func RunPcap(src netio.PacketSource, cfg Config) (*FlowDB, Stats, error) {
-	h := core.New(cfg)
-	if err := h.Run(src); err != nil {
-		return nil, Stats{}, err
-	}
-	return h.DB(), h.Stats(), nil
 }
 
 // ExtractTags runs the paper's Algorithm 4 on a labeled flow database.
@@ -193,15 +121,4 @@ func ExtractTags(db *FlowDB, port uint16, k int) []analytics.TagScore {
 // SpatialDiscovery runs Algorithm 2 for a domain name.
 func SpatialDiscovery(db *FlowDB, odb *OrgDB, name string) *analytics.SpatialResult {
 	return analytics.SpatialDiscovery(db, odb, name)
-}
-
-// TopDomainsOnOrg runs Algorithm 3 (content discovery) over a hosting
-// organization, returning its top-k served domains by flow share.
-//
-// Deprecated: register NewTopContentQuery(org, odb, k) in a pipeline —
-// one ObserveDB pass then feeds every registered query, and the same
-// query runs incrementally under Engine.Serve. See the README's
-// analytics migration table.
-func TopDomainsOnOrg(db *FlowDB, odb *OrgDB, org string, k int) []analytics.ContentShare {
-	return analytics.TopDomainsOnOrg(db, odb, org, k)
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/netio"
 )
 
-// Sink re-exports and adapters: the event-stream interface that replaces
-// the legacy Options.OnTag / Config.OnDNSResponse callback fields.
+// Sink re-exports and adapters: the event-stream interface through which
+// callers observe tags, DNS responses and finished flows.
 type (
 	// Sink receives pipeline events (tags, DNS responses, finished flows)
 	// and a Close at end of run. Embed NopSink to implement it partially.
@@ -151,9 +151,9 @@ func WithMergeWindow(d time.Duration) Option {
 	return func(o *engineOptions) { o.cfg.MergeWindow = d }
 }
 
-// Engine is the concurrent DN-Hunter pipeline: the replacement for the
-// single-threaded Pipeline/RunTrace API. An Engine is an immutable
-// configuration handle — every Run builds fresh per-shard state and a
+// Engine is the DN-Hunter pipeline, sharded across cores: the one entry
+// point for batch and serve runs. An Engine is an immutable configuration
+// handle — every Run builds fresh per-shard state and a
 // fresh flow database, so one Engine may be reused across traces, even
 // concurrently unless a Sink is configured (a Sink instance belongs to
 // one run at a time).

@@ -246,8 +246,11 @@ func TestContentDiscovery(t *testing.T) {
 	}
 }
 
-func TestTopDomainsOnOrg(t *testing.T) {
-	top := TopDomainsOnOrg(spatialDB(), orgDB(), "akamai", 5)
+// TestExactTopContent: the Table 5 query over one hosting org's servers.
+func TestExactTopContent(t *testing.T) {
+	p := NewPipeline(NewExactTopContent("akamai", OrgLookupDB(orgDB()), BySLD, 5))
+	p.ObserveDB(spatialDB())
+	top, _ := p.Snapshot()[0].Result.([]ContentShare)
 	if len(top) != 1 || top[0].Name != "linkedin.com" || top[0].Flows != 2 {
 		t.Fatalf("top = %+v", top)
 	}
@@ -411,8 +414,26 @@ func crossVantageFixture() []VantageData {
 	}
 }
 
+// snapshotVantages feeds every vantage's database through a one-query
+// pipeline and returns the query's snapshot.
+func snapshotVantages(q Query, vantages []VantageData) Result {
+	p := NewPipeline(q)
+	ObserveVantages(p, vantages)
+	return p.Snapshot()[0].Result
+}
+
+// providerUsage is the exact provider footprint over the fixture.
+func providerUsage(t *testing.T, k int) *ProviderFootprint {
+	vs := crossVantageFixture()
+	pf, ok := snapshotVantages(NewExactProviderUsage(OrgLookupVantages(vs), k, VantageNames(vs)...), vs).(*ProviderFootprint)
+	if !ok {
+		t.Fatal("provider_usage snapshot is not a *ProviderFootprint")
+	}
+	return pf
+}
+
 func TestProviderUsage(t *testing.T) {
-	pf := ProviderUsage(crossVantageFixture(), 0)
+	pf := providerUsage(t, 0)
 	if len(pf.Vantages) != 2 || pf.Vantages[0] != "US" {
 		t.Fatalf("vantages = %v", pf.Vantages)
 	}
@@ -436,7 +457,7 @@ func TestProviderUsage(t *testing.T) {
 		t.Errorf("servers = %v", pf.Servers)
 	}
 	// k=1 truncates to the top org.
-	if top := ProviderUsage(crossVantageFixture(), 1); len(top.Orgs) != 1 || top.Orgs[0] != "cdn-a" {
+	if top := providerUsage(t, 1); len(top.Orgs) != 1 || top.Orgs[0] != "cdn-a" {
 		t.Errorf("top-1 orgs = %v", top.Orgs)
 	}
 	out := pf.Render()
@@ -447,8 +468,12 @@ func TestProviderUsage(t *testing.T) {
 	}
 }
 
-func TestCrossVantageFootprint(t *testing.T) {
-	cv := CrossVantageFootprint(crossVantageFixture(), "www.site.com")
+func TestExactCrossVantage(t *testing.T) {
+	vs := crossVantageFixture()
+	cv, ok := snapshotVantages(NewExactCrossVantage("www.site.com", OrgLookupVantages(vs), VantageNames(vs)...), vs).(*CrossVantage)
+	if !ok {
+		t.Fatal("cross-vantage snapshot is not a *CrossVantage")
+	}
 	if cv.SLD != "site.com" {
 		t.Fatalf("SLD = %q", cv.SLD)
 	}

@@ -87,19 +87,6 @@ func ServersOfOrg(db *flowdb.DB, odb *orgdb.DB, org string) []netip.Addr {
 	return out
 }
 
-// TopDomainsOnOrg is the Table 5 query: the top-k second-level domains
-// hosted on one provider's servers.
-//
-// Deprecated: register NewExactTopContent(org, OrgLookupDB(odb), BySLD, k)
-// in a Pipeline and feed it with ObserveDB — the query also runs
-// incrementally under Engine.Serve, which this wrapper cannot.
-func TopDomainsOnOrg(db *flowdb.DB, odb *orgdb.DB, org string, k int) []ContentShare {
-	p := NewPipeline(NewExactTopContent(org, OrgLookupDB(odb), BySLD, k))
-	p.ObserveDB(db)
-	cs, _ := p.Snapshot()[0].Result.([]ContentShare)
-	return cs
-}
-
 // FanoutCDFs computes Fig. 3: the distribution of (a) how many server
 // addresses each FQDN is served by and (b) how many FQDNs each server
 // address serves.

@@ -3,10 +3,9 @@ package analytics
 // Exact reference implementations of the Query interface. These keep the
 // full key sets in memory — paper-fidelity results, unbounded state —
 // and exist for batch runs and as the ground truth the stream
-// subpackage's sketches are differential-tested against. The historical
-// free functions (ProviderUsage, CrossVantageFootprint, TopDomainsOnOrg)
-// are now deprecated wrappers over these queries; see the README's
-// analytics migration table.
+// subpackage's sketches are differential-tested against. Run one by
+// registering it in a Pipeline and feeding that with ObserveDB or
+// ObserveVantages.
 
 import (
 	"fmt"
@@ -188,13 +187,13 @@ func (q *exactCardinality) Snapshot() Result {
 	return CardinalityResult{K: q.k, TrackedKeys: tracked, Total: float64(len(q.all)), Entries: entries}
 }
 
-// exactProviderUsage is the Query form of the historical ProviderUsage
-// free function; Snapshot returns the same *ProviderFootprint.
+// exactProviderUsage is the exact cross-vantage provider footprint;
+// Snapshot returns *ProviderFootprint.
 type exactProviderUsage struct {
 	lookup OrgLookup
 	k      int
 	// seeded vantages render first, in constructor order, even with zero
-	// flows (matching the free function's input-order contract); vantages
+	// flows (so the result follows the caller's vantage order); vantages
 	// first seen in the stream follow, sorted, so merge order cannot
 	// change the snapshot.
 	seeded  []string
@@ -361,8 +360,9 @@ func (q *exactProviderUsage) Snapshot() Result {
 	return pf
 }
 
-// exactCrossVantage is the Query form of CrossVantageFootprint; Snapshot
-// returns the same *CrossVantage.
+// exactCrossVantage runs SpatialDiscovery for one SLD at every vantage and
+// computes the pairwise infrastructure overlaps; Snapshot returns
+// *CrossVantage.
 type exactCrossVantage struct {
 	sld    string
 	lookup OrgLookup
@@ -566,8 +566,8 @@ func sortedAddrs(set map[netip.Addr]struct{}) []netip.Addr {
 	return out
 }
 
-// exactTopContent is the Query form of TopDomainsOnOrg / ContentDiscovery
-// restricted to one hosting org; Snapshot returns []ContentShare.
+// exactTopContent is the Query form of ContentDiscovery restricted to one
+// hosting org; Snapshot returns []ContentShare.
 type exactTopContent struct {
 	org       string
 	lookup    OrgLookup
@@ -581,7 +581,7 @@ type exactTopContent struct {
 // NewExactTopContent builds the Table 5 content-discovery query: the
 // top-k names (per the granularity) among labeled flows served from the
 // given hosting organization's addresses. Snapshot returns
-// []ContentShare, identical to TopDomainsOnOrg on the same flows.
+// []ContentShare.
 func NewExactTopContent(org string, lookup OrgLookup, g Granularity, k int) Query {
 	return &exactTopContent{org: org, lookup: lookup, g: g, k: k,
 		perClient: map[string]map[netip.Addr]int{}, flowsPer: map[string]int{}}
@@ -712,8 +712,7 @@ func (q *exactCoverage) Snapshot() Result {
 // stamping each flow with its vantage name so per-vantage queries
 // partition correctly even when the databases were built without stamps
 // (as single-source Engine runs are). One pass feeds every registered
-// query — the batch replacement for calling N free functions that each
-// re-walk the databases.
+// query.
 func ObserveVantages(p *Pipeline, vantages []VantageData) {
 	for _, v := range vantages {
 		recs := v.DB.All()

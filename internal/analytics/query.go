@@ -76,8 +76,8 @@ func OrgLookupDB(odb *orgdb.DB) OrgLookup {
 }
 
 // OrgLookupVantages routes lookups to each vantage's own org database.
-// Flows from unknown vantages resolve through the first entry, matching
-// the old per-vantage free functions' behavior for unstamped flows.
+// Flows from unknown vantages (including unstamped ones) resolve through
+// the first entry.
 func OrgLookupVantages(vantages []VantageData) OrgLookup {
 	if len(vantages) == 0 {
 		return nil

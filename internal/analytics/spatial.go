@@ -213,21 +213,6 @@ type ProviderFootprint struct {
 	LabeledFlows map[string]int
 }
 
-// ProviderUsage computes the cross-vantage provider footprint over every
-// labeled flow of each vantage, keeping the k hosting orgs with the most
-// total flows (k <= 0 keeps all).
-//
-// Deprecated: register NewExactProviderUsage (or the sketch-based
-// stream.NewProviderUsage) in a Pipeline and feed it with
-// ObserveVantages; this wrapper re-walks the databases for one query,
-// where a Pipeline walks them once for all registered queries.
-func ProviderUsage(vantages []VantageData, k int) *ProviderFootprint {
-	p := NewPipeline(NewExactProviderUsage(OrgLookupVantages(vantages), k, VantageNames(vantages)...))
-	ObserveVantages(p, vantages)
-	pf, _ := p.Snapshot()[0].Result.(*ProviderFootprint)
-	return pf
-}
-
 // Render prints the footprint as a hosting-org × vantage share table.
 func (pf *ProviderFootprint) Render() string {
 	var b strings.Builder
@@ -266,19 +251,6 @@ type CrossVantage struct {
 	// address sets (usually far lower than HostOverlap: the same CDN
 	// serves each geography from different racks).
 	ServerOverlap [][]float64
-}
-
-// CrossVantageFootprint runs SpatialDiscovery for name at every vantage and
-// computes the pairwise infrastructure overlaps.
-//
-// Deprecated: register NewExactCrossVantage in a Pipeline and feed it
-// with ObserveVantages; one pass over the databases then serves every
-// registered SLD (and any other query) at once.
-func CrossVantageFootprint(vantages []VantageData, name string) *CrossVantage {
-	p := NewPipeline(NewExactCrossVantage(name, OrgLookupVantages(vantages), VantageNames(vantages)...))
-	ObserveVantages(p, vantages)
-	cv, _ := p.Snapshot()[0].Result.(*CrossVantage)
-	return cv
 }
 
 // jaccard is |a∩b| / |a∪b|; two empty sets count as identical.

@@ -78,7 +78,7 @@ func (s *Suite) CrossVantage() (string, *analytics.ProviderFootprint) {
 
 	// One pipeline, one pass: the provider footprint and every per-SLD
 	// overlap query observe the same single walk over the vantage
-	// databases (the deprecated free functions re-walked them per call).
+	// databases.
 	lookup := analytics.OrgLookupVantages(data)
 	names := analytics.VantageNames(data)
 	queries := []analytics.Query{analytics.NewExactProviderUsage(lookup, 10, names...)}

@@ -95,6 +95,46 @@ func TestSourceUnarmedTransparent(t *testing.T) {
 	}
 }
 
+// TestSourceUnarmedAllocFree: an unarmed wrapper adds no allocation to the
+// engine's read path, over an inner source the adapter copies into pooled
+// blocks (looping) and one it reads zero-copy (stable slice).
+func TestSourceUnarmedAllocFree(t *testing.T) {
+	pkts := synth.Generate(synth.QuickScenario(11)).Packets
+	for _, tc := range []struct {
+		name string
+		src  netio.PacketSource
+	}{
+		{"loop", netio.NewLoopSource(pkts, 0, 0)},
+		{"slice", netio.NewSlicePacketSource(pkts)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const reads, perRead = 20, 64
+			// AllocsPerRun makes one warm-up call (which fills the block
+			// pool's freelist) before the measured one.
+			if need := 2 * reads * perRead; len(pkts) < need {
+				t.Fatalf("trace has %d packets, need %d", len(pkts), need)
+			}
+			s := NewSource(tc.src, SourceConfig{})
+			dst := make([]netio.Packet, perRead)
+			// One run covers every read, so a single allocation in any of
+			// them fails (AllocsPerRun floors its per-run average).
+			if n := testing.AllocsPerRun(1, func() {
+				for i := 0; i < reads; i++ {
+					n, blk, err := s.ReadBlockRef(dst)
+					if err != nil || n == 0 {
+						t.Fatalf("read = (%d, %v)", n, err)
+					}
+					if blk != nil {
+						blk.Release(1)
+					}
+				}
+			}); n != 0 {
+				t.Fatalf("unarmed ReadBlockRef allocates %v per %d reads, want 0", n, reads)
+			}
+		})
+	}
+}
+
 // TestSourceErrResumable: a firing Err schedule returns the injected
 // error once without consuming input; the retried stream is complete.
 func TestSourceErrResumable(t *testing.T) {

@@ -15,9 +15,19 @@ import (
 	"repro/internal/netio"
 )
 
+// runTrace runs tr through a fresh Engine built from opts.
+func runTrace(t *testing.T, tr *Trace, opts ...Option) *Result {
+	t.Helper()
+	res, err := NewEngine(opts...).RunTrace(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	tr := GenerateQuickTrace(21)
-	res := RunTrace(tr, Options{KeepDNSTimes: true})
+	res := runTrace(t, tr, WithDNSTimes())
 	if res.DB.Len() < 100 {
 		t.Fatalf("flows = %d", res.DB.Len())
 	}
@@ -34,8 +44,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeDeterministicAcrossRuns(t *testing.T) {
-	a := RunTrace(GenerateQuickTrace(5), Options{})
-	b := RunTrace(GenerateQuickTrace(5), Options{})
+	a := runTrace(t, GenerateQuickTrace(5))
+	b := runTrace(t, GenerateQuickTrace(5))
 	if a.DB.Len() != b.DB.Len() || a.Stats.LabeledFlows != b.Stats.LabeledFlows {
 		t.Fatalf("non-deterministic: %d/%d labeled %d/%d",
 			a.DB.Len(), b.DB.Len(), a.Stats.LabeledFlows, b.Stats.LabeledFlows)
@@ -44,7 +54,7 @@ func TestFacadeDeterministicAcrossRuns(t *testing.T) {
 
 func TestFacadeTagExtraction(t *testing.T) {
 	tr := GenerateTrace("EU1-FTTH", 0.2, 11)
-	res := RunTrace(tr, Options{})
+	res := runTrace(t, tr)
 	tags := ExtractTags(res.DB, 25, 5)
 	if len(tags) == 0 {
 		t.Fatal("no tags on port 25")
@@ -53,19 +63,20 @@ func TestFacadeTagExtraction(t *testing.T) {
 
 func TestFacadeSpatialAndContent(t *testing.T) {
 	tr := GenerateTrace("US-3G", 0.3, 13)
-	res := RunTrace(tr, Options{})
+	res := runTrace(t, tr)
 	sp := SpatialDiscovery(res.DB, tr.OrgDB, "zynga.com")
 	if sp.TotalFlows == 0 || len(sp.Hosts) == 0 {
 		t.Fatalf("spatial = %+v", sp)
 	}
-	top := TopDomainsOnOrg(res.DB, tr.OrgDB, "amazon", 5)
-	if len(top) == 0 {
+	pipe := NewAnalyticsPipeline(NewTopContentQuery("amazon", tr.OrgDB, 5))
+	pipe.ObserveDB(res.DB)
+	if top, _ := pipe.Snapshot()[0].Result.([]ContentShare); len(top) == 0 {
 		t.Fatal("no amazon-hosted content found")
 	}
 }
 
 func TestFacadePcapRoundTrip(t *testing.T) {
-	// Serialize a trace to pcap bytes, then run the pipeline through the
+	// Serialize a trace to pcap bytes, then run the Engine through the
 	// pcap reader — the cmd/dnhunter path.
 	tr := GenerateQuickTrace(31)
 	var buf bytes.Buffer
@@ -82,15 +93,15 @@ func TestFacadePcapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, st, err := RunPcap(r, Config{})
+	viaPcap, err := NewEngine().Run(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same trace through the in-memory path must agree exactly.
-	direct := RunTrace(tr, Options{})
-	if db.Len() != direct.DB.Len() || st.LabeledFlows != direct.Stats.LabeledFlows {
+	direct := runTrace(t, tr)
+	if viaPcap.DB.Len() != direct.DB.Len() || viaPcap.Stats.LabeledFlows != direct.Stats.LabeledFlows {
 		t.Fatalf("pcap path diverges: %d/%d flows, %d/%d labeled",
-			db.Len(), direct.DB.Len(), st.LabeledFlows, direct.Stats.LabeledFlows)
+			viaPcap.DB.Len(), direct.DB.Len(), viaPcap.Stats.LabeledFlows, direct.Stats.LabeledFlows)
 	}
 }
 
@@ -98,14 +109,14 @@ func TestFacadePolicyBeforeFlow(t *testing.T) {
 	tr := GenerateQuickTrace(17)
 	policy := NewPolicy(Rule{Pattern: "zynga.com", Action: ActionBlock})
 	var atSYN, total int
-	RunTrace(tr, Options{OnTag: func(e TagEvent) {
+	runTrace(t, tr, WithSink(&FuncSink{Tag: func(e TagEvent) {
 		if policy.Decide(e.Label) == ActionBlock {
 			total++
 			if e.SYN {
 				atSYN++
 			}
 		}
-	}})
+	}}))
 	if total == 0 {
 		t.Skip("no zynga flows in this small trace")
 	}
@@ -194,14 +205,6 @@ func TestEngineFacadeOptions(t *testing.T) {
 	if uint64(tags) != res.Stats.Table.FlowsCreated {
 		t.Fatalf("sink saw %d tags, table created %d flows", tags, res.Stats.Table.FlowsCreated)
 	}
-	// The legacy wrapper must agree with the engine it delegates to.
-	legacy := RunTrace(tr, Options{})
-	if legacy.Err != nil {
-		t.Fatal(legacy.Err)
-	}
-	if legacy.Stats != res.Stats {
-		t.Fatalf("legacy wrapper diverges:\n legacy %+v\n engine %+v", legacy.Stats, res.Stats)
-	}
 }
 
 // TestEngineFacadeCancel: a cancelled context surfaces as an error, not a
@@ -232,7 +235,7 @@ func TestScenarioNamesStable(t *testing.T) {
 
 func TestFirstFlowDelaysPlausible(t *testing.T) {
 	tr := GenerateTrace("EU1-FTTH", 0.2, 19)
-	res := RunTrace(tr, Options{})
+	res := runTrace(t, tr)
 	n, fast := 0, 0
 	for _, f := range res.DB.All() {
 		if f.FirstAfterDNS {
