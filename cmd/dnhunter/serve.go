@@ -41,8 +41,7 @@ func runServe(args []string) {
 	analyticsOn := fs.Bool("analytics", false, "run the standard streaming analytics queries; adds /analytics.json and top-k gauges to /metrics")
 	spool := fs.String("spool", "", "directory receiving one CSV per completed window; empty discards windows")
 	shards := fs.Int("shards", 1, "parallel pipeline shards (-1 = one per CPU)")
-	readers := fs.Int("readers", 1, "parallel reader/dispatcher partitions (-1 = one per CPU); needs -shards > 1 and -client-nets")
-	clientNets := fs.String("client-nets", "", "comma-separated client CIDRs (e.g. 10.0.0.0/16); orients flows and enables -readers > 1")
+	clientNets := fs.String("client-nets", "", "comma-separated client CIDRs (e.g. 10.0.0.0/16); orients flows toward these clients")
 	clist := fs.Int("clist", 1<<20, "resolver Clist size L (per shard)")
 	history := fs.Int("history", 0, "multi-label history per (client,server) key")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after a stop signal")
@@ -121,7 +120,6 @@ func runServe(args []string) {
 
 	opts := []dnhunter.Option{
 		dnhunter.WithShards(*shards),
-		dnhunter.WithReaders(*readers),
 		dnhunter.WithResolver(dnhunter.ResolverConfig{ClistSize: *clist, History: *history}),
 	}
 	if *clientNets != "" {
@@ -143,8 +141,8 @@ func runServe(args []string) {
 	if err := ms.Start(httpErrs); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serving on http://%s (shards=%d readers=%d window=%v shed=%v)\n",
-		ms.Addr(), eng.Shards(), eng.Readers(), *window, *shed)
+	fmt.Printf("serving on http://%s (shards=%d window=%v shed=%v)\n",
+		ms.Addr(), eng.Shards(), *window, *shed)
 
 	// SIGINT/SIGTERM trigger the graceful drain, not an abort.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

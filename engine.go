@@ -26,8 +26,8 @@ type (
 	// PacketSource yields packets in capture order (pcap reader, in-memory
 	// slice, channel, ...).
 	PacketSource = netio.PacketSource
-	// ReaderStat is one reader partition's backpressure counters (see
-	// Result.Readers and the serve-mode /metrics reader gauges).
+	// ReaderStat is the sharded engine's dispatch counters (see
+	// Result.Readers and the serve-mode /metrics dispatcher gauge).
 	ReaderStat = core.ReaderStat
 )
 
@@ -62,18 +62,12 @@ func WithShards(n int) Option {
 	return func(o *engineOptions) { o.cfg.Shards = n }
 }
 
-// WithReaders sets the number of parallel reader/dispatcher partitions
-// feeding the shards. 1 (the default) keeps a single dispatcher on the Run
-// goroutine; n > 1 stripes raw frames over n dispatchers by a header-peek
-// hash of the client address, each with its own parser and flow tracker,
-// so the parse stage scales past one core. Pass a negative value to use
-// one partition per available CPU. Requires more than one shard AND
-// configured client networks (WithFlows' ClientNets) — otherwise the
-// engine falls back to a single reader. Aggregate results are equivalent
-// to a single reader's; see internal/core's stripe documentation for the
-// exact guarantees and the best-effort cases.
-func WithReaders(n int) Option {
-	return func(o *engineOptions) { o.cfg.Readers = n }
+// WithReaders does nothing: the engine has exactly one dispatcher.
+//
+// Deprecated: the parallel reader fan-out was removed; client-IP sharding
+// (WithShards) is the engine's only parallel split.
+func WithReaders(int) Option {
+	return func(*engineOptions) {}
 }
 
 // WithResolver overrides the per-shard resolver configuration (defaults:
@@ -161,33 +155,22 @@ func WithMergeWindow(d time.Duration) Option {
 //	eng := dnhunter.NewEngine(dnhunter.WithShards(-1))
 //	res, err := eng.RunTrace(ctx, trace)
 type Engine struct {
-	opts    engineOptions
-	shards  int
-	readers int
+	opts engineOptions
 }
 
-// NewEngine assembles an Engine from functional options. The shard and
-// reader counts are resolved here (0 → 1, negative → GOMAXPROCS at
-// construction time; readers additionally clamp to 1 without multiple
-// shards and client networks).
+// NewEngine assembles an Engine from functional options. The shard count
+// is resolved here (0 → 1, negative → GOMAXPROCS at construction time).
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, opt := range opts {
 		opt(&e.opts)
 	}
-	norm := core.NewEngine(e.opts.cfg)
-	e.opts.cfg.Shards = norm.Shards()
-	e.opts.cfg.Readers = norm.Readers()
-	e.shards = e.opts.cfg.Shards
-	e.readers = e.opts.cfg.Readers
+	e.opts.cfg.Shards = core.NewEngine(e.opts.cfg).Shards()
 	return e
 }
 
 // Shards reports the resolved shard count.
-func (e *Engine) Shards() int { return e.shards }
-
-// Readers reports the resolved reader-partition count.
-func (e *Engine) Readers() int { return e.readers }
+func (e *Engine) Shards() int { return e.opts.cfg.Shards }
 
 // Run drains the packet source through the pipeline and returns the merged
 // labeled-flow database and statistics. It stops early with ctx.Err() when

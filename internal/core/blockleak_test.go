@@ -16,9 +16,9 @@ import (
 // cancelled mid-run — while Blocks checked out of the pool are in flight
 // through dispatchers, rings, and shards — must still retire every block.
 // Any Gets/Retired imbalance is a leaked (or double-released) handle. The
-// matrix covers the single-pipeline, sharded, and reader-fanout dispatch
-// shapes, whose abort paths are all different. Not parallel: the audit
-// reads the shared default pool's counters.
+// matrix covers the single-pipeline and sharded dispatch shapes, whose
+// abort paths are different. Not parallel: the audit reads the shared
+// default pool's counters.
 func TestCancelReleasesEveryBlock(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(31))
 
@@ -40,34 +40,28 @@ func TestCancelReleasesEveryBlock(t *testing.T) {
 	})
 
 	for _, shards := range []int{1, 4} {
-		for _, readers := range []int{1, 4} {
-			if readers > shards {
-				continue // forced to 1 anyway; shape already covered
-			}
-			t.Run(fmt.Sprintf("shards=%d/readers=%d", shards, readers), func(t *testing.T) {
-				for _, cutAt := range []int{1, len(tr.Packets) / 3, len(tr.Packets) - 2} {
-					before := netio.DefaultBlockPool().Stats()
-					eng := NewEngine(EngineConfig{
-						Shards:  shards,
-						Readers: readers,
-						Flows:   flows.Config{ClientNets: fanoutNets()},
-					})
-					ctx, cancel := context.WithCancel(context.Background())
-					src := &cancelAtSource{inner: tr.Source(), at: cutAt, cancel: cancel}
-					_, err := eng.Run(ctx, src)
-					cancel()
-					if err != nil && !errors.Is(err, context.Canceled) {
-						t.Fatalf("cutAt=%d: Run = %v, want nil or context.Canceled", cutAt, err)
-					}
-					after := netio.DefaultBlockPool().Stats()
-					dg, dr := after.Gets-before.Gets, after.Retired-before.Retired
-					if dg != dr {
-						t.Fatalf("cutAt=%d: %d gets vs %d retires after cancel — leaked blocks",
-							cutAt, dg, dr)
-					}
+		t.Run(fmt.Sprintf("shards=%d/readers=1", shards), func(t *testing.T) {
+			for _, cutAt := range []int{1, len(tr.Packets) / 3, len(tr.Packets) - 2} {
+				before := netio.DefaultBlockPool().Stats()
+				eng := NewEngine(EngineConfig{
+					Shards: shards,
+					Flows:  flows.Config{ClientNets: synthClientNets()},
+				})
+				ctx, cancel := context.WithCancel(context.Background())
+				src := &cancelAtSource{inner: tr.Source(), at: cutAt, cancel: cancel}
+				_, err := eng.Run(ctx, src)
+				cancel()
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("cutAt=%d: Run = %v, want nil or context.Canceled", cutAt, err)
 				}
-			})
-		}
+				after := netio.DefaultBlockPool().Stats()
+				dg, dr := after.Gets-before.Gets, after.Retired-before.Retired
+				if dg != dr {
+					t.Fatalf("cutAt=%d: %d gets vs %d retires after cancel — leaked blocks",
+						cutAt, dg, dr)
+				}
+			}
+		})
 	}
 }
 

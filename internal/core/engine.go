@@ -21,19 +21,8 @@ type EngineConfig struct {
 	// sharding (§3.1.1). 0 means 1 (the exact single-threaded pipeline);
 	// negative means GOMAXPROCS.
 	Shards int
-	// Readers is the number of parallel reader/dispatcher partitions feeding
-	// the shards. With 1 (the default) the Run goroutine reads, parses, and
-	// dispatches; N > 1 stripes raw frames over N dispatchers by a
-	// header-peek hash of the client address (see stripe.go), each with its
-	// own parser and flow tracker, so the parse itself scales past one core.
-	// 0 means 1; negative means GOMAXPROCS. Forced to 1 when Shards <= 1 (no
-	// dispatch stage) or when Flows.ClientNets is empty: client-address
-	// striping needs to know which endpoint is the client, and without the
-	// nets every flow would ride the best-effort symmetric fallback — losing
-	// the DNS-before-flow ordering guarantee for no labeling benefit.
-	Readers int
 	// Batch sizes the dispatcher→shard rings: each holds 8×Batch entries and
-	// a shard takes at most Batch from one ring per pass; 0 means 512. It is
+	// a shard takes at most Batch from its ring per pass; 0 means 512. It is
 	// not a latency knob — entries are published per read block, however
 	// few (see ring.go). Only used when Shards > 1.
 	Batch int
@@ -72,16 +61,14 @@ type EngineConfig struct {
 	// single-shard pipeline has no ring to shed from.
 	Shed *ShedStats
 
-	// tapPipelines, tapRings, and tapReaders are the serve-mode
-	// instrumentation seams, settable only from within the package (the
-	// Server uses them). All fire on the Run goroutine after construction
-	// and before the first packet: tapPipelines receives the shard pipelines
-	// (checkpoint restore/snapshot), tapRings the dispatch rings (depth
-	// gauges, flattened shard-major: ring i*Readers+r is reader r → shard
-	// i), tapReaders the per-reader backpressure counters.
+	// tapPipelines and tapRings are the serve-mode instrumentation seams,
+	// settable only from within the package (the Server uses them). Both
+	// fire on the Run goroutine after construction and before the first
+	// packet: tapPipelines receives the shard pipelines (checkpoint
+	// restore/snapshot), tapRings the shard rings, indexed by shard (depth
+	// gauges and dispatcher park counters).
 	tapPipelines func([]*DNHunter)
-	tapRings     func([]*ring[shardEntry])
-	tapReaders   func([]readerCell)
+	tapRings     func([]*ring)
 }
 
 // Engine is the concurrent DN-Hunter pipeline. An Engine is an immutable
@@ -111,15 +98,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Shards < 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Readers == 0 {
-		cfg.Readers = 1
-	}
-	if cfg.Readers < 0 {
-		cfg.Readers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards <= 1 || len(cfg.Flows.ClientNets) == 0 {
-		cfg.Readers = 1 // see EngineConfig.Readers
-	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = defaultBatch
 	}
@@ -129,14 +107,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Shards reports the resolved shard count.
 func (e *Engine) Shards() int { return e.cfg.Shards }
 
-// Readers reports the resolved reader-partition count.
-func (e *Engine) Readers() int { return e.cfg.Readers }
-
 // Result is the outcome of one Engine run: the merged labeled-flow
 // database and the aggregate pipeline statistics. Readers carries the
-// per-reader backpressure counters for sharded runs (one entry per reader
-// partition); it lives outside Stats so the equivalence suites can keep
-// comparing Stats by value across reader counts.
+// dispatcher's counters for sharded runs (exactly one entry; see
+// ReaderStat); it lives outside Stats so the equivalence suites can keep
+// comparing Stats by value across shard counts.
 type Result struct {
 	DB      *flowdb.DB
 	Stats   Stats

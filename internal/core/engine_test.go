@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -24,6 +26,12 @@ func runEngine(t *testing.T, tr *synth.Trace, shards int) *Result {
 		t.Fatalf("Engine.Run(shards=%d): %v", shards, err)
 	}
 	return res
+}
+
+// synthClientNets covers the synthetic scenarios' client population
+// (clients and LDNS live in 10.0.0.0/16; servers and P2P peers do not).
+func synthClientNets() []netip.Prefix {
+	return []netip.Prefix{netip.MustParsePrefix("10.0.0.0/16")}
 }
 
 // flowMultiset renders every labeled flow to a canonical string and counts
@@ -311,5 +319,51 @@ func TestEngineReusable(t *testing.T) {
 	}
 	if a.Stats != b.Stats || a.DB.Len() != b.DB.Len() {
 		t.Fatalf("engine reuse not independent: %+v vs %+v", a.Stats, b.Stats)
+	}
+}
+
+// TestEngineReaderStats checks the dispatcher's counters: a sharded batch
+// run reports exactly one ReaderStat, whose frame count is the trace
+// length, and — since batch runs never shed — no shed frames.
+func TestEngineReaderStats(t *testing.T) {
+	tr := synth.Generate(synth.QuickScenario(11))
+	res := runEngine(t, tr, 2)
+	if len(res.Readers) != 1 {
+		t.Fatalf("got %d ReaderStats, want 1", len(res.Readers))
+	}
+	rs := res.Readers[0]
+	if want := uint64(tr.Source().Len()); rs.Pkts != want {
+		t.Errorf("dispatcher read %d frames, want %d", rs.Pkts, want)
+	}
+	if rs.ShedFrames != 0 {
+		t.Errorf("shed %d frames in a non-shedding batch run", rs.ShedFrames)
+	}
+}
+
+// TestFastRangeReduction pins the multiply-shift reduction: in-range,
+// deterministic, and reasonably uniform over the synthetic client
+// population. Aggregate equivalence across shard counts — the property the
+// pipeline actually needs, independent of WHERE each client lands — is
+// pinned by TestEngineShardEquivalence.
+func TestFastRangeReduction(t *testing.T) {
+	const n = 8
+	counts := make([]int, n)
+	const clients = 1 << 12
+	for i := 0; i < clients; i++ {
+		a := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
+		sh := shardOfAddr(a, n)
+		if sh >= n {
+			t.Fatalf("client %v: out of range shard=%d", a, sh)
+		}
+		if sh != shardOfAddr(a, n) {
+			t.Fatalf("client %v: nondeterministic reduction", a)
+		}
+		counts[sh]++
+	}
+	ideal := float64(clients) / n
+	for i, got := range counts {
+		if math.Abs(float64(got)-ideal) > ideal/2 {
+			t.Errorf("shard %d: %d clients, want ~%.0f (skew > 50%%)", i, got, ideal)
+		}
 	}
 }

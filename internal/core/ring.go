@@ -1,13 +1,11 @@
 package core
 
-// The bounded lock-free SPSC ring behind both hand-offs of the sharded
-// engine: dispatcher→shard (one ring of pre-parsed shardEntry per (reader,
-// shard) pair) and, with Readers > 1, stripe→dispatcher (one ring of
-// raw-frame srcEntry per reader; see stripe.go). Entries carry payloads by
-// handle into refcounted netio.Block arenas (or stable source storage), so a
-// payload moves from the packet source to the shard by reference, never by
-// copy. Entry storage is one flat array allocated with the ring and reused
-// in place forever after.
+// The bounded lock-free SPSC ring behind the sharded engine's one hand-off:
+// the dispatcher owns one ring of pre-parsed shardEntry per shard. Entries
+// carry payloads by handle into refcounted netio.Block arenas (or stable
+// source storage), so a payload moves from the packet source to the shard
+// by reference, never by copy. Entry storage is one flat array allocated
+// with the ring and reused in place forever after.
 //
 // Publication is entry-granular and decoupled from capacity: the producer
 // appends entries privately (put) and makes them visible with one store of
@@ -21,13 +19,10 @@ package core
 // The synchronization is the classic single-producer/single-consumer ring:
 // a head index advanced only by the producer and a tail index advanced
 // only by the consumer, each on its own cache line so the two sides never
-// false-share. The producer side spins briefly (yielding to the scheduler,
-// which on a saturated machine is the fast path) and then parks on a
-// buffered wake channel, with the usual set-flag/recheck/sleep protocol so
-// a wake is never lost. The consumer side may be shared: one shard drains R
-// rings (one per reader) through a single consGate, so the MPSC hand-off
-// is composed from SPSC rings without any new lock-free structure — see
-// shardWorker.run for the fair drain loop.
+// false-share. Either side spins briefly when it cannot proceed (yielding
+// to the scheduler, which on a saturated machine is the fast path) and then
+// parks on a buffered wake channel, with the usual set-flag/recheck/sleep
+// protocol so a wake is never lost.
 
 import (
 	"runtime"
@@ -77,14 +72,6 @@ type shardEntry struct {
 	flags layers.TCPFlags
 }
 
-// dropRef clears the entry's payload handle and returns the block it held
-// a reference on (nil for none).
-func (e *shardEntry) dropRef() *netio.Block {
-	b := e.blk
-	e.blk, e.pay = nil, nil
-	return b
-}
-
 // Spin budgets before parking. Each spin is a runtime.Gosched, which on a
 // busy box hands the quantum straight to the peer goroutine — usually all
 // that is needed. Parking beyond that keeps an idle ring from burning a
@@ -98,29 +85,16 @@ const (
 // two sides never invalidate each other's cache line.
 type cacheLinePad [64]byte
 
-// consGate is one consumer's park/wake state, shared by every ring that
-// consumer drains (a shard parks once across its R reader rings; any of
-// their producers wakes it). The usual set-flag/recheck/sleep protocol
-// applies: the consumer stores parked, rechecks every ring, and only then
-// sleeps, so a producer's wake is never lost.
-type consGate struct {
-	parked atomic.Bool
-	wake   chan struct{}
-}
-
-func newConsGate() *consGate { return &consGate{wake: make(chan struct{}, 1)} }
-
-// ring is the bounded single-producer/single-consumer ring over entries of
-// type E. Exactly one goroutine may call producer methods (put, publish,
-// close) and exactly one may call consumer methods (tryConsume, consume,
-// release) — the consumer may be shared across rings via the consGate.
+// ring is the bounded single-producer/single-consumer ring of shard
+// entries. Exactly one goroutine may call producer methods (put, publish,
+// close) and exactly one may call consumer methods (consume, release).
 //
 //dnhunter:hotatomic
-type ring[E any] struct {
-	buf   []E    // len is limit rounded up to a power of two
-	mask  uint64 // len(buf) − 1
-	limit uint64 // capacity: at most this many unreleased entries
-	batch uint64 // most entries one tryConsume hands out; the unit of depth()
+type ring struct {
+	buf   []shardEntry // len is limit rounded up to a power of two
+	mask  uint64       // len(buf) − 1
+	limit uint64       // capacity: at most this many unreleased entries
+	batch uint64       // most entries one tryConsume hands out; the unit of depth()
 
 	// The producer's line. Entries in [head, fill) are written but not yet
 	// visible to the consumer; tailSeen is the producer's last reading of
@@ -133,42 +107,37 @@ type ring[E any] struct {
 	tail     atomic.Uint64 // entries released; advanced only by the consumer
 	_        cacheLinePad
 
+	// parks counts producer park events (ring full past the spin budget) —
+	// the dispatcher's backpressure gauge. Written only when the producer
+	// is about to sleep anyway, so it shares the line with the park flags.
+	parks      atomic.Uint64
 	closed     atomic.Bool
 	prodParked atomic.Bool
 	prodWake   chan struct{}
-	gate       *consGate
-
-	// parks, when non-nil, counts producer park events (ring full past the
-	// spin budget) — the per-reader backpressure gauge.
-	parks *atomic.Uint64
-
-	// dropRef clears one entry's payload handle and returns the block it
-	// referenced (E's own method; a type parameter has no fields to reach).
-	dropRef func(*E) *netio.Block
+	consParked atomic.Bool
+	consWake   chan struct{}
 }
 
-// newRing builds a ring holding up to depth×batch entries (both positive),
-// waking its consumer through gate.
-func newRing[E any](depth, batch int, gate *consGate, dropRef func(*E) *netio.Block) *ring[E] {
+// newRing builds a ring holding up to depth×batch entries (both positive).
+func newRing(depth, batch int) *ring {
 	limit := depth * batch
 	size := 1
 	for size < limit {
 		size <<= 1
 	}
-	return &ring[E]{
-		buf:      make([]E, size),
+	return &ring{
+		buf:      make([]shardEntry, size),
 		mask:     uint64(size - 1),
 		limit:    uint64(limit),
 		batch:    uint64(batch),
 		prodWake: make(chan struct{}, 1),
-		gate:     gate,
-		dropRef:  dropRef,
+		consWake: make(chan struct{}, 1),
 	}
 }
 
 // full reports whether the ring has no room for another entry, refreshing
 // the producer's view of tail only when the cached one says so.
-func (r *ring[E]) full() bool {
+func (r *ring) full() bool {
 	if r.fill-r.tailSeen < r.limit {
 		return false
 	}
@@ -182,7 +151,7 @@ func (r *ring[E]) full() bool {
 // consumer releases space (wait: the back-pressure that bounds producer
 // run-ahead) or reports false without queuing e (the overload-shedding
 // paths drop instead of stalling a live reader).
-func (r *ring[E]) put(e E, wait bool) bool {
+func (r *ring) put(e shardEntry, wait bool) bool {
 	if r.full() {
 		r.publish()
 		if !wait {
@@ -194,9 +163,7 @@ func (r *ring[E]) put(e E, wait bool) bool {
 				runtime.Gosched()
 				continue
 			}
-			if r.parks != nil {
-				r.parks.Add(1)
-			}
+			r.parks.Add(1)
 			r.prodParked.Store(true)
 			if !r.full() {
 				r.prodParked.Store(false)
@@ -214,7 +181,7 @@ func (r *ring[E]) put(e E, wait bool) bool {
 
 // publish makes every entry put so far visible to the consumer and wakes
 // it. A no-op when nothing is unpublished.
-func (r *ring[E]) publish() {
+func (r *ring) publish() {
 	if r.head.Load() == r.fill {
 		return
 	}
@@ -226,7 +193,7 @@ func (r *ring[E]) publish() {
 // up: 0 to the depth the ring was built with. Safe to call from any
 // goroutine (a metrics gauge): it touches only the atomic indices. tail is
 // read first so a racing consumer can only make the figure stale-high.
-func (r *ring[E]) depth() int {
+func (r *ring) depth() int {
 	t := r.tail.Load()
 	n := min(r.head.Load()-t, r.limit)
 	return int((n + r.batch - 1) / r.batch)
@@ -236,16 +203,16 @@ func (r *ring[E]) depth() int {
 // consumer so it can observe the close. Producer side only. It is also the
 // abort path: consumers keep releasing under abort, which returns the block
 // references of entries that will never be processed.
-func (r *ring[E]) close() {
+func (r *ring) close() {
 	r.publish()
 	r.closed.Store(true)
 	r.wakeConsumer()
 }
 
-func (r *ring[E]) wakeConsumer() {
-	if r.gate.parked.Load() {
+func (r *ring) wakeConsumer() {
+	if r.consParked.Load() {
 		select {
-		case r.gate.wake <- struct{}{}:
+		case r.consWake <- struct{}{}:
 		default:
 		}
 	}
@@ -254,7 +221,7 @@ func (r *ring[E]) wakeConsumer() {
 // tryConsume returns the next run of published entries without blocking —
 // at most batch of them, and never across the storage wrap — empty when
 // none is published. The run stays valid until it is handed to release.
-func (r *ring[E]) tryConsume() []E {
+func (r *ring) tryConsume() []shardEntry {
 	t := r.tail.Load()
 	lo := t & r.mask
 	n := min(r.head.Load()-t, r.batch, uint64(len(r.buf))-lo)
@@ -264,16 +231,16 @@ func (r *ring[E]) tryConsume() []E {
 // drained reports a closed ring with no published entry left. The head
 // re-load after observing the close matters: the producer's final publish
 // happens before close, but a first head load may predate it.
-func (r *ring[E]) drained() bool {
+func (r *ring) drained() bool {
 	if !r.closed.Load() {
 		return false
 	}
 	return r.head.Load() == r.tail.Load()
 }
 
-// ready reports that the consumer should rescan this ring: published
-// entries are waiting, or the ring closed (so the drain check can retire it).
-func (r *ring[E]) ready() bool {
+// ready reports that the consumer has something to observe: published
+// entries, or the close.
+func (r *ring) ready() bool {
 	return r.head.Load() != r.tail.Load() || r.closed.Load()
 }
 
@@ -282,11 +249,12 @@ func (r *ring[E]) ready() bool {
 // into one atomic add (entries from one read block are adjacent) — and
 // their handles cleared, so reused storage never pins a block or a source
 // buffer; then the space goes back to the producer.
-func (r *ring[E]) release(s []E) {
+func (r *ring) release(s []shardEntry) {
 	var run *netio.Block
 	var n int64
 	for i := range s {
-		b := r.dropRef(&s[i])
+		b := s[i].blk
+		s[i].blk, s[i].pay = nil, nil
 		if b != run {
 			if run != nil {
 				run.Release(n)
@@ -307,10 +275,10 @@ func (r *ring[E]) release(s []E) {
 	}
 }
 
-// consume is the single-ring blocking drain (a consumer with one ring, such
-// as a striped dispatcher): it returns the next published run, blocking
-// until one is available, and nil once the ring is closed and drained.
-func (r *ring[E]) consume() []E {
+// consume is the consumer's blocking drain: it returns the next published
+// run, blocking until one is available, and nil once the ring is closed and
+// drained.
+func (r *ring) consume() []shardEntry {
 	for spins := 0; ; {
 		if s := r.tryConsume(); len(s) > 0 {
 			return s
@@ -323,13 +291,13 @@ func (r *ring[E]) consume() []E {
 			runtime.Gosched()
 			continue
 		}
-		r.gate.parked.Store(true)
+		r.consParked.Store(true)
 		if r.ready() {
-			r.gate.parked.Store(false)
+			r.consParked.Store(false)
 			continue
 		}
-		<-r.gate.wake
-		r.gate.parked.Store(false)
+		<-r.consWake
+		r.consParked.Store(false)
 		spins = 0
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,51 +9,19 @@ import (
 	"repro/internal/synth"
 )
 
-// ringKind adapts the ring tests to one entry type: the ring is generic
-// over its entries, and both instantiations the engine uses (shard entries
-// on the dispatcher→shard mesh, ingress entries on the stripe→dispatcher
-// rings) run every test body below.
-type ringKind[E any] struct {
-	dropRef func(*E) *netio.Block
-	// mk builds an entry carrying a sequence number and a payload handle;
-	// get reads them back.
-	mk  func(seq int, pay []byte, blk *netio.Block) E
-	get func(*E) (seq int, pay []byte, blk *netio.Block)
-}
-
-var shardKind = ringKind[shardEntry]{
-	dropRef: (*shardEntry).dropRef,
-	mk: func(seq int, pay []byte, blk *netio.Block) shardEntry {
-		return shardEntry{at: time.Duration(seq), kind: entryFlow, pay: pay, blk: blk}
-	},
-	get: func(e *shardEntry) (int, []byte, *netio.Block) { return int(e.at), e.pay, e.blk },
-}
-
-var srcKind = ringKind[srcEntry]{
-	dropRef: (*srcEntry).dropRef,
-	mk: func(seq int, pay []byte, blk *netio.Block) srcEntry {
-		return srcEntry{at: time.Duration(seq), kind: srcPacket, data: pay, blk: blk}
-	},
-	get: func(e *srcEntry) (int, []byte, *netio.Block) { return int(e.at), e.data, e.blk },
-}
-
-// bothRings runs one generic test body over both ring instantiations.
-func bothRings(t *testing.T, shard func(*testing.T, ringKind[shardEntry]), ingress func(*testing.T, ringKind[srcEntry])) {
-	t.Run("shard", func(t *testing.T) { shard(t, shardKind) })
-	t.Run("ingress", func(t *testing.T) { ingress(t, srcKind) })
-}
-
-func (k ringKind[E]) newRing(depth, batch int) *ring[E] {
-	return newRing(depth, batch, newConsGate(), k.dropRef)
+// ringEntry builds a shard entry carrying a sequence number (in at) and a
+// payload handle.
+func ringEntry(seq int, pay []byte, blk *netio.Block) shardEntry {
+	return shardEntry{at: time.Duration(seq), kind: entryFlow, pay: pay, blk: blk}
 }
 
 // fillEntries puts count sequence-numbered entries on r, publishing after
 // every `read` of them the way a producer publishes per read block, then
 // closes the ring — which must publish the final partial read. Payloads are
 // per-entry heap slices (blk nil — the stable-storage case).
-func fillEntries[E any](k ringKind[E], r *ring[E], count, read int) {
+func fillEntries(r *ring, count, read int) {
 	for seq := 0; seq < count; seq++ {
-		r.put(k.mk(seq, []byte(fmt.Sprintf("p%d", seq)), nil), true)
+		r.put(ringEntry(seq, []byte(fmt.Sprintf("p%d", seq)), nil), true)
 		if (seq+1)%read == 0 {
 			r.publish()
 		}
@@ -65,7 +32,7 @@ func fillEntries[E any](k ringKind[E], r *ring[E], count, read int) {
 // drainEntries consumes everything from r, verifying FIFO order, payload
 // integrity and the per-pass batch cap, and returns the number of entries
 // seen. It reports with Errorf so it may run off the test goroutine.
-func drainEntries[E any](t *testing.T, k ringKind[E], r *ring[E]) int {
+func drainEntries(t *testing.T, r *ring) int {
 	t.Helper()
 	seq := 0
 	for {
@@ -77,7 +44,7 @@ func drainEntries[E any](t *testing.T, k ringKind[E], r *ring[E]) int {
 			t.Errorf("consume handed out %d entries, batch cap is %d", len(s), r.batch)
 		}
 		for i := range s {
-			got, pay, _ := k.get(&s[i])
+			got, pay := int(s[i].at), s[i].pay
 			if got != seq {
 				t.Errorf("entry %d: sequence %d out of order", seq, got)
 			}
@@ -96,17 +63,13 @@ func drainEntries[E any](t *testing.T, k ringKind[E], r *ring[E]) int {
 // wrap and the batch cap; full and empty transitions are exercised at
 // every boundary because producer and consumer alternate.
 func TestRingWraparound(t *testing.T) {
-	bothRings(t, testRingWraparound[shardEntry], testRingWraparound[srcEntry])
-}
-
-func testRingWraparound[E any](t *testing.T, k ringKind[E]) {
 	const batch, read = 3, 5
-	r := k.newRing(4, batch) // 12 entries in 16 of storage
+	r := newRing(4, batch) // 12 entries in 16 of storage
 	total := len(r.buf) * 10 * batch
 
 	done := make(chan int, 1)
-	go func() { done <- drainEntries(t, k, r) }()
-	fillEntries(k, r, total, read)
+	go func() { done <- drainEntries(t, r) }()
+	fillEntries(r, total, read)
 	if got := <-done; got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
@@ -118,22 +81,16 @@ func testRingWraparound[E any](t *testing.T, k ringKind[E]) {
 // everything it holds, or the consumer could never free anything. The park
 // counter must record the stall and the depth gauge must read full.
 func TestRingBackpressure(t *testing.T) {
-	bothRings(t, testRingBackpressure[shardEntry], testRingBackpressure[srcEntry])
-}
-
-func testRingBackpressure[E any](t *testing.T, k ringKind[E]) {
 	const depth, batch = 2, 4
-	r := k.newRing(depth, batch)
-	var parks atomic.Uint64
-	r.parks = &parks
+	r := newRing(depth, batch)
 	total := depth * batch * 8
 
 	produced := make(chan struct{})
 	go func() {
-		fillEntries(k, r, total, total) // one read longer than the ring: only a full ring publishes
+		fillEntries(r, total, total) // one read longer than the ring: only a full ring publishes
 		close(produced)
 	}()
-	for parks.Load() == 0 {
+	for r.parks.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	select {
@@ -147,7 +104,7 @@ func testRingBackpressure[E any](t *testing.T, k ringKind[E]) {
 	if got := r.depth(); got != depth {
 		t.Fatalf("depth gauge reads %d on a full ring, want %d", got, depth)
 	}
-	if got := drainEntries(t, k, r); got != total {
+	if got := drainEntries(t, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 	<-produced
@@ -161,28 +118,24 @@ func testRingBackpressure[E any](t *testing.T, k ringKind[E]) {
 // entries fit before the first refusal, and a refused entry leaves the
 // ring untouched.
 func TestRingShedsOnlyWhenFull(t *testing.T) {
-	bothRings(t, testRingShedsOnlyWhenFull[shardEntry], testRingShedsOnlyWhenFull[srcEntry])
-}
-
-func testRingShedsOnlyWhenFull[E any](t *testing.T, k ringKind[E]) {
 	const depth, batch = 8, 4
-	r := k.newRing(depth, batch)
+	r := newRing(depth, batch)
 	for seq := 0; seq < depth*batch; seq++ {
-		if !r.put(k.mk(seq, []byte(fmt.Sprintf("p%d", seq)), nil), false) {
+		if !r.put(ringEntry(seq, []byte(fmt.Sprintf("p%d", seq)), nil), false) {
 			t.Fatalf("entry %d refused; the ring holds %d", seq, depth*batch)
 		}
 		if seq%3 != 1 { // reads of one or two entries
 			r.publish()
 		}
 	}
-	if r.put(k.mk(-1, nil, nil), false) {
+	if r.put(ringEntry(-1, nil, nil), false) {
 		t.Fatal("put succeeded on a full ring")
 	}
 	if got := r.depth(); got != depth {
 		t.Fatalf("depth gauge reads %d on a full ring, want %d", got, depth)
 	}
 	r.close()
-	if got := drainEntries(t, k, r); got != depth*batch {
+	if got := drainEntries(t, r); got != depth*batch {
 		t.Fatalf("consumed %d entries, want %d", got, depth*batch)
 	}
 }
@@ -190,15 +143,11 @@ func testRingShedsOnlyWhenFull[E any](t *testing.T, k ringKind[E]) {
 // TestRingCloseDrainsPartial closes with a final partial read unpublished;
 // the consumer must see every entry, then observe the close.
 func TestRingCloseDrainsPartial(t *testing.T) {
-	bothRings(t, testRingCloseDrainsPartial[shardEntry], testRingCloseDrainsPartial[srcEntry])
-}
-
-func testRingCloseDrainsPartial[E any](t *testing.T, k ringKind[E]) {
 	const batch = 8
-	r := k.newRing(4, batch)
+	r := newRing(4, batch)
 	const total = batch*2 + 3 // last read deliberately partial
-	go fillEntries(k, r, total, batch)
-	if got := drainEntries(t, k, r); got != total {
+	go fillEntries(r, total, batch)
+	if got := drainEntries(t, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 }
@@ -206,11 +155,7 @@ func testRingCloseDrainsPartial[E any](t *testing.T, k ringKind[E]) {
 // TestRingCloseEmpty closes a ring that never published; the consumer must
 // return immediately with nil even from a parked wait.
 func TestRingCloseEmpty(t *testing.T) {
-	bothRings(t, testRingCloseEmpty[shardEntry], testRingCloseEmpty[srcEntry])
-}
-
-func testRingCloseEmpty[E any](t *testing.T, k ringKind[E]) {
-	r := k.newRing(2, 4)
+	r := newRing(2, 4)
 	go func() {
 		time.Sleep(5 * time.Millisecond) // let the consumer park first
 		r.close()
@@ -224,15 +169,11 @@ func testRingCloseEmpty[E any](t *testing.T, k ringKind[E]) {
 // race detector: the SPSC protocol's only synchronization is the pair of
 // atomic indices, so any missing happens-before edge shows up here.
 func TestRingConcurrentStress(t *testing.T) {
-	bothRings(t, testRingConcurrentStress[shardEntry], testRingConcurrentStress[srcEntry])
-}
-
-func testRingConcurrentStress[E any](t *testing.T, k ringKind[E]) {
 	const batch = 16
-	r := k.newRing(8, batch)
+	r := newRing(8, batch)
 	const total = 100_000
-	go fillEntries(k, r, total, 7)
-	if got := drainEntries(t, k, r); got != total {
+	go fillEntries(r, total, 7)
+	if got := drainEntries(t, r); got != total {
 		t.Fatalf("consumed %d entries, want %d", got, total)
 	}
 }
@@ -244,17 +185,13 @@ func testRingConcurrentStress[E any](t *testing.T, k ringKind[E]) {
 // the producer gives up are published by close, and a consumer that
 // releases them without processing them returns their references.
 func TestRingBlockHandleRelease(t *testing.T) {
-	bothRings(t, testRingBlockHandleRelease[shardEntry], testRingBlockHandleRelease[srcEntry])
-}
-
-func testRingBlockHandleRelease[E any](t *testing.T, k ringKind[E]) {
 	pool := netio.NewBlockPool(1024, 4)
-	r := k.newRing(2, 4)
+	r := newRing(2, 4)
 
 	blk := pool.Get(0)
 	for i := 0; i < 3; i++ {
 		blk.Retain(1)
-		r.put(k.mk(i, []byte("x"), blk), true)
+		r.put(ringEntry(i, []byte("x"), blk), true)
 	}
 	r.publish()
 	blk.Release(1) // the producer's own Get reference
@@ -271,7 +208,7 @@ func testRingBlockHandleRelease[E any](t *testing.T, k ringKind[E]) {
 		t.Fatalf("block retired %d times after consumer release, want 1", st.Retired)
 	}
 	for i := range got {
-		if _, pay, blk := k.get(&got[i]); blk != nil || pay != nil {
+		if got[i].blk != nil || got[i].pay != nil {
 			t.Fatalf("entry %d: handles not cleared after release", i)
 		}
 	}
@@ -279,7 +216,7 @@ func testRingBlockHandleRelease[E any](t *testing.T, k ringKind[E]) {
 	// Abort path: entries put but never published when the producer stops.
 	blk2 := pool.Get(0)
 	blk2.Retain(1)
-	r.put(k.mk(0, []byte("y"), blk2), true)
+	r.put(ringEntry(0, []byte("y"), blk2), true)
 	blk2.Release(1) // producer's Get reference
 	if s := r.tryConsume(); len(s) != 0 {
 		t.Fatalf("consumer sees %d unpublished entries", len(s))

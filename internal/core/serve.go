@@ -32,48 +32,35 @@ import (
 	"repro/internal/resolver"
 )
 
-// shedShard is one shard's drop counters, padded so adjacent shards'
-// counters never share a cache line (the dispatcher bumps them at packet
-// rate under overload).
+// shedShard is one shard's drop counters.
 type shedShard struct {
 	flows atomic.Uint64
 	dns   atomic.Uint64
 	bytes atomic.Uint64
-	_     [40]byte
 }
 
-// shedMatrix is one engine run's drop-counter grid: cell r*shards+s
-// belongs to (reader r, shard s). Each dispatcher writes only its own row,
-// so rows never contend; PerShard folds the reader dimension away for the
-// stable external shape.
-type shedMatrix struct {
-	readers int
-	shards  int
-	cells   []shedShard
-}
-
-// ShedStats accounts per-reader-per-shard overload drops. Dispatchers are
-// the only writers (each its own row); any goroutine may read (the metrics
-// endpoint does). The zero value is valid and reports zeroes until an
-// engine run initializes it.
+// ShedStats accounts per-shard overload drops. The dispatcher is the only
+// writer; any goroutine may read (the metrics endpoint does). The zero
+// value is valid and reports zeroes until an engine run initializes it.
 type ShedStats struct {
-	m atomic.Pointer[shedMatrix]
+	shards atomic.Pointer[[]shedShard]
 }
 
-// init sizes the (reader, shard) counter grid; called by runSharded before
-// any dispatcher starts.
-func (s *ShedStats) init(readers, shards int) {
-	s.m.Store(&shedMatrix{readers: readers, shards: shards, cells: make([]shedShard, readers*shards)})
+// init sizes the per-shard counters; called by runSharded before the
+// dispatcher starts.
+func (s *ShedStats) init(shards int) {
+	cells := make([]shedShard, shards)
+	s.shards.Store(&cells)
 }
 
-// drop records one shed entry. Called only from a dispatcher, after a
+// drop records one shed entry. Called only from the dispatcher, after a
 // failed put, so it is off the no-drop fast path.
-func (s *ShedStats) drop(reader, sh int, kind uint8, payloadLen int) {
-	m := s.m.Load()
-	if m == nil {
+func (s *ShedStats) drop(sh int, kind uint8, payloadLen int) {
+	p := s.shards.Load()
+	if p == nil {
 		return
 	}
-	c := &m.cells[reader*m.shards+sh]
+	c := &(*p)[sh]
 	if kind == entryDNS {
 		c.dns.Add(1)
 	} else {
@@ -96,21 +83,16 @@ type ShedShard struct {
 	Bytes uint64
 }
 
-// PerShard returns a copy of every shard's drop counters (index == shard),
-// summed over readers — the external shape is reader-count independent.
+// PerShard returns a copy of every shard's drop counters (index == shard).
 func (s *ShedStats) PerShard() []ShedShard {
-	m := s.m.Load()
-	if m == nil {
+	p := s.shards.Load()
+	if p == nil {
 		return nil
 	}
-	out := make([]ShedShard, m.shards)
-	for r := 0; r < m.readers; r++ {
-		for sh := 0; sh < m.shards; sh++ {
-			c := &m.cells[r*m.shards+sh]
-			out[sh].Flows += c.flows.Load()
-			out[sh].DNS += c.dns.Load()
-			out[sh].Bytes += c.bytes.Load()
-		}
+	out := make([]ShedShard, len(*p))
+	for i := range *p {
+		c := &(*p)[i]
+		out[i] = ShedShard{Flows: c.flows.Load(), DNS: c.dns.Load(), Bytes: c.bytes.Load()}
 	}
 	return out
 }
@@ -126,36 +108,33 @@ func (s *ShedStats) Totals() ShedShard {
 	return t
 }
 
-// readerCell is one reader partition's live backpressure counters, padded
-// to a cache line so adjacent readers never false-share. The stripe writes
-// pkts/shedFrames and the ingress ring's park counter points at parks; the
-// reader's dispatcher bumps meshParks through its mesh rings — distinct
-// writers per field, all packet-rate, so the padding matters.
-type readerCell struct {
-	pkts       atomic.Uint64 // frames routed to this reader
-	parks      atomic.Uint64 // stripe parks on this reader's full ingress ring
-	meshParks  atomic.Uint64 // dispatcher parks on full mesh rings (summed over shards)
-	shedFrames atomic.Uint64 // raw frames shed at ingress (serve mode, ring full)
-	_          [32]byte
+// ReaderStat is a point-in-time copy of the sharded engine's dispatch
+// counters (see Result.Readers and ServeMetrics.ReaderStats). The engine
+// has one dispatcher, so there is exactly one; the slice shape and the two
+// always-zero fields remain for callers written against the retired
+// reader fan-out.
+type ReaderStat struct {
+	// Pkts counts the frames the dispatcher read.
+	Pkts uint64 `json:"pkts"`
+	// RingFullParks is always 0: there is no ingress ring.
+	RingFullParks uint64 `json:"ring_full_parks"`
+	// MeshFullParks counts the dispatcher parking on full dispatcher→shard
+	// rings — sustained growth means a shard is the bottleneck, not the
+	// parse.
+	MeshFullParks uint64 `json:"mesh_full_parks"`
+	// ShedFrames is always 0: frames are never shed before the parse (shed
+	// entries are counted in ShedStats).
+	ShedFrames uint64 `json:"shed_frames"`
 }
 
-// ReaderStat is a point-in-time copy of one reader partition's
-// backpressure counters (see Result.Readers and ServeMetrics.ReaderStats).
-type ReaderStat struct {
-	// Pkts counts raw frames routed to this reader partition.
-	Pkts uint64 `json:"pkts"`
-	// RingFullParks counts stripe park events on this reader's full ingress
-	// ring — sustained growth means the partition's dispatcher is the
-	// bottleneck (skewed clients or an overloaded core).
-	RingFullParks uint64 `json:"ring_full_parks"`
-	// MeshFullParks counts this reader's dispatcher parking on full
-	// dispatcher→shard rings — sustained growth means a shard is the
-	// bottleneck, not the parse.
-	MeshFullParks uint64 `json:"mesh_full_parks"`
-	// ShedFrames counts raw frames dropped at ingress under overload
-	// shedding, before any parse: they appear in no parser or shed-entry
-	// counter, only here.
-	ShedFrames uint64 `json:"shed_frames"`
+// dispatchStat builds the dispatcher's ReaderStat from its frame count and
+// the park counters of its shard rings.
+func dispatchStat(pkts uint64, rings []*ring) ReaderStat {
+	st := ReaderStat{Pkts: pkts}
+	for _, r := range rings {
+		st.MeshFullParks += r.parks.Load()
+	}
+	return st
 }
 
 // ServeMetrics is the live observable state of a serving engine. All
@@ -185,9 +164,8 @@ type ServeMetrics struct {
 	// Shed holds the per-shard overload drop counters.
 	Shed ShedStats
 
-	win     atomic.Pointer[flowdb.Windowed]
-	rings   atomic.Pointer[[]*ring[shardEntry]]
-	readers atomic.Pointer[[]readerCell]
+	win   atomic.Pointer[flowdb.Windowed]
+	rings atomic.Pointer[[]*ring]
 }
 
 // Packets returns frames read from the source.
@@ -267,10 +245,10 @@ func (m *ServeMetrics) WindowFlushLag() time.Duration {
 	return 0
 }
 
-// RingDepths returns each dispatch ring's backlog — published-but-unreleased
-// entries in units of Batch, rounded up — flattened shard-major (ring
-// i*Readers+r is reader r → shard i); nil for a single-shard engine (no
-// rings). A depth pinned at the ring capacity (8) is a saturated shard.
+// RingDepths returns each shard ring's backlog — published-but-unreleased
+// entries in units of Batch, rounded up — indexed by shard; nil for a
+// single-shard engine (no rings). A depth pinned at the ring capacity (8)
+// is a saturated shard.
 func (m *ServeMetrics) RingDepths() []int {
 	p := m.rings.Load()
 	if p == nil {
@@ -283,24 +261,15 @@ func (m *ServeMetrics) RingDepths() []int {
 	return out
 }
 
-// ReaderStats returns each reader partition's backpressure counters; nil
-// for a single-shard engine (no reader stage).
+// ReaderStats returns the dispatcher's counters as a one-entry slice (see
+// ReaderStat); nil for a single-shard engine (no dispatcher). Pkts is the
+// frames read from the source, as Packets reports.
 func (m *ServeMetrics) ReaderStats() []ReaderStat {
-	p := m.readers.Load()
+	p := m.rings.Load()
 	if p == nil {
 		return nil
 	}
-	out := make([]ReaderStat, len(*p))
-	for i := range *p {
-		c := &(*p)[i]
-		out[i] = ReaderStat{
-			Pkts:          c.pkts.Load(),
-			RingFullParks: c.parks.Load(),
-			MeshFullParks: c.meshParks.Load(),
-			ShedFrames:    c.shedFrames.Load(),
-		}
-	}
-	return out
+	return []ReaderStat{dispatchStat(m.packets.Load(), *p)}
 }
 
 // ArenaStats returns the shared payload block pool's lifecycle counters
@@ -418,8 +387,7 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		cfg.Shed = &s.metrics.Shed
 	}
 	cfg.tapPipelines = s.tapPipelines
-	cfg.tapRings = func(rs []*ring[shardEntry]) { s.metrics.rings.Store(&rs) }
-	cfg.tapReaders = func(cs []readerCell) { s.metrics.readers.Store(&cs) }
+	cfg.tapRings = func(rs []*ring) { s.metrics.rings.Store(&rs) }
 	cfg.Sink = &serveSink{inner: cfg.Sink, m: &s.metrics, win: win}
 
 	eng := NewEngine(cfg)

@@ -1,23 +1,16 @@
 package core
 
-// Sharded execution (Shards > 1): dispatchers parse frames, extract and
-// orient flow keys, and hand each shard pre-framed (key, direction, flags,
-// payload-handle) entries over bounded lock-free SPSC rings (see ring.go).
-// Each shard runs its own single-threaded DNHunter (resolver Clist, flow
-// table, tag slice). The paper suggests exactly this partitioning for
-// parallel deployments (§3.1.1): all state is keyed by client, so clients
-// can be split across independent pipelines with no shared mutable state.
-//
-// With Readers == 1 one goroutine block-reads, parses, and dispatches. With
-// Readers > 1 the same argument is applied once more, upstream: the parse
-// itself is keyed by client too, so a thin stripe stage (see stripe.go)
-// routes raw frames by a ~40-byte header peek onto R dispatcher partitions,
-// each with its own parser and flow tracker, and every (reader, shard) pair
-// gets its own SPSC ring — the MPSC hand-off is composed from R×S SPSC
-// rings, no new lock-free structure.
+// Sharded execution (Shards > 1): one dispatcher — the Run goroutine —
+// block-reads and parses frames, extracts and orients flow keys, and hands
+// each shard pre-framed (key, direction, flags, payload-handle) entries over
+// that shard's bounded lock-free SPSC ring (see ring.go). Each shard runs
+// its own single-threaded DNHunter (resolver Clist, flow table, tag slice).
+// The paper suggests exactly this partitioning for parallel deployments
+// (§3.1.1): all state is keyed by client, so clients can be split across
+// independent pipelines with no shared mutable state.
 //
 // Equivalence with the single-threaded pipeline is exact, not approximate,
-// because each dispatcher mirrors every piece of global state that decides
+// because the dispatcher mirrors every piece of global state that decides
 // where a packet must go (flows.Tracker — the same swiss index and recency
 // list the Table itself runs on):
 //
@@ -37,23 +30,16 @@ package core
 //     walks the recency list — FlushIdle's exact rule) and each owning
 //     shard receives an in-band per-flow expiry command, so idle flows are
 //     expired (and split into the same records) regardless of shard count.
-//     With Readers > 1 the stripe owns the sweep schedule and the global
-//     clock, broadcasting in-band sweep markers so every partition expires
-//     at the same trace times (see stripe.go for the full argument).
 //
-// The intentional deviations: each shard has its own Clist of the
-// configured size, so aggregate eviction behaviour differs from one global
-// Clist once a shard overflows (size it for the per-shard population); and
-// with Readers > 1, flows whose two endpoints are both inside or both
-// outside the client networks ride a symmetric fallback stripe, so their
-// ordering against either endpoint's DNS stream is best-effort.
+// The intentional deviation: each shard has its own Clist of the configured
+// size, so aggregate eviction behaviour differs from one global Clist once
+// a shard overflows (size it for the per-shard population).
 
 import (
 	"context"
 	"math/bits"
 	"math/rand/v2"
 	"net/netip"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,9 +50,9 @@ import (
 	"repro/internal/netio"
 )
 
-// defaultBatch is the most entries a shard takes from one ring per pass:
+// defaultBatch is the most entries a shard takes from its ring per pass:
 // large enough to amortize the consume/release hand-off, small enough that
-// the fair sweep over a shard's reader rings stays fair. It is not a
+// a released run returns its space to the dispatcher promptly. It is not a
 // latency knob — producers publish per read block, however few entries
 // that is (see ring.go).
 const defaultBatch = 512
@@ -77,85 +63,32 @@ const defaultBatch = 512
 // ring memory stays modest.
 const ringDepth = 8
 
-// blockLen is how many packets the reader stage requests per block read.
+// blockLen is how many packets the dispatcher requests per block read.
 const blockLen = 256
 
-// shardWorker owns one pipeline shard, draining one ring per reader.
+// shardWorker owns one pipeline shard and the consumer side of its ring.
 type shardWorker struct {
-	h     *DNHunter
-	rings []*ring[shardEntry] // one per reader, all waking the shared gate
-	gate  *consGate
+	h    *DNHunter
+	ring *ring
 }
 
-// run drains the shard's reader rings until all close, then flushes the
-// shard's flow table. The scan is a fair fixed-order sweep: each pass
-// consumes at most one batch per ring, so no reader partition can starve
-// another, and the shard parks once on its shared gate (any producer
-// wakes it) when no ring has work. When abort is set (cancellation) it
-// keeps consuming — release keeps returning block references — so no
-// dispatcher ever blocks on a full ring, but stops processing.
+// run drains the shard's ring until it closes, then flushes the shard's
+// flow table. When abort is set (cancellation) it keeps consuming — release
+// keeps returning block references — so the dispatcher never blocks on a
+// full ring, but stops processing.
 //
 //dnhunter:hotpath
 func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 	defer wg.Done()
-	//dnhunter:alloc-ok one-time per-run drain bookkeeping, not per-packet
-	done := make([]bool, len(w.rings))
-	for remaining := len(w.rings); remaining > 0; {
-		progressed := false
-		for i, r := range w.rings {
-			if done[i] {
-				continue
-			}
-			if s := r.tryConsume(); len(s) > 0 {
-				if !abort.Load() {
-					w.process(s)
-				}
-				r.release(s)
-				progressed = true
-				continue
-			}
-			if r.drained() {
-				done[i] = true
-				remaining--
-				progressed = true
-			}
+	for s := w.ring.consume(); s != nil; s = w.ring.consume() {
+		if !abort.Load() {
+			w.process(s)
 		}
-		if progressed || remaining == 0 {
-			continue
-		}
-		for spins := 0; ; {
-			if w.anyReady(done) {
-				break
-			}
-			if spins < ringConsumerSpins {
-				spins++
-				runtime.Gosched()
-				continue
-			}
-			w.gate.parked.Store(true)
-			if w.anyReady(done) {
-				w.gate.parked.Store(false)
-				break
-			}
-			<-w.gate.wake
-			w.gate.parked.Store(false)
-			spins = 0
-		}
+		w.ring.release(s)
 	}
 	if !abort.Load() {
 		w.h.Close()
 	}
-}
-
-// anyReady reports whether any still-open ring has published entries or a
-// close to observe.
-func (w *shardWorker) anyReady(done []bool) bool {
-	for i, r := range w.rings {
-		if !done[i] && r.ready() {
-			return true
-		}
-	}
-	return false
 }
 
 // process applies one consumed batch to the shard pipeline.
@@ -175,51 +108,55 @@ func (w *shardWorker) process(s []shardEntry) {
 	}
 }
 
-// dispatcher parses and routes one reader partition.
+// dispatcher parses and routes every frame onto the shard rings.
 type dispatcher struct {
-	reader  int
-	nshards int
-	parser  layers.Parser
-	rings   []*ring[shardEntry] // this reader's row of the (reader, shard) mesh
-	cell    *readerCell
+	parser layers.Parser
+	rings  []*ring // one per shard
+	pkts   uint64  // frames read
 
-	// tracker mirrors the shard tables' flow lifecycle over this partition's
-	// packet order; assign/expire are its prebound callbacks (bound once so
-	// the per-packet Route call passes a plain func value, no closure).
+	// tracker mirrors the shard tables' flow lifecycle over the packet
+	// order; assign/expire are its prebound callbacks (bound once so the
+	// per-packet Route call passes a plain func value, no closure).
 	tracker *flows.Tracker
 	assign  func(netip.Addr) uint32
 	expire  func(flows.Key, uint64, uint32)
-	// idle/sweepMark drive the amortized sweep on the Readers==1 path; with
-	// Readers>1 the stripe owns the schedule and ships srcSweep markers.
+	// idle/sweepMark drive the amortized sweep (see dispatchBlock).
 	idle      time.Duration
 	sweepMark time.Duration
 
 	// shed, when non-nil, switches enqueue from blocking back-pressure to
 	// overload shedding: entries bound for a full ring are dropped (and
-	// counted per reader per shard) instead of stalling the reader. Serve
-	// mode sets it; batch runs keep the blocking behaviour. Expiry commands
-	// and flow-closing segments are never shed — see enqueue.
+	// counted per shard) instead of stalling the reader. Serve mode sets
+	// it; batch runs keep the blocking behaviour. Expiry commands and
+	// flow-closing segments are never shed — see enqueue.
 	shed *ShedStats
 }
 
 // runSharded is the Shards>1 path.
 func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
 	n := e.cfg.Shards
-	nr := e.cfg.Readers
-	if nr < 1 {
-		nr = 1
-	}
 	sink := SyncSink(e.cfg.Sink)
 
-	seed := rand.Uint64() | 1 // shared tracker/table hash seed, never zero
+	// One shared hash seed: the tracker computes a flow key's hash once at
+	// dispatch and ships it; shard tables (built with the same seed) use it
+	// directly instead of re-hashing per packet.
+	seed := rand.Uint64() | 1 // never zero
+	tracker := flows.NewTracker(e.cfg.Flows.ClientNets, e.cfg.Flows.IdleTimeout, seed)
+	d := &dispatcher{
+		rings:   make([]*ring, n),
+		tracker: tracker,
+		idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
+		shed:    e.cfg.Shed,
+	}
+	d.assign = d.shardOf
+	d.expire = d.enqueueExpire
 	workers := make([]*shardWorker, n)
-	gates := make([]*consGate, n)
 	for i := range workers {
 		fcfg := e.cfg.Flows
 		fcfg.DisableAutoSweep = true // dispatcher drives expiry via tracker commands
 		fcfg.OnRecord = nil          // engine-managed; see EngineConfig.Flows
 		fcfg.Seed = seed
-		gates[i] = newConsGate()
+		d.rings[i] = newRing(ringDepth, e.cfg.Batch)
 		workers[i] = &shardWorker{
 			h: New(sinkConfig(Config{
 				Resolver:  e.cfg.Resolver,
@@ -228,26 +165,11 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 				Vantage:   e.cfg.Vantage,
 				DiscardDB: e.cfg.DiscardDB,
 			}, sink)),
-			gate: gates[i],
+			ring: d.rings[i],
 		}
 	}
-	// The (reader, shard) ring mesh: dispatcher r produces into mesh[r],
-	// shard s consumes mesh[·][s] through its shared gate.
-	cells := make([]readerCell, nr)
-	mesh := make([][]*ring[shardEntry], nr)
-	for r := range mesh {
-		mesh[r] = make([]*ring[shardEntry], n)
-		for s := range mesh[r] {
-			ring := newRing(ringDepth, e.cfg.Batch, gates[s], (*shardEntry).dropRef)
-			ring.parks = &cells[r].meshParks
-			mesh[r][s] = ring
-		}
-	}
-	for i, w := range workers {
-		w.rings = make([]*ring[shardEntry], nr)
-		for r := 0; r < nr; r++ {
-			w.rings[r] = mesh[r][i]
-		}
+	if e.cfg.Shed != nil {
+		e.cfg.Shed.init(n)
 	}
 	if e.cfg.tapPipelines != nil {
 		// Serve-mode seam: expose the shard pipelines (checkpoint restore
@@ -258,6 +180,10 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		}
 		e.cfg.tapPipelines(hs)
 	}
+	if e.cfg.tapRings != nil {
+		e.cfg.tapRings(d.rings)
+	}
+
 	var (
 		wg    sync.WaitGroup
 		abort atomic.Bool
@@ -266,81 +192,10 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		wg.Add(1)
 		go w.run(&wg, &abort)
 	}
-
-	// One shared hash seed: each tracker computes a flow key's hash once at
-	// dispatch and ships it; shard tables (built with the same seed via
-	// fcfg.Seed above) use it directly instead of re-hashing per packet.
-	dispatchers := make([]*dispatcher, nr)
-	for r := range dispatchers {
-		tracker := flows.NewTracker(e.cfg.Flows.ClientNets, e.cfg.Flows.IdleTimeout, seed)
-		d := &dispatcher{
-			reader:  r,
-			nshards: n,
-			rings:   mesh[r],
-			cell:    &cells[r],
-			tracker: tracker,
-			idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
-		}
-		d.assign = d.shardOf
-		d.expire = d.enqueueExpire
-		dispatchers[r] = d
-	}
-	if e.cfg.Shed != nil {
-		e.cfg.Shed.init(nr, n)
-		for _, d := range dispatchers {
-			d.shed = e.cfg.Shed
-		}
-	}
-	if e.cfg.tapRings != nil {
-		// Shard-major flattening: ring i*nr+r is (reader r → shard i), so
-		// per-shard gauges group a shard's rings contiguously.
-		flat := make([]*ring[shardEntry], 0, nr*n)
-		for s := 0; s < n; s++ {
-			for r := 0; r < nr; r++ {
-				flat = append(flat, mesh[r][s])
-			}
-		}
-		e.cfg.tapRings(flat)
-	}
-	if e.cfg.tapReaders != nil {
-		e.cfg.tapReaders(cells)
-	}
-
-	// One read loop for both shapes. With one reader the Run goroutine
-	// parses and dispatches each block itself; with more it becomes the
-	// stripe (raw-frame routing only) and each dispatcher drains its own
-	// ingress ring on its own goroutine.
-	var runErr error
-	if nr == 1 {
-		d := dispatchers[0]
-		runErr = readLoop(ctx, src, d.dispatchBlock)
-		abort.Store(runErr != nil)
-		closeRings(d.rings)
-	} else {
-		ingress := make([]*ring[srcEntry], nr)
-		for r := range ingress {
-			ingress[r] = newRing(ringDepth, e.cfg.Batch, newConsGate(), (*srcEntry).dropRef)
-			ingress[r].parks = &cells[r].parks
-		}
-		st := &stripe{
-			ingress: ingress,
-			nets:    e.cfg.Flows.ClientNets,
-			cells:   cells,
-			idle:    dispatchers[0].idle,
-			shed:    e.cfg.Shed != nil,
-		}
-		var dwg sync.WaitGroup
-		for r, d := range dispatchers {
-			dwg.Add(1)
-			go d.runLoop(&dwg, ingress[r], &abort)
-		}
-		runErr = readLoop(ctx, src, st.routeBlock)
-		abort.Store(runErr != nil)
-		closeRings(ingress)
-		// Dispatchers drain their ingress rings (releasing block refs even
-		// under abort) and close their mesh rows; shards keep consuming
-		// under abort, so this join cannot deadlock.
-		dwg.Wait()
+	runErr := readLoop(ctx, src, d.dispatchBlock)
+	abort.Store(runErr != nil)
+	for _, r := range d.rings {
+		r.close()
 	}
 	wg.Wait()
 	if runErr != nil {
@@ -348,30 +203,16 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 	}
 
 	// Merge: per-shard databases in shard order (deterministic for a fixed
-	// shard count), counters summed; parser stats summed over dispatchers.
+	// shard count), counters summed.
 	db := flowdb.New()
 	dbs := make([]*flowdb.DB, n)
-	var st Stats
-	st.Parser = dispatchers[0].parser.Stats
-	for _, d := range dispatchers[1:] {
-		st.Parser.Add(d.parser.Stats)
-	}
+	st := Stats{Parser: d.parser.Stats}
 	for i, w := range workers {
 		dbs[i] = w.h.DB()
 		st.Add(w.h.Stats())
 	}
 	db.Merge(dbs...)
-	readers := make([]ReaderStat, nr)
-	for i := range cells {
-		c := &cells[i]
-		readers[i] = ReaderStat{
-			Pkts:          c.pkts.Load(),
-			RingFullParks: c.parks.Load(),
-			MeshFullParks: c.meshParks.Load(),
-			ShedFrames:    c.shedFrames.Load(),
-		}
-	}
-	return &Result{DB: db, Stats: st, Readers: readers}, nil
+	return &Result{DB: db, Stats: st, Readers: []ReaderStat{dispatchStat(d.pkts, d.rings)}}, nil
 }
 
 // fastRange reduces a 64-bit hash onto [0, n) with a multiply-shift
@@ -410,62 +251,25 @@ func addrHash(a netip.Addr) uint64 {
 	return h
 }
 
-// readerSalt decorrelates reader striping from shard routing. Feeding the
-// same digest to both dimensions would make reader ≈ shard whenever their
-// counts match — a diagonal mesh where each dispatcher feeds mostly one
-// shard and load skew compounds instead of spreading. Salting before the
-// mix64 avalanche gives the reader dimension independent high bits with
-// the same determinism. The constant is 2^64/φ.
-const readerSalt = 0x9E3779B97F4A7C15
-
 // shardOfAddr maps a client address onto one of n shards.
 func shardOfAddr(client netip.Addr, n int) uint32 {
 	return fastRange(mix64(addrHash(client)), n)
 }
 
-// readerOfAddr maps a client address onto one of n reader partitions.
-func readerOfAddr(client netip.Addr, n int) uint32 {
-	return fastRange(mix64(addrHash(client)^readerSalt), n)
-}
-
-// readerOfPair is the direction-symmetric fallback stripe for flows with
-// no single client-side endpoint (both or neither address in the client
-// networks): commutative in (a, b), so both directions land together.
-func readerOfPair(a, b netip.Addr, n int) uint32 {
-	return fastRange(mix64((addrHash(a)+addrHash(b))^readerSalt), n)
-}
-
-// shardOf routes a client address onto this dispatcher's shards.
+// shardOf routes a client address onto the dispatcher's shards.
 func (d *dispatcher) shardOf(client netip.Addr) uint32 {
-	return shardOfAddr(client, d.nshards)
+	return shardOfAddr(client, len(d.rings))
 }
 
-// publishRings makes everything a producer has put on its rings visible.
-// Producers call it whenever they are about to wait for more input — the
-// end of a read block, an ingress ring run dry — so an entry is never
-// parked behind traffic that has not arrived yet.
-func publishRings[E any](rings []*ring[E]) {
-	for _, r := range rings {
-		r.publish()
-	}
-}
-
-// closeRings ends a producer's streams (see ring.close).
-func closeRings[E any](rings []*ring[E]) {
-	for _, r := range rings {
-		r.close()
-	}
-}
-
-// dispatchBlock is the Readers==1 read-loop consumer: route each frame,
-// then run the amortized sweep, after the packet, at the same trace times
-// a single-threaded table would sweep inside Add; then publish the block's
+// dispatchBlock is the read-loop consumer: route each frame, then run the
+// amortized sweep, after the packet, at the same trace times a
+// single-threaded table would sweep inside Add; then publish the block's
 // entries before the next read, which may block for as long as the link
 // is quiet.
 //
 //dnhunter:hotpath
 func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
-	d.cell.pkts.Add(uint64(len(pkts)))
+	d.pkts += uint64(len(pkts))
 	for i := range pkts {
 		at := pkts[i].Timestamp
 		if d.route(at, pkts[i].Data, blk) && at-d.sweepMark >= d.idle {
@@ -473,49 +277,9 @@ func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
 			d.tracker.ExpireIdle(at, d.expire)
 		}
 	}
-	publishRings(d.rings)
-}
-
-// runLoop is a striped dispatcher's goroutine body: drain this partition's
-// ingress ring — publishing the mesh row whenever the ingress runs dry, so
-// no entry waits on an idle upstream — then close the mesh row. Under abort
-// it keeps draining — returning every block reference — but stops
-// processing, so the stripe never wedges on a full ingress ring.
-func (d *dispatcher) runLoop(dwg *sync.WaitGroup, in *ring[srcEntry], abort *atomic.Bool) {
-	defer dwg.Done()
-	for {
-		s := in.tryConsume()
-		if len(s) == 0 {
-			publishRings(d.rings)
-			if s = in.consume(); s == nil {
-				break
-			}
-		}
-		if !abort.Load() {
-			for i := range s {
-				d.dispatchEntry(&s[i])
-			}
-		}
-		in.release(s)
+	for _, r := range d.rings {
+		r.publish()
 	}
-	closeRings(d.rings)
-}
-
-// dispatchEntry handles one striped ingress entry: sweep markers expire
-// this partition; packets are routed with the tracker clock pre-advanced to
-// the stripe's global flow clock so lastSeen stamps match the single-reader
-// pipeline exactly (Route's own monotone-max then no-ops: at ≤ the shipped
-// clock by construction; the clock is only read when Route stamps a flow,
-// so advancing it for DNS and unparseable frames too changes nothing).
-//
-//dnhunter:hotpath
-func (d *dispatcher) dispatchEntry(se *srcEntry) {
-	if se.kind == srcSweep {
-		d.tracker.ExpireIdle(se.at, d.expire)
-		return
-	}
-	d.tracker.AdvanceClock(se.clock)
-	d.route(se.at, se.data, se.blk)
 }
 
 // route parses one frame and routes it, reporting whether it took the flow
@@ -574,14 +338,14 @@ func (d *dispatcher) enqueueExpire(key flows.Key, hash uint64, shard uint32) {
 	d.enqueue(int(shard), shardEntry{kind: entryExpire, key: key, hash: hash}, nil, nil)
 }
 
-// enqueue puts an entry on the shard's ring; the caller's next publishRings
+// enqueue puts an entry on the shard's ring; the end of the read block
 // makes it visible. The payload travels by handle: pay aliases blk's
 // refcounted arena (or stable source storage when blk is nil) and the
 // entry takes one block reference, returned when the shard releases it — no
 // byte of payload is copied on this path. In the default (batch) mode a
 // full ring blocks: that is the back-pressure that bounds dispatcher
 // run-ahead. In shed mode the entry is dropped instead (and counted per
-// reader per shard) — a live reader must never stall on a slow shard. Two
+// shard) — a live reader must never stall on a slow shard. Two
 // entry classes are still never shed, because dropping them would corrupt
 // state rather than degrade coverage: expiry commands (auto-sweep is
 // disabled on shard tables, so a dropped expiry leaks the flow entry until
@@ -595,7 +359,7 @@ func (d *dispatcher) enqueue(sh int, e shardEntry, pay []byte, blk *netio.Block)
 		e.pay, e.blk = pay, blk
 	}
 	if !d.rings[sh].put(e, wait) {
-		d.shed.drop(d.reader, sh, e.kind, len(pay))
+		d.shed.drop(sh, e.kind, len(pay))
 		return
 	}
 	// The caller's own reference keeps blk alive until the entry has its own.

@@ -80,17 +80,6 @@ func (tk *Tracker) Active() int { return tk.idx.used }
 // IdleTimeout returns the effective idle timeout.
 func (tk *Tracker) IdleTimeout() time.Duration { return tk.idle }
 
-// AdvanceClock raises the tracker's monotone packet clock to c (a no-op if
-// c is not ahead). A striped deployment calls it before Route with the
-// global flow clock, so a partition that has not itself seen the newest
-// packets still stamps lastSeen exactly as a single global tracker would —
-// Route's own monotone-max then never regresses it.
-func (tk *Tracker) AdvanceClock(c time.Duration) {
-	if c > tk.clock {
-		tk.clock = c
-	}
-}
-
 // findEither resolves a packet's forward key in one probe over the
 // orientation-symmetric hash, exactly like Table.findEither.
 func (tk *Tracker) findEither(h uint64, key, rev Key) (uint32, bool) {

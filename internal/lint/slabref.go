@@ -112,7 +112,7 @@ func checkSlabFields(pass *analysis.Pass, ds *directives, st *ast.StructType, is
 
 // containsSlabPtr reports whether t is, or directly contains, a
 // slab-slot pointer (through slices, arrays, maps, channels, and the type
-// arguments of a generic container such as the engine's ring[E]).
+// arguments of a generic container).
 func containsSlabPtr(t types.Type, isSlabPtr func(types.Type) bool, depth int) bool {
 	if depth > 4 {
 		return false

@@ -42,7 +42,7 @@ type fine struct {
 
 func (f *fine) get() uint64 { return f.v.Load() }
 
-// Generic structs keep the padding rule: the engine's ring is ring[E].
+// Generic structs keep the padding rule.
 
 //dnhunter:hotatomic
 type genericRing[E any] struct {

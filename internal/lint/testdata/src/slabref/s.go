@@ -52,9 +52,9 @@ type other struct{ v int }
 
 type holder struct{ o *other }
 
-// A slab type used as a type argument stays in scope: slots[node] is how
-// the engine's ring[E] holds its entries, and a *node that comes out of the
-// generic container is still a slab-slot pointer.
+// A slab type used as a type argument stays in scope: a *node that comes
+// out of a generic container such as slots[node] is still a slab-slot
+// pointer.
 type slots[E any] struct {
 	entries []E
 }

@@ -1,11 +1,10 @@
 package netio
 
-// Raw frame peek for RSS-style reader striping. The parallel pre-parse
-// stage must route each frame to a reader partition by client address
-// without paying a full layers.Parse — but its accept/reject outcome and
-// its port-53/QR-bit classification MUST agree with the parse the owning
-// dispatcher performs later, or the striped sweep clock would diverge from
-// the single-reader pipeline. PeekFrame therefore mirrors, check for check,
+// Raw frame peek for header-only routing: the routing summary of a frame
+// (endpoints, ports, DNS QR bit) without paying a full layers.Parse. Any
+// router built on it must classify exactly as the parse that follows it
+// would. No engine path calls it today; the repo benchmark times it as the
+// floor cost of such a router. PeekFrame mirrors, check for check,
 // the validation rules of layers.Ethernet/IPv4/IPv6/TCP/UDP.DecodeFromBytes
 // (pinned by FuzzPeekMatchesParse in the tests): ok=true exactly when a
 // full parse would succeed AND yield a TCP or UDP packet. It reads ~40
@@ -30,10 +29,9 @@ type Peek struct {
 	DNSResponse bool
 }
 
-// PeekFrame classifies one Ethernet frame for reader striping. ok=false
-// means a full layers.Parse would reject the frame or yield a non-TCP/UDP
-// packet; such frames carry no flow key and any deterministic reader choice
-// preserves equivalence.
+// PeekFrame classifies one Ethernet frame for header-only routing.
+// ok=false means a full layers.Parse would reject the frame or yield a
+// non-TCP/UDP packet; such frames carry no flow key.
 func PeekFrame(frame []byte) (p Peek, ok bool) {
 	if len(frame) < 14 { // Ethernet header
 		return p, false

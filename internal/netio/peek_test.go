@@ -65,9 +65,8 @@ func dnsResponse() []byte {
 // FuzzPeekMatchesParse pins the contract PeekFrame documents: ok=true
 // exactly when a full layers.Parse succeeds (i.e. yields TCP or UDP), and
 // on success the routed endpoints, ports, protocol, and DNS QR
-// classification agree with the parse the owning dispatcher performs later.
-// Any divergence here would split the striped pipeline's routing from its
-// parsing and break reader-count equivalence.
+// classification agree with what the parse reports. Any divergence would
+// let a peek-based router send a frame somewhere its parse disagrees with.
 func FuzzPeekMatchesParse(f *testing.F) {
 	f.Add(ip4Frame(17, udpSeg(53, 40000, dnsResponse())))   // DNS response
 	f.Add(ip4Frame(17, udpSeg(40000, 53, make([]byte, 12)))) // DNS query (QR clear)

@@ -316,20 +316,10 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if len(sm.Readers) > 0 {
-		readerSeries := func(name, help string, v func(core.ReaderStat) uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for i, rs := range sm.Readers {
-				fmt.Fprintf(&b, "%s{reader=\"%d\"} %d\n", name, i, v(rs))
-			}
+		fmt.Fprintf(&b, "# HELP dnhunter_reader_mesh_full_parks_total Dispatcher parks on full dispatcher-to-shard rings (a shard is the bottleneck).\n# TYPE dnhunter_reader_mesh_full_parks_total counter\n")
+		for i, rs := range sm.Readers {
+			fmt.Fprintf(&b, "dnhunter_reader_mesh_full_parks_total{reader=\"%d\"} %d\n", i, rs.MeshFullParks)
 		}
-		readerSeries("dnhunter_reader_pkts_total", "Raw frames routed to each reader partition.",
-			func(rs core.ReaderStat) uint64 { return rs.Pkts })
-		readerSeries("dnhunter_reader_ring_full_parks_total", "Stripe parks on each reader's full ingress ring (dispatcher is the bottleneck).",
-			func(rs core.ReaderStat) uint64 { return rs.RingFullParks })
-		readerSeries("dnhunter_reader_mesh_full_parks_total", "Dispatcher parks on full dispatcher-to-shard rings (a shard is the bottleneck).",
-			func(rs core.ReaderStat) uint64 { return rs.MeshFullParks })
-		readerSeries("dnhunter_reader_shed_frames_total", "Raw frames shed at ingress before any parse.",
-			func(rs core.ReaderStat) uint64 { return rs.ShedFrames })
 	}
 	counter("dnhunter_arena_blocks_retired_total", "Payload arena blocks whose last handle was released.", sm.ArenaRetired)
 	gaugeF("dnhunter_arena_block_retire_ns_avg", "Mean time payload handles keep an arena block pinned, in nanoseconds.", sm.ArenaAvgNs)

@@ -59,10 +59,23 @@ func TestMetricsExposition(t *testing.T) {
 		"dnhunter_windows_flushed_total ",
 		"dnhunter_ring_depth{shard=\"0\"} ",
 		"dnhunter_ring_depth{shard=\"1\"} ",
+		"dnhunter_reader_mesh_full_parks_total{reader=\"0\"} ",
 		"dnhunter_draining 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, body)
+		}
+	}
+	// One dispatcher: no second reader, and no series that would only
+	// repeat dnhunter_packets_total or read a constant 0.
+	for _, gone := range []string{
+		"dnhunter_reader_mesh_full_parks_total{reader=\"1\"}",
+		"dnhunter_reader_pkts_total",
+		"dnhunter_reader_ring_full_parks_total",
+		"dnhunter_reader_shed_frames_total",
+	} {
+		if strings.Contains(body, gone) {
+			t.Fatalf("exposition still carries %q", gone)
 		}
 	}
 	if strings.Contains(body, "dnhunter_packets_total 0\n") {
