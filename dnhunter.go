@@ -24,7 +24,8 @@
 //	res, err := eng.RunTrace(context.Background(), trace)
 //	if err != nil { ... }
 //	fmt.Println(res.Stats.Resolver)           // hit ratio etc.
-//	for _, f := range res.DB.All()[:10] {
+//	for i := range min(10, res.DB.Len()) {
+//	    f := res.DB.At(i)
 //	    fmt.Println(f.Key, f.Label)
 //	}
 //

@@ -67,7 +67,8 @@ func main() {
 	// Show why DPI and IP filtering fail here: blocked and prioritized
 	// flows come out of the same hosting organization's address block.
 	hostOrgs := map[string][2]int{}
-	for _, f := range res.DB.All() {
+	for i := range res.DB.Len() {
+		f := res.DB.At(i)
 		if !f.Labeled {
 			continue
 		}

@@ -31,7 +31,8 @@ func main() {
 	fmt.Printf("ran on %d shards\n\n", eng.Shards())
 	fmt.Println("first ten labeled flows:")
 	shown := 0
-	for _, f := range res.DB.All() {
+	for i := range res.DB.Len() {
+		f := res.DB.At(i)
 		if !f.Labeled {
 			continue
 		}

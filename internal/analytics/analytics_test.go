@@ -311,14 +311,17 @@ func TestCertCompare(t *testing.T) {
 		f.CertNames = certs
 		return f
 	}
-	recs := []flowdb.LabeledFlow{
+	db := flowdb.New()
+	for _, f := range []flowdb.LabeledFlow{
 		mk("www.x.com", []string{"www.x.com"}),                          // exact
 		mk("mail.google.com", []string{"*.google.com"}),                 // generic
 		mk("static.zynga.com", []string{"a248.e.akamai.net"}),           // different
 		mk("www.y.com", nil),                                            // no certificate
 		mkFlow("10.0.0.1", "1.1.1.1", 80, "www.h.com", flows.L7HTTP, 0), // non-TLS: excluded
+	} {
+		db.Add(f)
 	}
-	res := CertCompare(recs)
+	res := CertCompare(db)
 	if res.Total != 4 {
 		t.Fatalf("total = %d", res.Total)
 	}

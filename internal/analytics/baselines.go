@@ -113,10 +113,10 @@ func ReverseLookupCompare(db *flowdb.DB, zone map[netip.Addr]string, n int, rng 
 // compare the certificate subject captured by the inspection baseline with
 // the FQDN label. Wildcard subjects ("*.google.com") covering the label's
 // SLD are "generic"; absent certificates (resumption) are "no certificate".
-func CertCompare(recs []flowdb.LabeledFlow) CompareResult {
+func CertCompare(db *flowdb.DB) CompareResult {
 	res := CompareResult{Counts: make(map[MatchClass]int)}
-	for i := range recs {
-		f := &recs[i]
+	for i := range db.Len() {
+		f := db.At(i)
 		// Only TLS flows with a DN-Hunter label participate.
 		if !f.Labeled || f.L7 != flows.L7TLS {
 			continue

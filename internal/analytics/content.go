@@ -97,7 +97,8 @@ func FanoutCDFs(db *flowdb.DB) (ipsPerFQDN, fqdnsPerIP *stats.CDF) {
 		ipsPerFQDN.Add(float64(len(db.ServersOfFQDN(fqdn))))
 	}
 	perServer := make(map[netip.Addr]map[string]struct{})
-	for _, f := range db.All() {
+	for i := range db.Len() {
+		f := db.At(i)
 		if !f.Labeled {
 			continue
 		}

@@ -715,9 +715,8 @@ func (q *exactCoverage) Snapshot() Result {
 // query.
 func ObserveVantages(p *Pipeline, vantages []VantageData) {
 	for _, v := range vantages {
-		recs := v.DB.All()
-		for i := range recs {
-			f := recs[i]
+		for i := range v.DB.Len() {
+			f := *v.DB.At(i)
 			f.Vantage = v.Name
 			p.Observe(&f)
 		}

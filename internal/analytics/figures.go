@@ -24,7 +24,8 @@ func ServerTimeseries(db *flowdb.DB, slds []string, bin time.Duration) map[strin
 	for _, s := range slds {
 		acc[s] = stats.NewSetBinUnion(bin)
 	}
-	for _, f := range db.All() {
+	for i := range db.Len() {
+		f := db.At(i)
 		if !f.Labeled {
 			continue
 		}
@@ -47,7 +48,8 @@ func CDNTimeseries(db *flowdb.DB, odb *orgdb.DB, orgs []string, bin time.Duratio
 	for _, o := range orgs {
 		want[o] = stats.NewSetBinUnion(bin)
 	}
-	for _, f := range db.All() {
+	for i := range db.Len() {
+		f := db.At(i)
 		if !f.Labeled {
 			continue
 		}
@@ -184,7 +186,8 @@ func AppspotTracking(tr *synth.EventTrace, bin time.Duration) *AppspotReport {
 func DelayCDFs(db *flowdb.DB) (firstFlow, anyFlow *stats.CDF) {
 	firstFlow = &stats.CDF{}
 	anyFlow = &stats.CDF{}
-	for _, f := range db.All() {
+	for i := range db.Len() {
+		f := db.At(i)
 		if !f.Labeled || f.DNSDelay < 0 {
 			continue
 		}

@@ -195,11 +195,11 @@ func (p *Pipeline) Observe(f *flowdb.LabeledFlow) {
 func (p *Pipeline) ObserveDB(db *flowdb.DB) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	recs := db.All()
-	for i := range recs {
+	for i := range db.Len() {
+		f := db.At(i)
 		p.observed++
 		for _, q := range p.queries {
-			q.Observe(&recs[i])
+			q.Observe(f)
 		}
 	}
 }

@@ -69,7 +69,8 @@ func (s *Suite) AblationMapKind() string {
 func (s *Suite) AblationMultiLabel() (string, float64, float64) {
 	run := s.Run(synth.NameEU1ADSL2)
 	var labeled, wrong, recoverable int
-	for _, f := range run.DB.All() {
+	for i := range run.DB.Len() {
+		f := run.DB.At(i)
 		if !f.Labeled || f.Truth == "" {
 			continue
 		}
@@ -128,7 +129,9 @@ func topOverlap(a, b []analytics.TagScore) int {
 // the paper's identify-before-the-flow-begins property.
 func (s *Suite) PreFlowShare(name string) float64 {
 	var labeled, pre int
-	for _, f := range s.Run(name).DB.All() {
+	db := s.Run(name).DB
+	for i := range db.Len() {
+		f := db.At(i)
 		if !f.Labeled {
 			continue
 		}
@@ -147,7 +150,9 @@ func (s *Suite) PreFlowShare(name string) float64 {
 // for flows that carry both.
 func (s *Suite) TruthAccuracy(name string) (acc float64, n int) {
 	var ok int
-	for _, f := range s.Run(name).DB.All() {
+	db := s.Run(name).DB
+	for i := range db.Len() {
+		f := db.At(i)
 		if !f.Labeled || f.Truth == "" {
 			continue
 		}

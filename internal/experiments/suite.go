@@ -169,7 +169,7 @@ func (s *Suite) Table3() (string, analytics.CompareResult) {
 // Table4 reproduces certificate inspection vs DN-Hunter on TLS flows.
 func (s *Suite) Table4() (string, analytics.CompareResult) {
 	run := s.Run(synth.NameEU1ADSL2)
-	res := analytics.CertCompare(run.DB.All())
+	res := analytics.CertCompare(run.DB)
 	var b strings.Builder
 	b.WriteString("Table 4: TLS certificate inspection vs. DN-Hunter (EU1-ADSL2)\n")
 	rows := []struct {

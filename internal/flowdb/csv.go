@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/flows"
 	"repro/internal/layers"
@@ -27,54 +29,140 @@ var csvHeader = []string{
 // ReadCSV still accepts files written by older versions.
 const legacyCSVColumns = 20
 
-// WriteCSV writes the whole database as CSV with a header row.
+// csvFlushAt is the buffered byte count at which WriteCSV hands its rows
+// to the writer; the buffer is allocated with twice that, so no ordinary
+// row ever regrows it.
+const csvFlushAt = 32 << 10
+
+// WriteCSV writes the whole database as CSV with a header row. The bytes
+// are exactly what encoding/csv.Writer writes for the same fields, but
+// every row is appended into one reused buffer, so the write allocates
+// nothing per record.
 func (db *DB) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
+	b := make([]byte, 0, 2*csvFlushAt)
+	for i, h := range csvHeader {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCSVField(b, h)
 	}
-	for i := range db.recs {
-		f := &db.recs[i]
-		cert := ""
-		if len(f.CertNames) > 0 {
-			cert = f.CertNames[0]
-		}
-		rec := []string{
-			strconv.FormatInt(f.Start.Milliseconds(), 10),
-			strconv.FormatInt(f.End.Milliseconds(), 10),
-			f.Key.ClientIP.String(),
-			f.Key.ServerIP.String(),
-			strconv.Itoa(int(f.Key.ClientPort)),
-			strconv.Itoa(int(f.Key.ServerPort)),
-			strconv.Itoa(int(f.Key.Proto)),
-			f.L7.String(),
-			f.Label,
-			boolStr(f.Labeled),
-			boolStr(f.PreFlow),
-			strconv.FormatInt(f.DNSDelay.Milliseconds(), 10),
-			boolStr(f.FirstAfterDNS),
-			strconv.FormatUint(f.PktsC2S, 10),
-			strconv.FormatUint(f.PktsS2C, 10),
-			strconv.FormatUint(f.BytesC2S, 10),
-			strconv.FormatUint(f.BytesS2C, 10),
-			f.SNI,
-			cert,
-			f.Truth,
-			f.Vantage,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
+	b = append(b, '\n')
+	for c := range db.filled() {
+		recs := db.chunk(c)
+		for i := range recs {
+			b = appendCSVRow(b, &recs[i])
+			if len(b) >= csvFlushAt {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
+			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(b)
+	return err
 }
 
-func boolStr(b bool) string {
-	if b {
-		return "1"
+// appendCSVRow appends f as one CSV row, newline included.
+func appendCSVRow(b []byte, f *LabeledFlow) []byte {
+	cert := ""
+	if len(f.CertNames) > 0 {
+		cert = f.CertNames[0]
 	}
-	return "0"
+	b = strconv.AppendInt(b, f.Start.Milliseconds(), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, f.End.Milliseconds(), 10)
+	b = append(b, ',')
+	b = appendCSVAddr(b, f.Key.ClientIP)
+	b = append(b, ',')
+	b = appendCSVAddr(b, f.Key.ServerIP)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(f.Key.ClientPort), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(f.Key.ServerPort), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(f.Key.Proto), 10)
+	b = append(b, ',')
+	b = appendCSVField(b, f.L7.String())
+	b = append(b, ',')
+	b = appendCSVField(b, f.Label)
+	b = append(b, ',')
+	b = appendCSVBool(b, f.Labeled)
+	b = append(b, ',')
+	b = appendCSVBool(b, f.PreFlow)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, f.DNSDelay.Milliseconds(), 10)
+	b = append(b, ',')
+	b = appendCSVBool(b, f.FirstAfterDNS)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, f.PktsC2S, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, f.PktsS2C, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, f.BytesC2S, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, f.BytesS2C, 10)
+	b = append(b, ',')
+	b = appendCSVField(b, f.SNI)
+	b = append(b, ',')
+	b = appendCSVField(b, cert)
+	b = append(b, ',')
+	b = appendCSVField(b, f.Truth)
+	b = append(b, ',')
+	b = appendCSVField(b, f.Vantage)
+	return append(b, '\n')
+}
+
+func appendCSVBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, '1')
+	}
+	return append(b, '0')
+}
+
+// appendCSVAddr appends a as the field a.String() would make. Only a
+// zoned address takes the allocating path: its zone may need quoting.
+// The zero Addr's String is a constant, where AppendTo writes nothing.
+func appendCSVAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() || a.Zone() != "" {
+		return appendCSVField(b, a.String())
+	}
+	return a.AppendTo(b)
+}
+
+// appendCSVField appends s as encoding/csv.Writer (comma ',', LF line
+// ends) writes a field: quoted, with inner quotes doubled, exactly when
+// csvNeedsQuotes says so.
+func appendCSVField(b []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// csvNeedsQuotes is encoding/csv.Writer's quoting rule for comma ',':
+// never the empty field; always `\.`; any field holding a quote, comma,
+// CR or LF; and any field whose first rune is a Unicode space.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` || strings.ContainsAny(s, "\",\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // ReadCSV loads a database written by WriteCSV.

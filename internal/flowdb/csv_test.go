@@ -2,6 +2,10 @@ package flowdb
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"net/netip"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -137,5 +141,148 @@ func TestReadCSVLegacyHeader(t *testing.T) {
 	}
 	if got.Len() != 1 || got.At(0).Vantage != "" {
 		t.Fatalf("legacy load = %d flows, vantage %q", got.Len(), got.At(0).Vantage)
+	}
+}
+
+// csvReference is WriteCSV written plainly with encoding/csv, one []string
+// per record: the byte-for-byte contract the appending encoder keeps.
+func csvReference(t testing.TB, db *DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write(csvHeader); err != nil {
+		t.Fatal(err)
+	}
+	b := func(v bool) string {
+		if v {
+			return "1"
+		}
+		return "0"
+	}
+	for i := range db.Len() {
+		f := db.At(i)
+		cert := ""
+		if len(f.CertNames) > 0 {
+			cert = f.CertNames[0]
+		}
+		if err := cw.Write([]string{
+			strconv.FormatInt(f.Start.Milliseconds(), 10),
+			strconv.FormatInt(f.End.Milliseconds(), 10),
+			f.Key.ClientIP.String(),
+			f.Key.ServerIP.String(),
+			strconv.Itoa(int(f.Key.ClientPort)),
+			strconv.Itoa(int(f.Key.ServerPort)),
+			strconv.Itoa(int(f.Key.Proto)),
+			f.L7.String(),
+			f.Label,
+			b(f.Labeled),
+			b(f.PreFlow),
+			strconv.FormatInt(f.DNSDelay.Milliseconds(), 10),
+			b(f.FirstAfterDNS),
+			strconv.FormatUint(f.PktsC2S, 10),
+			strconv.FormatUint(f.PktsS2C, 10),
+			strconv.FormatUint(f.BytesC2S, 10),
+			strconv.FormatUint(f.BytesS2C, 10),
+			f.SNI,
+			cert,
+			f.Truth,
+			f.Vantage,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// csvFieldCases are strings on and around every edge of encoding/csv's
+// quoting rule.
+var csvFieldCases = []string{
+	"", "plain.example.com", `\.`, `\..`, `.\`, " lead", "trail ", "\tlead",
+	" nbsp", " sep", "\u0085nel", "\xffbad-utf8", "\xe2\x80",
+	"a,b", `say "hi"`, `"`, `""`, "cr\r", "lf\nx", "\r\n", "mid space",
+	"ünïcödé.example", "x\x00y",
+}
+
+// checkCSVMatches writes one flow per field case and asserts WriteCSV's
+// bytes equal encoding/csv's.
+func checkCSVMatches(t *testing.T, db *DB) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := db.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := csvReference(t, db); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteCSV bytes differ from encoding/csv:\n got %q\nwant %q", got.Bytes(), want)
+	}
+}
+
+// TestWriteCSVMatchesEncodingCSV: every string field, and addresses of
+// every form netip prints (v4, v6, 4-in-6, zoned, the zero Addr), encode
+// exactly as encoding/csv.Writer encodes them.
+func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
+	db := New()
+	for _, s := range csvFieldCases {
+		f := lf(s, "1.1.1.1", 443, flows.L7TLS, time.Second)
+		f.Labeled = true
+		f.SNI, f.Truth, f.Vantage = s, s, s
+		f.CertNames = []string{s, "second.example"}
+		db.Add(f)
+	}
+	for _, a := range []string{"2001:db8::1", "::ffff:192.0.2.1", "fe80::1%eth0", "fe80::1%a,\"b", "fe80::1% z"} {
+		f := lf("", a, 80, flows.L7HTTP, -time.Second)
+		f.Key.ClientIP = netip.MustParseAddr(a)
+		f.DNSDelay, f.PktsC2S, f.BytesS2C = -1500*time.Millisecond, 1<<63, ^uint64(0)
+		db.Add(f)
+	}
+	db.Add(LabeledFlow{}) // zero addresses print as "invalid IP"
+	checkCSVMatches(t, db)
+}
+
+// FuzzWriteCSVMatchesEncodingCSV: for arbitrary label, SNI, certificate,
+// truth and vantage strings, WriteCSV's bytes equal encoding/csv's.
+func FuzzWriteCSVMatchesEncodingCSV(f *testing.F) {
+	for i, s := range csvFieldCases {
+		f.Add(s, csvFieldCases[(i+1)%len(csvFieldCases)], csvFieldCases[(i+5)%len(csvFieldCases)], s, csvFieldCases[(i+9)%len(csvFieldCases)])
+	}
+	f.Fuzz(func(t *testing.T, label, sni, cert, truth, vantage string) {
+		fl := lf(label, "192.0.2.1", 443, flows.L7TLS, time.Second)
+		fl.Labeled = true
+		fl.SNI, fl.Truth, fl.Vantage = sni, truth, vantage
+		fl.CertNames = []string{cert}
+		db := New()
+		db.Add(fl)
+		checkCSVMatches(t, db)
+	})
+}
+
+// TestWriteCSVAllocsPerRecord: a warm row encoder allocates nothing, even
+// for fields it must quote, and WriteCSV's allocations do not grow with
+// the record count.
+func TestWriteCSVAllocsPerRecord(t *testing.T) {
+	f := lf("www.example.com", "2001:db8::1", 443, flows.L7TLS, time.Second)
+	f.SNI, f.Truth, f.Vantage = `quoted "sni", here`, " lead", "EU1"
+	f.CertNames = []string{"*.example.com"}
+	b := appendCSVRow(nil, &f)
+	if n := testing.AllocsPerRun(1000, func() { b = appendCSVRow(b[:0], &f) }); n != 0 {
+		t.Fatalf("warm row encoder allocates %v per record, want 0", n)
+	}
+	write := func(db *DB) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := db.WriteCSV(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := New(), New()
+	small.Add(f)
+	for range 3 * chunkLen {
+		large.Add(f)
+	}
+	if s, l := write(small), write(large); l != s {
+		t.Fatalf("WriteCSV allocates %v times for 1 record, %v for %d", s, l, large.Len())
 	}
 }

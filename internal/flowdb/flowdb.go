@@ -42,11 +42,19 @@ type LabeledFlow struct {
 	Vantage string
 }
 
+// chunkLen is the number of records per storage chunk. 1024 records of
+// LabeledFlow fill whole 8 KiB pages (1024 × 264 B = 33 pages), so a chunk
+// wastes nothing to size-class rounding; TestChunkFillsPages pins that.
+const chunkLen = 1024
+
 // DB is an append-only labeled flow store with secondary indexes.
 //
-// The indexes are built lazily: Add only appends (keeping the pipeline's
-// per-flow cost to one slice append — no map work on the capture hot
-// path), and the first query extends the indexes over whatever arrived
+// Records live in a log of fixed-size chunks: every chunk is full except
+// the last, and no chunk is ever regrown, moved or copied. Add is one
+// store into the last chunk (plus one chunk allocation every chunkLen
+// flows), and a pointer to a record stays valid until Reset.
+// The indexes are built lazily: Add does no map work on the capture hot
+// path, and the first query extends the indexes over whatever arrived
 // since the last one.
 //
 // Add and Merge are not safe for concurrent use with anything. Queries
@@ -54,7 +62,11 @@ type LabeledFlow struct {
 // stopped — the catch-up index build they trigger is serialized by an
 // internal lock — but never concurrently with Add/Merge.
 type DB struct {
-	recs []LabeledFlow
+	// chunks holds records [c*chunkLen, (c+1)*chunkLen) in chunks[c]. After
+	// Reset it may hold more chunks than n needs; those are all zero.
+	chunks []*[chunkLen]LabeledFlow
+	// n is the record count.
+	n int
 
 	// mu serializes the lazy index catch-up, so concurrent queries on a
 	// finished DB never race on the map builds.
@@ -76,18 +88,40 @@ func New() *DB {
 
 // Add appends one labeled flow. Index maintenance is deferred to the next
 // query.
+//
+//dnhunter:hotpath
 func (db *DB) Add(f LabeledFlow) {
 	if f.Labeled && f.SLD == "" {
 		f.SLD = stats.SLD(f.Label)
 	}
-	db.recs = append(db.recs, f)
+	db.tail()[0] = f
+	db.n++
+}
+
+// tail returns the unfilled rest of the last chunk, first adding a chunk
+// when the last one is full.
+func (db *DB) tail() []LabeledFlow {
+	c := db.n / chunkLen
+	if c == len(db.chunks) {
+		//dnhunter:alloc-ok one fixed-size chunk per chunkLen flows, never regrown or copied
+		db.chunks = append(db.chunks, new([chunkLen]LabeledFlow))
+	}
+	return db.chunks[c][db.n%chunkLen:]
+}
+
+// filled returns the number of chunks holding records.
+func (db *DB) filled() int { return (db.n + chunkLen - 1) / chunkLen }
+
+// chunk returns the filled part of chunk c < db.filled().
+func (db *DB) chunk(c int) []LabeledFlow {
+	return db.chunks[c][:min(chunkLen, db.n-c*chunkLen)]
 }
 
 // index catches the secondary indexes up with the record log.
 func (db *DB) index() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.indexed == len(db.recs) {
+	if db.indexed == db.n {
 		return
 	}
 	if db.byFQDN == nil {
@@ -97,8 +131,8 @@ func (db *DB) index() {
 		db.byPort = make(map[uint16][]int)
 		db.byVantage = make(map[string][]int)
 	}
-	for idx := db.indexed; idx < len(db.recs); idx++ {
-		f := &db.recs[idx]
+	for idx := db.indexed; idx < db.n; idx++ {
+		f := db.At(idx)
 		if f.Labeled {
 			db.byFQDN[f.Label] = append(db.byFQDN[f.Label], idx)
 			db.bySLD[f.SLD] = append(db.bySLD[f.SLD], idx)
@@ -109,38 +143,40 @@ func (db *DB) index() {
 			db.byVantage[f.Vantage] = append(db.byVantage[f.Vantage], idx)
 		}
 	}
-	db.indexed = len(db.recs)
+	db.indexed = db.n
 }
 
-// Merge appends every flow of the others into db, maintaining the indexes.
-// The sharded engine combines per-shard databases with it at end of run;
-// record order follows the argument order, so merging shards 0..N-1 is
-// deterministic for a fixed shard count.
+// Merge appends every flow of the others into db, copying each record
+// once, chunk by chunk. The sharded engine combines per-shard databases
+// with it at end of run; record order follows the argument order, so
+// merging shards 0..N-1 is deterministic for a fixed shard count.
 func (db *DB) Merge(others ...*DB) {
-	grow := 0
 	for _, o := range others {
-		grow += len(o.recs)
-	}
-	if cap(db.recs)-len(db.recs) < grow {
-		recs := make([]LabeledFlow, len(db.recs), len(db.recs)+grow)
-		copy(recs, db.recs)
-		db.recs = recs
-	}
-	for _, o := range others {
-		for i := range o.recs {
-			db.Add(o.recs[i])
+		n := o.n // read once: merging a DB into itself appends one copy
+		for lo := 0; lo < n; lo += chunkLen {
+			src := o.chunks[lo/chunkLen][:min(chunkLen, n-lo)]
+			for len(src) > 0 {
+				k := copy(db.tail(), src)
+				db.n += k
+				src = src[k:]
+			}
 		}
 	}
 }
 
-// Reset empties the database for reuse, keeping the record slice's
-// capacity so a steady-state consumer (the windowed store rotating
-// partitions) stops allocating once its high-water mark is reached. The
-// lazy indexes are dropped outright — rebuilding them on the next query
-// is cheaper than emptying five maps, and a reused window DB is usually
-// serialized, not queried. Not safe for concurrent use, like Add.
+// Reset empties the database for reuse. It keeps its chunks, so a
+// steady-state consumer (the windowed store rotating partitions) stops
+// allocating once its high-water mark is reached, but zeroes every record
+// they held, so the old flows' strings become garbage now rather than
+// when a later window overwrites them. The lazy indexes are dropped
+// outright — rebuilding them on the next query is cheaper than emptying
+// five maps, and a reused window DB is usually serialized, not queried.
+// Not safe for concurrent use, like Add.
 func (db *DB) Reset() {
-	db.recs = db.recs[:0]
+	for c := range db.filled() {
+		clear(db.chunk(c))
+	}
+	db.n = 0
 	db.indexed = 0
 	db.byFQDN = nil
 	db.bySLD = nil
@@ -150,18 +186,32 @@ func (db *DB) Reset() {
 }
 
 // Len returns the number of flows stored.
-func (db *DB) Len() int { return len(db.recs) }
+func (db *DB) Len() int { return db.n }
 
-// All returns the backing slice of flows; callers must not mutate it.
-func (db *DB) All() []LabeledFlow { return db.recs }
+// All returns a copy of every flow, in insertion order. It allocates and
+// copies the whole database on each call; prefer Len and At, which read
+// the records in place.
+func (db *DB) All() []LabeledFlow {
+	out := make([]LabeledFlow, 0, db.n)
+	for c := range db.filled() {
+		out = append(out, db.chunk(c)...)
+	}
+	return out
+}
 
-// At returns the i-th flow.
-func (db *DB) At(i int) *LabeledFlow { return &db.recs[i] }
+// At returns the i-th flow, 0 <= i < Len(). The pointer stays valid, and
+// the record unchanged, for as long as the DB is not Reset.
+func (db *DB) At(i int) *LabeledFlow {
+	if uint(i) >= uint(db.n) {
+		panic("flowdb: record index out of range")
+	}
+	return &db.chunks[i/chunkLen][i%chunkLen]
+}
 
 func (db *DB) gather(idxs []int) []*LabeledFlow {
 	out := make([]*LabeledFlow, len(idxs))
 	for i, idx := range idxs {
-		out[i] = &db.recs[idx]
+		out[i] = db.At(idx)
 	}
 	return out
 }
@@ -183,7 +233,7 @@ func (db *DB) ByServer(addr netip.Addr) []*LabeledFlow {
 func (db *DB) ByPort(port uint16) []*LabeledFlow { db.index(); return db.gather(db.byPort[port]) }
 
 // ByVantage returns flows observed at the named vantage point. Flows from
-// single-source runs carry no vantage and are reachable only via All.
+// single-source runs carry no vantage and are reachable only via Len/At.
 func (db *DB) ByVantage(name string) []*LabeledFlow { db.index(); return db.gather(db.byVantage[name]) }
 
 // Vantages returns every distinct vantage label in the database, sorted;
@@ -203,7 +253,7 @@ func (db *DB) FQDNsOfSLD(sld string) []string {
 	db.index()
 	seen := make(map[string]struct{})
 	for _, idx := range db.bySLD[sld] {
-		seen[db.recs[idx].Label] = struct{}{}
+		seen[db.At(idx).Label] = struct{}{}
 	}
 	out := make([]string, 0, len(seen))
 	for f := range seen {
@@ -217,20 +267,20 @@ func (db *DB) FQDNsOfSLD(sld string) []string {
 // fqdn, sorted.
 func (db *DB) ServersOfFQDN(fqdn string) []netip.Addr {
 	db.index()
-	return distinctServers(db.recs, db.byFQDN[fqdn])
+	return db.distinctServers(db.byFQDN[fqdn])
 }
 
 // ServersOfSLD returns the distinct server addresses serving any FQDN of
 // sld, sorted.
 func (db *DB) ServersOfSLD(sld string) []netip.Addr {
 	db.index()
-	return distinctServers(db.recs, db.bySLD[sld])
+	return db.distinctServers(db.bySLD[sld])
 }
 
-func distinctServers(recs []LabeledFlow, idxs []int) []netip.Addr {
+func (db *DB) distinctServers(idxs []int) []netip.Addr {
 	seen := make(map[netip.Addr]struct{})
 	for _, idx := range idxs {
-		seen[recs[idx].Key.ServerIP] = struct{}{}
+		seen[db.At(idx).Key.ServerIP] = struct{}{}
 	}
 	out := make([]netip.Addr, 0, len(seen))
 	for a := range seen {
@@ -298,14 +348,17 @@ func (db *DB) Coverage(warmup time.Duration) LabelCoverage {
 		Total:   make(map[flows.L7Proto]int),
 		Labeled: make(map[flows.L7Proto]int),
 	}
-	for i := range db.recs {
-		f := &db.recs[i]
-		if f.Start < warmup {
-			continue
-		}
-		cov.Total[f.L7]++
-		if f.Labeled {
-			cov.Labeled[f.L7]++
+	for c := range db.filled() {
+		recs := db.chunk(c)
+		for i := range recs {
+			f := &recs[i]
+			if f.Start < warmup {
+				continue
+			}
+			cov.Total[f.L7]++
+			if f.Labeled {
+				cov.Labeled[f.L7]++
+			}
 		}
 	}
 	return cov

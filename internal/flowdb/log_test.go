@@ -1,0 +1,237 @@
+package flowdb
+
+import (
+	"bytes"
+	"fmt"
+	"net/netip"
+	"reflect"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/flows"
+)
+
+// logSizes straddle the chunk boundary.
+var logSizes = []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1}
+
+// logFlow is the i-th flow of the log tests; the fields the indexes,
+// Coverage and WriteCSV read all vary with i.
+func logFlow(i int) LabeledFlow {
+	label := ""
+	if i%3 != 0 {
+		label = fmt.Sprintf("h%d.s%d.example", i%7, i%5)
+	}
+	l7 := []flows.L7Proto{flows.L7HTTP, flows.L7TLS, flows.L7P2P}[i%3]
+	server := netip.AddrFrom4([4]byte{198, 51, byte((i >> 8) % 4), byte(i)})
+	f := lf(label, server.String(), uint16(80+i%4), l7, time.Duration(i)*time.Millisecond)
+	f.Truth = label
+	return f
+}
+
+// logDB holds logFlow(lo) .. logFlow(lo+n-1).
+func logDB(lo, n int) *DB {
+	db := New()
+	for i := lo; i < lo+n; i++ {
+		db.Add(logFlow(i))
+	}
+	return db
+}
+
+// checkLog asserts db holds exactly logFlow(0) .. logFlow(n-1), in order,
+// in full chunks except the last.
+func checkLog(t *testing.T, db *DB, n int) {
+	t.Helper()
+	if db.Len() != n {
+		t.Fatalf("Len = %d, want %d", db.Len(), n)
+	}
+	if db.filled() != (n+chunkLen-1)/chunkLen || len(db.chunks) < db.filled() {
+		t.Fatalf("%d flows fill %d of %d chunks", n, db.filled(), len(db.chunks))
+	}
+	for i := 0; i < n; i++ {
+		want := logFlow(i)
+		if want.Labeled {
+			want.SLD = fmt.Sprintf("s%d.example", i%5)
+		}
+		if got := db.At(i); !reflect.DeepEqual(*got, want) {
+			t.Fatalf("At(%d) = %+v, want %+v", i, *got, want)
+		}
+	}
+}
+
+// TestLogAtAndQueries: At, every index query, Coverage, All and WriteCSV
+// agree with a linear scan of the same flows at sizes around chunkLen.
+func TestLogAtAndQueries(t *testing.T) {
+	for _, n := range logSizes {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			db := logDB(0, n)
+			checkLog(t, db, n)
+
+			byPort := map[uint16][]*LabeledFlow{}
+			byServer := map[netip.Addr][]*LabeledFlow{}
+			byFQDN := map[string][]*LabeledFlow{}
+			bySLD := map[string][]*LabeledFlow{}
+			cov := LabelCoverage{Total: map[flows.L7Proto]int{}, Labeled: map[flows.L7Proto]int{}}
+			warmup := time.Duration(n/2) * time.Millisecond
+			for i := 0; i < n; i++ {
+				f := db.At(i)
+				byPort[f.Key.ServerPort] = append(byPort[f.Key.ServerPort], f)
+				byServer[f.Key.ServerIP] = append(byServer[f.Key.ServerIP], f)
+				if f.Labeled {
+					byFQDN[f.Label] = append(byFQDN[f.Label], f)
+					bySLD[f.SLD] = append(bySLD[f.SLD], f)
+				}
+				if f.Start >= warmup {
+					cov.Total[f.L7]++
+					if f.Labeled {
+						cov.Labeled[f.L7]++
+					}
+				}
+			}
+			for p, want := range byPort {
+				if got := db.ByPort(p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ByPort(%d): %d flows, want %d", p, len(got), len(want))
+				}
+			}
+			for a, want := range byServer {
+				if got := db.ByServer(a); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ByServer(%v): %d flows, want %d", a, len(got), len(want))
+				}
+			}
+			for l, want := range byFQDN {
+				if got := db.ByFQDN(l); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ByFQDN(%q): %d flows, want %d", l, len(got), len(want))
+				}
+			}
+			for s, want := range bySLD {
+				if got := db.BySLD(s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("BySLD(%q): %d flows, want %d", s, len(got), len(want))
+				}
+			}
+			if got := len(db.Servers()); got != len(byServer) {
+				t.Fatalf("Servers: %d, want %d", got, len(byServer))
+			}
+			if got := db.Coverage(warmup); !reflect.DeepEqual(got, cov) {
+				t.Fatalf("Coverage = %+v, want %+v", got, cov)
+			}
+
+			all := db.All()
+			if len(all) != n {
+				t.Fatalf("All: %d flows, want %d", len(all), n)
+			}
+			for i := range all {
+				if !reflect.DeepEqual(all[i], *db.At(i)) {
+					t.Fatalf("All()[%d] differs from At(%d)", i, i)
+				}
+			}
+			if n > 0 {
+				all[0].Label = "mutated.example"
+				if db.At(0).Label == "mutated.example" {
+					t.Fatal("All returned the store itself, not a copy")
+				}
+			}
+
+			var got bytes.Buffer
+			if err := db.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if want := csvReference(t, db); !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("WriteCSV differs from encoding/csv (%d vs %d bytes)", got.Len(), len(want))
+			}
+			back, err := ReadCSV(&got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLog(t, back, n)
+		})
+	}
+}
+
+// TestLogMergeOrder: Merge appends every record once, in argument order,
+// whatever chunk boundaries the destination and the sources end on —
+// including a destination whose last chunk is partial.
+func TestLogMergeOrder(t *testing.T) {
+	for _, a := range logSizes {
+		for _, b := range logSizes {
+			t.Run(fmt.Sprintf("%d+%d", a, b), func(t *testing.T) {
+				db := logDB(0, a)
+				db.Merge(logDB(a, b), New(), logDB(a+b, 3))
+				checkLog(t, db, a+b+3)
+				if got := len(db.ByPort(80)); got != (a+b+3+3)/4 {
+					t.Fatalf("ByPort(80) after Merge: %d flows, want %d", got, (a+b+3+3)/4)
+				}
+			})
+		}
+	}
+}
+
+// TestLogPointersStable: a pointer a query returned keeps pointing at the
+// same, unchanged record however many flows arrive after it — chunks are
+// never moved.
+func TestLogPointersStable(t *testing.T) {
+	db := logDB(0, chunkLen-1)
+	f0 := logFlow(1)
+	queries := map[string]func() []*LabeledFlow{
+		"ByFQDN":   func() []*LabeledFlow { return db.ByFQDN(f0.Label) },
+		"BySLD":    func() []*LabeledFlow { return db.BySLD("s1.example") },
+		"ByServer": func() []*LabeledFlow { return db.ByServer(f0.Key.ServerIP) },
+	}
+	before := map[string][]*LabeledFlow{}
+	values := map[string][]LabeledFlow{}
+	for name, q := range queries {
+		ps := q()
+		if len(ps) == 0 {
+			t.Fatalf("%s: no flows", name)
+		}
+		before[name] = ps
+		for _, p := range ps {
+			values[name] = append(values[name], *p)
+		}
+	}
+	for i := chunkLen - 1; i < 4*chunkLen; i++ {
+		db.Add(logFlow(i))
+	}
+	for name, q := range queries {
+		after := q()
+		if len(after) <= len(before[name]) {
+			t.Fatalf("%s: %d flows after more adds, want more than %d", name, len(after), len(before[name]))
+		}
+		for i, p := range before[name] {
+			if after[i] != p {
+				t.Fatalf("%s[%d]: pointer moved", name, i)
+			}
+			if !reflect.DeepEqual(*p, values[name][i]) {
+				t.Fatalf("%s[%d]: record changed under its pointer", name, i)
+			}
+		}
+	}
+}
+
+// TestAddAllocatesOneChunk: chunkLen adds cost exactly one allocation —
+// the chunk — never a regrow-and-copy. (The chunk directory's own
+// doubling adds a few allocations over all runs, which the per-run
+// average rounds away.)
+func TestAddAllocatesOneChunk(t *testing.T) {
+	db := New()
+	f := lf("", "192.0.2.1", 80, flows.L7HTTP, 0) // unlabeled: no SLD to derive
+	if n := testing.AllocsPerRun(50, func() {
+		for range chunkLen {
+			db.Add(f)
+		}
+	}); n != 1 {
+		t.Fatalf("%d adds allocate %v times, want 1", chunkLen, n)
+	}
+}
+
+// TestChunkFillsPages: a chunk above the 32 KiB size classes is rounded
+// up to whole 8 KiB pages, so its size must be a page multiple or the
+// rounding is wasted heap in every chunk. A field added to LabeledFlow
+// that breaks this must come with a new chunkLen.
+func TestChunkFillsPages(t *testing.T) {
+	const page, maxSmall = 8 << 10, 32 << 10
+	size := chunkLen * unsafe.Sizeof(LabeledFlow{})
+	if size > maxSmall && size%page != 0 {
+		t.Fatalf("chunk of %d × %d B = %d B wastes %d B to page rounding",
+			chunkLen, unsafe.Sizeof(LabeledFlow{}), size, page-size%page)
+	}
+}

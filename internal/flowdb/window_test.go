@@ -3,6 +3,7 @@ package flowdb
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -171,26 +172,65 @@ func TestWindowedMatchesBatch(t *testing.T) {
 }
 
 // TestWindowedReusesStorage: after the high-water window, rotation must
-// stop growing the record slices (the bounded-heap property).
+// stop adding chunks (the bounded-heap property).
 func TestWindowedReusesStorage(t *testing.T) {
 	w := NewWindowed(WindowConfig{Width: time.Minute})
-	perWindow := 100
+	perWindow := 2*chunkLen + 10
+	step := time.Minute / time.Duration(perWindow+1)
 	for win := 0; win < 8; win++ {
 		base := time.Duration(win) * time.Minute
 		for i := 0; i < perWindow; i++ {
-			f := wflow(base+time.Duration(i)*100*time.Millisecond, "x.example.com")
+			f := wflow(base+time.Duration(i)*step, "x.example.com")
 			if err := w.Add(f); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// Both the live and the spare DB must have settled at perWindow
-	// capacity (one extra slot of slack for the boundary flow).
-	if c := cap(w.cur.recs); c > 2*perWindow {
-		t.Errorf("current window capacity %d after steady state, want <= %d", c, 2*perWindow)
+	// Both the live and the spare DB must have settled at the chunks one
+	// window needs (one extra slot of slack for the boundary flow).
+	want := (perWindow + 1 + chunkLen - 1) / chunkLen
+	if c := len(w.cur.chunks); c > want {
+		t.Errorf("current window holds %d chunks after steady state, want <= %d", c, want)
 	}
-	if c := cap(w.spare.recs); c > 2*perWindow {
-		t.Errorf("spare window capacity %d after steady state, want <= %d", c, 2*perWindow)
+	if c := len(w.spare.chunks); c > want {
+		t.Errorf("spare window holds %d chunks after steady state, want <= %d", c, want)
+	}
+}
+
+// TestWindowedRotationZeroesRetained: once a window is flushed, no chunk
+// slot either DB keeps holds an old record, so the flushed flows' strings
+// are garbage at once, not when a later window overwrites them.
+func TestWindowedRotationZeroesRetained(t *testing.T) {
+	w := NewWindowed(WindowConfig{Width: time.Minute})
+	f := wflow(time.Second, "old.example.com")
+	f.SNI, f.HTTPHost, f.CertNames = "old.example.com", "old.example.com", []string{"*.example.com"}
+	for i := 0; i < chunkLen+5; i++ {
+		if err := w.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Crossing the boundary flushes the first window; one flow lands in
+	// the second.
+	if err := w.Add(wflow(90*time.Second, "new.example.com")); err != nil {
+		t.Fatal(err)
+	}
+	if w.WindowsFlushed() != 1 || w.cur.Len() != 1 {
+		t.Fatalf("flushed %d windows, current holds %d flows; want 1 and 1", w.WindowsFlushed(), w.cur.Len())
+	}
+	for name, db := range map[string]*DB{"spare": w.spare, "current": w.cur} {
+		for c, ch := range db.chunks {
+			for i := range ch {
+				if c*chunkLen+i < db.Len() {
+					continue
+				}
+				if !reflect.ValueOf(ch[i]).IsZero() {
+					t.Fatalf("%s DB keeps a non-zero record in chunk %d slot %d: %q", name, c, i, ch[i].Label)
+				}
+			}
+		}
+	}
+	if len(w.spare.chunks) == 0 {
+		t.Fatal("spare DB dropped its chunks; rotation must keep them for reuse")
 	}
 }
 

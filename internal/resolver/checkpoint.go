@@ -76,42 +76,56 @@ type SnapshotEntry struct {
 
 // Snapshot returns the live Clist in FIFO order (oldest first). Evicted
 // slots and entries with no remaining back-references are skipped; see
-// the package notes on compaction.
+// the package notes on compaction. Every entry's Servers is carved from
+// one backing array, so a snapshot costs the same few allocations at any
+// size.
 func (r *Resolver) Snapshot() []SnapshotEntry {
-	out := make([]SnapshotEntry, 0, r.alive)
-	emit := func(e *Entry) {
-		if e == nil || !e.live || len(e.refs) == 0 {
-			return
-		}
+	var n, nsrv int
+	r.eachLive(func(e *Entry) { n, nsrv = n+1, nsrv+len(e.refs) })
+	out := make([]SnapshotEntry, 0, n)
+	servers := make([]netip.Addr, nsrv)
+	r.eachLive(func(e *Entry) {
+		k := len(e.refs)
 		se := SnapshotEntry{
 			// All of an entry's back-references share one client: they are
 			// appended only by the Insert call that created the entry.
-			Client: e.refs[0].client,
-			FQDN:   e.FQDN,
-			At:     e.At,
-			Used:   e.Used,
+			Client:  e.refs[0].client,
+			Servers: servers[:k:k],
+			FQDN:    e.FQDN,
+			At:      e.At,
+			Used:    e.Used,
 		}
-		se.Servers = make([]netip.Addr, len(e.refs))
+		servers = servers[k:]
 		for i, ref := range e.refs {
 			se.Servers[i] = ref.server
 		}
 		out = append(out, se)
+	})
+	return out
+}
+
+// eachLive calls fn on every live Clist entry that still has
+// back-references, in FIFO order (oldest first).
+func (r *Resolver) eachLive(fn func(*Entry)) {
+	visit := func(e *Entry) {
+		if e != nil && e.live && len(e.refs) > 0 {
+			fn(e)
+		}
 	}
 	if len(r.clist) < r.cfg.ClistSize {
 		// Still filling: slots 0..len-1 are already FIFO order.
 		for _, e := range r.clist {
-			emit(e)
+			visit(e)
 		}
-		return out
+		return
 	}
 	// Wrapped ring: the oldest entry sits at next.
 	for i := r.next; i < len(r.clist); i++ {
-		emit(r.clist[i])
+		visit(r.clist[i])
 	}
 	for i := 0; i < r.next; i++ {
-		emit(r.clist[i])
+		visit(r.clist[i])
 	}
-	return out
 }
 
 // Restore replays a snapshot into the resolver, oldest entry first, so
@@ -156,20 +170,20 @@ func WriteSnapshot(w io.Writer, entries []SnapshotEntry) error {
 	if err := bw.WriteByte(snapshotVersion); err != nil {
 		return err
 	}
-	var scratch [binary.MaxVarintLen64]byte
+	// scratch holds one uvarint, or one length-prefixed address: the
+	// bytes MarshalBinary would return, appended without allocating.
+	var scratch [max(binary.MaxVarintLen64, 1+16)]byte
 	writeUvarint := func(v uint64) error {
 		n := binary.PutUvarint(scratch[:], v)
 		_, err := bw.Write(scratch[:n])
 		return err
 	}
 	writeAddr := func(a netip.Addr) error {
-		b, err := a.MarshalBinary()
+		b, err := a.AppendBinary(scratch[:1])
 		if err != nil {
 			return err
 		}
-		if err := bw.WriteByte(byte(len(b))); err != nil {
-			return err
-		}
+		b[0] = byte(len(b) - 1)
 		_, err = bw.Write(b)
 		return err
 	}

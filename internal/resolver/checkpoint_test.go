@@ -2,8 +2,10 @@ package resolver
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -227,5 +229,70 @@ func TestSnapshotReadsLegacyV1(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].FQDN != "a.example.com" || !got[1].Used {
 		t.Fatalf("legacy v1 entries mangled: %+v", got)
+	}
+}
+
+// TestSnapshotGoldenBytes pins the version-2 wire bytes: v4, v6 and
+// 4-in-6 addresses, a multi-byte At, the Used flag and an entry with no
+// servers. A change to how WriteSnapshot encodes must leave this file
+// format unchanged.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	const golden = "444e48434c49535402030f63646e2e6578616d706c652e636f6d8088aca3cf0201040a00000102045db80001" +
+		"1020010db80000000000000000000000010e76362e6578616d706c652e6f726780c0a791a9ba02001020010db8" +
+		"000000000000000000000099011000000000000000000000ffffc0000207106e6f6e652e6578616d706c652e6e" +
+		"65740000040a00012c00022fb283a8"
+	entries := []SnapshotEntry{
+		{
+			Client:  ckClient(1),
+			Servers: []netip.Addr{ckServer(1), netip.MustParseAddr("2001:db8::1")},
+			FQDN:    "cdn.example.com",
+			At:      90 * time.Second,
+			Used:    true,
+		},
+		{
+			Client:  netip.MustParseAddr("2001:db8::99"),
+			Servers: []netip.Addr{netip.MustParseAddr("::ffff:192.0.2.7")},
+			FQDN:    "v6.example.org",
+			At:      3 * time.Hour,
+		},
+		{Client: ckClient(300), FQDN: "none.example.net"},
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, entries); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("snapshot bytes changed:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// TestSnapshotWriteAllocsConstant: taking and writing a checkpoint costs
+// the same allocations at 10 entries as at 1000 — no per-entry Servers
+// slice, no per-address MarshalBinary.
+func TestSnapshotWriteAllocsConstant(t *testing.T) {
+	fill := func(n int) *Resolver {
+		r := New(Config{ClistSize: 4096})
+		for i := 0; i < n; i++ {
+			servers := []netip.Addr{ckServer(2 * i), ckServer(2*i + 1), netip.MustParseAddr("2001:db8::1")}
+			r.Insert(ckClient(i), fmt.Sprintf("h%d.example.com", i), servers, time.Duration(i)*time.Second)
+		}
+		return r
+	}
+	small, large := fill(10), fill(1000)
+	snapAllocs := func(r *Resolver) float64 {
+		return testing.AllocsPerRun(10, func() { _ = r.Snapshot() })
+	}
+	if s, l := snapAllocs(small), snapAllocs(large); s != l {
+		t.Errorf("Snapshot allocates %v times for 10 entries, %v for 1000", s, l)
+	}
+	writeAllocs := func(entries []SnapshotEntry) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := WriteSnapshot(io.Discard, entries); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := writeAllocs(small.Snapshot()), writeAllocs(large.Snapshot()); s != l {
+		t.Errorf("WriteSnapshot allocates %v times for 10 entries, %v for 1000", s, l)
 	}
 }
