@@ -301,19 +301,6 @@ func sizeName(L int) string {
 	}
 }
 
-func BenchmarkAblationMapKind(b *testing.B) {
-	s := suite()
-	kinds := map[string]resolver.MapKind{"hash": resolver.MapHash, "ordered": resolver.MapOrdered}
-	for name, kind := range kinds {
-		kind := kind
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.RunWithResolver(synth.NameEU1FTTH, resolver.Config{ClistSize: 1 << 18, MapKind: kind})
-			}
-		})
-	}
-}
-
 func BenchmarkAblationMultiLabel(b *testing.B) {
 	s := suite()
 	s.Run(synth.NameEU1ADSL2)

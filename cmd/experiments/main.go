@@ -136,7 +136,6 @@ func main() {
 	if run("A") {
 		out, _ := s.AblationClistSize([]int{64, 1024, 16384, 1 << 18})
 		section("A:clist", out)
-		section("A:mapkind", s.AblationMapKind())
 		abl, _, _ := s.AblationMultiLabel()
 		section("A:multilabel", abl)
 		section("A:tagscore", s.AblationTagScore(25))

@@ -70,8 +70,8 @@ func WithReaders(int) Option {
 	return func(*engineOptions) {}
 }
 
-// WithResolver overrides the per-shard resolver configuration (defaults:
-// 1M-entry Clist, hash maps).
+// WithResolver overrides the per-shard resolver configuration (default:
+// 1M-entry Clist, no history).
 func WithResolver(cfg ResolverConfig) Option {
 	return func(o *engineOptions) { o.cfg.Resolver = cfg }
 }
@@ -115,10 +115,10 @@ func WithDNSTimes() Option {
 
 // WithSource registers one named packet source — a vantage point — for
 // RunSources. Each vantage runs its own full pipeline (resolver, flow
-// table, shards) concurrently with the others; its name labels every event
-// and flow record it produces. Names must be non-empty and unique. Sources
-// are consumed by one RunSources call: register fresh sources (or rebuild
-// the Engine) before running again.
+// table, shards) concurrently with, and independently of, the others; its
+// name labels every event and flow record it produces. Names must be
+// non-empty and unique. Sources are consumed by one RunSources call:
+// register fresh sources (or rebuild the Engine) before running again.
 func WithSource(name string, src PacketSource) Option {
 	return func(o *engineOptions) {
 		o.sources = append(o.sources, core.NamedSource{Name: name, Src: src})
@@ -133,16 +133,6 @@ func WithTraceSource(name string, tr *Trace) Option {
 	return func(o *engineOptions) {
 		o.sources = append(o.sources, core.NamedSource{Name: name, Src: tr.Source(), Truth: tr.TruthFunc()})
 	}
-}
-
-// WithMergeWindow bounds the virtual-clock skew between concurrently
-// ingested vantages in RunSources: no vantage runs more than d of trace
-// time ahead of the slowest active one, so a shared Sink sees a roughly
-// time-aligned interleave of the vantage event streams. 0 (the default)
-// means 1 minute; a negative d disables pacing entirely. Single-source runs
-// ignore it.
-func WithMergeWindow(d time.Duration) Option {
-	return func(o *engineOptions) { o.cfg.MergeWindow = d }
 }
 
 // Engine is the DN-Hunter pipeline, sharded across cores: the one entry
@@ -204,12 +194,13 @@ type MultiResult struct {
 }
 
 // RunSources drains every vantage registered with WithSource /
-// WithTraceSource through its own pipeline concurrently — the multi-vantage
-// ingestion mode behind the paper's cross-vantage comparisons. The
-// configured Sink is shared (events carry Vantage labels; Close fires
-// exactly once); see WithMergeWindow for how vantages are held together in
-// trace time. A single registered source produces aggregate Stats and flow
-// multisets identical to Run over that source.
+// WithTraceSource through its own independent pipeline concurrently — the
+// multi-vantage ingestion mode behind the paper's cross-vantage
+// comparisons. The configured Sink is shared (events carry Vantage labels;
+// Close fires exactly once); nothing else couples the vantages, so a
+// stalled source holds back only its own. A single registered source
+// produces aggregate Stats and flow multisets identical to Run over that
+// source.
 func (e *Engine) RunSources(ctx context.Context) (*MultiResult, error) {
 	if len(e.opts.sources) == 0 {
 		return nil, fmt.Errorf("dnhunter: RunSources: no sources registered (use WithSource)")

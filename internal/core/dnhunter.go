@@ -11,8 +11,6 @@
 package core
 
 import (
-	"errors"
-	"io"
 	"net/netip"
 	"time"
 
@@ -52,7 +50,7 @@ type DNSEvent struct {
 
 // Config assembles a pipeline.
 type Config struct {
-	// Resolver configuration (Clist size, map kind, history).
+	// Resolver configuration (Clist size, history).
 	Resolver resolver.Config
 	// Flows configures the flow table (timeouts, client networks).
 	Flows flows.Config
@@ -199,23 +197,6 @@ func (h *DNHunter) Stats() Stats {
 	return s
 }
 
-// Run drains the packet source through the pipeline and flushes remaining
-// flows at EOF.
-func (h *DNHunter) Run(src netio.PacketSource) error {
-	for {
-		pkt, err := src.Next()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return err
-		}
-		h.HandlePacket(pkt)
-	}
-	h.Close()
-	return nil
-}
-
 // HandlePacket feeds one packet through the pipeline (streaming use).
 //
 //dnhunter:hotpath
@@ -340,6 +321,3 @@ func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
 		h.cfg.OnFlow(lf)
 	}
 }
-
-// ErrStopped is returned by streaming helpers when a consumer aborts.
-var ErrStopped = errors.New("core: stopped")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -76,6 +77,23 @@ func (tb *traceBuilder) source() netio.PacketSource {
 	return netio.NewSlicePacketSource(tb.pkts)
 }
 
+// feed drains src through h one packet at a time and flushes at EOF: the
+// single-threaded pipeline with no engine around it.
+func feed(t testing.TB, h *DNHunter, src netio.PacketSource) {
+	t.Helper()
+	for {
+		pkt, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.HandlePacket(pkt)
+	}
+	h.Close()
+}
+
 func TestEndToEndLabeling(t *testing.T) {
 	tb := &traceBuilder{t: t}
 	tb.dnsResponse(0, clientA, "www.example.com", srv1, srv2)
@@ -83,9 +101,7 @@ func TestEndToEndLabeling(t *testing.T) {
 	tb.httpFlow(700*time.Millisecond, clientA, srv2, 40001, "www.example.com")
 
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	db := h.DB()
 	if db.Len() != 2 {
 		t.Fatalf("flows = %d", db.Len())
@@ -112,9 +128,7 @@ func TestClientScopedLabeling(t *testing.T) {
 	tb.httpFlow(time.Second, clientB, srv1, 41000, "b.example.com")
 
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	labels := map[netip.Addr]string{}
 	for _, f := range h.DB().All() {
 		labels[f.Key.ClientIP] = f.Label
@@ -128,9 +142,7 @@ func TestMissWithoutDNS(t *testing.T) {
 	tb := &traceBuilder{t: t}
 	tb.httpFlow(0, clientA, srv1, 40000, "nodns.example.com")
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	f := h.DB().All()[0]
 	if f.Labeled || f.Label != "" {
 		t.Fatalf("unexpected label: %+v", f)
@@ -144,9 +156,7 @@ func TestFirstFlowDelayMeasured(t *testing.T) {
 	tb.httpFlow(5*time.Second, clientA, srv1, 40007, "www.example.com")
 
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	var first, second *struct {
 		delay time.Duration
 		fresh bool
@@ -180,9 +190,7 @@ func TestUselessDNSCounted(t *testing.T) {
 	tb.httpFlow(time.Second, clientA, srv1, 40000, "used.example.com")
 
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	st := h.Stats()
 	if st.DNSResponses != 2 || st.UsedEntries != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -210,9 +218,7 @@ func TestOnTagPolicyHookAtSYN(t *testing.T) {
 			actions = append(actions, policy.Decide(e.Label))
 		},
 	})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))
 	}
@@ -230,9 +236,7 @@ func TestDNSEventCallback(t *testing.T) {
 	tb.dnsResponse(time.Minute, clientA, "x.example.com", srv1, srv2)
 	var got []DNSEvent
 	h := New(Config{Resolver: resolverCfg(), OnDNSResponse: func(e DNSEvent) { got = append(got, e) }})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	if len(got) != 1 || got[0].FQDN != "x.example.com" || got[0].NumAddrs != 2 || got[0].Client != clientA {
 		t.Fatalf("events = %+v", got)
 	}
@@ -243,9 +247,7 @@ func TestMalformedDNSCounted(t *testing.T) {
 	frame, err := tb.b.UDPFrame(ldns, clientA, 53, 40053, []byte{1, 2, 3})
 	tb.add(0, frame, err)
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	if st := h.Stats(); st.DNSMalformed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -261,9 +263,7 @@ func TestDNSQueryIgnored(t *testing.T) {
 	frame, err := tb.b.UDPFrame(clientA, ldns, 40053, 53, raw)
 	tb.add(0, frame, err)
 	h := New(Config{Resolver: resolverCfg()})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	if st := h.Stats(); st.DNSResponses != 0 || st.DNSMalformed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -276,9 +276,7 @@ func TestTruthSidecar(t *testing.T) {
 		Resolver: resolverCfg(),
 		Truth:    func(k flows.Key) string { return "truth.example.com" },
 	})
-	if err := h.Run(tb.source()); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, h, tb.source())
 	if got := h.DB().All()[0].Truth; got != "truth.example.com" {
 		t.Fatalf("truth = %q", got)
 	}

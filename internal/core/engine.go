@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"repro/internal/flowdb"
 	"repro/internal/flows"
@@ -44,12 +43,6 @@ type EngineConfig struct {
 	// RunSources overrides it per vantage pipeline; leave empty for
 	// single-source runs.
 	Vantage string
-	// MergeWindow bounds the virtual-clock skew between concurrently
-	// ingested sources in RunSources: no vantage runs more than this far
-	// ahead of the slowest active vantage in trace time. 0 means the
-	// 1-minute default; negative disables pacing (sources free-run).
-	// Ignored by single-source Run.
-	MergeWindow time.Duration
 	// DiscardDB stops the pipelines from accumulating labeled flows into
 	// Result.DB (it comes back empty). Streaming mode sets it: flows are
 	// observed through Sink.OnFlow and the windowed store instead, so heap

@@ -88,15 +88,12 @@ func TestEngineShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineSingleMatchesLegacy pins the shard-1 engine to the legacy
-// DNHunter byte for byte.
+// TestEngineSingleMatchesLegacy pins the shard-1 engine to a bare
+// HandlePacket loop over one DNHunter, byte for byte.
 func TestEngineSingleMatchesLegacy(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(11))
 	h := New(Config{Truth: tr.TruthFunc()})
-	if err := h.Run(tr.Source()); err != nil {
-		t.Fatal(err)
-	}
-	h.Close()
+	feed(t, h, tr.Source())
 	legacyStats := h.Stats()
 
 	res := runEngine(t, tr, 1)
@@ -104,6 +101,16 @@ func TestEngineSingleMatchesLegacy(t *testing.T) {
 		t.Errorf("stats diverge:\n legacy %+v\n engine %+v", legacyStats, res.Stats)
 	}
 	diffMultisets(t, flowMultiset(h.DB()), flowMultiset(res.DB), "engine-vs-legacy")
+	var legacyCSV, engineCSV bytes.Buffer
+	if err := h.DB().WriteCSV(&legacyCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.DB.WriteCSV(&engineCSV); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(legacyCSV.Bytes(), engineCSV.Bytes()) {
+		t.Error("engine CSV differs from the HandlePacket loop's")
+	}
 }
 
 // TestEnginePcapSourceSharded exercises the payload-copy path: the pcap

@@ -1,15 +1,11 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/netio"
-)
+import "repro/internal/netio"
 
 // The core-internal source wrappers, for the external test package
 // (sourcecap_test.go imports internal/faults, which imports core). Each is
 // built the way the engine builds it, with nothing armed: no drain signal,
-// no source errors, a one-vantage clock that never blocks.
+// no source errors.
 var InternalWrappersForTest = []struct {
 	Name string
 	Wrap func(netio.BlockRefSource) netio.BlockRefSource
@@ -19,8 +15,5 @@ var InternalWrappersForTest = []struct {
 	}},
 	{"supervisedSource", func(src netio.BlockRefSource) netio.BlockRefSource {
 		return newSupervisedSource(src, nil, RestartPolicy{}, new(ServeMetrics))
-	}},
-	{"pacedSource", func(src netio.BlockRefSource) netio.BlockRefSource {
-		return &pacedSource{src: src, clock: newVClock(1, time.Minute), tick: time.Millisecond}
 	}},
 }

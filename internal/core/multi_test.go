@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/flowdb"
+	"repro/internal/netio"
 	"repro/internal/synth"
 )
 
@@ -79,7 +81,7 @@ func TestRunSourcesIsolation(t *testing.T) {
 			tr := traces[name]
 			sources = append(sources, NamedSource{Name: name, Src: tr.Source(), Truth: tr.TruthFunc()})
 		}
-		eng := NewEngine(EngineConfig{Shards: shards, MergeWindow: 30 * time.Second})
+		eng := NewEngine(EngineConfig{Shards: shards})
 		multi, err := eng.RunSources(context.Background(), sources)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -196,54 +198,91 @@ func TestRunSourcesSinkAttribution(t *testing.T) {
 	}
 }
 
-// TestRunSourcesPacingUnevenLengths: a 30-minute trace and a 3-hour trace
-// under a tight merge window — the short vantage finishes early and must
-// not stall the long one (EOF removes it from the skew computation).
-func TestRunSourcesPacingUnevenLengths(t *testing.T) {
-	short := synth.Generate(synth.QuickScenario(23))
-	long := synth.Generate(synth.NamedScenario(synth.NameEU1FTTH, 0.08, 29))
-	eng := NewEngine(EngineConfig{MergeWindow: time.Second})
-	done := make(chan struct{})
-	var multi *MultiResult
-	var err error
-	go func() {
-		defer close(done)
-		multi, err = eng.RunSources(context.Background(), []NamedSource{
-			{Name: "short", Src: short.Source()},
-			{Name: "long", Src: long.Source()},
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("RunSources deadlocked under a tight merge window")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pacing must not change results: compare against the unpaced run.
-	free := NewEngine(EngineConfig{MergeWindow: -1})
-	unpaced, err := free.RunSources(context.Background(), []NamedSource{
-		{Name: "short", Src: short.Source()},
-		{Name: "long", Src: long.Source()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Stats != unpaced.Stats {
-		t.Errorf("pacing changed aggregate stats:\n paced   %+v\n unpaced %+v", multi.Stats, unpaced.Stats)
-	}
-	diffMultisets(t, flowMultiset(unpaced.DB), flowMultiset(multi.DB), "paced-vs-unpaced")
+// stallSource yields pkts, then blocks in Next until release (or abort) is
+// closed, then reports io.EOF.
+type stallSource struct {
+	pkts           []netio.Packet
+	i              int
+	release, abort <-chan struct{}
 }
 
-// TestRunSourcesCancel: cancellation unblocks clock waiters and readers,
-// the error surfaces, and the sink still closes exactly once.
+func (s *stallSource) Next() (netio.Packet, error) {
+	if s.i < len(s.pkts) {
+		s.i++
+		return s.pkts[s.i-1], nil
+	}
+	select {
+	case <-s.release:
+	case <-s.abort:
+	}
+	return netio.Packet{}, io.EOF
+}
+
+// eofSignalSource closes done when its inner source reports io.EOF.
+type eofSignalSource struct {
+	src  netio.PacketSource
+	done chan struct{}
+	once sync.Once
+}
+
+func (s *eofSignalSource) Next() (netio.Packet, error) {
+	p, err := s.src.Next()
+	if err == io.EOF {
+		s.once.Do(func() { close(s.done) })
+	}
+	return p, err
+}
+
+// TestRunSourcesStalledVantageDoesNotBlockSiblings: vantages are
+// independent engines, so a source that stalls mid-trace holds back only its
+// own vantage. "stuck" blocks in Next after 10 packets until "ok" — a
+// 29-minute trace — has reached EOF; RunSources must then finish, with the
+// healthy vantage's result exactly what a solo run produces.
+func TestRunSourcesStalledVantageDoesNotBlockSiblings(t *testing.T) {
+	ok := synth.Generate(synth.QuickScenario(17))
+	stuck := synth.Generate(synth.QuickScenario(19))
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			okDone, abort := make(chan struct{}), make(chan struct{})
+			defer close(abort)
+			done := make(chan struct{})
+			var multi *MultiResult
+			var err error
+			go func() {
+				defer close(done)
+				multi, err = NewEngine(EngineConfig{Shards: shards}).RunSources(context.Background(), []NamedSource{
+					{Name: "stuck", Src: &stallSource{pkts: stuck.Packets[:10], release: okDone, abort: abort}},
+					{Name: "ok", Src: &eofSignalSource{src: ok.Source(), done: okDone}},
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a stalled vantage kept RunSources from returning")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo, err := NewEngine(EngineConfig{Shards: shards}).Run(context.Background(), ok.Source())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := multi.PerVantage["ok"].Stats; got != solo.Stats {
+				t.Errorf("healthy vantage stats diverge from a solo run:\n got %+v\nwant %+v", got, solo.Stats)
+			}
+			diffMultisets(t, flowMultiset(solo.DB), flowMultisetNoVantage(multi.PerVantage["ok"].DB), "ok-vs-solo")
+		})
+	}
+}
+
+// TestRunSourcesCancel: cancellation stops every vantage's reader, the
+// error surfaces, and the sink still closes exactly once.
 func TestRunSourcesCancel(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(31))
 	for _, shards := range []int{1, 4} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		sink := newVantageSink()
-		eng := NewEngine(EngineConfig{Shards: shards, Sink: sink, MergeWindow: time.Second})
+		eng := NewEngine(EngineConfig{Shards: shards, Sink: sink})
 		_, err := eng.RunSources(ctx, []NamedSource{
 			{Name: "A", Src: &endlessSource{pkts: tr.Packets}},
 			{Name: "B", Src: &endlessSource{pkts: tr.Packets}},
@@ -339,45 +378,5 @@ func TestRunSourcesValidation(t *testing.T) {
 		if _, err := eng.RunSources(context.Background(), sources); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-}
-
-// TestVClockSkewBound: a fast reader blocks at min+window until the slow
-// reader advances, and finish releases it permanently.
-func TestVClockSkewBound(t *testing.T) {
-	c := newVClock(2, time.Minute)
-	c.advance(1, 0) // slow vantage at t=0
-
-	blocked := make(chan struct{})
-	released := make(chan struct{})
-	go func() {
-		close(blocked)
-		c.advance(0, 5*time.Minute) // 5 min ahead: must block
-		close(released)
-	}()
-	<-blocked
-	select {
-	case <-released:
-		t.Fatal("fast reader not blocked beyond the window")
-	case <-time.After(50 * time.Millisecond):
-	}
-	c.advance(1, 4*time.Minute+time.Second) // now within window
-	select {
-	case <-released:
-	case <-time.After(5 * time.Second):
-		t.Fatal("fast reader not released after slow vantage advanced")
-	}
-	// A finished vantage never holds others back.
-	c.advance(1, 4*time.Minute+2*time.Second)
-	c.finish(1)
-	doneCh := make(chan struct{})
-	go func() {
-		c.advance(0, 24*time.Hour)
-		close(doneCh)
-	}()
-	select {
-	case <-doneCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("finish did not release the clock")
 	}
 }

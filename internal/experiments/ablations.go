@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
@@ -12,21 +12,18 @@ import (
 )
 
 // ablations.go exercises the design choices DESIGN.md calls out: Clist
-// sizing (§6), the ordered-vs-hash map choice (§3.1.1 footnote 2), the
-// last-writer-wins confusion (§6), and Eq. 1's log damping.
+// sizing (§6), the last-writer-wins confusion (§6), and Eq. 1's log
+// damping.
 
-// RunWithResolver runs a scenario through a pipeline with a custom resolver
-// configuration (uncached).
+// RunWithResolver runs a scenario through a single-shard pipeline with a
+// custom resolver configuration (uncached).
 func (s *Suite) RunWithResolver(name string, rc resolver.Config) *ScenarioRun {
 	tr := synth.Generate(synth.NamedScenario(name, s.Scale, s.Seed))
-	run := &ScenarioRun{Trace: tr}
-	h := core.New(core.Config{Resolver: rc, Truth: tr.TruthFunc()})
-	if err := h.Run(tr.Source()); err != nil {
-		panic(err)
+	res, err := core.NewEngine(core.EngineConfig{Resolver: rc, Truth: tr.TruthFunc()}).Run(context.Background(), tr.Source())
+	if err != nil {
+		panic(err) // in-memory source cannot fail
 	}
-	run.DB = h.DB()
-	run.Stats = h.Stats()
-	return run
+	return &ScenarioRun{Trace: tr, DB: res.DB, Stats: res.Stats}
 }
 
 // AblationClistSize sweeps L and reports the overall hit ratio: the paper's
@@ -43,24 +40,6 @@ func (s *Suite) AblationClistSize(sizes []int) (string, map[int]float64) {
 		fmt.Fprintf(&b, "  L=%-8d hit=%5.1f%%  evictions=%d\n", L, 100*hr, run.Stats.Resolver.Evictions)
 	}
 	return b.String(), out
-}
-
-// AblationMapKind verifies both resolver containers agree and reports
-// per-op timing: the paper's std::map (ordered) vs footnote-2 hash maps.
-func (s *Suite) AblationMapKind() string {
-	var b strings.Builder
-	b.WriteString("Ablation: resolver inner-map container (hash vs ordered)\n")
-	for _, kind := range []resolver.MapKind{resolver.MapHash, resolver.MapOrdered} {
-		start := time.Now()
-		run := s.RunWithResolver(synth.NameEU1FTTH, resolver.Config{ClistSize: 1 << 18, MapKind: kind})
-		elapsed := time.Since(start)
-		name := "hash"
-		if kind == resolver.MapOrdered {
-			name = "ordered"
-		}
-		fmt.Fprintf(&b, "  %-8s pipeline=%8v hit=%5.1f%%\n", name, elapsed.Round(time.Millisecond), 100*run.Stats.Resolver.HitRatio())
-	}
-	return b.String()
 }
 
 // AblationMultiLabel estimates the §6 label-confusion rate: how often the

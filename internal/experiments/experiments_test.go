@@ -436,13 +436,6 @@ func TestAblationMultiLabel(t *testing.T) {
 	}
 }
 
-func TestAblationMapKindRenders(t *testing.T) {
-	out := shared.AblationMapKind()
-	if !strings.Contains(out, "hash") || !strings.Contains(out, "ordered") {
-		t.Fatalf("output: %s", out)
-	}
-}
-
 func TestAblationTagScoreRenders(t *testing.T) {
 	out := shared.AblationTagScore(25)
 	if !strings.Contains(out, "Eq.1") {

@@ -14,8 +14,8 @@ package resolver
 // recycling) and entries whose every back-reference was replaced are
 // skipped, so a restored Clist holds only live state and may be shorter
 // than the original. Restore replays entries through Insert, which
-// rebuilds the lookup structure (either MapKind) and the back-references
-// exactly as the original inserts did.
+// rebuilds the lookup table and the back-references exactly as the
+// original inserts did.
 //
 // The wire format is a small versioned binary framing (netip.Addr does
 // not survive encoding/gob): addresses are length-prefixed
@@ -146,9 +146,10 @@ func (r *Resolver) Restore(entries []SnapshotEntry) {
 		r.Insert(se.Client, se.FQDN, se.Servers, se.At)
 		if se.Used {
 			// Insert filed the entry under every (client, server) pair;
-			// any of them resolves it. lookupNode bypasses the stats.
-			if n := r.lookupNode(se.Client, se.Servers[0]); n != nil {
-				n.entry.Used = true
+			// any of them resolves it. The lookup it counts is undone with
+			// the other counters below.
+			if e, ok := r.LookupEntry(se.Client, se.Servers[0]); ok {
+				e.Used = true
 			}
 		}
 	}

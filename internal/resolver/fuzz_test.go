@@ -7,13 +7,12 @@ import (
 	"time"
 )
 
-// Differential fuzz for the flat swiss pair-table (MapHash): the reference
-// model is the MapOrdered resolver — the untouched two-level paper
-// structure with a sorted-slice inner map — plus an independent
-// last-writer-wins oracle on a built-in map for the lookup results. All
-// three must agree on every lookup, and the two resolvers must agree on
-// every statistic, through arbitrary insert/lookup sequences with heavy
-// Clist eviction.
+// Differential fuzz for the flat swiss pair-table: the reference model is
+// orderedRef (reference_test.go) — the paper's two-level structure with a
+// sorted-slice inner map over a plain FIFO Clist. The resolver and the
+// model must agree on every lookup, on the client count after every
+// insert, on every statistic and on every LookupAll history list, through
+// arbitrary insert/lookup sequences with heavy Clist eviction.
 
 var (
 	fzClients = []netip.Addr{
@@ -31,12 +30,12 @@ var (
 	}
 )
 
-// runDifferential replays ops against both map kinds and cross-checks
+// runDifferential replays ops against the resolver and the model and cross-checks
 // behaviour after every operation; see the file comment for the contract.
 func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 	t.Helper()
-	h := New(Config{ClistSize: clistSize, MapKind: MapHash, History: history})
-	o := New(Config{ClistSize: clistSize, MapKind: MapOrdered, History: history})
+	cfg := Config{ClistSize: clistSize, History: history}
+	h, o := New(cfg), newOrderedRef(cfg)
 
 	at := time.Duration(0)
 	servers := make([]netip.Addr, 0, 3)
@@ -45,7 +44,7 @@ func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 		at += time.Duration(b2&0x0F) * time.Second
 		cl := fzClients[int(b0)%len(fzClients)]
 		if b0&0x80 != 0 {
-			// Lookup op: all three structures must agree.
+			// Lookup op: both structures must agree.
 			sv := fzServers[int(b1)%len(fzServers)]
 			hf, hok := h.Lookup(cl, sv)
 			of, ook := o.Lookup(cl, sv)
@@ -86,8 +85,8 @@ func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 	}
 }
 
-// FuzzFlatVsOrderedResolver pits the new flat open-addressing table against
-// the legacy two-level reference over random insert/lookup/evict sequences.
+// FuzzFlatVsOrderedResolver pits the flat open-addressing table against the
+// two-level reference model over random insert/lookup/evict sequences.
 func FuzzFlatVsOrderedResolver(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x12, 0x81, 0x00, 0x00}, uint8(4), uint8(0))
 	f.Add([]byte{0x00, 0x00, 0x10, 0x00, 0x40, 0x20, 0x80, 0x00, 0x00}, uint8(2), uint8(2))
@@ -122,26 +121,24 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 
 // TestEntriesAliveIncremental pins the satellite fix: Stats().EntriesAlive
 // is maintained incrementally and must equal a full Clist scan at any
-// point, for both map kinds.
+// point.
 func TestEntriesAliveIncremental(t *testing.T) {
-	for _, kind := range []MapKind{MapHash, MapOrdered} {
-		r := New(Config{ClistSize: 8, MapKind: kind})
-		scan := func() int {
-			n := 0
-			for _, e := range r.clist {
-				if e != nil && e.live {
-					n++
-				}
+	r := New(Config{ClistSize: 8})
+	scan := func() int {
+		n := 0
+		for _, e := range r.clist {
+			if e != nil && e.live {
+				n++
 			}
-			return n
 		}
-		for i := 0; i < 100; i++ {
-			cl := fzClients[i%len(fzClients)]
-			sv := fzServers[i%len(fzServers)]
-			r.Insert(cl, fmt.Sprintf("h%d.example.com", i%5), []netip.Addr{sv}, time.Duration(i))
-			if got, want := r.Stats().EntriesAlive, scan(); got != want {
-				t.Fatalf("kind %v, insert %d: EntriesAlive = %d, scan = %d", kind, i, got, want)
-			}
+		return n
+	}
+	for i := 0; i < 100; i++ {
+		cl := fzClients[i%len(fzClients)]
+		sv := fzServers[i%len(fzServers)]
+		r.Insert(cl, fmt.Sprintf("h%d.example.com", i%5), []netip.Addr{sv}, time.Duration(i))
+		if got, want := r.Stats().EntriesAlive, scan(); got != want {
+			t.Fatalf("insert %d: EntriesAlive = %d, scan = %d", i, got, want)
 		}
 	}
 }

@@ -6,43 +6,23 @@
 // to the map keys pointing at it make eviction O(refs) with no garbage
 // collection pass, exactly as the paper describes.
 //
-// The lookup structure comes in two flavours, selected by Config.MapKind:
-//
-//   - MapHash (the default, and the hot path) flattens the paper's
-//     two-level clientIP → serverIP → entry maps into a single swiss-style
-//     open-addressing table keyed by the combined (client, server) address
-//     pair — one probe per lookup instead of two chained hash maps, with
-//     buckets that hold only uint32 indices into a node slab (pointer-free,
-//     invisible to the GC). This models the paper's footnote-2 hash-map
-//     alternative.
-//   - MapOrdered keeps the paper-fidelity two-level structure with an
-//     ordered inner map (a sorted slice with binary search, O(log n) like
-//     the paper's C++ std::map), behind the serverMap seam.
-//
-// BenchmarkAblationMapKind compares them.
+// The lookup structure is the paper's footnote-2 hash-map option, with the
+// two-level clientIP → serverIP → entry maps flattened into a single
+// swiss-style open-addressing table keyed by the combined (client, server)
+// address pair: one probe per lookup instead of two chained hash maps, with
+// buckets that hold only uint32 indices into a node slab (pointer-free,
+// invisible to the GC). The paper's two-level ordered structure (C++
+// std::map) lives on in the package tests as the reference model the
+// differential tests and fuzzer compare this table against.
 package resolver
 
 import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
-	"sort"
 	"time"
 
 	"repro/internal/swiss"
-)
-
-// MapKind selects the (client, server) → entry lookup container.
-type MapKind uint8
-
-// Container choices.
-const (
-	// MapHash uses the flat swiss table: O(1) expected, the paper's
-	// footnote-2 option.
-	MapHash MapKind = iota
-	// MapOrdered uses the two-level structure with a sorted inner slice
-	// and binary search: O(log n) like the paper's std::map.
-	MapOrdered
 )
 
 // Config tunes the resolver.
@@ -51,8 +31,6 @@ type Config struct {
 	// the implied caching time covers ~1 hour of responses (§6). Zero means
 	// 1<<20 entries.
 	ClistSize int
-	// MapKind selects the lookup-structure implementation.
-	MapKind MapKind
 	// History keeps up to this many previous FQDNs per (client, server) key
 	// so LookupAll can return all candidate labels (§6 discusses the <4%
 	// confusion from last-writer-wins; the multi-label extension resolves
@@ -91,66 +69,6 @@ type backref struct {
 	client, server netip.Addr
 }
 
-// serverMap is the MapOrdered inner container abstraction (the seam the
-// paper-fidelity mode lives behind).
-type serverMap interface {
-	get(netip.Addr) (*node, bool)
-	put(netip.Addr, *node)
-	del(netip.Addr)
-	size() int
-}
-
-// node holds the newest entry for a (client, server) key plus bounded
-// history of displaced entries.
-type node struct {
-	entry *Entry
-	older []*Entry // most recent first; bounded by Config.History
-}
-
-// orderedServerMap is the MapOrdered implementation: entries sorted by
-// address, looked up by binary search. Matches the strict-weak-ordering
-// criterion the paper describes for its C++ maps.
-type orderedServerMap struct {
-	keys  []netip.Addr
-	nodes []*node
-}
-
-func (m *orderedServerMap) search(a netip.Addr) int {
-	return sort.Search(len(m.keys), func(i int) bool { return m.keys[i].Compare(a) >= 0 })
-}
-
-func (m *orderedServerMap) get(a netip.Addr) (*node, bool) {
-	i := m.search(a)
-	if i < len(m.keys) && m.keys[i] == a {
-		return m.nodes[i], true
-	}
-	return nil, false
-}
-
-func (m *orderedServerMap) put(a netip.Addr, n *node) {
-	i := m.search(a)
-	if i < len(m.keys) && m.keys[i] == a {
-		m.nodes[i] = n
-		return
-	}
-	m.keys = append(m.keys, netip.Addr{})
-	m.nodes = append(m.nodes, nil)
-	copy(m.keys[i+1:], m.keys[i:])
-	copy(m.nodes[i+1:], m.nodes[i:])
-	m.keys[i] = a
-	m.nodes[i] = n
-}
-
-func (m *orderedServerMap) del(a netip.Addr) {
-	i := m.search(a)
-	if i < len(m.keys) && m.keys[i] == a {
-		m.keys = append(m.keys[:i], m.keys[i+1:]...)
-		m.nodes = append(m.nodes[:i], m.nodes[i+1:]...)
-	}
-}
-
-func (m *orderedServerMap) size() int { return len(m.keys) }
-
 // pairNode is one flat-table node: the (client, server) key it is filed
 // under, the newest entry, and bounded history. Nodes live in a dense slab
 // addressed by the uint32 slots of the swiss index; slots are recycled on
@@ -177,7 +95,7 @@ const (
 	nodeChunkMask = nodeChunkLen - 1
 )
 
-// pairTable is the flat MapHash lookup structure: a swiss index over a
+// pairTable is the flat lookup structure: a swiss index over a
 // pairNode slab, keyed by the combined (client, server) address pair.
 type pairTable struct {
 	ctrl   []uint64
@@ -348,11 +266,8 @@ func (t *pairTable) remove(slot uint32) {
 // client address for parallel deployments (the paper suggests odd/even
 // fourth-octet sharding).
 type Resolver struct {
-	cfg Config
-	// flat is the MapHash lookup structure; nil in MapOrdered mode, where
-	// clients holds the two-level paper-fidelity structure instead.
-	flat    *pairTable
-	clients map[netip.Addr]serverMap
+	cfg  Config
+	flat *pairTable
 	// clist grows on demand up to cfg.ClistSize and only then behaves as a
 	// ring. The FIFO semantics are identical to a preallocated ring — slots
 	// fill in index order before any slot is ever recycled — but a lightly
@@ -368,18 +283,15 @@ type Resolver struct {
 	// History == 0: with history enabled, evicted entries can remain
 	// referenced from node history lists.
 	freeEntry []*Entry
-	// freeNode recycles nodes dropped by eviction (MapOrdered mode).
-	freeNode []*node
-	// Slabs back fresh entries, nodes, and backrefs in blocks, cutting the
-	// filling phase (before the Clist wraps and the free lists take over)
-	// from ~3 heap objects per DNS response to ~3 per slabSize responses.
+	// Slabs back fresh entries and backrefs in blocks, cutting the filling
+	// phase (before the Clist wraps and the free lists take over) from ~2
+	// heap objects per DNS response to ~2 per slabSize responses.
 	entrySlab []Entry
-	nodeSlab  []node
 	refSlab   []backref
 	stats     Stats
 }
 
-// slabSize is the block size for entry/node/backref slab allocation.
+// slabSize is the block size for entry/backref slab allocation.
 const slabSize = 256
 
 // New creates a resolver.
@@ -387,13 +299,7 @@ func New(cfg Config) *Resolver {
 	if cfg.ClistSize <= 0 {
 		cfg.ClistSize = 1 << 20
 	}
-	r := &Resolver{cfg: cfg}
-	if cfg.MapKind == MapOrdered {
-		r.clients = make(map[netip.Addr]serverMap)
-	} else {
-		r.flat = newPairTable()
-	}
-	return r
+	return &Resolver{cfg: cfg, flat: newPairTable()}
 }
 
 // L returns the configured Clist size.
@@ -409,16 +315,7 @@ func (r *Resolver) Stats() Stats {
 }
 
 // Clients returns the number of clients currently tracked.
-func (r *Resolver) Clients() int {
-	if r.flat != nil {
-		return len(r.flat.clients)
-	}
-	return len(r.clients)
-}
-
-func (r *Resolver) newServerMap() serverMap {
-	return &orderedServerMap{}
-}
+func (r *Resolver) Clients() int { return len(r.flat.clients) }
 
 // Insert records one DNS response: clientIP asked for fqdn and received the
 // given server addresses (Algorithm 1, INSERT). Responses with no addresses
@@ -432,31 +329,7 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 	}
 	entry := r.newEntry(fqdn, at)
 	r.reserveRefs(entry, len(servers))
-	if r.flat != nil {
-		r.insertFlat(clientIP, entry, servers)
-	} else {
-		r.insertOrdered(clientIP, entry, servers)
-	}
-	// Recycle the next Clist slot (lines 22–25). While the list is still
-	// below capacity L, slots are appended — index order, exactly the order
-	// a preallocated ring would fill them.
-	if len(r.clist) < r.cfg.ClistSize {
-		r.clist = append(r.clist, entry)
-		return
-	}
-	if old := r.clist[r.next]; old != nil && old.live {
-		r.evict(old)
-	}
-	r.clist[r.next] = entry
-	r.next++
-	if r.next == len(r.clist) {
-		r.next = 0
-	}
-}
-
-// insertFlat links entry from every (clientIP, server) key in the flat
-// table (Algorithm 1, lines 5–21, MapHash mode).
-func (r *Resolver) insertFlat(clientIP netip.Addr, entry *Entry, servers []netip.Addr) {
+	// Link entry from every (clientIP, server) key (lines 5–21).
 	ft := r.flat
 	hc := swiss.HashAddr(ft.seed, clientIP) // client half, shared across servers
 	for _, serverIP := range servers {
@@ -486,36 +359,20 @@ func (r *Resolver) insertFlat(clientIP netip.Addr, entry *Entry, servers []netip
 		}
 		entry.refs = append(entry.refs, backref{client: clientIP, server: serverIP})
 	}
-}
-
-// insertOrdered is insertFlat for the two-level MapOrdered structure.
-func (r *Resolver) insertOrdered(clientIP netip.Addr, entry *Entry, servers []netip.Addr) {
-	sm, ok := r.clients[clientIP]
-	if !ok {
-		sm = r.newServerMap()
-		r.clients[clientIP] = sm
-		if len(r.clients) > r.stats.ClientsPeak {
-			r.stats.ClientsPeak = len(r.clients)
-		}
+	// Recycle the next Clist slot (lines 22–25). While the list is still
+	// below capacity L, slots are appended — index order, exactly the order
+	// a preallocated ring would fill them.
+	if len(r.clist) < r.cfg.ClistSize {
+		r.clist = append(r.clist, entry)
+		return
 	}
-	for _, serverIP := range servers {
-		r.stats.Addresses++
-		if n, ok := sm.get(serverIP); ok {
-			old := n.entry
-			old.removeRef(clientIP, serverIP)
-			r.stats.Replaced++
-			if r.cfg.History > 0 && old.FQDN != entry.FQDN {
-				//dnhunter:alloc-ok history mode only (History>0); bounded prepend, off on the default path
-				n.older = append([]*Entry{old}, n.older...)
-				if len(n.older) > r.cfg.History {
-					n.older = n.older[:r.cfg.History]
-				}
-			}
-			n.entry = entry
-		} else {
-			sm.put(serverIP, r.newNode(entry))
-		}
-		entry.refs = append(entry.refs, backref{client: clientIP, server: serverIP})
+	if old := r.clist[r.next]; old != nil && old.live {
+		r.evict(old)
+	}
+	r.clist[r.next] = entry
+	r.next++
+	if r.next == len(r.clist) {
+		r.next = 0
 	}
 }
 
@@ -538,25 +395,6 @@ func (r *Resolver) newEntry(fqdn string, at time.Duration) *Entry {
 	return e
 }
 
-// newNode takes a node from the free list, or carves one from the slab
-// (MapOrdered mode; the flat table slab-allocates its own nodes).
-func (r *Resolver) newNode(e *Entry) *node {
-	if n := len(r.freeNode); n > 0 {
-		nd := r.freeNode[n-1]
-		r.freeNode = r.freeNode[:n-1]
-		nd.entry = e
-		return nd
-	}
-	if len(r.nodeSlab) == 0 {
-		//dnhunter:alloc-ok fixed-size block carve, amortized over slabSize nodes
-		r.nodeSlab = make([]node, slabSize)
-	}
-	nd := &r.nodeSlab[0]
-	r.nodeSlab = r.nodeSlab[1:]
-	nd.entry = e
-	return nd
-}
-
 // reserveRefs gives e backref capacity for n appends, carving fresh
 // capacity from the shared slab. An entry's refs are only ever appended
 // inside the single Insert call that created it, so slab regions never
@@ -577,25 +415,6 @@ func (r *Resolver) reserveRefs(e *Entry, n int) {
 // evict removes every map key still pointing at e.
 func (r *Resolver) evict(e *Entry) {
 	r.stats.Evictions++
-	if r.flat != nil {
-		r.evictFlat(e)
-	} else {
-		r.evictOrdered(e)
-	}
-	e.refs = e.refs[:0]
-	e.live = false
-	r.alive--
-	if r.cfg.History == 0 {
-		// With history enabled an evicted entry can still be referenced
-		// from another node's history list, so it must not be reused; the
-		// paper's default (no history) recycles it.
-		r.freeEntry = append(r.freeEntry, e)
-	} else {
-		e.refs = nil
-	}
-}
-
-func (r *Resolver) evictFlat(e *Entry) {
 	ft := r.flat
 	for _, ref := range e.refs {
 		slot := ft.find(ft.hash(ref.client, ref.server), ref.client, ref.server)
@@ -622,39 +441,16 @@ func (r *Resolver) evictFlat(e *Entry) {
 			}
 		}
 	}
-}
-
-func (r *Resolver) evictOrdered(e *Entry) {
-	for _, ref := range e.refs {
-		sm, ok := r.clients[ref.client]
-		if !ok {
-			continue
-		}
-		n, ok := sm.get(ref.server)
-		if !ok {
-			continue
-		}
-		if n.entry == e {
-			if len(n.older) > 0 {
-				n.entry = n.older[0]
-				n.older = n.older[1:]
-			} else {
-				sm.del(ref.server)
-				r.stats.EvictedRefs++
-				n.entry = nil
-				r.freeNode = append(r.freeNode, n)
-				if sm.size() == 0 {
-					delete(r.clients, ref.client)
-				}
-			}
-			continue
-		}
-		for i, h := range n.older {
-			if h == e {
-				n.older = append(n.older[:i], n.older[i+1:]...)
-				break
-			}
-		}
+	e.refs = e.refs[:0]
+	e.live = false
+	r.alive--
+	if r.cfg.History == 0 {
+		// With history enabled an evicted entry can still be referenced
+		// from another node's history list, so it must not be reused; the
+		// paper's default (no history) recycles it.
+		r.freeEntry = append(r.freeEntry, e)
+	} else {
+		e.refs = nil
 	}
 }
 
@@ -679,65 +475,31 @@ func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) 
 }
 
 // LookupEntry is Lookup but returns the whole entry (FQDN plus the time the
-// response was observed, used to measure first-flow delay, Fig. 12). In
-// MapHash mode this is a single flat-table probe.
+// response was observed, used to measure first-flow delay, Fig. 12): a
+// single flat-table probe.
 //
 //dnhunter:hotpath
 func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	r.stats.Lookups++
-	if ft := r.flat; ft != nil {
-		if slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP); slot != noSlot {
-			r.stats.Hits++
-			return ft.at(slot).entry, true
-		}
-		r.stats.Misses++
-		return nil, false
+	ft := r.flat
+	if slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP); slot != noSlot {
+		r.stats.Hits++
+		return ft.at(slot).entry, true
 	}
-	sm, ok := r.clients[clientIP]
-	if !ok {
-		r.stats.Misses++
-		return nil, false
-	}
-	n, ok := sm.get(serverIP)
-	if !ok {
-		r.stats.Misses++
-		return nil, false
-	}
-	r.stats.Hits++
-	return n.entry, true
-}
-
-// lookupNode returns the node for (clientIP, serverIP) without touching
-// the stats, or nil.
-func (r *Resolver) lookupNode(clientIP, serverIP netip.Addr) *node {
-	if ft := r.flat; ft != nil {
-		if slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP); slot != noSlot {
-			// pairNode and node share the entry/older shape; adapt via a
-			// value copy so LookupAll has one formatting path.
-			n := ft.at(slot)
-			return &node{entry: n.entry, older: n.older}
-		}
-		return nil
-	}
-	sm, ok := r.clients[clientIP]
-	if !ok {
-		return nil
-	}
-	n, ok := sm.get(serverIP)
-	if !ok {
-		return nil
-	}
-	return n
+	r.stats.Misses++
+	return nil, false
 }
 
 // LookupAll returns every FQDN currently associated with (clientIP,
 // serverIP), newest first. With Config.History == 0 this is at most one
 // name. The multi-label extension discussed in §6.
 func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
-	n := r.lookupNode(clientIP, serverIP)
-	if n == nil {
+	ft := r.flat
+	slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP)
+	if slot == noSlot {
 		return nil
 	}
+	n := ft.at(slot)
 	out := []string{n.entry.FQDN}
 	for _, h := range n.older {
 		out = append(out, h.FQDN)

@@ -187,51 +187,17 @@ func TestLookupAllNoHistoryMode(t *testing.T) {
 }
 
 func TestOrderedMapKindBehavesIdentically(t *testing.T) {
-	for _, kind := range []MapKind{MapHash, MapOrdered} {
-		r := New(Config{ClistSize: 64, MapKind: kind})
-		for i := 0; i < 50; i++ {
-			srv := netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})
-			r.Insert(c1, fmt.Sprintf("host%d.example.com", i), []netip.Addr{srv}, 0)
+	r := New(Config{ClistSize: 64})
+	for i := 0; i < 50; i++ {
+		srv := netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})
+		r.Insert(c1, fmt.Sprintf("host%d.example.com", i), []netip.Addr{srv}, 0)
+	}
+	for i := 0; i < 50; i++ {
+		srv := netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})
+		got, ok := r.Lookup(c1, srv)
+		if !ok || got != fmt.Sprintf("host%d.example.com", i) {
+			t.Fatalf("Lookup(%v) = %q %v", srv, got, ok)
 		}
-		for i := 0; i < 50; i++ {
-			srv := netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})
-			got, ok := r.Lookup(c1, srv)
-			if !ok || got != fmt.Sprintf("host%d.example.com", i) {
-				t.Fatalf("kind %v: Lookup(%v) = %q %v", kind, srv, got, ok)
-			}
-		}
-	}
-}
-
-func TestOrderedServerMapOps(t *testing.T) {
-	m := &orderedServerMap{}
-	addrs := []netip.Addr{s3, s1, s2}
-	for i, a := range addrs {
-		m.put(a, &node{entry: &Entry{FQDN: fmt.Sprintf("e%d", i)}})
-	}
-	if m.size() != 3 {
-		t.Fatalf("size = %d", m.size())
-	}
-	// Keys must be sorted.
-	for i := 1; i < len(m.keys); i++ {
-		if m.keys[i-1].Compare(m.keys[i]) >= 0 {
-			t.Fatalf("keys unsorted: %v", m.keys)
-		}
-	}
-	if n, ok := m.get(s1); !ok || n.entry.FQDN != "e1" {
-		t.Fatalf("get(s1) = %v %v", n, ok)
-	}
-	m.put(s1, &node{entry: &Entry{FQDN: "replaced"}})
-	if n, _ := m.get(s1); n.entry.FQDN != "replaced" {
-		t.Fatal("put did not replace")
-	}
-	m.del(s1)
-	if _, ok := m.get(s1); ok {
-		t.Fatal("del did not remove")
-	}
-	m.del(s1) // idempotent
-	if m.size() != 2 {
-		t.Fatalf("size after del = %d", m.size())
 	}
 }
 
@@ -281,11 +247,11 @@ func TestQuickInvariantNoDanglingRefs(t *testing.T) {
 }
 
 func TestQuickHashAndOrderedAgree(t *testing.T) {
-	// Property: both map kinds produce identical lookup results for any
-	// insert sequence.
+	// Property: the resolver and the two-level reference model produce
+	// identical lookups, client counts and statistics for any insert
+	// sequence.
 	f := func(ops []uint16) bool {
-		h := New(Config{ClistSize: 16, MapKind: MapHash})
-		o := New(Config{ClistSize: 16, MapKind: MapOrdered})
+		h, o := New(Config{ClistSize: 16}), newOrderedRef(Config{ClistSize: 16})
 		clients := []netip.Addr{c1, c2}
 		servers := []netip.Addr{s1, s2, s3}
 		for i, op := range ops {
@@ -304,7 +270,7 @@ func TestQuickHashAndOrderedAgree(t *testing.T) {
 				}
 			}
 		}
-		return true
+		return h.Clients() == o.Clients() && h.Stats() == o.Stats()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -266,7 +266,6 @@ func TestFacadeMultiVantage(t *testing.T) {
 		WithDNSTimes(),
 		WithTraceSource("US", trs["US"]),
 		WithTraceSource("EU1", trs["EU1"]),
-		WithMergeWindow(10*time.Second),
 	)
 	multi, err := eng.RunSources(context.Background())
 	if err != nil {
