@@ -111,7 +111,6 @@ func writeTruth(path string, tr *synth.Trace) error {
 	defer f.Close()
 	w := bufio.NewWriter(f)
 	lines := make([]string, 0, len(tr.Truth))
-	//dnhunter:unordered-ok lines are formatted per entry, then sorted before writing
 	for key, fqdn := range tr.Truth {
 		if fqdn == "" {
 			fqdn = "-"

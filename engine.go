@@ -92,14 +92,6 @@ func WithSink(s Sink) Option {
 	return func(o *engineOptions) { o.cfg.Sink = s }
 }
 
-// WithBatch sizes the dispatcher→shard rings: each holds 8×n entries and a
-// shard takes at most n from one ring per pass (default 512). It does not
-// delay hand-off — entries reach their shard as soon as the read that
-// carried them is dispatched. Only meaningful with more than one shard.
-func WithBatch(n int) Option {
-	return func(o *engineOptions) { o.cfg.Batch = n }
-}
-
 // WithTruth supplies ground-truth FQDNs for flows (used only for scoring,
 // never for labeling). Engine.RunTrace wires this automatically from the
 // trace sidecar.

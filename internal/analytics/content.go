@@ -55,7 +55,6 @@ func ContentDiscovery(db *flowdb.DB, servers []netip.Addr, g Granularity, k int)
 		}
 	}
 	out := make([]ContentShare, 0, len(flowsPer))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for name, n := range flowsPer {
 		cs := ContentShare{Name: name, Flows: n, Score: logScore(perClient[name])}
 		if total > 0 {
@@ -109,7 +108,6 @@ func FanoutCDFs(db *flowdb.DB) (ipsPerFQDN, fqdnsPerIP *stats.CDF) {
 		}
 		m[f.Label] = struct{}{}
 	}
-	//dnhunter:unordered-ok CDF sorts its samples before any read, so insertion order is immaterial
 	for _, names := range perServer {
 		fqdnsPerIP.Add(float64(len(names)))
 	}

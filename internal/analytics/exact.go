@@ -87,7 +87,6 @@ func (q *exactTopK) Merge(other Query) error {
 	if err != nil {
 		return err
 	}
-	//dnhunter:unordered-ok pointwise sum into a map; commutative per key
 	for key, n := range o.counts {
 		q.counts[key] += n
 	}
@@ -97,7 +96,6 @@ func (q *exactTopK) Merge(other Query) error {
 
 func (q *exactTopK) Snapshot() Result {
 	entries := make([]TopEntry, 0, len(q.counts))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for key, n := range q.counts {
 		entries = append(entries, TopEntry{Key: key, Count: n})
 	}
@@ -150,7 +148,6 @@ func (q *exactCardinality) Merge(other Query) error {
 	if err != nil {
 		return err
 	}
-	//dnhunter:unordered-ok set unions keyed by SLD and address; order-free
 	for sld, set := range o.perSLD {
 		dst, ok := q.perSLD[sld]
 		if !ok {
@@ -161,7 +158,6 @@ func (q *exactCardinality) Merge(other Query) error {
 			dst[a] = struct{}{}
 		}
 	}
-	//dnhunter:unordered-ok set union; order-free
 	for a := range o.all {
 		q.all[a] = struct{}{}
 	}
@@ -170,7 +166,6 @@ func (q *exactCardinality) Merge(other Query) error {
 
 func (q *exactCardinality) Snapshot() Result {
 	entries := make([]CardinalityEntry, 0, len(q.perSLD))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for sld, set := range q.perSLD {
 		entries = append(entries, CardinalityEntry{Key: sld, Count: float64(len(set))})
 	}
@@ -261,15 +256,12 @@ func (q *exactProviderUsage) Merge(other Query) error {
 	if err != nil {
 		return err
 	}
-	//dnhunter:unordered-ok keyed sums and set unions; order-free
 	for v := range o.seen {
 		q.seen[v] = true
 	}
-	//dnhunter:unordered-ok keyed sums; order-free
 	for v, n := range o.labeled {
 		q.labeled[v] += n
 	}
-	//dnhunter:unordered-ok keyed sums; order-free
 	for v, vf := range o.flows {
 		dst, ok := q.flows[v]
 		if !ok {
@@ -280,14 +272,12 @@ func (q *exactProviderUsage) Merge(other Query) error {
 			dst[org] += n
 		}
 	}
-	//dnhunter:unordered-ok set unions; order-free
 	for v, vs := range o.servers {
 		dst, ok := q.servers[v]
 		if !ok {
 			dst = map[string]map[netip.Addr]struct{}{}
 			q.servers[v] = dst
 		}
-		//dnhunter:unordered-ok set unions keyed by org; order-free
 		for org, set := range vs {
 			d, ok := dst[org]
 			if !ok {
@@ -311,7 +301,6 @@ func (q *exactProviderUsage) vantageOrder() []string {
 		inSeed[v] = true
 	}
 	var rest []string
-	//dnhunter:unordered-ok collected then sorted below
 	for v := range q.seen {
 		if !inSeed[v] {
 			rest = append(rest, v)
@@ -334,7 +323,6 @@ func (q *exactProviderUsage) Snapshot() Result {
 		pf.LabeledFlows[v] = labeled
 		share := make(map[string]float64, len(q.flows[v]))
 		srv := make(map[string]int, len(q.servers[v]))
-		//dnhunter:unordered-ok keyed map writes only; shares and counts land in maps
 		for org, n := range q.flows[v] {
 			totals[org] += n
 			if labeled > 0 {
@@ -443,15 +431,12 @@ func (q *exactCrossVantage) Merge(other Query) error {
 	if err != nil {
 		return err
 	}
-	//dnhunter:unordered-ok set unions and keyed sums; order-free
 	for v := range o.seen {
 		q.seen[v] = true
 	}
-	//dnhunter:unordered-ok set unions and keyed sums; order-free
 	for v, ocv := range o.per {
 		cv := q.vantage(v)
 		cv.total += ocv.total
-		//dnhunter:unordered-ok keyed sums and set unions; order-free
 		for org, oa := range ocv.perOrg {
 			a, ok := cv.perOrg[org]
 			if !ok {
@@ -466,7 +451,6 @@ func (q *exactCrossVantage) Merge(other Query) error {
 				a.fqdns[f] = struct{}{}
 			}
 		}
-		//dnhunter:unordered-ok set unions keyed by FQDN; order-free
 		for fqdn, set := range ocv.perFQDN {
 			dst, ok := cv.perFQDN[fqdn]
 			if !ok {
@@ -492,7 +476,6 @@ func (q *exactCrossVantage) vantageOrder() []string {
 		inSeed[v] = true
 	}
 	var rest []string
-	//dnhunter:unordered-ok collected then sorted below
 	for v := range q.seen {
 		if !inSeed[v] {
 			rest = append(rest, v)
@@ -514,11 +497,9 @@ func (q *exactCrossVantage) Snapshot() Result {
 			st = &cvVantage{perOrg: map[string]*cvAgg{}, perFQDN: map[string]map[netip.Addr]struct{}{}, servers: map[netip.Addr]struct{}{}}
 		}
 		res := &SpatialResult{SLD: q.sld, PerFQDN: make(map[string][]netip.Addr), TotalFlows: st.total}
-		//dnhunter:unordered-ok keyed copy; each PerFQDN slice is sorted on build
 		for fqdn, set := range st.perFQDN {
 			res.PerFQDN[fqdn] = sortedAddrs(set)
 		}
-		//dnhunter:unordered-ok rows are fully sorted below before use
 		for org, a := range st.perOrg {
 			hs := HostShare{Org: org, Servers: len(a.servers), Flows: a.flows}
 			if st.total > 0 {
@@ -616,7 +597,6 @@ func (q *exactTopContent) Merge(other Query) error {
 	if err != nil {
 		return err
 	}
-	//dnhunter:unordered-ok keyed sums; order-free
 	for name, m := range o.perClient {
 		dst, ok := q.perClient[name]
 		if !ok {
@@ -627,7 +607,6 @@ func (q *exactTopContent) Merge(other Query) error {
 			dst[c] += n
 		}
 	}
-	//dnhunter:unordered-ok keyed sums; order-free
 	for name, n := range o.flowsPer {
 		q.flowsPer[name] += n
 	}
@@ -637,7 +616,6 @@ func (q *exactTopContent) Merge(other Query) error {
 
 func (q *exactTopContent) Snapshot() Result {
 	out := make([]ContentShare, 0, len(q.flowsPer))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for name, n := range q.flowsPer {
 		cs := ContentShare{Name: name, Flows: n, Score: logScore(q.perClient[name])}
 		if q.total > 0 {

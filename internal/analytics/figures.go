@@ -34,7 +34,6 @@ func ServerTimeseries(db *flowdb.DB, slds []string, bin time.Duration) map[strin
 		}
 	}
 	out := make(map[string][]int, len(slds))
-	//dnhunter:unordered-ok keyed copy with a per-entry pure transform; result is a map
 	for s, a := range acc {
 		out[s] = a.Counts()
 	}
@@ -62,7 +61,6 @@ func CDNTimeseries(db *flowdb.DB, odb *orgdb.DB, orgs []string, bin time.Duratio
 		}
 	}
 	out := make(map[string][]int, len(orgs))
-	//dnhunter:unordered-ok keyed copy with a per-entry pure transform; result is a map
 	for o, a := range want {
 		out[o] = a.Counts()
 	}
@@ -168,7 +166,6 @@ func AppspotTracking(tr *synth.EventTrace, bin time.Duration) *AppspotReport {
 	}
 	rep.TrackerServices = len(trackerSvcs)
 	rep.GeneralServices = len(generalSvcs)
-	//dnhunter:unordered-ok keyed map write; each timeline is sorted per entry
 	for id, bins := range seenBin {
 		var list []int
 		for b := range bins {

@@ -179,8 +179,6 @@ func (p *Pipeline) Query(name string) (Query, bool) {
 
 // Observe feeds one flow to every registered query. The flow is only
 // read during the call.
-//
-//dnhunter:hotpath
 func (p *Pipeline) Observe(f *flowdb.LabeledFlow) {
 	p.mu.Lock()
 	p.observed++

@@ -64,7 +64,6 @@ func SpatialDiscovery(db *flowdb.DB, odb *orgdb.DB, name string) *SpatialResult 
 	for _, fqdn := range db.FQDNsOfSLD(sld) {
 		res.PerFQDN[fqdn] = db.ServersOfFQDN(fqdn)
 	}
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for org, a := range byOrg {
 		hs := HostShare{Org: org, Servers: len(a.servers), Flows: a.flows}
 		if res.TotalFlows > 0 {
@@ -154,7 +153,6 @@ func (n *TreeNode) sortRec() {
 // DominantOrg returns the hosting org carrying most of the node's flows.
 func (n *TreeNode) DominantOrg() string {
 	best, bestN := "", -1
-	//dnhunter:unordered-ok argmax with a total tie-break on org name; any order yields the same winner
 	for org, c := range n.Orgs {
 		if c > bestN || (c == bestN && org < best) {
 			best, bestN = org, c
@@ -259,7 +257,6 @@ func jaccard[K comparable](a, b map[K]struct{}) float64 {
 		return 1
 	}
 	inter := 0
-	//dnhunter:unordered-ok integer intersection count; addition is order-free
 	for k := range a {
 		if _, ok := b[k]; ok {
 			inter++
@@ -319,7 +316,6 @@ type Heatmap struct {
 func BuildHeatmap(sld, self string, perTrace map[string]*SpatialResult) *Heatmap {
 	h := &Heatmap{SLD: sld, Rows: make(map[string]map[string]float64)}
 	set := map[string]struct{}{}
-	//dnhunter:unordered-ok keyed copy per trace; row totals do not depend on trace order
 	for trace, res := range perTrace {
 		row := make(map[string]float64)
 		for _, hs := range res.Hosts {

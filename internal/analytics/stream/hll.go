@@ -42,7 +42,6 @@ func NewHLL(p uint8) *HLL {
 	if p > maxHLLPrecision {
 		p = maxHLLPrecision
 	}
-	//dnhunter:alloc-ok one-time register allocation at estimator construction, not per observation
 	return &HLL{p: p, regs: make([]uint8, 1<<p)}
 }
 
@@ -52,8 +51,6 @@ func (h *HLL) Precision() uint8 { return h.p }
 // AddHash folds one already-hashed value: the top p bits select a
 // register, the rank is the leading-zero count of the rest (the sentinel
 // bit keeps the rank defined when the remaining bits are all zero).
-//
-//dnhunter:hotpath
 func (h *HLL) AddHash(x uint64) {
 	idx := x >> (64 - h.p)
 	w := x<<h.p | 1<<(h.p-1)
@@ -64,13 +61,9 @@ func (h *HLL) AddHash(x uint64) {
 }
 
 // Add64 folds one 64-bit value, hashing it with the shared fixed seed.
-//
-//dnhunter:hotpath
 func (h *HLL) Add64(v uint64) { h.AddHash(swiss.HashU64(hllSeed, v)) }
 
 // AddAddr folds one address, hashing it with the shared fixed seed.
-//
-//dnhunter:hotpath
 func (h *HLL) AddAddr(a netip.Addr) { h.AddHash(swiss.HashAddr(hllSeed, a)) }
 
 // Merge folds another estimator into this one by register maxima. The

@@ -114,7 +114,6 @@ func NewTopOrgs(lookup analytics.OrgLookup, k, counters int) analytics.Query {
 
 func (q *topK) Name() string { return q.name }
 
-//dnhunter:hotpath
 func (q *topK) Observe(f *flowdb.LabeledFlow) {
 	if !f.Labeled {
 		return
@@ -177,7 +176,6 @@ func NewSLDFootprint(k, maxSLDs int, p uint8) analytics.Query {
 
 func (q *sldFootprint) Name() string { return "sld_server_footprint" }
 
-//dnhunter:hotpath
 func (q *sldFootprint) Observe(f *flowdb.LabeledFlow) {
 	if !f.Labeled {
 		return
@@ -200,7 +198,6 @@ func (q *sldFootprint) Observe(f *flowdb.LabeledFlow) {
 // newTrackedHLL is the lazy per-key estimator allocation: it happens at
 // most maxSLDs times over a query's whole lifetime, not per flow.
 func newTrackedHLL(p uint8) *HLL {
-	//dnhunter:alloc-ok one-time per-tracked-key estimator, bounded by the maxSLDs budget
 	return NewHLL(p)
 }
 
@@ -212,7 +209,6 @@ func (q *sldFootprint) Merge(other analytics.Query) error {
 	// No truncation to maxSLDs here: dropping keys per pairwise merge
 	// would make the result depend on merge order. The merged state
 	// transiently holds up to shards×maxSLDs estimators.
-	//dnhunter:unordered-ok register-max unions keyed by SLD; order-free
 	for sld, oh := range o.perSLD {
 		h, ok := q.perSLD[sld]
 		if !ok {
@@ -229,7 +225,6 @@ func (q *sldFootprint) Merge(other analytics.Query) error {
 
 func (q *sldFootprint) Snapshot() analytics.Result {
 	entries := make([]analytics.CardinalityEntry, 0, len(q.perSLD))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for sld, h := range q.perSLD {
 		entries = append(entries, analytics.CardinalityEntry{Key: sld, Count: h.Estimate()})
 	}
@@ -289,7 +284,6 @@ func NewProviderUsage(lookup analytics.OrgLookup, k int, p uint8) analytics.Quer
 
 func (q *providerUsage) Name() string { return "provider_usage" }
 
-//dnhunter:hotpath
 func (q *providerUsage) Observe(f *flowdb.LabeledFlow) {
 	if !f.Labeled {
 		return
@@ -320,12 +314,10 @@ func (q *providerUsage) Observe(f *flowdb.LabeledFlow) {
 // newOrgCounters / newOrgEstimators are the lazy per-vantage cell maps:
 // allocated once per vantage name, not per flow.
 func newOrgCounters() map[string]uint64 {
-	//dnhunter:alloc-ok one-time per-vantage counter map, bounded by the vantage count
 	return make(map[string]uint64)
 }
 
 func newOrgEstimators() map[string]*HLL {
-	//dnhunter:alloc-ok one-time per-vantage estimator map, bounded by the vantage count
 	return make(map[string]*HLL)
 }
 
@@ -335,11 +327,9 @@ func (q *providerUsage) Merge(other analytics.Query) error {
 		return err
 	}
 	q.curValid = false
-	//dnhunter:unordered-ok keyed sums; order-free
 	for v, n := range o.labeled {
 		q.labeled[v] += n
 	}
-	//dnhunter:unordered-ok keyed sums; order-free
 	for v, vf := range o.flows {
 		dst, ok := q.flows[v]
 		if !ok {
@@ -350,14 +340,12 @@ func (q *providerUsage) Merge(other analytics.Query) error {
 			dst[org] += n
 		}
 	}
-	//dnhunter:unordered-ok register-max unions keyed by vantage and org; order-free
 	for v, vs := range o.servers {
 		dst, ok := q.servers[v]
 		if !ok {
 			dst = make(map[string]*HLL, len(vs))
 			q.servers[v] = dst
 		}
-		//dnhunter:unordered-ok register-max unions keyed by org; order-free
 		for org, oh := range vs {
 			h, ok := dst[org]
 			if !ok {
@@ -377,19 +365,16 @@ func (q *providerUsage) Snapshot() analytics.Result {
 		PerVantage:   make(map[string][]analytics.ProviderShare),
 		LabeledFlows: make(map[string]uint64, len(q.labeled)),
 	}
-	//dnhunter:unordered-ok collected then sorted below
 	for v := range q.labeled {
 		res.Vantages = append(res.Vantages, v)
 	}
 	sort.Strings(res.Vantages)
 	totals := make(map[string]uint64)
-	//dnhunter:unordered-ok keyed sums into a map; order-free
 	for _, vf := range q.flows {
 		for org, n := range vf {
 			totals[org] += n
 		}
 	}
-	//dnhunter:unordered-ok collected then sorted below
 	for org := range totals {
 		res.Orgs = append(res.Orgs, org)
 	}
@@ -449,7 +434,6 @@ func NewCoverage(warmup time.Duration) analytics.Query {
 
 func (q *coverage) Name() string { return "coverage" }
 
-//dnhunter:hotpath
 func (q *coverage) Observe(f *flowdb.LabeledFlow) {
 	if f.Start < q.warmup || int(f.L7) >= len(q.total) {
 		return

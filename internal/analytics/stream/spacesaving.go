@@ -80,8 +80,6 @@ func (s *SpaceSaving) Len() int { return len(s.slots) }
 // Observe folds one occurrence of key into the sketch. Allocation-free
 // in steady state: once the counter budget is reached, every call is a
 // heap fixup plus one map delete/insert pair over pre-sized storage.
-//
-//dnhunter:hotpath
 func (s *SpaceSaving) Observe(key string) {
 	s.observed++
 	if i, ok := s.idx[key]; ok {

@@ -47,7 +47,6 @@ func ExtractTags(db *flowdb.DB, dPort uint16, k int) []TagScore {
 		}
 	}
 	out := make([]TagScore, 0, len(perClient))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for tok, clients := range perClient {
 		out = append(out, TagScore{Token: tok, Score: logScore(clients), Flows: flowsPerToken[tok]})
 	}
@@ -126,7 +125,6 @@ func TagCloud(recs []flowdb.LabeledFlow, sld string, k int) []TagScore {
 		flowsPer[tok]++
 	}
 	out := make([]TagScore, 0, len(perClient))
-	//dnhunter:unordered-ok rows are fully sorted below before use
 	for tok, clients := range perClient {
 		out = append(out, TagScore{Token: tok, Score: logScore(clients), Flows: flowsPer[tok]})
 	}

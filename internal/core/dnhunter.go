@@ -54,8 +54,6 @@ type Config struct {
 	Resolver resolver.Config
 	// Flows configures the flow table (timeouts, client networks).
 	Flows flows.Config
-	// DB receives labeled flows; nil allocates a fresh one.
-	DB *flowdb.DB
 	// OnTag, when set, fires at flow start with the assigned label — the
 	// online policy-enforcement hook.
 	OnTag func(TagEvent)
@@ -67,7 +65,7 @@ type Config struct {
 	// Truth, when set, supplies ground-truth FQDNs for synthetic flows
 	// (used only for scoring, never for labeling).
 	Truth func(flows.Key) string
-	// DiscardDB skips storing finished flows in the database (DB stays
+	// DiscardDB skips storing finished flows in the database (DB() stays
 	// empty); the OnFlow hook still observes every flow. Streaming mode
 	// sets it to keep heap bounded over unbounded input.
 	DiscardDB bool
@@ -168,10 +166,7 @@ func New(cfg Config) *DNHunter {
 	h := &DNHunter{
 		cfg: cfg,
 		res: resolver.New(cfg.Resolver),
-		db:  cfg.DB,
-	}
-	if h.db == nil {
-		h.db = flowdb.New()
+		db:  flowdb.New(),
 	}
 	// The intern table deduplicates decoded FQDN strings; it is owned by
 	// this pipeline instance, so in a sharded engine it is per shard.
@@ -198,8 +193,6 @@ func (h *DNHunter) Stats() Stats {
 }
 
 // HandlePacket feeds one packet through the pipeline (streaming use).
-//
-//dnhunter:hotpath
 func (h *DNHunter) HandlePacket(pkt netio.Packet) {
 	info, err := h.parser.Parse(pkt.Data)
 	if err != nil {

@@ -20,11 +20,6 @@ type EngineConfig struct {
 	// sharding (§3.1.1). 0 means 1 (the exact single-threaded pipeline);
 	// negative means GOMAXPROCS.
 	Shards int
-	// Batch sizes the dispatcher→shard rings: each holds 8×Batch entries and
-	// a shard takes at most Batch from its ring per pass; 0 means 512. It is
-	// not a latency knob — entries are published per read block, however
-	// few (see ring.go). Only used when Shards > 1.
-	Batch int
 	// Resolver configures each shard's DNS cache replica. Note the Clist
 	// size applies per shard.
 	Resolver resolver.Config
@@ -53,6 +48,12 @@ type EngineConfig struct {
 	// accounting (see ShedStats). Only meaningful with Shards > 1; the
 	// single-shard pipeline has no ring to shed from.
 	Shed *ShedStats
+
+	// batch sizes the dispatcher→shard rings: each holds ringDepth×batch
+	// entries and a shard takes at most batch from its ring per pass; 0
+	// means defaultBatch. Only the package's tests set it, to drive the
+	// ring's boundaries.
+	batch int
 
 	// tapPipelines and tapRings are the serve-mode instrumentation seams,
 	// settable only from within the package (the Server uses them). Both
@@ -91,8 +92,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Shards < 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = defaultBatch
+	if cfg.batch <= 0 {
+		cfg.batch = defaultBatch
 	}
 	return &Engine{cfg: cfg}
 }

@@ -100,7 +100,7 @@ func TestTagNeverWaitsForLaterTraffic(t *testing.T) {
 
 // TestShedOnlyWhenRingFull stalls one shard inside its sink and trickles
 // one flow's packets at it in reads of 1–3: shedding may start only once
-// ringDepth×Batch entries are queued on that shard's ring — capacity is
+// ringDepth×batch entries are queued on that shard's ring — capacity is
 // counted in entries, not in reads — and from then on every packet is shed
 // rather than stalling the reader.
 func TestShedOnlyWhenRingFull(t *testing.T) {
@@ -145,7 +145,7 @@ func TestShedOnlyWhenRingFull(t *testing.T) {
 		next += n
 		return n, nil
 	})
-	res, err := NewEngine(EngineConfig{Shards: 2, Batch: batch, Shed: &shed, Sink: sink}).Run(context.Background(), src)
+	res, err := NewEngine(EngineConfig{Shards: 2, batch: batch, Shed: &shed, Sink: sink}).Run(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,6 @@ const (
 // nil), the dispatcher takes one block reference per appended entry, and
 // the ring returns them as the consumer's tail advances — so the bytes
 // behind pay are valid for exactly as long as the entry itself.
-//
-//dnhunter:slab
 type shardEntry struct {
 	at  time.Duration
 	key flows.Key // entryFlow/entryExpire: oriented flow key; entryDNS: ClientIP holds the attribution client (packet DstIP)
@@ -75,7 +73,7 @@ type shardEntry struct {
 // Spin budgets before parking. Each spin is a runtime.Gosched, which on a
 // busy box hands the quantum straight to the peer goroutine — usually all
 // that is needed. Parking beyond that keeps an idle ring from burning a
-// core (a vantage stalled on the merge clock, a consumer waiting at EOF).
+// core (a shard waiting on a quiet link, a consumer waiting at EOF).
 const (
 	ringProducerSpins = 64
 	ringConsumerSpins = 64
@@ -88,8 +86,6 @@ type cacheLinePad [64]byte
 // ring is the bounded single-producer/single-consumer ring of shard
 // entries. Exactly one goroutine may call producer methods (put, publish,
 // close) and exactly one may call consumer methods (consume, release).
-//
-//dnhunter:hotatomic
 type ring struct {
 	buf   []shardEntry // len is limit rounded up to a power of two
 	mask  uint64       // len(buf) − 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/netio"
 	"repro/internal/synth"
@@ -247,6 +248,27 @@ func TestRingBlockHandleRelease(t *testing.T) {
 	})
 }
 
+// TestRingLayout pins the ring's false-sharing layout: the read-only
+// header, the producer's line (head, fill, tailSeen), the consumer's tail
+// and the park flags each sit at least a cache line from their neighbours,
+// so producer and consumer never invalidate each other's line.
+func TestRingLayout(t *testing.T) {
+	var r ring
+	for _, p := range []struct {
+		lo, hi   string
+		from, to uintptr
+	}{
+		{"batch", "head", unsafe.Offsetof(r.batch), unsafe.Offsetof(r.head)},
+		{"head", "tail", unsafe.Offsetof(r.head), unsafe.Offsetof(r.tail)},
+		{"tailSeen", "tail", unsafe.Offsetof(r.tailSeen), unsafe.Offsetof(r.tail)},
+		{"tail", "parks", unsafe.Offsetof(r.tail), unsafe.Offsetof(r.parks)},
+	} {
+		if p.to-p.from < 64 {
+			t.Errorf("ring.%s is %d B after ring.%s, want at least 64", p.hi, p.to-p.from, p.lo)
+		}
+	}
+}
+
 // TestEngineShardEquivalenceBatchBoundaries sweeps the hand-off batch size
 // across the boundaries where the per-pass cap, ring-full publishes and
 // storage wraparound kick in — 1 (an 8-entry ring), capacity−1, capacity,
@@ -260,7 +282,7 @@ func TestEngineShardEquivalenceBatchBoundaries(t *testing.T) {
 	const slotCap = 64
 	for _, batch := range []int{1, slotCap - 1, slotCap, slotCap + 1} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			eng := NewEngine(EngineConfig{Shards: 3, Batch: batch, Truth: tr.TruthFunc()})
+			eng := NewEngine(EngineConfig{Shards: 3, batch: batch, Truth: tr.TruthFunc()})
 			res, err := eng.Run(t.Context(), tr.Source())
 			if err != nil {
 				t.Fatal(err)
@@ -289,7 +311,7 @@ func FuzzShardBatchEquivalence(f *testing.F) {
 		}
 		tr := synth.Generate(synth.QuickScenario(seed))
 		single := runEngine(t, tr, 1)
-		eng := NewEngine(EngineConfig{Shards: shards, Batch: batch, Truth: tr.TruthFunc()})
+		eng := NewEngine(EngineConfig{Shards: shards, batch: batch, Truth: tr.TruthFunc()})
 		res, err := eng.Run(t.Context(), tr.Source())
 		if err != nil {
 			t.Fatal(err)

@@ -246,9 +246,9 @@ func (m *ServeMetrics) WindowFlushLag() time.Duration {
 }
 
 // RingDepths returns each shard ring's backlog — published-but-unreleased
-// entries in units of Batch, rounded up — indexed by shard; nil for a
-// single-shard engine (no rings). A depth pinned at the ring capacity (8)
-// is a saturated shard.
+// entries in units of the 512-entry per-pass batch, rounded up — indexed by
+// shard; nil for a single-shard engine (no rings). A depth pinned at the
+// ring capacity (8) is a saturated shard.
 func (m *ServeMetrics) RingDepths() []int {
 	p := m.rings.Load()
 	if p == nil {

@@ -193,7 +193,7 @@ func TestServeCheckpointRestart(t *testing.T) {
 func TestServeSheddingDropsInsteadOfBlocking(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(41))
 	slow := &FuncSink{Tag: func(TagEvent) { time.Sleep(50 * time.Microsecond) }}
-	srv := NewServer(EngineConfig{Shards: 2, Batch: 4, Sink: slow}, ServeConfig{Shed: true})
+	srv := NewServer(EngineConfig{Shards: 2, batch: 4, Sink: slow}, ServeConfig{Shed: true})
 	rep, err := srv.Serve(context.Background(), tr.Source())
 	if err != nil {
 		t.Fatal(err)

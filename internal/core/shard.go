@@ -57,7 +57,7 @@ import (
 // that is (see ring.go).
 const defaultBatch = 512
 
-// ringDepth is a ring's capacity in batches (ringDepth × Batch entries) and
+// ringDepth is a ring's capacity in batches (ringDepth × batch entries) and
 // the top of the ring_depth gauge: enough queue that a briefly stalled
 // consumer does not back-pressure its producer, little enough that total
 // ring memory stays modest.
@@ -76,8 +76,6 @@ type shardWorker struct {
 // flow table. When abort is set (cancellation) it keeps consuming — release
 // keeps returning block references — so the dispatcher never blocks on a
 // full ring, but stops processing.
-//
-//dnhunter:hotpath
 func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 	defer wg.Done()
 	for s := w.ring.consume(); s != nil; s = w.ring.consume() {
@@ -92,8 +90,6 @@ func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 }
 
 // process applies one consumed batch to the shard pipeline.
-//
-//dnhunter:hotpath
 func (w *shardWorker) process(s []shardEntry) {
 	for i := range s {
 		e := &s[i]
@@ -156,7 +152,7 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		fcfg.DisableAutoSweep = true // dispatcher drives expiry via tracker commands
 		fcfg.OnRecord = nil          // engine-managed; see EngineConfig.Flows
 		fcfg.Seed = seed
-		d.rings[i] = newRing(ringDepth, e.cfg.Batch)
+		d.rings[i] = newRing(ringDepth, e.cfg.batch)
 		workers[i] = &shardWorker{
 			h: New(sinkConfig(Config{
 				Resolver:  e.cfg.Resolver,
@@ -266,8 +262,6 @@ func (d *dispatcher) shardOf(client netip.Addr) uint32 {
 // single-threaded table would sweep inside Add; then publish the block's
 // entries before the next read, which may block for as long as the link
 // is quiet.
-//
-//dnhunter:hotpath
 func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
 	d.pkts += uint64(len(pkts))
 	for i := range pkts {
@@ -286,8 +280,6 @@ func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
 // path. It mirrors DNHunter.HandlePacket's branching exactly: parse
 // failures are only counted, UDP port-53 traffic goes to the DNS path,
 // everything else to the flow path.
-//
-//dnhunter:hotpath
 func (d *dispatcher) route(at time.Duration, frame []byte, blk *netio.Block) bool {
 	dec, err := d.parser.Parse(frame)
 	if err != nil {

@@ -42,11 +42,9 @@ func (in *Interner) Intern(b []byte) string {
 		return s
 	}
 	if len(in.m) >= in.max {
-		//dnhunter:alloc-ok bounded-size reset, at most once per max distinct names
 		in.m = make(map[string]string, 256)
 		in.Resets++
 	}
-	//dnhunter:alloc-ok allocates only on the first sighting of a distinct name; repeats hit the map above
 	s := string(b)
 	in.m[s] = s
 	return s

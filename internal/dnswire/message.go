@@ -164,7 +164,6 @@ func (m *Message) internName(b []byte) string {
 	if m.intern != nil {
 		return m.intern.Intern(b)
 	}
-	//dnhunter:alloc-ok fallback when no interner is attached (tests, one-shot decodes)
 	return string(b)
 }
 
@@ -325,8 +324,6 @@ var (
 )
 
 // Unpack parses a whole DNS message.
-//
-//dnhunter:hotpath
 func (m *Message) Unpack(msg []byte) error {
 	if len(msg) < 12 {
 		return errHeaderTruncated

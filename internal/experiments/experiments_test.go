@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -513,4 +514,70 @@ func TestCrossVantageOneIngestion(t *testing.T) {
 	if !differs {
 		t.Error("US and EU2 provider footprints are identical — geography lost")
 	}
+}
+
+// renderAll renders every table, figure, cross-vantage and ablation
+// section of a fresh suite, followed by the data behind them with floats
+// at full precision (%v), so a difference in the last bit shows.
+func renderAll(scale float64, seed uint64) string {
+	s := NewSuite(scale, seed)
+	s.LiveDays = 2
+	var b strings.Builder
+	out := func(v ...any) {
+		for _, x := range v {
+			fmt.Fprintf(&b, "%v\n", x)
+		}
+	}
+	out(s.Table1(), s.Table2())
+	for _, name := range synth.ScenarioNames {
+		out(s.Table2Data(name))
+	}
+	out(s.Table3())
+	out(s.Table4())
+	us, eu := s.Table5Data()
+	out(s.Table5(), us, eu, s.Table6(), s.Table7())
+	for _, port := range append(append([]uint16(nil), Table6Ports...), Table7Ports...) {
+		out(analytics.ExtractTags(s.Run(synth.NameEU1FTTH).DB, port, 5))
+		out(analytics.ExtractTags(s.Run(synth.NameUS3G).DB, port, 5))
+	}
+	out(s.Table8())
+	out(s.Table9())
+	out(s.Figure3())
+	out(s.Figure4())
+	out(s.Figure5())
+	out(s.Figure6())
+	fig7, _ := s.Figure7()
+	fig8, _ := s.Figure8()
+	fig9, _ := s.Figure9()
+	out(fig7, fig8, fig9)
+	out(s.Figure10())
+	out(s.Figure11())
+	fig12, _ := s.Figure12And13()
+	out(fig12)
+	out(s.Figure14())
+	out(s.CrossVantage())
+	out(s.SketchVsExact())
+	out(s.AblationClistSize([]int{64, 4096}))
+	out(s.AblationMultiLabel())
+	out(s.AblationTagScore(25))
+	return b.String()
+}
+
+// TestSuiteDeterministic builds two suites with the same seed and requires
+// every rendered table and figure to match byte for byte. Go randomises map
+// iteration order on every range, so any output that depends on it — an
+// unsorted row order, a last-writer-wins pick, or a float sum such as the
+// Eq. 1 score taken in map order — differs between the two.
+func TestSuiteDeterministic(t *testing.T) {
+	a, b := renderAll(0.2, 3), renderAll(0.2, 3)
+	if a == b {
+		return
+	}
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			t.Fatalf("same seed, different output at line %d:\n%s\n%s", i+1, al[i], bl[i])
+		}
+	}
+	t.Fatalf("same seed, outputs of %d and %d lines", len(al), len(bl))
 }

@@ -114,7 +114,6 @@ func compareTopK(exact, sk *analytics.Pipeline, qname string) (string, bool) {
 	}
 	// Guarantee: any key with true count > Observed/Capacity is tracked.
 	threshold := st.Observed / uint64(st.Capacity)
-	//dnhunter:unordered-ok order-insensitive check: good only ever flips to false
 	for key, tc := range trueCounts {
 		if tc > threshold {
 			if _, tracked := sketched[key]; !tracked {

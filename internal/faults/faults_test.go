@@ -135,6 +135,36 @@ func TestSourceUnarmedAllocFree(t *testing.T) {
 	}
 }
 
+// TestSinkUnarmedAllocFree: a Sink wrapper whose schedules never fire adds
+// no allocation to the per-flow event callbacks, unarmed or armed with
+// schedules that stay quiet.
+func TestSinkUnarmedAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  SinkConfig
+	}{
+		{"unarmed", SinkConfig{}},
+		{"quiet", SinkConfig{Block: EveryP(0, 1), Err: At(1 << 62), BlockFor: time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSink(core.NopSink{}, tc.cfg)
+			tag := core.TagEvent{Label: "www.example.com", Hit: true, SYN: true}
+			dns := core.DNSEvent{FQDN: "www.example.com", NumAddrs: 2}
+			f := flowdb.LabeledFlow{Label: "www.example.com", Labeled: true}
+			if n := testing.AllocsPerRun(100, func() {
+				s.OnTag(tag)
+				s.OnDNSResponse(dns)
+				s.OnFlow(f)
+			}); n != 0 {
+				t.Fatalf("Sink callbacks allocate %v per flow, want 0", n)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestSourceErrResumable: a firing Err schedule returns the injected
 // error once without consuming input; the retried stream is complete.
 func TestSourceErrResumable(t *testing.T) {

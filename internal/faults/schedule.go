@@ -9,7 +9,8 @@
 //
 // Nothing here runs in production builds by default: a wrapper with no
 // schedules armed is a pure pass-through (one boolean test per call, no
-// allocation — enforced by the dnlint hotpath analyzer).
+// allocation — pinned by TestSourceUnarmedAllocFree and
+// TestSinkUnarmedAllocFree).
 package faults
 
 import "time"
@@ -30,8 +31,6 @@ type Schedule interface {
 }
 
 // fire is the nil-tolerant helper every wrapper uses.
-//
-//dnhunter:hotpath
 func fire(s Schedule, n uint64, at time.Duration) bool {
 	return s != nil && s.Fire(n, at)
 }
@@ -39,7 +38,6 @@ func fire(s Schedule, n uint64, at time.Duration) bool {
 // atSchedule fires exactly once, on operation N.
 type atSchedule uint64
 
-//dnhunter:hotpath
 func (a atSchedule) Fire(n uint64, _ time.Duration) bool { return n == uint64(a) }
 
 // At returns a schedule that fires on exactly operation n (0-based): the
@@ -50,7 +48,6 @@ func At(n uint64) Schedule { return atSchedule(n) }
 // afterSchedule fires on every operation at or past trace time d.
 type afterSchedule time.Duration
 
-//dnhunter:hotpath
 func (a afterSchedule) Fire(_ uint64, at time.Duration) bool { return at >= time.Duration(a) }
 
 // After returns a schedule that fires on every operation whose trace time
@@ -65,7 +62,6 @@ type everyP struct {
 	seed      uint64
 }
 
-//dnhunter:hotpath
 func (e everyP) Fire(n uint64, _ time.Duration) bool {
 	return splitmix64(e.seed^(n*0x9e3779b97f4a7c15)) < e.threshold
 }
@@ -87,8 +83,6 @@ func EveryP(p float64, seed uint64) Schedule {
 // splitmix64 is the 64-bit finalizer from Vigna's SplitMix64 generator:
 // one invertible mixing pass good enough to decorrelate consecutive
 // operation indices into an unbiased threshold test.
-//
-//dnhunter:hotpath
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -48,8 +48,6 @@ func NewSink(inner core.Sink, cfg SinkConfig) *Sink {
 }
 
 // OnTag implements core.Sink.
-//
-//dnhunter:hotpath
 func (s *Sink) OnTag(e core.TagEvent) {
 	if s.inner != nil {
 		s.inner.OnTag(e)
@@ -57,8 +55,6 @@ func (s *Sink) OnTag(e core.TagEvent) {
 }
 
 // OnDNSResponse implements core.Sink.
-//
-//dnhunter:hotpath
 func (s *Sink) OnDNSResponse(e core.DNSEvent) {
 	if s.inner != nil {
 		s.inner.OnDNSResponse(e)
@@ -66,8 +62,6 @@ func (s *Sink) OnDNSResponse(e core.DNSEvent) {
 }
 
 // OnFlow implements core.Sink; it is the injection point.
-//
-//dnhunter:hotpath
 func (s *Sink) OnFlow(f flowdb.LabeledFlow) {
 	if !s.off {
 		n := s.n

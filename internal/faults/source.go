@@ -101,8 +101,6 @@ func NewSource(src netio.PacketSource, cfg SourceConfig) *Source {
 // enter runs the stream-level faults for one read call and reports
 // whether the call should abort with err (errors.Is-able against
 // ErrValue) before touching the wrapped source.
-//
-//dnhunter:hotpath
 func (s *Source) enter() (short bool, err error) {
 	n := s.calls
 	s.calls++
@@ -121,8 +119,6 @@ func (s *Source) enter() (short bool, err error) {
 // admit applies the frame-level faults to the next delivered packet,
 // advancing the packet index. It reports false when the EOF fault fires:
 // the packet (and the rest of the stream) must be dropped.
-//
-//dnhunter:hotpath
 func (s *Source) admit(p *netio.Packet) bool {
 	n := s.pkts
 	if fire(s.cfg.EOF, n, p.Timestamp) {
@@ -150,8 +146,6 @@ func (s *Source) admit(p *netio.Packet) bool {
 }
 
 // Next implements netio.PacketSource.
-//
-//dnhunter:hotpath
 func (s *Source) Next() (netio.Packet, error) {
 	if s.off {
 		return s.src.Next()
@@ -172,8 +166,6 @@ func (s *Source) Next() (netio.Packet, error) {
 // ReadBlockRef implements netio.BlockRefSource: block handles pass
 // through untouched (truncation merely re-slices packet views into the
 // block), so the refcount discipline under test is the engine's own.
-//
-//dnhunter:hotpath
 func (s *Source) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
 	if s.off {
 		return s.ref.ReadBlockRef(dst)
@@ -201,8 +193,6 @@ func (s *Source) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
 
 // admitBlock runs admit over a just-read block, cutting it short when the
 // EOF fault fires mid-block.
-//
-//dnhunter:hotpath
 func (s *Source) admitBlock(dst []netio.Packet, n int) int {
 	for i := 0; i < n; i++ {
 		if !s.admit(&dst[i]) {

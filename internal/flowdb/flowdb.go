@@ -88,8 +88,6 @@ func New() *DB {
 
 // Add appends one labeled flow. Index maintenance is deferred to the next
 // query.
-//
-//dnhunter:hotpath
 func (db *DB) Add(f LabeledFlow) {
 	if f.Labeled && f.SLD == "" {
 		f.SLD = stats.SLD(f.Label)
@@ -103,7 +101,6 @@ func (db *DB) Add(f LabeledFlow) {
 func (db *DB) tail() []LabeledFlow {
 	c := db.n / chunkLen
 	if c == len(db.chunks) {
-		//dnhunter:alloc-ok one fixed-size chunk per chunkLen flows, never regrown or copied
 		db.chunks = append(db.chunks, new([chunkLen]LabeledFlow))
 	}
 	return db.chunks[c][db.n%chunkLen:]

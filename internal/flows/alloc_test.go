@@ -38,26 +38,51 @@ func TestTableHitZeroAlloc(t *testing.T) {
 }
 
 // Steady churn — flows opening and closing at a constant rate — must reuse
-// recycled flow structs instead of growing the heap.
+// recycled flow structs instead of growing the heap, whichever way a flow
+// ends: a close segment, the idle sweep, or a dispatcher's expiry command.
 func TestTableChurnSteadyStateAlloc(t *testing.T) {
-	tbl := NewTable(Config{OnRecord: func(Record, Handle) {}})
 	src := netip.MustParseAddr("10.0.0.1")
 	dst := netip.MustParseAddr("192.0.2.10")
-	cycle := func(port uint16) {
-		syn := &layers.Decoded{HasIP: true, HasTCP: true, SrcIP: src, DstIP: dst,
-			Proto: layers.IPProtocolTCP, SrcPort: port, DstPort: 443, TCPFlags: layers.TCPSyn}
-		rst := &layers.Decoded{HasIP: true, HasTCP: true, SrcIP: src, DstIP: dst,
-			Proto: layers.IPProtocolTCP, SrcPort: port, DstPort: 443, TCPFlags: layers.TCPRst}
-		tbl.Add(syn, 0, nil)
-		tbl.Add(rst, time.Millisecond, nil)
-	}
-	// Warm-up fills the free list and map capacity.
-	for p := uint16(1000); p < 1100; p++ {
-		cycle(p)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		cycle(2000)
-	}); n > 0.1 {
-		t.Fatalf("steady flow churn allocates %v/op, want ~0", n)
+	const idle = time.Minute
+	for _, tc := range []struct {
+		name string
+		end  func(tbl *Table, port uint16, at time.Duration)
+	}{
+		{"rst", func(tbl *Table, port uint16, at time.Duration) {
+			rst := &layers.Decoded{HasIP: true, HasTCP: true, SrcIP: src, DstIP: dst,
+				Proto: layers.IPProtocolTCP, SrcPort: port, DstPort: 443, TCPFlags: layers.TCPRst}
+			tbl.Add(rst, at+time.Millisecond, nil)
+		}},
+		{"flushidle", func(tbl *Table, _ uint16, at time.Duration) {
+			tbl.FlushIdle(at + idle)
+		}},
+		{"expireflow", func(tbl *Table, port uint16, _ time.Duration) {
+			tbl.ExpireFlow(Key{ClientIP: src, ServerIP: dst, ClientPort: port, ServerPort: 443,
+				Proto: layers.IPProtocolTCP}, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := NewTable(Config{IdleTimeout: idle, DisableAutoSweep: true, OnRecord: func(Record, Handle) {}})
+			var now time.Duration
+			cycle := func(port uint16) {
+				now += 2 * idle
+				syn := &layers.Decoded{HasIP: true, HasTCP: true, SrcIP: src, DstIP: dst,
+					Proto: layers.IPProtocolTCP, SrcPort: port, DstPort: 443, TCPFlags: layers.TCPSyn}
+				tbl.Add(syn, now, nil)
+				tc.end(tbl, port, now)
+				if tbl.Active() != 0 {
+					t.Fatalf("flow on port %d still active after %s", port, tc.name)
+				}
+			}
+			// Warm-up fills the free list and map capacity.
+			for p := uint16(1000); p < 1100; p++ {
+				cycle(p)
+			}
+			if n := testing.AllocsPerRun(200, func() {
+				cycle(2000)
+			}); n != 0 {
+				t.Fatalf("steady flow churn allocates %v/op, want 0", n)
+			}
+		})
 	}
 }

@@ -139,8 +139,6 @@ const noIdx = ^uint32(0)
 // flow is the mutable in-table state. Slots are recycled through the
 // free list after emit, so references across statements use uint32 slab
 // indices, never *flow.
-//
-//dnhunter:slab
 type flow struct {
 	rec  Record
 	hash uint64 // cached hashKey(seed, rec.Key)
@@ -201,12 +199,10 @@ type keyIndex struct {
 }
 
 func (ix *keyIndex) init(groups int) {
-	//dnhunter:alloc-ok rehash-time growth, amortized O(1) per insert
 	ix.ctrl = make([]uint64, groups)
 	for i := range ix.ctrl {
 		ix.ctrl[i] = swiss.EmptyGroup
 	}
-	//dnhunter:alloc-ok rehash-time growth, amortized O(1) per insert
 	ix.slots = make([]uint32, groups*swiss.GroupSize)
 	ix.gmask = uint64(groups - 1)
 	ix.used, ix.tombs = 0, 0
@@ -273,7 +269,6 @@ type Table struct {
 
 // at returns the flow at slab slot i.
 func (t *Table) at(i uint32) *flow {
-	//dnhunter:slab-ok the sanctioned accessor; callers must not retain the pointer past slot recycling
 	return &t.slab[i>>slabChunkBits][i&slabChunkMask]
 }
 
@@ -481,8 +476,6 @@ type NewFlowFunc func(key Key, at time.Duration, sawSYN bool, h Handle)
 // direction it travels (the former design probed once in orient and again
 // in the add path). For a new flow a pure SYN marks the sender as the
 // client, then the configured client networks, then first-sender.
-//
-//dnhunter:hotpath
 func (t *Table) Add(d *layers.Decoded, at time.Duration, onNew NewFlowFunc) {
 	if !d.HasTCP && !d.HasUDP {
 		return
@@ -527,8 +520,6 @@ type OrientedPacket struct {
 // AddOriented processes one pre-routed packet. It is Add with the
 // orientation hoisted to the caller; the two are behaviorally identical
 // when the caller's key/direction mirror Add's decision.
-//
-//dnhunter:hotpath
 func (t *Table) AddOriented(p *OrientedPacket, at time.Duration, onNew NewFlowFunc) {
 	h := p.Hash
 	if h == 0 {
@@ -733,7 +724,6 @@ func (t *Table) newFlow() uint32 {
 	}
 	i := t.slabLen
 	if i>>slabChunkBits == uint32(len(t.slab)) {
-		//dnhunter:alloc-ok fixed-size chunk carve, amortized over slabChunkLen flows
 		t.slab = append(t.slab, make([]flow, slabChunkLen))
 	}
 	t.slabLen++
@@ -802,8 +792,6 @@ func (t *Table) emit(r Record, h Handle) {
 // and the emit order (idle-first) is deterministic for a given packet
 // sequence. With monotone trace time lastSeen equals rec.End and the
 // expired set matches the historical full scan exactly.
-//
-//dnhunter:hotpath
 func (t *Table) FlushIdle(now time.Duration) {
 	visited := 0
 	for t.head != noIdx {
@@ -825,8 +813,6 @@ func (t *Table) FlushIdle(now time.Duration) {
 // applies FlushIdle's exact rule to the global packet order) and delivers
 // one ExpireFlow per victim in-band, so shard tables expire exactly the
 // flows a single-threaded table would, in the same relative order.
-//
-//dnhunter:hotpath
 func (t *Table) ExpireFlow(key Key, hash uint64) {
 	if hash == 0 {
 		hash = hashKey(t.seed, key)

@@ -68,18 +68,57 @@ func TestParseIPv6TCPZeroAlloc(t *testing.T) {
 	}
 }
 
-// Unhandled-but-well-formed frames (ARP, ICMP) are skipped per packet; a
-// capture full of them must not allocate an error each.
+// Unhandled-but-well-formed frames (ARP, non-first fragments) and malformed
+// ones are skipped per packet; a capture full of them must not allocate an
+// error each.
 func TestParseUnhandledZeroAlloc(t *testing.T) {
-	arp := make([]byte, EthernetHeaderLen+28)
 	eth := Ethernet{EtherType: EtherTypeARP}
-	frame := eth.AppendTo(nil, arp[EthernetHeaderLen:])
-	var p Parser
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, err := p.Parse(frame); err == nil {
-			t.Fatal("ARP frame should be unhandled")
+	var b Builder
+	udp, err := b.UDPFrame(ip4a, ip4b, 40000, 53, []byte{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp = append([]byte(nil), udp...)
+	tcp, err := b.TCPFrame(ip4a, ip4b, 40000, 443, TCPSyn, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp = append([]byte(nil), tcp...)
+	ip := EthernetHeaderLen
+	badIHL := append([]byte(nil), udp...)
+	badIHL[ip] = 0x43
+	badVersion := append([]byte(nil), udp...)
+	badVersion[ip] = 0x65
+	longTotal := append([]byte(nil), udp...)
+	longTotal[ip+2] = 0xff
+	longUDP := append([]byte(nil), udp...)
+	longUDP[ip+IPv4HeaderLen+5] = 0xff
+	badOffset := append([]byte(nil), tcp...)
+	badOffset[ip+IPv4HeaderLen+12] = 0x20
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"arp", eth.AppendTo(nil, make([]byte, 28))},
+		{"udp fragment", fragmentFrame(t, IPProtocolUDP)},
+		{"tcp fragment", fragmentFrame(t, IPProtocolTCP)},
+		{"runt", udp[:EthernetHeaderLen-1]},
+		{"short ipv4", udp[:ip+IPv4HeaderLen-1]},
+		{"ipv4 ihl", badIHL},
+		{"ipv4 version", badVersion},
+		{"ipv4 total length", longTotal},
+		{"short udp", udp[:ip+IPv4HeaderLen+7]},
+		{"udp length", longUDP},
+		{"short tcp", tcp[:ip+IPv4HeaderLen+19]},
+		{"tcp data offset", badOffset},
+	} {
+		var p Parser
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, err := p.Parse(tc.frame); err == nil {
+				t.Fatalf("%s frame should be rejected", tc.name)
+			}
+		}); n != 0 {
+			t.Fatalf("%s parse allocates %v/op, want 0", tc.name, n)
 		}
-	}); n != 0 {
-		t.Fatalf("unhandled parse allocates %v/op, want 0", n)
 	}
 }

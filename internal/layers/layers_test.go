@@ -336,6 +336,56 @@ func TestParserOtherProto(t *testing.T) {
 	}
 }
 
+// fragmentFrame builds a non-first IPv4 fragment (offset 185 × 8 B) of
+// proto whose data starts 9c 40 00 35 00 0c: read as a transport header,
+// that is a well-formed port 40000 → 53 datagram of 12 bytes.
+func fragmentFrame(t testing.TB, proto IPProtocol) []byte {
+	t.Helper()
+	data := []byte{0x9c, 0x40, 0x00, 0x35, 0x00, 0x0c, 0x00, 0x00, 1, 2, 3, 4}
+	if proto == IPProtocolTCP {
+		data = append(data, make([]byte, 20-len(data))...)
+		data[12] = 5 << 4 // a plausible data offset
+	}
+	ip := IPv4{Protocol: proto, Src: ip4a, Dst: ip4b, FragOff: 185}
+	ipRaw, err := ip.AppendTo(nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Ethernet{EtherType: EtherTypeIPv4}
+	return e.AppendTo(nil, ipRaw)
+}
+
+// A non-first fragment carries the middle of a datagram, not a transport
+// header: its leading bytes must not become ports, a DNS payload or a flow.
+func TestParserSkipsNonFirstFragment(t *testing.T) {
+	for _, proto := range []IPProtocol{IPProtocolUDP, IPProtocolTCP} {
+		var p Parser
+		if dec, err := p.Parse(fragmentFrame(t, proto)); !errors.Is(err, ErrUnhandled) {
+			t.Fatalf("proto %d: fragment parsed as %+v, err %v; want ErrUnhandled", proto, dec, err)
+		}
+		if p.Stats.Fragments != 1 || p.Stats.UDPDatagram != 0 || p.Stats.TCPSegments != 0 || p.Stats.Malformed != 0 {
+			t.Fatalf("proto %d: stats %+v", proto, p.Stats)
+		}
+		var sum ParserStats
+		sum.Add(p.Stats)
+		sum.Add(p.Stats)
+		if sum.Fragments != 2 {
+			t.Fatalf("Add sums Fragments to %d, want 2", sum.Fragments)
+		}
+	}
+	// The first fragment (MF set, offset 0) does carry the header.
+	var b Builder
+	frame, err := b.UDPFrame(ip4a, ip4b, 40000, 53, []byte{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[EthernetHeaderLen+6] |= 0x20 // more fragments
+	var p Parser
+	if dec, err := p.Parse(frame); err != nil || !dec.HasUDP || dec.DstPort != 53 {
+		t.Fatalf("first fragment: %+v, %v", dec, err)
+	}
+}
+
 func TestParserMalformedCounted(t *testing.T) {
 	var p Parser
 	if _, err := p.Parse([]byte{1, 2, 3}); err == nil {

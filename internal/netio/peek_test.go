@@ -68,20 +68,23 @@ func dnsResponse() []byte {
 // classification agree with what the parse reports. Any divergence would
 // let a peek-based router send a frame somewhere its parse disagrees with.
 func FuzzPeekMatchesParse(f *testing.F) {
-	f.Add(ip4Frame(17, udpSeg(53, 40000, dnsResponse())))   // DNS response
+	f.Add(ip4Frame(17, udpSeg(53, 40000, dnsResponse())))    // DNS response
 	f.Add(ip4Frame(17, udpSeg(40000, 53, make([]byte, 12)))) // DNS query (QR clear)
 	f.Add(ip4Frame(17, udpSeg(53, 40000, []byte{1})))        // runt DNS payload
 	f.Add(ip4Frame(6, tcpSeg(443, 50000, []byte("hello"))))
 	f.Add(ip6Frame(17, udpSeg(53, 40001, dnsResponse())))
 	f.Add(ip6Frame(6, tcpSeg(80, 50001, nil)))
-	f.Add(ip4Frame(1, []byte{8, 0, 0, 0}))                 // ICMP: parse rejects
-	f.Add(ip4Frame(6, tcpSeg(1, 2, nil))[:14+20+19])       // truncated TCP header
-	f.Add(ip4Frame(17, udpSeg(1, 2, nil))[:14+20+7])       // truncated UDP header
-	f.Add([]byte{0, 1, 2, 3})                              // runt frame
-	f.Add(append([]byte(nil), make([]byte, 60)...))        // zero EtherType
+	f.Add(ip4Frame(1, []byte{8, 0, 0, 0}))           // ICMP: parse rejects
+	f.Add(ip4Frame(6, tcpSeg(1, 2, nil))[:14+20+19]) // truncated TCP header
+	f.Add(ip4Frame(17, udpSeg(1, 2, nil))[:14+20+7]) // truncated UDP header
+	f.Add([]byte{0, 1, 2, 3})                        // runt frame
+	f.Add(append([]byte(nil), make([]byte, 60)...))  // zero EtherType
 	bad := ip4Frame(17, udpSeg(1, 2, nil))
 	bad[14] = 0x43 // IHL < 20
 	f.Add(bad)
+	frag := ip4Frame(17, udpSeg(40000, 53, make([]byte, 4)))
+	frag[14+7] = 185 // fragment offset: parse skips it
+	f.Add(frag)
 	short := ip4Frame(17, udpSeg(1, 2, make([]byte, 4)))
 	binary.BigEndian.PutUint16(short[14+20+4:14+20+6], 99) // UDP length > datagram
 	f.Add(short)

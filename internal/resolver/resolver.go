@@ -73,8 +73,6 @@ type backref struct {
 // under, the newest entry, and bounded history. Nodes live in a dense slab
 // addressed by the uint32 slots of the swiss index; slots are recycled on
 // remove, so cross-statement references use slots, never *pairNode.
-//
-//dnhunter:slab
 type pairNode struct {
 	client, server netip.Addr
 	hash           uint64
@@ -124,12 +122,10 @@ func newPairTable() *pairTable {
 }
 
 func (t *pairTable) init(groups int) {
-	//dnhunter:alloc-ok rehash-time growth, amortized O(1) per insert
 	t.ctrl = make([]uint64, groups)
 	for i := range t.ctrl {
 		t.ctrl[i] = swiss.EmptyGroup
 	}
-	//dnhunter:alloc-ok rehash-time growth, amortized O(1) per insert
 	t.slots = make([]uint32, groups*swiss.GroupSize)
 	t.gmask = uint64(groups - 1)
 	t.used, t.tombs = 0, 0
@@ -142,7 +138,6 @@ func (t *pairTable) hash(client, server netip.Addr) uint64 {
 
 // at returns the node at slab slot i.
 func (t *pairTable) at(i uint32) *pairNode {
-	//dnhunter:slab-ok the sanctioned accessor; callers must not retain the pointer past slot recycling
 	return &t.nodes[i>>nodeChunkBits][i&nodeChunkMask]
 }
 
@@ -214,7 +209,6 @@ func (t *pairTable) insert(h uint64, client, server netip.Addr, e *Entry) uint32
 	} else {
 		slot = t.nodesLen
 		if slot>>nodeChunkBits == uint32(len(t.nodes)) {
-			//dnhunter:alloc-ok fixed-size chunk carve, amortized over nodeChunkLen nodes
 			t.nodes = append(t.nodes, make([]pairNode, nodeChunkLen))
 		}
 		t.nodesLen++
@@ -320,8 +314,6 @@ func (r *Resolver) Clients() int { return len(r.flat.clients) }
 // Insert records one DNS response: clientIP asked for fqdn and received the
 // given server addresses (Algorithm 1, INSERT). Responses with no addresses
 // are counted but change nothing.
-//
-//dnhunter:hotpath
 func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr, at time.Duration) {
 	r.stats.Responses++
 	if fqdn == "" || len(servers) == 0 {
@@ -344,7 +336,6 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 			old.removeRef(clientIP, serverIP)
 			r.stats.Replaced++
 			if r.cfg.History > 0 && old.FQDN != entry.FQDN {
-				//dnhunter:alloc-ok history mode only (History>0); bounded prepend, off on the default path
 				n.older = append([]*Entry{old}, n.older...)
 				if len(n.older) > r.cfg.History {
 					n.older = n.older[:r.cfg.History]
@@ -386,7 +377,6 @@ func (r *Resolver) newEntry(fqdn string, at time.Duration) *Entry {
 		return e
 	}
 	if len(r.entrySlab) == 0 {
-		//dnhunter:alloc-ok fixed-size block carve, amortized over slabSize entries
 		r.entrySlab = make([]Entry, slabSize)
 	}
 	e := &r.entrySlab[0]
@@ -405,7 +395,6 @@ func (r *Resolver) reserveRefs(e *Entry, n int) {
 		return // recycled entry with enough capacity
 	}
 	if len(r.refSlab) < n {
-		//dnhunter:alloc-ok fixed-size block carve, amortized over slabSize backrefs
 		r.refSlab = make([]backref, max(slabSize, n))
 	}
 	e.refs = r.refSlab[:0:n]
@@ -477,8 +466,6 @@ func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) 
 // LookupEntry is Lookup but returns the whole entry (FQDN plus the time the
 // response was observed, used to measure first-flow delay, Fig. 12): a
 // single flat-table probe.
-//
-//dnhunter:hotpath
 func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	r.stats.Lookups++
 	ft := r.flat
