@@ -306,26 +306,27 @@ func TestReverseLookupCompare(t *testing.T) {
 }
 
 func TestCertCompare(t *testing.T) {
-	mk := func(label string, certs []string) flowdb.LabeledFlow {
+	mk := func(label string, cert string, has bool) flowdb.LabeledFlow {
 		f := mkFlow("10.0.0.1", "1.1.1.1", 443, label, flows.L7TLS, 0)
-		f.CertNames = certs
+		f.CertName, f.HasCert = cert, has
 		return f
 	}
 	db := flowdb.New()
 	for _, f := range []flowdb.LabeledFlow{
-		mk("www.x.com", []string{"www.x.com"}),                          // exact
-		mk("mail.google.com", []string{"*.google.com"}),                 // generic
-		mk("static.zynga.com", []string{"a248.e.akamai.net"}),           // different
-		mk("www.y.com", nil),                                            // no certificate
+		mk("www.x.com", "www.x.com", true),                              // exact
+		mk("mail.google.com", "*.google.com", true),                     // generic
+		mk("static.zynga.com", "a248.e.akamai.net", true),               // different
+		mk("www.z.com", "", true),                                       // nameless certificate: different
+		mk("www.y.com", "", false),                                      // no certificate
 		mkFlow("10.0.0.1", "1.1.1.1", 80, "www.h.com", flows.L7HTTP, 0), // non-TLS: excluded
 	} {
 		db.Add(f)
 	}
 	res := CertCompare(db)
-	if res.Total != 4 {
+	if res.Total != 5 {
 		t.Fatalf("total = %d", res.Total)
 	}
-	for class, want := range map[MatchClass]int{MatchExact: 1, MatchGeneric: 1, MatchDifferent: 1, MatchNone: 1} {
+	for class, want := range map[MatchClass]int{MatchExact: 1, MatchGeneric: 1, MatchDifferent: 2, MatchNone: 1} {
 		if res.Counts[class] != want {
 			t.Fatalf("class %v = %d (%+v)", class, res.Counts[class], res.Counts)
 		}

@@ -122,11 +122,11 @@ func CertCompare(db *flowdb.DB) CompareResult {
 			continue
 		}
 		res.Total++
-		if len(f.CertNames) == 0 {
+		if !f.HasCert {
 			res.Counts[MatchNone]++
 			continue
 		}
-		cn := strings.ToLower(f.CertNames[0])
+		cn := strings.ToLower(f.CertName)
 		label := strings.ToLower(f.Label)
 		switch {
 		case cn == label:

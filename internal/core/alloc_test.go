@@ -10,49 +10,99 @@ import (
 	"repro/internal/flows"
 	"repro/internal/layers"
 	"repro/internal/netio"
+	"repro/internal/tlswire"
 )
 
 // The per-packet paths must not allocate once warm. These tests replay the
-// traffic a pipeline sees most — DNS responses and payload-free TCP flows —
-// through a warm single-shard DNHunter and through the sharded dispatch →
-// ring → shard hand-off, and require zero heap allocations per pass.
+// traffic a pipeline sees most — DNS responses, payload-free TCP flows, and
+// flows whose payload the L7 classifier reads (HTTP Host, TLS SNI and
+// certificate, BitTorrent) — through a warm single-shard DNHunter and
+// through the sharded dispatch → ring → shard hand-off, and require zero
+// heap allocations per pass.
 
-// tcpFlow emits a payload-free TCP connection from client to server:
-// handshake, one ACK, and a FIN from each side, which closes the flow so a
-// replay of the trace recycles its slot.
-func (tb *traceBuilder) tcpFlow(at time.Duration, client, server netip.Addr, cport uint16) {
+// tcpFlow emits a TCP connection from client to server: handshake, one ACK,
+// the c2s then s2c payloads when non-empty, and a FIN from each side, which
+// closes the flow so a replay of the trace recycles its slot.
+func (tb *traceBuilder) tcpFlow(at time.Duration, client, server netip.Addr, cport, sport uint16, c2s, s2c []byte) {
 	tb.t.Helper()
 	segs := []struct {
-		c2s   bool
-		flags layers.TCPFlags
+		c2s     bool
+		flags   layers.TCPFlags
+		payload []byte
 	}{
-		{true, layers.TCPSyn},
-		{false, layers.TCPSyn | layers.TCPAck},
-		{true, layers.TCPAck},
-		{true, layers.TCPFin | layers.TCPAck},
-		{false, layers.TCPFin | layers.TCPAck},
+		{true, layers.TCPSyn, nil},
+		{false, layers.TCPSyn | layers.TCPAck, nil},
+		{true, layers.TCPAck, nil},
+		{true, layers.TCPAck | layers.TCPPsh, c2s},
+		{false, layers.TCPAck | layers.TCPPsh, s2c},
+		{true, layers.TCPFin | layers.TCPAck, nil},
+		{false, layers.TCPFin | layers.TCPAck, nil},
 	}
 	for i, s := range segs {
-		src, dst, sport, dport := client, server, cport, uint16(443)
-		if !s.c2s {
-			src, dst, sport, dport = server, client, 443, cport
+		if len(s.payload) == 0 && s.flags&layers.TCPPsh != 0 {
+			continue
 		}
-		f, err := tb.b.TCPFrame(src, dst, sport, dport, s.flags, 0, 0, nil)
+		src, dst, sp, dp := client, server, cport, sport
+		if !s.c2s {
+			src, dst, sp, dp = server, client, sport, cport
+		}
+		f, err := tb.b.TCPFrame(src, dst, sp, dp, s.flags, 0, 0, s.payload)
 		tb.add(at+time.Duration(i)*time.Millisecond, f, err)
 	}
 }
 
-// allocTrace resolves one server per client, then opens a flow to it, plus
-// one flow per client to a server no response named (the miss path).
+// tlsFlight frames handshake messages in one TLS record.
+func tlsFlight(t *testing.T, msgs ...interface{ Marshal() ([]byte, error) }) []byte {
+	var body []byte
+	for _, m := range msgs {
+		b, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(body, b...)
+	}
+	rec, err := tlswire.AppendRecord(nil, tlswire.RecordHandshake, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// Per pass, allocTrace emits flowsPerPass flows, labeledPerPass of them to
+// a resolved server.
+const flowsPerPass, labeledPerPass = 8 * 6, 8 * 5
+
+// allocTrace resolves one server per client, then opens flows to it: one
+// payload-free, and one each carrying an HTTP request with a Host header
+// and a response body, a TLS ClientHello with SNI answered by a
+// ServerHello and Certificate, a ClientHello without SNI, and a BitTorrent
+// handshake. One more payload-free flow per client goes to a server no
+// response named (the miss path).
 func allocTrace(t *testing.T) []netio.Packet {
 	tb := &traceBuilder{t: t}
+	der, err := tlswire.MarshalCertificate("*.example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := append([]byte{19}, "BitTorrent protocol"...)
+	bt = append(bt, make([]byte, 48)...)
 	for c := range 8 {
 		client := netip.AddrFrom4([4]byte{10, 0, 0, byte(c + 1)})
 		srv := netip.AddrFrom4([4]byte{203, 0, 113, byte(c + 1)})
-		at := time.Duration(c) * 10 * time.Millisecond
-		tb.dnsResponse(at, client, fmt.Sprintf("host%d.example.com", c), srv)
-		tb.tcpFlow(at+time.Millisecond, client, srv, 40000)
-		tb.tcpFlow(at+2*time.Millisecond, client, srv2, 40001)
+		host := fmt.Sprintf("host%d.example.com", c)
+		at := time.Duration(c) * 100 * time.Millisecond
+		tb.dnsResponse(at, client, host, srv)
+		tb.tcpFlow(at+time.Millisecond, client, srv, 40000, 443, nil, nil)
+		tb.tcpFlow(at+2*time.Millisecond, client, srv2, 40001, 443, nil, nil)
+		tb.tcpFlow(at+10*time.Millisecond, client, srv, 40002, 80,
+			[]byte("GET / HTTP/1.1\r\nHost: "+host+"\r\n\r\n"),
+			append([]byte("HTTP/1.1 200 OK\r\nContent-Length: 1200\r\n\r\n"), make([]byte, 1200)...))
+		tb.tcpFlow(at+20*time.Millisecond, client, srv, 40003, 443,
+			tlsFlight(t, &tlswire.ClientHello{ServerName: host}),
+			tlsFlight(t, &tlswire.ServerHello{}, &tlswire.Certificate{Chain: [][]byte{der}}))
+		tb.tcpFlow(at+30*time.Millisecond, client, srv, 40004, 443,
+			tlsFlight(t, &tlswire.ClientHello{}), tlsFlight(t, &tlswire.ServerHello{}))
+		tb.tcpFlow(at+40*time.Millisecond, client, srv, 40005, 6881, bt, bt)
 	}
 	return tb.pkts
 }
@@ -66,12 +116,14 @@ func replayAt(block, pkts []netio.Packet, base time.Duration) []netio.Packet {
 	return block[:len(pkts)]
 }
 
-// checkReplayed asserts that every pass of allocTrace emitted its 16 flows,
-// half of them labeled, so the measured passes did the full work.
+// checkReplayed asserts that every pass of allocTrace emitted all its
+// flows, and labeled those to resolved servers, so the measured passes did
+// the full work.
 func checkReplayed(t *testing.T, st Stats, passes int) {
 	t.Helper()
-	if want := uint64(passes * 16); st.Flows != want || st.LabeledFlows != want/2 {
-		t.Fatalf("flows %d labeled %d over %d passes, want %d and %d", st.Flows, st.LabeledFlows, passes, want, want/2)
+	if st.Flows != uint64(passes*flowsPerPass) || st.LabeledFlows != uint64(passes*labeledPerPass) {
+		t.Fatalf("flows %d labeled %d over %d passes, want %d and %d",
+			st.Flows, st.LabeledFlows, passes, passes*flowsPerPass, passes*labeledPerPass)
 	}
 }
 

@@ -9,10 +9,12 @@ package dnswire
 // map[string] lookup keyed by string(b) without materializing the string.
 //
 // An Interner is not safe for concurrent use; the engine keeps one per
-// shard. It is bounded: once maxEntries distinct names have been interned
-// the table is reset rather than grown without limit, so a churn-heavy
-// trace (random tracker hostnames, DGA malware) degrades to one allocation
-// per name instead of exhausting memory.
+// shard, and each flow table keeps one for the HTTP Host, TLS SNI and
+// certificate names its classifier reads. It is bounded: once maxEntries
+// distinct names have been interned the table is reset rather than grown
+// without limit, so a churn-heavy trace (random tracker hostnames, DGA
+// malware) degrades to one allocation per name instead of exhausting
+// memory.
 type Interner struct {
 	m   map[string]string
 	max int
@@ -42,7 +44,9 @@ func (in *Interner) Intern(b []byte) string {
 		return s
 	}
 	if len(in.m) >= in.max {
-		in.m = make(map[string]string, 256)
+		// clear keeps the map's storage, so the next fill does not pay the
+		// growth the first one did.
+		clear(in.m)
 		in.Resets++
 	}
 	s := string(b)

@@ -151,6 +151,9 @@ type Message struct {
 	// and then converted to strings (through the interner when set).
 	scratch []byte
 	intern  *Interner
+	// memo holds the names this Unpack decoded, so a compression pointer
+	// to one reuses its string.
+	memo nameMemo
 }
 
 // SetInterner attaches an intern table used to deduplicate name strings
@@ -168,14 +171,26 @@ func (m *Message) internName(b []byte) string {
 }
 
 // readNameAt decodes the name at off into the reusable scratch buffer and
-// returns the interned string plus the caller-side end offset.
+// returns the interned string plus the caller-side end offset. A name that
+// is only a pointer to a name this message already decoded (every answer
+// owner of the usual response, 0xc00c) is that name's string: no copy and
+// no intern probe.
 func (m *Message) readNameAt(msg []byte, off int) (string, int, error) {
-	b, end, err := appendNameAt(msg, off, m.scratch[:0])
+	if off+1 < len(msg) && msg[off]&0xc0 == 0xc0 {
+		ptr := int(msg[off]&0x3f)<<8 | int(msg[off+1])
+		if e := m.memo.at(ptr); e != nil && ptr < off && e.hops < maxHops {
+			m.memo.add(off, e.hops+1, e.total, e.name)
+			return e.name, off + 2, nil
+		}
+	}
+	b, end, hops, total, err := appendNameAt(msg, off, m.scratch[:0], &m.memo)
 	if err != nil {
 		return "", 0, err
 	}
 	m.scratch = b[:0]
-	return m.internName(b), end, nil
+	name := m.internName(b)
+	m.memo.add(off, hops, total, name)
+	return name, end, nil
 }
 
 // TTLDuration converts an RR TTL to a duration.
@@ -343,6 +358,7 @@ func (m *Message) Unpack(msg []byte) error {
 	ar := int(binary.BigEndian.Uint16(msg[10:12]))
 
 	off := 12
+	m.memo.n = 0
 	m.Questions = m.Questions[:0]
 	var err error
 	for i := 0; i < qd; i++ {

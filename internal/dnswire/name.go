@@ -61,13 +61,7 @@ func appendName(msg []byte, name string, table map[string]int) ([]byte, error) {
 	return append(msg, 0), nil
 }
 
-// appendNameAt decodes a possibly compressed name starting at off in msg,
-// appending it to dst in lowercase dotted form (no trailing dot). It returns
-// the extended buffer and the offset just past the name's representation at
-// the call site (pointers do not advance the caller's cursor beyond the
-// 2-byte pointer itself). Decoding into a caller-owned scratch buffer is the
-// allocation-free core of the sniffer's DNS path; Message.readNameAt wraps
-// it with the reusable scratch buffer and intern table.
+// Pre-wrapped errors for name decoding, which runs per captured packet.
 var (
 	errNamePastEnd     = fmt.Errorf("%w: name runs past message", ErrTruncatedMsg)
 	errDanglingPointer = fmt.Errorf("%w: dangling pointer", ErrTruncatedMsg)
@@ -76,15 +70,28 @@ var (
 	errNameTooLong     = fmt.Errorf("%w: name too long", ErrBadName)
 )
 
-func appendNameAt(msg []byte, off int, dst []byte) ([]byte, int, error) {
+// maxHops bounds the compression pointers one name may follow.
+const maxHops = 32
+
+// appendNameAt decodes a possibly compressed name starting at off in msg,
+// appending it to dst in lowercase dotted form (no trailing dot). It returns
+// the extended buffer, the offset just past the name's representation at
+// the call site (pointers do not advance the caller's cursor beyond the
+// 2-byte pointer itself), and the pointers followed and wire bytes of
+// labels read, which bound the name. Decoding into a caller-owned scratch
+// buffer is the allocation-free core of the sniffer's DNS path;
+// Message.readNameAt wraps it with the reusable scratch buffer, the intern
+// table and memo, the names already decoded in this message. A pointer to
+// a memoized name start appends that name instead of decoding it again,
+// when the combined name stays inside the hop and length limits; otherwise
+// decoding goes on label by label, so the errors are the same either way.
+func appendNameAt(msg []byte, off int, dst []byte, memo *nameMemo) (_ []byte, end, hops, total int, _ error) {
 	mark := len(dst)
 	cursor := off
-	end := -1 // caller-visible end, set at the first pointer
-	hops := 0
-	total := 0
+	end = -1 // caller-visible end, set at the first pointer
 	for {
 		if cursor >= len(msg) {
-			return dst[:mark], 0, errNamePastEnd
+			return dst[:mark], 0, 0, 0, errNamePastEnd
 		}
 		c := msg[cursor]
 		switch {
@@ -92,32 +99,38 @@ func appendNameAt(msg []byte, off int, dst []byte) ([]byte, int, error) {
 			if end < 0 {
 				end = cursor + 1
 			}
-			return dst, end, nil
+			return dst, end, hops, total, nil
 		case c&0xc0 == 0xc0:
 			if cursor+1 >= len(msg) {
-				return dst[:mark], 0, errDanglingPointer
+				return dst[:mark], 0, 0, 0, errDanglingPointer
 			}
 			ptr := int(c&0x3f)<<8 | int(msg[cursor+1])
 			if end < 0 {
 				end = cursor + 2
 			}
 			hops++
-			if hops > 32 || ptr >= cursor {
+			if hops > maxHops || ptr >= cursor {
 				// Forward or excessive pointers indicate a loop or garbage;
 				// RFC-compliant compression only points backwards.
-				return dst[:mark], 0, ErrPointerLoop
+				return dst[:mark], 0, 0, 0, ErrPointerLoop
+			}
+			if e := memo.at(ptr); e != nil && hops+e.hops <= maxHops && total+e.total <= maxNameLen {
+				if len(dst) > mark && e.name != "" {
+					dst = append(dst, '.')
+				}
+				return append(dst, e.name...), end, hops + e.hops, total + e.total, nil
 			}
 			cursor = ptr
 		case c&0xc0 != 0:
-			return dst[:mark], 0, errReservedLabel
+			return dst[:mark], 0, 0, 0, errReservedLabel
 		default:
 			l := int(c)
 			if cursor+1+l > len(msg) {
-				return dst[:mark], 0, errLabelPastEnd
+				return dst[:mark], 0, 0, 0, errLabelPastEnd
 			}
 			total += l + 1
 			if total > maxNameLen {
-				return dst[:mark], 0, errNameTooLong
+				return dst[:mark], 0, 0, 0, errNameTooLong
 			}
 			if len(dst) > mark {
 				dst = append(dst, '.')
@@ -130,5 +143,36 @@ func appendNameAt(msg []byte, off int, dst []byte) ([]byte, int, error) {
 			}
 			cursor += 1 + l
 		}
+	}
+}
+
+// memoName is one name an Unpack decoded: the offset it starts at, the
+// pointers followed and label bytes read decoding it, and its string.
+type memoName struct {
+	off, hops, total int
+	name             string
+}
+
+// nameMemo holds the names one Unpack has decoded.
+type nameMemo struct {
+	n int
+	e [8]memoName
+}
+
+// at returns the memoized name starting at off, or nil.
+func (m *nameMemo) at(off int) *memoName {
+	for i := range m.n {
+		if m.e[i].off == off {
+			return &m.e[i]
+		}
+	}
+	return nil
+}
+
+// add memoizes a name; once the memo is full, later names are not kept.
+func (m *nameMemo) add(off, hops, total int, name string) {
+	if m.n < len(m.e) {
+		m.e[m.n] = memoName{off: off, hops: hops, total: total, name: name}
+		m.n++
 	}
 }

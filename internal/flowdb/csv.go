@@ -65,10 +65,6 @@ func (db *DB) WriteCSV(w io.Writer) error {
 
 // appendCSVRow appends f as one CSV row, newline included.
 func appendCSVRow(b []byte, f *LabeledFlow) []byte {
-	cert := ""
-	if len(f.CertNames) > 0 {
-		cert = f.CertNames[0]
-	}
 	b = strconv.AppendInt(b, f.Start.Milliseconds(), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, f.End.Milliseconds(), 10)
@@ -105,7 +101,7 @@ func appendCSVRow(b []byte, f *LabeledFlow) []byte {
 	b = append(b, ',')
 	b = appendCSVField(b, f.SNI)
 	b = append(b, ',')
-	b = appendCSVField(b, cert)
+	b = appendCSVField(b, f.CertName)
 	b = append(b, ',')
 	b = appendCSVField(b, f.Truth)
 	b = append(b, ',')
@@ -254,9 +250,9 @@ func parseCSVRecord(rec []string) (LabeledFlow, error) {
 		return f, err
 	}
 	f.SNI = rec[17]
-	if rec[18] != "" {
-		f.CertNames = []string{rec[18]}
-	}
+	// The cert column cannot tell a nameless certificate from none, so an
+	// empty field reads back as no certificate.
+	f.CertName, f.HasCert = rec[18], rec[18] != ""
 	f.Truth = rec[19]
 	if len(rec) > 20 {
 		f.Vantage = rec[20]

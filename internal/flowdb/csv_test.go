@@ -22,7 +22,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	f1.BytesC2S, f1.BytesS2C = 1000, 2000
 	f1.PktsC2S, f1.PktsS2C = 5, 7
 	f1.SNI = "www.example.com"
-	f1.CertNames = []string{"*.example.com"}
+	f1.CertName, f1.HasCert = "*.example.com", true
 	f1.Truth = "www.example.com"
 	db.Add(f1)
 	db.Add(lf("", "9.9.9.9", 6881, flows.L7P2P, 2*time.Second))
@@ -49,7 +49,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if g.BytesC2S != 1000 || g.PktsS2C != 7 {
 		t.Fatalf("counters = %+v", g)
 	}
-	if g.SNI != "www.example.com" || len(g.CertNames) != 1 || g.CertNames[0] != "*.example.com" {
+	if g.SNI != "www.example.com" || !g.HasCert || g.CertName != "*.example.com" {
 		t.Fatalf("tls fields = %+v", g)
 	}
 	if g.Truth != "www.example.com" {
@@ -161,10 +161,6 @@ func csvReference(t testing.TB, db *DB) []byte {
 	}
 	for i := range db.Len() {
 		f := db.At(i)
-		cert := ""
-		if len(f.CertNames) > 0 {
-			cert = f.CertNames[0]
-		}
 		if err := cw.Write([]string{
 			strconv.FormatInt(f.Start.Milliseconds(), 10),
 			strconv.FormatInt(f.End.Milliseconds(), 10),
@@ -184,7 +180,7 @@ func csvReference(t testing.TB, db *DB) []byte {
 			strconv.FormatUint(f.BytesC2S, 10),
 			strconv.FormatUint(f.BytesS2C, 10),
 			f.SNI,
-			cert,
+			f.CertName,
 			f.Truth,
 			f.Vantage,
 		}); err != nil {
@@ -229,7 +225,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		f := lf(s, "1.1.1.1", 443, flows.L7TLS, time.Second)
 		f.Labeled = true
 		f.SNI, f.Truth, f.Vantage = s, s, s
-		f.CertNames = []string{s, "second.example"}
+		f.CertName, f.HasCert = s, true
 		db.Add(f)
 	}
 	for _, a := range []string{"2001:db8::1", "::ffff:192.0.2.1", "fe80::1%eth0", "fe80::1%a,\"b", "fe80::1% z"} {
@@ -252,7 +248,7 @@ func FuzzWriteCSVMatchesEncodingCSV(f *testing.F) {
 		fl := lf(label, "192.0.2.1", 443, flows.L7TLS, time.Second)
 		fl.Labeled = true
 		fl.SNI, fl.Truth, fl.Vantage = sni, truth, vantage
-		fl.CertNames = []string{cert}
+		fl.CertName, fl.HasCert = cert, true
 		db := New()
 		db.Add(fl)
 		checkCSVMatches(t, db)
@@ -265,7 +261,7 @@ func FuzzWriteCSVMatchesEncodingCSV(f *testing.F) {
 func TestWriteCSVAllocsPerRecord(t *testing.T) {
 	f := lf("www.example.com", "2001:db8::1", 443, flows.L7TLS, time.Second)
 	f.SNI, f.Truth, f.Vantage = `quoted "sni", here`, " lead", "EU1"
-	f.CertNames = []string{"*.example.com"}
+	f.CertName, f.HasCert = "*.example.com", true
 	b := appendCSVRow(nil, &f)
 	if n := testing.AllocsPerRun(1000, func() { b = appendCSVRow(b[:0], &f) }); n != 0 {
 		t.Fatalf("warm row encoder allocates %v per record, want 0", n)

@@ -43,7 +43,7 @@ type LabeledFlow struct {
 }
 
 // chunkLen is the number of records per storage chunk. 1024 records of
-// LabeledFlow fill whole 8 KiB pages (1024 × 264 B = 33 pages), so a chunk
+// LabeledFlow fill whole 8 KiB pages (1024 × 256 B = 32 pages), so a chunk
 // wastes nothing to size-class rounding; TestChunkFillsPages pins that.
 const chunkLen = 1024
 

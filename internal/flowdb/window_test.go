@@ -203,7 +203,7 @@ func TestWindowedReusesStorage(t *testing.T) {
 func TestWindowedRotationZeroesRetained(t *testing.T) {
 	w := NewWindowed(WindowConfig{Width: time.Minute})
 	f := wflow(time.Second, "old.example.com")
-	f.SNI, f.HTTPHost, f.CertNames = "old.example.com", "old.example.com", []string{"*.example.com"}
+	f.SNI, f.HTTPHost, f.CertName, f.HasCert = "old.example.com", "old.example.com", "*.example.com", true
 	for i := 0; i < chunkLen+5; i++ {
 		if err := w.Add(f); err != nil {
 			t.Fatal(err)

@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
-	"strings"
 	"time"
 
+	"repro/internal/dnswire"
 	"repro/internal/layers"
 	"repro/internal/swiss"
 	"repro/internal/tlswire"
@@ -118,13 +118,17 @@ type Record struct {
 	BytesC2S, BytesS2C uint64
 
 	L7 L7Proto
+	// HasCert reports that the server sent a certificate whose subject
+	// name decoded, so a nameless certificate (HasCert with CertName "")
+	// is told apart from none.
+	HasCert bool
 	// HTTPHost is the Host header of the first request, when L7 == HTTP.
 	HTTPHost string
 	// SNI is the TLS server_name, when present.
 	SNI string
-	// CertNames are subject names from the server Certificate message,
-	// leaf first; empty when no certificate was observed.
-	CertNames []string
+	// CertName is the subject name of the leaf certificate (the first in
+	// the chain whose name decoded), when HasCert.
+	CertName string
 }
 
 // Handle identifies a live flow's slot in the table slab. It is stable for
@@ -150,10 +154,17 @@ type flow struct {
 	// prev/next thread the intrusive recency list (least recently touched
 	// at the head); noIdx terminates.
 	prev, next uint32
-	c2sPrefix  []byte
-	s2cPrefix  []byte
+	// c2sPrefix and s2cPrefix hold the first payload bytes of each
+	// direction, but only while something can still read them: c2s until
+	// classified, s2c while the flow can still turn out to be TLS and
+	// inspected is unset.
+	c2sPrefix []byte
+	s2cPrefix []byte
+	// classified: L7 and the name it carries (HTTPHost, SNI) are final.
 	classified bool
-	inspected  bool
+	// inspected: the certificate inspection is final — a certificate was
+	// read, or the server stream can no longer carry one.
+	inspected bool
 }
 
 // prefixCap bounds the per-direction payload prefix retained for
@@ -262,6 +273,10 @@ type Table struct {
 	// a monotone quantity even on captures with timestamp jitter.
 	clock  time.Duration
 	frozen []Record // records kept when OnRecord is nil
+	// names interns the HTTP Host, SNI and certificate names; nameBuf is
+	// the scratch a name is lowercased or decoded into before interning.
+	names   *dnswire.Interner
+	nameBuf []byte
 	// sweepVisited counts the slots the last FlushIdle examined; tests use
 	// it to pin the O(expired) sweep bound.
 	sweepVisited int
@@ -297,7 +312,7 @@ func NewTable(cfg Config) *Table {
 	for seed == 0 {
 		seed = rand.Uint64()
 	}
-	t := &Table{cfg: cfg, seed: seed, head: noIdx, tail: noIdx}
+	t := &Table{cfg: cfg, seed: seed, head: noIdx, tail: noIdx, names: dnswire.NewInterner(0)}
 	t.idx.init(16)
 	return t
 }
@@ -578,23 +593,40 @@ func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, fl
 	}
 }
 
+// capture appends payload to the flow's prefix in its direction, when
+// anything can still read it, and classifies or inspects what grew.
 func (t *Table) capture(f *flow, payload []byte, c2s bool) {
 	if c2s {
-		if room := prefixCap - len(f.c2sPrefix); room > 0 {
-			if len(payload) > room {
-				payload = payload[:room]
-			}
-			f.c2sPrefix = append(f.c2sPrefix, payload...)
+		if f.classified {
+			return
 		}
-	} else {
-		if room := prefixCap - len(f.s2cPrefix); room > 0 {
-			if len(payload) > room {
-				payload = payload[:room]
-			}
-			f.s2cPrefix = append(f.s2cPrefix, payload...)
+		f.c2sPrefix = appendPrefix(f.c2sPrefix, payload)
+		wasTLS := f.rec.L7 == L7TLS
+		t.classify(f)
+		if !wasTLS && f.rec.L7 == L7TLS && len(f.s2cPrefix) > 0 {
+			t.inspect(f) // server bytes that arrived before the ClientHello
 		}
+		return
 	}
-	t.classify(f)
+	if f.inspected || !tlswire.MayLookLikeTLS(f.c2sPrefix) {
+		return
+	}
+	f.s2cPrefix = appendPrefix(f.s2cPrefix, payload)
+	if f.rec.L7 == L7TLS {
+		t.inspect(f)
+	}
+}
+
+// appendPrefix appends payload to p up to prefixCap bytes.
+func appendPrefix(p, payload []byte) []byte {
+	room := prefixCap - len(p)
+	if room <= 0 {
+		return p
+	}
+	if len(payload) > room {
+		payload = payload[:room]
+	}
+	return append(p, payload...)
 }
 
 func (t *Table) advanceTCP(f *flow, flags layers.TCPFlags, slot uint32) {
@@ -616,38 +648,62 @@ func (t *Table) advanceTCP(f *flow, flags layers.TCPFlags, slot uint32) {
 	}
 }
 
-// classify sets L7 once enough prefix bytes are available.
+// classify sets L7 from the client prefix, and marks the flow classified
+// once no further client byte can change L7 or the name it carries.
 func (t *Table) classify(f *flow) {
-	if !f.classified && len(f.c2sPrefix) > 0 {
-		switch {
-		case isHTTPRequest(f.c2sPrefix):
-			f.rec.L7 = L7HTTP
-			f.rec.HTTPHost = httpHost(f.c2sPrefix)
-			f.classified = f.rec.HTTPHost != "" || len(f.c2sPrefix) >= prefixCap
-		case tlswire.LooksLikeTLS(f.c2sPrefix):
-			f.rec.L7 = L7TLS
-			if info := tlswire.InspectStream(f.c2sPrefix); info.SNI != "" {
-				f.rec.SNI = info.SNI
-				f.classified = true
-			}
-		case isBitTorrent(f.c2sPrefix):
-			f.rec.L7 = L7P2P
-			f.classified = true
-		case f.rec.Key.Proto == layers.IPProtocolUDP && (f.rec.Key.ServerPort == 53 || f.rec.Key.ClientPort == 53):
-			f.rec.L7 = L7DNS
-			f.classified = true
-		default:
-			// Leave unknown; more bytes may arrive.
-			f.classified = len(f.c2sPrefix) >= 64
+	p := f.c2sPrefix
+	full := len(p) >= prefixCap
+	switch {
+	case isHTTPRequest(p):
+		f.rec.L7 = L7HTTP
+		// Until the prefix is full only a complete header line counts: the
+		// value of a line still being received may grow.
+		host, ok := httpHost(p, full)
+		if ok {
+			f.rec.HTTPHost = t.internLower(host)
 		}
-	}
-	if f.rec.L7 == L7TLS && !f.inspected && len(f.s2cPrefix) > 0 {
-		info := tlswire.InspectStream(f.s2cPrefix)
-		if len(info.CertificateNames) > 0 {
-			f.rec.CertNames = info.CertificateNames
-			f.inspected = true
+		f.classified = ok || full
+	case tlswire.LooksLikeTLS(p):
+		f.rec.L7 = L7TLS
+		h := tlswire.Scan(p)
+		if len(h.SNI) > 0 {
+			f.rec.SNI = t.names.Intern(h.SNI)
 		}
+		f.classified = len(h.SNI) > 0 || h.Done || full
+	case isBitTorrent(p):
+		f.rec.L7 = L7P2P
+		f.classified = true
+	case f.rec.Key.Proto == layers.IPProtocolUDP && (f.rec.Key.ServerPort == 53 || f.rec.Key.ClientPort == 53):
+		f.rec.L7 = L7DNS
+		f.classified = true
+	default:
+		// Leave unknown; more bytes may arrive.
+		f.classified = len(p) >= 64
 	}
+}
+
+// inspect runs the certificate inspection over the server prefix of a TLS
+// flow, and marks it final once a certificate was read or none can be.
+func (t *Table) inspect(f *flow) {
+	h := tlswire.Scan(f.s2cPrefix)
+	if h.HasCert {
+		t.nameBuf = h.AppendCertName(t.nameBuf[:0])
+		f.rec.CertName, f.rec.HasCert = t.names.Intern(t.nameBuf), true
+	}
+	f.inspected = h.HasCert || h.Done || len(f.s2cPrefix) >= prefixCap
+}
+
+// internLower interns the lowercase form of b.
+func (t *Table) internLower(b []byte) string {
+	buf := t.nameBuf[:0]
+	for _, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	t.nameBuf = buf
+	return t.names.Intern(buf)
 }
 
 // httpMethods are the request-line prefixes isHTTPRequest matches,
@@ -669,40 +725,28 @@ func isHTTPRequest(p []byte) bool {
 // hostPrefix is the header name matched by httpHost.
 var hostPrefix = []byte("host:")
 
-// httpHost extracts the Host header value from a request head prefix. It
-// scans line by line without splitting, so a miss costs zero allocations;
-// only a found host materializes a string.
-func httpHost(p []byte) string {
+// httpHost finds the first Host header line in a request head prefix and
+// returns its trimmed value, aliasing p. The last line counts only when
+// partial is set: without its newline it may still be growing.
+func httpHost(p []byte, partial bool) ([]byte, bool) {
 	for len(p) > 0 {
 		line := p
 		if i := bytes.IndexByte(p, '\n'); i >= 0 {
 			line = p[:i]
 			p = p[i+1:]
-		} else {
+		} else if partial {
 			p = nil
+		} else {
+			return nil, false
 		}
 		if n := len(line); n > 0 && line[n-1] == '\r' {
 			line = line[:n-1]
 		}
 		if len(line) > 5 && bytes.EqualFold(line[:5], hostPrefix) {
-			return lowerString(bytes.TrimSpace(line[5:]))
+			return bytes.TrimSpace(line[5:]), true
 		}
 	}
-	return ""
-}
-
-// lowerString builds a lowercase string from b with a single allocation
-// (bytes.ToLower + string() would take two).
-func lowerString(b []byte) string {
-	var sb strings.Builder
-	sb.Grow(len(b))
-	for _, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		sb.WriteByte(c)
-	}
-	return sb.String()
+	return nil, false
 }
 
 // btProto is the BT handshake protocol string, hoisted off the probe.
@@ -766,13 +810,15 @@ func (t *Table) expire(i uint32) {
 	t.recycle(i)
 }
 
+// classifyFinal settles a flow at close. Every prefix was classified and
+// inspected as it grew, so the only result still open is an HTTP Host
+// header whose line never completed: the prefix will not grow now, so the
+// partial line counts.
 func (t *Table) classifyFinal(f *flow) {
-	// One last classification pass with whatever prefix we have.
-	f.classified = false
-	saved := f.rec.L7
-	t.classify(f)
-	if f.rec.L7 == L7Unknown {
-		f.rec.L7 = saved
+	if !f.classified && f.rec.L7 == L7HTTP {
+		if host, ok := httpHost(f.c2sPrefix, true); ok {
+			f.rec.HTTPHost = t.internLower(host)
+		}
 	}
 }
 

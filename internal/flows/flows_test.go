@@ -112,8 +112,8 @@ func TestTLSFlowWithSNIAndCert(t *testing.T) {
 	if r.L7 != L7TLS || r.SNI != "mail.google.com" {
 		t.Fatalf("classification: %v %q", r.L7, r.SNI)
 	}
-	if len(r.CertNames) != 1 || r.CertNames[0] != "*.google.com" {
-		t.Fatalf("certs = %v", r.CertNames)
+	if !r.HasCert || r.CertName != "*.google.com" {
+		t.Fatalf("cert = %v %q", r.HasCert, r.CertName)
 	}
 }
 

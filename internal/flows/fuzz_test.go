@@ -71,7 +71,8 @@ func (m *modelTable) removeOrder(k Key) {
 
 // classify replicates Table.classify for the all-zero payloads the fuzz
 // uses: no protocol matches except the UDP/53 rule, and the
-// unknown-after-64-bytes cutoff.
+// unknown-after-64-bytes cutoff. Such flows are never HTTP, so the close
+// settles nothing (Table.classifyFinal).
 func (m *modelTable) classify(f *modelFlow) {
 	if !f.classified && f.c2sLen > 0 {
 		if f.rec.Key.Proto == layers.IPProtocolUDP && (f.rec.Key.ServerPort == 53 || f.rec.Key.ClientPort == 53) {
@@ -83,17 +84,7 @@ func (m *modelTable) classify(f *modelFlow) {
 	}
 }
 
-func (m *modelTable) classifyFinal(f *modelFlow) {
-	f.classified = false
-	saved := f.rec.L7
-	m.classify(f)
-	if f.rec.L7 == L7Unknown {
-		f.rec.L7 = saved
-	}
-}
-
 func (m *modelTable) finish(k Key, f *modelFlow, expired bool) {
-	m.classifyFinal(f)
 	if expired {
 		m.stats.FlowsExpired++
 	} else {
