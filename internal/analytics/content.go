@@ -32,9 +32,7 @@ const (
 // ContentDiscovery implements Algorithm 3: given a server set (e.g. all
 // addresses of one CDN), return the ranked content hosted there.
 func ContentDiscovery(db *flowdb.DB, servers []netip.Addr, g Granularity, k int) []ContentShare {
-	perClient := make(map[string]map[netip.Addr]int)
-	flowsPer := make(map[string]int)
-	total := 0
+	c := newContentTally()
 	for _, srv := range servers {
 		for _, f := range db.ByServer(srv) {
 			if !f.Labeled {
@@ -44,21 +42,44 @@ func ContentDiscovery(db *flowdb.DB, servers []netip.Addr, g Granularity, k int)
 			if g == BySLD {
 				name = f.SLD
 			}
-			m, ok := perClient[name]
-			if !ok {
-				m = make(map[netip.Addr]int)
-				perClient[name] = m
-			}
-			m[f.Key.ClientIP]++
-			flowsPer[name]++
-			total++
+			c.add(name, f.Key.ClientIP)
 		}
 	}
-	out := make([]ContentShare, 0, len(flowsPer))
-	for name, n := range flowsPer {
-		cs := ContentShare{Name: name, Flows: n, Score: logScore(perClient[name])}
-		if total > 0 {
-			cs.Share = float64(n) / float64(total)
+	return c.rank(k)
+}
+
+// contentTally is Algorithm 3's aggregate: labeled flows per hosted name,
+// split by client for the Eq. 1 score.
+type contentTally struct {
+	perClient map[string]map[netip.Addr]int
+	flowsPer  map[string]int
+	total     int
+}
+
+func newContentTally() contentTally {
+	return contentTally{perClient: map[string]map[netip.Addr]int{}, flowsPer: map[string]int{}}
+}
+
+// add counts one flow of client to name.
+func (c *contentTally) add(name string, client netip.Addr) {
+	m, ok := c.perClient[name]
+	if !ok {
+		m = make(map[netip.Addr]int)
+		c.perClient[name] = m
+	}
+	m[client]++
+	c.flowsPer[name]++
+	c.total++
+}
+
+// rank returns the names by flow count (ties by name), each with its share
+// of the flows and its score, truncated to k when k > 0.
+func (c *contentTally) rank(k int) []ContentShare {
+	out := make([]ContentShare, 0, len(c.flowsPer))
+	for name, n := range c.flowsPer {
+		cs := ContentShare{Name: name, Flows: n, Score: logScore(c.perClient[name])}
+		if c.total > 0 {
+			cs.Share = float64(n) / float64(c.total)
 		}
 		out = append(out, cs)
 	}

@@ -18,8 +18,10 @@ import (
 	"repro/internal/stats"
 )
 
-// mergeAs asserts other is the same concrete query type and name as q.
-func mergeAs[T interface{ Name() string }](q T, other Query) (T, error) {
+// MergeAs asserts other is the same concrete query type and name as q:
+// the type check every Query.Merge starts with, here and in the stream
+// subpackage.
+func MergeAs[T interface{ Name() string }](q T, other Query) (T, error) {
 	o, ok := other.(T)
 	if !ok || o.Name() != q.Name() {
 		return o, fmt.Errorf("analytics: cannot merge %T(%q) into %T(%q)", other, other.Name(), q, q.Name())
@@ -69,7 +71,7 @@ func NewExactTopOrgs(lookup OrgLookup, k int) Query {
 			if !f.Labeled {
 				return ""
 			}
-			return orgOrUnknown(lookup, f.Vantage, f.Key.ServerIP)
+			return OrgOrUnknown(lookup, f.Vantage, f.Key.ServerIP)
 		}}
 }
 
@@ -83,7 +85,7 @@ func (q *exactTopK) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *exactTopK) Merge(other Query) error {
-	o, err := mergeAs(q, other)
+	o, err := MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -144,7 +146,7 @@ func (q *exactCardinality) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *exactCardinality) Merge(other Query) error {
-	o, err := mergeAs(q, other)
+	o, err := MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -231,7 +233,7 @@ func (q *exactProviderUsage) Observe(f *flowdb.LabeledFlow) {
 	v := f.Vantage
 	q.seen[v] = true
 	q.labeled[v]++
-	org := orgOrUnknown(q.lookup, v, f.Key.ServerIP)
+	org := OrgOrUnknown(q.lookup, v, f.Key.ServerIP)
 	vf, ok := q.flows[v]
 	if !ok {
 		vf = map[string]int{}
@@ -252,7 +254,7 @@ func (q *exactProviderUsage) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *exactProviderUsage) Merge(other Query) error {
-	o, err := mergeAs(q, other)
+	o, err := MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -292,16 +294,17 @@ func (q *exactProviderUsage) Merge(other Query) error {
 	return nil
 }
 
-// vantageOrder lists seeded vantages in constructor order, then every
-// other observed vantage sorted by name.
-func (q *exactProviderUsage) vantageOrder() []string {
-	out := append([]string(nil), q.seeded...)
+// vantageOrder lists the seeded vantages in constructor order, then every
+// other vantage seen sorted by name: the column order of the per-vantage
+// queries.
+func vantageOrder(seeded []string, seen map[string]bool) []string {
+	out := append([]string(nil), seeded...)
 	inSeed := map[string]bool{}
-	for _, v := range q.seeded {
+	for _, v := range seeded {
 		inSeed[v] = true
 	}
 	var rest []string
-	for v := range q.seen {
+	for v := range seen {
 		if !inSeed[v] {
 			rest = append(rest, v)
 		}
@@ -317,7 +320,7 @@ func (q *exactProviderUsage) Snapshot() Result {
 		LabeledFlows: make(map[string]int),
 	}
 	totals := make(map[string]int)
-	for _, v := range q.vantageOrder() {
+	for _, v := range vantageOrder(q.seeded, q.seen) {
 		pf.Vantages = append(pf.Vantages, v)
 		labeled := q.labeled[v]
 		pf.LabeledFlows[v] = labeled
@@ -361,15 +364,9 @@ type exactCrossVantage struct {
 
 type cvVantage struct {
 	total   int
-	perOrg  map[string]*cvAgg
+	perOrg  map[string]*hostAgg
 	perFQDN map[string]map[netip.Addr]struct{}
 	servers map[netip.Addr]struct{}
-}
-
-type cvAgg struct {
-	servers map[netip.Addr]struct{}
-	fqdns   map[string]struct{}
-	flows   int
 }
 
 // NewExactCrossVantage builds the exact cross-vantage CDN-overlap query
@@ -392,7 +389,7 @@ func (q *exactCrossVantage) vantage(v string) *cvVantage {
 	cv, ok := q.per[v]
 	if !ok {
 		cv = &cvVantage{
-			perOrg:  map[string]*cvAgg{},
+			perOrg:  map[string]*hostAgg{},
 			perFQDN: map[string]map[netip.Addr]struct{}{},
 			servers: map[netip.Addr]struct{}{},
 		}
@@ -408,15 +405,8 @@ func (q *exactCrossVantage) Observe(f *flowdb.LabeledFlow) {
 	q.seen[f.Vantage] = true
 	cv := q.vantage(f.Vantage)
 	cv.total++
-	org := orgOrUnknown(q.lookup, f.Vantage, f.Key.ServerIP)
-	a, ok := cv.perOrg[org]
-	if !ok {
-		a = &cvAgg{servers: map[netip.Addr]struct{}{}, fqdns: map[string]struct{}{}}
-		cv.perOrg[org] = a
-	}
-	a.servers[f.Key.ServerIP] = struct{}{}
-	a.fqdns[f.Label] = struct{}{}
-	a.flows++
+	org := OrgOrUnknown(q.lookup, f.Vantage, f.Key.ServerIP)
+	hostAggOf(cv.perOrg, org).add(f.Key.ServerIP, f.Label)
 	set, ok := cv.perFQDN[f.Label]
 	if !ok {
 		set = map[netip.Addr]struct{}{}
@@ -427,7 +417,7 @@ func (q *exactCrossVantage) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *exactCrossVantage) Merge(other Query) error {
-	o, err := mergeAs(q, other)
+	o, err := MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -438,11 +428,7 @@ func (q *exactCrossVantage) Merge(other Query) error {
 		cv := q.vantage(v)
 		cv.total += ocv.total
 		for org, oa := range ocv.perOrg {
-			a, ok := cv.perOrg[org]
-			if !ok {
-				a = &cvAgg{servers: map[netip.Addr]struct{}{}, fqdns: map[string]struct{}{}}
-				cv.perOrg[org] = a
-			}
+			a := hostAggOf(cv.perOrg, org)
 			a.flows += oa.flows
 			for s := range oa.servers {
 				a.servers[s] = struct{}{}
@@ -468,25 +454,8 @@ func (q *exactCrossVantage) Merge(other Query) error {
 	return nil
 }
 
-// vantageOrder mirrors exactProviderUsage's: seeded order, then sorted.
-func (q *exactCrossVantage) vantageOrder() []string {
-	out := append([]string(nil), q.seeded...)
-	inSeed := map[string]bool{}
-	for _, v := range q.seeded {
-		inSeed[v] = true
-	}
-	var rest []string
-	for v := range q.seen {
-		if !inSeed[v] {
-			rest = append(rest, v)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
-}
-
 func (q *exactCrossVantage) Snapshot() Result {
-	order := q.vantageOrder()
+	order := vantageOrder(q.seeded, q.seen)
 	cv := &CrossVantage{SLD: q.sld, Per: make(map[string]*SpatialResult)}
 	hostSets := make([]map[string]struct{}, len(order))
 	serverSets := make([]map[netip.Addr]struct{}, len(order))
@@ -494,29 +463,13 @@ func (q *exactCrossVantage) Snapshot() Result {
 		cv.Vantages = append(cv.Vantages, v)
 		st := q.per[v]
 		if st == nil {
-			st = &cvVantage{perOrg: map[string]*cvAgg{}, perFQDN: map[string]map[netip.Addr]struct{}{}, servers: map[netip.Addr]struct{}{}}
+			st = &cvVantage{}
 		}
 		res := &SpatialResult{SLD: q.sld, PerFQDN: make(map[string][]netip.Addr), TotalFlows: st.total}
 		for fqdn, set := range st.perFQDN {
 			res.PerFQDN[fqdn] = sortedAddrs(set)
 		}
-		for org, a := range st.perOrg {
-			hs := HostShare{Org: org, Servers: len(a.servers), Flows: a.flows}
-			if st.total > 0 {
-				hs.FlowShare = float64(a.flows) / float64(st.total)
-			}
-			for f := range a.fqdns {
-				hs.FQDNs = append(hs.FQDNs, f)
-			}
-			sort.Strings(hs.FQDNs)
-			res.Hosts = append(res.Hosts, hs)
-		}
-		sort.Slice(res.Hosts, func(i, j int) bool {
-			if res.Hosts[i].Flows != res.Hosts[j].Flows {
-				return res.Hosts[i].Flows > res.Hosts[j].Flows
-			}
-			return res.Hosts[i].Org < res.Hosts[j].Org
-		})
+		res.Hosts = hostShares(st.perOrg, st.total)
 		cv.Per[v] = res
 		hosts := make(map[string]struct{}, len(res.Hosts))
 		for _, hs := range res.Hosts {
@@ -550,13 +503,11 @@ func sortedAddrs(set map[netip.Addr]struct{}) []netip.Addr {
 // exactTopContent is the Query form of ContentDiscovery restricted to one
 // hosting org; Snapshot returns []ContentShare.
 type exactTopContent struct {
-	org       string
-	lookup    OrgLookup
-	g         Granularity
-	k         int
-	perClient map[string]map[netip.Addr]int
-	flowsPer  map[string]int
-	total     int
+	org    string
+	lookup OrgLookup
+	g      Granularity
+	k      int
+	contentTally
 }
 
 // NewExactTopContent builds the Table 5 content-discovery query: the
@@ -564,8 +515,7 @@ type exactTopContent struct {
 // given hosting organization's addresses. Snapshot returns
 // []ContentShare.
 func NewExactTopContent(org string, lookup OrgLookup, g Granularity, k int) Query {
-	return &exactTopContent{org: org, lookup: lookup, g: g, k: k,
-		perClient: map[string]map[netip.Addr]int{}, flowsPer: map[string]int{}}
+	return &exactTopContent{org: org, lookup: lookup, g: g, k: k, contentTally: newContentTally()}
 }
 
 func (q *exactTopContent) Name() string { return "top_content:" + q.org }
@@ -582,18 +532,11 @@ func (q *exactTopContent) Observe(f *flowdb.LabeledFlow) {
 	if q.g == BySLD {
 		name = f.SLD
 	}
-	m, ok := q.perClient[name]
-	if !ok {
-		m = map[netip.Addr]int{}
-		q.perClient[name] = m
-	}
-	m[f.Key.ClientIP]++
-	q.flowsPer[name]++
-	q.total++
+	q.add(name, f.Key.ClientIP)
 }
 
 func (q *exactTopContent) Merge(other Query) error {
-	o, err := mergeAs(q, other)
+	o, err := MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -614,26 +557,7 @@ func (q *exactTopContent) Merge(other Query) error {
 	return nil
 }
 
-func (q *exactTopContent) Snapshot() Result {
-	out := make([]ContentShare, 0, len(q.flowsPer))
-	for name, n := range q.flowsPer {
-		cs := ContentShare{Name: name, Flows: n, Score: logScore(q.perClient[name])}
-		if q.total > 0 {
-			cs.Share = float64(n) / float64(q.total)
-		}
-		out = append(out, cs)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Flows != out[j].Flows {
-			return out[i].Flows > out[j].Flows
-		}
-		return out[i].Name < out[j].Name
-	})
-	if q.k > 0 && len(out) > q.k {
-		out = out[:q.k]
-	}
-	return out
-}
+func (q *exactTopContent) Snapshot() Result { return q.rank(q.k) }
 
 // exactCoverage is the streaming form of flowdb.DB.Coverage; Snapshot
 // returns CoverageResult.
@@ -662,7 +586,7 @@ func (q *exactCoverage) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *exactCoverage) Merge(other Query) error {
-	o, err := mergeAs(q, other)
+	o, err := MergeAs(q, other)
 	if err != nil {
 		return err
 	}

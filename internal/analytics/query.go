@@ -99,8 +99,9 @@ func OrgLookupVantages(vantages []VantageData) OrgLookup {
 	}
 }
 
-// orgOrUnknown applies a lookup with the package-wide "unknown" fallback.
-func orgOrUnknown(lookup OrgLookup, vantage string, addr netip.Addr) string {
+// OrgOrUnknown applies a lookup with the "unknown" fallback every
+// org-keyed query, exact or streaming, reports.
+func OrgOrUnknown(lookup OrgLookup, vantage string, addr netip.Addr) string {
 	if lookup != nil {
 		if org, ok := lookup(vantage, addr); ok {
 			return org

@@ -40,48 +40,70 @@ type HostShare struct {
 func SpatialDiscovery(db *flowdb.DB, odb *orgdb.DB, name string) *SpatialResult {
 	sld := stats.SLD(name)
 	res := &SpatialResult{SLD: sld, PerFQDN: make(map[string][]netip.Addr)}
-	type agg struct {
-		servers map[netip.Addr]struct{}
-		fqdns   map[string]struct{}
-		flows   int
-	}
-	byOrg := make(map[string]*agg)
+	byOrg := make(map[string]*hostAgg)
 	for _, f := range db.BySLD(sld) {
 		res.TotalFlows++
 		org, ok := odb.Lookup(f.Key.ServerIP)
 		if !ok {
 			org = "unknown"
 		}
-		a, ok := byOrg[org]
-		if !ok {
-			a = &agg{servers: map[netip.Addr]struct{}{}, fqdns: map[string]struct{}{}}
-			byOrg[org] = a
-		}
-		a.servers[f.Key.ServerIP] = struct{}{}
-		a.fqdns[f.Label] = struct{}{}
-		a.flows++
+		hostAggOf(byOrg, org).add(f.Key.ServerIP, f.Label)
 	}
 	for _, fqdn := range db.FQDNsOfSLD(sld) {
 		res.PerFQDN[fqdn] = db.ServersOfFQDN(fqdn)
 	}
-	for org, a := range byOrg {
+	res.Hosts = hostShares(byOrg, res.TotalFlows)
+	return res
+}
+
+// hostAgg is Algorithm 2's aggregate for one hosting org: the servers it
+// delivered an SLD's flows from, the FQDNs among them, and the flow count.
+type hostAgg struct {
+	servers map[netip.Addr]struct{}
+	fqdns   map[string]struct{}
+	flows   int
+}
+
+// hostAggOf returns perOrg's aggregate for org, adding an empty one first
+// when there is none.
+func hostAggOf(perOrg map[string]*hostAgg, org string) *hostAgg {
+	a, ok := perOrg[org]
+	if !ok {
+		a = &hostAgg{servers: map[netip.Addr]struct{}{}, fqdns: map[string]struct{}{}}
+		perOrg[org] = a
+	}
+	return a
+}
+
+// add counts one flow to server for fqdn.
+func (a *hostAgg) add(server netip.Addr, fqdn string) {
+	a.servers[server] = struct{}{}
+	a.fqdns[fqdn] = struct{}{}
+	a.flows++
+}
+
+// hostShares ranks per-org aggregates by flows (ties by org), each with
+// its share of total flows and its FQDNs sorted.
+func hostShares(perOrg map[string]*hostAgg, total int) []HostShare {
+	var out []HostShare
+	for org, a := range perOrg {
 		hs := HostShare{Org: org, Servers: len(a.servers), Flows: a.flows}
-		if res.TotalFlows > 0 {
-			hs.FlowShare = float64(a.flows) / float64(res.TotalFlows)
+		if total > 0 {
+			hs.FlowShare = float64(a.flows) / float64(total)
 		}
 		for f := range a.fqdns {
 			hs.FQDNs = append(hs.FQDNs, f)
 		}
 		sort.Strings(hs.FQDNs)
-		res.Hosts = append(res.Hosts, hs)
+		out = append(out, hs)
 	}
-	sort.Slice(res.Hosts, func(i, j int) bool {
-		if res.Hosts[i].Flows != res.Hosts[j].Flows {
-			return res.Hosts[i].Flows > res.Hosts[j].Flows
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Flows != out[j].Flows {
+			return out[i].Flows > out[j].Flows
 		}
-		return res.Hosts[i].Org < res.Hosts[j].Org
+		return out[i].Org < out[j].Org
 	})
-	return res
+	return out
 }
 
 // TreeNode is one token of a domain-structure tree (Figs. 7/8): FQDNs of an

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"time"
@@ -24,26 +23,6 @@ const (
 	// estimator.
 	DefaultMaxSLDs = 1024
 )
-
-// mergeAs asserts other is the same concrete query type and name as q
-// (the stream-side twin of the analytics package's helper).
-func mergeAs[T interface{ Name() string }](q T, other analytics.Query) (T, error) {
-	o, ok := other.(T)
-	if !ok || o.Name() != q.Name() {
-		return o, fmt.Errorf("stream: cannot merge %T(%q) into %T(%q)", other, other.Name(), q, q.Name())
-	}
-	return o, nil
-}
-
-// orgOrUnknown mirrors the analytics package's fallback.
-func orgOrUnknown(lookup analytics.OrgLookup, vantage string, addr netip.Addr) string {
-	if lookup != nil {
-		if org, ok := lookup(vantage, addr); ok {
-			return org
-		}
-	}
-	return "unknown"
-}
 
 // MemoOrgLookup wraps a lookup with a one-entry memo of the last
 // resolution. Two standard queries (top_orgs, provider_usage) resolve the
@@ -125,7 +104,7 @@ func (q *topK) Observe(f *flowdb.LabeledFlow) {
 	case keySLD:
 		key = f.SLD
 	default:
-		key = orgOrUnknown(q.lookup, f.Vantage, f.Key.ServerIP)
+		key = analytics.OrgOrUnknown(q.lookup, f.Vantage, f.Key.ServerIP)
 	}
 	if key != "" {
 		q.ss.Observe(key)
@@ -133,7 +112,7 @@ func (q *topK) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *topK) Merge(other analytics.Query) error {
-	o, err := mergeAs(q, other)
+	o, err := analytics.MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -202,7 +181,7 @@ func newTrackedHLL(p uint8) *HLL {
 }
 
 func (q *sldFootprint) Merge(other analytics.Query) error {
-	o, err := mergeAs(q, other)
+	o, err := analytics.MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -301,7 +280,7 @@ func (q *providerUsage) Observe(f *flowdb.LabeledFlow) {
 		q.curV, q.curVF, q.curVS, q.curValid = v, vf, q.servers[v], true
 	}
 	q.labeled[v]++
-	org := orgOrUnknown(q.lookup, v, f.Key.ServerIP)
+	org := analytics.OrgOrUnknown(q.lookup, v, f.Key.ServerIP)
 	q.curVF[org]++
 	h, ok := q.curVS[org]
 	if !ok {
@@ -322,7 +301,7 @@ func newOrgEstimators() map[string]*HLL {
 }
 
 func (q *providerUsage) Merge(other analytics.Query) error {
-	o, err := mergeAs(q, other)
+	o, err := analytics.MergeAs(q, other)
 	if err != nil {
 		return err
 	}
@@ -445,7 +424,7 @@ func (q *coverage) Observe(f *flowdb.LabeledFlow) {
 }
 
 func (q *coverage) Merge(other analytics.Query) error {
-	o, err := mergeAs(q, other)
+	o, err := analytics.MergeAs(q, other)
 	if err != nil {
 		return err
 	}

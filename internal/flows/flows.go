@@ -5,19 +5,17 @@
 // layer 7 (HTTP, TLS, P2P) from the first payload bytes — the same signals
 // Tstat uses for the paper's ground truth.
 //
-// The table is a swiss-style open-addressing map (see internal/swiss): one
-// control byte per slot probed in 8-slot groups, over a dense uint32 slot
-// array indexing a flow slab. Buckets hold no pointers, so the GC never
-// scans them; flow structs are recycled in place. Live flows are threaded
-// through an intrusive least-recently-touched list, so idle expiry visits
-// only the flows it expires (plus one) instead of scanning the whole table,
-// and every flush emits records in a deterministic order.
+// Table and the sharded dispatcher's Tracker are one keyed recency table
+// (recency.go): a swiss.Index over a swiss.Slab of flow entries, recycled
+// in place, with live flows threaded through an intrusive
+// least-recently-touched list, so idle expiry visits only the flows it
+// expires (plus one) instead of scanning the whole table, and every flush
+// emits records in a deterministic order.
 package flows
 
 import (
 	"bytes"
 	"fmt"
-	"math/rand/v2"
 	"net/netip"
 	"time"
 
@@ -48,6 +46,12 @@ func (k Key) Reverse() Key {
 		ClientPort: k.ServerPort, ServerPort: k.ClientPort,
 		Proto: k.Proto,
 	}
+}
+
+// reverses reports whether k is o with its endpoints swapped.
+func (k *Key) reverses(o *Key) bool {
+	return k.ClientIP == o.ServerIP && k.ServerIP == o.ClientIP &&
+		k.ClientPort == o.ServerPort && k.ServerPort == o.ClientPort && k.Proto == o.Proto
 }
 
 // hashKey mixes a key for table placement. The two (address, port)
@@ -137,34 +141,22 @@ type Record struct {
 // keyed map. Handles are recycled after the flow's record is emitted.
 type Handle uint32
 
-// noIdx is the nil slab index / list link.
-const noIdx = ^uint32(0)
-
-// flow is the mutable in-table state. Slots are recycled through the
-// free list after emit, so references across statements use uint32 slab
-// indices, never *flow.
+// flow is a live flow's per-slot state in the Table's recency entries.
 type flow struct {
-	rec  Record
-	hash uint64 // cached hashKey(seed, rec.Key)
-	// lastSeen is the table clock (monotone max of packet times) at the
-	// flow's last packet. Expiry compares against it rather than rec.End,
-	// so the recency list stays exactly ordered — and the early-stop sweep
-	// exact — even when capture timestamps jitter backwards.
-	lastSeen time.Duration
-	// prev/next thread the intrusive recency list (least recently touched
-	// at the head); noIdx terminates.
-	prev, next uint32
+	// classified: L7 and the name it carries (HTTPHost, SNI) are final.
+	classified bool
+	// inspected: the certificate inspection is final — a certificate was
+	// read, or the server stream can no longer carry one.
+	inspected bool
+	// rec is the record being built; rec.Key repeats the entry's key so
+	// that rec is emitted as is.
+	rec Record
 	// c2sPrefix and s2cPrefix hold the first payload bytes of each
 	// direction, but only while something can still read them: c2s until
 	// classified, s2c while the flow can still turn out to be TLS and
 	// inspected is unset.
 	c2sPrefix []byte
 	s2cPrefix []byte
-	// classified: L7 and the name it carries (HTTPHost, SNI) are final.
-	classified bool
-	// inspected: the certificate inspection is final — a certificate was
-	// read, or the server stream can no longer carry one.
-	inspected bool
 }
 
 // prefixCap bounds the per-direction payload prefix retained for
@@ -197,82 +189,14 @@ type Config struct {
 	Seed uint64
 }
 
-// keyIndex is the bucket array of the swiss table: one control word per
-// 8-slot group plus the dense uint32 slot array. Keys live in the flow
-// slab (Record.Key), so this structure is entirely pointer-free.
-type keyIndex struct {
-	ctrl   []uint64
-	slots  []uint32
-	gmask  uint64 // len(ctrl) - 1
-	used   int    // full slots
-	tombs  int    // deleted slots
-	growAt int    // rehash when used+tombs reaches this (7/8 load)
-}
-
-func (ix *keyIndex) init(groups int) {
-	ix.ctrl = make([]uint64, groups)
-	for i := range ix.ctrl {
-		ix.ctrl[i] = swiss.EmptyGroup
-	}
-	ix.slots = make([]uint32, groups*swiss.GroupSize)
-	ix.gmask = uint64(groups - 1)
-	ix.used, ix.tombs = 0, 0
-	ix.growAt = groups * swiss.GroupSize * 7 / 8
-}
-
-// insert places slot under h. The caller guarantees the key is absent and
-// capacity is available. The first free lane along the probe sequence is
-// correct: every earlier group was full, so lookups cannot stop short of it.
-func (ix *keyIndex) insert(h uint64, slot uint32) {
-	g := swiss.H1(h) & ix.gmask
-	for step := uint64(1); ; step++ {
-		w := ix.ctrl[g]
-		if m := swiss.MatchFree(w); m != 0 {
-			lane := swiss.FirstLane(m)
-			if swiss.CtrlAt(w, lane) == swiss.CtrlDeleted {
-				ix.tombs--
-			}
-			ix.ctrl[g] = swiss.WithCtrl(w, lane, swiss.H2(h))
-			ix.slots[g*swiss.GroupSize+uint64(lane)] = slot
-			ix.used++
-			return
-		}
-		g = (g + step) & ix.gmask
-	}
-}
-
-// slabChunkBits sizes the flow-slab chunks: 256 flows (~48 KB) per chunk.
-// Chunks are allocated once and never copied, so slab growth neither moves
-// flow structs nor pays write barriers over their pointer fields the way a
-// doubling []flow append would.
-const (
-	slabChunkBits = 8
-	slabChunkLen  = 1 << slabChunkBits
-	slabChunkMask = slabChunkLen - 1
-)
-
 // Table reconstructs flows. Not safe for concurrent use.
 type Table struct {
-	cfg  Config
-	idx  keyIndex
-	seed uint64
-	// slab backs every flow struct in fixed-size chunks; the index and the
-	// recency list address it by uint32 slot, so growth never invalidates
-	// references.
-	slab    [][]flow
-	slabLen uint32
-	// free recycles finished flow slots (with their prefix buffer
-	// capacity), so a steady flow arrival/departure rate creates no
-	// garbage. Records escape by value at emit time, never by reference.
-	free       []uint32
-	head, tail uint32 // recency list: least recently touched at head
-	stats      TableStats
-	sweep      time.Duration
-	// clock is the maximum packet time observed: flows are stamped with it
-	// (flow.lastSeen) on every touch, keeping the recency list ordered by
-	// a monotone quantity even on captures with timestamp jitter.
-	clock  time.Duration
-	frozen []Record // records kept when OnRecord is nil
+	recency[flow]
+	cfg   Config
+	stats TableStats
+	sweep time.Duration // trace time of the last automatic idle sweep
+	// frozen keeps the records finished while OnRecord is nil.
+	frozen []Record
 	// names interns the HTTP Host, SNI and certificate names; nameBuf is
 	// the scratch a name is lowercased or decoded into before interning.
 	names   *dnswire.Interner
@@ -282,10 +206,8 @@ type Table struct {
 	sweepVisited int
 }
 
-// at returns the flow at slab slot i.
-func (t *Table) at(i uint32) *flow {
-	return &t.slab[i>>slabChunkBits][i&slabChunkMask]
-}
+// at returns the flow state at slot i.
+func (t *Table) at(i uint32) *flow { return &t.node(i).val }
 
 // TableStats counts table activity.
 type TableStats struct {
@@ -308,175 +230,13 @@ func NewTable(cfg Config) *Table {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	seed := cfg.Seed
-	for seed == 0 {
-		seed = rand.Uint64()
-	}
-	t := &Table{cfg: cfg, seed: seed, head: noIdx, tail: noIdx, names: dnswire.NewInterner(0)}
-	t.idx.init(16)
+	t := &Table{cfg: cfg, names: dnswire.NewInterner(0)}
+	t.init(cfg.Seed)
 	return t
 }
 
 // Stats returns the accumulated counters.
 func (t *Table) Stats() TableStats { return t.stats }
-
-// Active returns the number of in-flight flows.
-func (t *Table) Active() int { return t.idx.used }
-
-// find returns the slab slot of key, or noIdx. Only the canonical stored
-// orientation matches; use findEither for unoriented packets.
-func (t *Table) find(h uint64, key Key) uint32 {
-	ix := &t.idx
-	h2 := swiss.H2(h)
-	g := swiss.H1(h) & ix.gmask
-	for step := uint64(1); ; step++ {
-		w := ix.ctrl[g]
-		for m := swiss.MatchH2(w, h2); m != 0; m &= m - 1 {
-			s := ix.slots[g*swiss.GroupSize+uint64(swiss.FirstLane(m))]
-			if t.at(s).rec.Key == key {
-				return s
-			}
-		}
-		if swiss.MatchEmpty(w) != 0 {
-			return noIdx
-		}
-		g = (g + step) & ix.gmask
-	}
-}
-
-// findEither resolves a packet's forward key against the table in one
-// probe: the hash is orientation-symmetric, so candidates are compared
-// against both the key and its reverse. It returns the slot and whether
-// the packet travels c2s under the stored orientation ((noIdx, true) on a
-// miss).
-func (t *Table) findEither(h uint64, key, rev Key) (uint32, bool) {
-	ix := &t.idx
-	h2 := swiss.H2(h)
-	g := swiss.H1(h) & ix.gmask
-	for step := uint64(1); ; step++ {
-		w := ix.ctrl[g]
-		for m := swiss.MatchH2(w, h2); m != 0; m &= m - 1 {
-			s := ix.slots[g*swiss.GroupSize+uint64(swiss.FirstLane(m))]
-			if k := &t.at(s).rec.Key; *k == key {
-				return s, true
-			} else if *k == rev {
-				return s, false
-			}
-		}
-		if swiss.MatchEmpty(w) != 0 {
-			return noIdx, true
-		}
-		g = (g + step) & ix.gmask
-	}
-}
-
-// removeKey erases key (hashed h) from the index. When the key's group
-// still has an empty lane, no probe sequence can rely on stepping past the
-// erased slot, so it reverts to empty instead of leaving a tombstone.
-func (t *Table) removeKey(h uint64, key Key) {
-	ix := &t.idx
-	h2 := swiss.H2(h)
-	g := swiss.H1(h) & ix.gmask
-	for step := uint64(1); ; step++ {
-		w := ix.ctrl[g]
-		for m := swiss.MatchH2(w, h2); m != 0; m &= m - 1 {
-			lane := swiss.FirstLane(m)
-			if s := ix.slots[g*swiss.GroupSize+uint64(lane)]; t.at(s).rec.Key == key {
-				if swiss.MatchEmpty(w) != 0 {
-					ix.ctrl[g] = swiss.WithCtrl(w, lane, swiss.CtrlEmpty)
-				} else {
-					ix.ctrl[g] = swiss.WithCtrl(w, lane, swiss.CtrlDeleted)
-					ix.tombs++
-				}
-				ix.used--
-				return
-			}
-		}
-		if swiss.MatchEmpty(w) != 0 {
-			return // absent; callers only remove present keys
-		}
-		g = (g + step) & ix.gmask
-	}
-}
-
-// rehash doubles the group count when the table is genuinely full, or
-// rebuilds at the same size to purge tombstones after heavy churn. Hashes
-// are cached per flow, so no key is re-hashed.
-func (t *Table) rehash() {
-	ix := &t.idx
-	groups := len(ix.ctrl)
-	if ix.used >= ix.growAt/2 {
-		groups *= 2
-	}
-	oldCtrl, oldSlots := ix.ctrl, ix.slots
-	ix.init(groups)
-	for g, w := range oldCtrl {
-		for lane := 0; lane < swiss.GroupSize; lane++ {
-			if swiss.IsFull(swiss.CtrlAt(w, lane)) {
-				s := oldSlots[g*swiss.GroupSize+lane]
-				ix.insert(t.at(s).hash, s)
-			}
-		}
-	}
-}
-
-// insertKey adds key (hashed h) → slot, growing first when needed.
-func (t *Table) insertKey(h uint64, slot uint32) {
-	if t.idx.used+t.idx.tombs >= t.idx.growAt {
-		t.rehash()
-	}
-	t.idx.insert(h, slot)
-}
-
-// --- intrusive recency list ---
-
-// listPushBack appends slot i as the most recently touched flow.
-func (t *Table) listPushBack(i uint32) {
-	f := t.at(i)
-	f.prev, f.next = t.tail, noIdx
-	if t.tail != noIdx {
-		t.at(t.tail).next = i
-	} else {
-		t.head = i
-	}
-	t.tail = i
-}
-
-// listRemove unlinks slot i.
-func (t *Table) listRemove(i uint32) {
-	f := t.at(i)
-	if f.prev != noIdx {
-		t.at(f.prev).next = f.next
-	} else {
-		t.head = f.next
-	}
-	if f.next != noIdx {
-		t.at(f.next).prev = f.prev
-	} else {
-		t.tail = f.prev
-	}
-	f.prev, f.next = noIdx, noIdx
-}
-
-// touch moves slot i to the tail (most recently active).
-func (t *Table) touch(i uint32) {
-	if t.tail == i {
-		return
-	}
-	t.listRemove(i)
-	t.listPushBack(i)
-}
-
-func (t *Table) isClientAddr(a netip.Addr) bool { return containsAddr(t.cfg.ClientNets, a) }
-
-func containsAddr(nets []netip.Prefix, a netip.Addr) bool {
-	for _, p := range nets {
-		if p.Contains(a) {
-			return true
-		}
-	}
-	return false
-}
 
 // NewFlowFunc is invoked by Add when a flow is first seen; the paper's
 // pre-flow tagging hook (label available before any payload byte). The
@@ -486,28 +246,16 @@ type NewFlowFunc func(key Key, at time.Duration, sawSYN bool, h Handle)
 // Add processes one decoded packet at the given trace offset. onNew, when
 // non-nil, fires for the first packet of every flow.
 //
-// Orientation is fused with the table probe: the hash is
-// orientation-symmetric, so one probe resolves the packet whichever
-// direction it travels (the former design probed once in orient and again
-// in the add path). For a new flow a pure SYN marks the sender as the
-// client, then the configured client networks, then first-sender.
+// The packet is oriented by the same rule as the dispatcher's Tracker
+// (orient): one probe over the orientation-symmetric hash finds a live flow
+// in either direction; a new one takes its client from a pure SYN, then the
+// configured client networks, then the first sender.
 func (t *Table) Add(d *layers.Decoded, at time.Duration, onNew NewFlowFunc) {
 	if !d.HasTCP && !d.HasUDP {
 		return
 	}
-	key := Key{
-		ClientIP: d.SrcIP, ServerIP: d.DstIP,
-		ClientPort: d.SrcPort, ServerPort: d.DstPort,
-		Proto: d.Proto,
-	}
-	h := hashKey(t.seed, key)
-	slot, c2s := t.findEither(h, key, key.Reverse())
-	if slot == noIdx &&
-		!(d.HasTCP && d.TCPFlags.Has(layers.TCPSyn) && !d.TCPFlags.Has(layers.TCPAck)) &&
-		len(t.cfg.ClientNets) > 0 &&
-		t.isClientAddr(d.DstIP) && !t.isClientAddr(d.SrcIP) {
-		key, c2s = key.Reverse(), false
-	}
+	var key Key
+	h, slot, c2s := t.orient(d, t.cfg.ClientNets, &key)
 	t.addOriented(key, h, slot, c2s, d.HasTCP, d.TCPFlags, d.Payload, at, onNew)
 }
 
@@ -547,32 +295,24 @@ func (t *Table) AddOriented(p *OrientedPacket, at time.Duration, onNew NewFlowFu
 // flow's slab slot when it already exists, else noIdx.
 func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, flags layers.TCPFlags, payload []byte, at time.Duration, onNew NewFlowFunc) {
 	t.stats.Packets++
-	if at > t.clock {
-		t.clock = at
-	}
 	if slot == noIdx {
-		slot = t.newFlow()
+		slot = t.add(key, h)
 		f := t.at(slot)
 		f.rec = Record{Key: key, Start: at, End: at}
-		f.hash = h
-		if hasTCP && flags.Has(layers.TCPSyn) && !flags.Has(layers.TCPAck) {
+		if pureSYN(hasTCP, flags) {
 			f.rec.SawSYN = true
 			f.rec.State = StateSynSent
 		} else if hasTCP {
 			f.rec.State = StateEstablished // midstream pickup
 		}
-		t.insertKey(h, slot)
-		t.listPushBack(slot)
 		t.stats.FlowsCreated++
 		if onNew != nil {
 			onNew(key, at, f.rec.SawSYN, Handle(slot))
 		}
-	} else {
-		t.touch(slot)
 	}
+	t.touch(slot, at)
 	f := t.at(slot)
 	f.rec.End = at
-	f.lastSeen = t.clock
 	if c2s {
 		f.rec.PktsC2S++
 		f.rec.BytesC2S += uint64(len(payload))
@@ -757,57 +497,27 @@ func isBitTorrent(p []byte) bool {
 	return len(p) >= 20 && p[0] == 19 && bytes.HasPrefix(p[1:], btProto)
 }
 
-// newFlow takes a flow slot from the free list, or carves one from the
-// chunked slab. The caller overwrites rec; prefix buffers keep their
-// capacity.
-func (t *Table) newFlow() uint32 {
-	if n := len(t.free); n > 0 {
-		i := t.free[n-1]
-		t.free = t.free[:n-1]
-		return i
-	}
-	i := t.slabLen
-	if i>>slabChunkBits == uint32(len(t.slab)) {
-		t.slab = append(t.slab, make([]flow, slabChunkLen))
-	}
-	t.slabLen++
-	return i
-}
-
-// recycle resets a finished flow slot and returns it to the free list. The
-// record escaped by value in emit; prefix bytes are never referenced by it.
-func (t *Table) recycle(i uint32) {
-	f := t.at(i)
-	f.rec = Record{}
-	f.hash = 0
-	f.lastSeen = 0
-	f.c2sPrefix = f.c2sPrefix[:0]
-	f.s2cPrefix = f.s2cPrefix[:0]
-	f.classified = false
-	f.inspected = false
-	t.free = append(t.free, i)
-}
-
 // finish emits a record and removes the flow (close transitions).
 func (t *Table) finish(i uint32) {
-	f := t.at(i)
-	t.classifyFinal(f)
 	t.stats.FlowsClosed++
-	t.removeKey(f.hash, f.rec.Key)
-	t.listRemove(i)
-	t.emit(f.rec, Handle(i))
-	t.recycle(i)
+	t.close(i)
 }
 
 // expire emits a record and removes the flow (idle expiry).
 func (t *Table) expire(i uint32) {
+	t.stats.FlowsExpired++
+	t.close(i)
+}
+
+// close settles slot i's record, frees the slot and emits the record. The
+// record escapes by value; the slot keeps its prefix buffers' capacity for
+// the next flow, so a steady flow arrival/departure rate creates no garbage.
+func (t *Table) close(i uint32) {
 	f := t.at(i)
 	t.classifyFinal(f)
-	t.stats.FlowsExpired++
-	t.removeKey(f.hash, f.rec.Key)
-	t.listRemove(i)
+	t.remove(i)
 	t.emit(f.rec, Handle(i))
-	t.recycle(i)
+	*f = flow{c2sPrefix: f.c2sPrefix[:0], s2cPrefix: f.s2cPrefix[:0]}
 }
 
 // classifyFinal settles a flow at close. Every prefix was classified and
@@ -831,24 +541,13 @@ func (t *Table) emit(r Record, h Handle) {
 }
 
 // FlushIdle closes every flow idle longer than the configured timeout as
-// of now. The recency list is ordered by flow.lastSeen — a monotone table
-// clock, not the raw (possibly jittering) packet timestamp — so the sweep
-// walks from the least recently touched flow and stops at the first
-// active one: O(expired), not O(active), exact for any input ordering,
-// and the emit order (idle-first) is deterministic for a given packet
-// sequence. With monotone trace time lastSeen equals rec.End and the
-// expired set matches the historical full scan exactly.
+// of now. The recency list is ordered by the table clock — a monotone
+// quantity, not the raw (possibly jittering) packet timestamp — so the
+// sweep stops at the first active flow: O(expired), not O(active), exact
+// for any input ordering, and the emit order (idle-first) is deterministic
+// for a given packet sequence.
 func (t *Table) FlushIdle(now time.Duration) {
-	visited := 0
-	for t.head != noIdx {
-		visited++
-		i := t.head
-		if now-t.at(i).lastSeen < t.cfg.IdleTimeout {
-			break
-		}
-		t.expire(i)
-	}
-	t.sweepVisited = visited
+	t.sweepVisited = t.sweepIdle(now, t.cfg.IdleTimeout, t.expire)
 }
 
 // ExpireFlow expires one specific flow, regardless of its idle time; a

@@ -70,7 +70,7 @@ type backref struct {
 }
 
 // pairNode is one flat-table node: the (client, server) key it is filed
-// under, the newest entry, and bounded history. Nodes live in a dense slab
+// under, the newest entry, and bounded history. Nodes live in a slab
 // addressed by the uint32 slots of the swiss index; slots are recycled on
 // remove, so cross-statement references use slots, never *pairNode.
 type pairNode struct {
@@ -83,32 +83,12 @@ type pairNode struct {
 // noSlot is the nil slab index.
 const noSlot = ^uint32(0)
 
-// nodeChunkBits sizes the pairNode slab chunks (256 nodes per chunk).
-// Chunks are allocated once and never copied, so slab growth neither moves
-// nodes nor re-pays write barriers over their pointer fields the way a
-// doubling append would.
-const (
-	nodeChunkBits = 8
-	nodeChunkLen  = 1 << nodeChunkBits
-	nodeChunkMask = nodeChunkLen - 1
-)
-
-// pairTable is the flat lookup structure: a swiss index over a
-// pairNode slab, keyed by the combined (client, server) address pair.
+// pairTable is the flat lookup structure: a swiss index over a pairNode
+// slab, keyed by the combined (client, server) address pair.
 type pairTable struct {
-	ctrl   []uint64
-	slots  []uint32
-	gmask  uint64
-	used   int
-	tombs  int
-	growAt int
-
-	seed uint64
-	// nodes backs every pairNode in fixed-size chunks, addressed by the
-	// uint32 slots of the index.
-	nodes    [][]pairNode
-	nodesLen uint32
-	free     []uint32
+	idx   swiss.Index
+	nodes swiss.Slab[pairNode]
+	seed  uint64
 	// clients counts live keys per client address; its length is the
 	// number of distinct clients tracked. It is touched only when a key is
 	// created or destroyed — never on the per-flow lookup path.
@@ -117,105 +97,37 @@ type pairTable struct {
 
 func newPairTable() *pairTable {
 	t := &pairTable{seed: rand.Uint64(), clients: make(map[netip.Addr]uint32)}
-	t.init(16)
+	t.idx.Init()
 	return t
-}
-
-func (t *pairTable) init(groups int) {
-	t.ctrl = make([]uint64, groups)
-	for i := range t.ctrl {
-		t.ctrl[i] = swiss.EmptyGroup
-	}
-	t.slots = make([]uint32, groups*swiss.GroupSize)
-	t.gmask = uint64(groups - 1)
-	t.used, t.tombs = 0, 0
-	t.growAt = groups * swiss.GroupSize * 7 / 8
 }
 
 func (t *pairTable) hash(client, server netip.Addr) uint64 {
 	return swiss.HashAddr(swiss.HashAddr(t.seed, client), server)
 }
 
-// at returns the node at slab slot i.
-func (t *pairTable) at(i uint32) *pairNode {
-	return &t.nodes[i>>nodeChunkBits][i&nodeChunkMask]
-}
+func (t *pairTable) hashOf(slot uint32) uint64 { return t.nodes.At(slot).hash }
 
 // find returns the node slot for (client, server), or noSlot.
 func (t *pairTable) find(h uint64, client, server netip.Addr) uint32 {
-	h2 := swiss.H2(h)
-	g := swiss.H1(h) & t.gmask
-	for step := uint64(1); ; step++ {
-		w := t.ctrl[g]
-		for m := swiss.MatchH2(w, h2); m != 0; m &= m - 1 {
-			s := t.slots[g*swiss.GroupSize+uint64(swiss.FirstLane(m))]
-			if n := t.at(s); n.client == client && n.server == server {
+	for p := t.idx.Probe(h); ; p = p.Next() {
+		for m := p.Match(); m != 0; m &= m - 1 {
+			s := p.Slot(m)
+			if n := t.nodes.At(s); n.client == client && n.server == server {
 				return s
 			}
 		}
-		if swiss.MatchEmpty(w) != 0 {
+		if p.Last() {
 			return noSlot
-		}
-		g = (g + step) & t.gmask
-	}
-}
-
-// rawInsert places slot under h; the key must be absent and capacity
-// available.
-func (t *pairTable) rawInsert(h uint64, slot uint32) {
-	g := swiss.H1(h) & t.gmask
-	for step := uint64(1); ; step++ {
-		w := t.ctrl[g]
-		if m := swiss.MatchFree(w); m != 0 {
-			lane := swiss.FirstLane(m)
-			if swiss.CtrlAt(w, lane) == swiss.CtrlDeleted {
-				t.tombs--
-			}
-			t.ctrl[g] = swiss.WithCtrl(w, lane, swiss.H2(h))
-			t.slots[g*swiss.GroupSize+uint64(lane)] = slot
-			t.used++
-			return
-		}
-		g = (g + step) & t.gmask
-	}
-}
-
-func (t *pairTable) rehash() {
-	groups := len(t.ctrl)
-	if t.used >= t.growAt/2 {
-		groups *= 2
-	}
-	oldCtrl, oldSlots := t.ctrl, t.slots
-	t.init(groups)
-	for g, w := range oldCtrl {
-		for lane := 0; lane < swiss.GroupSize; lane++ {
-			if swiss.IsFull(swiss.CtrlAt(w, lane)) {
-				s := oldSlots[g*swiss.GroupSize+lane]
-				t.rawInsert(t.at(s).hash, s)
-			}
 		}
 	}
 }
 
 // insert creates a node for (client, server) → e and returns its slot.
 func (t *pairTable) insert(h uint64, client, server netip.Addr, e *Entry) uint32 {
-	if t.used+t.tombs >= t.growAt {
-		t.rehash()
-	}
-	var slot uint32
-	if n := len(t.free); n > 0 {
-		slot = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		slot = t.nodesLen
-		if slot>>nodeChunkBits == uint32(len(t.nodes)) {
-			t.nodes = append(t.nodes, make([]pairNode, nodeChunkLen))
-		}
-		t.nodesLen++
-	}
-	n := t.at(slot)
+	slot := t.nodes.Alloc()
+	n := t.nodes.At(slot)
 	n.client, n.server, n.hash, n.entry = client, server, h, e
-	t.rawInsert(h, slot)
+	t.idx.Insert(h, slot, t.hashOf)
 	t.clients[client]++
 	return slot
 }
@@ -223,37 +135,16 @@ func (t *pairTable) insert(h uint64, client, server netip.Addr, e *Entry) uint32
 // remove erases the key at slot from the index and recycles the node,
 // dropping the client from the clients count when this was its last key.
 func (t *pairTable) remove(slot uint32) {
-	n := t.at(slot)
-	h2 := swiss.H2(n.hash)
-	g := swiss.H1(n.hash) & t.gmask
-	for step := uint64(1); ; step++ {
-		w := t.ctrl[g]
-		for m := swiss.MatchH2(w, h2); m != 0; m &= m - 1 {
-			lane := swiss.FirstLane(m)
-			if t.slots[g*swiss.GroupSize+uint64(lane)] == slot {
-				if swiss.MatchEmpty(w) != 0 {
-					t.ctrl[g] = swiss.WithCtrl(w, lane, swiss.CtrlEmpty)
-				} else {
-					t.ctrl[g] = swiss.WithCtrl(w, lane, swiss.CtrlDeleted)
-					t.tombs++
-				}
-				t.used--
-				if c := t.clients[n.client] - 1; c == 0 {
-					delete(t.clients, n.client)
-				} else {
-					t.clients[n.client] = c
-				}
-				n.client, n.server, n.hash, n.entry = netip.Addr{}, netip.Addr{}, 0, nil
-				n.older = n.older[:0]
-				t.free = append(t.free, slot)
-				return
-			}
-		}
-		if swiss.MatchEmpty(w) != 0 {
-			return // unreachable for live slots
-		}
-		g = (g + step) & t.gmask
+	n := t.nodes.At(slot)
+	t.idx.Delete(n.hash, slot)
+	if c := t.clients[n.client] - 1; c == 0 {
+		delete(t.clients, n.client)
+	} else {
+		t.clients[n.client] = c
 	}
+	n.client, n.server, n.hash, n.entry = netip.Addr{}, netip.Addr{}, 0, nil
+	n.older = n.older[:0]
+	t.nodes.Free(slot)
 }
 
 // Resolver is the DNS cache replica. Not safe for concurrent use; shard by
@@ -328,7 +219,7 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 		r.stats.Addresses++
 		h := swiss.HashAddr(hc, serverIP)
 		if slot := ft.find(h, clientIP, serverIP); slot != noSlot {
-			n := ft.at(slot)
+			n := ft.nodes.At(slot)
 			// Replace the old reference (Algorithm 1, lines 11–15): the old
 			// entry loses this back-reference; optionally it is retained as
 			// history for LookupAll.
@@ -410,7 +301,7 @@ func (r *Resolver) evict(e *Entry) {
 		if slot == noSlot {
 			continue
 		}
-		n := ft.at(slot)
+		n := ft.nodes.At(slot)
 		if n.entry == e {
 			// Promote history if any, else drop the key.
 			if len(n.older) > 0 {
@@ -471,7 +362,7 @@ func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	ft := r.flat
 	if slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP); slot != noSlot {
 		r.stats.Hits++
-		return ft.at(slot).entry, true
+		return ft.nodes.At(slot).entry, true
 	}
 	r.stats.Misses++
 	return nil, false
@@ -486,7 +377,7 @@ func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
 	if slot == noSlot {
 		return nil
 	}
-	n := ft.at(slot)
+	n := ft.nodes.At(slot)
 	out := []string{n.entry.FQDN}
 	for _, h := range n.older {
 		out = append(out, h.FQDN)

@@ -1,17 +1,20 @@
-// Package swiss holds the shared primitives of the repo's swiss-style
-// open-addressing hash tables: SWAR (SIMD-within-a-register) operations on
-// 8-slot control-byte groups, and the multiply-fold hash mixers the tables
-// key with.
+// Package swiss is the repo's one open-addressing hash table: Index, a
+// swiss-style bucket array of uint32 slots, and Slab, the chunked,
+// never-copied store those slots address. The flow table and the
+// dispatcher's flow tracker (internal/flows) and the resolver's (client,
+// server) pair table (internal/resolver) are all an Index over a Slab; the
+// package also holds the multiply-fold hash mixers they key with.
 //
 // The layout follows the classic swiss-table design (Abseil's flat_hash_map,
 // and Go 1.24's own runtime maps): one control byte per slot — the low 7
 // bits of the hash for a full slot, a sentinel for empty/deleted — packed
 // eight to a uint64 "group" so a lookup probes eight slots with a handful
-// of 64-bit word operations and no per-slot branching. The tables built on
-// these helpers (internal/flows, internal/resolver) keep their keys in the
-// value slabs and store only uint32 slab indices in the buckets, so bucket
+// of 64-bit word operations and no per-slot branching. Keys live in the
+// slab entries and the buckets hold only uint32 slab indices, so bucket
 // storage is pointer-free: the GC never scans it, and a probe touches a
 // dense ctrl word plus one 4-byte slot instead of chasing bucket pointers.
+// The caller drives the probe (Index.Probe) and compares keys itself, so no
+// indirect call sits between a candidate and its key.
 //
 // Control-byte encoding (high bit set means "not full"):
 //
@@ -26,62 +29,257 @@ import (
 	"net/netip"
 )
 
-// GroupSize is the number of slots per control word.
-const GroupSize = 8
+// groupSize is the number of slots per control word.
+const groupSize = 8
 
 // Control byte sentinels.
 const (
-	CtrlEmpty   uint8 = 0b1000_0000
-	CtrlDeleted uint8 = 0b1111_1110
+	ctrlEmpty   uint8 = 0b1000_0000
+	ctrlDeleted uint8 = 0b1111_1110
 )
 
-// EmptyGroup is a control word of eight empty slots.
-const EmptyGroup uint64 = 0x8080808080808080
+// emptyGroup is a control word of eight empty slots.
+const emptyGroup uint64 = 0x8080808080808080
 
 const (
 	loBits uint64 = 0x0101010101010101
 	hiBits uint64 = 0x8080808080808080
 )
 
-// H1 is the probe-sequence part of a hash (group selection).
-func H1(h uint64) uint64 { return h >> 7 }
+// h1 is the probe-sequence part of a hash (group selection).
+func h1(h uint64) uint64 { return h >> 7 }
 
-// H2 is the control-byte part of a hash (low 7 bits).
-func H2(h uint64) uint8 { return uint8(h) & 0x7F }
+// h2 is the control-byte part of a hash (low 7 bits).
+func h2(h uint64) uint8 { return uint8(h) & 0x7F }
 
-// MatchH2 returns a mask with bit 8i+7 set for every full lane i of g whose
-// control byte equals h2. The SWAR subtraction trick can set a false
+// matchH2 returns a mask with bit 8i+7 set for every full lane i of g whose
+// control byte equals c. The SWAR subtraction trick can set a false
 // positive on the lane above a true match — callers verify candidates by
 // comparing keys, so a false positive costs one wasted compare and a false
 // negative never occurs.
-func MatchH2(g uint64, h2 uint8) uint64 {
-	x := g ^ (loBits * uint64(h2))
+func matchH2(g uint64, c uint8) uint64 {
+	x := g ^ (loBits * uint64(c))
 	return (x - loBits) &^ x & hiBits
 }
 
-// MatchEmpty returns a mask of the empty lanes of g (exact: bit 7 set and
-// bit 6 clear singles out CtrlEmpty among the sentinels).
-func MatchEmpty(g uint64) uint64 { return g &^ (g << 1) & hiBits }
+// matchEmpty returns a mask of the empty lanes of g (exact: bit 7 set and
+// bit 6 clear singles out ctrlEmpty among the sentinels).
+func matchEmpty(g uint64) uint64 { return g &^ (g << 1) & hiBits }
 
-// MatchFree returns a mask of the empty-or-deleted lanes of g (any lane
+// matchFree returns a mask of the empty-or-deleted lanes of g (any lane
 // with the high control bit set).
-func MatchFree(g uint64) uint64 { return g & hiBits }
+func matchFree(g uint64) uint64 { return g & hiBits }
 
-// FirstLane returns the lane index (0..7) of the lowest set bit of a match
+// firstLane returns the lane index (0..7) of the lowest set bit of a match
 // mask. Iterate a mask with `for ; m != 0; m &= m - 1`.
-func FirstLane(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
+func firstLane(m uint64) int { return bits.TrailingZeros64(m) >> 3 }
 
-// CtrlAt extracts lane's control byte from g.
-func CtrlAt(g uint64, lane int) uint8 { return uint8(g >> (uint(lane) * 8)) }
+// ctrlAt extracts lane's control byte from g.
+func ctrlAt(g uint64, lane int) uint8 { return uint8(g >> (uint(lane) * 8)) }
 
-// WithCtrl returns g with lane's control byte replaced by c.
-func WithCtrl(g uint64, lane int, c uint8) uint64 {
+// withCtrl returns g with lane's control byte replaced by c.
+func withCtrl(g uint64, lane int, c uint8) uint64 {
 	sh := uint(lane) * 8
 	return g&^(uint64(0xFF)<<sh) | uint64(c)<<sh
 }
 
-// IsFull reports whether a control byte marks a full slot.
-func IsFull(c uint8) bool { return c&0x80 == 0 }
+// isFull reports whether a control byte marks a full slot.
+func isFull(c uint8) bool { return c&0x80 == 0 }
+
+// Index maps hashes to uint32 slots: one control word per 8-slot group plus
+// the dense slot array. It stores no keys — the caller keeps them in the
+// entries the slots address — so it never compares one either. Init it
+// before use.
+type Index struct {
+	ctrl   []uint64
+	slots  []uint32
+	gmask  uint64 // len(ctrl) - 1
+	used   int    // full slots
+	tombs  int    // deleted slots
+	growAt int    // rebuild when used+tombs reaches this (7/8 load)
+}
+
+// Init empties ix at its initial size of 16 groups (128 slots).
+func (ix *Index) Init() { ix.init(16) }
+
+func (ix *Index) init(groups int) {
+	ix.ctrl = make([]uint64, groups)
+	for i := range ix.ctrl {
+		ix.ctrl[i] = emptyGroup
+	}
+	ix.slots = make([]uint32, groups*groupSize)
+	ix.gmask = uint64(groups - 1)
+	ix.used, ix.tombs = 0, 0
+	ix.growAt = groups * groupSize * 7 / 8
+}
+
+// Len returns the number of slots filed in ix.
+func (ix *Index) Len() int { return ix.used }
+
+// Probe is a position in the probe sequence of one hash, a group at a
+// time. The caller drives it and compares keys itself:
+//
+//	for p := ix.Probe(h); ; p = p.Next() {
+//		for m := p.Match(); m != 0; m &= m - 1 {
+//			if s := p.Slot(m); key(s) == k {
+//				return s
+//			}
+//		}
+//		if p.Last() {
+//			return miss
+//		}
+//	}
+//
+// Probe is a small value with value methods, so the compiler keeps it in
+// registers.
+type Probe struct {
+	ix      *Index
+	g, step uint64
+	h2      uint8
+}
+
+// Probe starts the probe sequence of h at its first group.
+func (ix *Index) Probe(h uint64) Probe {
+	return Probe{ix: ix, g: h1(h) & ix.gmask, step: 1, h2: h2(h)}
+}
+
+// Match returns the candidates of the current group, the lanes whose
+// control byte matches the hash, as a mask: iterate it with
+// `for ; m != 0; m &= m - 1`.
+func (p Probe) Match() uint64 { return matchH2(p.ix.ctrl[p.g], p.h2) }
+
+// Slot returns the slot in the lowest lane of a Match mask.
+func (p Probe) Slot(m uint64) uint32 {
+	return p.ix.slots[p.g*groupSize+uint64(firstLane(m))]
+}
+
+// Last reports whether the current group ends the sequence: it has an
+// empty lane, so no later group can hold the key.
+func (p Probe) Last() bool { return matchEmpty(p.ix.ctrl[p.g]) != 0 }
+
+// Next returns the position of the next group in the sequence.
+func (p Probe) Next() Probe {
+	p.g = (p.g + p.step) & p.ix.gmask
+	p.step++
+	return p
+}
+
+// Insert files slot under h. The caller guarantees no slot already filed
+// holds an equal key. At 7/8 load ix is rebuilt first — doubled when at
+// least half its slots are full, otherwise purged of tombstones at the same
+// size — reading each filed slot's hash back through hashOf.
+func (ix *Index) Insert(h uint64, slot uint32, hashOf func(slot uint32) uint64) {
+	if ix.used+ix.tombs >= ix.growAt {
+		ix.rebuild(hashOf)
+	}
+	ix.place(h, slot)
+}
+
+// place puts slot in the first free lane along h's probe sequence; capacity
+// must be available. That lane is correct: every earlier group was full, so
+// lookups cannot stop short of it.
+func (ix *Index) place(h uint64, slot uint32) {
+	g := h1(h) & ix.gmask
+	for step := uint64(1); ; step++ {
+		w := ix.ctrl[g]
+		if m := matchFree(w); m != 0 {
+			lane := firstLane(m)
+			if ctrlAt(w, lane) == ctrlDeleted {
+				ix.tombs--
+			}
+			ix.ctrl[g] = withCtrl(w, lane, h2(h))
+			ix.slots[g*groupSize+uint64(lane)] = slot
+			ix.used++
+			return
+		}
+		g = (g + step) & ix.gmask
+	}
+}
+
+func (ix *Index) rebuild(hashOf func(uint32) uint64) {
+	groups := len(ix.ctrl)
+	if ix.used >= ix.growAt/2 {
+		groups *= 2
+	}
+	oldCtrl, oldSlots := ix.ctrl, ix.slots
+	ix.init(groups)
+	for g, w := range oldCtrl {
+		for lane := 0; lane < groupSize; lane++ {
+			if isFull(ctrlAt(w, lane)) {
+				s := oldSlots[g*groupSize+lane]
+				ix.place(hashOf(s), s)
+			}
+		}
+	}
+}
+
+// Delete removes slot, filed under h, from ix; a slot that is not filed is
+// a no-op. When the slot's group still has an empty lane, no probe sequence
+// can rely on stepping past it, so it reverts to empty instead of leaving a
+// tombstone.
+func (ix *Index) Delete(h uint64, slot uint32) {
+	c := h2(h)
+	g := h1(h) & ix.gmask
+	for step := uint64(1); ; step++ {
+		w := ix.ctrl[g]
+		for m := matchH2(w, c); m != 0; m &= m - 1 {
+			lane := firstLane(m)
+			if ix.slots[g*groupSize+uint64(lane)] != slot {
+				continue
+			}
+			if matchEmpty(w) != 0 {
+				ix.ctrl[g] = withCtrl(w, lane, ctrlEmpty)
+			} else {
+				ix.ctrl[g] = withCtrl(w, lane, ctrlDeleted)
+				ix.tombs++
+			}
+			ix.used--
+			return
+		}
+		if matchEmpty(w) != 0 {
+			return
+		}
+		g = (g + step) & ix.gmask
+	}
+}
+
+// chunkBits sizes slab chunks: 256 entries per chunk.
+const chunkBits = 8
+
+// Slab holds T values addressed by uint32 index in fixed-size chunks that
+// are allocated once and never copied: growth neither moves an entry —
+// a *T stays valid for as long as its index is live — nor pays write
+// barriers over pointer fields the way a doubling append would. Freed
+// indices are reused last-in first-out. The zero Slab is empty and ready.
+type Slab[T any] struct {
+	chunks [][]T
+	n      uint32 // indices ever handed out
+	free   []uint32
+}
+
+// At returns the entry at index i.
+func (s *Slab[T]) At(i uint32) *T {
+	return &s.chunks[i>>chunkBits][i&(1<<chunkBits-1)]
+}
+
+// Alloc returns a free index: the most recently freed one, or a fresh one.
+// A reused entry keeps whatever the caller left in it.
+func (s *Slab[T]) Alloc() uint32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		return i
+	}
+	i := s.n
+	if i>>chunkBits == uint32(len(s.chunks)) {
+		s.chunks = append(s.chunks, make([]T, 1<<chunkBits))
+	}
+	s.n++
+	return i
+}
+
+// Free returns index i for reuse.
+func (s *Slab[T]) Free(i uint32) { s.free = append(s.free, i) }
 
 // Hash mixing constants (splitmix64 / wyhash lineage).
 const (

@@ -18,14 +18,14 @@ func buildGroup(c [8]uint8) uint64 {
 func lanesOf(m uint64) []int {
 	var out []int
 	for ; m != 0; m &= m - 1 {
-		out = append(out, FirstLane(m))
+		out = append(out, firstLane(m))
 	}
 	return out
 }
 
 func TestMatchH2FindsAllTrueMatches(t *testing.T) {
-	g := buildGroup([8]uint8{0x11, CtrlEmpty, 0x7F, 0x11, CtrlDeleted, 0x00, 0x11, 0x30})
-	m := MatchH2(g, 0x11)
+	g := buildGroup([8]uint8{0x11, ctrlEmpty, 0x7F, 0x11, ctrlDeleted, 0x00, 0x11, 0x30})
+	m := matchH2(g, 0x11)
 	got := map[int]bool{}
 	for _, l := range lanesOf(m) {
 		got[l] = true
@@ -47,10 +47,10 @@ func TestMatchH2NoFalseNegativesExhaustive(t *testing.T) {
 	// For every h2 and every lane, a group holding h2 in that lane must
 	// report it.
 	for h2 := uint8(0); h2 < 0x80; h2++ {
-		for lane := 0; lane < GroupSize; lane++ {
-			g := EmptyGroup
-			g = WithCtrl(g, lane, h2)
-			m := MatchH2(g, h2)
+		for lane := 0; lane < groupSize; lane++ {
+			g := emptyGroup
+			g = withCtrl(g, lane, h2)
+			m := matchH2(g, h2)
 			found := false
 			for _, l := range lanesOf(m) {
 				if l == lane {
@@ -65,9 +65,9 @@ func TestMatchH2NoFalseNegativesExhaustive(t *testing.T) {
 }
 
 func TestMatchEmptyExact(t *testing.T) {
-	g := buildGroup([8]uint8{0x11, CtrlEmpty, 0x7F, CtrlDeleted, CtrlEmpty, 0x00, 0x01, CtrlDeleted})
+	g := buildGroup([8]uint8{0x11, ctrlEmpty, 0x7F, ctrlDeleted, ctrlEmpty, 0x00, 0x01, ctrlDeleted})
 	want := []int{1, 4}
-	got := lanesOf(MatchEmpty(g))
+	got := lanesOf(matchEmpty(g))
 	if len(got) != len(want) {
 		t.Fatalf("empty lanes = %v, want %v", got, want)
 	}
@@ -76,29 +76,29 @@ func TestMatchEmptyExact(t *testing.T) {
 			t.Fatalf("empty lanes = %v, want %v", got, want)
 		}
 	}
-	if n := bits.OnesCount64(MatchFree(g)); n != 4 {
+	if n := bits.OnesCount64(matchFree(g)); n != 4 {
 		t.Fatalf("free lanes = %d, want 4 (2 empty + 2 deleted)", n)
 	}
 }
 
 func TestCtrlRoundTrip(t *testing.T) {
-	g := EmptyGroup
-	for lane := 0; lane < GroupSize; lane++ {
+	g := emptyGroup
+	for lane := 0; lane < groupSize; lane++ {
 		c := uint8(lane * 7 % 0x80)
-		g = WithCtrl(g, lane, c)
-		if CtrlAt(g, lane) != c {
-			t.Fatalf("lane %d: ctrl = %#x, want %#x", lane, CtrlAt(g, lane), c)
+		g = withCtrl(g, lane, c)
+		if ctrlAt(g, lane) != c {
+			t.Fatalf("lane %d: ctrl = %#x, want %#x", lane, ctrlAt(g, lane), c)
 		}
 	}
 	// Untouched high lanes preserved through low-lane writes.
-	g2 := WithCtrl(g, 0, CtrlDeleted)
-	for lane := 1; lane < GroupSize; lane++ {
-		if CtrlAt(g2, lane) != CtrlAt(g, lane) {
-			t.Fatalf("WithCtrl stomped lane %d", lane)
+	g2 := withCtrl(g, 0, ctrlDeleted)
+	for lane := 1; lane < groupSize; lane++ {
+		if ctrlAt(g2, lane) != ctrlAt(g, lane) {
+			t.Fatalf("withCtrl stomped lane %d", lane)
 		}
 	}
-	if IsFull(CtrlEmpty) || IsFull(CtrlDeleted) || !IsFull(0x7F) || !IsFull(0) {
-		t.Fatal("IsFull misclassifies sentinels")
+	if isFull(ctrlEmpty) || isFull(ctrlDeleted) || !isFull(0x7F) || !isFull(0) {
+		t.Fatal("isFull misclassifies sentinels")
 	}
 }
 
