@@ -81,50 +81,41 @@ type SnapshotEntry struct {
 // size.
 func (r *Resolver) Snapshot() []SnapshotEntry {
 	var n, nsrv int
-	r.eachLive(func(e *Entry) { n, nsrv = n+1, nsrv+len(e.refs) })
+	// names bounds an entry's linked nodes: it counts its Clist slot and
+	// every node naming it, linked or (with history) not.
+	r.eachLive(func(e *Entry) { n, nsrv = n+1, nsrv+int(e.names)-1 })
 	out := make([]SnapshotEntry, 0, n)
 	servers := make([]netip.Addr, nsrv)
 	r.eachLive(func(e *Entry) {
-		k := len(e.refs)
-		se := SnapshotEntry{
-			// All of an entry's back-references share one client: they are
-			// appended only by the Insert call that created the entry.
-			Client:  e.refs[0].client,
-			Servers: servers[:k:k],
-			FQDN:    e.FQDN,
-			At:      e.At,
-			Used:    e.Used,
+		// All of an entry's nodes share one client: they are linked only by
+		// the Insert call that created the entry.
+		node := r.flat.nodes.At(e.refs)
+		se := SnapshotEntry{Client: node.key.clientAddr(), FQDN: e.FQDN, At: e.At, Used: e.Used}
+		k := 0
+		for {
+			servers[k] = node.key.serverAddr()
+			if k++; node.next == e.refs {
+				break
+			}
+			node = r.flat.nodes.At(node.next)
 		}
-		servers = servers[k:]
-		for i, ref := range e.refs {
-			se.Servers[i] = ref.server
-		}
+		se.Servers, servers = servers[:k:k], servers[k:]
 		out = append(out, se)
 	})
 	return out
 }
 
-// eachLive calls fn on every live Clist entry that still has
-// back-references, in FIFO order (oldest first).
+// eachLive calls fn on every Clist entry that still has back-references,
+// in FIFO order (oldest first).
 func (r *Resolver) eachLive(fn func(*Entry)) {
-	visit := func(e *Entry) {
-		if e != nil && e.live && len(e.refs) > 0 {
-			fn(e)
+	// Until the ring wraps, next is 0 and slots 0..len-1 are FIFO order;
+	// after that the oldest entry sits at next.
+	for _, part := range [2][]uint32{r.clist[r.next:], r.clist[:r.next]} {
+		for _, s := range part {
+			if e := r.entries.At(s); e.refs != noSlot {
+				fn(e)
+			}
 		}
-	}
-	if len(r.clist) < r.cfg.ClistSize {
-		// Still filling: slots 0..len-1 are already FIFO order.
-		for _, e := range r.clist {
-			visit(e)
-		}
-		return
-	}
-	// Wrapped ring: the oldest entry sits at next.
-	for i := r.next; i < len(r.clist); i++ {
-		visit(r.clist[i])
-	}
-	for i := 0; i < r.next; i++ {
-		visit(r.clist[i])
 	}
 }
 

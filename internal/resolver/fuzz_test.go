@@ -3,6 +3,7 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -11,8 +12,12 @@ import (
 // orderedRef (reference_test.go) — the paper's two-level structure with a
 // sorted-slice inner map over a plain FIFO Clist. The resolver and the
 // model must agree on every lookup, on the client count after every
-// insert, on every statistic and on every LookupAll history list, through
-// arbitrary insert/lookup sequences with heavy Clist eviction.
+// insert, on every statistic, on every LookupAll history list and on the
+// Snapshot (FIFO order, each entry's live servers in link order), through
+// arbitrary insert/lookup sequences with heavy Clist eviction. The address
+// pools hold 4-in-6 twins, which hash like their IPv4 forms but are
+// distinct keys, and an insert may name the same server twice, as a DNS
+// answer can.
 
 var (
 	fzClients = []netip.Addr{
@@ -20,6 +25,7 @@ var (
 		netip.MustParseAddr("10.0.0.2"),
 		netip.MustParseAddr("10.7.7.7"),
 		netip.MustParseAddr("fd00::1"),
+		netip.MustParseAddr("::ffff:10.0.0.1"),
 	}
 	fzServers = []netip.Addr{
 		netip.MustParseAddr("203.0.113.1"),
@@ -27,6 +33,7 @@ var (
 		netip.MustParseAddr("203.0.113.3"),
 		netip.MustParseAddr("198.51.100.4"),
 		netip.MustParseAddr("2001:db8::5"),
+		netip.MustParseAddr("::ffff:203.0.113.1"),
 	}
 )
 
@@ -42,10 +49,13 @@ func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 	for i := 0; i+3 <= len(data) && i < 3*4096; i += 3 {
 		b0, b1, b2 := data[i], data[i+1], data[i+2]
 		at += time.Duration(b2&0x0F) * time.Second
-		cl := fzClients[int(b0)%len(fzClients)]
+		// b0: bit 7 lookup, low bits the client. b1: bits 7-6 the insert's
+		// server count, bit 5 a repeated server, bits 4-0 the first server.
+		// b2: FQDN and time step.
+		cl := fzClients[int(b0&0x7F)%len(fzClients)]
 		if b0&0x80 != 0 {
 			// Lookup op: both structures must agree.
-			sv := fzServers[int(b1)%len(fzServers)]
+			sv := fzServers[int(b1&0x1F)%len(fzServers)]
 			hf, hok := h.Lookup(cl, sv)
 			of, ook := o.Lookup(cl, sv)
 			if hok != ook || hf != of {
@@ -53,11 +63,15 @@ func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 			}
 			continue
 		}
-		// Insert op: 1..3 distinct servers, FQDN from a small pool.
+		// Insert op: 1..3 consecutive pool servers, the last replaced by a
+		// repeat of the first when bit 5 is set; FQDN from a small pool.
 		servers = servers[:0]
 		n := 1 + int(b1>>6)%3
 		for k := 0; k < n; k++ {
-			servers = append(servers, fzServers[(int(b1)+k)%len(fzServers)])
+			servers = append(servers, fzServers[(int(b1&0x1F)+k)%len(fzServers)])
+		}
+		if b1&0x20 != 0 && n > 1 {
+			servers[n-1] = servers[0]
 		}
 		fq := fmt.Sprintf("h%d.example.com", int(b2>>4))
 		h.Insert(cl, fq, servers, at)
@@ -68,6 +82,9 @@ func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 	}
 	if hs, os := h.Stats(), o.Stats(); hs != os {
 		t.Fatalf("stats diverge:\n flat    %+v\n ordered %+v", hs, os)
+	}
+	if hs, os := h.Snapshot(), o.snapshot(); !reflect.DeepEqual(hs, os) {
+		t.Fatalf("snapshots diverge:\n flat    %v\n ordered %v", hs, os)
 	}
 	// Full cross-product sweep, including LookupAll history contents.
 	for _, cl := range fzClients {
@@ -100,8 +117,15 @@ func FuzzFlatVsOrderedResolver(f *testing.F) {
 // `go test` runs with fixed pseudo-random streams across Clist/history
 // shapes that force heavy eviction, recycling, and history promotion.
 func TestFlatVsOrderedSeeded(t *testing.T) {
-	for _, tc := range []struct{ clist, history int }{
-		{1, 0}, {3, 0}, {8, 0}, {64, 0}, {2, 1}, {5, 2}, {16, 2},
+	for _, tc := range []struct {
+		clist, history int
+		// twins draws every client from the twin pair 10.0.0.1 /
+		// ::ffff:10.0.0.1 and every first server from 203.0.113.1 /
+		// ::ffff:203.0.113.1.
+		twins bool
+	}{
+		{1, 0, false}, {3, 0, false}, {8, 0, false}, {64, 0, false}, {2, 1, false}, {5, 2, false}, {16, 2, false},
+		{6, 2, true},
 	} {
 		data := make([]byte, 3*2048)
 		s := uint64(tc.clist*31 + tc.history*7 + 1)
@@ -113,21 +137,29 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 			z ^= z >> 27
 			data[i] = byte(z >> 40)
 		}
-		t.Run(fmt.Sprintf("clist=%d,history=%d", tc.clist, tc.history), func(t *testing.T) {
+		name := fmt.Sprintf("clist=%d,history=%d", tc.clist, tc.history)
+		if tc.twins {
+			name += ",twins+dups"
+			for i := 0; i+3 <= len(data); i += 3 {
+				data[i] = data[i]&0x80 | (data[i]&1)*4
+				data[i+1] = data[i+1]&0xE0 | (data[i+1]&1)*5
+			}
+		}
+		t.Run(name, func(t *testing.T) {
 			runDifferential(t, data, tc.clist, tc.history)
 		})
 	}
 }
 
-// TestEntriesAliveIncremental pins the satellite fix: Stats().EntriesAlive
-// is maintained incrementally and must equal a full Clist scan at any
-// point.
+// TestEntriesAliveIncremental: Stats().EntriesAlive must equal a scan of
+// the Clist for entries that still hold their slot at any point — a slot
+// recycled while the ring still names it would drop out of the scan.
 func TestEntriesAliveIncremental(t *testing.T) {
 	r := New(Config{ClistSize: 8})
 	scan := func() int {
 		n := 0
-		for _, e := range r.clist {
-			if e != nil && e.live {
+		for _, s := range r.clist {
+			if r.entries.At(s).names > 0 {
 				n++
 			}
 		}

@@ -3,6 +3,7 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 type orderedRef struct {
 	cfg     Config
 	clients map[netip.Addr]*orderedServerMap
-	clist   []*Entry
+	clist   []*refEntry
 	next    int
 	alive   int
 	stats   Stats
@@ -27,15 +28,33 @@ func newOrderedRef(cfg Config) *orderedRef {
 	return &orderedRef{
 		cfg:     cfg,
 		clients: make(map[netip.Addr]*orderedServerMap),
-		clist:   make([]*Entry, cfg.ClistSize),
+		clist:   make([]*refEntry, cfg.ClistSize),
+	}
+}
+
+// refEntry is the model's Clist entry: the response's FQDN and time, the
+// client that resolved it and the servers whose keys still point at it, in
+// the order they were linked.
+type refEntry struct {
+	fqdn    string
+	at      time.Duration
+	client  netip.Addr
+	servers []netip.Addr
+	live    bool
+}
+
+// removeServer drops the back-reference to srv (replacement path).
+func (e *refEntry) removeServer(srv netip.Addr) {
+	if i := slices.Index(e.servers, srv); i >= 0 {
+		e.servers = slices.Delete(e.servers, i, i+1)
 	}
 }
 
 // node holds the newest entry for a (client, server) key plus bounded
 // history of displaced entries, newest first.
 type node struct {
-	entry *Entry
-	older []*Entry
+	entry *refEntry
+	older []*refEntry
 }
 
 // orderedServerMap is one client's inner map: entries sorted by server
@@ -89,7 +108,7 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 	if fqdn == "" || len(servers) == 0 {
 		return
 	}
-	e := &Entry{FQDN: fqdn, At: at, live: true}
+	e := &refEntry{fqdn: fqdn, at: at, client: client, live: true}
 	m.alive++
 	sm, ok := m.clients[client]
 	if !ok {
@@ -101,10 +120,10 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 		m.stats.Addresses++
 		if n, ok := sm.get(srv); ok {
 			old := n.entry
-			old.removeRef(client, srv)
+			old.removeServer(srv)
 			m.stats.Replaced++
-			if m.cfg.History > 0 && old.FQDN != fqdn {
-				n.older = append([]*Entry{old}, n.older...)
+			if m.cfg.History > 0 && old.fqdn != fqdn {
+				n.older = append([]*refEntry{old}, n.older...)
 				if len(n.older) > m.cfg.History {
 					n.older = n.older[:m.cfg.History]
 				}
@@ -113,7 +132,7 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 		} else {
 			sm.put(srv, &node{entry: e})
 		}
-		e.refs = append(e.refs, backref{client: client, server: srv})
+		e.servers = append(e.servers, srv)
 	}
 	if old := m.clist[m.next]; old != nil && old.live {
 		m.evict(old)
@@ -124,14 +143,14 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 
 // evict removes every key still pointing at e, promoting history where a
 // key has some and dropping a client whose inner map empties.
-func (m *orderedRef) evict(e *Entry) {
+func (m *orderedRef) evict(e *refEntry) {
 	m.stats.Evictions++
-	for _, ref := range e.refs {
-		sm, ok := m.clients[ref.client]
+	for _, srv := range e.servers {
+		sm, ok := m.clients[e.client]
 		if !ok {
 			continue
 		}
-		n, ok := sm.get(ref.server)
+		n, ok := sm.get(srv)
 		if !ok {
 			continue
 		}
@@ -140,10 +159,10 @@ func (m *orderedRef) evict(e *Entry) {
 				n.entry, n.older = n.older[0], n.older[1:]
 				continue
 			}
-			sm.del(ref.server)
+			sm.del(srv)
 			m.stats.EvictedRefs++
 			if sm.size() == 0 {
-				delete(m.clients, ref.client)
+				delete(m.clients, e.client)
 			}
 			continue
 		}
@@ -154,7 +173,7 @@ func (m *orderedRef) evict(e *Entry) {
 			}
 		}
 	}
-	e.refs = nil
+	e.servers = nil
 	e.live = false
 	m.alive--
 }
@@ -177,7 +196,7 @@ func (m *orderedRef) Lookup(client, server netip.Addr) (string, bool) {
 		return "", false
 	}
 	m.stats.Hits++
-	return n.entry.FQDN, true
+	return n.entry.fqdn, true
 }
 
 // LookupAll returns the key's FQDNs, newest first.
@@ -186,9 +205,23 @@ func (m *orderedRef) LookupAll(client, server netip.Addr) []string {
 	if n == nil {
 		return nil
 	}
-	out := []string{n.entry.FQDN}
+	out := []string{n.entry.fqdn}
 	for _, h := range n.older {
-		out = append(out, h.FQDN)
+		out = append(out, h.fqdn)
+	}
+	return out
+}
+
+// snapshot is the model's Snapshot: a FIFO walk of the Clist, oldest first,
+// skipping evicted slots and entries with no servers left.
+func (m *orderedRef) snapshot() []SnapshotEntry {
+	out := []SnapshotEntry{}
+	for i := range m.clist {
+		e := m.clist[(m.next+i)%len(m.clist)]
+		if e == nil || !e.live || len(e.servers) == 0 {
+			continue
+		}
+		out = append(out, SnapshotEntry{Client: e.client, Servers: e.servers, FQDN: e.fqdn, At: e.at})
 	}
 	return out
 }
@@ -205,7 +238,7 @@ func TestOrderedServerMapOps(t *testing.T) {
 	m := &orderedServerMap{}
 	addrs := []netip.Addr{s3, s1, s2}
 	for i, a := range addrs {
-		m.put(a, &node{entry: &Entry{FQDN: fmt.Sprintf("e%d", i)}})
+		m.put(a, &node{entry: &refEntry{fqdn: fmt.Sprintf("e%d", i)}})
 	}
 	if m.size() != 3 {
 		t.Fatalf("size = %d", m.size())
@@ -216,11 +249,11 @@ func TestOrderedServerMapOps(t *testing.T) {
 			t.Fatalf("keys unsorted: %v", m.keys)
 		}
 	}
-	if n, ok := m.get(s1); !ok || n.entry.FQDN != "e1" {
+	if n, ok := m.get(s1); !ok || n.entry.fqdn != "e1" {
 		t.Fatalf("get(s1) = %v %v", n, ok)
 	}
-	m.put(s1, &node{entry: &Entry{FQDN: "replaced"}})
-	if n, _ := m.get(s1); n.entry.FQDN != "replaced" {
+	m.put(s1, &node{entry: &refEntry{fqdn: "replaced"}})
+	if n, _ := m.get(s1); n.entry.fqdn != "replaced" {
 		t.Fatal("put did not replace")
 	}
 	m.del(s1)

@@ -4,19 +4,23 @@
 // circular list (the Clist) of fixed size L, and links it from a lookup
 // structure keyed by (clientIP, serverIP). Back-references from each entry
 // to the map keys pointing at it make eviction O(refs) with no garbage
-// collection pass, exactly as the paper describes.
+// collection pass, exactly as the paper describes; here they are prev/next
+// links threaded through the key nodes themselves, so eviction walks an
+// entry's nodes by slot and never re-hashes a key.
 //
 // The lookup structure is the paper's footnote-2 hash-map option, with the
 // two-level clientIP → serverIP → entry maps flattened into a single
 // swiss-style open-addressing table keyed by the combined (client, server)
-// address pair: one probe per lookup instead of two chained hash maps, with
-// buckets that hold only uint32 indices into a node slab (pointer-free,
-// invisible to the GC). The paper's two-level ordered structure (C++
-// std::map) lives on in the package tests as the reference model the
-// differential tests and fuzzer compare this table against.
+// address pair: one probe per lookup instead of two chained hash maps. Key
+// nodes, Clist entries and history cells live in slabs and name each other
+// by uint32 slot; the nodes, the history cells and the Clist ring hold no
+// pointer, so the GC never scans them. The paper's two-level ordered
+// structure (C++ std::map) lives on in the package tests as the reference
+// model the differential tests and fuzzer compare this table against.
 package resolver
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
@@ -49,36 +53,76 @@ type Stats struct {
 	Hits         uint64
 	Misses       uint64
 	ClientsPeak  int
-	EntriesAlive int // entries currently holding at least one ref
+	EntriesAlive int // entries in the Clist (its filled slots)
 }
 
-// Entry is one Clist slot: an FQDN with the time its response was seen and
-// the back-references that point at it.
+// Entry is one Clist entry: an FQDN with the time its response was seen.
+// Entries live in a slab and a slot is reused once its entry has left the
+// Clist and no node names it, so an *Entry is valid only until the next
+// Insert.
 type Entry struct {
 	FQDN string
 	At   time.Duration
+	// refs is the first node of the entry's back-reference list: the nodes
+	// whose current entry it became by Insert, linked in insertion order
+	// through pairNode.prev/next. noSlot when the list is empty.
+	refs uint32
+	// names counts what names the entry: its Clist slot until eviction,
+	// and every node whose current or history entry it is. The entry's slot
+	// is recycled when the count drops to zero.
+	names uint32
 	// Used is set by the flow tagger when the entry labels its first flow;
 	// entries never used measure the paper's "useless DNS" (Table 9).
 	Used bool
-	refs []backref
-	// live guards against double recycling.
-	live bool
 }
 
-type backref struct {
-	client, server netip.Addr
+// addr16 is an address as the two words of its 16-byte form.
+type addr16 struct{ lo, hi uint64 }
+
+func toAddr16(a netip.Addr) addr16 {
+	b := a.As16()
+	return addr16{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
 }
 
-// pairNode is one flat-table node: the (client, server) key it is filed
-// under, the newest entry, and bounded history. Nodes live in a slab
-// addressed by the uint32 slots of the swiss index; slots are recycled on
-// remove, so cross-statement references use slots, never *pairNode.
+func (w addr16) addr(is4 bool) netip.Addr {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], w.lo)
+	binary.LittleEndian.PutUint64(b[8:], w.hi)
+	if is4 {
+		return netip.AddrFrom4([4]byte(b[12:]))
+	}
+	return netip.AddrFrom16(b)
+}
+
+// pairKey is a (client, server) key in pointer-free form: both addresses as
+// 16 bytes plus a family bit each, so an IPv4 address and its 4-in-6 twin
+// stay distinct keys. Zones are not kept; the packet parser never produces
+// one.
+type pairKey struct {
+	client, server addr16
+	v4             uint8 // bit 0: client is IPv4; bit 1: server is IPv4
+}
+
+func (k pairKey) clientAddr() netip.Addr { return k.client.addr(k.v4&1 != 0) }
+func (k pairKey) serverAddr() netip.Addr { return k.server.addr(k.v4&2 != 0) }
+
+// pairNode is one flat-table node: its key and cached hash, the slot of its
+// current entry, its links on that entry's back-reference list, and its
+// newest history cell. Nodes live in a slab addressed by the uint32 slots of
+// the swiss index and hold no pointer, so the GC never scans them; slots are
+// recycled on remove, so cross-statement references use slots, never
+// *pairNode.
 type pairNode struct {
-	client, server netip.Addr
-	hash           uint64
-	entry          *Entry
-	older          []*Entry
+	key        pairKey
+	hash       uint64
+	entry      uint32
+	prev, next uint32 // back-reference links; prev is noSlot when unlinked
+	older      uint32 // newest history cell, or noSlot
 }
+
+// histCell is one history entry of a node (Config.History); a node's cells
+// form a list, newest first.
+type histCell struct{ entry, next uint32 }
 
 // noSlot is the nil slab index.
 const noSlot = ^uint32(0)
@@ -101,18 +145,29 @@ func newPairTable() *pairTable {
 	return t
 }
 
-func (t *pairTable) hash(client, server netip.Addr) uint64 {
-	return swiss.HashAddr(swiss.HashAddr(t.seed, client), server)
+// key fills k with the pair key of (client, server) and returns its hash.
+// It writes through a pointer because returning the 40-byte key by value
+// costs a copy on the lookup path.
+func (t *pairTable) key(k *pairKey, client, server netip.Addr) uint64 {
+	k.client, k.server, k.v4 = toAddr16(client), toAddr16(server), 0
+	if client.Is4() {
+		k.v4 |= 1
+	}
+	if server.Is4() {
+		k.v4 |= 2
+	}
+	return swiss.Hash128(swiss.Hash128(t.seed, k.client.lo, k.client.hi), k.server.lo, k.server.hi)
 }
 
 func (t *pairTable) hashOf(slot uint32) uint64 { return t.nodes.At(slot).hash }
 
-// find returns the node slot for (client, server), or noSlot.
-func (t *pairTable) find(h uint64, client, server netip.Addr) uint32 {
+// find returns the node slot for k, or noSlot. It compares the key field
+// by field: == on the whole struct would call memequal.
+func (t *pairTable) find(k *pairKey, h uint64) uint32 {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
 			s := p.Slot(m)
-			if n := t.nodes.At(s); n.client == client && n.server == server {
+			if n := &t.nodes.At(s).key; n.client == k.client && n.server == k.server && n.v4 == k.v4 {
 				return s
 			}
 		}
@@ -122,13 +177,12 @@ func (t *pairTable) find(h uint64, client, server netip.Addr) uint32 {
 	}
 }
 
-// insert creates a node for (client, server) → e and returns its slot.
-func (t *pairTable) insert(h uint64, client, server netip.Addr, e *Entry) uint32 {
+// insert creates an unlinked node for k → entry and returns its slot.
+func (t *pairTable) insert(k pairKey, h uint64, entry uint32) uint32 {
 	slot := t.nodes.Alloc()
-	n := t.nodes.At(slot)
-	n.client, n.server, n.hash, n.entry = client, server, h, e
+	*t.nodes.At(slot) = pairNode{key: k, hash: h, entry: entry, prev: noSlot, next: noSlot, older: noSlot}
 	t.idx.Insert(h, slot, t.hashOf)
-	t.clients[client]++
+	t.clients[k.clientAddr()]++
 	return slot
 }
 
@@ -137,13 +191,12 @@ func (t *pairTable) insert(h uint64, client, server netip.Addr, e *Entry) uint32
 func (t *pairTable) remove(slot uint32) {
 	n := t.nodes.At(slot)
 	t.idx.Delete(n.hash, slot)
-	if c := t.clients[n.client] - 1; c == 0 {
-		delete(t.clients, n.client)
+	client := n.key.clientAddr()
+	if c := t.clients[client] - 1; c == 0 {
+		delete(t.clients, client)
 	} else {
-		t.clients[n.client] = c
+		t.clients[client] = c
 	}
-	n.client, n.server, n.hash, n.entry = netip.Addr{}, netip.Addr{}, 0, nil
-	n.older = n.older[:0]
 	t.nodes.Free(slot)
 }
 
@@ -151,33 +204,19 @@ func (t *pairTable) remove(slot uint32) {
 // client address for parallel deployments (the paper suggests odd/even
 // fourth-octet sharding).
 type Resolver struct {
-	cfg  Config
-	flat *pairTable
-	// clist grows on demand up to cfg.ClistSize and only then behaves as a
-	// ring. The FIFO semantics are identical to a preallocated ring — slots
-	// fill in index order before any slot is ever recycled — but a lightly
-	// loaded resolver never pays for (or makes the GC scan) a million-slot
-	// pointer array.
-	clist []*Entry
+	cfg     Config
+	flat    *pairTable
+	entries swiss.Slab[Entry]
+	hist    swiss.Slab[histCell]
+	// clist holds entry slots. It grows on demand up to cfg.ClistSize and
+	// only then behaves as a ring. The FIFO semantics are identical to a
+	// preallocated ring — slots fill in index order before any slot is ever
+	// recycled — but a lightly loaded resolver never pays for a
+	// million-slot array.
+	clist []uint32
 	next  int
-	// alive tracks the live Clist entries incrementally (insert ++, evict
-	// --), so Stats never rescans the list.
-	alive int
-	// freeEntry recycles evicted Clist entries (with their refs capacity)
-	// so a saturated resolver inserts without allocating. Only used when
-	// History == 0: with history enabled, evicted entries can remain
-	// referenced from node history lists.
-	freeEntry []*Entry
-	// Slabs back fresh entries and backrefs in blocks, cutting the filling
-	// phase (before the Clist wraps and the free lists take over) from ~2
-	// heap objects per DNS response to ~2 per slabSize responses.
-	entrySlab []Entry
-	refSlab   []backref
-	stats     Stats
+	stats Stats
 }
-
-// slabSize is the block size for entry/backref slab allocation.
-const slabSize = 256
 
 // New creates a resolver.
 func New(cfg Config) *Resolver {
@@ -190,12 +229,11 @@ func New(cfg Config) *Resolver {
 // L returns the configured Clist size.
 func (r *Resolver) L() int { return r.cfg.ClistSize }
 
-// Stats returns a snapshot of the counters. EntriesAlive is maintained
-// incrementally on insert/evict, so this is O(1) — it no longer rescans
-// the Clist.
+// Stats returns a snapshot of the counters. EntriesAlive is the number of
+// filled Clist slots: every one holds a live entry.
 func (r *Resolver) Stats() Stats {
 	s := r.stats
-	s.EntriesAlive = r.alive
+	s.EntriesAlive = len(r.clist)
 	return s
 }
 
@@ -210,138 +248,142 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 	if fqdn == "" || len(servers) == 0 {
 		return
 	}
-	entry := r.newEntry(fqdn, at)
-	r.reserveRefs(entry, len(servers))
+	es := r.entries.Alloc()
+	entry := r.entries.At(es)
+	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1}
 	// Link entry from every (clientIP, server) key (lines 5–21).
 	ft := r.flat
-	hc := swiss.HashAddr(ft.seed, clientIP) // client half, shared across servers
 	for _, serverIP := range servers {
 		r.stats.Addresses++
-		h := swiss.HashAddr(hc, serverIP)
-		if slot := ft.find(h, clientIP, serverIP); slot != noSlot {
-			n := ft.nodes.At(slot)
-			// Replace the old reference (Algorithm 1, lines 11–15): the old
-			// entry loses this back-reference; optionally it is retained as
-			// history for LookupAll.
-			old := n.entry
-			old.removeRef(clientIP, serverIP)
-			r.stats.Replaced++
-			if r.cfg.History > 0 && old.FQDN != entry.FQDN {
-				n.older = append([]*Entry{old}, n.older...)
-				if len(n.older) > r.cfg.History {
-					n.older = n.older[:r.cfg.History]
-				}
-			}
-			n.entry = entry
+		var k pairKey
+		h := ft.key(&k, clientIP, serverIP)
+		slot := ft.find(&k, h)
+		if slot == noSlot {
+			slot = ft.insert(k, h, es)
+			r.stats.ClientsPeak = max(r.stats.ClientsPeak, len(ft.clients))
 		} else {
-			ft.insert(h, clientIP, serverIP, entry)
-			if len(ft.clients) > r.stats.ClientsPeak {
-				r.stats.ClientsPeak = len(ft.clients)
+			// Replace the old reference (Algorithm 1, lines 11–15): the old
+			// entry loses this node; optionally it is retained as history
+			// for LookupAll.
+			r.stats.Replaced++
+			n := ft.nodes.At(slot)
+			old := n.entry
+			r.unlink(slot)
+			if r.cfg.History > 0 && r.entries.At(old).FQDN != fqdn {
+				r.pushHistory(n, old)
+			} else {
+				r.release(old)
 			}
+			n.entry = es
 		}
-		entry.refs = append(entry.refs, backref{client: clientIP, server: serverIP})
+		entry.names++
+		r.link(slot)
 	}
 	// Recycle the next Clist slot (lines 22–25). While the list is still
 	// below capacity L, slots are appended — index order, exactly the order
 	// a preallocated ring would fill them.
 	if len(r.clist) < r.cfg.ClistSize {
-		r.clist = append(r.clist, entry)
+		r.clist = append(r.clist, es)
 		return
 	}
-	if old := r.clist[r.next]; old != nil && old.live {
-		r.evict(old)
-	}
-	r.clist[r.next] = entry
+	r.evict(r.clist[r.next])
+	r.clist[r.next] = es
 	r.next++
 	if r.next == len(r.clist) {
 		r.next = 0
 	}
 }
 
-// newEntry takes an entry from the free list, or carves one from the slab.
-func (r *Resolver) newEntry(fqdn string, at time.Duration) *Entry {
-	r.alive++
-	if n := len(r.freeEntry); n > 0 {
-		e := r.freeEntry[n-1]
-		r.freeEntry = r.freeEntry[:n-1]
-		e.FQDN, e.At, e.Used, e.live = fqdn, at, false, true
-		return e
+// link appends the node at slot to its entry's back-reference list, which
+// is circular: the first node's prev is the last.
+func (r *Resolver) link(slot uint32) {
+	nodes := &r.flat.nodes
+	n := nodes.At(slot)
+	e := r.entries.At(n.entry)
+	if e.refs == noSlot {
+		n.prev, n.next, e.refs = slot, slot, slot
+		return
 	}
-	if len(r.entrySlab) == 0 {
-		r.entrySlab = make([]Entry, slabSize)
-	}
-	e := &r.entrySlab[0]
-	r.entrySlab = r.entrySlab[1:]
-	e.FQDN, e.At, e.live = fqdn, at, true
-	return e
+	first := nodes.At(e.refs)
+	n.prev, n.next = first.prev, e.refs
+	nodes.At(first.prev).next = slot
+	first.prev = slot
 }
 
-// reserveRefs gives e backref capacity for n appends, carving fresh
-// capacity from the shared slab. An entry's refs are only ever appended
-// inside the single Insert call that created it, so slab regions never
-// interleave; the capacity limit makes a stray overflow re-allocate rather
-// than stomp a neighbor.
-func (r *Resolver) reserveRefs(e *Entry, n int) {
-	if cap(e.refs) >= n {
-		return // recycled entry with enough capacity
+// unlink takes the node at slot off its entry's back-reference list, if it
+// is on one: a node whose entry was promoted from history is not.
+func (r *Resolver) unlink(slot uint32) {
+	nodes := &r.flat.nodes
+	n := nodes.At(slot)
+	if n.prev == noSlot {
+		return
 	}
-	if len(r.refSlab) < n {
-		r.refSlab = make([]backref, max(slabSize, n))
-	}
-	e.refs = r.refSlab[:0:n]
-	r.refSlab = r.refSlab[n:]
-}
-
-// evict removes every map key still pointing at e.
-func (r *Resolver) evict(e *Entry) {
-	r.stats.Evictions++
-	ft := r.flat
-	for _, ref := range e.refs {
-		slot := ft.find(ft.hash(ref.client, ref.server), ref.client, ref.server)
-		if slot == noSlot {
-			continue
-		}
-		n := ft.nodes.At(slot)
-		if n.entry == e {
-			// Promote history if any, else drop the key.
-			if len(n.older) > 0 {
-				n.entry = n.older[0]
-				n.older = n.older[1:]
-			} else {
-				ft.remove(slot)
-				r.stats.EvictedRefs++
-			}
-			continue
-		}
-		// e may live only in history.
-		for i, h := range n.older {
-			if h == e {
-				n.older = append(n.older[:i], n.older[i+1:]...)
-				break
-			}
-		}
-	}
-	e.refs = e.refs[:0]
-	e.live = false
-	r.alive--
-	if r.cfg.History == 0 {
-		// With history enabled an evicted entry can still be referenced
-		// from another node's history list, so it must not be reused; the
-		// paper's default (no history) recycles it.
-		r.freeEntry = append(r.freeEntry, e)
+	e := r.entries.At(n.entry)
+	if n.next == slot {
+		e.refs = noSlot
 	} else {
-		e.refs = nil
+		nodes.At(n.prev).next = n.next
+		nodes.At(n.next).prev = n.prev
+		if e.refs == slot {
+			e.refs = n.next
+		}
 	}
+	n.prev, n.next = noSlot, noSlot
 }
 
-// removeRef drops one back-reference from the entry (replacement path).
-func (e *Entry) removeRef(client, server netip.Addr) {
-	for i, ref := range e.refs {
-		if ref.client == client && ref.server == server {
-			e.refs = append(e.refs[:i], e.refs[i+1:]...)
+// pushHistory files old as n's newest history entry and drops the cell
+// beyond Config.History, if any.
+func (r *Resolver) pushHistory(n *pairNode, old uint32) {
+	c := r.hist.Alloc()
+	*r.hist.At(c) = histCell{entry: old, next: n.older}
+	n.older = c
+	for i := 1; i < r.cfg.History; i++ {
+		if c = r.hist.At(c).next; c == noSlot {
 			return
 		}
 	}
+	last := r.hist.At(c)
+	if drop := last.next; drop != noSlot {
+		last.next = noSlot
+		r.release(r.hist.At(drop).entry)
+		r.hist.Free(drop)
+	}
+}
+
+// release drops one name of the entry at slot s and recycles the slot when
+// none is left: the entry has left the Clist and no node names it.
+func (r *Resolver) release(s uint32) {
+	e := r.entries.At(s)
+	if e.names--; e.names == 0 {
+		e.FQDN = ""
+		r.entries.Free(s)
+	}
+}
+
+// evict takes the entry at slot s out of the Clist: every node on its
+// back-reference list promotes its newest history entry if it has one and
+// is removed otherwise — by slot, with no hash or probe.
+func (r *Resolver) evict(s uint32) {
+	r.stats.Evictions++
+	e := r.entries.At(s)
+	ft := r.flat
+	for e.refs != noSlot {
+		slot := e.refs
+		r.unlink(slot)
+		r.release(s)
+		n := ft.nodes.At(slot)
+		if n.older == noSlot {
+			ft.remove(slot)
+			r.stats.EvictedRefs++
+			continue
+		}
+		// The promoted entry stays off the node's back-reference list: it
+		// lost its link when it was replaced.
+		h := *r.hist.At(n.older)
+		r.hist.Free(n.older)
+		n.entry, n.older = h.entry, h.next
+	}
+	r.release(s) // the Clist's name
 }
 
 // Lookup returns the FQDN clientIP most recently resolved to serverIP
@@ -360,9 +402,10 @@ func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) 
 func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	r.stats.Lookups++
 	ft := r.flat
-	if slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP); slot != noSlot {
+	var k pairKey
+	if slot := ft.find(&k, ft.key(&k, clientIP, serverIP)); slot != noSlot {
 		r.stats.Hits++
-		return ft.nodes.At(slot).entry, true
+		return r.entries.At(ft.nodes.At(slot).entry), true
 	}
 	r.stats.Misses++
 	return nil, false
@@ -373,14 +416,15 @@ func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 // name. The multi-label extension discussed in §6.
 func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
 	ft := r.flat
-	slot := ft.find(ft.hash(clientIP, serverIP), clientIP, serverIP)
+	var k pairKey
+	slot := ft.find(&k, ft.key(&k, clientIP, serverIP))
 	if slot == noSlot {
 		return nil
 	}
 	n := ft.nodes.At(slot)
-	out := []string{n.entry.FQDN}
-	for _, h := range n.older {
-		out = append(out, h.FQDN)
+	out := []string{r.entries.At(n.entry).FQDN}
+	for c := n.older; c != noSlot; c = r.hist.At(c).next {
+		out = append(out, r.entries.At(r.hist.At(c).entry).FQDN)
 	}
 	return out
 }

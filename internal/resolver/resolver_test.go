@@ -3,6 +3,7 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -216,8 +217,8 @@ func TestStatsString(t *testing.T) {
 
 func TestQuickInvariantNoDanglingRefs(t *testing.T) {
 	// Property: after any insert sequence, every lookup hit returns an
-	// entry that is still live, and the number of live entries never
-	// exceeds L.
+	// entry that is still in the Clist, and the number of live entries
+	// never exceeds L.
 	f := func(ops []uint16) bool {
 		const L = 8
 		r := New(Config{ClistSize: L})
@@ -234,7 +235,8 @@ func TestQuickInvariantNoDanglingRefs(t *testing.T) {
 		}
 		for _, cl := range clients {
 			for _, sv := range servers {
-				if e, ok := r.LookupEntry(cl, sv); ok && !e.live {
+				e, ok := r.LookupEntry(cl, sv)
+				if ok && !slices.ContainsFunc(r.clist, func(s uint32) bool { return r.entries.At(s) == e }) {
 					return false
 				}
 			}

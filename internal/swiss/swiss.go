@@ -303,7 +303,9 @@ func HashU64(seed, v uint64) uint64 { return Mix(seed^v, k0) }
 // zones are ignored for the same reason.
 func HashAddr(seed uint64, a netip.Addr) uint64 {
 	b := a.As16()
-	lo := binary.LittleEndian.Uint64(b[0:8])
-	hi := binary.LittleEndian.Uint64(b[8:16])
-	return Mix(seed^lo, hi^k1)
+	return Hash128(seed, binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]))
 }
+
+// Hash128 mixes a 128-bit value, given as its low and high words, into a
+// running hash: HashAddr for callers that keep an address as two words.
+func Hash128(seed, lo, hi uint64) uint64 { return Mix(seed^lo, hi^k1) }
