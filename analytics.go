@@ -22,8 +22,7 @@ type (
 	// AnalyticsPipeline is the query registry feeding a set of
 	// AnalyticsQuery values from one flow stream.
 	AnalyticsPipeline = analytics.Pipeline
-	// AnalyticsQuery is one incremental analysis (observe / merge /
-	// snapshot).
+	// AnalyticsQuery is one incremental analysis (observe / snapshot).
 	AnalyticsQuery = analytics.Query
 	// AnalyticsResult pairs a query name with its snapshot.
 	AnalyticsResult = analytics.QueryResult
@@ -41,34 +40,12 @@ func NewAnalyticsPipeline(queries ...AnalyticsQuery) *AnalyticsPipeline {
 	return analytics.NewPipeline(queries...)
 }
 
-// OrgLookupDB adapts an organization database into an OrgLookup (nil odb
-// yields a nil lookup, which resolves every address to "unknown").
-func OrgLookupDB(odb *OrgDB) OrgLookup { return analytics.OrgLookupDB(odb) }
-
 // StreamingQueries returns the standard sketch-based query set — top
 // domains/SLDs/orgs, per-SLD server footprints, provider usage, tagging
 // coverage — sized for bounded state under run-forever serving. odb may
 // be nil when no organization database is loaded.
 func StreamingQueries(odb *OrgDB) []AnalyticsQuery {
 	return stream.StandardQueries(analytics.OrgLookupDB(odb))
-}
-
-// ExactQueries returns the exact reference counterparts of
-// StreamingQueries: identical query names, unbounded state. Use them for
-// batch runs where paper-fidelity numbers matter more than memory. The
-// top-k and footprint queries snapshot the same result shapes as their
-// sketched twins; provider_usage snapshots the historical
-// *ProviderFootprint.
-func ExactQueries(odb *OrgDB) []AnalyticsQuery {
-	lookup := analytics.OrgLookupDB(odb)
-	return []AnalyticsQuery{
-		analytics.NewExactTopDomains(stream.DefaultTopK),
-		analytics.NewExactTopSLDs(stream.DefaultTopK),
-		analytics.NewExactTopOrgs(lookup, stream.DefaultTopK),
-		analytics.NewExactSLDFootprint(stream.DefaultTopK),
-		analytics.NewExactProviderUsage(lookup, stream.DefaultTopK),
-		analytics.NewExactCoverage(0),
-	}
 }
 
 // NewTopContentQuery builds the Algorithm 3 content-discovery query (the

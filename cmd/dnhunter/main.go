@@ -32,6 +32,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	dnhunter "repro"
 	"repro/internal/flows"
@@ -72,6 +73,10 @@ func main() {
 	history := flag.Int("history", 0, "multi-label history per (client,server) key")
 	showStats := flag.Bool("stats", true, "print pipeline statistics")
 	flag.Parse()
+	if err := checkFlags(flag.CommandLine); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 	if *pcapPath == "" && len(traces.names) == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -152,6 +157,47 @@ func main() {
 		printStats(res)
 	}
 	fmt.Printf("wrote %s (%d flows, %d shards)\n", *outPath, res.DB.Len(), resolvedShards)
+}
+
+// flagBounds are the values the numeric flags accept. Out of range, the
+// engine would silently remap them: a Clist of -5 to the default size, a
+// negative shard count to one per CPU, -loop -2 to looping forever.
+var flagBounds = []struct {
+	name string
+	ok   func(v float64) bool
+	want string
+}{
+	{"clist", func(v float64) bool { return v >= 1 }, "at least 1"},
+	{"history", func(v float64) bool { return v >= 0 }, "at least 0"},
+	{"shards", func(v float64) bool { return v >= -1 }, "at least -1 (one per CPU)"},
+	{"loop", func(v float64) bool { return v >= 0 }, "at least 0 (forever)"},
+	{"window", func(v float64) bool { return v > 0 }, "positive"},
+	{"speedup", func(v float64) bool { return v >= 0 }, "at least 0 (full speed)"},
+	{"source-restarts", func(v float64) bool { return v >= 0 }, "at least 0 (no supervision)"},
+}
+
+// checkFlags rejects out-of-range values of the numeric flags fs defines;
+// batch mode and serve share it.
+func checkFlags(fs *flag.FlagSet) error {
+	for _, b := range flagBounds {
+		f := fs.Lookup(b.name)
+		if f == nil {
+			continue
+		}
+		var v float64
+		switch x := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			v = float64(x)
+		case float64:
+			v = x
+		case time.Duration:
+			v = float64(x)
+		}
+		if !b.ok(v) {
+			return fmt.Errorf("-%s %s: must be %s", b.name, f.Value, b.want)
+		}
+	}
+	return nil
 }
 
 func printStats(res *dnhunter.Result) {

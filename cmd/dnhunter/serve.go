@@ -49,6 +49,10 @@ func runServe(args []string) {
 	srcBackoff := fs.Duration("source-backoff", 50*time.Millisecond, "first restart's nominal backoff, doubling per consecutive restart")
 	srcBackoffMax := fs.Duration("source-backoff-max", 5*time.Second, "backoff ceiling for supervised restarts")
 	fs.Parse(args)
+	if err := checkFlags(fs); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 
 	if (*pcapPath == "") == (*scenario == "") {
 		log.Fatal("serve: need exactly one of -pcap or -scenario")

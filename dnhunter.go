@@ -100,9 +100,6 @@ func GenerateQuickTrace(seed uint64) *Trace {
 	return synth.Generate(synth.QuickScenario(seed))
 }
 
-// ScenarioNames lists the five named captures in paper order.
-func ScenarioNames() []string { return append([]string(nil), synth.ScenarioNames...) }
-
 // Result is the outcome of running the pipeline over a trace.
 type Result struct {
 	DB       *FlowDB

@@ -34,11 +34,6 @@ type (
 // MultiSink fans events out to several sinks in order.
 func MultiSink(sinks ...Sink) Sink { return core.MultiSink(sinks...) }
 
-// SyncSink serializes a sink behind a mutex; the Engine already does this
-// for its own shards, so it is only needed when one sink is shared across
-// independently running pipelines.
-func SyncSink(s Sink) Sink { return core.SyncSink(s) }
-
 // engineOptions is the accumulated functional-option state.
 type engineOptions struct {
 	cfg          core.EngineConfig
@@ -180,7 +175,7 @@ type MultiResult struct {
 	// WithDNSTimes) DNS response times.
 	PerVantage map[string]*Result
 	// Merged combines all vantages: every flow stamped with its vantage
-	// label in one database (partition it back with FlowDB.ByVantage),
+	// label in one database (each flow's Vantage names its partition),
 	// aggregate statistics, and the merged DNS timeline.
 	Merged *Result
 }

@@ -222,25 +222,25 @@ func TestHeatmap(t *testing.T) {
 }
 
 func TestContentDiscovery(t *testing.T) {
-	db := spatialDB()
-	odb := orgDB()
-	amazonServers := ServersOfOrg(db, odb, "amazon")
-	if len(amazonServers) != 2 {
-		t.Fatalf("amazon servers = %v", amazonServers)
+	top := func(g Granularity) []ContentShare {
+		p := NewPipeline(NewExactTopContent("amazon", OrgLookupDB(orgDB()), g, 10))
+		p.ObserveDB(spatialDB())
+		out, _ := p.Snapshot()[0].Result.([]ContentShare)
+		return out
 	}
-	top := ContentDiscovery(db, amazonServers, BySLD, 10)
-	if len(top) != 2 {
-		t.Fatalf("content = %+v", top)
+	bySLD := top(BySLD)
+	if len(bySLD) != 2 {
+		t.Fatalf("content = %+v", bySLD)
 	}
 	names := map[string]bool{}
-	for _, c := range top {
+	for _, c := range bySLD {
 		names[c.Name] = true
 	}
 	if !names["linkedin.com"] || !names["zynga.com"] {
-		t.Fatalf("content = %+v", top)
+		t.Fatalf("content = %+v", bySLD)
 	}
 	// FQDN granularity keeps full names.
-	topF := ContentDiscovery(db, amazonServers, ByFQDN, 10)
+	topF := top(ByFQDN)
 	if len(topF) != 2 || (topF[0].Name != "static.linkedin.com" && topF[0].Name != "www.zynga.com") {
 		t.Fatalf("fqdn content = %+v", topF)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/flowdb"
-	"repro/internal/orgdb"
 	"repro/internal/stats"
 )
 
@@ -28,25 +27,6 @@ const (
 	// view.
 	BySLD
 )
-
-// ContentDiscovery implements Algorithm 3: given a server set (e.g. all
-// addresses of one CDN), return the ranked content hosted there.
-func ContentDiscovery(db *flowdb.DB, servers []netip.Addr, g Granularity, k int) []ContentShare {
-	c := newContentTally()
-	for _, srv := range servers {
-		for _, f := range db.ByServer(srv) {
-			if !f.Labeled {
-				continue
-			}
-			name := f.Label
-			if g == BySLD {
-				name = f.SLD
-			}
-			c.add(name, f.Key.ClientIP)
-		}
-	}
-	return c.rank(k)
-}
 
 // contentTally is Algorithm 3's aggregate: labeled flows per hosted name,
 // split by client for the Eq. 1 score.
@@ -91,18 +71,6 @@ func (c *contentTally) rank(k int) []ContentShare {
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
-	}
-	return out
-}
-
-// ServersOfOrg returns every observed server address belonging to the given
-// hosting organization, per the org database.
-func ServersOfOrg(db *flowdb.DB, odb *orgdb.DB, org string) []netip.Addr {
-	var out []netip.Addr
-	for _, srv := range db.Servers() {
-		if got, ok := odb.Lookup(srv); ok && got == org {
-			out = append(out, srv)
-		}
 	}
 	return out
 }

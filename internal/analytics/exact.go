@@ -8,7 +8,6 @@ package analytics
 // ObserveVantages.
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"time"
@@ -17,17 +16,6 @@ import (
 	"repro/internal/flows"
 	"repro/internal/stats"
 )
-
-// MergeAs asserts other is the same concrete query type and name as q:
-// the type check every Query.Merge starts with, here and in the stream
-// subpackage.
-func MergeAs[T interface{ Name() string }](q T, other Query) (T, error) {
-	o, ok := other.(T)
-	if !ok || o.Name() != q.Name() {
-		return o, fmt.Errorf("analytics: cannot merge %T(%q) into %T(%q)", other, other.Name(), q, q.Name())
-	}
-	return o, nil
-}
 
 // exactTopK counts keys exactly in a map; the reference for the stream
 // subpackage's space-saving sketch.
@@ -84,18 +72,6 @@ func (q *exactTopK) Observe(f *flowdb.LabeledFlow) {
 	}
 }
 
-func (q *exactTopK) Merge(other Query) error {
-	o, err := MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for key, n := range o.counts {
-		q.counts[key] += n
-	}
-	q.total += o.total
-	return nil
-}
-
 func (q *exactTopK) Snapshot() Result {
 	entries := make([]TopEntry, 0, len(q.counts))
 	for key, n := range q.counts {
@@ -143,27 +119,6 @@ func (q *exactCardinality) Observe(f *flowdb.LabeledFlow) {
 	}
 	set[f.Key.ServerIP] = struct{}{}
 	q.all[f.Key.ServerIP] = struct{}{}
-}
-
-func (q *exactCardinality) Merge(other Query) error {
-	o, err := MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for sld, set := range o.perSLD {
-		dst, ok := q.perSLD[sld]
-		if !ok {
-			dst = map[netip.Addr]struct{}{}
-			q.perSLD[sld] = dst
-		}
-		for a := range set {
-			dst[a] = struct{}{}
-		}
-	}
-	for a := range o.all {
-		q.all[a] = struct{}{}
-	}
-	return nil
 }
 
 func (q *exactCardinality) Snapshot() Result {
@@ -251,47 +206,6 @@ func (q *exactProviderUsage) Observe(f *flowdb.LabeledFlow) {
 		vs[org] = set
 	}
 	set[f.Key.ServerIP] = struct{}{}
-}
-
-func (q *exactProviderUsage) Merge(other Query) error {
-	o, err := MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for v := range o.seen {
-		q.seen[v] = true
-	}
-	for v, n := range o.labeled {
-		q.labeled[v] += n
-	}
-	for v, vf := range o.flows {
-		dst, ok := q.flows[v]
-		if !ok {
-			dst = map[string]int{}
-			q.flows[v] = dst
-		}
-		for org, n := range vf {
-			dst[org] += n
-		}
-	}
-	for v, vs := range o.servers {
-		dst, ok := q.servers[v]
-		if !ok {
-			dst = map[string]map[netip.Addr]struct{}{}
-			q.servers[v] = dst
-		}
-		for org, set := range vs {
-			d, ok := dst[org]
-			if !ok {
-				d = map[netip.Addr]struct{}{}
-				dst[org] = d
-			}
-			for a := range set {
-				d[a] = struct{}{}
-			}
-		}
-	}
-	return nil
 }
 
 // vantageOrder lists the seeded vantages in constructor order, then every
@@ -416,44 +330,6 @@ func (q *exactCrossVantage) Observe(f *flowdb.LabeledFlow) {
 	cv.servers[f.Key.ServerIP] = struct{}{}
 }
 
-func (q *exactCrossVantage) Merge(other Query) error {
-	o, err := MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for v := range o.seen {
-		q.seen[v] = true
-	}
-	for v, ocv := range o.per {
-		cv := q.vantage(v)
-		cv.total += ocv.total
-		for org, oa := range ocv.perOrg {
-			a := hostAggOf(cv.perOrg, org)
-			a.flows += oa.flows
-			for s := range oa.servers {
-				a.servers[s] = struct{}{}
-			}
-			for f := range oa.fqdns {
-				a.fqdns[f] = struct{}{}
-			}
-		}
-		for fqdn, set := range ocv.perFQDN {
-			dst, ok := cv.perFQDN[fqdn]
-			if !ok {
-				dst = map[netip.Addr]struct{}{}
-				cv.perFQDN[fqdn] = dst
-			}
-			for s := range set {
-				dst[s] = struct{}{}
-			}
-		}
-		for s := range ocv.servers {
-			cv.servers[s] = struct{}{}
-		}
-	}
-	return nil
-}
-
 func (q *exactCrossVantage) Snapshot() Result {
 	order := vantageOrder(q.seeded, q.seen)
 	cv := &CrossVantage{SLD: q.sld, Per: make(map[string]*SpatialResult)}
@@ -500,8 +376,8 @@ func sortedAddrs(set map[netip.Addr]struct{}) []netip.Addr {
 	return out
 }
 
-// exactTopContent is the Query form of ContentDiscovery restricted to one
-// hosting org; Snapshot returns []ContentShare.
+// exactTopContent is Algorithm 3 restricted to one hosting org's
+// addresses; Snapshot returns []ContentShare.
 type exactTopContent struct {
 	org    string
 	lookup OrgLookup
@@ -535,28 +411,6 @@ func (q *exactTopContent) Observe(f *flowdb.LabeledFlow) {
 	q.add(name, f.Key.ClientIP)
 }
 
-func (q *exactTopContent) Merge(other Query) error {
-	o, err := MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for name, m := range o.perClient {
-		dst, ok := q.perClient[name]
-		if !ok {
-			dst = map[netip.Addr]int{}
-			q.perClient[name] = dst
-		}
-		for c, n := range m {
-			dst[c] += n
-		}
-	}
-	for name, n := range o.flowsPer {
-		q.flowsPer[name] += n
-	}
-	q.total += o.total
-	return nil
-}
-
 func (q *exactTopContent) Snapshot() Result { return q.rank(q.k) }
 
 // exactCoverage is the streaming form of flowdb.DB.Coverage; Snapshot
@@ -583,18 +437,6 @@ func (q *exactCoverage) Observe(f *flowdb.LabeledFlow) {
 	if f.Labeled {
 		q.labeled[f.L7]++
 	}
-}
-
-func (q *exactCoverage) Merge(other Query) error {
-	o, err := MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for i := range q.total {
-		q.total[i] += o.total[i]
-		q.labeled[i] += o.labeled[i]
-	}
-	return nil
 }
 
 func (q *exactCoverage) Snapshot() Result {

@@ -4,12 +4,10 @@ package analytics
 // this package was a free function over a fully materialized *flowdb.DB —
 // fine for batch runs, incompatible with Engine.Serve, whose windowed
 // store discards each window's flows right after flushing it. Query is
-// the incremental form: an analysis that observes one flow at a time,
-// merges with the same query run on another shard or vantage (the way
-// stats.Stats.Add already composes), and snapshots a deterministic
-// result on demand. Pipeline is the registry that feeds a set of queries
-// from either source — a one-shot DB walk in batch mode, or
-// flowdb.Windowed's pre-discard observer in serve mode.
+// the incremental form: an analysis that observes one flow at a time and
+// snapshots a deterministic result on demand. Pipeline is the registry
+// that feeds a set of queries from either source — a one-shot DB walk in
+// batch mode, or flowdb.Windowed's pre-discard observer in serve mode.
 //
 // Two families implement Query:
 //
@@ -19,10 +17,8 @@ package analytics
 //     (bounded state, documented error bounds).
 //
 // Snapshots must be deterministic: byte-identical for the same observed
-// multiset of flows regardless of shard count or merge order. Every
-// implementation sorts before emitting and keeps merge a commutative,
-// associative fold (pointwise sums, register maxima, set unions) with
-// any truncation deferred to Snapshot.
+// multiset of flows regardless of shard count. Every implementation
+// sorts before emitting and defers any truncation to Snapshot.
 
 import (
 	"fmt"
@@ -50,11 +46,6 @@ type Query interface {
 	// record once per query per flow on the hot path. Not safe for
 	// concurrent use; the Pipeline serializes it.
 	Observe(f *flowdb.LabeledFlow)
-	// Merge folds another instance of the same query (same constructor
-	// parameters, fed from a different shard or vantage) into this one.
-	// Merging is commutative and associative: any merge order yields
-	// byte-identical snapshots.
-	Merge(other Query) error
 	// Snapshot returns the current result. It must not retain or be
 	// invalidated by later Observe calls, and must be deterministic for
 	// a given observed multiset of flows.
@@ -216,30 +207,6 @@ func (p *Pipeline) Observed() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.observed
-}
-
-// Merge folds another pipeline's query states into this one, matching
-// queries by name. Every name registered here must exist in other;
-// queries only in other are ignored. Merge order never changes
-// snapshots: shard pipelines can be folded in any association.
-func (p *Pipeline) Merge(other *Pipeline) error {
-	// Lock ordering: always this then other; merging two pipelines from
-	// two goroutines in opposite directions concurrently is not supported.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	for _, q := range p.queries {
-		i, ok := other.byName[q.Name()]
-		if !ok {
-			return fmt.Errorf("analytics: merge: query %q missing from other pipeline", q.Name())
-		}
-		if err := q.Merge(other.queries[i]); err != nil {
-			return fmt.Errorf("analytics: merge %q: %w", q.Name(), err)
-		}
-	}
-	p.observed += other.observed
-	return nil
 }
 
 // Snapshot returns every query's current result in registration order.

@@ -9,9 +9,8 @@ import (
 )
 
 // hllSeed is the fixed hash seed shared by every HLL in the process (and
-// across processes: it is a compile-time constant). Shard merges rely on
-// it — register-max merging is only meaningful when all shards hash a
-// given value to the same (register, rank) pair.
+// across processes: it is a compile-time constant), so a value always
+// lands in the same (register, rank) pair and estimates are reproducible.
 const hllSeed uint64 = 0x1D8E4C2A9B3F6E57
 
 // Default and bounds for the register-count exponent.
@@ -25,10 +24,9 @@ const (
 
 // HLL is a HyperLogLog distinct-count estimator: 2^p one-byte registers,
 // each remembering the maximum leading-zero rank seen in its substream.
-// Relative standard error is 1.04/√(2^p). Merge takes register maxima,
-// which is commutative, associative, and idempotent — so estimates are
-// independent of shard count and merge order, and Estimate is
-// deterministic for a given observed value set.
+// Relative standard error is 1.04/√(2^p). Registers only take maxima,
+// so Estimate is deterministic for a given observed value set,
+// independent of observation order.
 type HLL struct {
 	p    uint8
 	regs []uint8
@@ -45,9 +43,6 @@ func NewHLL(p uint8) *HLL {
 	return &HLL{p: p, regs: make([]uint8, 1<<p)}
 }
 
-// Precision returns the register-count exponent p.
-func (h *HLL) Precision() uint8 { return h.p }
-
 // AddHash folds one already-hashed value: the top p bits select a
 // register, the rank is the leading-zero count of the rest (the sentinel
 // bit keeps the rank defined when the remaining bits are all zero).
@@ -60,46 +55,8 @@ func (h *HLL) AddHash(x uint64) {
 	}
 }
 
-// Add64 folds one 64-bit value, hashing it with the shared fixed seed.
-func (h *HLL) Add64(v uint64) { h.AddHash(swiss.HashU64(hllSeed, v)) }
-
 // AddAddr folds one address, hashing it with the shared fixed seed.
 func (h *HLL) AddAddr(a netip.Addr) { h.AddHash(swiss.HashAddr(hllSeed, a)) }
-
-// Merge folds another estimator into this one by register maxima. The
-// precisions must match.
-func (h *HLL) Merge(o *HLL) error {
-	if h.p != o.p {
-		return errPrecisionMismatch{h.p, o.p}
-	}
-	for i, r := range o.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
-		}
-	}
-	return nil
-}
-
-type errPrecisionMismatch struct{ a, b uint8 }
-
-func (e errPrecisionMismatch) Error() string {
-	return "stream: hll precision mismatch: " + itoa(int(e.a)) + " vs " + itoa(int(e.b))
-}
-
-// itoa avoids pulling strconv into the error path of a tiny type.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
 
 // Estimate returns the distinct-count estimate: the harmonic-mean raw
 // estimate with the standard bias correction, switching to linear

@@ -111,15 +111,6 @@ func (q *topK) Observe(f *flowdb.LabeledFlow) {
 	}
 }
 
-func (q *topK) Merge(other analytics.Query) error {
-	o, err := analytics.MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	q.ss.Merge(o.ss)
-	return nil
-}
-
 func (q *topK) Snapshot() analytics.Result {
 	return analytics.TopKResult{
 		K:        q.k,
@@ -180,28 +171,6 @@ func newTrackedHLL(p uint8) *HLL {
 	return NewHLL(p)
 }
 
-func (q *sldFootprint) Merge(other analytics.Query) error {
-	o, err := analytics.MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	// No truncation to maxSLDs here: dropping keys per pairwise merge
-	// would make the result depend on merge order. The merged state
-	// transiently holds up to shards×maxSLDs estimators.
-	for sld, oh := range o.perSLD {
-		h, ok := q.perSLD[sld]
-		if !ok {
-			h = NewHLL(o.p)
-			q.perSLD[sld] = h
-		}
-		if err := h.Merge(oh); err != nil {
-			return err
-		}
-	}
-	q.dropped += o.dropped
-	return q.all.Merge(o.all)
-}
-
 func (q *sldFootprint) Snapshot() analytics.Result {
 	entries := make([]analytics.CardinalityEntry, 0, len(q.perSLD))
 	for sld, h := range q.perSLD {
@@ -241,8 +210,7 @@ type providerUsage struct {
 	servers map[string]map[string]*HLL   // vantage → org → distinct servers
 
 	// Current-vantage cell cache; see Observe. Maps are mutated in
-	// place everywhere, so the cached references stay valid, but Merge
-	// invalidates anyway to keep that a local argument.
+	// place, so the cached references stay valid.
 	curValid bool
 	curV     string
 	curVF    map[string]uint64
@@ -252,8 +220,7 @@ type providerUsage struct {
 // NewProviderUsage builds the streaming Table 5 / Fig. 9 aggregate:
 // per-vantage hosting-org shares with HLL-estimated server counts
 // (2^p registers per cell). Snapshot returns ProviderUsageResult with
-// vantages sorted by name — merge-order independent, unlike the exact
-// query's seeded input order.
+// vantages sorted by name, unlike the exact query's seeded input order.
 func NewProviderUsage(lookup analytics.OrgLookup, k int, p uint8) analytics.Query {
 	return &providerUsage{lookup: lookup, k: k, p: p,
 		labeled: map[string]uint64{},
@@ -298,45 +265,6 @@ func newOrgCounters() map[string]uint64 {
 
 func newOrgEstimators() map[string]*HLL {
 	return make(map[string]*HLL)
-}
-
-func (q *providerUsage) Merge(other analytics.Query) error {
-	o, err := analytics.MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	q.curValid = false
-	for v, n := range o.labeled {
-		q.labeled[v] += n
-	}
-	for v, vf := range o.flows {
-		dst, ok := q.flows[v]
-		if !ok {
-			dst = make(map[string]uint64, len(vf))
-			q.flows[v] = dst
-		}
-		for org, n := range vf {
-			dst[org] += n
-		}
-	}
-	for v, vs := range o.servers {
-		dst, ok := q.servers[v]
-		if !ok {
-			dst = make(map[string]*HLL, len(vs))
-			q.servers[v] = dst
-		}
-		for org, oh := range vs {
-			h, ok := dst[org]
-			if !ok {
-				h = NewHLL(oh.p)
-				dst[org] = h
-			}
-			if err := h.Merge(oh); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func (q *providerUsage) Snapshot() analytics.Result {
@@ -421,18 +349,6 @@ func (q *coverage) Observe(f *flowdb.LabeledFlow) {
 	if f.Labeled {
 		q.labeled[f.L7]++
 	}
-}
-
-func (q *coverage) Merge(other analytics.Query) error {
-	o, err := analytics.MergeAs(q, other)
-	if err != nil {
-		return err
-	}
-	for i := range q.total {
-		q.total[i] += o.total[i]
-		q.labeled[i] += o.labeled[i]
-	}
-	return nil
 }
 
 func (q *coverage) Snapshot() analytics.Result {

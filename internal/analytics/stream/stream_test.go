@@ -84,45 +84,6 @@ func TestSpaceSavingInvariants(t *testing.T) {
 	}
 }
 
-func TestSpaceSavingMergeOrderByteIdentical(t *testing.T) {
-	feed := func(seed lcg, items int) *stream.SpaceSaving {
-		ss := stream.NewSpaceSaving(4)
-		r := seed
-		for i := 0; i < items; i++ {
-			ss.Observe(fmt.Sprintf("k%d", r.next()%20))
-		}
-		return ss
-	}
-	shards := func() [3]*stream.SpaceSaving {
-		return [3]*stream.SpaceSaving{feed(1, 500), feed(2, 300), feed(3, 700)}
-	}
-	marshal := func(ss *stream.SpaceSaving) string {
-		b, err := json.Marshal(ss.Top(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	// (a⊕b)⊕c
-	a := shards()
-	a[0].Merge(a[1])
-	a[0].Merge(a[2])
-	left := marshal(a[0])
-	// a⊕(b⊕c)
-	b := shards()
-	b[1].Merge(b[2])
-	b[0].Merge(b[1])
-	right := marshal(b[0])
-	// c⊕(b⊕a) — commutativity too
-	c := shards()
-	c[1].Merge(c[0])
-	c[2].Merge(c[1])
-	rev := marshal(c[2])
-	if left != right || left != rev {
-		t.Fatalf("merge order changed snapshot:\n(a+b)+c: %s\na+(b+c): %s\nc+(b+a): %s", left, right, rev)
-	}
-}
-
 func TestHLLAccuracy(t *testing.T) {
 	for _, n := range []int{10, 100, 1000, 50_000} {
 		h := stream.NewHLL(stream.DefaultHLLPrecision)
@@ -144,37 +105,6 @@ func TestHLLAccuracy(t *testing.T) {
 		if math.Abs(est-float64(n)) > slack {
 			t.Fatalf("n=%d: estimate %.1f off by more than %.1f", n, est, slack)
 		}
-	}
-}
-
-func TestHLLMergeMatchesUnion(t *testing.T) {
-	whole := stream.NewHLL(10)
-	parts := [3]*stream.HLL{stream.NewHLL(10), stream.NewHLL(10), stream.NewHLL(10)}
-	var r lcg = 5
-	for i := 0; i < 10_000; i++ {
-		v := r.next()
-		whole.Add64(v)
-		parts[v%3].Add64(v)
-	}
-	// Merge in two different orders; both must equal the unsharded sketch
-	// exactly (register maxima are deterministic, not just approximate).
-	m1 := stream.NewHLL(10)
-	for _, p := range parts {
-		if err := m1.Merge(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m2 := stream.NewHLL(10)
-	for i := len(parts) - 1; i >= 0; i-- {
-		if err := m2.Merge(parts[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m1.Estimate() != whole.Estimate() || m2.Estimate() != whole.Estimate() {
-		t.Fatalf("sharded estimates %v/%v != unsharded %v", m1.Estimate(), m2.Estimate(), whole.Estimate())
-	}
-	if err := m1.Merge(stream.NewHLL(8)); err == nil {
-		t.Fatal("merging mismatched precisions must error")
 	}
 }
 
@@ -226,75 +156,6 @@ func newExactPipeline() *analytics.Pipeline {
 		analytics.NewExactSLDFootprint(stream.DefaultTopK),
 		analytics.NewExactCoverage(0),
 	)
-}
-
-// TestPipelineMergeOrderByteIdentical shards one flow set three ways and
-// checks every merge association and order yields byte-identical
-// snapshots, for both query families.
-func TestPipelineMergeOrderByteIdentical(t *testing.T) {
-	all := testFlows(3000, 42)
-	for _, family := range []struct {
-		name string
-		mk   func() *analytics.Pipeline
-	}{
-		{"stream", newStreamPipeline},
-		{"exact", newExactPipeline},
-	} {
-		t.Run(family.name, func(t *testing.T) {
-			shardSet := func() [3]*analytics.Pipeline {
-				ps := [3]*analytics.Pipeline{family.mk(), family.mk(), family.mk()}
-				for i, f := range all {
-					ps[i%3].Observe(&f)
-				}
-				return ps
-			}
-			snapshotAfter := func(order [3]int, assoc string) string {
-				ps := shardSet()
-				var root *analytics.Pipeline
-				switch assoc {
-				case "left": // (a⊕b)⊕c
-					root = ps[order[0]]
-					if err := root.Merge(ps[order[1]]); err != nil {
-						t.Fatal(err)
-					}
-					if err := root.Merge(ps[order[2]]); err != nil {
-						t.Fatal(err)
-					}
-				case "right": // a⊕(b⊕c)
-					if err := ps[order[1]].Merge(ps[order[2]]); err != nil {
-						t.Fatal(err)
-					}
-					root = ps[order[0]]
-					if err := root.Merge(ps[order[1]]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				b, err := json.Marshal(root.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(b)
-			}
-			want := snapshotAfter([3]int{0, 1, 2}, "left")
-			for _, order := range [][3]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}} {
-				for _, assoc := range []string{"left", "right"} {
-					if got := snapshotAfter(order, assoc); got != want {
-						t.Fatalf("%s merge order %v/%s changed snapshot:\nwant %s\ngot  %s",
-							family.name, order, assoc, want, got)
-					}
-				}
-			}
-			// And sharding itself must not change the result vs one pipeline.
-			single := family.mk()
-			for _, f := range all {
-				single.Observe(&f)
-			}
-			b, _ := json.Marshal(single.Snapshot())
-			if string(b) != want {
-				t.Fatalf("%s: sharded snapshot differs from unsharded:\nwant %s\ngot  %s", family.name, string(b), want)
-			}
-		})
-	}
 }
 
 // TestStreamMatchesExactSmall checks that under the counter budgets the

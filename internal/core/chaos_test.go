@@ -1,11 +1,11 @@
-package faults_test
+package core_test
 
 // The chaos suite: every synthetic scenario is driven through the full
 // serve pipeline under randomized-but-replayable fault schedules, and the
 // run must end cleanly — no deadlock, a drain inside DrainTimeout, a
 // balanced block pool, and (for prefix-cut faults) output byte-identical
 // to an unfaulted run over the same prefix. Any failing seed replays
-// exactly: CHAOS_SEED=<n> go test ./internal/faults -run Randomized.
+// exactly: CHAOS_SEED=<n> go test ./internal/core -run Randomized.
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/netio"
 	"repro/internal/synth"
 )
@@ -25,17 +24,17 @@ import (
 // chaosFaults derives a full fault configuration from one seed. Every
 // schedule is keyed off the seed, so a (scenario, seed) pair replays the
 // identical fault sequence.
-func chaosFaults(seed uint64) faults.SourceConfig {
-	return faults.SourceConfig{
-		Err:         faults.EveryP(0.01, seed),
-		Stall:       faults.EveryP(0.005, seed+1),
+func chaosFaults(seed uint64) faultSourceConfig {
+	return faultSourceConfig{
+		Err:         EveryP(0.01, seed),
+		Stall:       EveryP(0.005, seed+1),
 		StallFor:    200 * time.Microsecond,
-		ShortBlock:  faults.EveryP(0.05, seed+2),
-		Truncate:    faults.EveryP(0.002, seed+3),
+		ShortBlock:  EveryP(0.05, seed+2),
+		Truncate:    EveryP(0.002, seed+3),
 		TruncateTo:  20,
-		ClockBack:   faults.EveryP(0.001, seed+4),
+		ClockBack:   EveryP(0.001, seed+4),
 		ClockBackBy: 2 * time.Second,
-		ClockSkew:   faults.EveryP(0.001, seed+5),
+		ClockSkew:   EveryP(0.001, seed+5),
 		ClockSkewBy: 5 * time.Second,
 	}
 }
@@ -47,9 +46,9 @@ func chaosServe(t *testing.T, sc synth.Scenario, seed uint64) {
 	tr := synth.Generate(sc)
 	before := netio.DefaultBlockPool().Stats()
 
-	src := faults.NewSource(tr.Source(), chaosFaults(seed))
-	sink := faults.NewSink(nil, faults.SinkConfig{
-		Block:    faults.EveryP(0.002, seed+6),
+	src := newFaultSource(tr.Source(), chaosFaults(seed))
+	sink := newFaultSink(nil, faultSinkConfig{
+		Block:    EveryP(0.002, seed+6),
 		BlockFor: 100 * time.Microsecond,
 	})
 	srv := core.NewServer(
@@ -130,7 +129,7 @@ func TestChaosPrefixEquivalence(t *testing.T) {
 
 	eng := func() *core.Engine { return core.NewEngine(core.EngineConfig{}) }
 	faulted, err := eng().Run(context.Background(),
-		faults.NewSource(tr.Source(), faults.SourceConfig{EOF: faults.At(uint64(cut))}))
+		newFaultSource(tr.Source(), faultSourceConfig{EOF: At(uint64(cut))}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +173,16 @@ func TestChaosCheckpointCorruption(t *testing.T) {
 	}
 
 	corruptions := map[string]func([]byte) []byte{
-		"bitflip":   func(b []byte) []byte { return faults.FlipBit(b, 7) },
-		"truncated": func(b []byte) []byte { return faults.TruncateTail(b, len(b)/2) },
-		"future":    func(b []byte) []byte { return faults.SetByte(b, 8, 0x7f) },
+		"bitflip":   func(b []byte) []byte { return FlipBit(b, 7) },
+		"truncated": func(b []byte) []byte { return TruncateTail(b, len(b)/2) },
+		"future":    func(b []byte) []byte { return SetByte(b, 8, 0x7f) },
 	}
 	for name, transform := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			if err := os.WriteFile(path, pristine, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := faults.CorruptFile(path, transform); err != nil {
+			if err := CorruptFile(path, transform); err != nil {
 				t.Fatal(err)
 			}
 			srv := core.NewServer(core.EngineConfig{}, scfg)

@@ -255,7 +255,10 @@ func TestMalformedDNSCounted(t *testing.T) {
 
 func TestDNSQueryIgnored(t *testing.T) {
 	tb := &traceBuilder{t: t}
-	q := dnswire.NewQuery(7, "x.example.com", dnswire.TypeA)
+	q := &dnswire.Message{
+		Header:    dnswire.Header{ID: 7, RecursionDesired: true},
+		Questions: []dnswire.Question{{Name: "x.example.com", Type: dnswire.TypeA, Class: dnswire.ClassIN}},
+	}
 	raw, err := q.Pack(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,9 @@ package core
 import "repro/internal/netio"
 
 // The core-internal source wrappers, for the external test package
-// (sourcecap_test.go imports internal/faults, which imports core). Each is
-// built the way the engine builds it, with nothing armed: no drain signal,
-// no source errors.
+// (sourcecap_test.go, which checks them beside the fault harness and
+// netio's wrappers). Each is built the way the engine builds it, with
+// nothing armed: no drain signal, no source errors.
 var InternalWrappersForTest = []struct {
 	Name string
 	Wrap func(netio.BlockRefSource) netio.BlockRefSource

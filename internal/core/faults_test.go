@@ -1,4 +1,4 @@
-package faults
+package core_test
 
 import (
 	"bytes"
@@ -78,7 +78,7 @@ func TestScheduleEveryP(t *testing.T) {
 // identical packets, timestamps, and stream end.
 func TestSourceUnarmedTransparent(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(11))
-	faulty := NewSource(tr.Source(), SourceConfig{})
+	faulty := newFaultSource(tr.Source(), faultSourceConfig{})
 	direct := tr.Source()
 	for i := 0; ; i++ {
 		wp, werr := direct.Next()
@@ -114,7 +114,7 @@ func TestSourceUnarmedAllocFree(t *testing.T) {
 			if need := 2 * reads * perRead; len(pkts) < need {
 				t.Fatalf("trace has %d packets, need %d", len(pkts), need)
 			}
-			s := NewSource(tc.src, SourceConfig{})
+			s := newFaultSource(tc.src, faultSourceConfig{})
 			dst := make([]netio.Packet, perRead)
 			// One run covers every read, so a single allocation in any of
 			// them fails (AllocsPerRun floors its per-run average).
@@ -135,19 +135,19 @@ func TestSourceUnarmedAllocFree(t *testing.T) {
 	}
 }
 
-// TestSinkUnarmedAllocFree: a Sink wrapper whose schedules never fire adds
+// TestSinkUnarmedAllocFree: a faultSink whose schedules never fire adds
 // no allocation to the per-flow event callbacks, unarmed or armed with
 // schedules that stay quiet.
 func TestSinkUnarmedAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  SinkConfig
+		cfg  faultSinkConfig
 	}{
-		{"unarmed", SinkConfig{}},
-		{"quiet", SinkConfig{Block: EveryP(0, 1), Err: At(1 << 62), BlockFor: time.Second}},
+		{"unarmed", faultSinkConfig{}},
+		{"quiet", faultSinkConfig{Block: EveryP(0, 1), Err: At(1 << 62), BlockFor: time.Second}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSink(core.NopSink{}, tc.cfg)
+			s := newFaultSink(core.NopSink{}, tc.cfg)
 			tag := core.TagEvent{Label: "www.example.com", Hit: true, SYN: true}
 			dns := core.DNSEvent{FQDN: "www.example.com", NumAddrs: 2}
 			f := flowdb.LabeledFlow{Label: "www.example.com", Labeled: true}
@@ -156,7 +156,7 @@ func TestSinkUnarmedAllocFree(t *testing.T) {
 				s.OnDNSResponse(dns)
 				s.OnFlow(f)
 			}); n != 0 {
-				t.Fatalf("Sink callbacks allocate %v per flow, want 0", n)
+				t.Fatalf("sink callbacks allocate %v per flow, want 0", n)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSinkUnarmedAllocFree(t *testing.T) {
 // error once without consuming input; the retried stream is complete.
 func TestSourceErrResumable(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(12))
-	src := NewSource(tr.Source(), SourceConfig{Err: At(5)})
+	src := newFaultSource(tr.Source(), faultSourceConfig{Err: At(5)})
 	got, injected := 0, 0
 	for {
 		_, err := src.Next()
@@ -195,7 +195,7 @@ func TestSourceErrResumable(t *testing.T) {
 func TestSourceEOFPrefix(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(13))
 	const cut = 100
-	src := NewSource(tr.Source(), SourceConfig{EOF: At(cut)})
+	src := newFaultSource(tr.Source(), faultSourceConfig{EOF: At(cut)})
 	var got []netio.Packet
 	for {
 		p, err := src.Next()
@@ -222,7 +222,7 @@ func TestSourceEOFPrefix(t *testing.T) {
 // scheduled packet.
 func TestSourceFrameFaults(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(14))
-	src := NewSource(tr.Source(), SourceConfig{
+	src := newFaultSource(tr.Source(), faultSourceConfig{
 		Truncate: At(3), TruncateTo: 7,
 		ClockBack: At(5), ClockBackBy: time.Hour * 1000, // clamps to 0
 		ClockSkew: At(6), ClockSkewBy: time.Minute,
@@ -257,7 +257,7 @@ func TestSourceFrameFaults(t *testing.T) {
 // without losing any.
 func TestSourceShortBlock(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(15))
-	src := NewSource(tr.Source(), SourceConfig{ShortBlock: At(0)})
+	src := newFaultSource(tr.Source(), faultSourceConfig{ShortBlock: At(0)})
 	dst := make([]netio.Packet, 64)
 	n, _, err := src.ReadBlockRef(dst)
 	if err != nil || n != 1 {
@@ -307,7 +307,7 @@ func (c *countingSink) Close() error                { return nil }
 // still reaches the inner sink.
 func TestSinkFaults(t *testing.T) {
 	inner := &countingSink{}
-	s := NewSink(inner, SinkConfig{Err: At(1), Block: At(0), BlockFor: time.Microsecond})
+	s := newFaultSink(inner, faultSinkConfig{Err: At(1), Block: At(0), BlockFor: time.Microsecond})
 	for i := 0; i < 5; i++ {
 		s.OnFlow(flowdb.LabeledFlow{})
 	}
@@ -317,7 +317,7 @@ func TestSinkFaults(t *testing.T) {
 	if err := s.Close(); !errors.Is(err, ErrSinkInjected) {
 		t.Errorf("Close = %v, want ErrSinkInjected", err)
 	}
-	clean := NewSink(&countingSink{}, SinkConfig{})
+	clean := newFaultSink(&countingSink{}, faultSinkConfig{})
 	clean.OnFlow(flowdb.LabeledFlow{})
 	if err := clean.Close(); err != nil {
 		t.Errorf("unarmed sink Close = %v", err)

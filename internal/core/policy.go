@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"sync"
-
-	"repro/internal/stats"
 )
 
 // Action is what the policy enforcer decides for a flow.
@@ -62,13 +60,6 @@ func NewPolicy(rules ...Rule) *Policy {
 	return &Policy{rules: rules, decisions: make(map[Action]uint64)}
 }
 
-// Append adds a rule at the end (lowest precedence).
-func (p *Policy) Append(r Rule) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rules = append(p.rules, r)
-}
-
 // match reports whether pattern covers fqdn.
 func match(pattern, fqdn string) bool {
 	pattern = strings.ToLower(strings.TrimSpace(pattern))
@@ -108,10 +99,4 @@ func (p *Policy) Decisions() map[Action]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// DecideSLD is Decide against the flow's second-level domain, for policies
-// expressed at organization granularity.
-func (p *Policy) DecideSLD(label string) Action {
-	return p.Decide(stats.SLD(label))
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/stats"
+)
 
 func TestPolicyFirstMatchWins(t *testing.T) {
 	p := NewPolicy(
@@ -91,4 +95,17 @@ func TestActionString(t *testing.T) {
 			t.Fatalf("%v.String() = %q", a, a.String())
 		}
 	}
+}
+
+// Append adds a rule at the end (lowest precedence).
+func (p *Policy) Append(r Rule) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rules = append(p.rules, r)
+}
+
+// DecideSLD is Decide against the flow's second-level domain, for policies
+// expressed at organization granularity.
+func (p *Policy) DecideSLD(label string) Action {
+	return p.Decide(stats.SLD(label))
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/netio"
 )
 
@@ -128,7 +127,7 @@ func TestWrappersPreserveSourceCapabilities(t *testing.T) {
 	}
 	wrappers := []wrapper{
 		{"faults.Source", func(src netio.PacketSource) netio.BlockRefSource {
-			return faults.NewSource(src, faults.SourceConfig{})
+			return newFaultSource(src, faultSourceConfig{})
 		}},
 		{"netio.PacedSource", func(src netio.PacketSource) netio.BlockRefSource {
 			return netio.NewPacedSource(src, 1e9)

@@ -68,8 +68,8 @@ func (p RestartPolicy) withDefaults() RestartPolicy {
 }
 
 // DefaultClassify is the default transient-vs-fatal split: an error
-// advertising Transient() bool (the convention internal/faults.Transient
-// marks) answers for itself; io.ErrUnexpectedEOF — a feed dying
+// advertising Transient() bool (the convention the fault-injection
+// harness's Transient marks, in this package's tests) answers for itself; io.ErrUnexpectedEOF — a feed dying
 // mid-record — is transient; everything else is fatal. io.EOF never gets
 // here (end of stream is not a failure).
 func DefaultClassify(err error) bool {

@@ -15,8 +15,9 @@ import (
 )
 
 // transientTestErr is a locally marked transient error (the same
-// Transient() bool convention internal/faults.Transient uses; the faults
-// package itself cannot be imported here without a cycle).
+// Transient() bool convention the fault harness's Transient uses; that
+// harness lives in the external core_test package, which these internal
+// tests cannot see).
 type transientTestErr struct{ msg string }
 
 func (e transientTestErr) Error() string   { return e.msg }

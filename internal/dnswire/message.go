@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"time"
 )
 
 // Type is a DNS RR type.
@@ -105,8 +104,7 @@ type Record struct {
 	Pref uint16
 	// TXT carries the record's character-strings. Unpack leaves it nil and
 	// keeps the raw RDATA in Data instead — most sniffed TXT records are
-	// discarded unread, so the strings are only materialized on demand via
-	// TXTStrings. Pack serializes TXT when set, else Data verbatim.
+	// discarded unread. Pack serializes TXT when set, else Data verbatim.
 	TXT []string
 	// SRV
 	Priority, Weight, Port uint16
@@ -114,25 +112,6 @@ type Record struct {
 	// for TXT, see above). After Unpack it aliases the message buffer and
 	// is valid until the next Unpack; copy before retaining.
 	Data []byte
-}
-
-// TXTStrings returns the record's character-strings, decoding them from the
-// raw RDATA when Unpack deferred that work. The returned slice is freshly
-// allocated; it does not alias the message buffer.
-func (r *Record) TXTStrings() []string {
-	if r.TXT != nil || r.Type != TypeTXT {
-		return r.TXT
-	}
-	var out []string
-	for p := 0; p < len(r.Data); {
-		l := int(r.Data[p])
-		if p+1+l > len(r.Data) {
-			break // validated during Unpack; defensive for hand-built records
-		}
-		out = append(out, string(r.Data[p+1:p+1+l]))
-		p += 1 + l
-	}
-	return out
 }
 
 // Message is a whole DNS message. The zero value is ready to use; reusing
@@ -192,9 +171,6 @@ func (m *Message) readNameAt(msg []byte, off int) (string, int, error) {
 	m.memo.add(off, hops, total, name)
 	return name, end, nil
 }
-
-// TTLDuration converts an RR TTL to a duration.
-func TTLDuration(ttl uint32) time.Duration { return time.Duration(ttl) * time.Second }
 
 // Pack serializes the message with name compression, appending to buf
 // (which may be nil).
@@ -437,8 +413,8 @@ func (m *Message) readRecords(msg []byte, off, n int, dst []Record) ([]Record, i
 				return dst, off, err
 			}
 		case TypeTXT:
-			// Validate the chunk structure but defer string materialization
-			// to TXTStrings: the sniffer discards most TXT records unread.
+			// Validate the chunk structure but keep the raw RDATA: the
+			// sniffer discards TXT records unread.
 			for p := 0; p < rdlen; {
 				l := int(rdata[p])
 				if p+1+l > rdlen {
@@ -509,13 +485,5 @@ func NewResponse(id uint16, name string, qtype Type, answers []Record) *Message 
 		},
 		Questions: []Question{{Name: name, Type: qtype, Class: ClassIN}},
 		Answers:   answers,
-	}
-}
-
-// NewQuery builds a recursive query for (name, qtype).
-func NewQuery(id uint16, name string, qtype Type) *Message {
-	return &Message{
-		Header:    Header{ID: id, RecursionDesired: true},
-		Questions: []Question{{Name: name, Type: qtype, Class: ClassIN}},
 	}
 }

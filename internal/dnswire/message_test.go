@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func mustPack(t *testing.T, m *Message) []byte {
@@ -304,12 +303,6 @@ func TestEmptyNameRoot(t *testing.T) {
 	}
 }
 
-func TestTTLDuration(t *testing.T) {
-	if TTLDuration(90) != 90*time.Second {
-		t.Fatal("TTLDuration")
-	}
-}
-
 func TestUnpackNeverPanicsOnFuzz(t *testing.T) {
 	f := func(data []byte) bool {
 		var m Message
@@ -389,5 +382,32 @@ func BenchmarkUnpackTypicalResponse(b *testing.B) {
 		if err := m.Unpack(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TXTStrings returns the record's character-strings, decoding them from the
+// raw RDATA when Unpack deferred that work. The returned slice is freshly
+// allocated; it does not alias the message buffer.
+func (r *Record) TXTStrings() []string {
+	if r.TXT != nil || r.Type != TypeTXT {
+		return r.TXT
+	}
+	var out []string
+	for p := 0; p < len(r.Data); {
+		l := int(r.Data[p])
+		if p+1+l > len(r.Data) {
+			break // validated during Unpack; defensive for hand-built records
+		}
+		out = append(out, string(r.Data[p+1:p+1+l]))
+		p += 1 + l
+	}
+	return out
+}
+
+// NewQuery builds a recursive query for (name, qtype).
+func NewQuery(id uint16, name string, qtype Type) *Message {
+	return &Message{
+		Header:    Header{ID: id, RecursionDesired: true},
+		Questions: []Question{{Name: name, Type: qtype, Class: ClassIN}},
 	}
 }

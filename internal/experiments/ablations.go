@@ -103,45 +103,3 @@ func topOverlap(a, b []analytics.TagScore) int {
 	}
 	return n
 }
-
-// PreFlowShare reports how many labeled flows were tagged at their SYN —
-// the paper's identify-before-the-flow-begins property.
-func (s *Suite) PreFlowShare(name string) float64 {
-	var labeled, pre int
-	db := s.Run(name).DB
-	for i := range db.Len() {
-		f := db.At(i)
-		if !f.Labeled {
-			continue
-		}
-		labeled++
-		if f.PreFlow {
-			pre++
-		}
-	}
-	if labeled == 0 {
-		return 0
-	}
-	return float64(pre) / float64(labeled)
-}
-
-// TruthAccuracy scores DN-Hunter labels against the synthetic ground truth
-// for flows that carry both.
-func (s *Suite) TruthAccuracy(name string) (acc float64, n int) {
-	var ok int
-	db := s.Run(name).DB
-	for i := range db.Len() {
-		f := db.At(i)
-		if !f.Labeled || f.Truth == "" {
-			continue
-		}
-		n++
-		if f.Label == f.Truth {
-			ok++
-		}
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(ok) / float64(n), n
-}

@@ -100,6 +100,3 @@ func (s *Suite) CrossVantage() (string, *analytics.ProviderFootprint) {
 	}
 	return b.String(), pf
 }
-
-// CrossVantageData exposes the per-vantage analytics inputs for assertions.
-func (s *Suite) CrossVantageData() []analytics.VantageData { return s.triVantageData() }

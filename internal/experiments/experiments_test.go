@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/analytics"
+	"repro/internal/flowdb"
 	"repro/internal/flows"
 	"repro/internal/synth"
 )
@@ -390,11 +392,25 @@ func TestFigure12Shape(t *testing.T) {
 		}
 	}
 	// FTTH is faster than 3G at the median.
-	ftth := cdfs[synth.NameEU1FTTH][0].Quantile(0.5)
-	mobile := cdfs[synth.NameUS3G][0].Quantile(0.5)
+	ftth := medianFirstFlowDelay(shared.Run(synth.NameEU1FTTH).DB)
+	mobile := medianFirstFlowDelay(shared.Run(synth.NameUS3G).DB)
 	if ftth >= mobile {
 		t.Fatalf("FTTH median (%v) should beat 3G (%v)", ftth, mobile)
 	}
+}
+
+// medianFirstFlowDelay is the median of the samples Figure 12's first-flow
+// CDF holds, in seconds.
+func medianFirstFlowDelay(db *flowdb.DB) float64 {
+	var xs []float64
+	for i := range db.Len() {
+		if f := db.At(i); f.Labeled && f.DNSDelay >= 0 && f.FirstAfterDNS {
+			xs = append(xs, f.DNSDelay.Seconds())
+		}
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 func TestFigure14Diurnal(t *testing.T) {
@@ -485,7 +501,13 @@ func TestCrossVantageOneIngestion(t *testing.T) {
 			t.Errorf("%s: empty partition %+v", name, vr.Stats)
 		}
 		flowsSum += vr.Stats.Flows
-		if got := len(multi.DB.ByVantage(name)); got != vr.DB.Len() {
+		got := 0
+		for i := range multi.DB.Len() {
+			if multi.DB.At(i).Vantage == name {
+				got++
+			}
+		}
+		if got != vr.DB.Len() {
 			t.Errorf("%s: merged partition %d != per-vantage DB %d", name, got, vr.DB.Len())
 		}
 	}
@@ -580,4 +602,56 @@ func TestSuiteDeterministic(t *testing.T) {
 		}
 	}
 	t.Fatalf("same seed, outputs of %d and %d lines", len(al), len(bl))
+}
+
+// PreFlowShare reports how many labeled flows were tagged at their SYN —
+// the paper's identify-before-the-flow-begins property.
+func (s *Suite) PreFlowShare(name string) float64 {
+	var labeled, pre int
+	db := s.Run(name).DB
+	for i := range db.Len() {
+		f := db.At(i)
+		if !f.Labeled {
+			continue
+		}
+		labeled++
+		if f.PreFlow {
+			pre++
+		}
+	}
+	if labeled == 0 {
+		return 0
+	}
+	return float64(pre) / float64(labeled)
+}
+
+// TruthAccuracy scores DN-Hunter labels against the synthetic ground truth
+// for flows that carry both.
+func (s *Suite) TruthAccuracy(name string) (acc float64, n int) {
+	var ok int
+	db := s.Run(name).DB
+	for i := range db.Len() {
+		f := db.At(i)
+		if !f.Labeled || f.Truth == "" {
+			continue
+		}
+		n++
+		if f.Label == f.Truth {
+			ok++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return float64(ok) / float64(n), n
+}
+
+// Table2Data exposes the hit ratios for assertions.
+func (s *Suite) Table2Data(name string) map[flows.L7Proto]float64 {
+	cov := s.Run(name).DB.Coverage(Warmup)
+	out := make(map[flows.L7Proto]float64)
+	for _, p := range []flows.L7Proto{flows.L7HTTP, flows.L7TLS, flows.L7P2P} {
+		out[p] = cov.Ratio(p)
+	}
+	return out
 }

@@ -144,16 +144,6 @@ func (s *Suite) Table2() string {
 	return b.String()
 }
 
-// Table2Data exposes the hit ratios for assertions.
-func (s *Suite) Table2Data(name string) map[flows.L7Proto]float64 {
-	cov := s.Run(name).DB.Coverage(Warmup)
-	out := make(map[flows.L7Proto]float64)
-	for _, p := range []flows.L7Proto{flows.L7HTTP, flows.L7TLS, flows.L7P2P} {
-		out[p] = cov.Ratio(p)
-	}
-	return out
-}
-
 // Table3 reproduces DN-Hunter vs reverse lookup on 1000 sampled servers.
 func (s *Suite) Table3() (string, analytics.CompareResult) {
 	run := s.Run(synth.NameEU1ADSL2)

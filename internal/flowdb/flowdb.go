@@ -73,12 +73,11 @@ type DB struct {
 	mu sync.Mutex
 	// indexed is the number of records the indexes cover; index() catches
 	// the maps up before any of them is read.
-	indexed   int
-	byFQDN    map[string][]int
-	bySLD     map[string][]int
-	byServer  map[netip.Addr][]int
-	byPort    map[uint16][]int
-	byVantage map[string][]int
+	indexed  int
+	byFQDN   map[string][]int
+	bySLD    map[string][]int
+	byServer map[netip.Addr][]int
+	byPort   map[uint16][]int
 }
 
 // New creates an empty database.
@@ -126,7 +125,6 @@ func (db *DB) index() {
 		db.bySLD = make(map[string][]int)
 		db.byServer = make(map[netip.Addr][]int)
 		db.byPort = make(map[uint16][]int)
-		db.byVantage = make(map[string][]int)
 	}
 	for idx := db.indexed; idx < db.n; idx++ {
 		f := db.At(idx)
@@ -136,9 +134,6 @@ func (db *DB) index() {
 		}
 		db.byServer[f.Key.ServerIP] = append(db.byServer[f.Key.ServerIP], idx)
 		db.byPort[f.Key.ServerPort] = append(db.byPort[f.Key.ServerPort], idx)
-		if f.Vantage != "" {
-			db.byVantage[f.Vantage] = append(db.byVantage[f.Vantage], idx)
-		}
 	}
 	db.indexed = db.n
 }
@@ -167,7 +162,7 @@ func (db *DB) Merge(others ...*DB) {
 // they held, so the old flows' strings become garbage now rather than
 // when a later window overwrites them. The lazy indexes are dropped
 // outright — rebuilding them on the next query is cheaper than emptying
-// five maps, and a reused window DB is usually serialized, not queried.
+// four maps, and a reused window DB is usually serialized, not queried.
 // Not safe for concurrent use, like Add.
 func (db *DB) Reset() {
 	for c := range db.filled() {
@@ -179,7 +174,6 @@ func (db *DB) Reset() {
 	db.bySLD = nil
 	db.byServer = nil
 	db.byPort = nil
-	db.byVantage = nil
 }
 
 // Len returns the number of flows stored.
@@ -213,9 +207,6 @@ func (db *DB) gather(idxs []int) []*LabeledFlow {
 	return out
 }
 
-// ByFQDN returns flows labeled exactly fqdn.
-func (db *DB) ByFQDN(fqdn string) []*LabeledFlow { db.index(); return db.gather(db.byFQDN[fqdn]) }
-
 // BySLD returns flows whose label belongs to the given second-level domain
 // (Algorithm 2's queryByDomainName on the organization).
 func (db *DB) BySLD(sld string) []*LabeledFlow { db.index(); return db.gather(db.bySLD[sld]) }
@@ -228,22 +219,6 @@ func (db *DB) ByServer(addr netip.Addr) []*LabeledFlow {
 
 // ByPort returns flows to the given server port (Algorithm 4's query).
 func (db *DB) ByPort(port uint16) []*LabeledFlow { db.index(); return db.gather(db.byPort[port]) }
-
-// ByVantage returns flows observed at the named vantage point. Flows from
-// single-source runs carry no vantage and are reachable only via Len/At.
-func (db *DB) ByVantage(name string) []*LabeledFlow { db.index(); return db.gather(db.byVantage[name]) }
-
-// Vantages returns every distinct vantage label in the database, sorted;
-// empty for single-source runs.
-func (db *DB) Vantages() []string {
-	db.index()
-	out := make([]string, 0, len(db.byVantage))
-	for v := range db.byVantage {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // FQDNsOfSLD returns the distinct FQDNs labeled under sld, sorted.
 func (db *DB) FQDNsOfSLD(sld string) []string {
@@ -265,13 +240,6 @@ func (db *DB) FQDNsOfSLD(sld string) []string {
 func (db *DB) ServersOfFQDN(fqdn string) []netip.Addr {
 	db.index()
 	return db.distinctServers(db.byFQDN[fqdn])
-}
-
-// ServersOfSLD returns the distinct server addresses serving any FQDN of
-// sld, sorted.
-func (db *DB) ServersOfSLD(sld string) []netip.Addr {
-	db.index()
-	return db.distinctServers(db.bySLD[sld])
 }
 
 func (db *DB) distinctServers(idxs []int) []netip.Addr {
@@ -306,28 +274,6 @@ func (db *DB) FQDNs() []string {
 		out = append(out, f)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// SLDs returns every distinct second-level domain, sorted.
-func (db *DB) SLDs() []string {
-	db.index()
-	out := make([]string, 0, len(db.bySLD))
-	for s := range db.bySLD {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Ports returns every distinct server port, sorted.
-func (db *DB) Ports() []uint16 {
-	db.index()
-	out := make([]uint16, 0, len(db.byPort))
-	for p := range db.byPort {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

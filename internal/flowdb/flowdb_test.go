@@ -80,9 +80,6 @@ func TestDistinctSetters(t *testing.T) {
 	if servers[0].Compare(servers[1]) >= 0 {
 		t.Fatal("servers not sorted")
 	}
-	if got := db.ServersOfSLD("x.com"); len(got) != 2 {
-		t.Fatalf("ServersOfSLD = %v", got)
-	}
 	if got := db.FQDNsOfSLD("x.com"); len(got) != 2 || got[0] != "a.x.com" {
 		t.Fatalf("FQDNsOfSLD = %v", got)
 	}
@@ -97,12 +94,6 @@ func TestGlobalEnumerations(t *testing.T) {
 	}
 	if got := db.FQDNs(); len(got) != 2 || got[0] != "a.x.com" {
 		t.Fatalf("FQDNs = %v", got)
-	}
-	if got := db.SLDs(); len(got) != 2 || got[0] != "x.com" {
-		t.Fatalf("SLDs = %v", got)
-	}
-	if got := db.Ports(); len(got) != 2 || got[0] != 80 {
-		t.Fatalf("Ports = %v", got)
 	}
 }
 
@@ -170,8 +161,8 @@ func TestConcurrentQueriesAfterIngest(t *testing.T) {
 					t.Error("ByPort empty")
 				}
 			case 2:
-				if got := db.Vantages(); len(got) != 1 || got[0] != "EU1" {
-					t.Errorf("Vantages = %v", got)
+				if got := len(db.ServersOfFQDN("cdn.example.com")); got != 256 {
+					t.Errorf("ServersOfFQDN = %d", got)
 				}
 			case 3:
 				if got := len(db.Servers()); got != 256 {
@@ -182,3 +173,6 @@ func TestConcurrentQueriesAfterIngest(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// ByFQDN returns flows labeled exactly fqdn.
+func (db *DB) ByFQDN(fqdn string) []*LabeledFlow { db.index(); return db.gather(db.byFQDN[fqdn]) }

@@ -100,9 +100,6 @@ func NewWindowed(cfg WindowConfig) *Windowed {
 	return &Windowed{cfg: cfg, cur: New(), spare: New()}
 }
 
-// Width reports the resolved window width.
-func (w *Windowed) Width() time.Duration { return w.cfg.Width }
-
 // Add appends one flow to the current window, rotating first if f.End
 // pushes the emission clock past the window boundary.
 func (w *Windowed) Add(f LabeledFlow) error {
@@ -174,10 +171,6 @@ func (w *Windowed) Close() error {
 // WindowsFlushed returns the number of windows handed to Flush so far.
 // Safe for concurrent use.
 func (w *Windowed) WindowsFlushed() uint64 { return w.flushed.Load() }
-
-// Clock returns the emission clock: the maximum flow End observed. Safe
-// for concurrent use.
-func (w *Windowed) Clock() time.Duration { return time.Duration(w.clockNs.Load()) }
 
 // FlushLag returns how far the emission clock has advanced past the open
 // window's start — how much trace time of flows is currently buffered

@@ -575,6 +575,3 @@ func (t *Table) FlushAll() {
 		t.finish(t.head)
 	}
 }
-
-// Records returns flows finished while no OnRecord callback was set.
-func (t *Table) Records() []Record { return t.frozen }

@@ -289,3 +289,6 @@ func TestSplitHTTPHeaderAcrossSegments(t *testing.T) {
 		t.Fatalf("got %v %q", r.L7, r.HTTPHost)
 	}
 }
+
+// Records returns flows finished while no OnRecord callback was set.
+func (t *Table) Records() []Record { return t.frozen }

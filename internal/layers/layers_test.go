@@ -2,6 +2,7 @@ package layers
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"testing"
@@ -445,4 +446,24 @@ func BenchmarkParserTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// VerifyTCPChecksum recomputes the checksum of a raw TCP segment against the
+// given addresses; it returns true when the segment verifies.
+func VerifyTCPChecksum(segment []byte, src, dst netip.Addr) bool {
+	if len(segment) < TCPHeaderLen {
+		return false
+	}
+	return transportChecksum(segment, src, dst, IPProtocolTCP) == 0
+}
+
+// VerifyUDPChecksum recomputes the checksum of a raw UDP datagram.
+func VerifyUDPChecksum(segment []byte, src, dst netip.Addr) bool {
+	if len(segment) < UDPHeaderLen {
+		return false
+	}
+	if binary.BigEndian.Uint16(segment[6:8]) == 0 {
+		return true // checksum disabled by sender
+	}
+	return transportChecksum(segment, src, dst, IPProtocolUDP) == 0
 }

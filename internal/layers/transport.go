@@ -92,15 +92,6 @@ func (t *TCP) AppendTo(b []byte, payload []byte, src, dst netip.Addr) ([]byte, e
 	return b, nil
 }
 
-// VerifyChecksum recomputes the checksum of a raw TCP segment against the
-// given addresses; it returns true when the segment verifies.
-func VerifyTCPChecksum(segment []byte, src, dst netip.Addr) bool {
-	if len(segment) < TCPHeaderLen {
-		return false
-	}
-	return transportChecksum(segment, src, dst, IPProtocolTCP) == 0
-}
-
 // UDP is a UDP datagram header.
 type UDP struct {
 	SrcPort, DstPort uint16
@@ -145,15 +136,4 @@ func (u *UDP) AppendTo(b []byte, payload []byte, src, dst netip.Addr) ([]byte, e
 	}
 	binary.BigEndian.PutUint16(b[start+6:start+8], cs)
 	return b, nil
-}
-
-// VerifyUDPChecksum recomputes the checksum of a raw UDP datagram.
-func VerifyUDPChecksum(segment []byte, src, dst netip.Addr) bool {
-	if len(segment) < UDPHeaderLen {
-		return false
-	}
-	if binary.BigEndian.Uint16(segment[6:8]) == 0 {
-		return true // checksum disabled by sender
-	}
-	return transportChecksum(segment, src, dst, IPProtocolUDP) == 0
 }

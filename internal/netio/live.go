@@ -11,7 +11,7 @@ package netio
 // Both return from every read call in bounded time — PacedSource
 // sleeps at most one block's worth of trace time — which is what lets the
 // engine's drain-on-cancel path (poll between blocks) stay responsive.
-// Sources that can block indefinitely (ChanPacketSource on an idle
+// Sources that can block indefinitely (a channel-fed source on an idle
 // channel) stall a drain until their next packet.
 
 import (
@@ -98,9 +98,6 @@ func (l *LoopSource) ReadBlock(dst []Packet) (int, error) {
 	}
 	return n, nil
 }
-
-// Passes returns completed full passes over the packet slice.
-func (l *LoopSource) Passes() int { return l.pass }
 
 // PacedSource throttles a source to its own capture timeline: packet
 // timestamps are mapped onto the wall clock (scaled by Speedup) and reads

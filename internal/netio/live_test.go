@@ -123,3 +123,6 @@ func TestPacedSourceUnpacedFallback(t *testing.T) {
 		t.Fatalf("fallback replayed %d packets, want 3", total)
 	}
 }
+
+// Passes returns completed full passes over the packet slice.
+func (l *LoopSource) Passes() int { return l.pass }

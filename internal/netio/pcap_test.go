@@ -260,3 +260,54 @@ func TestQuickRoundTripArbitraryPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SnapLen returns the capture snapshot length from the file header.
+func (r *Reader) SnapLen() uint32 { return r.snap }
+
+// Reset rewinds the source to the first packet.
+func (s *SlicePacketSource) Reset() { s.next = 0 }
+
+// ChanPacketSource adapts a channel of packets to PacketSource; the producer
+// closes the channel at end of trace.
+type ChanPacketSource struct {
+	C <-chan Packet
+}
+
+// Next implements PacketSource.
+func (c *ChanPacketSource) Next() (Packet, error) {
+	p, ok := <-c.C
+	if !ok {
+		return Packet{}, io.EOF
+	}
+	return p, nil
+}
+
+// DataStable implements StableSource: the producer owns each packet's Data
+// and must not reuse it after sending (the documented channel contract).
+func (c *ChanPacketSource) DataStable() bool { return true }
+
+// ReadBlock implements BlockSource: one blocking receive, then whatever is
+// already queued, so a fast producer amortizes channel wakeups per block.
+// Note the per-packet Data ownership is the producer's: packets from a
+// channel are not invalidated by subsequent reads.
+func (c *ChanPacketSource) ReadBlock(dst []Packet) (int, error) {
+	p, ok := <-c.C
+	if !ok {
+		return 0, io.EOF
+	}
+	dst[0] = p
+	n := 1
+	for n < len(dst) {
+		select {
+		case p, ok := <-c.C:
+			if !ok {
+				return n, io.EOF
+			}
+			dst[n] = p
+			n++
+		default:
+			return n, nil
+		}
+	}
+	return n, nil
+}

@@ -29,7 +29,6 @@ type Entry struct {
 type DB struct {
 	// entries sorted by (address, prefix length) for binary search.
 	entries []Entry
-	orgs    []string
 }
 
 // ErrBadFormat reports an unparsable text table.
@@ -41,7 +40,6 @@ var ErrBadFormat = errors.New("orgdb: bad format")
 func New(entries []Entry) *DB {
 	db := &DB{entries: make([]Entry, 0, len(entries))}
 	seen := make(map[netip.Prefix]string, len(entries))
-	orgSet := make(map[string]struct{})
 	for _, e := range entries {
 		p := e.Prefix.Masked()
 		if _, dup := seen[p]; dup {
@@ -49,7 +47,6 @@ func New(entries []Entry) *DB {
 		}
 		seen[p] = e.Org
 		db.entries = append(db.entries, Entry{Prefix: p, Org: e.Org})
-		orgSet[e.Org] = struct{}{}
 	}
 	sort.Slice(db.entries, func(i, j int) bool {
 		a, b := db.entries[i].Prefix, db.entries[j].Prefix
@@ -58,18 +55,8 @@ func New(entries []Entry) *DB {
 		}
 		return a.Bits() < b.Bits()
 	})
-	for org := range orgSet {
-		db.orgs = append(db.orgs, org)
-	}
-	sort.Strings(db.orgs)
 	return db
 }
-
-// Len returns the number of prefixes.
-func (db *DB) Len() int { return len(db.entries) }
-
-// Orgs returns the distinct organization names, sorted.
-func (db *DB) Orgs() []string { return append([]string(nil), db.orgs...) }
 
 // Lookup returns the organization owning addr via longest-prefix match.
 // ok is false when no prefix covers addr. IPv4 prefixes shorter than /8 are

@@ -101,14 +101,6 @@ func TestPrefixNormalization(t *testing.T) {
 	}
 }
 
-func TestOrgs(t *testing.T) {
-	db := mustDB(t, "10.0.0.0/8 beta", "11.0.0.0/8 alpha", "12.0.0.0/8 beta")
-	orgs := db.Orgs()
-	if len(orgs) != 2 || orgs[0] != "alpha" || orgs[1] != "beta" {
-		t.Fatalf("orgs = %v", orgs)
-	}
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	db := mustDB(t, "23.0.0.0/12 akamai", "54.224.0.0/12 amazon")
 	var buf bytes.Buffer
@@ -153,7 +145,7 @@ func TestEmptyDB(t *testing.T) {
 	if _, ok := db.Lookup(netip.MustParseAddr("1.2.3.4")); ok {
 		t.Fatal("empty DB matched")
 	}
-	if db.Len() != 0 || len(db.Orgs()) != 0 {
+	if db.Len() != 0 {
 		t.Fatal("empty DB not empty")
 	}
 }
@@ -202,3 +194,6 @@ func BenchmarkLookup(b *testing.B) {
 		db.Lookup(addr)
 	}
 }
+
+// Len returns the number of prefixes.
+func (db *DB) Len() int { return len(db.entries) }

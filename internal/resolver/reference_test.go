@@ -265,3 +265,37 @@ func TestOrderedServerMapOps(t *testing.T) {
 		t.Fatalf("size after del = %d", m.size())
 	}
 }
+
+// L returns the configured Clist size.
+func (r *Resolver) L() int { return r.cfg.ClistSize }
+
+// Clients returns the number of clients currently tracked.
+func (r *Resolver) Clients() int { return len(r.flat.clients) }
+
+// Lookup returns the FQDN clientIP most recently resolved to serverIP
+// (Algorithm 1, LOOKUP). ok is false on a cache miss.
+func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) {
+	e, ok := r.LookupEntry(clientIP, serverIP)
+	if !ok {
+		return "", false
+	}
+	return e.FQDN, true
+}
+
+// LookupAll returns every FQDN currently associated with (clientIP,
+// serverIP), newest first. With Config.History == 0 this is at most one
+// name. The multi-label extension discussed in §6.
+func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
+	ft := r.flat
+	var k pairKey
+	slot := ft.find(&k, ft.key(&k, clientIP, serverIP))
+	if slot == noSlot {
+		return nil
+	}
+	n := ft.nodes.At(slot)
+	out := []string{r.entries.At(n.entry).FQDN}
+	for c := n.older; c != noSlot; c = r.hist.At(c).next {
+		out = append(out, r.entries.At(r.hist.At(c).entry).FQDN)
+	}
+	return out
+}

@@ -35,10 +35,11 @@ type Config struct {
 	// the implied caching time covers ~1 hour of responses (§6). Zero means
 	// 1<<20 entries.
 	ClistSize int
-	// History keeps up to this many previous FQDNs per (client, server) key
-	// so LookupAll can return all candidate labels (§6 discusses the <4%
-	// confusion from last-writer-wins; the multi-label extension resolves
-	// it). Zero keeps only the latest (the paper's default behaviour).
+	// History keeps up to this many previous FQDNs per (client, server)
+	// key; when the current entry is evicted the newest of them is promoted
+	// (§6 discusses the <4% confusion from last-writer-wins and a
+	// multi-label extension). Zero keeps only the latest (the paper's
+	// default behaviour).
 	History int
 }
 
@@ -226,9 +227,6 @@ func New(cfg Config) *Resolver {
 	return &Resolver{cfg: cfg, flat: newPairTable()}
 }
 
-// L returns the configured Clist size.
-func (r *Resolver) L() int { return r.cfg.ClistSize }
-
 // Stats returns a snapshot of the counters. EntriesAlive is the number of
 // filled Clist slots: every one holds a live entry.
 func (r *Resolver) Stats() Stats {
@@ -236,9 +234,6 @@ func (r *Resolver) Stats() Stats {
 	s.EntriesAlive = len(r.clist)
 	return s
 }
-
-// Clients returns the number of clients currently tracked.
-func (r *Resolver) Clients() int { return len(r.flat.clients) }
 
 // Insert records one DNS response: clientIP asked for fqdn and received the
 // given server addresses (Algorithm 1, INSERT). Responses with no addresses
@@ -263,8 +258,7 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 			r.stats.ClientsPeak = max(r.stats.ClientsPeak, len(ft.clients))
 		} else {
 			// Replace the old reference (Algorithm 1, lines 11–15): the old
-			// entry loses this node; optionally it is retained as history
-			// for LookupAll.
+			// entry loses this node; optionally it is retained as history.
 			r.stats.Replaced++
 			n := ft.nodes.At(slot)
 			old := n.entry
@@ -386,19 +380,10 @@ func (r *Resolver) evict(s uint32) {
 	r.release(s) // the Clist's name
 }
 
-// Lookup returns the FQDN clientIP most recently resolved to serverIP
-// (Algorithm 1, LOOKUP). ok is false on a cache miss.
-func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) {
-	e, ok := r.LookupEntry(clientIP, serverIP)
-	if !ok {
-		return "", false
-	}
-	return e.FQDN, true
-}
-
-// LookupEntry is Lookup but returns the whole entry (FQDN plus the time the
-// response was observed, used to measure first-flow delay, Fig. 12): a
-// single flat-table probe.
+// LookupEntry returns the entry clientIP most recently resolved to
+// serverIP (Algorithm 1, LOOKUP): the FQDN plus the time the response was
+// observed, used to measure first-flow delay (Fig. 12). ok is false on a
+// cache miss. It is a single flat-table probe.
 func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	r.stats.Lookups++
 	ft := r.flat
@@ -409,24 +394,6 @@ func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	}
 	r.stats.Misses++
 	return nil, false
-}
-
-// LookupAll returns every FQDN currently associated with (clientIP,
-// serverIP), newest first. With Config.History == 0 this is at most one
-// name. The multi-label extension discussed in §6.
-func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
-	ft := r.flat
-	var k pairKey
-	slot := ft.find(&k, ft.key(&k, clientIP, serverIP))
-	if slot == noSlot {
-		return nil
-	}
-	n := ft.nodes.At(slot)
-	out := []string{r.entries.At(n.entry).FQDN}
-	for c := n.older; c != noSlot; c = r.hist.At(c).next {
-		out = append(out, r.entries.At(r.hist.At(c).entry).FQDN)
-	}
-	return out
 }
 
 // Add accumulates o into s (per-shard merge). Counters sum; ClientsPeak

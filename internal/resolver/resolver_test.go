@@ -215,6 +215,20 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// TestStatsAdd: the per-shard merge sums every field, ClientsPeak and
+// EntriesAlive included (shards partition clients and Clist entries).
+func TestStatsAdd(t *testing.T) {
+	a := Stats{Responses: 1, Addresses: 2, Replaced: 3, Evictions: 4, EvictedRefs: 5,
+		Lookups: 6, Hits: 7, Misses: 8, ClientsPeak: 9, EntriesAlive: 10}
+	b := a
+	b.Add(a)
+	want := Stats{Responses: 2, Addresses: 4, Replaced: 6, Evictions: 8, EvictedRefs: 10,
+		Lookups: 12, Hits: 14, Misses: 16, ClientsPeak: 18, EntriesAlive: 20}
+	if b != want {
+		t.Fatalf("Add = %+v, want %+v", b, want)
+	}
+}
+
 func TestQuickInvariantNoDanglingRefs(t *testing.T) {
 	// Property: after any insert sequence, every lookup hit returns an
 	// entry that is still in the Clist, and the number of live entries

@@ -1,14 +1,9 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // CDF is an empirical cumulative distribution function over float64 samples.
-// The zero value is ready to use. Add samples, then call At / Points. Used to
+// The zero value is ready to use. Add samples, then call At. Used to
 // regenerate the paper's CDF figures (Fig. 3 fan-out, Fig. 12/13 delays).
 type CDF struct {
 	samples []float64
@@ -18,14 +13,6 @@ type CDF struct {
 // Add appends one sample.
 func (c *CDF) Add(x float64) {
 	c.samples = append(c.samples, x)
-	c.sorted = false
-}
-
-// AddN appends the same sample n times (handy for weighted counts).
-func (c *CDF) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		c.samples = append(c.samples, x)
-	}
 	c.sorted = false
 }
 
@@ -48,62 +35,4 @@ func (c *CDF) At(x float64) float64 {
 	// Number of samples <= x.
 	n := sort.Search(len(c.samples), func(i int) bool { return c.samples[i] > x })
 	return float64(n) / float64(len(c.samples))
-}
-
-// Quantile returns the q-quantile of the sample.
-func (c *CDF) Quantile(q float64) float64 {
-	c.ensureSorted()
-	return Quantile(c.samples, q)
-}
-
-// Min returns the smallest sample; it panics on an empty CDF.
-func (c *CDF) Min() float64 {
-	c.ensureSorted()
-	return c.samples[0]
-}
-
-// Max returns the largest sample; it panics on an empty CDF.
-func (c *CDF) Max() float64 {
-	c.ensureSorted()
-	return c.samples[len(c.samples)-1]
-}
-
-// Point is one (x, P(X<=x)) pair of a rendered CDF curve.
-type Point struct {
-	X float64
-	P float64
-}
-
-// Points renders the CDF at the given x positions.
-func (c *CDF) Points(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	for i, x := range xs {
-		pts[i] = Point{X: x, P: c.At(x)}
-	}
-	return pts
-}
-
-// LogSpace returns n points logarithmically spaced across [lo, hi].
-// Both bounds must be positive. Used for the paper's semilog CDF axes.
-func LogSpace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= lo || n < 2 {
-		panic("stats: invalid LogSpace range")
-	}
-	out := make([]float64, n)
-	ratio := hi / lo
-	for i := 0; i < n; i++ {
-		frac := float64(i) / float64(n-1)
-		out[i] = lo * math.Pow(ratio, frac)
-	}
-	return out
-}
-
-// RenderASCII renders the CDF as a small text table, one "x p" row per
-// point, suitable for diffing in tests and pasting into plots.
-func RenderASCII(pts []Point) string {
-	var b strings.Builder
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%12.4f %8.4f\n", p.X, p.P)
-	}
-	return b.String()
 }

@@ -30,9 +30,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws a rank in [0, N).
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
@@ -42,17 +39,6 @@ func (z *Zipf) Sample(r *RNG) int {
 		i = len(z.cdf) - 1
 	}
 	return i
-}
-
-// Prob returns the probability mass of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }
 
 // WeightedChoice samples indexes proportionally to the given non-negative
@@ -116,39 +102,4 @@ func (d Diurnal) Value(hourOfDay float64) float64 {
 	phase := 2 * math.Pi * (hourOfDay - d.PeakHour) / 24
 	c := (math.Cos(phase) + 1) / 2 // 1 at peak, 0 at trough
 	return floor + (1-floor)*c
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of a sorted sample. It
-// interpolates linearly between order statistics and panics on an empty
-// sample.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

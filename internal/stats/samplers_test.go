@@ -26,28 +26,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestZipfProbSumsToOne(t *testing.T) {
-	z := NewZipf(50, 1.2)
-	sum := 0.0
-	for i := 0; i < z.N(); i++ {
-		p := z.Prob(i)
-		if p <= 0 {
-			t.Fatalf("non-positive mass at rank %d", i)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-}
-
-func TestZipfProbOutOfRange(t *testing.T) {
-	z := NewZipf(10, 1)
-	if z.Prob(-1) != 0 || z.Prob(10) != 0 {
-		t.Fatal("out-of-range Prob should be 0")
-	}
-}
-
 func TestZipfPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -111,30 +89,5 @@ func TestDiurnalDefaultFloor(t *testing.T) {
 	d := Diurnal{PeakHour: 12} // Floor unset
 	if v := d.Value(0); v < 0.05 {
 		t.Fatalf("default floor too low: %v", v)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(s, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(s, 1); q != 5 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(s, 0.5); q != 3 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := Quantile(s, 0.25); q != 2 {
-		t.Fatalf("q25 = %v", q)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean(nil); m != 0 {
-		t.Fatalf("Mean(nil) = %v", m)
-	}
-	if m := Mean([]float64{2, 4, 6}); m != 4 {
-		t.Fatalf("Mean = %v", m)
 	}
 }

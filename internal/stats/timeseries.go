@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"strings"
 	"time"
 )
@@ -21,9 +20,6 @@ func NewBinner(width time.Duration) *Binner {
 	}
 	return &Binner{width: width}
 }
-
-// Width returns the bin width.
-func (b *Binner) Width() time.Duration { return b.width }
 
 // Index returns the bin index for an offset from trace start. Negative
 // offsets map to bin 0.
@@ -52,9 +48,6 @@ func (b *Binner) Values() []float64 {
 	copy(out, b.bins)
 	return out
 }
-
-// Len returns the number of bins touched so far.
-func (b *Binner) Len() int { return len(b.bins) }
 
 // SetBinUnion is a per-bin set-cardinality accumulator: for each bin it
 // tracks the set of distinct string keys observed, e.g. distinct serverIPs
@@ -95,22 +88,6 @@ func (s *SetBinUnion) Counts() []int {
 		out[i] = len(m)
 	}
 	return out
-}
-
-// Width returns the bin width.
-func (s *SetBinUnion) Width() time.Duration { return s.width }
-
-// RenderSeries formats a numeric series as "hh:mm value" rows given the bin
-// width, for table-style experiment output.
-func RenderSeries(width time.Duration, values []float64) string {
-	var b strings.Builder
-	for i, v := range values {
-		at := time.Duration(i) * width
-		h := int(at.Hours())
-		m := int(at.Minutes()) % 60
-		fmt.Fprintf(&b, "%02d:%02d %10.1f\n", h, m, v)
-	}
-	return b.String()
 }
 
 // Sparkline renders values as a compact unicode bar chart, one rune per bin.

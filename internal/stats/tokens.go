@@ -28,22 +28,6 @@ func SplitFQDN(fqdn string) []string {
 	return strings.Split(fqdn, ".")
 }
 
-// TLD returns the public suffix of the name: the final label, or the final
-// two labels for known compound suffixes ("co.uk"). Empty input yields "".
-func TLD(fqdn string) string {
-	labels := SplitFQDN(fqdn)
-	if len(labels) == 0 {
-		return ""
-	}
-	if len(labels) >= 2 {
-		last2 := labels[len(labels)-2] + "." + labels[len(labels)-1]
-		if _, ok := multiTLD[last2]; ok {
-			return last2
-		}
-	}
-	return labels[len(labels)-1]
-}
-
 // SLD returns the second-level domain — the organization-identifying suffix,
 // e.g. SLD("smtp2.mail.google.com") == "google.com". Names that are bare
 // TLDs (or empty) are returned unchanged in lowercase.

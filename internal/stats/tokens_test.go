@@ -26,20 +26,6 @@ func TestSLD(t *testing.T) {
 	}
 }
 
-func TestTLD(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"www.example.com", "com"},
-		{"news.bbc.co.uk", "co.uk"},
-		{"x.io", "io"},
-		{"", ""},
-	}
-	for _, tc := range cases {
-		if got := TLD(tc.in); got != tc.want {
-			t.Errorf("TLD(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestGeneralizeDigits(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"smtp2", "smtpN"},

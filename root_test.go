@@ -221,18 +221,6 @@ func TestEngineFacadeCancel(t *testing.T) {
 	}
 }
 
-func TestScenarioNamesStable(t *testing.T) {
-	names := ScenarioNames()
-	if len(names) != 5 || names[0] != "US-3G" {
-		t.Fatalf("names = %v", names)
-	}
-	// Returned slice is a copy.
-	names[0] = "mutated"
-	if ScenarioNames()[0] != "US-3G" {
-		t.Fatal("ScenarioNames exposes internal state")
-	}
-}
-
 func TestFirstFlowDelaysPlausible(t *testing.T) {
 	tr := GenerateTrace("EU1-FTTH", 0.2, 19)
 	res := runTrace(t, tr)

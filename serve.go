@@ -53,10 +53,6 @@ func NewPacedSource(src PacketSource, speedup float64) *PacedSource {
 	return netio.NewPacedSource(src, speedup)
 }
 
-// DefaultClassify is the default transient-vs-fatal error split used by
-// RestartPolicy when Classify is nil; see core.DefaultClassify.
-func DefaultClassify(err error) bool { return core.DefaultClassify(err) }
-
 // Server builds a streaming server around this engine's configuration.
 // Use it when the caller needs the live Metrics view (e.g. to mount the
 // HTTP endpoint) before serving; otherwise Serve is the one-call form.
