@@ -51,7 +51,9 @@ import (
 type (
 	// Stats aggregates pipeline counters.
 	Stats = core.Stats
-	// TagEvent fires at flow start with the assigned label.
+	// TagEvent fires at flow start with the assigned label. Its PreDNS is
+	// the first packet's time minus the labeling response's (Fig. 12's
+	// delay); 0 on a miss.
 	TagEvent = core.TagEvent
 	// DNSEvent describes one sniffed DNS response.
 	DNSEvent = core.DNSEvent

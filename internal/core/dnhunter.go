@@ -26,11 +26,13 @@ import (
 // and labeled. Because it fires on the SYN, a policy enforcer can act on
 // the whole connection including the three-way handshake.
 type TagEvent struct {
-	Key    flows.Key
-	At     time.Duration
-	Label  string // empty when the resolver missed
-	Hit    bool
-	SYN    bool // true when the flow was caught at its first segment
+	Key   flows.Key
+	At    time.Duration
+	Label string // empty when the resolver missed
+	Hit   bool
+	SYN   bool // true when the flow was caught at its first segment
+	// PreDNS is the first packet's time minus the labeling response's
+	// (Fig. 12's delay); 0 on a miss.
 	PreDNS time.Duration
 	// Vantage names the packet source that observed the flow; empty for
 	// single-source runs (Engine.Run).
@@ -132,15 +134,6 @@ func (s *Stats) Add(o Stats) {
 	s.LabeledFlows += o.LabeledFlows
 }
 
-// tag is the pending label attached when a flow begins.
-type tag struct {
-	label    string
-	hit      bool
-	preFlow  bool
-	dnsAt    time.Duration
-	firstUse bool
-}
-
 // DNHunter is one assembled single-threaded pipeline instance. Not safe
 // for concurrent use. It remains the building block the sharded Engine
 // runs one of per shard; new code should prefer Engine, which adds
@@ -152,10 +145,6 @@ type DNHunter struct {
 	db     *flowdb.DB
 	parser layers.Parser
 	dnsMsg dnswire.Message
-	// tags holds the pending label of every live flow, indexed by the flow
-	// table's slot handle — a dense slice instead of a keyed map, so the
-	// tag attach/detach pair per flow costs two array stores.
-	tags []tag
 	// addrs is the reusable answer-address scratch for handleDNS.
 	addrs []netip.Addr
 	stats Stats
@@ -261,50 +250,47 @@ func (h *DNHunter) handleDNSPayload(client netip.Addr, payload []byte, at time.D
 }
 
 // onNewFlow is the pre-flow tagging hook: label the 5-tuple the moment its
-// first packet appears. The tag parks in the dense tags slice under the
-// flow's table handle until onRecord collects it.
+// first packet appears. The tag rides in the flow's table slot until
+// onRecord collects it.
 func (h *DNHunter) onNewFlow(key flows.Key, at time.Duration, sawSYN bool, hd flows.Handle) {
-	var tg tag
+	tg := h.table.Tag(hd)
 	if e, ok := h.res.LookupEntry(key.ClientIP, key.ServerIP); ok {
-		tg = tag{label: e.FQDN, hit: true, preFlow: sawSYN, dnsAt: e.At}
+		*tg = flows.Tag{Label: e.FQDN, DNSAt: e.At, Hit: true, PreFlow: sawSYN}
 		if !e.Used {
 			e.Used = true
-			tg.firstUse = true
+			tg.FirstUse = true
 			h.stats.UsedEntries++
 		}
 	}
-	for int(hd) >= len(h.tags) {
-		h.tags = append(h.tags, tag{})
-	}
-	h.tags[hd] = tg
 	if h.cfg.OnTag != nil {
-		h.cfg.OnTag(TagEvent{
-			Key: key, At: at, Label: tg.label, Hit: tg.hit, SYN: sawSYN,
-			PreDNS: at - tg.dnsAt, Vantage: h.cfg.Vantage,
-		})
+		ev := TagEvent{Key: key, At: at, Label: tg.Label, Hit: tg.Hit, SYN: sawSYN, Vantage: h.cfg.Vantage}
+		if tg.Hit {
+			ev.PreDNS = at - tg.DNSAt
+		}
+		h.cfg.OnTag(ev)
 	}
 }
 
 // onRecord receives finished flows from the table and emits labeled flows.
+// The table zeroes the flow's tag once it returns.
 func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
-	tg := h.tags[hd]
-	h.tags[hd] = tag{} // release the label string with the handle
+	tg := h.table.Tag(hd)
 	lf := flowdb.LabeledFlow{
 		Record:  r,
-		Label:   tg.label,
-		Labeled: tg.hit,
-		PreFlow: tg.preFlow,
+		Label:   tg.Label,
+		Labeled: tg.Hit,
+		PreFlow: tg.PreFlow,
 		Vantage: h.cfg.Vantage,
 	}
-	if tg.hit {
-		lf.DNSDelay = r.Start - tg.dnsAt
-		lf.FirstAfterDNS = tg.firstUse
+	if tg.Hit {
+		lf.DNSDelay = r.Start - tg.DNSAt
+		lf.FirstAfterDNS = tg.FirstUse
 	}
 	if h.cfg.Truth != nil {
 		lf.Truth = h.cfg.Truth(r.Key)
 	}
 	h.stats.Flows++
-	if tg.hit {
+	if tg.Hit {
 		h.stats.LabeledFlows++
 	}
 	if !h.cfg.DiscardDB {

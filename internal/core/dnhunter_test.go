@@ -231,6 +231,70 @@ func TestOnTagPolicyHookAtSYN(t *testing.T) {
 	}
 }
 
+// TestTagEventPreDNS: PreDNS is the first packet's time minus the labeling
+// response's on a hit, and 0 on a miss — not the flow's trace offset.
+func TestTagEventPreDNS(t *testing.T) {
+	tb := &traceBuilder{t: t}
+	tb.dnsResponse(time.Second, clientA, "www.example.com", srv1)
+	tb.httpFlow(time.Second+300*time.Millisecond, clientA, srv1, 40000, "www.example.com")
+	tb.httpFlow(2*time.Hour, clientB, srv1, 41000, "nodns.example.com")
+
+	var events []TagEvent
+	h := New(Config{Resolver: resolverCfg(), OnTag: func(e TagEvent) { events = append(events, e) }})
+	feed(t, h, tb.source())
+	if len(events) != 2 {
+		t.Fatalf("events = %+v", events)
+	}
+	if hit := events[0]; !hit.Hit || hit.PreDNS != 300*time.Millisecond {
+		t.Fatalf("hit event = %+v, want PreDNS 300ms", hit)
+	}
+	if miss := events[1]; miss.Hit || miss.Label != "" || miss.PreDNS != 0 {
+		t.Fatalf("miss event = %+v, want PreDNS 0", miss)
+	}
+}
+
+// TestTagClearedOnSlotReuse: a labeled flow closes and the next flow, a
+// resolver miss, reuses its table slot; it must come out unlabeled, with
+// none of the first flow's tag left behind.
+func TestTagClearedOnSlotReuse(t *testing.T) {
+	tb := &traceBuilder{t: t}
+	tb.dnsResponse(0, clientA, "www.example.com", srv1)
+	tb.httpFlow(time.Second, clientA, srv1, 40000, "www.example.com")
+	tb.httpFlow(2*time.Second, clientB, srv2, 41000, "nodns.example.com")
+
+	h := New(Config{Resolver: resolverCfg()})
+	var handles []flows.Handle
+	onNew := func(k flows.Key, at time.Duration, syn bool, hd flows.Handle) {
+		handles = append(handles, hd)
+		h.onNewFlow(k, at, syn, hd)
+	}
+	for _, p := range tb.pkts {
+		info, err := h.parser.Parse(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.HasUDP {
+			h.handleParsed(info, p.Timestamp)
+			continue
+		}
+		h.table.Add(info, p.Timestamp, onNew)
+	}
+	h.Close()
+	if len(handles) != 2 || handles[0] != handles[1] {
+		t.Fatalf("handles = %v, want the second flow in the first one's slot", handles)
+	}
+	all := h.DB().All()
+	if len(all) != 2 {
+		t.Fatalf("flows = %d", len(all))
+	}
+	if a := all[0]; !a.Labeled || !a.FirstAfterDNS || a.DNSDelay != time.Second || !a.PreFlow {
+		t.Fatalf("first flow = %+v", a)
+	}
+	if b := all[1]; b.Labeled || b.Label != "" || b.PreFlow || b.FirstAfterDNS || b.DNSDelay != 0 {
+		t.Fatalf("second flow kept the first one's tag: %+v", b)
+	}
+}
+
 func TestDNSEventCallback(t *testing.T) {
 	tb := &traceBuilder{t: t}
 	tb.dnsResponse(time.Minute, clientA, "x.example.com", srv1, srv2)

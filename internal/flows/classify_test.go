@@ -322,15 +322,16 @@ func TestTableClassifyZeroAlloc(t *testing.T) {
 }
 
 // TestPrefixesStopGrowing pins the capture rule: once a flow is classified
-// and its certificate read, later payload is counted but not copied, and
-// an HTTP response is never copied at all.
+// and its certificate read, later payload is counted but not copied, an
+// HTTP response is never copied at all, and a first segment that settles
+// the flow is read in place, never copied.
 func TestPrefixesStopGrowing(t *testing.T) {
 	for _, tc := range []struct {
 		row      payloadRow
-		c2s, s2c int // prefix lengths once the first flight is in
+		c2s, s2c int // prefix lengths once the first flight is in; -1 unchecked
 	}{
-		{classifyRows(t)[0], -1, 0},
-		{payloadRow{"tls", clientHello(t, "a.example"), serverFlight(t, "a.example")}, -1, -1},
+		{classifyRows(t)[0], 0, 0},
+		{payloadRow{"tls", clientHello(t, "a.example"), serverFlight(t, "a.example")}, 0, -1},
 	} {
 		tbl := NewTable(Config{})
 		tbl.Add(pkt(client, server, 40000, 443, layers.TCPSyn, nil), 0, nil)
@@ -338,10 +339,19 @@ func TestPrefixesStopGrowing(t *testing.T) {
 		tbl.Add(pkt(server, client, 443, 40000, layers.TCPAck|layers.TCPPsh, tc.row.s2c), 2, nil)
 		key := Key{ClientIP: client, ServerIP: server, ClientPort: 40000, ServerPort: 443, Proto: layers.IPProtocolTCP}
 		f := tbl.at(tbl.find(hashKey(tbl.seed, key), key))
-		if !f.classified || f.rec.L7 == L7TLS && !f.inspected {
+		if !f.classified || f.l7 == L7TLS && !f.inspected {
 			t.Fatalf("%s: classified %v inspected %v after the first flight", tc.row.name, f.classified, f.inspected)
 		}
-		c2s, s2c := len(f.c2sPrefix), len(f.s2cPrefix)
+		lens := func() (int, int) {
+			if f.pre == nil {
+				return 0, 0
+			}
+			return len(f.pre.c2s), len(f.pre.s2c)
+		}
+		c2s, s2c := lens()
+		if tc.c2s == 0 && c2s != 0 {
+			t.Fatalf("%s: settling first segment copied (%d bytes)", tc.row.name, c2s)
+		}
 		if tc.s2c == 0 && s2c != 0 {
 			t.Fatalf("%s: HTTP response copied (%d bytes)", tc.row.name, s2c)
 		}
@@ -350,13 +360,54 @@ func TestPrefixesStopGrowing(t *testing.T) {
 			tbl.Add(pkt(client, server, 40000, 443, layers.TCPAck|layers.TCPPsh, make([]byte, 500)), at, nil)
 			tbl.Add(pkt(server, client, 443, 40000, layers.TCPAck|layers.TCPPsh, make([]byte, 500)), at+1, nil)
 		}
-		if len(f.c2sPrefix) != c2s || len(f.s2cPrefix) != s2c {
-			t.Fatalf("%s: prefixes grew %d/%d → %d/%d after classification",
-				tc.row.name, c2s, s2c, len(f.c2sPrefix), len(f.s2cPrefix))
+		if c, s := lens(); c != c2s || s != s2c {
+			t.Fatalf("%s: prefixes grew %d/%d → %d/%d after classification", tc.row.name, c2s, s2c, c, s)
 		}
-		if f.rec.BytesC2S != uint64(len(tc.row.c2s)+5000) {
-			t.Fatalf("%s: bytes c2s %d", tc.row.name, f.rec.BytesC2S)
+		if f.bytesC2S != uint64(len(tc.row.c2s)+5000) {
+			t.Fatalf("%s: bytes c2s %d", tc.row.name, f.bytesC2S)
 		}
+	}
+}
+
+// TestSettledFirstSegmentNotCopied: on a fresh table, HTTP flows whose
+// first segment carries the whole request head are classified in place,
+// so no slot ever allocates a prefix buffer.
+func TestSettledFirstSegmentNotCopied(t *testing.T) {
+	var recs int
+	tbl := NewTable(Config{OnRecord: func(r Record, _ Handle) {
+		if r.L7 != L7HTTP || r.HTTPHost != "www.example.com" {
+			t.Fatalf("record %+v", r)
+		}
+		recs++
+	}})
+	req := []byte("GET / HTTP/1.1\r\nHost: www.example.com\r\nAccept: */*\r\n\r\n")
+	const n = 1000
+	for i := range n {
+		port := uint16(10000 + i)
+		at := time.Duration(i) * time.Millisecond
+		tbl.Add(pkt(client, server, port, 80, layers.TCPSyn, nil), at, nil)
+		tbl.Add(pkt(server, client, 80, port, layers.TCPSyn|layers.TCPAck, nil), at, nil)
+		tbl.Add(pkt(client, server, port, 80, layers.TCPAck|layers.TCPPsh, req), at, nil)
+	}
+	if got := tbl.Active(); got != n {
+		t.Fatalf("active = %d, want %d", got, n)
+	}
+	for i := range uint32(n) {
+		if p := tbl.at(i).pre; p != nil {
+			t.Fatalf("slot %d allocated a prefix buffer (c2s %d bytes)", i, len(p.c2s))
+		}
+	}
+	tbl.FlushAll()
+	if recs != n {
+		t.Fatalf("%d records, want %d", recs, n)
+	}
+}
+
+// TestEntryLayout pins the size of a flow table slot: a live flow is one
+// entry, its key stored once and its tag inside it.
+func TestEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(entry[flow]{}); n > 256 {
+		t.Fatalf("entry[flow] is %d B, want <= 256 (it was 304 B with a second key copy and two prefix slices)", n)
 	}
 }
 

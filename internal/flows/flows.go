@@ -48,10 +48,17 @@ func (k Key) Reverse() Key {
 	}
 }
 
+// equals reports whether k is o. It compares field by field: == on the
+// whole struct, which has padding, would call memequal.
+func (k *Key) equals(o *Key) bool {
+	return k.ClientPort == o.ClientPort && k.ServerPort == o.ServerPort && k.Proto == o.Proto &&
+		k.ClientIP == o.ClientIP && k.ServerIP == o.ServerIP
+}
+
 // reverses reports whether k is o with its endpoints swapped.
 func (k *Key) reverses(o *Key) bool {
-	return k.ClientIP == o.ServerIP && k.ServerIP == o.ClientIP &&
-		k.ClientPort == o.ServerPort && k.ServerPort == o.ClientPort && k.Proto == o.Proto
+	return k.ClientPort == o.ServerPort && k.ServerPort == o.ClientPort && k.Proto == o.Proto &&
+		k.ClientIP == o.ServerIP && k.ServerIP == o.ClientIP
 }
 
 // hashKey mixes a key for table placement. The two (address, port)
@@ -137,26 +144,69 @@ type Record struct {
 
 // Handle identifies a live flow's slot in the table slab. It is stable for
 // the flow's lifetime and delivered to both NewFlowFunc and OnRecord, so a
-// caller can keep per-flow sidecar state in a dense slice instead of a
-// keyed map. Handles are recycled after the flow's record is emitted.
+// caller can reach the flow's Tag (Table.Tag) without a keyed lookup.
+// Handles are recycled after the flow's record is emitted.
 type Handle uint32
 
-// flow is a live flow's per-slot state in the Table's recency entries.
+// Tag is the label the table's owner attaches to a flow when it begins
+// (paper Alg. 1: the pre-flow tag) and reads back with the flow's record. It
+// lives in the flow's slot, is zero when the flow begins, and is zeroed
+// after the flow's record is emitted.
+type Tag struct {
+	// Label is the FQDN the flow was labeled with; empty on a miss.
+	Label string
+	// DNSAt is the trace time of the DNS response that labeled the flow.
+	DNSAt time.Duration
+	// Hit reports a label; PreFlow that it was attached at the flow's first
+	// segment; FirstUse that the flow was the first its DNS entry labeled.
+	Hit, PreFlow, FirstUse bool
+}
+
+// flow is a live flow's per-slot state in the Table's recency entries: the
+// record being built, less its Key, which the entry already holds (close
+// joins the two), and the owner's Tag.
 type flow struct {
+	start, end         time.Duration
+	pktsC2S, pktsS2C   uint64
+	bytesC2S, bytesS2C uint64
+	httpHost, sni      string
+	certName           string
+	tag                Tag
+	// pre holds the first payload bytes of each direction, but only while
+	// something can still read them; nil until the flow first needs one. It
+	// stays with the slot across reuse, so warm churn allocates nothing.
+	pre     *prefixes
+	sawSYN  bool
+	state   TCPState
+	l7      L7Proto
+	hasCert bool
 	// classified: L7 and the name it carries (HTTPHost, SNI) are final.
 	classified bool
 	// inspected: the certificate inspection is final — a certificate was
 	// read, or the server stream can no longer carry one.
 	inspected bool
-	// rec is the record being built; rec.Key repeats the entry's key so
-	// that rec is emitted as is.
-	rec Record
-	// c2sPrefix and s2cPrefix hold the first payload bytes of each
-	// direction, but only while something can still read them: c2s until
-	// classified, s2c while the flow can still turn out to be TLS and
-	// inspected is unset.
-	c2sPrefix []byte
-	s2cPrefix []byte
+}
+
+// prefixes are a flow's payload prefixes: client bytes until the flow is
+// classified, server bytes while the flow can still turn out to be TLS and
+// is not inspected. A first client payload that classifies the flow is
+// read in place and never copied here.
+type prefixes struct{ c2s, s2c []byte }
+
+// c2sPrefix returns the client bytes copied so far.
+func (f *flow) c2sPrefix() []byte {
+	if f.pre == nil {
+		return nil
+	}
+	return f.pre.c2s
+}
+
+// prefixes returns f's prefix buffers, allocating them on first need.
+func (f *flow) prefixes() *prefixes {
+	if f.pre == nil {
+		f.pre = new(prefixes)
+	}
+	return f.pre
 }
 
 // prefixCap bounds the per-direction payload prefix retained for
@@ -208,6 +258,10 @@ type Table struct {
 
 // at returns the flow state at slot i.
 func (t *Table) at(i uint32) *flow { return &t.node(i).val }
+
+// Tag returns the tag of the live flow with handle h. The pointer stays
+// valid until that flow's OnRecord returns.
+func (t *Table) Tag(h Handle) *Tag { return &t.at(uint32(h)).tag }
 
 // TableStats counts table activity.
 type TableStats struct {
@@ -298,30 +352,30 @@ func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, fl
 	if slot == noIdx {
 		slot = t.add(key, h)
 		f := t.at(slot)
-		f.rec = Record{Key: key, Start: at, End: at}
+		f.start = at
 		if pureSYN(hasTCP, flags) {
-			f.rec.SawSYN = true
-			f.rec.State = StateSynSent
+			f.sawSYN = true
+			f.state = StateSynSent
 		} else if hasTCP {
-			f.rec.State = StateEstablished // midstream pickup
+			f.state = StateEstablished // midstream pickup
 		}
 		t.stats.FlowsCreated++
 		if onNew != nil {
-			onNew(key, at, f.rec.SawSYN, Handle(slot))
+			onNew(key, at, f.sawSYN, Handle(slot))
 		}
 	}
 	t.touch(slot, at)
 	f := t.at(slot)
-	f.rec.End = at
+	f.end = at
 	if c2s {
-		f.rec.PktsC2S++
-		f.rec.BytesC2S += uint64(len(payload))
+		f.pktsC2S++
+		f.bytesC2S += uint64(len(payload))
 	} else {
-		f.rec.PktsS2C++
-		f.rec.BytesS2C += uint64(len(payload))
+		f.pktsS2C++
+		f.bytesS2C += uint64(len(payload))
 	}
 	if len(payload) > 0 {
-		t.capture(f, payload, c2s)
+		t.capture(f, &key, payload, c2s)
 	}
 	if hasTCP {
 		t.advanceTCP(f, flags, slot)
@@ -333,26 +387,39 @@ func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, fl
 	}
 }
 
-// capture appends payload to the flow's prefix in its direction, when
-// anything can still read it, and classifies or inspects what grew.
-func (t *Table) capture(f *flow, payload []byte, c2s bool) {
+// capture classifies or inspects a flow's payload in its direction while
+// anything can still read it, copying the bytes into the flow's prefix only
+// when a later segment must be read with them.
+func (t *Table) capture(f *flow, key *Key, payload []byte, c2s bool) {
 	if c2s {
 		if f.classified {
 			return
 		}
-		f.c2sPrefix = appendPrefix(f.c2sPrefix, payload)
-		wasTLS := f.rec.L7 == L7TLS
-		t.classify(f)
-		if !wasTLS && f.rec.L7 == L7TLS && len(f.s2cPrefix) > 0 {
+		wasTLS := f.l7 == L7TLS
+		if p := f.c2sPrefix(); len(p) > 0 {
+			f.pre.c2s = appendPrefix(p, payload)
+			t.classify(f, key, f.pre.c2s)
+		} else {
+			// A first payload is classified where it lies, and copied only
+			// if it leaves the flow open.
+			p = payload[:min(len(payload), prefixCap)]
+			t.classify(f, key, p)
+			if !f.classified {
+				pre := f.prefixes()
+				pre.c2s = append(pre.c2s, p...)
+			}
+		}
+		if !wasTLS && f.l7 == L7TLS && f.pre != nil && len(f.pre.s2c) > 0 {
 			t.inspect(f) // server bytes that arrived before the ClientHello
 		}
 		return
 	}
-	if f.inspected || !tlswire.MayLookLikeTLS(f.c2sPrefix) {
+	if f.inspected || f.classified && f.l7 != L7TLS || !tlswire.MayLookLikeTLS(f.c2sPrefix()) {
 		return
 	}
-	f.s2cPrefix = appendPrefix(f.s2cPrefix, payload)
-	if f.rec.L7 == L7TLS {
+	pre := f.prefixes()
+	pre.s2c = appendPrefix(pre.s2c, payload)
+	if f.l7 == L7TLS {
 		t.inspect(f)
 	}
 }
@@ -372,49 +439,49 @@ func appendPrefix(p, payload []byte) []byte {
 func (t *Table) advanceTCP(f *flow, flags layers.TCPFlags, slot uint32) {
 	switch {
 	case flags.Has(layers.TCPRst):
-		f.rec.State = StateReset
+		f.state = StateReset
 		t.finish(slot)
 	case flags.Has(layers.TCPFin):
-		if f.rec.State == StateClosing {
-			f.rec.State = StateClosed
+		if f.state == StateClosing {
+			f.state = StateClosed
 			t.finish(slot)
-		} else if f.rec.State != StateClosed {
-			f.rec.State = StateClosing
+		} else if f.state != StateClosed {
+			f.state = StateClosing
 		}
 	case flags.Has(layers.TCPSyn) && flags.Has(layers.TCPAck):
-		if f.rec.State == StateSynSent {
-			f.rec.State = StateEstablished
+		if f.state == StateSynSent {
+			f.state = StateEstablished
 		}
 	}
 }
 
-// classify sets L7 from the client prefix, and marks the flow classified
-// once no further client byte can change L7 or the name it carries.
-func (t *Table) classify(f *flow) {
-	p := f.c2sPrefix
+// classify sets L7 from the client prefix p of the flow keyed key, and
+// marks the flow classified once no further client byte can change L7 or
+// the name it carries. Names are interned, so p may be a packet's payload.
+func (t *Table) classify(f *flow, key *Key, p []byte) {
 	full := len(p) >= prefixCap
 	switch {
 	case isHTTPRequest(p):
-		f.rec.L7 = L7HTTP
+		f.l7 = L7HTTP
 		// Until the prefix is full only a complete header line counts: the
 		// value of a line still being received may grow.
 		host, ok := httpHost(p, full)
 		if ok {
-			f.rec.HTTPHost = t.internLower(host)
+			f.httpHost = t.internLower(host)
 		}
 		f.classified = ok || full
 	case tlswire.LooksLikeTLS(p):
-		f.rec.L7 = L7TLS
+		f.l7 = L7TLS
 		h := tlswire.Scan(p)
 		if len(h.SNI) > 0 {
-			f.rec.SNI = t.names.Intern(h.SNI)
+			f.sni = t.names.Intern(h.SNI)
 		}
 		f.classified = len(h.SNI) > 0 || h.Done || full
 	case isBitTorrent(p):
-		f.rec.L7 = L7P2P
+		f.l7 = L7P2P
 		f.classified = true
-	case f.rec.Key.Proto == layers.IPProtocolUDP && (f.rec.Key.ServerPort == 53 || f.rec.Key.ClientPort == 53):
-		f.rec.L7 = L7DNS
+	case key.Proto == layers.IPProtocolUDP && (key.ServerPort == 53 || key.ClientPort == 53):
+		f.l7 = L7DNS
 		f.classified = true
 	default:
 		// Leave unknown; more bytes may arrive.
@@ -425,12 +492,13 @@ func (t *Table) classify(f *flow) {
 // inspect runs the certificate inspection over the server prefix of a TLS
 // flow, and marks it final once a certificate was read or none can be.
 func (t *Table) inspect(f *flow) {
-	h := tlswire.Scan(f.s2cPrefix)
+	s2c := f.pre.s2c
+	h := tlswire.Scan(s2c)
 	if h.HasCert {
 		t.nameBuf = h.AppendCertName(t.nameBuf[:0])
-		f.rec.CertName, f.rec.HasCert = t.names.Intern(t.nameBuf), true
+		f.certName, f.hasCert = t.names.Intern(t.nameBuf), true
 	}
-	f.inspected = h.HasCert || h.Done || len(f.s2cPrefix) >= prefixCap
+	f.inspected = h.HasCert || h.Done || len(s2c) >= prefixCap
 }
 
 // internLower interns the lowercase form of b.
@@ -509,15 +577,25 @@ func (t *Table) expire(i uint32) {
 	t.close(i)
 }
 
-// close settles slot i's record, frees the slot and emits the record. The
-// record escapes by value; the slot keeps its prefix buffers' capacity for
-// the next flow, so a steady flow arrival/departure rate creates no garbage.
+// close settles slot i's record, frees the slot and emits the record,
+// joined with the entry's key. The record escapes by value; the slot keeps
+// its prefix buffers' capacity for the next flow, so a steady flow
+// arrival/departure rate creates no garbage.
 func (t *Table) close(i uint32) {
-	f := t.at(i)
+	e := t.node(i)
+	f := &e.val
 	t.classifyFinal(f)
+	r := Record{
+		Key: e.key, Start: f.start, End: f.end, SawSYN: f.sawSYN, State: f.state,
+		PktsC2S: f.pktsC2S, PktsS2C: f.pktsS2C, BytesC2S: f.bytesC2S, BytesS2C: f.bytesS2C,
+		L7: f.l7, HasCert: f.hasCert, HTTPHost: f.httpHost, SNI: f.sni, CertName: f.certName,
+	}
 	t.remove(i)
-	t.emit(f.rec, Handle(i))
-	*f = flow{c2sPrefix: f.c2sPrefix[:0], s2cPrefix: f.s2cPrefix[:0]}
+	t.emit(r, Handle(i))
+	if p := f.pre; p != nil {
+		p.c2s, p.s2c = p.c2s[:0], p.s2c[:0]
+	}
+	*f = flow{pre: f.pre}
 }
 
 // classifyFinal settles a flow at close. Every prefix was classified and
@@ -525,9 +603,9 @@ func (t *Table) close(i uint32) {
 // header whose line never completed: the prefix will not grow now, so the
 // partial line counts.
 func (t *Table) classifyFinal(f *flow) {
-	if !f.classified && f.rec.L7 == L7HTTP {
-		if host, ok := httpHost(f.c2sPrefix, true); ok {
-			f.rec.HTTPHost = t.internLower(host)
+	if !f.classified && f.l7 == L7HTTP {
+		if host, ok := httpHost(f.c2sPrefix(), true); ok {
+			f.httpHost = t.internLower(host)
 		}
 	}
 }

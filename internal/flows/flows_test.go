@@ -254,6 +254,36 @@ func TestKeyStringAndReverse(t *testing.T) {
 	}
 }
 
+// TestKeyEquals: the field-by-field comparisons the table probes with agree
+// with == on the whole key (equals) and on its Reverse (reverses) for keys
+// that differ in any one field, a 4-in-6 twin address included.
+func TestKeyEquals(t *testing.T) {
+	k := Key{ClientIP: client, ServerIP: server, ClientPort: 1, ServerPort: 2, Proto: layers.IPProtocolTCP}
+	variants := []Key{k, k.Reverse()}
+	for _, edit := range []func(*Key){
+		func(o *Key) { o.ClientIP = netip.MustParseAddr("10.1.2.4") },
+		func(o *Key) { o.ClientIP = netip.AddrFrom16(client.As16()) },
+		func(o *Key) { o.ServerIP = netip.MustParseAddr("203.0.113.51") },
+		func(o *Key) { o.ClientPort = 3 },
+		func(o *Key) { o.ServerPort = 3 },
+		func(o *Key) { o.Proto = layers.IPProtocolUDP },
+	} {
+		o := k
+		edit(&o)
+		variants = append(variants, o, o.Reverse())
+	}
+	for _, a := range variants {
+		for _, b := range variants {
+			if got, want := a.equals(&b), a == b; got != want {
+				t.Fatalf("%v equals %v = %v, want %v", a, b, got, want)
+			}
+			if got, want := a.reverses(&b), a == b.Reverse(); got != want {
+				t.Fatalf("%v reverses %v = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestHTTPHostLowercased(t *testing.T) {
 	tbl := NewTable(Config{})
 	runConn(tbl, 0, 80, []byte("GET / HTTP/1.1\r\nHost: WWW.Example.COM\r\n\r\n"), nil)

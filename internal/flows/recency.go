@@ -66,7 +66,7 @@ func (t *recency[V]) Active() int { return t.idx.Len() }
 func (t *recency[V]) find(h uint64, key Key) uint32 {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
-			if s := p.Slot(m); t.slab.At(s).key == key {
+			if s := p.Slot(m); t.slab.At(s).key.equals(&key) {
 				return s
 			}
 		}
@@ -85,7 +85,7 @@ func (t *recency[V]) findEither(h uint64, key *Key) (uint32, bool) {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
 			s := p.Slot(m)
-			if k := &t.slab.At(s).key; *k == *key {
+			if k := &t.slab.At(s).key; k.equals(key) {
 				return s, true
 			} else if k.reverses(key) {
 				return s, false

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"reflect"
@@ -39,13 +40,14 @@ var (
 
 // runDifferential replays ops against the resolver and the model and cross-checks
 // behaviour after every operation; see the file comment for the contract.
-func runDifferential(t *testing.T, data []byte, clistSize, history int) {
+// An insert names 1..maxAddrs servers.
+func runDifferential(t *testing.T, data []byte, clistSize, history, maxAddrs int) {
 	t.Helper()
 	cfg := Config{ClistSize: clistSize, History: history}
 	h, o := New(cfg), newOrderedRef(cfg)
 
 	at := time.Duration(0)
-	servers := make([]netip.Addr, 0, 3)
+	servers := make([]netip.Addr, 0, maxAddrs)
 	for i := 0; i+3 <= len(data) && i < 3*4096; i += 3 {
 		b0, b1, b2 := data[i], data[i+1], data[i+2]
 		at += time.Duration(b2&0x0F) * time.Second
@@ -63,10 +65,11 @@ func runDifferential(t *testing.T, data []byte, clistSize, history int) {
 			}
 			continue
 		}
-		// Insert op: 1..3 consecutive pool servers, the last replaced by a
-		// repeat of the first when bit 5 is set; FQDN from a small pool.
+		// Insert op: 1..maxAddrs consecutive pool servers, the last
+		// replaced by a repeat of the first when bit 5 is set; FQDN from a
+		// small pool.
 		servers = servers[:0]
-		n := 1 + int(b1>>6)%3
+		n := 1 + int(b1>>6)%maxAddrs
 		for k := 0; k < n; k++ {
 			servers = append(servers, fzServers[(int(b1&0x1F)+k)%len(fzServers)])
 		}
@@ -109,7 +112,7 @@ func FuzzFlatVsOrderedResolver(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x10, 0x00, 0x40, 0x20, 0x80, 0x00, 0x00}, uint8(2), uint8(2))
 	f.Add([]byte{0x03, 0xC0, 0xFF, 0x83, 0x04, 0x01, 0x02, 0x80, 0x33}, uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, clist, history uint8) {
-		runDifferential(t, data, 1+int(clist)%64, int(history)%3)
+		runDifferential(t, data, 1+int(clist)%64, int(history)%3, 3)
 	})
 }
 
@@ -123,9 +126,14 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 		// ::ffff:10.0.0.1 and every first server from 203.0.113.1 /
 		// ::ffff:203.0.113.1.
 		twins bool
+		// addrs is the most servers one insert names (0 means 3).
+		addrs int
 	}{
-		{1, 0, false}, {3, 0, false}, {8, 0, false}, {64, 0, false}, {2, 1, false}, {5, 2, false}, {16, 2, false},
-		{6, 2, true},
+		{1, 0, false, 0}, {3, 0, false, 0}, {8, 0, false, 0}, {64, 0, false, 0}, {2, 1, false, 0}, {5, 2, false, 0}, {16, 2, false, 0},
+		{6, 2, true, 0},
+		// Responses of up to four addresses, each counted in and out of
+		// the client count at once, with history promotion and eviction.
+		{1, 2, false, 4},
 	} {
 		data := make([]byte, 3*2048)
 		s := uint64(tc.clist*31 + tc.history*7 + 1)
@@ -137,7 +145,11 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 			z ^= z >> 27
 			data[i] = byte(z >> 40)
 		}
+		addrs := cmp.Or(tc.addrs, 3)
 		name := fmt.Sprintf("clist=%d,history=%d", tc.clist, tc.history)
+		if tc.addrs != 0 {
+			name += fmt.Sprintf(",addrs=%d", tc.addrs)
+		}
 		if tc.twins {
 			name += ",twins+dups"
 			for i := 0; i+3 <= len(data); i += 3 {
@@ -146,7 +158,7 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 			}
 		}
 		t.Run(name, func(t *testing.T) {
-			runDifferential(t, data, tc.clist, tc.history)
+			runDifferential(t, data, tc.clist, tc.history, addrs)
 		})
 	}
 }

@@ -135,8 +135,9 @@ type pairTable struct {
 	nodes swiss.Slab[pairNode]
 	seed  uint64
 	// clients counts live keys per client address; its length is the
-	// number of distinct clients tracked. It is touched only when a key is
-	// created or destroyed — never on the per-flow lookup path.
+	// number of distinct clients tracked. It is touched once per response
+	// that creates keys and once per eviction that destroys them — never on
+	// the per-flow lookup path.
 	clients map[netip.Addr]uint32
 }
 
@@ -178,27 +179,30 @@ func (t *pairTable) find(k *pairKey, h uint64) uint32 {
 	}
 }
 
-// insert creates an unlinked node for k → entry and returns its slot.
+// insert creates an unlinked node for k → entry and returns its slot. The
+// caller counts the key in clients.
 func (t *pairTable) insert(k pairKey, h uint64, entry uint32) uint32 {
 	slot := t.nodes.Alloc()
 	*t.nodes.At(slot) = pairNode{key: k, hash: h, entry: entry, prev: noSlot, next: noSlot, older: noSlot}
 	t.idx.Insert(h, slot, t.hashOf)
-	t.clients[k.clientAddr()]++
 	return slot
 }
 
-// remove erases the key at slot from the index and recycles the node,
-// dropping the client from the clients count when this was its last key.
+// remove erases the key at slot from the index and recycles the node. The
+// caller uncounts the key in clients.
 func (t *pairTable) remove(slot uint32) {
-	n := t.nodes.At(slot)
-	t.idx.Delete(n.hash, slot)
-	client := n.key.clientAddr()
-	if c := t.clients[client] - 1; c == 0 {
+	t.idx.Delete(t.nodes.At(slot).hash, slot)
+	t.nodes.Free(slot)
+}
+
+// uncount takes n keys off client's count, dropping the client when none
+// is left.
+func (t *pairTable) uncount(client netip.Addr, n uint32) {
+	if c := t.clients[client] - n; c == 0 {
 		delete(t.clients, client)
 	} else {
 		t.clients[client] = c
 	}
-	t.nodes.Free(slot)
 }
 
 // Resolver is the DNS cache replica. Not safe for concurrent use; shard by
@@ -248,6 +252,7 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1}
 	// Link entry from every (clientIP, server) key (lines 5–21).
 	ft := r.flat
+	var fresh uint32
 	for _, serverIP := range servers {
 		r.stats.Addresses++
 		var k pairKey
@@ -255,7 +260,7 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 		slot := ft.find(&k, h)
 		if slot == noSlot {
 			slot = ft.insert(k, h, es)
-			r.stats.ClientsPeak = max(r.stats.ClientsPeak, len(ft.clients))
+			fresh++
 		} else {
 			// Replace the old reference (Algorithm 1, lines 11–15): the old
 			// entry loses this node; optionally it is retained as history.
@@ -272,6 +277,13 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 		}
 		entry.names++
 		r.link(slot)
+	}
+	// Every key of one response has its client, and only keys were added
+	// so far, so one count and one peak update cover them all. The count is
+	// keyed like pairKey.clientAddr, which keeps no zone.
+	if fresh > 0 {
+		ft.clients[clientIP.WithZone("")] += fresh
+		r.stats.ClientsPeak = max(r.stats.ClientsPeak, len(ft.clients))
 	}
 	// Recycle the next Clist slot (lines 22–25). While the list is still
 	// below capacity L, slots are appended — index order, exactly the order
@@ -361,14 +373,19 @@ func (r *Resolver) evict(s uint32) {
 	r.stats.Evictions++
 	e := r.entries.At(s)
 	ft := r.flat
+	// Every node on the list has the entry's client: a response links only
+	// its own client's keys.
+	var client netip.Addr
+	var removed uint32
 	for e.refs != noSlot {
 		slot := e.refs
 		r.unlink(slot)
 		r.release(s)
 		n := ft.nodes.At(slot)
 		if n.older == noSlot {
+			client = n.key.clientAddr()
 			ft.remove(slot)
-			r.stats.EvictedRefs++
+			removed++
 			continue
 		}
 		// The promoted entry stays off the node's back-reference list: it
@@ -376,6 +393,10 @@ func (r *Resolver) evict(s uint32) {
 		h := *r.hist.At(n.older)
 		r.hist.Free(n.older)
 		n.entry, n.older = h.entry, h.next
+	}
+	if removed > 0 {
+		ft.uncount(client, removed)
+		r.stats.EvictedRefs += uint64(removed)
 	}
 	r.release(s) // the Clist's name
 }
