@@ -24,8 +24,9 @@
 //	res, err := eng.RunTrace(context.Background(), trace)
 //	if err != nil { ... }
 //	fmt.Println(res.Stats.Resolver)           // hit ratio etc.
+//	var f dnhunter.LabeledFlow // decoded into, one flow at a time
 //	for i := range min(10, res.DB.Len()) {
-//	    f := res.DB.At(i)
+//	    res.DB.Load(i, &f)
 //	    fmt.Println(f.Key, f.Label)
 //	}
 //

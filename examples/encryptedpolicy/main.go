@@ -67,8 +67,9 @@ func main() {
 	// Show why DPI and IP filtering fail here: blocked and prioritized
 	// flows come out of the same hosting organization's address block.
 	hostOrgs := map[string][2]int{}
+	var f dnhunter.LabeledFlow
 	for i := range res.DB.Len() {
-		f := res.DB.At(i)
+		res.DB.Load(i, &f)
 		if !f.Labeled {
 			continue
 		}

@@ -31,8 +31,9 @@ func main() {
 	fmt.Printf("ran on %d shards\n\n", eng.Shards())
 	fmt.Println("first ten labeled flows:")
 	shown := 0
+	var f dnhunter.LabeledFlow
 	for i := range res.DB.Len() {
-		f := res.DB.At(i)
+		res.DB.Load(i, &f)
 		if !f.Labeled {
 			continue
 		}

@@ -115,8 +115,9 @@ func ReverseLookupCompare(db *flowdb.DB, zone map[netip.Addr]string, n int, rng 
 // SLD are "generic"; absent certificates (resumption) are "no certificate".
 func CertCompare(db *flowdb.DB) CompareResult {
 	res := CompareResult{Counts: make(map[MatchClass]int)}
+	var f flowdb.LabeledFlow
 	for i := range db.Len() {
-		f := db.At(i)
+		db.Load(i, &f)
 		// Only TLS flows with a DN-Hunter label participate.
 		if !f.Labeled || f.L7 != flows.L7TLS {
 			continue

@@ -85,8 +85,9 @@ func FanoutCDFs(db *flowdb.DB) (ipsPerFQDN, fqdnsPerIP *stats.CDF) {
 		ipsPerFQDN.Add(float64(len(db.ServersOfFQDN(fqdn))))
 	}
 	perServer := make(map[netip.Addr]map[string]struct{})
+	var f flowdb.LabeledFlow
 	for i := range db.Len() {
-		f := db.At(i)
+		db.Load(i, &f)
 		if !f.Labeled {
 			continue
 		}

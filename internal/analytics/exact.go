@@ -458,9 +458,10 @@ func (q *exactCoverage) Snapshot() Result {
 // (as single-source Engine runs are). One pass feeds every registered
 // query.
 func ObserveVantages(p *Pipeline, vantages []VantageData) {
+	var f flowdb.LabeledFlow
 	for _, v := range vantages {
 		for i := range v.DB.Len() {
-			f := *v.DB.At(i)
+			v.DB.Load(i, &f)
 			f.Vantage = v.Name
 			p.Observe(&f)
 		}

@@ -24,8 +24,9 @@ func ServerTimeseries(db *flowdb.DB, slds []string, bin time.Duration) map[strin
 	for _, s := range slds {
 		acc[s] = stats.NewSetBinUnion(bin)
 	}
+	var f flowdb.LabeledFlow
 	for i := range db.Len() {
-		f := db.At(i)
+		db.Load(i, &f)
 		if !f.Labeled {
 			continue
 		}
@@ -47,8 +48,9 @@ func CDNTimeseries(db *flowdb.DB, odb *orgdb.DB, orgs []string, bin time.Duratio
 	for _, o := range orgs {
 		want[o] = stats.NewSetBinUnion(bin)
 	}
+	var f flowdb.LabeledFlow
 	for i := range db.Len() {
-		f := db.At(i)
+		db.Load(i, &f)
 		if !f.Labeled {
 			continue
 		}
@@ -183,8 +185,9 @@ func AppspotTracking(tr *synth.EventTrace, bin time.Duration) *AppspotReport {
 func DelayCDFs(db *flowdb.DB) (firstFlow, anyFlow *stats.CDF) {
 	firstFlow = &stats.CDF{}
 	anyFlow = &stats.CDF{}
+	var f flowdb.LabeledFlow
 	for i := range db.Len() {
-		f := db.At(i)
+		db.Load(i, &f)
 		if !f.Labeled || f.DNSDelay < 0 {
 			continue
 		}

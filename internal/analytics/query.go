@@ -185,11 +185,12 @@ func (p *Pipeline) Observe(f *flowdb.LabeledFlow) {
 func (p *Pipeline) ObserveDB(db *flowdb.DB) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var f flowdb.LabeledFlow
 	for i := range db.Len() {
-		f := db.At(i)
+		db.Load(i, &f)
 		p.observed++
 		for _, q := range p.queries {
-			q.Observe(f)
+			q.Observe(&f)
 		}
 	}
 }

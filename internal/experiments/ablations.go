@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/flowdb"
 	"repro/internal/resolver"
 	"repro/internal/synth"
 )
@@ -48,8 +49,9 @@ func (s *Suite) AblationClistSize(sizes []int) (string, map[int]float64) {
 func (s *Suite) AblationMultiLabel() (string, float64, float64) {
 	run := s.Run(synth.NameEU1ADSL2)
 	var labeled, wrong, recoverable int
+	var f flowdb.LabeledFlow
 	for i := range run.DB.Len() {
-		f := run.DB.At(i)
+		run.DB.Load(i, &f)
 		if !f.Labeled || f.Truth == "" {
 			continue
 		}

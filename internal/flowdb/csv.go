@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -47,16 +48,15 @@ func (db *DB) WriteCSV(w io.Writer) error {
 		b = appendCSVField(b, h)
 	}
 	b = append(b, '\n')
-	for c := range db.filled() {
-		recs := db.chunk(c)
-		for i := range recs {
-			b = appendCSVRow(b, &recs[i])
-			if len(b) >= csvFlushAt {
-				if _, err := w.Write(b); err != nil {
-					return err
-				}
-				b = b[:0]
+	var f LabeledFlow
+	for i := range db.n {
+		db.Load(i, &f)
+		b = appendCSVRow(b, &f)
+		if len(b) >= csvFlushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
 			}
+			b = b[:0]
 		}
 	}
 	_, err := w.Write(b)
@@ -191,10 +191,17 @@ func ReadCSV(r io.Reader) (*DB, error) {
 	}
 }
 
+// maxMs bounds a millisecond field: the largest magnitude a time.Duration
+// holds in whole milliseconds.
+const maxMs = math.MaxInt64 / int64(time.Millisecond)
+
 func parseCSVRecord(rec []string) (LabeledFlow, error) {
 	var f LabeledFlow
 	ms := func(s string) (time.Duration, error) {
 		v, err := strconv.ParseInt(s, 10, 64)
+		if err == nil && (v > maxMs || v < -maxMs) {
+			err = fmt.Errorf("%s ms overflows a duration", s)
+		}
 		return time.Duration(v) * time.Millisecond, err
 	}
 	var err error
@@ -212,15 +219,15 @@ func parseCSVRecord(rec []string) (LabeledFlow, error) {
 	if err != nil {
 		return f, err
 	}
-	cport, err := strconv.Atoi(rec[4])
+	cport, err := strconv.ParseUint(rec[4], 10, 16)
 	if err != nil {
 		return f, err
 	}
-	sport, err := strconv.Atoi(rec[5])
+	sport, err := strconv.ParseUint(rec[5], 10, 16)
 	if err != nil {
 		return f, err
 	}
-	proto, err := strconv.Atoi(rec[6])
+	proto, err := strconv.ParseUint(rec[6], 10, 8)
 	if err != nil {
 		return f, err
 	}

@@ -3,6 +3,7 @@ package flowdb
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"net/netip"
 	"strconv"
@@ -80,6 +81,49 @@ func TestReadCSVBadRow(t *testing.T) {
 	broken := strings.Replace(buf.String(), "1.1.1.1", "not-an-ip", 1)
 	if _, err := ReadCSV(strings.NewReader(broken)); err == nil {
 		t.Fatal("expected error for bad address")
+	}
+}
+
+// TestReadCSVRejectsOutOfRange: a number that does not fit its field fails
+// the load, naming the line, instead of wrapping into a valid-looking flow.
+func TestReadCSVRejectsOutOfRange(t *testing.T) {
+	var buf bytes.Buffer
+	db := New()
+	db.Add(lf("a.x.com", "1.1.1.1", 80, flows.L7HTTP, 0))
+	if err := db.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	header, row, _ := strings.Cut(buf.String(), "\n")
+	for _, tc := range []struct {
+		name  string
+		col   int
+		value string
+	}{
+		{"negative port", 4, "-1"},
+		{"port past 65535", 5, "70000"},
+		{"proto past 255", 6, "300"},
+		{"start_ms past 2^63 ns", 0, "9223372036855"},
+		{"dns_delay_ms below -2^63 ns", 11, "-9223372036855"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fields := strings.Split(strings.TrimSuffix(row, "\n"), ",")
+			fields[tc.col] = tc.value
+			in := header + "\n" + strings.Join(fields, ",") + "\n"
+			_, err := ReadCSV(strings.NewReader(in))
+			if err == nil || !strings.Contains(err.Error(), "line 2") {
+				t.Fatalf("%s = %s: err %v, want an error naming line 2", csvHeader[tc.col], tc.value, err)
+			}
+		})
+	}
+	// The largest millisecond values a duration holds still load.
+	fields := strings.Split(strings.TrimSuffix(row, "\n"), ",")
+	fields[0], fields[1] = "9223372036854", "-9223372036854"
+	got, err := ReadCSV(strings.NewReader(header + "\n" + strings.Join(fields, ",") + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := got.At(0); f.Start != 9223372036854*time.Millisecond || f.End != -9223372036854*time.Millisecond {
+		t.Fatalf("extreme milliseconds load as %v, %v", f.Start, f.End)
 	}
 }
 
@@ -272,7 +316,8 @@ func TestWriteCSVAllocsPerRecord(t *testing.T) {
 	}
 	small, large := New(), New()
 	small.Add(f)
-	for range 3 * chunkLen {
+	for i := range 10000 { // distinct names, so rows span the name table
+		f.Label, f.Truth = fmt.Sprintf("h%d.example.com", i), fmt.Sprintf("t%d", i%97)
 		large.Add(f)
 	}
 	if s, l := write(small), write(large); l != s {

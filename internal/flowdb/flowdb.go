@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/flows"
-	"repro/internal/stats"
+	"repro/internal/layers"
 )
 
 // LabeledFlow is one flow with the FQDN label the tagger attached.
@@ -19,7 +19,8 @@ type LabeledFlow struct {
 	flows.Record
 	// Label is the FQDN from the resolver; empty when the lookup missed.
 	Label string
-	// SLD is the second-level domain of Label (cached at insert).
+	// SLD is the second-level domain of Label when Labeled, else "". A DB
+	// derives it from Label; Add ignores the caller's value.
 	SLD string
 	// Labeled reports whether the tagger hit the resolver cache.
 	Labeled bool
@@ -42,17 +43,49 @@ type LabeledFlow struct {
 	Vantage string
 }
 
-// chunkLen is the number of records per storage chunk. 1024 records of
-// LabeledFlow fill whole 8 KiB pages (1024 × 256 B = 32 pages), so a chunk
-// wastes nothing to size-class rounding; TestChunkFillsPages pins that.
+// row is a flow as a DB stores it: fixed-size and pointer-free, so the GC
+// never scans a chunk. Strings are IDs into the DB's name table, addresses
+// their 16-byte form plus a word of family and zone ID (names.putAddr), and
+// the five booleans one flags byte. A row has no SLD: that is a property
+// of its label's ID (names.deriveSLD). TestRowLayout pins the size and the
+// absence of pointers.
+type row struct {
+	client, server         [16]byte
+	clientAddr, serverAddr uint32 // address words (names.putAddr)
+	start, end, dnsDelay   int64
+	pktsC2S, pktsS2C       uint64
+	bytesC2S, bytesS2C     uint64
+	label, truth           uint32
+	httpHost, sni          uint32
+	certName, vantage      uint32
+	clientPort, serverPort uint16
+	proto                  layers.IPProtocol
+	l7                     flows.L7Proto
+	state                  flows.TCPState
+	flags                  uint8
+}
+
+// Row flags.
+const (
+	flagSawSYN uint8 = 1 << iota
+	flagHasCert
+	flagLabeled
+	flagPreFlow
+	flagFirstAfterDNS
+)
+
+// chunkLen is the number of rows per storage chunk. 1024 rows of 128 B fill
+// whole 8 KiB pages (16 of them), so a chunk wastes nothing to size-class
+// rounding; TestChunkFillsPages pins that.
 const chunkLen = 1024
 
 // DB is an append-only labeled flow store with secondary indexes.
 //
-// Records live in a log of fixed-size chunks: every chunk is full except
-// the last, and no chunk is ever regrown, moved or copied. Add is one
-// store into the last chunk (plus one chunk allocation every chunkLen
-// flows), and a pointer to a record stays valid until Reset.
+// Flows live in a log of fixed-size chunks of compact rows: every chunk is
+// full except the last, and no chunk is ever regrown, moved or copied. Add
+// encodes one row into the last chunk (plus one chunk allocation every
+// chunkLen flows), filing its strings in the DB's name table; reads decode
+// rows back into LabeledFlow values (Load, At) or copies (queries, All).
 // The indexes are built lazily: Add does no map work on the capture hot
 // path, and the first query extends the indexes over whatever arrived
 // since the last one.
@@ -62,58 +95,130 @@ const chunkLen = 1024
 // stopped — the catch-up index build they trigger is serialized by an
 // internal lock — but never concurrently with Add/Merge.
 type DB struct {
-	// chunks holds records [c*chunkLen, (c+1)*chunkLen) in chunks[c]. After
-	// Reset it may hold more chunks than n needs; those are all zero.
-	chunks []*[chunkLen]LabeledFlow
-	// n is the record count.
-	n int
+	// chunks holds rows [c*chunkLen, (c+1)*chunkLen) in chunks[c]. After
+	// Reset it may hold more chunks than n needs; rows past n are stale.
+	chunks []*[chunkLen]row
+	// n is the row count.
+	n     int
+	names names
 
 	// mu serializes the lazy index catch-up, so concurrent queries on a
 	// finished DB never race on the map builds.
 	mu sync.Mutex
-	// indexed is the number of records the indexes cover; index() catches
-	// the maps up before any of them is read.
+	// indexed is the number of rows the indexes cover; index() catches
+	// the maps up before any of them is read. byFQDN and bySLD key on
+	// name IDs.
 	indexed  int
-	byFQDN   map[string][]int
-	bySLD    map[string][]int
+	byFQDN   map[uint32][]int
+	bySLD    map[uint32][]int
 	byServer map[netip.Addr][]int
 	byPort   map[uint16][]int
 }
 
 // New creates an empty database.
 func New() *DB {
-	return &DB{}
+	db := &DB{}
+	db.names.init()
+	return db
 }
 
-// Add appends one labeled flow. Index maintenance is deferred to the next
-// query.
+// Add appends one labeled flow. Its SLD is derived from Label when the flow
+// is Labeled (and is "" otherwise), whatever f.SLD holds. Index maintenance
+// is deferred to the next query.
 func (db *DB) Add(f LabeledFlow) {
-	if f.Labeled && f.SLD == "" {
-		f.SLD = stats.SLD(f.Label)
-	}
-	db.tail()[0] = f
+	db.encode(&db.tail()[0], &f)
 	db.n++
+}
+
+// encode stores f in r, filing its strings in the name table.
+func (db *DB) encode(r *row, f *LabeledFlow) {
+	n := &db.names
+	r.client, r.clientAddr = n.putAddr(f.Key.ClientIP)
+	r.server, r.serverAddr = n.putAddr(f.Key.ServerIP)
+	r.start, r.end, r.dnsDelay = int64(f.Start), int64(f.End), int64(f.DNSDelay)
+	r.pktsC2S, r.pktsS2C = f.PktsC2S, f.PktsS2C
+	r.bytesC2S, r.bytesS2C = f.BytesC2S, f.BytesS2C
+	// Ground truth, HTTP host and SNI usually repeat the label: filing them
+	// then costs a string compare, not a hash and a probe.
+	r.label = n.id(f.Label)
+	r.truth = n.idOr(f.Truth, f.Label, r.label)
+	r.httpHost = n.idOr(f.HTTPHost, f.Label, r.label)
+	r.sni = n.idOr(f.SNI, f.Label, r.label)
+	r.certName, r.vantage = n.id(f.CertName), n.id(f.Vantage)
+	r.clientPort, r.serverPort = f.Key.ClientPort, f.Key.ServerPort
+	r.proto, r.l7, r.state = f.Key.Proto, f.L7, f.State
+	var fl uint8
+	if f.SawSYN {
+		fl |= flagSawSYN
+	}
+	if f.HasCert {
+		fl |= flagHasCert
+	}
+	if f.Labeled {
+		fl |= flagLabeled
+		n.deriveSLD(r.label)
+	}
+	if f.PreFlow {
+		fl |= flagPreFlow
+	}
+	if f.FirstAfterDNS {
+		fl |= flagFirstAfterDNS
+	}
+	r.flags = fl
+}
+
+// Load decodes the i-th flow into f, 0 <= i < Len(), overwriting every
+// field (field by field, with no temporary LabeledFlow; FuzzRowRoundTrip
+// decodes into a flow with every field set). It allocates nothing, so a
+// scan that reuses one LabeledFlow costs no allocation per flow. The
+// decoded flow is a copy: later writes to the DB, Reset included, leave it
+// unchanged.
+func (db *DB) Load(i int, f *LabeledFlow) {
+	n := &db.names
+	r := db.row(i)
+	f.Key = flows.Key{
+		ClientIP:   n.addr(r.client, r.clientAddr),
+		ServerIP:   n.addr(r.server, r.serverAddr),
+		ClientPort: r.clientPort,
+		ServerPort: r.serverPort,
+		Proto:      r.proto,
+	}
+	f.Start, f.End, f.DNSDelay = time.Duration(r.start), time.Duration(r.end), time.Duration(r.dnsDelay)
+	f.State, f.L7 = r.state, r.l7
+	f.PktsC2S, f.PktsS2C = r.pktsC2S, r.pktsS2C
+	f.BytesC2S, f.BytesS2C = r.bytesC2S, r.bytesS2C
+	f.SawSYN = r.flags&flagSawSYN != 0
+	f.HasCert = r.flags&flagHasCert != 0
+	f.Labeled = r.flags&flagLabeled != 0
+	f.PreFlow = r.flags&flagPreFlow != 0
+	f.FirstAfterDNS = r.flags&flagFirstAfterDNS != 0
+	f.Label, f.Truth, f.Vantage = n.str(r.label), n.str(r.truth), n.str(r.vantage)
+	f.HTTPHost, f.SNI, f.CertName = n.str(r.httpHost), n.str(r.sni), n.str(r.certName)
+	f.SLD = ""
+	if f.Labeled {
+		f.SLD = n.str(n.sldOf(r.label))
+	}
 }
 
 // tail returns the unfilled rest of the last chunk, first adding a chunk
 // when the last one is full.
-func (db *DB) tail() []LabeledFlow {
+func (db *DB) tail() []row {
 	c := db.n / chunkLen
 	if c == len(db.chunks) {
-		db.chunks = append(db.chunks, new([chunkLen]LabeledFlow))
+		db.chunks = append(db.chunks, new([chunkLen]row))
 	}
 	return db.chunks[c][db.n%chunkLen:]
 }
 
-// filled returns the number of chunks holding records.
-func (db *DB) filled() int { return (db.n + chunkLen - 1) / chunkLen }
-
-// chunk returns the filled part of chunk c < db.filled().
-func (db *DB) chunk(c int) []LabeledFlow {
-	return db.chunks[c][:min(chunkLen, db.n-c*chunkLen)]
+// row returns the i-th row, 0 <= i < Len().
+func (db *DB) row(i int) *row {
+	if uint(i) >= uint(db.n) {
+		panic("flowdb: record index out of range")
+	}
+	return &db.chunks[i/chunkLen][i%chunkLen]
 }
 
-// index catches the secondary indexes up with the record log.
+// index catches the secondary indexes up with the row log.
 func (db *DB) index() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -121,34 +226,44 @@ func (db *DB) index() {
 		return
 	}
 	if db.byFQDN == nil {
-		db.byFQDN = make(map[string][]int)
-		db.bySLD = make(map[string][]int)
+		db.byFQDN = make(map[uint32][]int)
+		db.bySLD = make(map[uint32][]int)
 		db.byServer = make(map[netip.Addr][]int)
 		db.byPort = make(map[uint16][]int)
 	}
 	for idx := db.indexed; idx < db.n; idx++ {
-		f := db.At(idx)
-		if f.Labeled {
-			db.byFQDN[f.Label] = append(db.byFQDN[f.Label], idx)
-			db.bySLD[f.SLD] = append(db.bySLD[f.SLD], idx)
+		r := db.row(idx)
+		if r.flags&flagLabeled != 0 {
+			sld := db.names.sldOf(r.label)
+			db.byFQDN[r.label] = append(db.byFQDN[r.label], idx)
+			db.bySLD[sld] = append(db.bySLD[sld], idx)
 		}
-		db.byServer[f.Key.ServerIP] = append(db.byServer[f.Key.ServerIP], idx)
-		db.byPort[f.Key.ServerPort] = append(db.byPort[f.Key.ServerPort], idx)
+		srv := db.names.addr(r.server, r.serverAddr)
+		db.byServer[srv] = append(db.byServer[srv], idx)
+		db.byPort[r.serverPort] = append(db.byPort[r.serverPort], idx)
 	}
 	db.indexed = db.n
 }
 
-// Merge appends every flow of the others into db, copying each record
-// once, chunk by chunk. The sharded engine combines per-shard databases
-// with it at end of run; record order follows the argument order, so
-// merging shards 0..N-1 is deterministic for a fixed shard count.
+// Merge appends every flow of the others into db, in argument order, so
+// merging shards 0..N-1 is deterministic for a fixed shard count. Each
+// source's names are filed in db's table with one lookup per distinct
+// name; its rows are then copied chunk by chunk, their IDs rewritten only
+// when the two tables number names differently.
 func (db *DB) Merge(others ...*DB) {
 	for _, o := range others {
 		n := o.n // read once: merging a DB into itself appends one copy
+		ids, same := db.names.remap(&o.names)
 		for lo := 0; lo < n; lo += chunkLen {
 			src := o.chunks[lo/chunkLen][:min(chunkLen, n-lo)]
 			for len(src) > 0 {
-				k := copy(db.tail(), src)
+				dst := db.tail()
+				k := copy(dst, src)
+				if !same {
+					for i := range dst[:k] {
+						dst[i].remap(ids)
+					}
+				}
 				db.n += k
 				src = src[k:]
 			}
@@ -156,19 +271,27 @@ func (db *DB) Merge(others ...*DB) {
 	}
 }
 
-// Reset empties the database for reuse. It keeps its chunks, so a
-// steady-state consumer (the windowed store rotating partitions) stops
-// allocating once its high-water mark is reached, but zeroes every record
-// they held, so the old flows' strings become garbage now rather than
-// when a later window overwrites them. The lazy indexes are dropped
-// outright — rebuilding them on the next query is cheaper than emptying
-// four maps, and a reused window DB is usually serialized, not queried.
-// Not safe for concurrent use, like Add.
+// remap rewrites r's name IDs through ids (names.remap).
+func (r *row) remap(ids []uint32) {
+	r.clientAddr = remapAddr(r.clientAddr, ids)
+	r.serverAddr = remapAddr(r.serverAddr, ids)
+	r.label, r.truth = ids[r.label], ids[r.truth]
+	r.httpHost, r.sni = ids[r.httpHost], ids[r.sni]
+	r.certName, r.vantage = ids[r.certName], ids[r.vantage]
+}
+
+// Reset empties the database for reuse. It keeps its chunks and the name
+// table's storage, so a steady-state consumer (the windowed store rotating
+// partitions) stops allocating once its high-water mark is reached. Rows
+// hold no pointers and need no zeroing; emptying the name table is what
+// releases the old flows' strings, now rather than when a later window
+// overwrites them. The lazy indexes are dropped outright — rebuilding them
+// on the next query is cheaper than emptying four maps, and a reused
+// window DB is usually serialized, not queried. Not safe for concurrent
+// use, like Add.
 func (db *DB) Reset() {
-	for c := range db.filled() {
-		clear(db.chunk(c))
-	}
 	db.n = 0
+	db.names.reset()
 	db.indexed = 0
 	db.byFQDN = nil
 	db.bySLD = nil
@@ -179,57 +302,64 @@ func (db *DB) Reset() {
 // Len returns the number of flows stored.
 func (db *DB) Len() int { return db.n }
 
-// All returns a copy of every flow, in insertion order. It allocates and
-// copies the whole database on each call; prefer Len and At, which read
-// the records in place.
+// All returns every flow, decoded, in insertion order. It allocates the
+// whole database on each call; prefer Len and Load, which decode one flow
+// at a time into storage the caller reuses.
 func (db *DB) All() []LabeledFlow {
-	out := make([]LabeledFlow, 0, db.n)
-	for c := range db.filled() {
-		out = append(out, db.chunk(c)...)
+	out := make([]LabeledFlow, db.n)
+	for i := range out {
+		db.Load(i, &out[i])
 	}
 	return out
 }
 
-// At returns the i-th flow, 0 <= i < Len(). The pointer stays valid, and
-// the record unchanged, for as long as the DB is not Reset.
-func (db *DB) At(i int) *LabeledFlow {
-	if uint(i) >= uint(db.n) {
-		panic("flowdb: record index out of range")
-	}
-	return &db.chunks[i/chunkLen][i%chunkLen]
+// At returns the i-th flow, 0 <= i < Len(): a decoded copy, which later
+// writes to the DB never change. Scans should reuse one LabeledFlow with
+// Load instead.
+func (db *DB) At(i int) LabeledFlow {
+	var f LabeledFlow
+	db.Load(i, &f)
+	return f
 }
 
-func (db *DB) gather(idxs []int) []*LabeledFlow {
-	out := make([]*LabeledFlow, len(idxs))
+// gather decodes the flows at idxs.
+func (db *DB) gather(idxs []int) []LabeledFlow {
+	out := make([]LabeledFlow, len(idxs))
 	for i, idx := range idxs {
-		out[i] = db.At(idx)
+		db.Load(idx, &out[i])
 	}
 	return out
 }
 
-// BySLD returns flows whose label belongs to the given second-level domain
-// (Algorithm 2's queryByDomainName on the organization).
-func (db *DB) BySLD(sld string) []*LabeledFlow { db.index(); return db.gather(db.bySLD[sld]) }
+// BySLD returns copies of the flows whose label belongs to the given
+// second-level domain (Algorithm 2's queryByDomainName on the
+// organization).
+func (db *DB) BySLD(sld string) []LabeledFlow {
+	db.index()
+	return db.gather(db.bySLD[db.names.lookup(sld)])
+}
 
-// ByServer returns flows to the given server address (Algorithm 3's query).
-func (db *DB) ByServer(addr netip.Addr) []*LabeledFlow {
+// ByServer returns copies of the flows to the given server address
+// (Algorithm 3's query).
+func (db *DB) ByServer(addr netip.Addr) []LabeledFlow {
 	db.index()
 	return db.gather(db.byServer[addr])
 }
 
-// ByPort returns flows to the given server port (Algorithm 4's query).
-func (db *DB) ByPort(port uint16) []*LabeledFlow { db.index(); return db.gather(db.byPort[port]) }
+// ByPort returns copies of the flows to the given server port (Algorithm
+// 4's query).
+func (db *DB) ByPort(port uint16) []LabeledFlow { db.index(); return db.gather(db.byPort[port]) }
 
 // FQDNsOfSLD returns the distinct FQDNs labeled under sld, sorted.
 func (db *DB) FQDNsOfSLD(sld string) []string {
 	db.index()
-	seen := make(map[string]struct{})
-	for _, idx := range db.bySLD[sld] {
-		seen[db.At(idx).Label] = struct{}{}
+	seen := make(map[uint32]struct{})
+	for _, idx := range db.bySLD[db.names.lookup(sld)] {
+		seen[db.row(idx).label] = struct{}{}
 	}
 	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
+	for id := range seen {
+		out = append(out, db.names.str(id))
 	}
 	sort.Strings(out)
 	return out
@@ -239,13 +369,14 @@ func (db *DB) FQDNsOfSLD(sld string) []string {
 // fqdn, sorted.
 func (db *DB) ServersOfFQDN(fqdn string) []netip.Addr {
 	db.index()
-	return db.distinctServers(db.byFQDN[fqdn])
+	return db.distinctServers(db.byFQDN[db.names.lookup(fqdn)])
 }
 
 func (db *DB) distinctServers(idxs []int) []netip.Addr {
 	seen := make(map[netip.Addr]struct{})
 	for _, idx := range idxs {
-		seen[db.At(idx).Key.ServerIP] = struct{}{}
+		r := db.row(idx)
+		seen[db.names.addr(r.server, r.serverAddr)] = struct{}{}
 	}
 	out := make([]netip.Addr, 0, len(seen))
 	for a := range seen {
@@ -270,8 +401,8 @@ func (db *DB) Servers() []netip.Addr {
 func (db *DB) FQDNs() []string {
 	db.index()
 	out := make([]string, 0, len(db.byFQDN))
-	for f := range db.byFQDN {
-		out = append(out, f)
+	for id := range db.byFQDN {
+		out = append(out, db.names.str(id))
 	}
 	sort.Strings(out)
 	return out
@@ -291,17 +422,14 @@ func (db *DB) Coverage(warmup time.Duration) LabelCoverage {
 		Total:   make(map[flows.L7Proto]int),
 		Labeled: make(map[flows.L7Proto]int),
 	}
-	for c := range db.filled() {
-		recs := db.chunk(c)
-		for i := range recs {
-			f := &recs[i]
-			if f.Start < warmup {
-				continue
-			}
-			cov.Total[f.L7]++
-			if f.Labeled {
-				cov.Labeled[f.L7]++
-			}
+	for i := range db.n {
+		r := db.row(i)
+		if time.Duration(r.start) < warmup {
+			continue
+		}
+		cov.Total[r.l7]++
+		if r.flags&flagLabeled != 0 {
+			cov.Labeled[r.l7]++
 		}
 	}
 	return cov

@@ -174,5 +174,8 @@ func TestConcurrentQueriesAfterIngest(t *testing.T) {
 	wg.Wait()
 }
 
-// ByFQDN returns flows labeled exactly fqdn.
-func (db *DB) ByFQDN(fqdn string) []*LabeledFlow { db.index(); return db.gather(db.byFQDN[fqdn]) }
+// ByFQDN returns copies of the flows labeled exactly fqdn.
+func (db *DB) ByFQDN(fqdn string) []LabeledFlow {
+	db.index()
+	return db.gather(db.byFQDN[db.names.lookup(fqdn)])
+}

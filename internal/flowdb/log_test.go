@@ -45,16 +45,16 @@ func checkLog(t *testing.T, db *DB, n int) {
 	if db.Len() != n {
 		t.Fatalf("Len = %d, want %d", db.Len(), n)
 	}
-	if db.filled() != (n+chunkLen-1)/chunkLen || len(db.chunks) < db.filled() {
-		t.Fatalf("%d flows fill %d of %d chunks", n, db.filled(), len(db.chunks))
+	if need := (n + chunkLen - 1) / chunkLen; len(db.chunks) < need {
+		t.Fatalf("%d flows need %d chunks, the log has %d", n, need, len(db.chunks))
 	}
 	for i := 0; i < n; i++ {
 		want := logFlow(i)
 		if want.Labeled {
 			want.SLD = fmt.Sprintf("s%d.example", i%5)
 		}
-		if got := db.At(i); !reflect.DeepEqual(*got, want) {
-			t.Fatalf("At(%d) = %+v, want %+v", i, *got, want)
+		if got := db.At(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("At(%d) = %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -67,10 +67,10 @@ func TestLogAtAndQueries(t *testing.T) {
 			db := logDB(0, n)
 			checkLog(t, db, n)
 
-			byPort := map[uint16][]*LabeledFlow{}
-			byServer := map[netip.Addr][]*LabeledFlow{}
-			byFQDN := map[string][]*LabeledFlow{}
-			bySLD := map[string][]*LabeledFlow{}
+			byPort := map[uint16][]LabeledFlow{}
+			byServer := map[netip.Addr][]LabeledFlow{}
+			byFQDN := map[string][]LabeledFlow{}
+			bySLD := map[string][]LabeledFlow{}
 			cov := LabelCoverage{Total: map[flows.L7Proto]int{}, Labeled: map[flows.L7Proto]int{}}
 			warmup := time.Duration(n/2) * time.Millisecond
 			for i := 0; i < n; i++ {
@@ -120,7 +120,7 @@ func TestLogAtAndQueries(t *testing.T) {
 				t.Fatalf("All: %d flows, want %d", len(all), n)
 			}
 			for i := range all {
-				if !reflect.DeepEqual(all[i], *db.At(i)) {
+				if !reflect.DeepEqual(all[i], db.At(i)) {
 					t.Fatalf("All()[%d] differs from At(%d)", i, i)
 				}
 			}
@@ -165,28 +165,27 @@ func TestLogMergeOrder(t *testing.T) {
 	}
 }
 
-// TestLogPointersStable: a pointer a query returned keeps pointing at the
-// same, unchanged record however many flows arrive after it — chunks are
-// never moved.
-func TestLogPointersStable(t *testing.T) {
+// TestLogQueryResultsStable: queries return copies, so a result is never
+// changed by later writes, and the same query issued after more flows
+// arrive returns the earlier result as its prefix — the lazy indexes are
+// only ever extended.
+func TestLogQueryResultsStable(t *testing.T) {
 	db := logDB(0, chunkLen-1)
 	f0 := logFlow(1)
-	queries := map[string]func() []*LabeledFlow{
-		"ByFQDN":   func() []*LabeledFlow { return db.ByFQDN(f0.Label) },
-		"BySLD":    func() []*LabeledFlow { return db.BySLD("s1.example") },
-		"ByServer": func() []*LabeledFlow { return db.ByServer(f0.Key.ServerIP) },
+	queries := map[string]func() []LabeledFlow{
+		"ByFQDN":   func() []LabeledFlow { return db.ByFQDN(f0.Label) },
+		"BySLD":    func() []LabeledFlow { return db.BySLD("s1.example") },
+		"ByServer": func() []LabeledFlow { return db.ByServer(f0.Key.ServerIP) },
 	}
-	before := map[string][]*LabeledFlow{}
+	before := map[string][]LabeledFlow{}
 	values := map[string][]LabeledFlow{}
 	for name, q := range queries {
-		ps := q()
-		if len(ps) == 0 {
+		fs := q()
+		if len(fs) == 0 {
 			t.Fatalf("%s: no flows", name)
 		}
-		before[name] = ps
-		for _, p := range ps {
-			values[name] = append(values[name], *p)
-		}
+		before[name] = fs
+		values[name] = append([]LabeledFlow(nil), fs...)
 	}
 	for i := chunkLen - 1; i < 4*chunkLen; i++ {
 		db.Add(logFlow(i))
@@ -196,13 +195,11 @@ func TestLogPointersStable(t *testing.T) {
 		if len(after) <= len(before[name]) {
 			t.Fatalf("%s: %d flows after more adds, want more than %d", name, len(after), len(before[name]))
 		}
-		for i, p := range before[name] {
-			if after[i] != p {
-				t.Fatalf("%s[%d]: pointer moved", name, i)
-			}
-			if !reflect.DeepEqual(*p, values[name][i]) {
-				t.Fatalf("%s[%d]: record changed under its pointer", name, i)
-			}
+		if !reflect.DeepEqual(after[:len(before[name])], values[name]) {
+			t.Fatalf("%s: the earlier result is not a prefix of the later one", name)
+		}
+		if !reflect.DeepEqual(before[name], values[name]) {
+			t.Fatalf("%s: an earlier result changed under later writes", name)
 		}
 	}
 }
@@ -225,13 +222,13 @@ func TestAddAllocatesOneChunk(t *testing.T) {
 
 // TestChunkFillsPages: a chunk above the 32 KiB size classes is rounded
 // up to whole 8 KiB pages, so its size must be a page multiple or the
-// rounding is wasted heap in every chunk. A field added to LabeledFlow
-// that breaks this must come with a new chunkLen.
+// rounding is wasted heap in every chunk. A field added to row that breaks
+// this must come with a new chunkLen.
 func TestChunkFillsPages(t *testing.T) {
 	const page, maxSmall = 8 << 10, 32 << 10
-	size := chunkLen * unsafe.Sizeof(LabeledFlow{})
+	size := chunkLen * unsafe.Sizeof(row{})
 	if size > maxSmall && size%page != 0 {
 		t.Fatalf("chunk of %d × %d B = %d B wastes %d B to page rounding",
-			chunkLen, unsafe.Sizeof(LabeledFlow{}), size, page-size%page)
+			chunkLen, unsafe.Sizeof(row{}), size, page-size%page)
 	}
 }

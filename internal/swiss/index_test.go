@@ -222,3 +222,52 @@ func TestIndexWarmCycleZeroAlloc(t *testing.T) {
 		t.Fatalf("warm insert/probe/delete allocates %v/op, want 0", n)
 	}
 }
+
+// TestResetEmptiesKeepingStorage: Index.Reset and Slab.Reset empty a table
+// without shrinking it. No old key is found, every entry handed out before
+// reads zero (so it pins nothing), fresh slab indices restart at 0, and
+// refilling to the same size allocates nothing.
+func TestResetEmptiesKeepingStorage(t *testing.T) {
+	tbl := newTestTable(func(k uint64) uint64 { return HashU64(5, k) })
+	const n = 3<<chunkBits + 7
+	for k := range uint64(n) {
+		tbl.insert(k)
+	}
+	tbl.delete(5) // a free-list entry Reset must drop
+	groups := len(tbl.idx.ctrl)
+	reset := func() { tbl.idx.Reset(); tbl.slab.Reset() }
+	reset()
+	if tbl.idx.Len() != 0 || tbl.idx.tombs != 0 {
+		t.Fatalf("after Reset: %d slots filed, %d tombstones", tbl.idx.Len(), tbl.idx.tombs)
+	}
+	for k := range uint64(n) {
+		if _, ok := tbl.find(k); ok {
+			t.Fatalf("key %d found after Reset", k)
+		}
+	}
+	for i := range uint32(n) {
+		if e := *tbl.slab.At(i); e != (testEntry{}) {
+			t.Fatalf("slab entry %d = %+v after Reset, want zero", i, e)
+		}
+	}
+	if s := tbl.insert(n); s != 0 {
+		t.Fatalf("first alloc after Reset = %d, want 0", s)
+	}
+	refill := func() {
+		reset()
+		for k := range uint64(n) {
+			tbl.insert(n + k)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, refill); allocs != 0 {
+		t.Fatalf("refilling a reset table allocates %v times, want 0", allocs)
+	}
+	if len(tbl.idx.ctrl) != groups {
+		t.Fatalf("index has %d groups after refills, want %d", len(tbl.idx.ctrl), groups)
+	}
+	for k := range uint64(n) {
+		if s, ok := tbl.find(n + k); !ok || tbl.slab.At(s).key != n+k {
+			t.Fatalf("refilled key %d not found", n+k)
+		}
+	}
+}

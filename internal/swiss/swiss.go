@@ -113,6 +113,15 @@ func (ix *Index) init(groups int) {
 	ix.growAt = groups * groupSize * 7 / 8
 }
 
+// Reset empties ix, keeping its size: refilling it to about the same count
+// allocates nothing.
+func (ix *Index) Reset() {
+	for i := range ix.ctrl {
+		ix.ctrl[i] = emptyGroup
+	}
+	ix.used, ix.tombs = 0, 0
+}
+
 // Len returns the number of slots filed in ix.
 func (ix *Index) Len() int { return ix.used }
 
@@ -280,6 +289,17 @@ func (s *Slab[T]) Alloc() uint32 {
 
 // Free returns index i for reuse.
 func (s *Slab[T]) Free(i uint32) { s.free = append(s.free, i) }
+
+// Reset frees every index and zeroes the entries handed out, keeping the
+// chunks: refilling the slab allocates nothing, and the old entries pin
+// nothing. Fresh indices start again from 0.
+func (s *Slab[T]) Reset() {
+	for c := uint32(0); c<<chunkBits < s.n; c++ {
+		clear(s.chunks[c][:min(1<<chunkBits, s.n-c<<chunkBits)])
+	}
+	s.n = 0
+	s.free = s.free[:0]
+}
 
 // Hash mixing constants (splitmix64 / wyhash lineage).
 const (
