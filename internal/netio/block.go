@@ -14,6 +14,11 @@ package netio
 // packet rate, re-inflating the dispatch bytes/pkt this design exists to
 // eliminate. A bounded freelist keeps steady state allocation-free and lets
 // the retire-latency counters live next to the storage they describe.
+//
+// A paced source yields a packet or two per read, and each read's copy
+// pins its block until the shard is done with it. Such short reads take a
+// small block from a second bounded freelist, so a burst that outruns the
+// full-size freelist allocates pages, not quarter-megabytes.
 
 import (
 	"fmt"
@@ -31,6 +36,13 @@ const defaultBlockBytes = 256 * 1024
 // defaultPoolBlocks bounds the freelist; blocks beyond it are left to the
 // garbage collector (a transient burst should not pin memory forever).
 const defaultPoolBlocks = 64
+
+// smallBlockBytes is the small block class: one page, enough for a read of
+// one or two full-size Ethernet frames.
+const smallBlockBytes = 4096
+
+// smallPoolBlocks bounds the small freelist: at most 2 MiB pinned.
+const smallPoolBlocks = 512
 
 // Block is one refcounted frame arena. The producer that obtained it from
 // Get owns one reference and fills buf; every consumer that retains a slice
@@ -75,8 +87,9 @@ type BlockPool struct {
 	size    int
 	maxFree int
 
-	mu   sync.Mutex
-	free []*Block
+	mu        sync.Mutex
+	free      []*Block
+	smallFree []*Block // smallBlockBytes blocks, used only when size is larger
 
 	gets     atomic.Uint64
 	allocs   atomic.Uint64
@@ -116,17 +129,33 @@ func (p *BlockPool) Get(minBytes int) *Block {
 		b.refs.Store(1)
 		return b
 	}
+	return p.take(&p.free, p.size)
+}
+
+// getFit returns a block for a read of exactly total bytes: a small block
+// when total fits one and the pool's blocks are larger, else as Get.
+func (p *BlockPool) getFit(total int) *Block {
+	if total > smallBlockBytes || p.size <= smallBlockBytes {
+		return p.Get(total)
+	}
+	p.gets.Add(1)
+	return p.take(&p.smallFree, smallBlockBytes)
+}
+
+// take pops a block of the given size class from free, or allocates one,
+// and hands it out holding one reference.
+func (p *BlockPool) take(free *[]*Block, size int) *Block {
 	p.mu.Lock()
 	var b *Block
-	if n := len(p.free); n > 0 {
-		b = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if n := len(*free); n > 0 {
+		b = (*free)[n-1]
+		(*free)[n-1] = nil
+		*free = (*free)[:n-1]
 	}
 	p.mu.Unlock()
 	if b == nil {
 		p.allocs.Add(1)
-		b = &Block{buf: make([]byte, p.size), pool: p}
+		b = &Block{buf: make([]byte, size), pool: p}
 	}
 	b.used = 0
 	b.born = time.Now()
@@ -134,16 +163,22 @@ func (p *BlockPool) Get(minBytes int) *Block {
 	return b
 }
 
-// put recycles a fully released block, recording its retire latency.
+// put recycles a fully released block into its class's freelist, recording
+// its retire latency.
 func (p *BlockPool) put(b *Block) {
 	p.retired.Add(1)
 	p.retireNs.Add(uint64(time.Since(b.born)))
-	if cap(b.buf) != p.size {
+	free, maxFree := &p.free, p.maxFree
+	switch c := cap(b.buf); {
+	case c == p.size:
+	case c == smallBlockBytes && p.size > smallBlockBytes:
+		free, maxFree = &p.smallFree, smallPoolBlocks
+	default:
 		return // oversized one-off
 	}
 	p.mu.Lock()
-	if len(p.free) < p.maxFree {
-		p.free = append(p.free, b)
+	if len(*free) < maxFree {
+		*free = append(*free, b)
 	}
 	p.mu.Unlock()
 }
@@ -242,13 +277,14 @@ func (a *RefAdapter) ReadBlockRef(dst []Packet) (int, *Block, error) {
 		return n, nil, err
 	}
 	// Copy every frame once into a single pooled block: total length is
-	// known up front, so one (possibly oversized) block always fits and the
-	// contract's one-block-per-call shape holds.
+	// known up front, so one block always fits — small for a short read,
+	// full-size or oversized otherwise — and the contract's
+	// one-block-per-call shape holds.
 	total := 0
 	for i := 0; i < n; i++ {
 		total += len(dst[i].Data)
 	}
-	blk := a.pool.Get(total)
+	blk := a.pool.getFit(total)
 	for i := 0; i < n; i++ {
 		if d, ok := blk.append(dst[i].Data); ok {
 			dst[i].Data = d

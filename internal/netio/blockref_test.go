@@ -2,7 +2,9 @@ package netio
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -198,5 +200,117 @@ func TestReaderReadBlockRef(t *testing.T) {
 		if !bytes.Equal(got[i], frames[i]) {
 			t.Errorf("frame %d: %d bytes, want %d (corrupted)", i, len(got[i]), len(frames[i]))
 		}
+	}
+}
+
+// TestBlockPoolSmallClass: a read that fits one page takes a small block,
+// a larger one a full-size block; a pool whose blocks are no larger than a
+// page has no small class; and the small freelist is bounded too.
+func TestBlockPoolSmallClass(t *testing.T) {
+	p := NewBlockPool(0, 0)
+	if b := p.getFit(100); cap(b.buf) != smallBlockBytes {
+		t.Fatalf("100-byte read took a %d-byte block, want %d", cap(b.buf), smallBlockBytes)
+	}
+	if b := p.getFit(smallBlockBytes + 1); cap(b.buf) != defaultBlockBytes {
+		t.Fatalf("%d-byte read took a %d-byte block, want %d", smallBlockBytes+1, cap(b.buf), defaultBlockBytes)
+	}
+	if b := NewBlockPool(1024, 2).getFit(100); cap(b.buf) != 1024 {
+		t.Fatalf("1-KiB pool handed out a %d-byte block", cap(b.buf))
+	}
+	bs := make([]*Block, smallPoolBlocks+8)
+	for i := range bs {
+		bs[i] = p.getFit(1)
+	}
+	for _, b := range bs {
+		b.Release(1)
+	}
+	if len(p.smallFree) != smallPoolBlocks || len(p.free) != 0 {
+		t.Fatalf("freelists hold %d small and %d full-size blocks, want %d and 0", len(p.smallFree), len(p.free), smallPoolBlocks)
+	}
+}
+
+// TestRefAdapterShortReadsSmallBlocks drives one-packet reads of a
+// buffer-reusing source, as a paced source yields them, while a consumer
+// goroutine holds the newest window blocks — more than the full-size
+// freelist keeps — and checks each payload just before releasing it. Every
+// read must take a small block, so the run allocates a bounded number of
+// bytes (a full-size block per read would cost 256 KiB for each block held);
+// every payload must stay intact until its release, though the source
+// reuses its buffer and later reads fill other blocks; and once all are
+// released, Gets == Retired.
+func TestRefAdapterShortReadsSmallBlocks(t *testing.T) {
+	const reads, window = 4096, 200
+	frames := make([][]byte, reads)
+	for i := range frames {
+		frames[i] = bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 30+i%728) // 60..1514 bytes
+	}
+	pool := NewBlockPool(0, 0)
+	// The source's buffer and the consumer's FIFO are sized up front, so
+	// the pool is all the run allocates.
+	a := NewRefAdapter(&fakeReusingSource{frames: frames, buf: make([]byte, 0, 2048)}, pool, true)
+
+	type held struct {
+		i    int
+		data []byte
+		blk  *Block
+	}
+	ch := make(chan held, 16)
+	bad := make(chan string, 1)
+	fifo := make([]held, 0, reads)
+	go func() {
+		defer close(bad)
+		release := func(h held) {
+			if !bytes.Equal(h.data, frames[h.i]) {
+				select {
+				case bad <- fmt.Sprintf("packet %d overwritten before its release", h.i):
+				default:
+				}
+			}
+			h.blk.Release(1)
+		}
+		for h := range ch {
+			if fifo = append(fifo, h); len(fifo) > window {
+				release(fifo[0])
+				fifo = fifo[1:]
+			}
+		}
+		for _, h := range fifo {
+			release(h)
+		}
+	}()
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	dst := make([]Packet, 1)
+	for i := range reads {
+		n, blk, err := a.ReadBlockRef(dst)
+		if n != 1 || blk == nil || err != nil {
+			t.Fatalf("read %d: n=%d blk=%v err=%v", i, n, blk, err)
+		}
+		if cap(blk.buf) != smallBlockBytes {
+			t.Fatalf("read %d of %d bytes took a %d-byte block", i, len(dst[0].Data), cap(blk.buf))
+		}
+		ch <- held{i, dst[0].Data, blk}
+	}
+	close(ch)
+	for msg := range bad {
+		t.Error(msg)
+	}
+	runtime.ReadMemStats(&m1)
+
+	// At most window blocks held, cap(ch) queued, one being released and
+	// one being filled: the pool allocates no more than that, and the run
+	// no more than their pages plus a little bookkeeping.
+	inFlight := uint64(window + cap(ch) + 2)
+	st := pool.Stats()
+	if st.Gets != reads || st.Retired != st.Gets {
+		t.Fatalf("Gets=%d Retired=%d, want both %d", st.Gets, st.Retired, reads)
+	}
+	if st.Allocs > inFlight {
+		t.Errorf("pool allocated %d blocks, want at most %d", st.Allocs, inFlight)
+	}
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, inFlight*(smallBlockBytes+512)+64<<10; got > limit {
+		t.Errorf("%d one-packet reads allocated %d bytes, want at most %d", reads, got, limit)
 	}
 }

@@ -10,10 +10,10 @@ package resolver
 // view, and — because order is preserved — the same future eviction
 // sequence.
 //
-// The snapshot is compacting: dead Clist slots (evicted entries awaiting
-// recycling) and entries whose every back-reference was replaced are
-// skipped, so a restored Clist holds only live state and may be shorter
-// than the original. Restore replays entries through Insert, which
+// The snapshot is compacting: tombstones (the Clist places of entries
+// freed once every key and history cell naming them was superseded) and
+// entries kept only by a history cell are skipped, so a restored Clist
+// holds only live state and may be shorter than the original. Restore replays entries through Insert, which
 // rebuilds the lookup table and the back-references exactly as the
 // original inserts did.
 //
@@ -74,9 +74,9 @@ type SnapshotEntry struct {
 	Used bool
 }
 
-// Snapshot returns the live Clist in FIFO order (oldest first). Evicted
-// slots and entries with no remaining back-references are skipped; see
-// the package notes on compaction. Every entry's Servers is carved from
+// Snapshot returns the live Clist in FIFO order (oldest first).
+// Tombstones and entries with no remaining back-references are skipped;
+// see the package notes on compaction. Every entry's Servers is carved from
 // one backing array, so a snapshot costs the same few allocations at any
 // size.
 func (r *Resolver) Snapshot() []SnapshotEntry {
@@ -106,12 +106,16 @@ func (r *Resolver) Snapshot() []SnapshotEntry {
 }
 
 // eachLive calls fn on every Clist entry that still has back-references,
-// in FIFO order (oldest first).
+// in FIFO order (oldest first). Tombstones are skipped without touching the
+// entry slab.
 func (r *Resolver) eachLive(fn func(*Entry)) {
 	// Until the ring wraps, next is 0 and slots 0..len-1 are FIFO order;
 	// after that the oldest entry sits at next.
 	for _, part := range [2][]uint32{r.clist[r.next:], r.clist[:r.next]} {
 		for _, s := range part {
+			if s == noSlot {
+				continue
+			}
 			if e := r.entries.At(s); e.refs != noSlot {
 				fn(e)
 			}

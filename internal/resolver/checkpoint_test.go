@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -294,5 +296,92 @@ func TestSnapshotWriteAllocsConstant(t *testing.T) {
 	}
 	if s, l := writeAllocs(small.Snapshot()), writeAllocs(large.Snapshot()); s != l {
 		t.Errorf("WriteSnapshot allocates %v times for 10 entries, %v for 1000", s, l)
+	}
+}
+
+// TestSnapshotOverTombstones checkpoints a wrapped Clist whose slots are
+// mostly tombstones: few clients re-resolving few names re-point their keys
+// over and over, so most entries are freed before their slot comes round.
+// Its Snapshot must be the reference model's FIFO snapshot, and after a
+// WriteSnapshot/ReadSnapshot/Restore round trip the restored resolver must
+// answer every lookup the snapshot carries exactly as the original does. A
+// key whose current entry was promoted from history has left the Clist, so
+// no snapshot carries it; the restored resolver misses it.
+func TestSnapshotOverTombstones(t *testing.T) {
+	// At most 2×4 keys × (1+History) entries are named at once, so most of
+	// the 64 slots must be tombstones.
+	const L, clients, servers = 64, 2, 4
+	for _, history := range []int{0, 2} {
+		t.Run(fmt.Sprintf("history=%d", history), func(t *testing.T) {
+			cfg := Config{ClistSize: L, History: history}
+			r, o := New(cfg), newOrderedRef(cfg)
+			rng := rand.New(rand.NewPCG(7, uint64(history)))
+			for i := 0; i < 20*L; i++ {
+				srv := []netip.Addr{ckServer(rng.IntN(servers))}
+				if rng.IntN(3) == 0 {
+					srv = append(srv, ckServer(rng.IntN(servers)))
+				}
+				cl, fq, at := ckClient(rng.IntN(clients)), fmt.Sprintf("h%d.example.com", rng.IntN(5)), time.Duration(i)*time.Second
+				r.Insert(cl, fq, srv, at)
+				o.Insert(cl, fq, srv, at)
+			}
+			tombs := 0
+			for _, s := range r.clist {
+				if s == noSlot {
+					tombs++
+				}
+			}
+			if st := r.Stats(); st.Evictions == 0 || st.EntriesAlive != L || tombs < L/2 {
+				t.Fatalf("want a wrapped Clist of %d slots, half of them tombstones: %+v, %d tombstones", L, st, tombs)
+			}
+			snap := r.Snapshot()
+			if want := o.snapshot(); !reflect.DeepEqual(snap, want) {
+				t.Fatalf("snapshot diverges from the model's FIFO:\n got  %v\n want %v", snap, want)
+			}
+
+			// Mark every other key used, so the round trip carries Used too.
+			for c := range clients {
+				for s := 0; s < servers; s += 2 {
+					if e, ok := r.LookupEntry(ckClient(c), ckServer(s)); ok {
+						e.Used = true
+					}
+				}
+			}
+			snap = r.Snapshot()
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			read, err := ReadSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2 := New(cfg)
+			r2.Restore(read)
+			if got := r2.Snapshot(); !reflect.DeepEqual(got, snap) {
+				t.Fatalf("restored snapshot differs:\n got  %v\n want %v", got, snap)
+			}
+			for c := range clients {
+				for s := range servers {
+					e1, ok1 := r.LookupEntry(ckClient(c), ckServer(s))
+					e2, ok2 := r2.LookupEntry(ckClient(c), ckServer(s))
+					if ok1 && e1.pos == noSlot {
+						if history == 0 {
+							t.Fatalf("key %d/%d: current entry %q is off the Clist without history", c, s, e1.FQDN)
+						}
+						if ok2 {
+							t.Fatalf("key %d/%d: promoted entry %q restored as %q", c, s, e1.FQDN, e2.FQDN)
+						}
+						continue
+					}
+					if ok1 != ok2 {
+						t.Fatalf("key %d/%d: hit %v vs restored %v", c, s, ok1, ok2)
+					}
+					if ok1 && (e1.FQDN != e2.FQDN || e1.At != e2.At || e1.Used != e2.Used) {
+						t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, e1.FQDN, e1.At, e1.Used, e2.FQDN, e2.At, e2.Used)
+					}
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/swiss"
 )
 
 // Differential fuzz for the flat swiss pair-table: the reference model is
@@ -18,7 +20,9 @@ import (
 // arbitrary insert/lookup sequences with heavy Clist eviction. The address
 // pools hold 4-in-6 twins, which hash like their IPv4 forms but are
 // distinct keys, and an insert may name the same server twice, as a DNS
-// answer can.
+// answer can. After every operation the entry slab must hold exactly the
+// entries a node or a history cell names (checkSlab): a superseded entry
+// leaves it at once, and only a tombstone keeps its Clist place.
 
 var (
 	fzClients = []netip.Addr{
@@ -63,6 +67,7 @@ func runDifferential(t *testing.T, data []byte, clistSize, history, maxAddrs int
 			if hok != ook || hf != of {
 				t.Fatalf("op %d: Lookup(%v,%v) = %q,%v (flat) vs %q,%v (ordered)", i/3, cl, sv, hf, hok, of, ook)
 			}
+			checkSlab(t, h, i/3)
 			continue
 		}
 		// Insert op: 1..maxAddrs consecutive pool servers, the last
@@ -82,6 +87,7 @@ func runDifferential(t *testing.T, data []byte, clistSize, history, maxAddrs int
 		if h.Clients() != o.Clients() {
 			t.Fatalf("op %d: clients %d (flat) vs %d (ordered)", i/3, h.Clients(), o.Clients())
 		}
+		checkSlab(t, h, i/3)
 	}
 	if hs, os := h.Stats(), o.Stats(); hs != os {
 		t.Fatalf("stats diverge:\n flat    %+v\n ordered %+v", hs, os)
@@ -103,6 +109,73 @@ func runDifferential(t *testing.T, data []byte, clistSize, history, maxAddrs int
 			}
 		}
 	}
+}
+
+// checkSlab asserts that r's entry slab holds exactly the entries a node or
+// a history cell names, and that each one's name count and Clist place are
+// what the nodes, the cells and the ring say. Every node has a client and a
+// server from the fuzz pools, so their cross product reaches them all.
+func checkSlab(t *testing.T, r *Resolver, op int) {
+	t.Helper()
+	named := map[uint32]uint32{} // entry slot → nodes and history cells naming it
+	ft := r.flat
+	for _, cl := range fzClients {
+		for _, sv := range fzServers {
+			var k pairKey
+			slot := ft.find(&k, ft.key(&k, cl, sv))
+			if slot == noSlot {
+				continue
+			}
+			n := ft.nodes.At(slot)
+			named[n.entry]++
+			for c := n.older; c != noSlot; c = r.hist.At(c).next {
+				named[r.hist.At(c).entry]++
+			}
+		}
+	}
+	filed := map[uint32]uint32{} // entry slot → Clist index
+	for i, s := range r.clist {
+		if s != noSlot {
+			filed[s] = uint32(i)
+		}
+	}
+	live := liveSlots(&r.entries)
+	for s := range live {
+		if named[s] == 0 {
+			e := r.entries.At(s)
+			t.Fatalf("op %d: entry %d (%q, Clist index %d) is in the slab but no node or history cell names it", op, s, e.FQDN, int32(e.pos))
+		}
+	}
+	for s, n := range named {
+		if !live[s] {
+			t.Fatalf("op %d: entry %d is named by %d nodes or cells but was freed", op, s, n)
+		}
+		pos, ok := filed[s]
+		if ok {
+			n++
+		} else {
+			pos = noSlot
+		}
+		if e := r.entries.At(s); e.names != n || e.pos != pos {
+			t.Fatalf("op %d: entry %d (%q) has names=%d pos=%d, want %d and %d", op, s, e.FQDN, e.names, int32(e.pos), n, int32(pos))
+		}
+	}
+}
+
+// liveSlots returns the indices s has handed out and not taken back. The
+// slab keeps no per-entry flag, so this reads its fresh-index counter and
+// free list.
+func liveSlots[T any](s *swiss.Slab[T]) map[uint32]bool {
+	v := reflect.ValueOf(s).Elem()
+	live := map[uint32]bool{}
+	for i := range uint32(v.FieldByName("n").Uint()) {
+		live[i] = true
+	}
+	free := v.FieldByName("free")
+	for i := range free.Len() {
+		delete(live, uint32(free.Index(i).Uint()))
+	}
+	return live
 }
 
 // FuzzFlatVsOrderedResolver pits the flat open-addressing table against the
@@ -165,13 +238,17 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 
 // TestEntriesAliveIncremental: Stats().EntriesAlive must equal a scan of
 // the Clist for entries that still hold their slot at any point — a slot
-// recycled while the ring still names it would drop out of the scan.
+// recycled while the ring still names it would drop out of the scan. A
+// tombstone (noSlot) is a filled slot whose entry was freed once
+// superseded: it counts without touching the slab.
 func TestEntriesAliveIncremental(t *testing.T) {
 	r := New(Config{ClistSize: 8})
 	scan := func() int {
 		n := 0
-		for _, s := range r.clist {
-			if r.entries.At(s).names > 0 {
+		for i, s := range r.clist {
+			if s == noSlot {
+				n++
+			} else if e := r.entries.At(s); e.names > 0 && e.pos == uint32(i) {
 				n++
 			}
 		}

@@ -8,6 +8,12 @@
 // links threaded through the key nodes themselves, so eviction walks an
 // entry's nodes by slot and never re-hashes a key.
 //
+// An entry whose every key was re-pointed by a newer response (lines 11–15),
+// and which no history cell holds, can never be returned by LOOKUP again. It
+// leaves the entry slab at once; its Clist slot keeps its FIFO place as a
+// tombstone, so the eviction sequence is the paper's, and a superseded slot
+// costs the 4 bytes of its ring cell instead of a whole entry.
+//
 // The lookup structure is the paper's footnote-2 hash-map option, with the
 // two-level clientIP → serverIP → entry maps flattened into a single
 // swiss-style open-addressing table keyed by the combined (client, server)
@@ -48,19 +54,18 @@ type Stats struct {
 	Responses    uint64 // Insert calls
 	Addresses    uint64 // serverIP keys inserted
 	Replaced     uint64 // keys that pointed to an older entry
-	Evictions    uint64 // Clist slots recycled
+	Evictions    uint64 // Clist slots recycled, tombstones included
 	EvictedRefs  uint64 // map keys removed by eviction
 	Lookups      uint64
 	Hits         uint64
 	Misses       uint64
 	ClientsPeak  int
-	EntriesAlive int // entries in the Clist (its filled slots)
+	EntriesAlive int // filled Clist slots, tombstones of superseded entries included
 }
 
 // Entry is one Clist entry: an FQDN with the time its response was seen.
-// Entries live in a slab and a slot is reused once its entry has left the
-// Clist and no node names it, so an *Entry is valid only until the next
-// Insert.
+// Entries live in a slab and a slot is reused once no node or history cell
+// names its entry, so an *Entry is valid only until the next Insert.
 type Entry struct {
 	FQDN string
 	At   time.Duration
@@ -70,8 +75,13 @@ type Entry struct {
 	refs uint32
 	// names counts what names the entry: its Clist slot until eviction,
 	// and every node whose current or history entry it is. The entry's slot
-	// is recycled when the count drops to zero.
+	// is recycled when the count drops to zero, or to one while the entry
+	// still holds its Clist slot: then only the ring names it, and the slot
+	// becomes a tombstone.
 	names uint32
+	// pos is the entry's Clist index: noSlot until the entry is filed and
+	// after its eviction.
+	pos uint32
 	// Used is set by the flow tagger when the entry labels its first flow;
 	// entries never used measure the paper's "useless DNS" (Table 9).
 	Used bool
@@ -213,10 +223,11 @@ type Resolver struct {
 	flat    *pairTable
 	entries swiss.Slab[Entry]
 	hist    swiss.Slab[histCell]
-	// clist holds entry slots. It grows on demand up to cfg.ClistSize and
-	// only then behaves as a ring. The FIFO semantics are identical to a
-	// preallocated ring — slots fill in index order before any slot is ever
-	// recycled — but a lightly loaded resolver never pays for a
+	// clist holds entry slots, or noSlot for a tombstone: the place of an
+	// entry freed once superseded. It grows on demand up to cfg.ClistSize
+	// and only then behaves as a ring. The FIFO semantics are identical to
+	// a preallocated ring — slots fill in index order before any slot is
+	// ever recycled — but a lightly loaded resolver never pays for a
 	// million-slot array.
 	clist []uint32
 	next  int
@@ -232,7 +243,8 @@ func New(cfg Config) *Resolver {
 }
 
 // Stats returns a snapshot of the counters. EntriesAlive is the number of
-// filled Clist slots: every one holds a live entry.
+// filled Clist slots: a live entry's, or the tombstone of an entry freed
+// once superseded. It grows to ClistSize and stays there.
 func (r *Resolver) Stats() Stats {
 	s := r.stats
 	s.EntriesAlive = len(r.clist)
@@ -249,7 +261,7 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 	}
 	es := r.entries.Alloc()
 	entry := r.entries.At(es)
-	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1}
+	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1, pos: noSlot}
 	// Link entry from every (clientIP, server) key (lines 5–21).
 	ft := r.flat
 	var fresh uint32
@@ -289,10 +301,12 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 	// below capacity L, slots are appended — index order, exactly the order
 	// a preallocated ring would fill them.
 	if len(r.clist) < r.cfg.ClistSize {
+		entry.pos = uint32(len(r.clist))
 		r.clist = append(r.clist, es)
 		return
 	}
 	r.evict(r.clist[r.next])
+	entry.pos = uint32(r.next)
 	r.clist[r.next] = es
 	r.next++
 	if r.next == len(r.clist) {
@@ -357,10 +371,16 @@ func (r *Resolver) pushHistory(n *pairNode, old uint32) {
 }
 
 // release drops one name of the entry at slot s and recycles the slot when
-// none is left: the entry has left the Clist and no node names it.
+// none is left, or when only its Clist slot is: no node or history cell
+// names it, so LOOKUP can never return it again, and its ring cell becomes
+// a tombstone that keeps its FIFO place.
 func (r *Resolver) release(s uint32) {
 	e := r.entries.At(s)
-	if e.names--; e.names == 0 {
+	if e.names--; e.names == 1 && e.pos != noSlot {
+		r.clist[e.pos] = noSlot
+		e.names, e.pos = 0, noSlot
+	}
+	if e.names == 0 {
 		e.FQDN = ""
 		r.entries.Free(s)
 	}
@@ -368,10 +388,17 @@ func (r *Resolver) release(s uint32) {
 
 // evict takes the entry at slot s out of the Clist: every node on its
 // back-reference list promotes its newest history entry if it has one and
-// is removed otherwise — by slot, with no hash or probe.
+// is removed otherwise — by slot, with no hash or probe. A tombstone's entry
+// is gone already, so evicting one only counts.
 func (r *Resolver) evict(s uint32) {
 	r.stats.Evictions++
+	if s == noSlot {
+		return
+	}
 	e := r.entries.At(s)
+	// Off the ring first: the releases below must not tombstone the slot
+	// being recycled.
+	e.pos = noSlot
 	ft := r.flat
 	// Every node on the list has the entry's client: a response links only
 	// its own client's keys.

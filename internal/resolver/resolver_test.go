@@ -250,7 +250,8 @@ func TestQuickInvariantNoDanglingRefs(t *testing.T) {
 		for _, cl := range clients {
 			for _, sv := range servers {
 				e, ok := r.LookupEntry(cl, sv)
-				if ok && !slices.ContainsFunc(r.clist, func(s uint32) bool { return r.entries.At(s) == e }) {
+				// A tombstone (noSlot) holds no entry: the hit must be a live slot.
+				if ok && !slices.ContainsFunc(r.clist, func(s uint32) bool { return s != noSlot && r.entries.At(s) == e }) {
 					return false
 				}
 			}
