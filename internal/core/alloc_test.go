@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/flowdb"
 	"repro/internal/flows"
@@ -195,4 +197,97 @@ func TestShardedDispatchZeroAlloc(t *testing.T) {
 		st.Add(w.h.Stats())
 	}
 	checkReplayed(t, st, pass)
+}
+
+// TestFreshNameOneAlloc pins the name path of a shard: a fresh name costs
+// one allocation, the DNS decoder's, however many of the shard's flows
+// carry it. Each iteration answers a fresh name, then opens an HTTP flow
+// (Host: the name in upper case) and a TLS flow (SNI: the name) to the
+// answer; each record's name must be its label's own string. Two more
+// checks tell the mechanisms apart: after an interner wipe between a
+// response and its flows only the label can still supply that string, and
+// a flow no response labeled reads the decoder's string from the one
+// intern table the shard keeps.
+func TestFreshNameOneAlloc(t *testing.T) {
+	const warm, runs = 1100, 100 // warm fills the 1024-slot Clist
+	tb := &traceBuilder{t: t}
+	type iter struct{ dns, flows []netio.Packet }
+	// AllocsPerRun steps once more than runs; two more iterations follow.
+	iters := make([]iter, warm+runs+3)
+	names := make([]string, len(iters))
+	for i := range iters {
+		names[i] = fmt.Sprintf("fresh%05d.example.com", i)
+		at := time.Duration(i) * 100 * time.Millisecond
+		tb.pkts = nil
+		tb.dnsResponse(at, clientA, names[i], srv1)
+		iters[i].dns = tb.pkts
+		tb.pkts = nil
+		tb.tcpFlow(at+time.Millisecond, clientA, srv1, 40000, 80,
+			[]byte("GET / HTTP/1.1\r\nHost: "+strings.ToUpper(names[i])+"\r\n\r\n"), nil)
+		tb.tcpFlow(at+10*time.Millisecond, clientA, srv1, 40001, 443,
+			tlsFlight(t, &tlswire.ClientHello{ServerName: names[i]}), nil)
+		iters[i].flows = tb.pkts
+	}
+	var recs, reused int
+	var last flowdb.LabeledFlow
+	h := New(Config{
+		Resolver: resolverCfg(),
+		OnFlow: func(lf flowdb.LabeledFlow) {
+			recs++
+			name := lf.HTTPHost
+			if lf.L7 == flows.L7TLS {
+				name = lf.SNI
+			}
+			if lf.Labeled && name == lf.Label && unsafe.StringData(name) == unsafe.StringData(lf.Label) {
+				reused++
+			}
+			last = lf
+		},
+		DiscardDB: true,
+	})
+	feedAll := func(pkts []netio.Packet) {
+		for _, p := range pkts {
+			h.HandlePacket(p)
+		}
+	}
+	i := 0
+	step := func() {
+		feedAll(iters[i].dns)
+		feedAll(iters[i].flows)
+		i++
+	}
+	for range warm {
+		step()
+	}
+	if n := testing.AllocsPerRun(runs, step); n != 1 {
+		t.Fatalf("a fresh name with an HTTP and a TLS flow allocates %v per iteration, want 1", n)
+	}
+	if recs != 2*i || reused != recs {
+		t.Fatalf("%d of %d records carry their label's own string, want all of %d", reused, recs, 2*i)
+	}
+
+	// The name leaves the intern table before its flows begin.
+	feedAll(iters[i].dns)
+	in := h.table.Names()
+	for j, r := 0, in.Resets; in.Resets == r; j++ {
+		in.Intern(fmt.Appendf(nil, "junk%d", j))
+	}
+	feedAll(iters[i].flows)
+	i++
+	if recs != 2*i || reused != recs {
+		t.Fatalf("after an interner wipe, %d of %d records carry their label's own string", reused, recs)
+	}
+
+	// A flow no response labeled names a resolved host: the classifier
+	// finds the decoder's string in the shard's one intern table.
+	feedAll(iters[i].dns)
+	feedAll(iters[i].flows)
+	label := last.Label
+	tb.pkts = nil
+	tb.tcpFlow(time.Duration(i)*100*time.Millisecond+50*time.Millisecond, clientA, srv2, 40002, 443,
+		tlsFlight(t, &tlswire.ClientHello{ServerName: names[i]}), nil)
+	feedAll(tb.pkts)
+	if last.Labeled || last.SNI != label || unsafe.StringData(last.SNI) != unsafe.StringData(label) {
+		t.Fatalf("a miss's SNI %q is not the decoder's string %q", last.SNI, label)
+	}
 }

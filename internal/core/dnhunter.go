@@ -157,12 +157,12 @@ func New(cfg Config) *DNHunter {
 		res: resolver.New(cfg.Resolver),
 		db:  flowdb.New(),
 	}
-	// The intern table deduplicates decoded FQDN strings; it is owned by
-	// this pipeline instance, so in a sharded engine it is per shard.
-	h.dnsMsg.SetInterner(dnswire.NewInterner(0))
 	fcfg := cfg.Flows
 	fcfg.OnRecord = h.onRecord
 	h.table = flows.NewTable(fcfg)
+	// One intern table per pipeline, so per shard: the decoder files each
+	// QNAME in the flow table's, which its classifier files names in too.
+	h.dnsMsg.SetInterner(h.table.Names())
 	return h
 }
 

@@ -8,13 +8,14 @@ package dnswire
 // the steady state into a map probe with zero allocations: Go compiles the
 // map[string] lookup keyed by string(b) without materializing the string.
 //
-// An Interner is not safe for concurrent use; the engine keeps one per
-// shard, and each flow table keeps one for the HTTP Host, TLS SNI and
-// certificate names its classifier reads. It is bounded: once maxEntries
-// distinct names have been interned the table is reset rather than grown
-// without limit, so a churn-heavy trace (random tracker hostnames, DGA
-// malware) degrades to one allocation per name instead of exhausting
-// memory.
+// An Interner is not safe for concurrent use. The engine keeps one per
+// shard, shared by the shard's DNS decoder (QNAMEs) and its flow
+// classifier (HTTP Host, TLS SNI and certificate names a flow's label does
+// not already spell), so a shard holds one string per name. It is
+// bounded: once maxEntries distinct names have been interned the table is
+// reset rather than grown without limit, so a churn-heavy trace (random
+// tracker hostnames, DGA malware) degrades to one allocation per name
+// instead of exhausting memory.
 type Interner struct {
 	m   map[string]string
 	max int

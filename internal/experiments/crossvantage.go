@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"strings"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/flowdb"
 	"repro/internal/synth"
 )
 
@@ -41,6 +43,17 @@ func (s *Suite) TriVantage() *core.MultiResult {
 	return multi
 }
 
+// distinctClients counts the client addresses of db's flows.
+func distinctClients(db *flowdb.DB) int {
+	seen := make(map[netip.Addr]bool)
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		seen[f.Key.ClientIP] = true
+	}
+	return len(seen)
+}
+
 // triVantageData adapts the cached TRIVANTAGE run for the cross-vantage
 // analytics: each vantage pairs its flow partition with its own geo's
 // IP → organization table.
@@ -68,9 +81,9 @@ func (s *Suite) CrossVantage() (string, *analytics.ProviderFootprint) {
 		len(multi.Vantages))
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s %10s\n", "Vantage", "Flows", "Labeled", "DNSresp", "Clients")
 	for _, name := range multi.Vantages {
-		st := multi.PerVantage[name].Stats
+		v := multi.PerVantage[name]
 		fmt.Fprintf(&b, "%-8s %10d %10d %10d %10d\n",
-			name, st.Flows, st.LabeledFlows, st.DNSResponses, st.Resolver.ClientsPeak)
+			name, v.Stats.Flows, v.Stats.LabeledFlows, v.Stats.DNSResponses, distinctClients(v.DB))
 	}
 	fmt.Fprintf(&b, "%-8s %10d %10d %10d\n", "TOTAL",
 		multi.Stats.Flows, multi.Stats.LabeledFlows, multi.Stats.DNSResponses)

@@ -3,6 +3,7 @@ package flows
 import (
 	"bytes"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -198,18 +199,23 @@ func segmentRow(rng *rand.Rand, row payloadRow, serverFirst bool) []segment {
 
 // runSegments replays one connection (handshake, segs, FIN/FIN) on port.
 func runSegments(tbl *Table, at time.Duration, port uint16, segs []segment) {
-	tbl.Add(pkt(client, server, port, 443, layers.TCPSyn, nil), at, nil)
-	tbl.Add(pkt(server, client, 443, port, layers.TCPSyn|layers.TCPAck, nil), at+1, nil)
+	runSegmentsOnNew(tbl, at, port, segs, nil)
+}
+
+// runSegmentsOnNew is runSegments with onNew passed to every Add.
+func runSegmentsOnNew(tbl *Table, at time.Duration, port uint16, segs []segment, onNew NewFlowFunc) {
+	tbl.Add(pkt(client, server, port, 443, layers.TCPSyn, nil), at, onNew)
+	tbl.Add(pkt(server, client, 443, port, layers.TCPSyn|layers.TCPAck, nil), at+1, onNew)
 	for i, s := range segs {
 		if s.c2s {
-			tbl.Add(pkt(client, server, port, 443, layers.TCPAck|layers.TCPPsh, s.payload), at+time.Duration(2+i), nil)
+			tbl.Add(pkt(client, server, port, 443, layers.TCPAck|layers.TCPPsh, s.payload), at+time.Duration(2+i), onNew)
 		} else {
-			tbl.Add(pkt(server, client, 443, port, layers.TCPAck|layers.TCPPsh, s.payload), at+time.Duration(2+i), nil)
+			tbl.Add(pkt(server, client, 443, port, layers.TCPAck|layers.TCPPsh, s.payload), at+time.Duration(2+i), onNew)
 		}
 	}
 	n := time.Duration(len(segs))
-	tbl.Add(pkt(client, server, port, 443, layers.TCPFin|layers.TCPAck, nil), at+n+2, nil)
-	tbl.Add(pkt(server, client, 443, port, layers.TCPFin|layers.TCPAck, nil), at+n+3, nil)
+	tbl.Add(pkt(client, server, port, 443, layers.TCPFin|layers.TCPAck, nil), at+n+2, onNew)
+	tbl.Add(pkt(server, client, 443, port, layers.TCPFin|layers.TCPAck, nil), at+n+3, onNew)
 }
 
 func checkClassifyMatchesRef(t *testing.T, rng *rand.Rand, rows []payloadRow) {
@@ -427,5 +433,46 @@ func TestNamesInterned(t *testing.T) {
 	}
 	if tbl.names.Len() != 1 {
 		t.Fatalf("interner holds %d names, want 1", tbl.names.Len())
+	}
+}
+
+// TestLabelReuseMatchesUnlabeled replays every payload row, under random
+// segmentations, through two tables: one whose onNew sets the flow's label
+// (to each name the flow carries, to the SNI lowercased, to another name,
+// to "") and one that sets none. The records must be equal string for
+// string, and a Host, SNI or certificate name equal to the label must be
+// the label's own string. The tls-sni-cert-appdata row carries the mixed-
+// case SNI "Mixed.Case.example": against its lowercase label it stays as
+// sent, since SNI is not lowercased.
+func TestLabelReuseMatchesUnlabeled(t *testing.T) {
+	var plain, labeled []Record
+	tp := NewTable(Config{OnRecord: func(r Record, _ Handle) { plain = append(plain, r) }})
+	tl := NewTable(Config{OnRecord: func(r Record, _ Handle) { labeled = append(labeled, r) }})
+	var label string
+	onNew := func(_ Key, _ time.Duration, _ bool, h Handle) { tl.Tag(h).Label = label }
+	rng := rand.New(rand.NewPCG(3, 7))
+	var at time.Duration
+	for _, row := range classifyRows(t) {
+		for range 20 {
+			segs := segmentRow(rng, row, rng.IntN(4) == 0)
+			at += time.Second
+			plain = plain[:0]
+			runSegments(tp, at, 40000, segs)
+			want := plain[0]
+			for _, l := range []string{want.HTTPHost, want.SNI, want.CertName, strings.ToLower(want.SNI), "other.example", ""} {
+				label = strings.Clone(l) // a string of its own, not the interned one
+				labeled = labeled[:0]
+				runSegmentsOnNew(tl, at, 40000, segs, onNew)
+				if len(labeled) != 1 || labeled[0] != want {
+					t.Fatalf("%s, label %q: records %+v, unlabeled %+v", row.name, label, labeled, want)
+				}
+				got := labeled[0]
+				for _, name := range []string{got.HTTPHost, got.SNI, got.CertName} {
+					if name != "" && name == label && unsafe.StringData(name) != unsafe.StringData(label) {
+						t.Fatalf("%s: name %q equals the label but is another string", row.name, name)
+					}
+				}
+			}
+		}
 	}
 }

@@ -247,8 +247,9 @@ type Table struct {
 	sweep time.Duration // trace time of the last automatic idle sweep
 	// frozen keeps the records finished while OnRecord is nil.
 	frozen []Record
-	// names interns the HTTP Host, SNI and certificate names; nameBuf is
-	// the scratch a name is lowercased or decoded into before interning.
+	// names interns the HTTP Host, SNI and certificate names a flow's
+	// label does not spell (Names); nameBuf is the scratch a name is
+	// lowercased or decoded into before interning.
 	names   *dnswire.Interner
 	nameBuf []byte
 	// sweepVisited counts the slots the last FlushIdle examined; tests use
@@ -262,6 +263,10 @@ func (t *Table) at(i uint32) *flow { return &t.node(i).val }
 // Tag returns the tag of the live flow with handle h. The pointer stays
 // valid until that flow's OnRecord returns.
 func (t *Table) Tag(h Handle) *Tag { return &t.at(uint32(h)).tag }
+
+// Names returns the table's name interner. The engine hands it to its DNS
+// decoder, so a pipeline shard keeps one string per distinct name.
+func (t *Table) Names() *dnswire.Interner { return t.names }
 
 // TableStats counts table activity.
 type TableStats struct {
@@ -457,7 +462,8 @@ func (t *Table) advanceTCP(f *flow, flags layers.TCPFlags, slot uint32) {
 
 // classify sets L7 from the client prefix p of the flow keyed key, and
 // marks the flow classified once no further client byte can change L7 or
-// the name it carries. Names are interned, so p may be a packet's payload.
+// the name it carries. A name is a string of its own (name), so p may be
+// a packet's payload.
 func (t *Table) classify(f *flow, key *Key, p []byte) {
 	full := len(p) >= prefixCap
 	switch {
@@ -467,14 +473,14 @@ func (t *Table) classify(f *flow, key *Key, p []byte) {
 		// value of a line still being received may grow.
 		host, ok := httpHost(p, full)
 		if ok {
-			f.httpHost = t.internLower(host)
+			f.httpHost = t.lowerName(f, host)
 		}
 		f.classified = ok || full
 	case tlswire.LooksLikeTLS(p):
 		f.l7 = L7TLS
 		h := tlswire.Scan(p)
 		if len(h.SNI) > 0 {
-			f.sni = t.names.Intern(h.SNI)
+			f.sni = t.name(f, h.SNI)
 		}
 		f.classified = len(h.SNI) > 0 || h.Done || full
 	case isBitTorrent(p):
@@ -496,13 +502,23 @@ func (t *Table) inspect(f *flow) {
 	h := tlswire.Scan(s2c)
 	if h.HasCert {
 		t.nameBuf = h.AppendCertName(t.nameBuf[:0])
-		f.certName, f.hasCert = t.names.Intern(t.nameBuf), true
+		f.certName, f.hasCert = t.name(f, t.nameBuf), true
 	}
 	f.inspected = h.HasCert || h.Done || len(s2c) >= prefixCap
 }
 
-// internLower interns the lowercase form of b.
-func (t *Table) internLower(b []byte) string {
+// name returns b as a string of its own: f's label when b spells it — a
+// Host, SNI or certificate name usually repeats the name the client
+// resolved, so it costs one compare and no probe — else b interned.
+func (t *Table) name(f *flow, b []byte) string {
+	if string(b) == f.tag.Label {
+		return f.tag.Label
+	}
+	return t.names.Intern(b)
+}
+
+// lowerName is name applied to the lowercase form of b.
+func (t *Table) lowerName(f *flow, b []byte) string {
 	buf := t.nameBuf[:0]
 	for _, c := range b {
 		if 'A' <= c && c <= 'Z' {
@@ -511,7 +527,7 @@ func (t *Table) internLower(b []byte) string {
 		buf = append(buf, c)
 	}
 	t.nameBuf = buf
-	return t.names.Intern(buf)
+	return t.name(f, buf)
 }
 
 // httpMethods are the request-line prefixes isHTTPRequest matches,
@@ -605,7 +621,7 @@ func (t *Table) close(i uint32) {
 func (t *Table) classifyFinal(f *flow) {
 	if !f.classified && f.l7 == L7HTTP {
 		if host, ok := httpHost(f.c2sPrefix(), true); ok {
-			f.httpHost = t.internLower(host)
+			f.httpHost = t.lowerName(f, host)
 		}
 	}
 }

@@ -128,9 +128,8 @@ func (r *Resolver) eachLive(fn func(*Entry)) {
 // must be called on a fresh resolver, before any traffic; restoring over
 // live state inserts the snapshot as if it were new DNS responses.
 //
-// The activity counters (Stats) are left at zero — they describe the new
-// process's work, not the previous one's — except ClientsPeak, which
-// reflects the restored client population.
+// The activity counters (Stats) are left at zero: they describe the new
+// process's work, not the previous one's.
 func (r *Resolver) Restore(entries []SnapshotEntry) {
 	saved := r.stats
 	for i := range entries {
@@ -148,11 +147,7 @@ func (r *Resolver) Restore(entries []SnapshotEntry) {
 			}
 		}
 	}
-	peak := r.stats.ClientsPeak
 	r.stats = saved
-	if peak > r.stats.ClientsPeak {
-		r.stats.ClientsPeak = peak
-	}
 }
 
 // WriteSnapshot serializes entries to w in the versioned binary framing

@@ -114,7 +114,6 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 	if !ok {
 		sm = &orderedServerMap{}
 		m.clients[client] = sm
-		m.stats.ClientsPeak = max(m.stats.ClientsPeak, len(m.clients))
 	}
 	for _, srv := range servers {
 		m.stats.Addresses++
@@ -226,8 +225,6 @@ func (m *orderedRef) snapshot() []SnapshotEntry {
 	return out
 }
 
-func (m *orderedRef) Clients() int { return len(m.clients) }
-
 func (m *orderedRef) Stats() Stats {
 	s := m.stats
 	s.EntriesAlive = m.alive
@@ -268,9 +265,6 @@ func TestOrderedServerMapOps(t *testing.T) {
 
 // L returns the configured Clist size.
 func (r *Resolver) L() int { return r.cfg.ClistSize }
-
-// Clients returns the number of clients currently tracked.
-func (r *Resolver) Clients() int { return len(r.flat.clients) }
 
 // Lookup returns the FQDN clientIP most recently resolved to serverIP
 // (Algorithm 1, LOOKUP). ok is false on a cache miss.

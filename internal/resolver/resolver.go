@@ -59,7 +59,6 @@ type Stats struct {
 	Lookups      uint64
 	Hits         uint64
 	Misses       uint64
-	ClientsPeak  int
 	EntriesAlive int // filled Clist slots, tombstones of superseded entries included
 }
 
@@ -144,15 +143,10 @@ type pairTable struct {
 	idx   swiss.Index
 	nodes swiss.Slab[pairNode]
 	seed  uint64
-	// clients counts live keys per client address; its length is the
-	// number of distinct clients tracked. It is touched once per response
-	// that creates keys and once per eviction that destroys them — never on
-	// the per-flow lookup path.
-	clients map[netip.Addr]uint32
 }
 
 func newPairTable() *pairTable {
-	t := &pairTable{seed: rand.Uint64(), clients: make(map[netip.Addr]uint32)}
+	t := &pairTable{seed: rand.Uint64()}
 	t.idx.Init()
 	return t
 }
@@ -189,8 +183,7 @@ func (t *pairTable) find(k *pairKey, h uint64) uint32 {
 	}
 }
 
-// insert creates an unlinked node for k → entry and returns its slot. The
-// caller counts the key in clients.
+// insert creates an unlinked node for k → entry and returns its slot.
 func (t *pairTable) insert(k pairKey, h uint64, entry uint32) uint32 {
 	slot := t.nodes.Alloc()
 	*t.nodes.At(slot) = pairNode{key: k, hash: h, entry: entry, prev: noSlot, next: noSlot, older: noSlot}
@@ -198,21 +191,10 @@ func (t *pairTable) insert(k pairKey, h uint64, entry uint32) uint32 {
 	return slot
 }
 
-// remove erases the key at slot from the index and recycles the node. The
-// caller uncounts the key in clients.
+// remove erases the key at slot from the index and recycles the node.
 func (t *pairTable) remove(slot uint32) {
 	t.idx.Delete(t.nodes.At(slot).hash, slot)
 	t.nodes.Free(slot)
-}
-
-// uncount takes n keys off client's count, dropping the client when none
-// is left.
-func (t *pairTable) uncount(client netip.Addr, n uint32) {
-	if c := t.clients[client] - n; c == 0 {
-		delete(t.clients, client)
-	} else {
-		t.clients[client] = c
-	}
 }
 
 // Resolver is the DNS cache replica. Not safe for concurrent use; shard by
@@ -264,7 +246,6 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1, pos: noSlot}
 	// Link entry from every (clientIP, server) key (lines 5–21).
 	ft := r.flat
-	var fresh uint32
 	for _, serverIP := range servers {
 		r.stats.Addresses++
 		var k pairKey
@@ -272,7 +253,6 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 		slot := ft.find(&k, h)
 		if slot == noSlot {
 			slot = ft.insert(k, h, es)
-			fresh++
 		} else {
 			// Replace the old reference (Algorithm 1, lines 11–15): the old
 			// entry loses this node; optionally it is retained as history.
@@ -289,13 +269,6 @@ func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr
 		}
 		entry.names++
 		r.link(slot)
-	}
-	// Every key of one response has its client, and only keys were added
-	// so far, so one count and one peak update cover them all. The count is
-	// keyed like pairKey.clientAddr, which keeps no zone.
-	if fresh > 0 {
-		ft.clients[clientIP.WithZone("")] += fresh
-		r.stats.ClientsPeak = max(r.stats.ClientsPeak, len(ft.clients))
 	}
 	// Recycle the next Clist slot (lines 22–25). While the list is still
 	// below capacity L, slots are appended — index order, exactly the order
@@ -400,19 +373,14 @@ func (r *Resolver) evict(s uint32) {
 	// being recycled.
 	e.pos = noSlot
 	ft := r.flat
-	// Every node on the list has the entry's client: a response links only
-	// its own client's keys.
-	var client netip.Addr
-	var removed uint32
 	for e.refs != noSlot {
 		slot := e.refs
 		r.unlink(slot)
 		r.release(s)
 		n := ft.nodes.At(slot)
 		if n.older == noSlot {
-			client = n.key.clientAddr()
 			ft.remove(slot)
-			removed++
+			r.stats.EvictedRefs++
 			continue
 		}
 		// The promoted entry stays off the node's back-reference list: it
@@ -420,10 +388,6 @@ func (r *Resolver) evict(s uint32) {
 		h := *r.hist.At(n.older)
 		r.hist.Free(n.older)
 		n.entry, n.older = h.entry, h.next
-	}
-	if removed > 0 {
-		ft.uncount(client, removed)
-		r.stats.EvictedRefs += uint64(removed)
 	}
 	r.release(s) // the Clist's name
 }
@@ -444,10 +408,9 @@ func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	return nil, false
 }
 
-// Add accumulates o into s (per-shard merge). Counters sum; ClientsPeak
-// sums too, because a sharded deployment partitions clients across shards,
-// so the sum of per-shard peaks is the aggregate client population (exact
-// while no entries are evicted, an upper bound otherwise).
+// Add accumulates o into s (per-shard merge). Every field sums, because a
+// sharded deployment partitions clients, and so Clist entries, across
+// shards.
 func (s *Stats) Add(o Stats) {
 	s.Responses += o.Responses
 	s.Addresses += o.Addresses
@@ -457,7 +420,6 @@ func (s *Stats) Add(o Stats) {
 	s.Lookups += o.Lookups
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.ClientsPeak += o.ClientsPeak
 	s.EntriesAlive += o.EntriesAlive
 }
 

@@ -91,15 +91,17 @@ func TestEvictionSkipsReplacedRefs(t *testing.T) {
 	}
 }
 
+// TestClientRemovedWhenEmpty: evicting a client's only entry removes its
+// key, so the table holds no key of that client.
 func TestClientRemovedWhenEmpty(t *testing.T) {
 	r := New(Config{ClistSize: 1})
 	r.Insert(c1, "a.example.com", []netip.Addr{s1}, 0)
-	if r.Clients() != 1 {
-		t.Fatalf("clients = %d", r.Clients())
-	}
 	r.Insert(c2, "b.example.com", []netip.Addr{s1}, 0) // evicts c1's only entry
-	if r.Clients() != 1 {
-		t.Fatalf("clients after eviction = %d", r.Clients())
+	if _, ok := r.Lookup(c1, s1); ok {
+		t.Fatal("c1's key survived the eviction of its only entry")
+	}
+	if n := r.flat.idx.Len(); n != 1 {
+		t.Fatalf("%d keys after eviction, want 1 (c2's)", n)
 	}
 }
 
@@ -215,15 +217,15 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestStatsAdd: the per-shard merge sums every field, ClientsPeak and
-// EntriesAlive included (shards partition clients and Clist entries).
+// TestStatsAdd: the per-shard merge sums every field, EntriesAlive
+// included (shards partition clients and Clist entries).
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Responses: 1, Addresses: 2, Replaced: 3, Evictions: 4, EvictedRefs: 5,
-		Lookups: 6, Hits: 7, Misses: 8, ClientsPeak: 9, EntriesAlive: 10}
+		Lookups: 6, Hits: 7, Misses: 8, EntriesAlive: 10}
 	b := a
 	b.Add(a)
 	want := Stats{Responses: 2, Addresses: 4, Replaced: 6, Evictions: 8, EvictedRefs: 10,
-		Lookups: 12, Hits: 14, Misses: 16, ClientsPeak: 18, EntriesAlive: 20}
+		Lookups: 12, Hits: 14, Misses: 16, EntriesAlive: 20}
 	if b != want {
 		t.Fatalf("Add = %+v, want %+v", b, want)
 	}
@@ -265,8 +267,7 @@ func TestQuickInvariantNoDanglingRefs(t *testing.T) {
 
 func TestQuickHashAndOrderedAgree(t *testing.T) {
 	// Property: the resolver and the two-level reference model produce
-	// identical lookups, client counts and statistics for any insert
-	// sequence.
+	// identical lookups and statistics for any insert sequence.
 	f := func(ops []uint16) bool {
 		h, o := New(Config{ClistSize: 16}), newOrderedRef(Config{ClistSize: 16})
 		clients := []netip.Addr{c1, c2}
@@ -287,7 +288,7 @@ func TestQuickHashAndOrderedAgree(t *testing.T) {
 				}
 			}
 		}
-		return h.Clients() == o.Clients() && h.Stats() == o.Stats()
+		return h.Stats() == o.Stats()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
