@@ -27,7 +27,8 @@ type (
 	// slice, channel, ...).
 	PacketSource = netio.PacketSource
 	// ReaderStat is the sharded engine's dispatch counters (see
-	// Result.Readers and the serve-mode /metrics dispatcher gauge).
+	// Result.Readers and the serve-mode /metrics counter
+	// dnhunter_reader_mesh_full_parks_total).
 	ReaderStat = core.ReaderStat
 )
 

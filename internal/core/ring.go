@@ -104,7 +104,7 @@ type ring struct {
 	_        cacheLinePad
 
 	// parks counts producer park events (ring full past the spin budget) —
-	// the dispatcher's backpressure gauge. Written only when the producer
+	// the dispatcher's backpressure counter. Written only when the producer
 	// is about to sleep anyway, so it shares the line with the park flags.
 	parks      atomic.Uint64
 	closed     atomic.Bool

@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -120,7 +121,8 @@ type ReaderStat struct {
 	RingFullParks uint64 `json:"ring_full_parks"`
 	// MeshFullParks counts the dispatcher parking on full dispatcher→shard
 	// rings — sustained growth means a shard is the bottleneck, not the
-	// parse.
+	// parse. Serve mode exports it as the reader_mesh_full_parks_total
+	// counter.
 	MeshFullParks uint64 `json:"mesh_full_parks"`
 	// ShedFrames is always 0: frames are never shed before the parse (shed
 	// entries are counted in ShedStats).
@@ -138,8 +140,9 @@ func dispatchStat(pkts uint64, rings []*ring) ReaderStat {
 }
 
 // ServeMetrics is the live observable state of a serving engine. All
-// methods are safe for concurrent use while the engine runs; the
-// internal/serve HTTP endpoint reads them on every scrape.
+// methods are safe for concurrent use while the engine runs. Series
+// declares every exported value once; the internal/serve HTTP endpoint
+// renders that list on every scrape.
 type ServeMetrics struct {
 	packets      atomic.Uint64
 	bytes        atomic.Uint64
@@ -171,27 +174,6 @@ type ServeMetrics struct {
 // Packets returns frames read from the source.
 func (m *ServeMetrics) Packets() uint64 { return m.packets.Load() }
 
-// Bytes returns frame bytes read from the source.
-func (m *ServeMetrics) Bytes() uint64 { return m.bytes.Load() }
-
-// TraceClock returns the newest packet timestamp read (trace time).
-func (m *ServeMetrics) TraceClock() time.Duration { return time.Duration(m.clockNs.Load()) }
-
-// Tags returns flows tagged at first packet.
-func (m *ServeMetrics) Tags() uint64 { return m.tags.Load() }
-
-// DNSResponses returns decoded address-bearing DNS responses.
-func (m *ServeMetrics) DNSResponses() uint64 { return m.dnsResponses.Load() }
-
-// Flows returns finished labeled-flow records emitted.
-func (m *ServeMetrics) Flows() uint64 { return m.flows.Load() }
-
-// LabeledFlows returns emitted records that carried a label.
-func (m *ServeMetrics) LabeledFlows() uint64 { return m.labeled.Load() }
-
-// RestoredEntries returns resolver entries restored from the checkpoint.
-func (m *ServeMetrics) RestoredEntries() uint64 { return m.restored.Load() }
-
 // Draining reports whether the serve context was cancelled and the engine
 // is flushing its final state.
 func (m *ServeMetrics) Draining() bool { return m.draining.Load() }
@@ -202,48 +184,6 @@ func (m *ServeMetrics) Draining() bool { return m.draining.Load() }
 // sticky for the run — it marks "results may have gaps", which a later
 // recovery does not un-happen.
 func (m *ServeMetrics) Degraded() bool { return m.degraded.Load() }
-
-// SourceErrors returns the supervised source's classified error counters:
-// transient (recovered by restart) and fatal (ended the run).
-func (m *ServeMetrics) SourceErrors() (transient, fatal uint64) {
-	return m.faultTransient.Load(), m.faultFatal.Load()
-}
-
-// SourceRestarts returns completed supervised source restarts.
-func (m *ServeMetrics) SourceRestarts() uint64 { return m.restarts.Load() }
-
-// RestartBudget returns the restart error budget: the policy's total
-// (zero when supervision is off) and how much of it remains.
-func (m *ServeMetrics) RestartBudget() (total, remaining int64) {
-	total = m.restartBudget.Load()
-	remaining = total - int64(m.restarts.Load())
-	if remaining < 0 {
-		remaining = 0
-	}
-	return total, remaining
-}
-
-// CheckpointFreshStarts counts checkpoint files rejected at startup
-// (corrupt, truncated, or future-version), each answered by serving from
-// empty resolver state instead of failing.
-func (m *ServeMetrics) CheckpointFreshStarts() uint64 { return m.freshStarts.Load() }
-
-// WindowsFlushed returns completed flowdb windows handed to FlushWindow.
-func (m *ServeMetrics) WindowsFlushed() uint64 {
-	if w := m.win.Load(); w != nil {
-		return w.WindowsFlushed()
-	}
-	return 0
-}
-
-// WindowFlushLag returns how much trace time of flows the open window is
-// currently buffering (see flowdb.Windowed.FlushLag).
-func (m *ServeMetrics) WindowFlushLag() time.Duration {
-	if w := m.win.Load(); w != nil {
-		return w.FlushLag()
-	}
-	return 0
-}
 
 // RingDepths returns each shard ring's backlog — published-but-unreleased
 // entries in units of the 512-entry per-pass batch, rounded up — indexed by
@@ -272,10 +212,119 @@ func (m *ServeMetrics) ReaderStats() []ReaderStat {
 	return []ReaderStat{dispatchStat(m.packets.Load(), *p)}
 }
 
-// ArenaStats returns the shared payload block pool's lifecycle counters
-// (process-wide: the pool is shared by every engine in the process).
-func (m *ServeMetrics) ArenaStats() netio.BlockPoolStats {
-	return netio.DefaultBlockPool().Stats()
+// Series is one metric family of a serving engine: its name (without the
+// dnhunter_ exposition prefix), Prometheus type ("counter" or "gauge"),
+// help text, label names, and Read, which emits the family's current
+// samples, one value per label set with the label values in Labels order.
+// An unlabeled family emits exactly one sample; a labeled one may emit
+// none. internal/serve renders /metrics and /stats.json from one list of
+// these, and its tests render the OPERATIONS.md metrics table from the
+// same list, so each family is declared once.
+type Series struct {
+	Name, Type, Help string
+	Labels           []string
+	Read             func(emit func(v float64, labels ...string))
+}
+
+// number is what a scalar family's reader may return.
+type number interface {
+	~int64 | ~uint64 | ~float64
+}
+
+// counter and gauge declare an unlabeled family read from v.
+func counter[T number](name, help string, v func() T) Series { return scalar("counter", name, help, v) }
+func gauge[T number](name, help string, v func() T) Series   { return scalar("gauge", name, help, v) }
+
+func scalar[T number](typ, name, help string, v func() T) Series {
+	return Series{Name: name, Type: typ, Help: help, Read: func(emit func(float64, ...string)) { emit(float64(v())) }}
+}
+
+// flag reads a boolean as a 0/1 gauge value.
+func flag(b *atomic.Bool) func() uint64 {
+	return func() uint64 {
+		if b.Load() {
+			return 1
+		}
+		return 0
+	}
+}
+
+// Series returns the engine's metric families in exposition order. Each
+// entry reads its counters when rendered, so one list serves every scrape.
+func (m *ServeMetrics) Series() []Series {
+	perShard := func(name, help string, v func(ShedShard) uint64) Series {
+		return Series{Name: name, Type: "counter", Help: help, Labels: []string{"shard"}, Read: func(emit func(float64, ...string)) {
+			for i, sh := range m.Shed.PerShard() {
+				emit(float64(v(sh)), strconv.Itoa(i))
+			}
+		}}
+	}
+	arena := netio.DefaultBlockPool().Stats
+	return []Series{
+		counter("packets_total", "frames read from the packet source", m.packets.Load),
+		counter("bytes_total", "frame bytes read", m.bytes.Load),
+		gauge("trace_clock_seconds", "newest packet timestamp read, in trace time", func() float64 {
+			return time.Duration(m.clockNs.Load()).Seconds()
+		}),
+		counter("flows_total", "finished labeled-flow records emitted", m.flows.Load),
+		counter("labeled_flows_total", "emitted records that carried a DNS label", m.labeled.Load),
+		counter("tags_total", "flows tagged at their first packet", m.tags.Load),
+		counter("dns_responses_total", "decoded address-bearing DNS responses", m.dnsResponses.Load),
+		counter("dropped_flows_total", "flow-path entries shed under overload, summed over shards; each is a packet missing from its flow's byte accounting", func() uint64 { return m.Shed.Totals().Flows }),
+		counter("dropped_dns_total", "DNS entries shed under overload, summed over shards; each is a response the resolver never saw, so flows it would have labeled stay unlabeled", func() uint64 { return m.Shed.Totals().DNS }),
+		counter("dropped_bytes_total", "payload bytes shed under overload, summed over shards", func() uint64 { return m.Shed.Totals().Bytes }),
+		perShard("shard_dropped_flows_total", "flow-path entries shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.Flows }),
+		perShard("shard_dropped_dns_total", "DNS entries shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.DNS }),
+		perShard("shard_dropped_bytes_total", "payload bytes shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.Bytes }),
+		counter("windows_flushed_total", "completed flow-store windows flushed", func() uint64 {
+			if w := m.win.Load(); w != nil {
+				return w.WindowsFlushed()
+			}
+			return 0
+		}),
+		gauge("window_flush_lag_seconds", "trace time of flows buffered in the open window", func() float64 {
+			if w := m.win.Load(); w != nil {
+				return w.FlushLag().Seconds()
+			}
+			return 0
+		}),
+		{Name: "ring_depth", Type: "gauge", Labels: []string{"shard"},
+			Help: "each shard's backlog: published-but-unreleased entries in its ring divided by the batch size (512), rounded up, so 0 to 8; pinned at 8 means the shard is saturated (only with -shards > 1)",
+			Read: func(emit func(float64, ...string)) {
+				for i, d := range m.RingDepths() {
+					emit(float64(d), strconv.Itoa(i))
+				}
+			}},
+		{Name: "reader_mesh_full_parks_total", Type: "counter", Labels: []string{"reader"},
+			Help: "times the dispatcher parked on a full shard ring; sustained growth means a shard, not the parse, is the bottleneck (one series; only with -shards > 1)",
+			Read: func(emit func(float64, ...string)) {
+				for i, r := range m.ReaderStats() {
+					emit(float64(r.MeshFullParks), strconv.Itoa(i))
+				}
+			}},
+		counter("arena_blocks_retired_total", "payload arena blocks whose last handle was released (process-wide)", func() uint64 { return arena().Retired }),
+		gauge("arena_block_retire_ns_avg", "mean time payload handles keep an arena block pinned, in nanoseconds (process-wide)", func() float64 {
+			if st := arena(); st.Retired > 0 {
+				return float64(st.RetireNs) / float64(st.Retired)
+			}
+			return 0
+		}),
+		gauge("restored_entries", "resolver entries restored from the checkpoint at startup", m.restored.Load),
+		{Name: "fault_source_errors_total", Type: "counter", Labels: []string{"class"},
+			Help: "source read errors by supervisor classification: transient (recovered by restart) or fatal (ended the run)",
+			Read: func(emit func(float64, ...string)) {
+				emit(float64(m.faultTransient.Load()), "transient")
+				emit(float64(m.faultFatal.Load()), "fatal")
+			}},
+		counter("fault_source_restarts_total", "supervised source restarts completed", m.restarts.Load),
+		counter("fault_checkpoint_fresh_starts_total", "checkpoint files rejected at startup (corrupt, truncated or future-version), each answered by serving from empty resolver state", m.freshStarts.Load),
+		gauge("fault_error_budget_total", "restart budget configured by the policy (0 = supervision off)", m.restartBudget.Load),
+		gauge("fault_error_budget_remaining", "restarts left before transient source errors become fatal", func() int64 {
+			return max(m.restartBudget.Load()-int64(m.restarts.Load()), 0)
+		}),
+		gauge("degraded", "1 after any source restart or checkpoint fresh start; sticky for the run, since the output already has gaps", flag(&m.degraded)),
+		gauge("draining", "1 while draining after a stop signal", flag(&m.draining)),
+	}
 }
 
 // ServeConfig tunes Server.Serve.
@@ -460,12 +509,12 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 
 	rep := &ServeReport{
 		Stats:           out.Stats,
-		Packets:         s.metrics.Packets(),
-		Bytes:           s.metrics.Bytes(),
+		Packets:         s.metrics.packets.Load(),
+		Bytes:           s.metrics.bytes.Load(),
 		Windows:         win.WindowsFlushed(),
 		Dropped:         s.metrics.Shed.Totals(),
 		RestoredEntries: len(s.restored),
-		SourceRestarts:  s.metrics.SourceRestarts(),
+		SourceRestarts:  s.metrics.restarts.Load(),
 		FreshStart:      s.freshStart,
 	}
 	if s.scfg.CheckpointPath != "" {

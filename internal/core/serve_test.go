@@ -99,7 +99,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		// Cancel once the engine has demonstrably processed traffic.
-		for srv.Metrics().Flows() == 0 {
+		for metricValue(t, srv.Metrics(), "flows_total") == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
@@ -227,26 +227,27 @@ func TestServeMetricsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := srv.Metrics()
-	if m.Packets() == 0 || m.Bytes() == 0 {
-		t.Fatalf("packets=%d bytes=%d", m.Packets(), m.Bytes())
+	val := func(name string) uint64 { return uint64(metricValue(t, m, name)) }
+	if m.Packets() == 0 || val("bytes_total") == 0 {
+		t.Fatalf("packets=%d bytes=%d", m.Packets(), val("bytes_total"))
 	}
-	if m.Packets() != rep.Packets || m.Bytes() != rep.Bytes {
-		t.Fatalf("report (%d,%d) != metrics (%d,%d)", rep.Packets, rep.Bytes, m.Packets(), m.Bytes())
+	if m.Packets() != rep.Packets || val("bytes_total") != rep.Bytes {
+		t.Fatalf("report (%d,%d) != metrics (%d,%d)", rep.Packets, rep.Bytes, m.Packets(), val("bytes_total"))
 	}
-	if m.TraceClock() <= 0 {
+	if metricValue(t, m, "trace_clock_seconds") <= 0 {
 		t.Fatal("trace clock never advanced")
 	}
-	if m.Flows() != rep.Stats.Flows || m.DNSResponses() != rep.Stats.DNSResponses {
+	if val("flows_total") != rep.Stats.Flows || val("dns_responses_total") != rep.Stats.DNSResponses {
 		t.Fatalf("metrics flows/dns (%d,%d) != stats (%d,%d)",
-			m.Flows(), m.DNSResponses(), rep.Stats.Flows, rep.Stats.DNSResponses)
+			val("flows_total"), val("dns_responses_total"), rep.Stats.Flows, rep.Stats.DNSResponses)
 	}
-	if m.Tags() == 0 {
+	if val("tags_total") == 0 {
 		t.Fatal("no tag events counted")
 	}
 	if got := m.RingDepths(); len(got) != 2 {
 		t.Fatalf("ring depth gauges: %d, want 2", len(got))
 	}
-	if m.WindowsFlushed() != rep.Windows || rep.Windows == 0 {
-		t.Fatalf("windows: metrics %d, report %d", m.WindowsFlushed(), rep.Windows)
+	if val("windows_flushed_total") != rep.Windows || rep.Windows == 0 {
+		t.Fatalf("windows: metrics %d, report %d", val("windows_flushed_total"), rep.Windows)
 	}
 }

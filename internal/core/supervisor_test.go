@@ -71,15 +71,18 @@ func TestServeSupervisorRecovers(t *testing.T) {
 	if rep.SourceRestarts != 4 {
 		t.Errorf("SourceRestarts = %d, want 4", rep.SourceRestarts)
 	}
-	tn, fat := srv.Metrics().SourceErrors()
+	tn := metricValue(t, srv.Metrics(), "fault_source_errors_total", "transient")
+	fat := metricValue(t, srv.Metrics(), "fault_source_errors_total", "fatal")
 	if tn != 4 || fat != 0 {
-		t.Errorf("SourceErrors = (%d, %d), want (4, 0)", tn, fat)
+		t.Errorf("source errors = (%v, %v), want (4, 0)", tn, fat)
 	}
 	if !srv.Metrics().Degraded() {
 		t.Error("run with restarts not marked degraded")
 	}
-	if total, rem := srv.Metrics().RestartBudget(); total != 10 || rem != 6 {
-		t.Errorf("RestartBudget = (%d, %d), want (10, 6)", total, rem)
+	total := metricValue(t, srv.Metrics(), "fault_error_budget_total")
+	rem := metricValue(t, srv.Metrics(), "fault_error_budget_remaining")
+	if total != 10 || rem != 6 {
+		t.Errorf("error budget = (%v, %v), want (10, 6)", total, rem)
 	}
 }
 
@@ -93,11 +96,12 @@ func TestServeSupervisorFatal(t *testing.T) {
 	if _, err := srv.Serve(context.Background(), src); !errors.Is(err, cause) {
 		t.Fatalf("Serve = %v, want the fatal cause", err)
 	}
-	tn, fat := srv.Metrics().SourceErrors()
+	tn := metricValue(t, srv.Metrics(), "fault_source_errors_total", "transient")
+	fat := metricValue(t, srv.Metrics(), "fault_source_errors_total", "fatal")
 	if tn != 0 || fat != 1 {
-		t.Errorf("SourceErrors = (%d, %d), want (0, 1)", tn, fat)
+		t.Errorf("source errors = (%v, %v), want (0, 1)", tn, fat)
 	}
-	if srv.Metrics().SourceRestarts() != 0 {
+	if metricValue(t, srv.Metrics(), "fault_source_restarts_total") != 0 {
 		t.Errorf("restarted on a fatal error")
 	}
 }
@@ -116,11 +120,11 @@ func TestServeSupervisorBudget(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "budget exhausted") {
 		t.Fatalf("Serve = %v, want budget-exhausted error", err)
 	}
-	if got := srv.Metrics().SourceRestarts(); got != 2 {
-		t.Errorf("SourceRestarts = %d, want the full budget of 2", got)
+	if got := metricValue(t, srv.Metrics(), "fault_source_restarts_total"); got != 2 {
+		t.Errorf("source restarts = %v, want the full budget of 2", got)
 	}
-	if _, rem := srv.Metrics().RestartBudget(); rem != 0 {
-		t.Errorf("remaining budget = %d, want 0", rem)
+	if rem := metricValue(t, srv.Metrics(), "fault_error_budget_remaining"); rem != 0 {
+		t.Errorf("remaining budget = %v, want 0", rem)
 	}
 }
 
@@ -190,8 +194,8 @@ func TestServeFreshStartOnCorruptCheckpoint(t *testing.T) {
 	if rep.RestoredEntries != 0 {
 		t.Errorf("restored %d entries from a corrupt checkpoint", rep.RestoredEntries)
 	}
-	if got := srv.Metrics().CheckpointFreshStarts(); got != 1 {
-		t.Errorf("CheckpointFreshStarts = %d, want 1", got)
+	if got := metricValue(t, srv.Metrics(), "fault_checkpoint_fresh_starts_total"); got != 1 {
+		t.Errorf("checkpoint fresh starts = %v, want 1", got)
 	}
 	if !srv.Metrics().Degraded() {
 		t.Error("fresh start not marked degraded")

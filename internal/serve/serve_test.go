@@ -83,13 +83,24 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// statsDoc is the part of /stats.json the tests read: each key is a
+// family name without the dnhunter_ prefix.
+type statsDoc struct {
+	Packets     float64 `json:"packets_total"`
+	Flows       float64 `json:"flows_total"`
+	HeapInuse   float64 `json:"heap_inuse_bytes"`
+	Windows     float64 `json:"windows_flushed_total"`
+	Degraded    float64 `json:"degraded"`
+	FreshStarts float64 `json:"fault_checkpoint_fresh_starts_total"`
+}
+
 func TestStatsJSON(t *testing.T) {
 	s := New(Config{Metrics: runMetrics(t)})
 	code, body := get(t, s.Handler(), "/stats.json")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	var sm sample
+	var sm statsDoc
 	if err := json.Unmarshal([]byte(body), &sm); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
@@ -157,25 +168,34 @@ func TestMetricsFaultExposition(t *testing.T) {
 func TestStatsJSONDegraded(t *testing.T) {
 	s := New(Config{Metrics: degradedMetrics(t)})
 	_, body := get(t, s.Handler(), "/stats.json")
-	var sm sample
+	var sm statsDoc
 	if err := json.Unmarshal([]byte(body), &sm); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if !sm.Degraded || sm.FreshStarts != 1 {
+	if sm.Degraded != 1 || sm.FreshStarts != 1 {
 		t.Fatalf("degraded snapshot: %+v", sm)
 	}
 }
 
+// TestScrapeRate: the rate gauge is the packets read between two scrapes
+// over the wall time between them, so across a finished run it is
+// positive and at most the packets over the time the test saw pass
+// between its own scrapes.
 func TestScrapeRate(t *testing.T) {
-	m := &core.ServeMetrics{}
-	s := New(Config{Metrics: m})
+	tr := synth.Generate(synth.QuickScenario(7))
+	srv := core.NewServer(core.EngineConfig{Shards: 2}, core.ServeConfig{Window: 10 * time.Minute})
+	s := New(Config{Metrics: srv.Metrics()})
 	get(t, s.Handler(), "/metrics") // anchor scrape
-	// Fake 1000 packets arriving between scrapes via a real engine run is
-	// overkill here; poke the sample path directly through two scrapes.
-	time.Sleep(5 * time.Millisecond)
+	start := time.Now()
+	if _, err := srv.Serve(context.Background(), tr.Source()); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start).Seconds()
 	_, body := get(t, s.Handler(), "/metrics")
-	if !strings.Contains(body, "dnhunter_pkts_per_sec") {
-		t.Fatal("rate gauge missing")
+	exp := parseExposition(t, body)
+	rate, pkts := exp.value(t, "dnhunter_pkts_per_sec"), exp.value(t, "dnhunter_packets_total")
+	if rate <= 0 || rate > pkts/elapsed {
+		t.Fatalf("pkts_per_sec = %g, want in (0, %g] (%g packets in %.3fs)", rate, pkts/elapsed, pkts, elapsed)
 	}
 }
 
