@@ -5,9 +5,13 @@
 //
 //	experiments [-scale 1.0] [-seed 1] [-shards 1] [-live-days 18] [-only T2,F4,...]
 //
-// Experiment ids: T1–T9 (tables), F3–F14 (figures), XV (cross-vantage
-// multi-source analysis over the TRIVANTAGE scenario), SK (sketch-based
-// streaming analytics vs their exact references), A (ablations).
+// Each section prints under its id: T1–T9 (tables), F3–F11, F12/F13 and
+// F14 (figures), XV (cross-vantage multi-source analysis over the
+// TRIVANTAGE scenario), SK (sketch-based streaming analytics vs their
+// exact references) and A:clist, A:multilabel, A:tagscore (ablations).
+// -only takes those ids, case-insensitive; A selects every ablation and
+// F12 or F13 selects F12/F13. An id that selects nothing exits with
+// status 2; an SK bound violation exits with status 1.
 // -shards parallelizes the pipeline runs; results are identical at any
 // shard count.
 package main
@@ -16,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,115 +35,77 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	flag.Parse()
 
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	s := experiments.NewSuite(*scale, *seed)
 	s.Shards = *shards
 	s.LiveDays = *liveDays
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		id = strings.TrimSpace(strings.ToUpper(id))
-		if id != "" {
-			want[id] = true
-		}
-	}
-	run := func(id string) bool { return len(want) == 0 || want[id] }
-	section := func(id, out string) {
-		fmt.Printf("== %s ==\n%s\n", id, out)
-	}
-
 	start := time.Now()
-	if run("T1") {
-		section("T1", s.Table1())
-	}
-	if run("T2") {
-		section("T2", s.Table2())
-	}
-	if run("T3") {
-		out, _ := s.Table3()
-		section("T3", out)
-	}
-	if run("T4") {
-		out, _ := s.Table4()
-		section("T4", out)
-	}
-	if run("T5") {
-		section("T5", s.Table5())
-	}
-	if run("T6") {
-		section("T6", s.Table6())
-	}
-	if run("T7") {
-		section("T7", s.Table7())
-	}
-	if run("T8") {
-		out, _ := s.Table8()
-		section("T8", out)
-	}
-	if run("T9") {
-		section("T9", s.Table9())
-	}
-	if run("F3") {
-		out, _, _ := s.Figure3()
-		section("F3", out)
-	}
-	if run("F4") {
-		out, _ := s.Figure4()
-		section("F4", out)
-	}
-	if run("F5") {
-		out, _ := s.Figure5()
-		section("F5", out)
-	}
-	if run("F6") {
-		out, _ := s.Figure6()
-		section("F6", out)
-	}
-	if run("F7") {
-		out, _ := s.Figure7()
-		section("F7", out)
-	}
-	if run("F8") {
-		out, _ := s.Figure8()
-		section("F8", out)
-	}
-	if run("F9") {
-		out, _ := s.Figure9()
-		section("F9", out)
-	}
-	if run("F10") {
-		out, _ := s.Figure10()
-		section("F10", out)
-	}
-	if run("F11") {
-		out, _ := s.Figure11()
-		section("F11", out)
-	}
-	if run("F12") || run("F13") {
-		out, _ := s.Figure12And13()
-		section("F12/F13", out)
-	}
-	if run("F14") {
-		out, _ := s.Figure14()
-		section("F14", out)
-	}
-	if run("XV") {
-		out, _ := s.CrossVantage()
-		section("XV", out)
-	}
-	if run("SK") {
-		out, ok := s.SketchVsExact()
-		section("SK", out)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "SK: sketch results outside documented error bounds")
+	for _, e := range selected {
+		r := e.Run(s)
+		fmt.Printf("== %s ==\n%s\n", e.ID, r.Text)
+		if r.Err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, r.Err)
 			os.Exit(1)
 		}
 	}
-	if run("A") {
-		out, _ := s.AblationClistSize([]int{64, 1024, 16384, 1 << 18})
-		section("A:clist", out)
-		abl, _, _ := s.AblationMultiLabel()
-		section("A:multilabel", abl)
-		section("A:tagscore", s.AblationTagScore(25))
-	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// names lists the ids that select an experiment: its header, each part of
+// a joined header ("F12" and "F13" for "F12/F13"), and the group before a
+// colon ("A" for "A:clist").
+func names(id string) []string {
+	out := []string{id}
+	if parts := strings.Split(id, "/"); len(parts) > 1 {
+		out = append(out, parts...)
+	}
+	if group, _, ok := strings.Cut(id, ":"); ok {
+		out = append(out, group)
+	}
+	return out
+}
+
+// selects reports whether id, in any case, is one of e's names.
+func selects(e experiments.Experiment, id string) bool {
+	return slices.ContainsFunc(names(e.ID), func(n string) bool { return strings.EqualFold(n, id) })
+}
+
+// selectExperiments returns, in print order, the experiments the
+// comma-separated ids select (all of them for none), or an error naming
+// the first id that selects nothing and listing the valid ones.
+func selectExperiments(only string) ([]experiments.Experiment, error) {
+	var ids []string
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return experiments.All, nil
+	}
+	for _, id := range ids {
+		if !slices.ContainsFunc(experiments.All, func(e experiments.Experiment) bool { return selects(e, id) }) {
+			var valid []string
+			for _, e := range experiments.All {
+				for _, n := range names(e.ID) {
+					if !slices.Contains(valid, n) {
+						valid = append(valid, n)
+					}
+				}
+			}
+			return nil, fmt.Errorf("-only %s: no such experiment; valid ids: %s", id, strings.Join(valid, " "))
+		}
+	}
+	var out []experiments.Experiment
+	for _, e := range experiments.All {
+		if slices.ContainsFunc(ids, func(id string) bool { return selects(e, id) }) {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }

@@ -3,11 +3,9 @@ package stream
 import (
 	"net/netip"
 	"sort"
-	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/flowdb"
-	"repro/internal/flows"
 	"repro/internal/swiss"
 )
 
@@ -323,50 +321,11 @@ func (q *providerUsage) Snapshot() analytics.Result {
 	return res
 }
 
-// coverage is the streaming tagging-coverage counter — fixed arrays
-// indexed by L7 protocol, no sketching needed (the counter universe is
-// the protocol enum).
-type coverage struct {
-	warmup         time.Duration
-	total, labeled [int(flows.L7DNS) + 1]uint64
-}
-
-// NewCoverage counts per-protocol tagging coverage for flows starting at
-// or after warmup. Identical results to NewExactCoverage (the state is
-// already bounded; it lives here so serve mode registers only stream
-// queries).
-func NewCoverage(warmup time.Duration) analytics.Query {
-	return &coverage{warmup: warmup}
-}
-
-func (q *coverage) Name() string { return "coverage" }
-
-func (q *coverage) Observe(f *flowdb.LabeledFlow) {
-	if f.Start < q.warmup || int(f.L7) >= len(q.total) {
-		return
-	}
-	q.total[f.L7]++
-	if f.Labeled {
-		q.labeled[f.L7]++
-	}
-}
-
-func (q *coverage) Snapshot() analytics.Result {
-	res := analytics.CoverageResult{WarmupSeconds: q.warmup.Seconds()}
-	for i := range q.total {
-		if q.total[i] == 0 {
-			continue
-		}
-		pc := analytics.ProtoCoverage{Proto: flows.L7Proto(i).String(), Total: q.total[i], Labeled: q.labeled[i]}
-		pc.Ratio = float64(pc.Labeled) / float64(pc.Total)
-		res.Protocols = append(res.Protocols, pc)
-	}
-	return res
-}
-
 // StandardQueries returns the default streaming query set — top domains,
 // SLDs, and orgs, the per-SLD server footprint, provider usage, and
-// tagging coverage — with the package default budgets. This is what
+// tagging coverage — with the package default budgets. Coverage is the
+// exact query: its state is one counter pair per L7 protocol, already
+// bounded. This is what
 // `dnhunter serve -analytics` registers; pass a nil lookup when no org
 // database is loaded (org-keyed queries then report "unknown").
 func StandardQueries(lookup analytics.OrgLookup) []analytics.Query {
@@ -379,6 +338,6 @@ func StandardQueries(lookup analytics.OrgLookup) []analytics.Query {
 		NewTopOrgs(lookup, DefaultTopK, DefaultCounters),
 		NewSLDFootprint(DefaultTopK, DefaultMaxSLDs, DefaultHLLPrecision),
 		NewProviderUsage(lookup, DefaultTopK, DefaultHLLPrecision),
-		NewCoverage(0),
+		analytics.NewExactCoverage(0),
 	}
 }

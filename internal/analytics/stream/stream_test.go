@@ -1,10 +1,10 @@
 package stream_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/analytics"
@@ -154,7 +154,6 @@ func newExactPipeline() *analytics.Pipeline {
 		analytics.NewExactTopSLDs(stream.DefaultTopK),
 		analytics.NewExactTopOrgs(nil, stream.DefaultTopK),
 		analytics.NewExactSLDFootprint(stream.DefaultTopK),
-		analytics.NewExactCoverage(0),
 	)
 }
 
@@ -195,13 +194,22 @@ func TestStreamMatchesExactSmall(t *testing.T) {
 	if math.Abs(sc.Total-ec.Total) > 5*sc.StdError*ec.Total+2 {
 		t.Fatalf("total footprint %v vs exact %v", sc.Total, ec.Total)
 	}
-	// Coverage is exact in both families.
-	scov, _ := sk.Query("coverage")
-	ecov, _ := ex.Query("coverage")
-	sj, _ := json.Marshal(scov.Snapshot())
-	ej, _ := json.Marshal(ecov.Snapshot())
-	if string(sj) != string(ej) {
-		t.Fatalf("coverage differs:\nstream %s\nexact  %s", sj, ej)
+	// The standard coverage query agrees with the flow log's own count.
+	db := flowdb.New()
+	for _, f := range all {
+		db.Add(f)
+	}
+	want := db.Coverage(0)
+	cq, _ := sk.Query("coverage")
+	got := cq.Snapshot().(analytics.CoverageResult)
+	if len(got.Protocols) != len(want.Total) {
+		t.Fatalf("coverage lists %d protocols, flow log %d", len(got.Protocols), len(want.Total))
+	}
+	for p, total := range want.Total {
+		i := slices.IndexFunc(got.Protocols, func(pc analytics.ProtoCoverage) bool { return pc.Proto == p.String() })
+		if i < 0 || got.Protocols[i].Total != uint64(total) || got.Protocols[i].Labeled != uint64(want.Labeled[p]) {
+			t.Fatalf("coverage of %s: %+v, flow log %d of %d labeled", p, got.Protocols, want.Labeled[p], total)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func ExtractTags(db *flowdb.DB, dPort uint16, k int) []TagScore {
 }
 
 // ExtractTagsRaw is the ablation variant scoring by raw flow counts instead
-// of Eq. 1's per-client log damping (BenchmarkAblationTagScore): a single
+// of Eq. 1's per-client log damping (the A:tagscore experiment): a single
 // chatty client can dominate the ranking.
 func ExtractTagsRaw(db *flowdb.DB, dPort uint16, k int) []TagScore {
 	flowsPerToken := make(map[string]int)

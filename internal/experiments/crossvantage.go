@@ -54,28 +54,32 @@ func distinctClients(db *flowdb.DB) int {
 	return len(seen)
 }
 
-// triVantageData adapts the cached TRIVANTAGE run for the cross-vantage
-// analytics: each vantage pairs its flow partition with its own geo's
-// IP → organization table.
-func (s *Suite) triVantageData() []analytics.VantageData {
+// crossVantagePipeline observes the TRIVANTAGE run once into one
+// pipeline: the provider footprint first, then one CDN-overlap query per
+// CrossVantageSLDs entry. Each vantage pairs its flow partition with its
+// own geo's IP → organization table.
+func (s *Suite) crossVantagePipeline() *analytics.Pipeline {
 	multi := s.TriVantage()
-	out := make([]analytics.VantageData, 0, len(multi.Vantages))
+	var data []analytics.VantageData
 	for i, name := range multi.Vantages {
-		out = append(out, analytics.VantageData{
-			Name: name,
-			DB:   multi.PerVantage[name].DB,
-			Orgs: s.triTraces[i].OrgDB,
-		})
+		data = append(data, analytics.VantageData{Name: name, DB: multi.PerVantage[name].DB, Orgs: s.triTraces[i].OrgDB})
 	}
-	return out
+	lookup := analytics.OrgLookupVantages(data)
+	names := analytics.VantageNames(data)
+	queries := []analytics.Query{analytics.NewExactProviderUsage(lookup, 10, names...)}
+	for _, sld := range CrossVantageSLDs {
+		queries = append(queries, analytics.NewExactCrossVantage(sld, lookup, names...))
+	}
+	pipe := analytics.NewPipeline(queries...)
+	analytics.ObserveVantages(pipe, data)
+	return pipe
 }
 
 // CrossVantage renders the multi-vantage report: per-vantage ingestion
 // summary, the provider-footprint table, and per-SLD CDN-overlap
 // comparisons, all from the single TRIVANTAGE run.
-func (s *Suite) CrossVantage() (string, *analytics.ProviderFootprint) {
+func (s *Suite) CrossVantage() Report {
 	multi := s.TriVantage()
-	data := s.triVantageData()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cross-vantage analysis (TRIVANTAGE, one RunSources ingestion, %d vantages)\n",
 		len(multi.Vantages))
@@ -89,21 +93,9 @@ func (s *Suite) CrossVantage() (string, *analytics.ProviderFootprint) {
 		multi.Stats.Flows, multi.Stats.LabeledFlows, multi.Stats.DNSResponses)
 	b.WriteByte('\n')
 
-	// One pipeline, one pass: the provider footprint and every per-SLD
-	// overlap query observe the same single walk over the vantage
-	// databases.
-	lookup := analytics.OrgLookupVantages(data)
-	names := analytics.VantageNames(data)
-	queries := []analytics.Query{analytics.NewExactProviderUsage(lookup, 10, names...)}
-	for _, sld := range CrossVantageSLDs {
-		queries = append(queries, analytics.NewExactCrossVantage(sld, lookup, names...))
-	}
-	pipe := analytics.NewPipeline(queries...)
-	analytics.ObserveVantages(pipe, data)
-
+	pipe := s.crossVantagePipeline()
 	b.WriteString("Provider footprint (share of each vantage's labeled flows per hosting org)\n")
-	pf := pipe.Snapshot()[0].Result.(*analytics.ProviderFootprint)
-	b.WriteString(pf.Render())
+	b.WriteString(pipe.Snapshot()[0].Result.(*analytics.ProviderFootprint).Render())
 	b.WriteByte('\n')
 
 	b.WriteString("CDN overlap per content organization\n")
@@ -111,5 +103,5 @@ func (s *Suite) CrossVantage() (string, *analytics.ProviderFootprint) {
 		q, _ := pipe.Query("cross_vantage:" + sld)
 		b.WriteString(q.Snapshot().(*analytics.CrossVantage).Render())
 	}
-	return b.String(), pf
+	return Report{Text: b.String()}
 }

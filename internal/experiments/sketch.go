@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -21,14 +21,17 @@ import (
 // comparison if the estimator behaved gaussianly) effectively impossible.
 const sketchTolerance = 5.0
 
-// SketchVsExact compares the standard streaming query set against the
-// exact references on every named scenario. The returned ok is false if
-// any sketch result violated its documented bound: a space-saving count
-// whose [count-err, count] interval misses the true count, a heavy
-// hitter above Observed/Capacity the sketch lost, an HLL estimate more
-// than sketchTolerance standard errors off, or a coverage table that is
-// not byte-identical.
-func (s *Suite) SketchVsExact() (string, bool) {
+// errSketchBound is SketchVsExact's Report.Err when a sketch strays
+// outside its documented error bound.
+var errSketchBound = errors.New("sketch results outside documented error bounds")
+
+// SketchVsExact compares the sketched streaming queries against the exact
+// references on every named scenario. Report.Err is set if any sketch
+// result violated its documented bound: a space-saving count whose
+// [count-err, count] interval misses the true count, a heavy hitter above
+// Observed/Capacity the sketch lost, or an HLL estimate more than
+// sketchTolerance standard errors off.
+func (s *Suite) SketchVsExact() Report {
 	var b strings.Builder
 	ok := true
 	fmt.Fprintf(&b, "Sketch vs exact analytics (space-saving %d counters, HLL 2^%d registers, %.0fσ bound)\n",
@@ -42,14 +45,12 @@ func (s *Suite) SketchVsExact() (string, bool) {
 			analytics.NewExactTopSLDs(stream.DefaultTopK),
 			analytics.NewExactTopOrgs(lookup, stream.DefaultTopK),
 			analytics.NewExactSLDFootprint(stream.DefaultTopK),
-			analytics.NewExactCoverage(0),
 		)
 		sk := analytics.NewPipeline(
 			stream.NewTopDomains(stream.DefaultTopK, stream.DefaultCounters),
 			stream.NewTopSLDs(stream.DefaultTopK, stream.DefaultCounters),
 			stream.NewTopOrgs(lookup, stream.DefaultTopK, stream.DefaultCounters),
 			stream.NewSLDFootprint(stream.DefaultTopK, stream.DefaultMaxSLDs, stream.DefaultHLLPrecision),
-			stream.NewCoverage(0),
 		)
 		exact.ObserveDB(run.DB)
 		sk.ObserveDB(run.DB)
@@ -62,16 +63,13 @@ func (s *Suite) SketchVsExact() (string, bool) {
 		line, good := compareFootprint(exact, sk)
 		fmt.Fprintf(&b, "%-10s %s\n", name, line)
 		ok = ok && good
-		line, good = compareCoverage(exact, sk)
-		fmt.Fprintf(&b, "%-10s %s\n", name, line)
-		ok = ok && good
 	}
-	if ok {
-		b.WriteString("all sketches within documented error bounds\n")
-	} else {
+	if !ok {
 		b.WriteString("BOUND VIOLATION: see FAIL rows above\n")
+		return Report{Text: b.String(), Err: errSketchBound}
 	}
-	return b.String(), ok
+	b.WriteString("all sketches within documented error bounds\n")
+	return Report{Text: b.String()}
 }
 
 func status(good bool) string {
@@ -170,15 +168,4 @@ func compareFootprint(exact, sk *analytics.Pipeline) (string, bool) {
 	}
 	return fmt.Sprintf("%-22s %9.0f %9.1f %9.1f%% %s",
 		"sld_server_footprint", ec.Total, sc.Total, 100*maxRel, status(good)), good
-}
-
-// compareCoverage demands byte-identical JSON: the streaming coverage
-// counters are not approximate.
-func compareCoverage(exact, sk *analytics.Pipeline) (string, bool) {
-	eq, _ := exact.Query("coverage")
-	sq, _ := sk.Query("coverage")
-	ej, _ := json.Marshal(eq.Snapshot())
-	sj, _ := json.Marshal(sq.Snapshot())
-	good := string(ej) == string(sj)
-	return fmt.Sprintf("%-22s %9s %9s %10s %s", "coverage", "-", "-", "exact", status(good)), good
 }

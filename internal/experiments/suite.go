@@ -1,7 +1,3 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§5, §6) on synthetic traces: the per-experiment index lives
-// in DESIGN.md, the measured-vs-paper record in EXPERIMENTS.md. Both
-// cmd/experiments and the root bench harness drive this package.
 package experiments
 
 import (
@@ -62,15 +58,20 @@ func (s *Suite) Run(name string) *ScenarioRun {
 	if r, ok := s.runs[name]; ok {
 		return r
 	}
-	tr := synth.Generate(synth.NamedScenario(name, s.Scale, s.Seed))
+	r := runTrace(synth.Generate(synth.NamedScenario(name, s.Scale, s.Seed)), core.EngineConfig{Shards: s.Shards})
+	s.runs[name] = r
+	return r
+}
+
+// runTrace runs tr through an engine built from cfg, recording DNS
+// response times in trace order.
+func runTrace(tr *synth.Trace, cfg core.EngineConfig) *ScenarioRun {
 	run := &ScenarioRun{Trace: tr}
-	eng := core.NewEngine(core.EngineConfig{
-		Shards: s.Shards,
-		Truth:  tr.TruthFunc(),
-		Sink: &core.FuncSink{DNS: func(e core.DNSEvent) {
-			run.DNSTimes = append(run.DNSTimes, e.At)
-		}},
-	})
+	cfg.Truth = tr.TruthFunc()
+	cfg.Sink = &core.FuncSink{DNS: func(e core.DNSEvent) {
+		run.DNSTimes = append(run.DNSTimes, e.At)
+	}}
+	eng := core.NewEngine(cfg)
 	res, err := eng.Run(context.Background(), tr.Source())
 	if err != nil {
 		panic(err) // in-memory source cannot fail
@@ -81,7 +82,6 @@ func (s *Suite) Run(name string) *ScenarioRun {
 	}
 	run.DB = res.DB
 	run.Stats = res.Stats
-	s.runs[name] = run
 	return run
 }
 
@@ -109,7 +109,7 @@ func (s *Suite) Live() *synth.EventTrace {
 
 // Table1 reproduces the dataset-description table: duration, peak DNS
 // response rate, and TCP flow count per trace.
-func (s *Suite) Table1() string {
+func (s *Suite) Table1() Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: Dataset description (synthetic, scale %.2f)\n", s.Scale)
 	fmt.Fprintf(&b, "%-10s %9s %14s %10s\n", "Trace", "Duration", "PeakDNS/min", "TCPflows")
@@ -124,14 +124,15 @@ func (s *Suite) Table1() string {
 		fmt.Fprintf(&b, "%-10s %9s %12.0f/m %10d\n",
 			name, run.Trace.Scenario.Duration, peak, run.DB.Len())
 	}
-	return b.String()
+	return Report{Text: b.String()}
 }
 
 // Table2 reproduces the DNS resolver hit ratio per protocol.
-func (s *Suite) Table2() string {
+func (s *Suite) Table2() Report {
 	var b strings.Builder
 	b.WriteString("Table 2: DNS Resolver hit ratio (5 min warm-up)\n")
 	fmt.Fprintf(&b, "%-10s %14s %14s %14s\n", "Trace", "HTTP", "TLS", "P2P")
+	httpHit := make(map[string]float64)
 	for _, name := range synth.ScenarioNames {
 		run := s.Run(name)
 		cov := run.DB.Coverage(Warmup)
@@ -140,26 +141,44 @@ func (s *Suite) Table2() string {
 		}
 		fmt.Fprintf(&b, "%-10s %14s %14s %14s\n",
 			name, cell(flows.L7HTTP), cell(flows.L7TLS), cell(flows.L7P2P))
+		httpHit[name] = 100 * cov.Ratio(flows.L7HTTP)
 	}
-	return b.String()
+	return Report{Text: b.String(), Metrics: []Metric{
+		{"%http-hit", httpHit[synth.NameEU1ADSL1]},
+		{"%http-hit-3g", httpHit[synth.NameUS3G]},
+	}}
+}
+
+// table3Data samples 1000 servers and compares their reverse lookups with
+// DN-Hunter's labels.
+func (s *Suite) table3Data() analytics.CompareResult {
+	run := s.Run(synth.NameEU1ADSL2)
+	return analytics.ReverseLookupCompare(run.DB, run.Trace.PTRZone, 1000, newRNG(s.Seed))
 }
 
 // Table3 reproduces DN-Hunter vs reverse lookup on 1000 sampled servers.
-func (s *Suite) Table3() (string, analytics.CompareResult) {
-	run := s.Run(synth.NameEU1ADSL2)
-	res := analytics.ReverseLookupCompare(run.DB, run.Trace.PTRZone, 1000, newRNG(s.Seed))
+func (s *Suite) Table3() Report {
+	res := s.table3Data()
 	var b strings.Builder
 	b.WriteString("Table 3: DN-Hunter vs. active reverse lookup (EU1-ADSL2)\n")
 	for _, m := range []analytics.MatchClass{analytics.MatchExact, analytics.MatchSLD, analytics.MatchDifferent, analytics.MatchNone} {
 		fmt.Fprintf(&b, "  %-24s %5.0f%%\n", m, 100*res.Fraction(m))
 	}
-	return b.String(), res
+	return Report{Text: b.String(), Metrics: []Metric{
+		{"%exact", 100 * res.Fraction(analytics.MatchExact)},
+		{"%no-answer", 100 * res.Fraction(analytics.MatchNone)},
+	}}
+}
+
+// table4Data classifies every TLS flow's certificate name against
+// DN-Hunter's label.
+func (s *Suite) table4Data() analytics.CompareResult {
+	return analytics.CertCompare(s.Run(synth.NameEU1ADSL2).DB)
 }
 
 // Table4 reproduces certificate inspection vs DN-Hunter on TLS flows.
-func (s *Suite) Table4() (string, analytics.CompareResult) {
-	run := s.Run(synth.NameEU1ADSL2)
-	res := analytics.CertCompare(run.DB)
+func (s *Suite) Table4() Report {
+	res := s.table4Data()
 	var b strings.Builder
 	b.WriteString("Table 4: TLS certificate inspection vs. DN-Hunter (EU1-ADSL2)\n")
 	rows := []struct {
@@ -175,15 +194,18 @@ func (s *Suite) Table4() (string, analytics.CompareResult) {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-24s %5.0f%%\n", r.label, 100*res.Fraction(r.class))
 	}
-	return b.String(), res
+	return Report{Text: b.String(), Metrics: []Metric{
+		{"%cert-exact", 100 * res.Fraction(analytics.MatchExact)},
+		{"%no-cert", 100 * res.Fraction(analytics.MatchNone)},
+	}}
 }
 
 // Table5 reproduces the top-10 second-level domains on Amazon EC2 for the
 // US and EU vantage points.
-func (s *Suite) Table5() string {
+func (s *Suite) Table5() Report {
 	var b strings.Builder
 	b.WriteString("Table 5: Top-10 domains hosted on the Amazon cloud\n")
-	us, eu := s.Table5Data()
+	us, eu := s.table5Data()
 	fmt.Fprintf(&b, "%-4s %-24s %5s   %-24s %5s\n", "Rank", "US-3G", "%", "EU1-ADSL1", "%")
 	for i := 0; i < 10; i++ {
 		usName, usShare := "-", 0.0
@@ -196,12 +218,12 @@ func (s *Suite) Table5() string {
 		}
 		fmt.Fprintf(&b, "%-4d %-24s %4.0f%%   %-24s %4.0f%%\n", i+1, usName, 100*usShare, euName, 100*euShare)
 	}
-	return b.String()
+	return Report{Text: b.String()}
 }
 
-// Table5Data returns the ranked SLD lists for assertions, via the
-// content-discovery Query (one ObserveDB pass per vantage).
-func (s *Suite) Table5Data() (us, eu []analytics.ContentShare) {
+// table5Data returns the ranked SLD lists via the content-discovery Query
+// (one ObserveDB pass per vantage).
+func (s *Suite) table5Data() (us, eu []analytics.ContentShare) {
 	top := func(name string) []analytics.ContentShare {
 		run := s.Run(name)
 		p := analytics.NewPipeline(analytics.NewExactTopContent("amazon", analytics.OrgLookupDB(run.Trace.OrgDB), analytics.BySLD, 10))
@@ -219,7 +241,7 @@ var Table6Ports = []uint16{25, 110, 143, 554, 587, 995, 1863}
 var Table7Ports = []uint16{1080, 1337, 2710, 5050, 5190, 5222, 5223, 5228, 6969, 12043, 12046, 18182}
 
 // tagTable renders one keyword-extraction table.
-func (s *Suite) tagTable(title, scenario string, ports []uint16) string {
+func (s *Suite) tagTable(title, scenario string, ports []uint16) Report {
 	run := s.Run(scenario)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%s)\n%-6s %-58s %s\n", title, scenario, "Port", "Keywords", "GT")
@@ -228,22 +250,28 @@ func (s *Suite) tagTable(title, scenario string, ports []uint16) string {
 		gt := run.Trace.ServiceGT[port]
 		fmt.Fprintf(&b, "%-6d %-58s %s\n", port, analytics.FormatTags(tags), gt)
 	}
-	return b.String()
+	return Report{Text: b.String()}
 }
 
 // Table6 reproduces keyword extraction on well-known ports.
-func (s *Suite) Table6() string {
+func (s *Suite) Table6() Report {
 	return s.tagTable("Table 6: Keyword extraction, well-known ports", synth.NameEU1FTTH, Table6Ports)
 }
 
 // Table7 reproduces keyword extraction on frequently used ephemeral ports.
-func (s *Suite) Table7() string {
+func (s *Suite) Table7() Report {
 	return s.tagTable("Table 7: Keyword extraction, ephemeral ports", synth.NameUS3G, Table7Ports)
 }
 
+// appspot tracks the appspot services of the live window in 4-h bins:
+// the data behind Table 8 and Fig. 11.
+func (s *Suite) appspot() *analytics.AppspotReport {
+	return analytics.AppspotTracking(s.Live(), 4*time.Hour)
+}
+
 // Table8 reproduces the appspot service mix from the live deployment.
-func (s *Suite) Table8() (string, *analytics.AppspotReport) {
-	rep := analytics.AppspotTracking(s.Live(), 4*time.Hour)
+func (s *Suite) Table8() Report {
+	rep := s.appspot()
 	var b strings.Builder
 	b.WriteString("Table 8: Appspot services (event-mode live trace)\n")
 	fmt.Fprintf(&b, "  %-22s %9s %8s %10s %10s\n", "Service type", "Services", "Flows", "C2S bytes", "S2C bytes")
@@ -251,15 +279,21 @@ func (s *Suite) Table8() (string, *analytics.AppspotReport) {
 		rep.TrackerServices, rep.TrackerFlows, rep.TrackerC2S, rep.TrackerS2C)
 	fmt.Fprintf(&b, "  %-22s %9d %8d %10d %10d\n", "General services",
 		rep.GeneralServices, rep.GeneralFlows, rep.GeneralC2S, rep.GeneralS2C)
-	return b.String(), rep
+	return Report{Text: b.String(), Metrics: []Metric{
+		{"tracker-flows", float64(rep.TrackerFlows)},
+		{"general-flows", float64(rep.GeneralFlows)},
+	}}
 }
 
 // Table9 reproduces the useless-DNS fractions.
-func (s *Suite) Table9() string {
+func (s *Suite) Table9() Report {
 	var b strings.Builder
 	b.WriteString("Table 9: Fraction of useless DNS resolutions\n")
 	for _, name := range synth.ScenarioNames {
 		fmt.Fprintf(&b, "  %-10s %4.0f%%\n", name, 100*s.Run(name).Stats.UselessDNSFraction())
 	}
-	return b.String()
+	return Report{Text: b.String(), Metrics: []Metric{
+		{"%useless-eu", 100 * s.Run(synth.NameEU1ADSL1).Stats.UselessDNSFraction()},
+		{"%useless-3g", 100 * s.Run(synth.NameUS3G).Stats.UselessDNSFraction()},
+	}}
 }

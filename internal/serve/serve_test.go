@@ -202,7 +202,7 @@ func TestScrapeRate(t *testing.T) {
 // analyticsPipeline builds a small live pipeline with a few observed flows.
 func analyticsPipeline(t *testing.T) *analytics.Pipeline {
 	t.Helper()
-	p := analytics.NewPipeline(stream.NewTopDomains(5, 64), stream.NewCoverage(0))
+	p := analytics.NewPipeline(stream.NewTopDomains(5, 64), analytics.NewExactCoverage(0))
 	for _, label := range []string{"a.example.com", "a.example.com", "b.example.com"} {
 		f := flowdb.LabeledFlow{Label: label, SLD: "example.com", Labeled: true}
 		p.Observe(&f)

@@ -18,7 +18,8 @@ import (
 // horizons (the paper's 18-day live deployment: Fig. 6 birth processes,
 // Fig. 10/11 and Table 8 appspot tracking) stay tractable. Wire mode and
 // event mode share the universe; event mode bypasses packet serialization
-// only, as documented in DESIGN.md.
+// only, because the live-window experiments read labeled flows, never
+// packets.
 
 // LiveScenario parameterizes an event-mode run.
 type LiveScenario struct {

@@ -7,8 +7,7 @@
 // X.509 DER. Generating full X.509 chains (keys, signatures) is irrelevant
 // to the experiment — the baseline only reads the subject name — so the
 // synthesizer emits a minimal DER SEQUENCE holding the subject CommonName,
-// built with encoding/asn1, and the inspector parses exactly that. The
-// substitution is recorded in DESIGN.md.
+// built with encoding/asn1, and the inspector parses exactly that.
 //
 // The decode side is one allocation-free scanner (Scan), DER included: it
 // runs on every payload-carrying flow, so it returns slices into the
