@@ -23,7 +23,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -518,11 +517,16 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		FreshStart:      s.freshStart,
 	}
 	if s.scfg.CheckpointPath != "" {
-		snap := s.snapshotPipelines()
-		if err := writeCheckpointFile(s.scfg.CheckpointPath, snap); err != nil {
+		// One snapshot per shard, merged into the file by response time:
+		// each shard's FIFO order survives, with no combined copy or sort.
+		snaps := make([][]resolver.SnapshotEntry, len(s.pipes))
+		for i, h := range s.pipes {
+			snaps[i] = h.Resolver().Snapshot()
+			rep.CheckpointedEntries += len(snaps[i])
+		}
+		if err := writeCheckpointFile(s.scfg.CheckpointPath, snaps); err != nil {
 			return rep, fmt.Errorf("core: writing checkpoint: %w", err)
 		}
-		rep.CheckpointedEntries = len(snap)
 	}
 	return rep, nil
 }
@@ -590,27 +594,15 @@ func (s *Server) tapPipelines(hs []*DNHunter) {
 	}
 }
 
-// snapshotPipelines merges every shard's Clist snapshot into one
-// checkpoint, ordered by response time (each shard's list is already
-// time-ordered; the stable merge keeps the aggregate FIFO faithful).
-func (s *Server) snapshotPipelines() []resolver.SnapshotEntry {
-	var all []resolver.SnapshotEntry
-	for _, h := range s.pipes {
-		all = append(all, h.Resolver().Snapshot()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
-}
-
-// writeCheckpointFile writes entries atomically: temp file in the target
-// directory, fsync, rename.
-func writeCheckpointFile(path string, entries []resolver.SnapshotEntry) error {
+// writeCheckpointFile writes the per-shard snapshots as one checkpoint,
+// atomically: temp file in the target directory, fsync, rename.
+func writeCheckpointFile(path string, snaps [][]resolver.SnapshotEntry) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := resolver.WriteSnapshot(f, entries); err != nil {
+	if err := resolver.WriteSnapshot(f, snaps...); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

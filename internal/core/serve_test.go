@@ -1,14 +1,22 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/flowdb"
+	"repro/internal/layers"
 	"repro/internal/netio"
+	"repro/internal/resolver"
 	"repro/internal/synth"
 )
 
@@ -184,6 +192,112 @@ func TestServeCheckpointRestart(t *testing.T) {
 	if warm.Stats.LabeledFlows <= cold.Stats.LabeledFlows {
 		t.Fatalf("restored resolver labeled %d flows, cold start %d — restore had no effect",
 			warm.Stats.LabeledFlows, cold.Stats.LabeledFlows)
+	}
+}
+
+// TestServeCheckpointKeepsShardFIFO: the drain writes one snapshot per
+// shard, merged by response time. On a time-ordered trace that is byte for
+// byte the file the stable sort of their concatenation gave. When a
+// shard's capture clock steps back, each shard's entries still appear in
+// its own Snapshot order, where the sort would reorder them, and a restore
+// at the same shard count rebuilds every shard's Clist as it was.
+func TestServeCheckpointKeepsShardFIFO(t *testing.T) {
+	// drain serves pkts at the given shard count, then returns the
+	// checkpoint it wrote and each shard's Snapshot at the drain.
+	drain := func(pkts []netio.Packet, shards int, path string) ([]byte, [][]resolver.SnapshotEntry) {
+		t.Helper()
+		srv := NewServer(EngineConfig{Shards: shards}, ServeConfig{CheckpointPath: path})
+		rep, err := srv.Serve(context.Background(), netio.NewSlicePacketSource(pkts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := make([][]resolver.SnapshotEntry, len(srv.pipes))
+		n := 0
+		for i, h := range srv.pipes {
+			snaps[i] = h.Resolver().Snapshot()
+			n += len(snaps[i])
+		}
+		if rep.CheckpointedEntries != n {
+			t.Fatalf("report counts %d checkpointed entries, the shards hold %d", rep.CheckpointedEntries, n)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, snaps
+	}
+	// stableSorted is the checkpoint as the drain used to build it: the
+	// shards' snapshots concatenated, then stable-sorted by At.
+	stableSorted := func(snaps [][]resolver.SnapshotEntry) []byte {
+		var all []resolver.SnapshotEntry
+		for _, s := range snaps {
+			all = append(all, s...)
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
+		var buf bytes.Buffer
+		if err := resolver.WriteSnapshot(&buf, all); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	byAt := func(a, b resolver.SnapshotEntry) int { return cmp.Compare(a.At, b.At) }
+	tr := synth.Generate(synth.QuickScenario(37))
+
+	for _, shards := range []int{2, 3} {
+		data, snaps := drain(tr.Packets, shards, filepath.Join(t.TempDir(), "clist.ckpt"))
+		for i, s := range snaps {
+			if len(s) == 0 || !slices.IsSortedFunc(s, byAt) {
+				t.Fatalf("shards=%d: shard %d's snapshot is empty or out of time order", shards, i)
+			}
+		}
+		if !bytes.Equal(data, stableSorted(snaps)) {
+			t.Errorf("shards=%d: checkpoint differs from the stable-sorted concatenation", shards)
+		}
+	}
+
+	// Step one late DNS response back before the ten responses ahead of it.
+	pkts := slices.Clone(tr.Packets)
+	var dns []int
+	var p layers.Parser
+	for i, pkt := range pkts {
+		if d, err := p.Parse(pkt.Data); err == nil && d.HasUDP && d.SrcPort == 53 {
+			dns = append(dns, i)
+		}
+	}
+	if len(dns) < 20 {
+		t.Fatalf("trace carries %d DNS responses, want at least 20", len(dns))
+	}
+	stepped := dns[len(dns)-5]
+	pkts[stepped].Timestamp = pkts[dns[len(dns)-15]].Timestamp - time.Millisecond
+
+	const shards = 2
+	path := filepath.Join(t.TempDir(), "clist.ckpt")
+	data, snaps := drain(pkts, shards, path)
+	if slices.IndexFunc(snaps, func(s []resolver.SnapshotEntry) bool { return !slices.IsSortedFunc(s, byAt) }) < 0 {
+		t.Fatal("no shard's snapshot steps back in time: the test lost its backward clock")
+	}
+	if bytes.Equal(data, stableSorted(snaps)) {
+		t.Fatal("the stable sort keeps this trace's order: the test no longer tells the two apart")
+	}
+	written, err := resolver.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perShard := make([][]resolver.SnapshotEntry, shards)
+	for _, se := range written {
+		i := shardOfAddr(se.Client, shards)
+		perShard[i] = append(perShard[i], se)
+	}
+	for i := range snaps {
+		if !reflect.DeepEqual(perShard[i], snaps[i]) {
+			t.Errorf("shard %d's entries are out of its Snapshot order in the checkpoint", i)
+		}
+	}
+	_, restored := drain(nil, shards, path)
+	for i := range snaps {
+		if !reflect.DeepEqual(restored[i], snaps[i]) {
+			t.Errorf("shard %d restored a different Clist", i)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -35,12 +36,19 @@ const legacyCSVColumns = 20
 // row ever regrows it.
 const csvFlushAt = 32 << 10
 
+// csvBufs holds WriteCSV's row buffers, so a serve loop that writes a
+// window every few minutes reuses one instead of allocating 64 KiB each
+// time, and concurrent writers each get their own.
+var csvBufs = sync.Pool{New: func() any { return new([2 * csvFlushAt]byte) }}
+
 // WriteCSV writes the whole database as CSV with a header row. The bytes
 // are exactly what encoding/csv.Writer writes for the same fields, but
-// every row is appended into one reused buffer, so the write allocates
-// nothing per record.
+// every row is appended into one pooled buffer, so the write allocates
+// nothing once the pool is warm.
 func (db *DB) WriteCSV(w io.Writer) error {
-	b := make([]byte, 0, 2*csvFlushAt)
+	buf := csvBufs.Get().(*[2 * csvFlushAt]byte)
+	defer csvBufs.Put(buf)
+	b := buf[:0]
 	for i, h := range csvHeader {
 		if i > 0 {
 			b = append(b, ',')

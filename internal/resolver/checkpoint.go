@@ -30,7 +30,6 @@ package resolver
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -150,9 +149,13 @@ func (r *Resolver) Restore(entries []SnapshotEntry) {
 	r.stats = saved
 }
 
-// WriteSnapshot serializes entries to w in the versioned binary framing
-// (version 2: CRC32 + version trailer; see the package notes).
-func WriteSnapshot(w io.Writer, entries []SnapshotEntry) error {
+// WriteSnapshot serializes its parts to w as one snapshot in the versioned
+// binary framing (version 2: CRC32 + version trailer; see the package
+// notes). The parts are merged by At, ties going to the lower part index,
+// so each part keeps its own order: a sharded engine passes one Snapshot
+// per shard and gets every shard's FIFO back on restore, without copying
+// or sorting. The parts are not modified.
+func WriteSnapshot(w io.Writer, parts ...[]SnapshotEntry) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 	if _, err := bw.WriteString(snapshotMagicPrefix); err != nil {
@@ -178,11 +181,25 @@ func WriteSnapshot(w io.Writer, entries []SnapshotEntry) error {
 		_, err = bw.Write(b)
 		return err
 	}
-	if err := writeUvarint(uint64(len(entries))); err != nil {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if err := writeUvarint(uint64(n)); err != nil {
 		return err
 	}
-	for i := range entries {
-		se := &entries[i]
+	heads := make([]int, len(parts))
+	for i := range n {
+		// The earliest head goes next. A linear scan is enough: there is
+		// one part per shard, and shards are few.
+		k := -1
+		for j, p := range parts {
+			if h := heads[j]; h < len(p) && (k < 0 || p[h].At < parts[k][heads[k]].At) {
+				k = j
+			}
+		}
+		se := &parts[k][heads[k]]
+		heads[k]++
 		if len(se.FQDN) > snapshotMaxFQDN {
 			return fmt.Errorf("resolver: snapshot entry %d: FQDN longer than %d", i, snapshotMaxFQDN)
 		}
@@ -277,81 +294,139 @@ func ReadSnapshot(r io.Reader) ([]SnapshotEntry, error) {
 	default:
 		return nil, fmt.Errorf("%w: version %d (this build reads <= %d)", ErrSnapshotVersion, ver, snapshotVersion)
 	}
-	entries, err := readSnapshotBody(bufio.NewReader(bytes.NewReader(body)))
+	return readSnapshotBody(body)
+}
+
+// readSnapshotBody parses the entry framing shared by every format
+// version (everything between the magic and the optional trailer),
+// straight from body. A first pass validates every entry and counts its
+// servers, so the second allocates the entries and one server array
+// shared by all of them, once and at their exact size, and a header that
+// lies about the count allocates nothing. Each distinct FQDN becomes one
+// string that all its entries share.
+func readSnapshotBody(body []byte) ([]SnapshotEntry, error) {
+	c := &snapshotCursor{b: body}
+	count, err := binary.ReadUvarint(c)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resolver: snapshot count: %w", err)
+	}
+	start, nsrv := c.b, 0
+	var se SnapshotEntry
+	for i := range count {
+		_, k, err := c.entry(&se, nil)
+		if err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
+		}
+		nsrv += k
+	}
+	entries := make([]SnapshotEntry, count)
+	servers := make([]netip.Addr, nsrv)
+	names := make(map[string]string)
+	c.b = start
+	for i := range entries {
+		se := &entries[i]
+		fqdn, k, _ := c.entry(se, servers)
+		se.Servers, servers = servers[:k:k], servers[k:]
+		name, ok := names[string(fqdn)]
+		if !ok {
+			name = string(fqdn)
+			names[name] = name
+		}
+		se.FQDN = name
 	}
 	return entries, nil
 }
 
-// readSnapshotBody parses the entry framing shared by every format
-// version (everything between the magic and the optional trailer).
-func readSnapshotBody(br *bufio.Reader) ([]SnapshotEntry, error) {
-	readAddr := func() (netip.Addr, error) {
-		n, err := br.ReadByte()
-		if err != nil {
-			return netip.Addr{}, err
-		}
-		if n != 4 && n != 16 {
-			return netip.Addr{}, fmt.Errorf("address length %d", n)
-		}
-		var buf [16]byte
-		if _, err := io.ReadFull(br, buf[:n]); err != nil {
-			return netip.Addr{}, err
-		}
-		var a netip.Addr
-		if err := a.UnmarshalBinary(buf[:n]); err != nil {
-			return netip.Addr{}, err
-		}
-		return a, nil
+// snapshotCursor reads a snapshot body in place. Its failures are the
+// ones a bufio.Reader over the same bytes gives: io.EOF when a field
+// starts at the end, io.ErrUnexpectedEOF when one is cut short.
+type snapshotCursor struct{ b []byte }
+
+// ReadByte implements io.ByteReader, so binary.ReadUvarint reads from it.
+func (c *snapshotCursor) ReadByte() (byte, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
 	}
-	count, err := binary.ReadUvarint(br)
+	v := c.b[0]
+	c.b = c.b[1:]
+	return v, nil
+}
+
+// next returns the next n bytes, aliasing the body.
+func (c *snapshotCursor) next(n int) ([]byte, error) {
+	switch {
+	case n == 0:
+		return nil, nil
+	case len(c.b) == 0:
+		return nil, io.EOF
+	case len(c.b) < n:
+		return nil, io.ErrUnexpectedEOF
+	}
+	v := c.b[:n:n]
+	c.b = c.b[n:]
+	return v, nil
+}
+
+// addr reads one length-prefixed address.
+func (c *snapshotCursor) addr() (netip.Addr, error) {
+	n, err := c.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("resolver: snapshot count: %w", err)
+		return netip.Addr{}, err
 	}
-	// Cap the preallocation; a lying header still costs only appends.
-	entries := make([]SnapshotEntry, 0, min(count, 1<<16))
-	for i := uint64(0); i < count; i++ {
-		var se SnapshotEntry
-		flen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
-		}
-		if flen > snapshotMaxFQDN {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: FQDN length %d", i, flen)
-		}
-		fqdn := make([]byte, flen)
-		if _, err := io.ReadFull(br, fqdn); err != nil {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
-		}
-		se.FQDN = string(fqdn)
-		at, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
-		}
-		se.At = time.Duration(at)
-		used, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
-		}
-		se.Used = used != 0
-		if se.Client, err = readAddr(); err != nil {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: client: %w", i, err)
-		}
-		nsrv, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
-		}
-		if nsrv > snapshotMaxServers {
-			return nil, fmt.Errorf("resolver: snapshot entry %d: %d servers", i, nsrv)
-		}
-		se.Servers = make([]netip.Addr, nsrv)
-		for j := range se.Servers {
-			if se.Servers[j], err = readAddr(); err != nil {
-				return nil, fmt.Errorf("resolver: snapshot entry %d: server %d: %w", i, j, err)
-			}
-		}
-		entries = append(entries, se)
+	if n != 4 && n != 16 {
+		return netip.Addr{}, fmt.Errorf("address length %d", n)
 	}
-	return entries, nil
+	b, err := c.next(int(n))
+	if err != nil {
+		return netip.Addr{}, err
+	}
+	if n == 4 {
+		return netip.AddrFrom4([4]byte(b)), nil
+	}
+	return netip.AddrFrom16([16]byte(b)), nil
+}
+
+// entry decodes one entry into se, except for two fields: it returns the
+// FQDN's bytes, aliasing the body, and the number of servers, which it
+// stores in servers unless servers is nil (the validating pass).
+func (c *snapshotCursor) entry(se *SnapshotEntry, servers []netip.Addr) (fqdn []byte, nsrv int, err error) {
+	flen, err := binary.ReadUvarint(c)
+	if err != nil {
+		return nil, 0, err
+	}
+	if flen > snapshotMaxFQDN {
+		return nil, 0, fmt.Errorf("FQDN length %d", flen)
+	}
+	if fqdn, err = c.next(int(flen)); err != nil {
+		return nil, 0, err
+	}
+	at, err := binary.ReadUvarint(c)
+	if err != nil {
+		return nil, 0, err
+	}
+	used, err := c.ReadByte()
+	if err != nil {
+		return nil, 0, err
+	}
+	se.At, se.Used = time.Duration(at), used != 0
+	if se.Client, err = c.addr(); err != nil {
+		return nil, 0, fmt.Errorf("client: %w", err)
+	}
+	n, err := binary.ReadUvarint(c)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n > snapshotMaxServers {
+		return nil, 0, fmt.Errorf("%d servers", n)
+	}
+	for j := range int(n) {
+		a, err := c.addr()
+		if err != nil {
+			return nil, 0, fmt.Errorf("server %d: %w", j, err)
+		}
+		if servers != nil {
+			servers[j] = a
+		}
+	}
+	return fqdn, int(n), nil
 }

@@ -1,14 +1,19 @@
 package resolver
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -164,7 +169,7 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 }
 
 // ckSnapshotBytes serializes a small snapshot for the corruption tests.
-func ckSnapshotBytes(t *testing.T) []byte {
+func ckSnapshotBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	err := WriteSnapshot(&buf, []SnapshotEntry{
@@ -294,6 +299,114 @@ func TestSnapshotWriteAllocsConstant(t *testing.T) {
 	if s, l := writeAllocs(small.Snapshot()), writeAllocs(large.Snapshot()); s != l {
 		t.Errorf("WriteSnapshot allocates %v times for 10 entries, %v for 1000", s, l)
 	}
+	// Merging one snapshot per shard copies nothing either.
+	mergeAllocs := func(entries []SnapshotEntry) float64 {
+		a, b := len(entries)/3, 2*len(entries)/3
+		return testing.AllocsPerRun(10, func() {
+			if err := WriteSnapshot(io.Discard, entries[:a], entries[a:b], entries[b:]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := mergeAllocs(small.Snapshot()), mergeAllocs(large.Snapshot()); s != l {
+		t.Errorf("a three-part WriteSnapshot allocates %v times for 10 entries, %v for 1000", s, l)
+	}
+}
+
+// snapshotBody strips a version-2 file to the entry framing between the
+// magic and the trailer.
+func snapshotBody(data []byte) []byte {
+	return data[len(snapshotMagicPrefix)+1 : len(data)-snapshotTrailerLen]
+}
+
+// TestSnapshotReadAllocsPerName: parsing a checkpoint allocates per
+// distinct name, not per entry. 1,000 entries over 10 names cost what 10
+// entries over the same names cost: the entries, one shared server array
+// and one string per name, shared by its entries.
+func TestSnapshotReadAllocsPerName(t *testing.T) {
+	body := func(n int) []byte {
+		entries := make([]SnapshotEntry, n)
+		for i := range entries {
+			entries[i] = SnapshotEntry{
+				Client:  ckClient(i),
+				Servers: []netip.Addr{ckServer(i), netip.MustParseAddr("2001:db8::1")},
+				FQDN:    fmt.Sprintf("h%d.example.com", i%10),
+				At:      time.Duration(i) * time.Second,
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, entries); err != nil {
+			t.Fatal(err)
+		}
+		return snapshotBody(buf.Bytes())
+	}
+	readAllocs := func(b []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := readSnapshotBody(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := readAllocs(body(10)), readAllocs(body(1000)); s != l {
+		t.Errorf("reading allocates %v times for 10 entries, %v for 1000 over the same 10 names", s, l)
+	}
+}
+
+// TestWriteSnapshotMergesParts: WriteSnapshot merges its parts by At,
+// ties going to the lower part, so each part's order survives even where
+// its clock steps back; on time-ordered parts that is the stable sort of
+// their concatenation. The parts are left as they were.
+func TestWriteSnapshotMergesParts(t *testing.T) {
+	part := func(client int, ats ...time.Duration) []SnapshotEntry {
+		p := make([]SnapshotEntry, len(ats))
+		for i, at := range ats {
+			p[i] = SnapshotEntry{Client: ckClient(client), Servers: []netip.Addr{ckServer(i)}, FQDN: fmt.Sprintf("c%d-%d.example.com", client, i), At: at}
+		}
+		return p
+	}
+	read := func(parts ...[]SnapshotEntry) []SnapshotEntry {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, parts...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	ordered := [][]SnapshotEntry{part(0, 1, 3, 3, 7), part(1, 0, 3, 8), nil, part(3, 3, 4)}
+	var stable []SnapshotEntry
+	for _, p := range ordered {
+		stable = append(stable, p...)
+	}
+	sort.SliceStable(stable, func(i, j int) bool { return stable[i].At < stable[j].At })
+	if got := read(ordered...); !reflect.DeepEqual(got, stable) {
+		t.Fatalf("time-ordered parts:\n got  %v\n want %v", got, stable)
+	}
+
+	// Part 0's clock steps back at its third entry.
+	stepped := [][]SnapshotEntry{part(0, 5, 6, 2, 9), part(1, 1, 4, 7)}
+	saved := make([][]SnapshotEntry, len(stepped))
+	for i, p := range stepped {
+		saved[i] = slices.Clone(p)
+	}
+	got := read(stepped...)
+	for i, p := range stepped {
+		var mine []SnapshotEntry
+		for _, se := range got {
+			if se.Client == ckClient(i) {
+				mine = append(mine, se)
+			}
+		}
+		if !reflect.DeepEqual(mine, p) {
+			t.Errorf("part %d reordered:\n got  %v\n want %v", i, mine, p)
+		}
+	}
+	if !reflect.DeepEqual(stepped, saved) {
+		t.Errorf("WriteSnapshot modified its parts")
+	}
 }
 
 // TestSnapshotOverTombstones checkpoints a wrapped Clist whose slots are
@@ -381,4 +494,140 @@ func TestSnapshotOverTombstones(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readSnapshotBodyRef is the body parser as first written, through a
+// bufio.Reader with a fresh allocation per FQDN and per Servers slice:
+// the oracle FuzzReadSnapshot holds the in-place parser to.
+func readSnapshotBodyRef(br *bufio.Reader) ([]SnapshotEntry, error) {
+	readAddr := func() (netip.Addr, error) {
+		n, err := br.ReadByte()
+		if err != nil {
+			return netip.Addr{}, err
+		}
+		if n != 4 && n != 16 {
+			return netip.Addr{}, fmt.Errorf("address length %d", n)
+		}
+		var buf [16]byte
+		if _, err := io.ReadFull(br, buf[:n]); err != nil {
+			return netip.Addr{}, err
+		}
+		var a netip.Addr
+		if err := a.UnmarshalBinary(buf[:n]); err != nil {
+			return netip.Addr{}, err
+		}
+		return a, nil
+	}
+	count, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("resolver: snapshot count: %w", err)
+	}
+	// Cap the preallocation; a lying header still costs only appends.
+	entries := make([]SnapshotEntry, 0, min(count, 1<<16))
+	for i := uint64(0); i < count; i++ {
+		var se SnapshotEntry
+		flen, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
+		}
+		if flen > snapshotMaxFQDN {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: FQDN length %d", i, flen)
+		}
+		fqdn := make([]byte, flen)
+		if _, err := io.ReadFull(br, fqdn); err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
+		}
+		se.FQDN = string(fqdn)
+		at, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
+		}
+		se.At = time.Duration(at)
+		used, err := br.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
+		}
+		se.Used = used != 0
+		if se.Client, err = readAddr(); err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: client: %w", i, err)
+		}
+		nsrv, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %w", i, err)
+		}
+		if nsrv > snapshotMaxServers {
+			return nil, fmt.Errorf("resolver: snapshot entry %d: %d servers", i, nsrv)
+		}
+		se.Servers = make([]netip.Addr, nsrv)
+		for j := range se.Servers {
+			if se.Servers[j], err = readAddr(); err != nil {
+				return nil, fmt.Errorf("resolver: snapshot entry %d: server %d: %w", i, j, err)
+			}
+		}
+		entries = append(entries, se)
+	}
+	return entries, nil
+}
+
+// FuzzReadSnapshot: for any entry framing, wrapped in a valid magic and
+// CRC trailer so the checksum does not reject it first, ReadSnapshot
+// returns what the bufio oracle returns, or fails where the oracle fails
+// with the same error. A version-1 wrapping of the same bytes reads the
+// same. Whatever it accepts round-trips through WriteSnapshot unchanged.
+func FuzzReadSnapshot(f *testing.F) {
+	// TestSnapshotGoldenBytes' file.
+	golden, err := hex.DecodeString("444e48434c49535402030f63646e2e6578616d706c652e636f6d8088aca3cf0201040a00000102045db80001" +
+		"1020010db80000000000000000000000010e76362e6578616d706c652e6f726780c0a791a9ba02001020010db8" +
+		"000000000000000000000099011000000000000000000000ffffc0000207106e6f6e652e6578616d706c652e6e" +
+		"65740000040a00012c00022fb283a8")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snapshotBody(golden))
+	// The body TestSnapshotReadsLegacyV1 reads, and the cuts
+	// TestSnapshotRejectsTruncation makes of it.
+	body := snapshotBody(ckSnapshotBytes(f))
+	f.Add(body)
+	for _, cut := range []int{1, 4, 5, len(body) / 2} {
+		f.Add(body[:len(body)-cut])
+	}
+	sentinels := []error{ErrBadSnapshot, ErrSnapshotCorrupt, ErrSnapshotVersion, io.EOF, io.ErrUnexpectedEOF}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantErr := readSnapshotBodyRef(bufio.NewReader(bytes.NewReader(body)))
+		v2 := append([]byte(snapshotMagicPrefix+"\x02"), body...)
+		v2 = append(v2, snapshotVersion)
+		v2 = binary.LittleEndian.AppendUint32(v2, crc32.ChecksumIEEE(v2))
+		v1 := append([]byte(snapshotMagicPrefix+"\x01"), body...)
+		for _, data := range [][]byte{v2, v1} {
+			got, err := ReadSnapshot(bytes.NewReader(data))
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("version %d: error %v, oracle %v", data[len(snapshotMagicPrefix)], err, wantErr)
+			}
+			for _, s := range sentinels {
+				if errors.Is(err, s) != errors.Is(wantErr, s) {
+					t.Fatalf("version %d: error %v, oracle %v: they differ on %v", data[len(snapshotMagicPrefix)], err, wantErr, s)
+				}
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("version %d: read\n %v\noracle\n %v", data[len(snapshotMagicPrefix)], got, want)
+			}
+		}
+		if wantErr != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, want) {
+			t.Fatalf("round trip changed the entries:\n got  %v\n want %v", again, want)
+		}
+	})
 }
