@@ -2,7 +2,7 @@ package dnhunter
 
 // The analytics plane at the public API surface. A Pipeline is a named
 // registry of incremental queries fed either from a materialized FlowDB
-// (batch) or window-by-window under Engine.Serve via
+// (batch) or window-by-window under Server.Serve via
 // ServeConfig.ObserveWindow (streaming). Two query families exist:
 // exact references (unbounded state, paper-fidelity results) and
 // sketch-based streaming versions (bounded state, documented error

@@ -121,16 +121,17 @@ func main() {
 		}
 		res = r
 	} else {
+		sources := make([]dnhunter.NamedSource, len(traces.names))
 		for i, name := range traces.names {
-			opts = append(opts, dnhunter.WithSource(name, open(traces.paths[i])))
+			sources[i] = dnhunter.NamedSource{Name: name, Src: open(traces.paths[i])}
 		}
 		eng := dnhunter.NewEngine(opts...)
 		resolvedShards = eng.Shards()
-		multi, err := eng.RunSources(ctx)
+		multi, err := eng.RunSources(ctx, sources...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res = multi.Merged
+		res = &dnhunter.Result{DB: multi.DB, Stats: multi.Stats}
 		perVantage = multi.PerVantage
 		order = multi.Vantages
 	}

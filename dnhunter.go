@@ -33,12 +33,21 @@
 // Any shard count yields the same flow set and aggregate statistics (as
 // long as the per-shard resolver Clist never overflows; see WithShards);
 // one shard reproduces the deterministic single-threaded pipeline
-// exactly. Event consumers implement the Sink interface (see WithSink).
+// exactly. Several vantage points run in one call, each through its own
+// pipeline:
+//
+//	multi, err := eng.RunSources(ctx,
+//	    dnhunter.NamedSource{Name: "US", Src: us.Source()},
+//	    dnhunter.NamedSource{Name: "EU1", Src: eu1.Source(), Truth: eu1.TruthFunc()})
+//
+// and eng.Server(cfg).Serve(ctx, src) is the streaming mode. Event
+// consumers (tags, DNS response times, finished flows) implement the Sink
+// interface or fill a FuncSink (see WithSink). The package is a thin
+// layer over internal/core: options fill one core.EngineConfig, and
+// Result, MultiResult and NamedSource are core's types.
 package dnhunter
 
 import (
-	"time"
-
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/flowdb"
@@ -101,17 +110,6 @@ func GenerateTrace(name string, scale float64, seed uint64) *Trace {
 // GenerateQuickTrace synthesizes a small trace for demos and tests.
 func GenerateQuickTrace(seed uint64) *Trace {
 	return synth.Generate(synth.QuickScenario(seed))
-}
-
-// Result is the outcome of running the pipeline over a trace.
-type Result struct {
-	DB       *FlowDB
-	Stats    Stats
-	DNSTimes []time.Duration
-	Trace    *Trace
-	// Readers holds per-reader-partition counters (one entry per
-	// partition; nil for single-shard runs).
-	Readers []ReaderStat
 }
 
 // ExtractTags runs the paper's Algorithm 4 on a labeled flow database.

@@ -2,9 +2,6 @@ package dnhunter
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/flows"
@@ -30,20 +27,22 @@ type (
 	// Result.Readers and the serve-mode /metrics counter
 	// dnhunter_reader_mesh_full_parks_total).
 	ReaderStat = core.ReaderStat
+	// Result is the outcome of one Run: the labeled-flow database, the
+	// aggregate statistics and the dispatcher's counters (Readers, one
+	// entry for sharded runs).
+	Result = core.Result
+	// NamedSource is one vantage point's packet feed for RunSources: a
+	// unique non-empty Name stamped on its events and flow records, its
+	// PacketSource, and an optional per-vantage Truth for scoring.
+	NamedSource = core.NamedSource
+	// MultiResult is the outcome of one RunSources call: per-vantage
+	// results, the failed vantages' errors, and the merged database and
+	// statistics of the survivors.
+	MultiResult = core.MultiResult
 )
 
-// MultiSink fans events out to several sinks in order.
-func MultiSink(sinks ...Sink) Sink { return core.MultiSink(sinks...) }
-
-// engineOptions is the accumulated functional-option state.
-type engineOptions struct {
-	cfg          core.EngineConfig
-	keepDNSTimes bool
-	sources      []core.NamedSource
-}
-
 // Option configures an Engine.
-type Option func(*engineOptions)
+type Option func(*core.EngineConfig)
 
 // WithShards sets the number of parallel pipeline shards. Packets are
 // hashed by client address onto shards, each owning its own resolver
@@ -55,7 +54,7 @@ type Option func(*engineOptions)
 // workload; the 1M-entry default has ample headroom). Pass a negative
 // value to use one shard per available CPU.
 func WithShards(n int) Option {
-	return func(o *engineOptions) { o.cfg.Shards = n }
+	return func(c *core.EngineConfig) { c.Shards = n }
 }
 
 // WithReaders does nothing: the engine has exactly one dispatcher.
@@ -63,13 +62,13 @@ func WithShards(n int) Option {
 // Deprecated: the parallel reader fan-out was removed; client-IP sharding
 // (WithShards) is the engine's only parallel split.
 func WithReaders(int) Option {
-	return func(*engineOptions) {}
+	return func(*core.EngineConfig) {}
 }
 
 // WithResolver overrides the per-shard resolver configuration (default:
 // 1M-entry Clist, no history).
 func WithResolver(cfg ResolverConfig) Option {
-	return func(o *engineOptions) { o.cfg.Resolver = cfg }
+	return func(c *core.EngineConfig) { c.Resolver = cfg }
 }
 
 // WithFlows overrides the per-shard flow-table configuration (idle
@@ -77,7 +76,7 @@ func WithResolver(cfg ResolverConfig) Option {
 // and sweep scheduling, so the OnRecord and DisableAutoSweep fields are
 // ignored — observe finished flows through Sink.OnFlow instead.
 func WithFlows(cfg FlowsConfig) Option {
-	return func(o *engineOptions) { o.cfg.Flows = cfg }
+	return func(c *core.EngineConfig) { c.Flows = cfg }
 }
 
 // WithSink attaches the event sink. The Engine serializes all sink calls
@@ -85,42 +84,14 @@ func WithFlows(cfg FlowsConfig) Option {
 // exactly once per Run. A Sink instance belongs to one run at a time — an
 // Engine with a sink must not run concurrently with itself.
 func WithSink(s Sink) Option {
-	return func(o *engineOptions) { o.cfg.Sink = s }
+	return func(c *core.EngineConfig) { c.Sink = s }
 }
 
 // WithTruth supplies ground-truth FQDNs for flows (used only for scoring,
 // never for labeling). Engine.RunTrace wires this automatically from the
 // trace sidecar.
 func WithTruth(fn func(FlowKey) string) Option {
-	return func(o *engineOptions) { o.cfg.Truth = fn }
-}
-
-// WithDNSTimes collects DNS response timestamps into Result.DNSTimes
-// (needed by the Fig. 14 experiment).
-func WithDNSTimes() Option {
-	return func(o *engineOptions) { o.keepDNSTimes = true }
-}
-
-// WithSource registers one named packet source — a vantage point — for
-// RunSources. Each vantage runs its own full pipeline (resolver, flow
-// table, shards) concurrently with, and independently of, the others; its
-// name labels every event and flow record it produces. Names must be
-// non-empty and unique. Sources are consumed by one RunSources call:
-// register fresh sources (or rebuild the Engine) before running again.
-func WithSource(name string, src PacketSource) Option {
-	return func(o *engineOptions) {
-		o.sources = append(o.sources, core.NamedSource{Name: name, Src: src})
-	}
-}
-
-// WithTraceSource registers a synthetic trace as a named vantage for
-// RunSources, wiring the trace's ground-truth sidecar for scoring. Flow
-// keys collide across vantage address spaces, so each trace must carry its
-// own truth function — this option handles that.
-func WithTraceSource(name string, tr *Trace) Option {
-	return func(o *engineOptions) {
-		o.sources = append(o.sources, core.NamedSource{Name: name, Src: tr.Source(), Truth: tr.TruthFunc()})
-	}
+	return func(c *core.EngineConfig) { c.Truth = fn }
 }
 
 // Engine is the DN-Hunter pipeline, sharded across cores: the one entry
@@ -133,7 +104,7 @@ func WithTraceSource(name string, tr *Trace) Option {
 //	eng := dnhunter.NewEngine(dnhunter.WithShards(-1))
 //	res, err := eng.RunTrace(ctx, trace)
 type Engine struct {
-	opts engineOptions
+	cfg core.EngineConfig
 }
 
 // NewEngine assembles an Engine from functional options. The shard count
@@ -141,118 +112,44 @@ type Engine struct {
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, opt := range opts {
-		opt(&e.opts)
+		opt(&e.cfg)
 	}
-	e.opts.cfg.Shards = core.NewEngine(e.opts.cfg).Shards()
+	e.cfg.Shards = core.NewEngine(e.cfg).Shards()
 	return e
 }
 
 // Shards reports the resolved shard count.
-func (e *Engine) Shards() int { return e.opts.cfg.Shards }
+func (e *Engine) Shards() int { return e.cfg.Shards }
 
 // Run drains the packet source through the pipeline and returns the merged
 // labeled-flow database and statistics. It stops early with ctx.Err() when
 // the context is cancelled; the sink's Close always fires exactly once.
 func (e *Engine) Run(ctx context.Context, src PacketSource) (*Result, error) {
-	return e.run(ctx, src, nil)
+	return core.NewEngine(e.cfg).Run(ctx, src)
 }
 
 // RunTrace runs a synthetic trace through the pipeline, wiring the trace's
-// ground-truth sidecar for scoring.
+// ground-truth sidecar for scoring unless WithTruth set one.
 func (e *Engine) RunTrace(ctx context.Context, tr *Trace) (*Result, error) {
-	res, err := e.run(ctx, tr.Source(), tr.TruthFunc())
-	if err != nil {
-		return nil, err
+	run := *e
+	if run.cfg.Truth == nil {
+		run.cfg.Truth = tr.TruthFunc()
 	}
-	res.Trace = tr
-	return res, nil
+	return run.Run(ctx, tr.Source())
 }
 
-// MultiResult is the outcome of one multi-vantage RunSources call.
-type MultiResult struct {
-	// Vantages lists the source names in registration order.
-	Vantages []string
-	// PerVantage holds each vantage's own database, statistics, and (with
-	// WithDNSTimes) DNS response times.
-	PerVantage map[string]*Result
-	// Merged combines all vantages: every flow stamped with its vantage
-	// label in one database (each flow's Vantage names its partition),
-	// aggregate statistics, and the merged DNS timeline.
-	Merged *Result
-}
-
-// RunSources drains every vantage registered with WithSource /
-// WithTraceSource through its own independent pipeline concurrently — the
+// RunSources drains each named source — a vantage point — through its own
+// independent pipeline (resolver, flow table, shards) concurrently: the
 // multi-vantage ingestion mode behind the paper's cross-vantage
 // comparisons. The configured Sink is shared (events carry Vantage labels;
 // Close fires exactly once); nothing else couples the vantages, so a
-// stalled source holds back only its own. A single registered source
-// produces aggregate Stats and flow multisets identical to Run over that
-// source.
-func (e *Engine) RunSources(ctx context.Context) (*MultiResult, error) {
-	if len(e.opts.sources) == 0 {
-		return nil, fmt.Errorf("dnhunter: RunSources: no sources registered (use WithSource)")
-	}
-	cfg := e.opts.cfg
-	perDNS := make(map[string][]time.Duration)
-	if e.opts.keepDNSTimes {
-		collector := &FuncSink{DNS: func(ev DNSEvent) { perDNS[ev.Vantage] = append(perDNS[ev.Vantage], ev.At) }}
-		if cfg.Sink != nil {
-			cfg.Sink = MultiSink(cfg.Sink, collector)
-		} else {
-			cfg.Sink = collector
-		}
-	}
-	out, err := core.NewEngine(cfg).RunSources(ctx, e.opts.sources)
-	if err != nil {
-		return nil, err
-	}
-	mr := &MultiResult{
-		Vantages:   out.Vantages,
-		PerVantage: make(map[string]*Result, len(out.Vantages)),
-		Merged:     &Result{DB: out.DB, Stats: out.Stats},
-	}
-	for _, name := range out.Vantages {
-		vr := out.PerVantage[name]
-		res := &Result{DB: vr.DB, Stats: vr.Stats}
-		if e.opts.keepDNSTimes {
-			res.DNSTimes = perDNS[name]
-			// Shards (and sink interleaving) deliver DNS events out of
-			// trace order; restore it.
-			sort.Slice(res.DNSTimes, func(i, j int) bool { return res.DNSTimes[i] < res.DNSTimes[j] })
-			mr.Merged.DNSTimes = append(mr.Merged.DNSTimes, res.DNSTimes...)
-		}
-		mr.PerVantage[name] = res
-	}
-	if e.opts.keepDNSTimes {
-		sort.Slice(mr.Merged.DNSTimes, func(i, j int) bool { return mr.Merged.DNSTimes[i] < mr.Merged.DNSTimes[j] })
-	}
-	return mr, nil
-}
-
-func (e *Engine) run(ctx context.Context, src PacketSource, truth func(FlowKey) string) (*Result, error) {
-	cfg := e.opts.cfg
-	if cfg.Truth == nil {
-		cfg.Truth = truth
-	}
-	res := &Result{}
-	if e.opts.keepDNSTimes {
-		collector := &FuncSink{DNS: func(ev DNSEvent) { res.DNSTimes = append(res.DNSTimes, ev.At) }}
-		if cfg.Sink != nil {
-			cfg.Sink = MultiSink(cfg.Sink, collector)
-		} else {
-			cfg.Sink = collector
-		}
-	}
-	eng := core.NewEngine(cfg)
-	out, err := eng.Run(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	res.DB, res.Stats, res.Readers = out.DB, out.Stats, out.Readers
-	if eng.Shards() > 1 {
-		// Shards deliver DNS events interleaved; restore trace order.
-		sort.Slice(res.DNSTimes, func(i, j int) bool { return res.DNSTimes[i] < res.DNSTimes[j] })
-	}
-	return res, nil
+// stalled source holds back only its own. A single source produces
+// aggregate Stats and flow multisets identical to Run over that source.
+//
+// A failed vantage does not fail its siblings: RunSources then returns the
+// survivors' MultiResult, with each failure in MultiResult.Errors, next to
+// an error joining every vantage error. Cancellation and misuse (no,
+// unnamed or duplicate sources) return no result.
+func (e *Engine) RunSources(ctx context.Context, sources ...NamedSource) (*MultiResult, error) {
+	return core.NewEngine(e.cfg).RunSources(ctx, sources)
 }

@@ -8,16 +8,16 @@ import (
 	dnhunter "repro"
 )
 
-// ExampleEngine_Serve runs the streaming mode over a synthetic trace:
+// ExampleServer_Serve runs the streaming mode over a synthetic trace:
 // finished flows leave through rolling 10-minute windows instead of
 // accumulating in memory, and the report carries the same aggregate
 // statistics a batch run would.
-func ExampleEngine_Serve() {
+func ExampleServer_Serve() {
 	tr := dnhunter.GenerateQuickTrace(1)
 	eng := dnhunter.NewEngine(dnhunter.WithTruth(tr.TruthFunc()))
 
 	var windows, flows int
-	rep, err := eng.Serve(context.Background(), tr.Source(), dnhunter.ServeConfig{
+	srv := eng.Server(dnhunter.ServeConfig{
 		Window: 10 * time.Minute,
 		FlushWindow: func(w dnhunter.Window) error {
 			windows++
@@ -25,6 +25,7 @@ func ExampleEngine_Serve() {
 			return nil
 		},
 	})
+	rep, err := srv.Serve(context.Background(), tr.Source())
 	if err != nil {
 		panic(err)
 	}

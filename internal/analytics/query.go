@@ -2,7 +2,7 @@ package analytics
 
 // The unified analytics entry surface. Historically every analysis in
 // this package was a free function over a fully materialized *flowdb.DB —
-// fine for batch runs, incompatible with Engine.Serve, whose windowed
+// fine for batch runs, incompatible with Server.Serve, whose windowed
 // store discards each window's flows right after flushing it. Query is
 // the incremental form: an analysis that observes one flow at a time and
 // snapshots a deterministic result on demand. Pipeline is the registry
@@ -197,7 +197,7 @@ func (p *Pipeline) ObserveDB(db *flowdb.DB) {
 
 // ObserveWindow feeds one completed window — the streaming-mode entry
 // point, shaped to drop into flowdb.WindowConfig.Observe (and, via
-// core.ServeConfig.ObserveWindow, Engine.Serve). The window's DB is only
+// core.ServeConfig.ObserveWindow, Server.Serve). The window's DB is only
 // read during the call, honoring the pre-discard lifetime contract.
 func (p *Pipeline) ObserveWindow(w flowdb.Window) {
 	p.ObserveDB(w.DB)

@@ -3,7 +3,7 @@
 // deterministic snapshots. Each query here mirrors an exact
 // reference in internal/analytics (the differential-fuzz ground truth);
 // register either family in an analytics.Pipeline — batch runs feed it
-// with ObserveDB, Engine.Serve feeds it per window through the flowdb
+// with ObserveDB, Server.Serve feeds it per window through the flowdb
 // pre-discard observer.
 package stream
 

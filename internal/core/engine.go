@@ -34,20 +34,19 @@ type EngineConfig struct {
 	// (used only for scoring, never for labeling). For multi-source runs a
 	// per-source Truth (NamedSource.Truth) takes precedence.
 	Truth func(flows.Key) string
-	// Vantage labels events and flow records with the packet source's name.
-	// RunSources overrides it per vantage pipeline; leave empty for
-	// single-source runs.
-	Vantage string
-	// DiscardDB stops the pipelines from accumulating labeled flows into
-	// Result.DB (it comes back empty). Streaming mode sets it: flows are
+	// vantage labels events and flow records with the packet source's
+	// name; runSources sets it per vantage pipeline.
+	vantage string
+	// discardDB stops the pipelines from accumulating labeled flows into
+	// Result.DB (it comes back empty). Server.Serve sets it: flows are
 	// observed through Sink.OnFlow and the windowed store instead, so heap
 	// stays bounded over unbounded input.
-	DiscardDB bool
-	// Shed, when non-nil, switches the dispatcher→shard rings from
+	discardDB bool
+	// shed, when non-nil, switches the dispatcher→shard rings from
 	// blocking back-pressure to overload shedding with per-shard drop
-	// accounting (see ShedStats). Only meaningful with Shards > 1; the
-	// single-shard pipeline has no ring to shed from.
-	Shed *ShedStats
+	// accounting (see ShedStats). Server.Serve sets it with
+	// ServeConfig.Shed; the single-shard pipeline has no ring to shed from.
+	shed *ShedStats
 
 	// batch sizes the dispatcher→shard rings: each holds ringDepth×batch
 	// entries and a shard takes at most batch from its ring per pass; 0
@@ -205,8 +204,8 @@ func (e *Engine) runSingle(ctx context.Context, src netio.BlockRefSource) (*Resu
 		Resolver:  e.cfg.Resolver,
 		Flows:     fcfg,
 		Truth:     e.cfg.Truth,
-		Vantage:   e.cfg.Vantage,
-		DiscardDB: e.cfg.DiscardDB,
+		Vantage:   e.cfg.vantage,
+		DiscardDB: e.cfg.discardDB,
 	}, e.cfg.Sink))
 	if e.cfg.tapPipelines != nil {
 		e.cfg.tapPipelines([]*DNHunter{h})

@@ -99,9 +99,8 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// transientErr marks an error as transient: core.DefaultClassify (and any
-// classifier honoring the convention) treats a source that returned it as
-// restartable rather than dead.
+// transientErr marks an error as transient: core.DefaultClassify treats a
+// source that returned it as restartable rather than dead.
 type transientErr struct{ err error }
 
 func (e transientErr) Error() string   { return e.err.Error() }

@@ -145,7 +145,7 @@ func TestShedOnlyWhenRingFull(t *testing.T) {
 		next += n
 		return n, nil
 	})
-	res, err := NewEngine(EngineConfig{Shards: 2, batch: batch, Shed: &shed, Sink: sink}).Run(context.Background(), src)
+	res, err := NewEngine(EngineConfig{Shards: 2, batch: batch, shed: &shed, Sink: sink}).Run(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func (e *Engine) runSources(ctx context.Context, sources []NamedSource) (*MultiR
 		go func() {
 			defer wg.Done()
 			sub := *e
-			sub.cfg.Vantage = s.Name
+			sub.cfg.vantage = s.Name
 			sub.cfg.Sink = shared
 			if s.Truth != nil {
 				sub.cfg.Truth = s.Truth

@@ -430,9 +430,9 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 	s.metrics.win.Store(win)
 
 	cfg := s.cfg
-	cfg.DiscardDB = true
+	cfg.discardDB = true
 	if s.scfg.Shed {
-		cfg.Shed = &s.metrics.Shed
+		cfg.shed = &s.metrics.Shed
 	}
 	cfg.tapPipelines = s.tapPipelines
 	cfg.tapRings = func(rs []*ring) { s.metrics.rings.Store(&rs) }

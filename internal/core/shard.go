@@ -142,7 +142,7 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		rings:   make([]*ring, n),
 		tracker: tracker,
 		idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
-		shed:    e.cfg.Shed,
+		shed:    e.cfg.shed,
 	}
 	d.assign = d.shardOf
 	d.expire = d.enqueueExpire
@@ -158,14 +158,14 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 				Resolver:  e.cfg.Resolver,
 				Flows:     fcfg,
 				Truth:     e.cfg.Truth,
-				Vantage:   e.cfg.Vantage,
-				DiscardDB: e.cfg.DiscardDB,
+				Vantage:   e.cfg.vantage,
+				DiscardDB: e.cfg.discardDB,
 			}, sink)),
 			ring: d.rings[i],
 		}
 	}
-	if e.cfg.Shed != nil {
-		e.cfg.Shed.init(n)
+	if e.cfg.shed != nil {
+		e.cfg.shed.init(n)
 	}
 	if e.cfg.tapPipelines != nil {
 		// Serve-mode seam: expose the shard pipelines (checkpoint restore

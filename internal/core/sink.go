@@ -63,8 +63,6 @@ type FuncSink struct {
 	Tag  func(TagEvent)
 	DNS  func(DNSEvent)
 	Flow func(flowdb.LabeledFlow)
-	// CloseFunc, when set, runs at end of run.
-	CloseFunc func() error
 }
 
 // OnTag implements Sink.
@@ -89,54 +87,7 @@ func (s *FuncSink) OnFlow(f flowdb.LabeledFlow) {
 }
 
 // Close implements Sink.
-func (s *FuncSink) Close() error {
-	if s.CloseFunc != nil {
-		return s.CloseFunc()
-	}
-	return nil
-}
-
-// MultiSink fans every event out to each sink in order. Close closes all
-// sinks and returns the first error.
-func MultiSink(sinks ...Sink) Sink {
-	switch len(sinks) {
-	case 0:
-		return NopSink{}
-	case 1:
-		return sinks[0]
-	}
-	return multiSink(sinks)
-}
-
-type multiSink []Sink
-
-func (m multiSink) OnTag(e TagEvent) {
-	for _, s := range m {
-		s.OnTag(e)
-	}
-}
-
-func (m multiSink) OnDNSResponse(e DNSEvent) {
-	for _, s := range m {
-		s.OnDNSResponse(e)
-	}
-}
-
-func (m multiSink) OnFlow(f flowdb.LabeledFlow) {
-	for _, s := range m {
-		s.OnFlow(f)
-	}
-}
-
-func (m multiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *FuncSink) Close() error { return nil }
 
 // SyncSink wraps s so every call holds a mutex. The sharded Engine applies
 // it automatically; it is exported for consumers who share one sink across

@@ -27,9 +27,6 @@ import (
 // default; the zero policy as a whole restarts up to 8 times with
 // 50ms–5s backoff.
 type RestartPolicy struct {
-	// Classify reports whether err is transient (restart) rather than
-	// fatal (fail the run). nil means DefaultClassify.
-	Classify func(error) bool
 	// MaxRestarts is the error budget: transient failures beyond it
 	// become fatal. Zero or negative means 8.
 	MaxRestarts int
@@ -49,9 +46,6 @@ type RestartPolicy struct {
 
 // withDefaults resolves the zero-value fields.
 func (p RestartPolicy) withDefaults() RestartPolicy {
-	if p.Classify == nil {
-		p.Classify = DefaultClassify
-	}
 	if p.MaxRestarts <= 0 {
 		p.MaxRestarts = 8
 	}
@@ -67,10 +61,11 @@ func (p RestartPolicy) withDefaults() RestartPolicy {
 	return p
 }
 
-// DefaultClassify is the default transient-vs-fatal split: an error
+// DefaultClassify is the supervisor's transient-vs-fatal split: an error
 // advertising Transient() bool (the convention the fault-injection
-// harness's Transient marks, in this package's tests) answers for itself; io.ErrUnexpectedEOF — a feed dying
-// mid-record — is transient; everything else is fatal. io.EOF never gets
+// harness's Transient marks, in this package's tests) answers for itself;
+// io.ErrUnexpectedEOF — a feed dying mid-record — is transient; everything
+// else is fatal. io.EOF never gets
 // here (end of stream is not a failure).
 func DefaultClassify(err error) bool {
 	var t interface{ Transient() bool }
@@ -117,7 +112,7 @@ func (s *supervisedSource) recover(err error) error {
 	if s.draining() {
 		return io.EOF
 	}
-	if !s.pol.Classify(err) {
+	if !DefaultClassify(err) {
 		s.m.faultFatal.Add(1)
 		return fmt.Errorf("core: source failed (fatal): %w", err)
 	}

@@ -1,6 +1,6 @@
 package flowdb
 
-// Rolling time-windowed partitions: the streaming (Engine.Serve) answer to
+// Rolling time-windowed partitions: the streaming (Server.Serve) answer to
 // the batch DB's append-forever growth. A Windowed store accumulates
 // labeled flows into the current window's DB and, when the emission clock
 // crosses the window boundary, hands the completed window to a flush

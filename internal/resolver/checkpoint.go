@@ -1,6 +1,6 @@
 package resolver
 
-// Clist checkpoint/restore: the streaming (Engine.Serve) restart story.
+// Clist checkpoint/restore: the streaming (Server.Serve) restart story.
 // The resolver is the one pipeline stage whose state cannot be
 // reconstructed from future traffic — a DNS response sniffed before a
 // crash labels flows that start after the restart (clients keep resolving

@@ -93,14 +93,11 @@ func declaredFuncs(t *testing.T, root string) map[string]string {
 			if !ok || fn.Body == nil || fn.Name.Name == "init" || fn.Name.Name == "_" {
 				continue
 			}
-			key, recv := fn.Name.Name, ""
+			key := fn.Name.Name
 			if fn.Recv != nil {
 				// "*Slab[T]" → "Slab", matching nmSymbol's receivers.
-				recv, _, _ = strings.Cut(strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*"), "[")
+				recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*"), "[")
 				key = recv + "." + key
-			}
-			if pkg == "repro" && fn.Name.IsExported() && (recv == "" || ast.IsExported(recv)) {
-				continue // exported root API: the library's surface
 			}
 			out[pkg+"."+key] = fset.Position(fn.Pos()).String()
 		}

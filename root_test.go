@@ -27,15 +27,12 @@ func runTrace(t *testing.T, tr *Trace, opts ...Option) *Result {
 
 func TestFacadeEndToEnd(t *testing.T) {
 	tr := GenerateQuickTrace(21)
-	res := runTrace(t, tr, WithDNSTimes())
+	res := runTrace(t, tr)
 	if res.DB.Len() < 100 {
 		t.Fatalf("flows = %d", res.DB.Len())
 	}
 	if res.Stats.LabeledFlows == 0 || res.Stats.DNSResponses == 0 {
 		t.Fatalf("stats = %+v", res.Stats)
-	}
-	if len(res.DNSTimes) != int(res.Stats.DNSResponses) {
-		t.Fatalf("DNS times %d vs responses %d", len(res.DNSTimes), res.Stats.DNSResponses)
 	}
 	cov := res.DB.Coverage(0)
 	if cov.Ratio(flows.L7HTTP) < 0.8 {
@@ -172,17 +169,16 @@ func TestEngineShardEquivalenceNamedScenarios(t *testing.T) {
 }
 
 // TestEngineFacadeOptions exercises the functional options together: a
-// custom sink, DNS time collection, and a resolver override, on a sharded
-// run (which also makes `go test -race ./...` exercise the concurrent
-// pipeline through the facade).
+// custom sink and a resolver override, on a sharded run (which also makes
+// `go test -race ./...` exercise the concurrent pipeline through the
+// facade).
 func TestEngineFacadeOptions(t *testing.T) {
 	tr := GenerateQuickTrace(21)
-	var tags int
+	var tags, dns int
 	eng := NewEngine(
 		WithShards(4),
 		WithResolver(ResolverConfig{ClistSize: 1 << 16}),
-		WithSink(&FuncSink{Tag: func(TagEvent) { tags++ }}),
-		WithDNSTimes(),
+		WithSink(&FuncSink{Tag: func(TagEvent) { tags++ }, DNS: func(DNSEvent) { dns++ }}),
 	)
 	if eng.Shards() != 4 {
 		t.Fatalf("Shards() = %d", eng.Shards())
@@ -191,16 +187,8 @@ func TestEngineFacadeOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace != tr {
-		t.Fatal("Result.Trace not set")
-	}
-	if len(res.DNSTimes) != int(res.Stats.DNSResponses) {
-		t.Fatalf("DNS times %d vs responses %d", len(res.DNSTimes), res.Stats.DNSResponses)
-	}
-	for i := 1; i < len(res.DNSTimes); i++ {
-		if res.DNSTimes[i] < res.DNSTimes[i-1] {
-			t.Fatal("DNSTimes not in trace order")
-		}
+	if uint64(dns) != res.Stats.DNSResponses {
+		t.Fatalf("sink saw %d DNS responses, stats count %d", dns, res.Stats.DNSResponses)
 	}
 	if uint64(tags) != res.Stats.Table.FlowsCreated {
 		t.Fatalf("sink saw %d tags, table created %d flows", tags, res.Stats.Table.FlowsCreated)
@@ -242,57 +230,91 @@ func TestFirstFlowDelaysPlausible(t *testing.T) {
 }
 
 // TestFacadeMultiVantage drives the public multi-source API end to end:
-// three synthetic vantages through one RunSources call, with DNS times
-// collected per vantage.
+// two synthetic vantages through one RunSources call, with a sink counting
+// DNS responses per vantage.
 func TestFacadeMultiVantage(t *testing.T) {
 	trs := map[string]*Trace{
 		"US":  GenerateQuickTrace(51),
 		"EU1": GenerateQuickTrace(53),
 	}
+	dns := map[string]uint64{}
 	eng := NewEngine(
 		WithShards(2),
-		WithDNSTimes(),
-		WithTraceSource("US", trs["US"]),
-		WithTraceSource("EU1", trs["EU1"]),
+		WithSink(&FuncSink{DNS: func(ev DNSEvent) { dns[ev.Vantage]++ }}),
 	)
-	multi, err := eng.RunSources(context.Background())
+	var sources []NamedSource
+	for _, name := range []string{"US", "EU1"} {
+		sources = append(sources, NamedSource{Name: name, Src: trs[name].Source(), Truth: trs[name].TruthFunc()})
+	}
+	multi, err := eng.RunSources(context.Background(), sources...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(multi.Vantages) != 2 || multi.Vantages[0] != "US" || multi.Vantages[1] != "EU1" {
 		t.Fatalf("vantages = %v", multi.Vantages)
 	}
-	var dnsSum int
 	for name, vr := range multi.PerVantage {
 		if vr.DB.Len() == 0 || vr.Stats.LabeledFlows == 0 {
 			t.Errorf("%s: empty partition", name)
 		}
-		if len(vr.DNSTimes) != int(vr.Stats.DNSResponses) {
-			t.Errorf("%s: %d DNS times vs %d responses", name, len(vr.DNSTimes), vr.Stats.DNSResponses)
+		if dns[name] != vr.Stats.DNSResponses {
+			t.Errorf("%s: sink saw %d DNS responses vs %d counted", name, dns[name], vr.Stats.DNSResponses)
 		}
-		for i := 1; i < len(vr.DNSTimes); i++ {
-			if vr.DNSTimes[i] < vr.DNSTimes[i-1] {
-				t.Errorf("%s: DNS times out of order", name)
-				break
-			}
-		}
-		dnsSum += len(vr.DNSTimes)
-		// Truth sidecars must not leak across vantages: scoring agreement
-		// stays high within each partition.
 		for _, f := range vr.DB.All() {
 			if f.Vantage != name {
 				t.Fatalf("%s: flow stamped %q", name, f.Vantage)
 			}
 		}
 	}
-	if len(multi.Merged.DNSTimes) != dnsSum {
-		t.Errorf("merged DNS times %d != sum %d", len(multi.Merged.DNSTimes), dnsSum)
-	}
-	if multi.Merged.DB.Len() != multi.PerVantage["US"].DB.Len()+multi.PerVantage["EU1"].DB.Len() {
+	if multi.DB.Len() != multi.PerVantage["US"].DB.Len()+multi.PerVantage["EU1"].DB.Len() {
 		t.Errorf("merged DB size mismatch")
 	}
 	// Misuse surfaces as errors, not panics.
 	if _, err := NewEngine().RunSources(context.Background()); err == nil {
 		t.Error("RunSources without sources should fail")
+	}
+}
+
+// failingSource yields n packets of a trace, then a non-EOF read error.
+type failingSource struct {
+	src PacketSource
+	n   int
+	err error
+}
+
+func (s *failingSource) Next() (Packet, error) {
+	if s.n == 0 {
+		return Packet{}, s.err
+	}
+	s.n--
+	return s.src.Next()
+}
+
+// TestFacadeRunSourcesKeepsSurvivors: a vantage whose source fails
+// mid-read degrades RunSources to the surviving vantages. The facade
+// returns the partial MultiResult next to the joined error, with the
+// failure recorded under its vantage and its cause still matchable.
+func TestFacadeRunSourcesKeepsSurvivors(t *testing.T) {
+	cause := errors.New("capture device lost")
+	ok, bad := GenerateQuickTrace(61), GenerateQuickTrace(63)
+	multi, err := NewEngine(WithShards(2)).RunSources(context.Background(),
+		NamedSource{Name: "ok", Src: ok.Source()},
+		NamedSource{Name: "bad", Src: &failingSource{src: bad.Source(), n: len(bad.Packets) / 2, err: cause}},
+	)
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want it to wrap %v", err, cause)
+	}
+	if multi == nil {
+		t.Fatal("RunSources dropped the surviving vantage: nil MultiResult")
+	}
+	if !errors.Is(multi.Errors["bad"], cause) {
+		t.Errorf("Errors = %v, want an entry for \"bad\" wrapping the cause", multi.Errors)
+	}
+	vr := multi.PerVantage["ok"]
+	if len(multi.PerVantage) != 1 || vr == nil || vr.DB.Len() == 0 {
+		t.Fatalf("PerVantage = %v, want only the survivor", multi.PerVantage)
+	}
+	if multi.DB.Len() != vr.DB.Len() || multi.Stats != vr.Stats {
+		t.Errorf("merged result (%d flows) is not the survivor's (%d flows)", multi.DB.Len(), vr.DB.Len())
 	}
 }

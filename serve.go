@@ -1,12 +1,11 @@
 package dnhunter
 
-// Streaming service mode at the public API surface: Engine.Serve is
+// Streaming service mode at the public API surface: Server.Serve is
 // Engine.Run for unbounded input. See internal/core's serve.go for the
 // mechanics (windowed flow store, overload shedding, checkpoint/restore,
 // graceful drain) and docs/OPERATIONS.md for running it in production.
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/core"
@@ -28,8 +27,8 @@ type (
 	// ShedShard is one shard's overload drop counters.
 	ShedShard = core.ShedShard
 	// RestartPolicy configures serve-mode source supervision
-	// (ServeConfig.Restart): transient-vs-fatal classification, the restart
-	// error budget, and seeded exponential backoff.
+	// (ServeConfig.Restart): the restart error budget, seeded exponential
+	// backoff, and an optional source reopen.
 	RestartPolicy = core.RestartPolicy
 	// Window is one completed flow-store partition handed to
 	// ServeConfig.FlushWindow; its DB is valid only during the call.
@@ -53,19 +52,13 @@ func NewPacedSource(src PacketSource, speedup float64) *PacedSource {
 	return netio.NewPacedSource(src, speedup)
 }
 
-// Server builds a streaming server around this engine's configuration.
-// Use it when the caller needs the live Metrics view (e.g. to mount the
-// HTTP endpoint) before serving; otherwise Serve is the one-call form.
+// Server builds a streaming server around this engine's configuration:
+// eng.Server(cfg).Serve(ctx, src) streams src through the pipeline until
+// ctx is cancelled, then drains gracefully. Unlike Run it bounds memory:
+// finished flows leave through rolling windows (ServeConfig.Window wide)
+// handed to FlushWindow instead of accumulating in a Result.DB. Hold the
+// Server when the caller needs its live Metrics view (e.g. to mount the
+// HTTP endpoint).
 func (e *Engine) Server(cfg ServeConfig) *Server {
-	return core.NewServer(e.opts.cfg, cfg)
-}
-
-// Serve streams src through the pipeline until ctx is cancelled, then
-// drains gracefully: in-flight flows are flushed through the sink and the
-// final window, and — with a CheckpointPath — resolver state is written
-// for the next run. Unlike Run, Serve bounds memory: finished flows pass
-// through rolling windows (ServeConfig.Window wide) handed to FlushWindow
-// instead of accumulating in a Result.DB.
-func (e *Engine) Serve(ctx context.Context, src PacketSource, cfg ServeConfig) (*ServeReport, error) {
-	return e.Server(cfg).Serve(ctx, src)
+	return core.NewServer(e.cfg, cfg)
 }

@@ -34,7 +34,7 @@ func TestServeSoakHeapBounded(t *testing.T) {
 	// and growing — for the whole soak.
 	eng := dnhunter.NewEngine(dnhunter.WithResolver(dnhunter.ResolverConfig{ClistSize: 4096}))
 	pipe := dnhunter.NewAnalyticsPipeline(dnhunter.StreamingQueries(nil)...)
-	rep, err := eng.Serve(context.Background(), loop, dnhunter.ServeConfig{
+	rep, err := eng.Server(dnhunter.ServeConfig{
 		Window:        10 * time.Minute,
 		ObserveWindow: pipe.ObserveWindow,
 		FlushWindow: func(w dnhunter.Window) error {
@@ -49,7 +49,7 @@ func TestServeSoakHeapBounded(t *testing.T) {
 			samples = append(samples, ms.HeapInuse)
 			return nil
 		},
-	})
+	}).Serve(context.Background(), loop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestServeWindowsByteMatchBatch(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	_, err = eng.Serve(context.Background(), tr.Source(), dnhunter.ServeConfig{
+	_, err = eng.Server(dnhunter.ServeConfig{
 		Window: 5 * time.Minute,
 		FlushWindow: func(w dnhunter.Window) error {
 			var buf bytes.Buffer
@@ -121,7 +121,7 @@ func TestServeWindowsByteMatchBatch(t *testing.T) {
 			got.Write(b)
 			return nil
 		},
-	})
+	}).Serve(context.Background(), tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +140,8 @@ func TestServeCheckpointAcrossRestart(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "clist.ckpt")
 	eng := dnhunter.NewEngine()
 
-	first, err := eng.Serve(context.Background(),
-		dnhunter.NewLoopSource(tr.Packets[:half], 0, 1),
-		dnhunter.ServeConfig{CheckpointPath: ckpt})
+	first, err := eng.Server(dnhunter.ServeConfig{CheckpointPath: ckpt}).Serve(context.Background(),
+		dnhunter.NewLoopSource(tr.Packets[:half], 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +150,8 @@ func TestServeCheckpointAcrossRestart(t *testing.T) {
 	}
 
 	run2 := func(path string) *dnhunter.ServeReport {
-		rep, err := eng.Serve(context.Background(),
-			dnhunter.NewLoopSource(tr.Packets[half:], 0, 1),
-			dnhunter.ServeConfig{CheckpointPath: path})
+		rep, err := eng.Server(dnhunter.ServeConfig{CheckpointPath: path}).Serve(context.Background(),
+			dnhunter.NewLoopSource(tr.Packets[half:], 0, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
