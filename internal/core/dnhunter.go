@@ -235,7 +235,12 @@ func (h *DNHunter) handleDNSPayload(client netip.Addr, payload []byte, at time.D
 	if !h.dnsMsg.Header.Response {
 		return // queries carry no answer list
 	}
-	fqdn := h.dnsMsg.QueriedName()
+	// Unpack lowercases names as it decodes them, so the question name is
+	// used as it is (QueriedName would scan it a second time).
+	var fqdn string
+	if len(h.dnsMsg.Questions) > 0 {
+		fqdn = h.dnsMsg.Questions[0].Name
+	}
 	addrs := h.dnsMsg.AppendAnswerAddrs(h.addrs[:0])
 	h.addrs = addrs
 	if fqdn == "" || len(addrs) == 0 {

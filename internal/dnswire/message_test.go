@@ -212,6 +212,25 @@ func TestCaseInsensitiveNames(t *testing.T) {
 	if got.QueriedName() != "www.example.com" {
 		t.Fatalf("name = %q", got.QueriedName())
 	}
+
+	// Pack lowercases before encoding, so the case above never puts an
+	// uppercase label on the wire. A hand-built response does: Unpack must
+	// lowercase it itself, since the sniffer reads Questions[0].Name as is.
+	raw := []byte{
+		0, 3, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0, // ID 3, response, QD=1 AN=1
+		3, 'W', 'w', 'W', 7, 'E', 'x', 'A', 'm', 'P', 'l', 'E', 3, 'C', 'o', 'M', 0, // question name
+		0, 1, 0, 1, // A, IN
+		0xc0, 12, 0, 1, 0, 1, 0, 0, 0, 1, 0, 4, 9, 9, 9, 9, // answer: pointer to the question name
+	}
+	if err := got.Unpack(raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Questions) != 1 || got.Questions[0].Name != "www.example.com" {
+		t.Fatalf("questions = %+v, want one named www.example.com", got.Questions)
+	}
+	if len(got.Answers) != 1 || got.Answers[0].Name != "www.example.com" {
+		t.Fatalf("answers = %+v, want one owned by www.example.com", got.Answers)
+	}
 }
 
 func TestTruncatedInputs(t *testing.T) {

@@ -84,47 +84,116 @@ func (s *fakeReusingSource) Next() (Packet, error) {
 	return p, nil
 }
 
+// edgeFrames returns frames of the lengths at the edges of RefAdapter's
+// touch loop — empty, one byte, exactly 64 (byte 64 absent), 65 (byte 64
+// present) and a jumbo frame — each filled with its own byte pattern.
+func edgeFrames() [][]byte {
+	lens := []int{0, 1, 64, 65, 9000}
+	frames := make([][]byte, len(lens))
+	for i, n := range lens {
+		frames[i] = make([]byte, n)
+		for j := range frames[i] {
+			frames[i][j] = byte(i*31 + j)
+		}
+	}
+	return frames
+}
+
 // TestRefAdapterStable: a StableSource's frames pass through zero-copy —
-// nil block, Data aliasing the source's own storage.
+// nil block, Data aliasing the source's own storage — with or without
+// retain, whatever their length.
 func TestRefAdapterStable(t *testing.T) {
-	orig := []Packet{
-		{Timestamp: 1, Data: []byte("alpha")},
-		{Timestamp: 2, Data: []byte("beta")},
-	}
-	a := NewRefAdapter(NewSlicePacketSource(orig), nil, true)
-	dst := make([]Packet, 4)
-	n, blk, _ := a.ReadBlockRef(dst)
-	if n != 2 || blk != nil {
-		t.Fatalf("n=%d blk=%v, want 2 packets with nil block", n, blk)
-	}
-	if &dst[0].Data[0] != &orig[0].Data[0] {
-		t.Error("stable source copied instead of aliasing")
+	frames := edgeFrames()
+	for _, retain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retain=%v", retain), func(t *testing.T) {
+			orig := make([]Packet, len(frames))
+			for i, fr := range frames {
+				orig[i] = Packet{Timestamp: time.Duration(i + 1), Data: fr}
+			}
+			a := NewRefAdapter(NewSlicePacketSource(orig), nil, retain)
+			dst := make([]Packet, 8)
+			n, blk, _ := a.ReadBlockRef(dst)
+			if n != len(orig) || blk != nil {
+				t.Fatalf("n=%d blk=%v, want %d packets with nil block", n, blk, len(orig))
+			}
+			for i := range orig {
+				if dst[i].Timestamp != orig[i].Timestamp || !bytes.Equal(dst[i].Data, frames[i]) || len(dst[i].Data) != len(frames[i]) {
+					t.Fatalf("packet %d: ts=%v, %d bytes; want ts=%v, %d bytes", i, dst[i].Timestamp, len(dst[i].Data), orig[i].Timestamp, len(frames[i]))
+				}
+				if len(frames[i]) > 0 && &dst[i].Data[0] != &orig[i].Data[0] {
+					t.Errorf("packet %d: stable source copied instead of aliasing", i)
+				}
+			}
+			if n, blk, err := a.ReadBlockRef(dst); n != 0 || blk != nil || err != io.EOF {
+				t.Fatalf("after the last frame: n=%d blk=%v err=%v, want 0, nil, EOF", n, blk, err)
+			}
+		})
 	}
 }
 
-// TestRefAdapterCopies: a buffer-reusing source's frames are copied once
-// into a pooled block, so they survive the source's next read; the caller's
-// release retires the block.
+// TestRefAdapterCopies: with retain, a buffer-reusing source's frames are
+// copied once into a pooled block, so they survive the source's next read,
+// and the caller's release retires the block; without retain they are
+// borrowed (nil block) and intact until the next read. Both hold for every
+// frame length, an oversized one-off block included.
 func TestRefAdapterCopies(t *testing.T) {
-	pool := NewBlockPool(1024, 2)
-	src := &fakeReusingSource{frames: [][]byte{[]byte("first"), []byte("second")}}
-	a := NewRefAdapter(src, pool, true)
+	frames := edgeFrames()
+	for _, retain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retain=%v", retain), func(t *testing.T) {
+			pool := NewBlockPool(1024, 2)
+			a := NewRefAdapter(&fakeReusingSource{frames: frames}, pool, retain)
+			var held [][]byte
+			var blks []*Block
+			dst := make([]Packet, 1)
+			for i := range frames {
+				n, blk, err := a.ReadBlockRef(dst)
+				if n != 1 || err != nil || (blk != nil) != retain {
+					t.Fatalf("read %d: n=%d blk=%v err=%v, want 1 packet, block iff retain", i, n, blk, err)
+				}
+				if !bytes.Equal(dst[0].Data, frames[i]) || len(dst[0].Data) != len(frames[i]) {
+					t.Fatalf("read %d: %d bytes, want %d (corrupted)", i, len(dst[0].Data), len(frames[i]))
+				}
+				if retain {
+					held = append(held, dst[0].Data)
+					blks = append(blks, blk)
+				}
+			}
+			if n, blk, err := a.ReadBlockRef(dst); n != 0 || blk != nil || err != io.EOF {
+				t.Fatalf("after the last frame: n=%d blk=%v err=%v, want 0, nil, EOF", n, blk, err)
+			}
+			for i, d := range held {
+				if !bytes.Equal(d, frames[i]) {
+					t.Errorf("frame %d clobbered by the source's buffer reuse", i)
+				}
+			}
+			for _, b := range blks {
+				b.Release(1)
+			}
+			st := pool.Stats()
+			if want := uint64(len(blks)); st.Gets != want || st.Retired != want {
+				t.Fatalf("Gets=%d Retired=%d, want both %d", st.Gets, st.Retired, want)
+			}
+		})
+	}
+}
 
-	dst := make([]Packet, 1)
-	n, blk, err := a.ReadBlockRef(dst)
-	if n != 1 || blk == nil || err != nil {
-		t.Fatalf("n=%d blk=%v err=%v, want 1 packet in a pooled block", n, blk, err)
+// TestRefAdapterBorrowedAllocs pins the single-shard read edge: a warm
+// borrowed ReadBlockRef allocates nothing.
+func TestRefAdapterBorrowedAllocs(t *testing.T) {
+	var pkts []Packet
+	for i, fr := range edgeFrames() {
+		pkts = append(pkts, Packet{Timestamp: time.Duration(i), Data: fr})
 	}
-	first := dst[0].Data
-	if _, _, err := a.ReadBlockRef(make([]Packet, 1)); err != nil {
-		t.Fatal(err)
+	a := NewRefAdapter(NewLoopSource(pkts, 0, 0), nil, false)
+	dst := make([]Packet, 256)
+	read := func() {
+		if n, blk, err := a.ReadBlockRef(dst); n == 0 || blk != nil || err != nil {
+			t.Fatalf("n=%d blk=%v err=%v", n, blk, err)
+		}
 	}
-	if !bytes.Equal(first, []byte("first")) {
-		t.Errorf("frame clobbered by the source's buffer reuse: %q", first)
-	}
-	blk.Release(1)
-	if st := pool.Stats(); st.Retired != 1 {
-		t.Fatalf("block not retired after release: %+v", st)
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("borrowed ReadBlockRef allocates %v per call, want 0", allocs)
 	}
 }
 
