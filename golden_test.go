@@ -2,7 +2,8 @@ package dnhunter
 
 // Output digests pinned to testdata/golden.txt: one synthetic EU1-FTTH
 // trace through Engine.Run over a grid of shard counts, Clist sizes and
-// history depths. A change that means to keep every output byte-identical
+// history depths, and every experiments.All entry at scale 0.2, seed 1
+// (what `experiments -scale 0.2 -seed 1` prints). A change that means to keep every output byte-identical
 // (a performance change, a refactor) must pass this unchanged; a change
 // that moves a digest regenerates the file with
 //
@@ -23,6 +24,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current outputs")
@@ -51,13 +54,29 @@ func (o goldenOutputs) line(name string) string {
 		name, sha256Hex(o.csv), sha256Hex(o.stats), o.rows, o.labeled)
 }
 
+// Scale and seed of the experiments cells.
+const (
+	goldenExpScale = 0.2
+	goldenExpSeed  = 1
+)
+
+// experimentLine renders one experiment's golden.txt line: the digests of
+// its text and of its metrics, one "name value" line each.
+func experimentLine(id string, r experiments.Report) string {
+	var m bytes.Buffer
+	for _, x := range r.Metrics {
+		fmt.Fprintf(&m, "%s %v\n", x.Name, x.Value)
+	}
+	return fmt.Sprintf("experiments/%s text=%s metrics=%s", id, sha256Hex([]byte(r.Text)), sha256Hex(m.Bytes()))
+}
+
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGoldenDigests runs the grid and compares each cell's digests with
-// testdata/golden.txt. Every cell's CSV is digested in the engine's own row
+// TestGoldenDigests runs the grid and the experiments and compares each
+// cell's digests with testdata/golden.txt. Every cell's CSV is digested in the engine's own row
 // order: at a fixed shard count the order is recency-driven per shard and
 // merged deterministically, so it is stable run to run (the test checks
 // that by running the first sharded cell twice).
@@ -97,9 +116,14 @@ func TestGoldenDigests(t *testing.T) {
 
 	got := make([]goldenOutputs, len(cells))
 	var lines []string
+	// actual holds every cell's outputs by file name, written out on failure.
+	actual := map[string][]byte{}
 	for i, c := range cells {
 		got[i] = run(c)
 		lines = append(lines, got[i].line(c.name()))
+		base := strings.ReplaceAll(c.name(), "/", "_")
+		actual[base+".csv"] = got[i].csv
+		actual[base+".stats.json"] = got[i].stats
 	}
 	// Row order at shards > 1 must not depend on scheduling, or the digests
 	// below would flake.
@@ -110,6 +134,15 @@ func TestGoldenDigests(t *testing.T) {
 			}
 			break
 		}
+	}
+	s := experiments.NewSuite(goldenExpScale, goldenExpSeed)
+	for _, e := range experiments.All {
+		r := e.Run(s)
+		if r.Err != nil {
+			t.Errorf("experiments/%s: %v", e.ID, r.Err)
+		}
+		lines = append(lines, experimentLine(e.ID, r))
+		actual["experiments_"+strings.NewReplacer("/", "_", ":", "_").Replace(e.ID)+".txt"] = []byte(r.Text)
 	}
 
 	if *updateGolden {
@@ -125,29 +158,26 @@ func TestGoldenDigests(t *testing.T) {
 
 	want := readGolden(t)
 	var failed bool
-	for i, c := range cells {
-		w, ok := want[c.name()]
+	for _, line := range lines {
+		name, _, _ := strings.Cut(line, " ")
+		w, ok := want[name]
 		if !ok {
-			t.Errorf("%s: no line in %s (regenerate with -update)", c.name(), goldenPath)
+			t.Errorf("%s: no line in %s (regenerate with -update)", name, goldenPath)
 			failed = true
 			continue
 		}
-		if lines[i] != w {
-			t.Errorf("%s moved:\n got  %s\n want %s", c.name(), lines[i], w)
+		if line != w {
+			t.Errorf("%s moved:\n got  %s\n want %s", name, line, w)
 			failed = true
 		}
 	}
-	if len(want) != len(cells) {
-		t.Errorf("%s holds %d cells, the grid has %d", goldenPath, len(want), len(cells))
+	if len(want) != len(lines) {
+		t.Errorf("%s holds %d cells, the test has %d", goldenPath, len(want), len(lines))
 	}
 	if failed {
 		dir := t.TempDir()
-		for i, c := range cells {
-			base := strings.ReplaceAll(c.name(), "/", "_")
-			if err := os.WriteFile(filepath.Join(dir, base+".csv"), got[i].csv, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, base+".stats.json"), got[i].stats, 0o644); err != nil {
+		for name, b := range actual {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
