@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net/netip"
 
 	dnhunter "repro"
 )
@@ -50,8 +51,16 @@ func main() {
 	fmt.Printf("useless DNS (never followed by a flow): %.0f%%\n",
 		100*st.UselessDNSFraction())
 
-	// The tangled web in two numbers (paper Fig. 3).
-	fqdns := res.DB.FQDNs()
-	servers := res.DB.Servers()
+	// The tangled web in two numbers (paper Fig. 3): one scan counts the
+	// distinct labels and server addresses.
+	fqdns := map[string]bool{}
+	servers := map[netip.Addr]bool{}
+	for i := range res.DB.Len() {
+		res.DB.Load(i, &f)
+		if f.Labeled {
+			fqdns[f.Label] = true
+		}
+		servers[f.Key.ServerIP] = true
+	}
 	fmt.Printf("observed %d FQDNs on %d server addresses\n", len(fqdns), len(servers))
 }

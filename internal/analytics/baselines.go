@@ -1,7 +1,9 @@
 package analytics
 
 import (
+	"maps"
 	"net/netip"
+	"slices"
 	"strings"
 
 	"repro/internal/flowdb"
@@ -80,30 +82,32 @@ func classifyNames(label, answer string) MatchClass {
 // meaning NXDOMAIN; both count as no-answer, as in the paper.
 func ReverseLookupCompare(db *flowdb.DB, zone map[netip.Addr]string, n int, rng *stats.RNG) CompareResult {
 	res := CompareResult{Counts: make(map[MatchClass]int)}
-	// Collect (server, one label) pairs for labeled servers.
-	servers := db.Servers()
-	if len(servers) == 0 {
-		return res
+	// Every distinct server address, labeled or not, with the label of its
+	// first labeled flow.
+	type firstLabel struct {
+		label   string
+		labeled bool
 	}
+	labels := make(map[netip.Addr]firstLabel)
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if l, ok := labels[f.Key.ServerIP]; !ok || !l.labeled && f.Labeled {
+			labels[f.Key.ServerIP] = firstLabel{f.Label, f.Labeled}
+		}
+	}
+	servers := slices.SortedFunc(maps.Keys(labels), netip.Addr.Compare)
 	// Deterministic sample without replacement.
-	perm := rng.Perm(len(servers))
-	for _, idx := range perm {
+	for _, idx := range rng.Perm(len(servers)) {
 		if res.Total >= n {
 			break
 		}
 		srv := servers[idx]
-		var label string
-		for _, f := range db.ByServer(srv) {
-			if f.Labeled {
-				label = f.Label
-				break
-			}
-		}
-		if label == "" {
+		l := labels[srv]
+		if !l.labeled || l.label == "" {
 			continue // the sniffer never labeled this server
 		}
-		ptr := zone[srv]
-		res.Counts[classifyNames(label, ptr)]++
+		res.Counts[classifyNames(l.label, zone[srv])]++
 		res.Total++
 	}
 	return res

@@ -28,8 +28,9 @@ const (
 	BySLD
 )
 
-// contentTally is Algorithm 3's aggregate: labeled flows per hosted name,
-// split by client for the Eq. 1 score.
+// contentTally is the aggregate of Algorithms 3 and 4: labeled flows per
+// name (a hosted name, or a service token), split by client for the Eq. 1
+// score.
 type contentTally struct {
 	perClient map[string]map[netip.Addr]int
 	flowsPer  map[string]int
@@ -79,24 +80,19 @@ func (c *contentTally) rank(k int) []ContentShare {
 // addresses each FQDN is served by and (b) how many FQDNs each server
 // address serves.
 func FanoutCDFs(db *flowdb.DB) (ipsPerFQDN, fqdnsPerIP *stats.CDF) {
-	ipsPerFQDN = &stats.CDF{}
-	fqdnsPerIP = &stats.CDF{}
-	for _, fqdn := range db.FQDNs() {
-		ipsPerFQDN.Add(float64(len(db.ServersOfFQDN(fqdn))))
-	}
+	perFQDN := make(map[string]map[netip.Addr]struct{})
 	perServer := make(map[netip.Addr]map[string]struct{})
 	var f flowdb.LabeledFlow
 	for i := range db.Len() {
 		db.Load(i, &f)
-		if !f.Labeled {
-			continue
+		if f.Labeled {
+			addToSet(perFQDN, f.Label, f.Key.ServerIP)
+			addToSet(perServer, f.Key.ServerIP, f.Label)
 		}
-		m, ok := perServer[f.Key.ServerIP]
-		if !ok {
-			m = make(map[string]struct{})
-			perServer[f.Key.ServerIP] = m
-		}
-		m[f.Label] = struct{}{}
+	}
+	ipsPerFQDN, fqdnsPerIP = &stats.CDF{}, &stats.CDF{}
+	for _, servers := range perFQDN {
+		ipsPerFQDN.Add(float64(len(servers)))
 	}
 	for _, names := range perServer {
 		fqdnsPerIP.Add(float64(len(names)))

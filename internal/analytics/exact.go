@@ -112,12 +112,7 @@ func (q *exactCardinality) Observe(f *flowdb.LabeledFlow) {
 	if !f.Labeled {
 		return
 	}
-	set, ok := q.perSLD[f.SLD]
-	if !ok {
-		set = map[netip.Addr]struct{}{}
-		q.perSLD[f.SLD] = set
-	}
-	set[f.Key.ServerIP] = struct{}{}
+	addToSet(q.perSLD, f.SLD, f.Key.ServerIP)
 	q.all[f.Key.ServerIP] = struct{}{}
 }
 
@@ -200,12 +195,7 @@ func (q *exactProviderUsage) Observe(f *flowdb.LabeledFlow) {
 		vs = map[string]map[netip.Addr]struct{}{}
 		q.servers[v] = vs
 	}
-	set, ok := vs[org]
-	if !ok {
-		set = map[netip.Addr]struct{}{}
-		vs[org] = set
-	}
-	set[f.Key.ServerIP] = struct{}{}
+	addToSet(vs, org, f.Key.ServerIP)
 }
 
 // vantageOrder lists the seeded vantages in constructor order, then every
@@ -273,21 +263,14 @@ type exactCrossVantage struct {
 	lookup OrgLookup
 	seeded []string
 	seen   map[string]bool
-	per    map[string]*cvVantage
-}
-
-type cvVantage struct {
-	total   int
-	perOrg  map[string]*hostAgg
-	perFQDN map[string]map[netip.Addr]struct{}
-	servers map[netip.Addr]struct{}
+	per    map[string]*spatialAgg
 }
 
 // NewExactCrossVantage builds the exact cross-vantage CDN-overlap query
 // for one content organization (Snapshot returns *CrossVantage). The
 // query name embeds the SLD, so one pipeline can track several.
 func NewExactCrossVantage(name string, lookup OrgLookup, vantages ...string) Query {
-	q := &exactCrossVantage{sld: stats.SLD(name), lookup: lookup, seen: map[string]bool{}, per: map[string]*cvVantage{}}
+	q := &exactCrossVantage{sld: stats.SLD(name), lookup: lookup, seen: map[string]bool{}, per: map[string]*spatialAgg{}}
 	for _, v := range vantages {
 		if !q.seen[v] {
 			q.seen[v] = true
@@ -299,35 +282,17 @@ func NewExactCrossVantage(name string, lookup OrgLookup, vantages ...string) Que
 
 func (q *exactCrossVantage) Name() string { return "cross_vantage:" + q.sld }
 
-func (q *exactCrossVantage) vantage(v string) *cvVantage {
-	cv, ok := q.per[v]
-	if !ok {
-		cv = &cvVantage{
-			perOrg:  map[string]*hostAgg{},
-			perFQDN: map[string]map[netip.Addr]struct{}{},
-			servers: map[netip.Addr]struct{}{},
-		}
-		q.per[v] = cv
-	}
-	return cv
-}
-
 func (q *exactCrossVantage) Observe(f *flowdb.LabeledFlow) {
 	if !f.Labeled || f.SLD != q.sld {
 		return
 	}
 	q.seen[f.Vantage] = true
-	cv := q.vantage(f.Vantage)
-	cv.total++
-	org := OrgOrUnknown(q.lookup, f.Vantage, f.Key.ServerIP)
-	hostAggOf(cv.perOrg, org).add(f.Key.ServerIP, f.Label)
-	set, ok := cv.perFQDN[f.Label]
+	agg, ok := q.per[f.Vantage]
 	if !ok {
-		set = map[netip.Addr]struct{}{}
-		cv.perFQDN[f.Label] = set
+		agg = newSpatialAgg()
+		q.per[f.Vantage] = agg
 	}
-	set[f.Key.ServerIP] = struct{}{}
-	cv.servers[f.Key.ServerIP] = struct{}{}
+	agg.add(OrgOrUnknown(q.lookup, f.Vantage, f.Key.ServerIP), f.Key.ServerIP, f.Label)
 }
 
 func (q *exactCrossVantage) Snapshot() Result {
@@ -337,22 +302,18 @@ func (q *exactCrossVantage) Snapshot() Result {
 	serverSets := make([]map[netip.Addr]struct{}, len(order))
 	for i, v := range order {
 		cv.Vantages = append(cv.Vantages, v)
-		st := q.per[v]
-		if st == nil {
-			st = &cvVantage{}
+		agg := q.per[v]
+		if agg == nil {
+			agg = &spatialAgg{}
 		}
-		res := &SpatialResult{SLD: q.sld, PerFQDN: make(map[string][]netip.Addr), TotalFlows: st.total}
-		for fqdn, set := range st.perFQDN {
-			res.PerFQDN[fqdn] = sortedAddrs(set)
-		}
-		res.Hosts = hostShares(st.perOrg, st.total)
+		res := agg.result(q.sld)
 		cv.Per[v] = res
 		hosts := make(map[string]struct{}, len(res.Hosts))
 		for _, hs := range res.Hosts {
 			hosts[hs.Org] = struct{}{}
 		}
 		hostSets[i] = hosts
-		serverSets[i] = st.servers
+		serverSets[i] = agg.servers
 	}
 	cv.HostOverlap = make([][]float64, len(order))
 	cv.ServerOverlap = make([][]float64, len(order))
@@ -367,13 +328,14 @@ func (q *exactCrossVantage) Snapshot() Result {
 	return cv
 }
 
-func sortedAddrs(set map[netip.Addr]struct{}) []netip.Addr {
-	out := make([]netip.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
+// addToSet adds v to the set m holds under k, making the set on first use.
+func addToSet[K, V comparable](m map[K]map[V]struct{}, k K, v V) {
+	set, ok := m[k]
+	if !ok {
+		set = map[V]struct{}{}
+		m[k] = set
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	set[v] = struct{}{}
 }
 
 // exactTopContent is Algorithm 3 restricted to one hosting org's

@@ -2,7 +2,9 @@ package analytics
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,51 +37,72 @@ type HostShare struct {
 }
 
 // SpatialDiscovery implements Algorithm 2: given a target name, extract the
-// second-level domain, pull every flow to that organization, and rank the
-// serving infrastructure. The org database plays the whois/MaxMind role.
+// second-level domain, pull every labeled flow to that organization (from
+// all vantages the DB holds), and rank the serving infrastructure. The org
+// database plays the whois/MaxMind role.
 func SpatialDiscovery(db *flowdb.DB, odb *orgdb.DB, name string) *SpatialResult {
 	sld := stats.SLD(name)
-	res := &SpatialResult{SLD: sld, PerFQDN: make(map[string][]netip.Addr)}
-	byOrg := make(map[string]*hostAgg)
-	for _, f := range db.BySLD(sld) {
-		res.TotalFlows++
-		org, ok := odb.Lookup(f.Key.ServerIP)
-		if !ok {
-			org = "unknown"
+	lookup := OrgLookupDB(odb)
+	agg := newSpatialAgg()
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if f.Labeled && f.SLD == sld {
+			agg.add(OrgOrUnknown(lookup, f.Vantage, f.Key.ServerIP), f.Key.ServerIP, f.Label)
 		}
-		hostAggOf(byOrg, org).add(f.Key.ServerIP, f.Label)
 	}
-	for _, fqdn := range db.FQDNsOfSLD(sld) {
-		res.PerFQDN[fqdn] = db.ServersOfFQDN(fqdn)
-	}
-	res.Hosts = hostShares(byOrg, res.TotalFlows)
-	return res
+	return agg.result(sld)
 }
 
-// hostAgg is Algorithm 2's aggregate for one hosting org: the servers it
-// delivered an SLD's flows from, the FQDNs among them, and the flow count.
+// spatialAgg is Algorithm 2's aggregate over one SLD's labeled flows:
+// SpatialDiscovery keeps one for a whole DB, the cross-vantage query one
+// per vantage.
+type spatialAgg struct {
+	total   int
+	perOrg  map[string]*hostAgg
+	perFQDN map[string]map[netip.Addr]struct{}
+	servers map[netip.Addr]struct{}
+}
+
+// hostAgg is one hosting org's part of a spatialAgg: the servers it
+// delivered the SLD's flows from, the FQDNs among them, and the flow count.
 type hostAgg struct {
 	servers map[netip.Addr]struct{}
 	fqdns   map[string]struct{}
 	flows   int
 }
 
-// hostAggOf returns perOrg's aggregate for org, adding an empty one first
-// when there is none.
-func hostAggOf(perOrg map[string]*hostAgg, org string) *hostAgg {
-	a, ok := perOrg[org]
-	if !ok {
-		a = &hostAgg{servers: map[netip.Addr]struct{}{}, fqdns: map[string]struct{}{}}
-		perOrg[org] = a
+func newSpatialAgg() *spatialAgg {
+	return &spatialAgg{
+		perOrg:  map[string]*hostAgg{},
+		perFQDN: map[string]map[netip.Addr]struct{}{},
+		servers: map[netip.Addr]struct{}{},
 	}
-	return a
 }
 
-// add counts one flow to server for fqdn.
-func (a *hostAgg) add(server netip.Addr, fqdn string) {
+// add counts one flow for fqdn, delivered by server of hosting org org.
+func (a *spatialAgg) add(org string, server netip.Addr, fqdn string) {
+	h, ok := a.perOrg[org]
+	if !ok {
+		h = &hostAgg{servers: map[netip.Addr]struct{}{}, fqdns: map[string]struct{}{}}
+		a.perOrg[org] = h
+	}
+	h.servers[server] = struct{}{}
+	h.fqdns[fqdn] = struct{}{}
+	h.flows++
+	addToSet(a.perFQDN, fqdn, server)
 	a.servers[server] = struct{}{}
-	a.fqdns[fqdn] = struct{}{}
-	a.flows++
+	a.total++
+}
+
+// result renders the aggregate as Algorithm 2's answer for sld.
+func (a *spatialAgg) result(sld string) *SpatialResult {
+	res := &SpatialResult{SLD: sld, PerFQDN: make(map[string][]netip.Addr, len(a.perFQDN)), TotalFlows: a.total}
+	for fqdn, set := range a.perFQDN {
+		res.PerFQDN[fqdn] = slices.SortedFunc(maps.Keys(set), netip.Addr.Compare)
+	}
+	res.Hosts = hostShares(a.perOrg, a.total)
+	return res
 }
 
 // hostShares ranks per-org aggregates by flows (ties by org), each with
@@ -124,16 +147,19 @@ type TreeNode struct {
 func DomainTree(db *flowdb.DB, odb *orgdb.DB, name string) *TreeNode {
 	sld := stats.SLD(name)
 	root := &TreeNode{Token: sld, Orgs: map[string]int{}}
-	for _, f := range db.BySLD(sld) {
+	lookup := OrgLookupDB(odb)
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if !f.Labeled || f.SLD != sld {
+			continue
+		}
 		prefix := stats.HostPrefix(f.Label)
 		labels := stats.SplitFQDN(prefix)
 		// Walk from the label closest to the SLD outwards.
 		node := root
 		node.Flows++
-		org, ok := odb.Lookup(f.Key.ServerIP)
-		if !ok {
-			org = "unknown"
-		}
+		org := OrgOrUnknown(lookup, f.Vantage, f.Key.ServerIP)
 		root.Orgs[org]++
 		for i := len(labels) - 1; i >= 0; i-- {
 			tok := stats.GeneralizeDigits(labels[i])

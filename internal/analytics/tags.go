@@ -7,7 +7,6 @@ package analytics
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"strings"
 
@@ -29,61 +28,50 @@ type TagScore struct {
 // tokenize each (drop TLD and SLD, split on non-alphanumerics, digits → N),
 // score tokens per Eq. 1, and return the top k.
 func ExtractTags(db *flowdb.DB, dPort uint16, k int) []TagScore {
-	// N_X(c): flows per (token, client).
-	perClient := make(map[string]map[netip.Addr]int)
-	flowsPerToken := make(map[string]int)
-	for _, f := range db.ByPort(dPort) {
-		if !f.Labeled {
-			continue
-		}
-		for _, tok := range stats.ServiceTokens(f.Label) {
-			m, ok := perClient[tok]
-			if !ok {
-				m = make(map[netip.Addr]int)
-				perClient[tok] = m
-			}
-			m[f.Key.ClientIP]++
-			flowsPerToken[tok]++
-		}
-	}
-	out := make([]TagScore, 0, len(perClient))
-	for tok, clients := range perClient {
-		out = append(out, TagScore{Token: tok, Score: logScore(clients), Flows: flowsPerToken[tok]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Token < out[j].Token // stable tie-break
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return extractTags(db, dPort, k, true)
 }
 
 // ExtractTagsRaw is the ablation variant scoring by raw flow counts instead
 // of Eq. 1's per-client log damping (the A:tagscore experiment): a single
 // chatty client can dominate the ranking.
 func ExtractTagsRaw(db *flowdb.DB, dPort uint16, k int) []TagScore {
-	flowsPerToken := make(map[string]int)
-	for _, f := range db.ByPort(dPort) {
-		if !f.Labeled {
+	return extractTags(db, dPort, k, false)
+}
+
+// extractTags is Algorithm 4 in one scan: it tallies the service tokens of
+// every labeled flow to dPort per client (N_X(c)) and ranks them.
+func extractTags(db *flowdb.DB, dPort uint16, k int, damped bool) []TagScore {
+	tally := newContentTally()
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if !f.Labeled || f.Key.ServerPort != dPort {
 			continue
 		}
 		for _, tok := range stats.ServiceTokens(f.Label) {
-			flowsPerToken[tok]++
+			tally.add(tok, f.Key.ClientIP)
 		}
 	}
-	out := make([]TagScore, 0, len(flowsPerToken))
-	for tok, n := range flowsPerToken {
-		out = append(out, TagScore{Token: tok, Score: float64(n), Flows: n})
+	return tally.rankTags(k, damped)
+}
+
+// rankTags returns the tallied tokens best score first (ties by token),
+// truncated to k when k > 0. The score is Eq. 1's per-client log damping,
+// or the raw flow count when damped is false.
+func (c *contentTally) rankTags(k int, damped bool) []TagScore {
+	out := make([]TagScore, 0, len(c.flowsPer))
+	for tok, n := range c.flowsPer {
+		score := float64(n)
+		if damped {
+			score = logScore(c.perClient[tok])
+		}
+		out = append(out, TagScore{Token: tok, Score: score, Flows: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].Token < out[j].Token
+		return out[i].Token < out[j].Token // stable tie-break
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
@@ -104,38 +92,15 @@ func FormatTags(tags []TagScore) string {
 // of Fig. 10 (appspot services). Scores use Eq. 1 over the host prefix of
 // each FQDN under the SLD.
 func TagCloud(recs []flowdb.LabeledFlow, sld string, k int) []TagScore {
-	perClient := make(map[string]map[netip.Addr]int)
-	flowsPer := make(map[string]int)
+	tally := newContentTally()
 	for i := range recs {
 		f := &recs[i]
 		if !f.Labeled || stats.SLD(f.Label) != sld {
 			continue
 		}
-		host := stats.HostPrefix(f.Label)
-		if host == "" {
-			continue
+		if host := stats.HostPrefix(f.Label); host != "" {
+			tally.add(stats.GeneralizeDigits(host), f.Key.ClientIP)
 		}
-		tok := stats.GeneralizeDigits(host)
-		m, ok := perClient[tok]
-		if !ok {
-			m = make(map[netip.Addr]int)
-			perClient[tok] = m
-		}
-		m[f.Key.ClientIP]++
-		flowsPer[tok]++
 	}
-	out := make([]TagScore, 0, len(perClient))
-	for tok, clients := range perClient {
-		out = append(out, TagScore{Token: tok, Score: logScore(clients), Flows: flowsPer[tok]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Token < out[j].Token
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return tally.rankTags(k, true)
 }

@@ -57,12 +57,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	if g.Truth != "www.example.com" {
 		t.Fatalf("truth = %q", g.Truth)
 	}
-	// Unlabeled flow stays unlabeled; indexes rebuilt.
-	if got.At(1).Labeled {
-		t.Fatal("flow 1 should be unlabeled")
+	// Unlabeled flow stays unlabeled; SLDs are derived again on read.
+	if got.At(1).Labeled || got.At(1).SLD != "" {
+		t.Fatalf("flow 1 = %+v, want unlabeled with no SLD", got.At(1))
 	}
-	if len(got.ByPort(443)) != 1 || len(got.BySLD("example.com")) != 1 {
-		t.Fatal("indexes not rebuilt")
+	if g.SLD != "example.com" {
+		t.Fatalf("flow 0 SLD = %q", g.SLD)
 	}
 }
 

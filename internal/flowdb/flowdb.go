@@ -1,13 +1,10 @@
 // Package flowdb stores the labeled flows DN-Hunter emits — the "Flow
-// Database" of the paper's architecture (Fig. 1) — and exposes the query
-// primitives the off-line analyzer needs: by FQDN, by second-level domain,
-// by server address, and by server port (Algorithms 2–4).
+// Database" of the paper's architecture (Fig. 1). It is a row log: the
+// off-line analyzer (Algorithms 2–4) answers its queries with one scan
+// each.
 package flowdb
 
 import (
-	"net/netip"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/flows"
@@ -79,21 +76,19 @@ const (
 // rounding; TestChunkFillsPages pins that.
 const chunkLen = 1024
 
-// DB is an append-only labeled flow store with secondary indexes.
+// DB is an append-only labeled flow store.
 //
 // Flows live in a log of fixed-size chunks of compact rows: every chunk is
 // full except the last, and no chunk is ever regrown, moved or copied. Add
 // encodes one row into the last chunk (plus one chunk allocation every
 // chunkLen flows), filing its strings in the DB's name table; reads decode
-// rows back into LabeledFlow values (Load, At) or copies (queries, All).
-// The indexes are built lazily: Add does no map work on the capture hot
-// path, and the first query extends the indexes over whatever arrived
-// since the last one.
+// rows back into LabeledFlow values (Load, At, All). A query is a scan:
+// the DB keeps no index.
 //
-// Add and Merge are not safe for concurrent use with anything. Queries
-// are safe to issue concurrently with each other once writing has
-// stopped — the catch-up index build they trigger is serialized by an
-// internal lock — but never concurrently with Add/Merge.
+// Add, Merge and Reset are not safe for concurrent use with anything.
+// Reads (Len, Load, At, All, Coverage, WriteCSV) write nothing, so once
+// writing has stopped any number of goroutines may read concurrently,
+// with no internal lock.
 type DB struct {
 	// chunks holds rows [c*chunkLen, (c+1)*chunkLen) in chunks[c]. After
 	// Reset it may hold more chunks than n needs; rows past n are stale.
@@ -101,18 +96,6 @@ type DB struct {
 	// n is the row count.
 	n     int
 	names names
-
-	// mu serializes the lazy index catch-up, so concurrent queries on a
-	// finished DB never race on the map builds.
-	mu sync.Mutex
-	// indexed is the number of rows the indexes cover; index() catches
-	// the maps up before any of them is read. byFQDN and bySLD key on
-	// name IDs.
-	indexed  int
-	byFQDN   map[uint32][]int
-	bySLD    map[uint32][]int
-	byServer map[netip.Addr][]int
-	byPort   map[uint16][]int
 }
 
 // New creates an empty database.
@@ -123,8 +106,7 @@ func New() *DB {
 }
 
 // Add appends one labeled flow. Its SLD is derived from Label when the flow
-// is Labeled (and is "" otherwise), whatever f.SLD holds. Index maintenance
-// is deferred to the next query.
+// is Labeled (and is "" otherwise), whatever f.SLD holds.
 func (db *DB) Add(f LabeledFlow) {
 	db.encode(&db.tail()[0], &f)
 	db.n++
@@ -218,33 +200,6 @@ func (db *DB) row(i int) *row {
 	return &db.chunks[i/chunkLen][i%chunkLen]
 }
 
-// index catches the secondary indexes up with the row log.
-func (db *DB) index() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.indexed == db.n {
-		return
-	}
-	if db.byFQDN == nil {
-		db.byFQDN = make(map[uint32][]int)
-		db.bySLD = make(map[uint32][]int)
-		db.byServer = make(map[netip.Addr][]int)
-		db.byPort = make(map[uint16][]int)
-	}
-	for idx := db.indexed; idx < db.n; idx++ {
-		r := db.row(idx)
-		if r.flags&flagLabeled != 0 {
-			sld := db.names.sldOf(r.label)
-			db.byFQDN[r.label] = append(db.byFQDN[r.label], idx)
-			db.bySLD[sld] = append(db.bySLD[sld], idx)
-		}
-		srv := db.names.addr(r.server, r.serverAddr)
-		db.byServer[srv] = append(db.byServer[srv], idx)
-		db.byPort[r.serverPort] = append(db.byPort[r.serverPort], idx)
-	}
-	db.indexed = db.n
-}
-
 // Merge appends every flow of the others into db, in argument order, so
 // merging shards 0..N-1 is deterministic for a fixed shard count. Each
 // source's names are filed in db's table with one lookup per distinct
@@ -285,18 +240,10 @@ func (r *row) remap(ids []uint32) {
 // partitions) stops allocating once its high-water mark is reached. Rows
 // hold no pointers and need no zeroing; emptying the name table is what
 // releases the old flows' strings, now rather than when a later window
-// overwrites them. The lazy indexes are dropped outright — rebuilding them
-// on the next query is cheaper than emptying four maps, and a reused
-// window DB is usually serialized, not queried. Not safe for concurrent
-// use, like Add.
+// overwrites them. Not safe for concurrent use, like Add.
 func (db *DB) Reset() {
 	db.n = 0
 	db.names.reset()
-	db.indexed = 0
-	db.byFQDN = nil
-	db.bySLD = nil
-	db.byServer = nil
-	db.byPort = nil
 }
 
 // Len returns the number of flows stored.
@@ -320,92 +267,6 @@ func (db *DB) At(i int) LabeledFlow {
 	var f LabeledFlow
 	db.Load(i, &f)
 	return f
-}
-
-// gather decodes the flows at idxs.
-func (db *DB) gather(idxs []int) []LabeledFlow {
-	out := make([]LabeledFlow, len(idxs))
-	for i, idx := range idxs {
-		db.Load(idx, &out[i])
-	}
-	return out
-}
-
-// BySLD returns copies of the flows whose label belongs to the given
-// second-level domain (Algorithm 2's queryByDomainName on the
-// organization).
-func (db *DB) BySLD(sld string) []LabeledFlow {
-	db.index()
-	return db.gather(db.bySLD[db.names.lookup(sld)])
-}
-
-// ByServer returns copies of the flows to the given server address
-// (Algorithm 3's query).
-func (db *DB) ByServer(addr netip.Addr) []LabeledFlow {
-	db.index()
-	return db.gather(db.byServer[addr])
-}
-
-// ByPort returns copies of the flows to the given server port (Algorithm
-// 4's query).
-func (db *DB) ByPort(port uint16) []LabeledFlow { db.index(); return db.gather(db.byPort[port]) }
-
-// FQDNsOfSLD returns the distinct FQDNs labeled under sld, sorted.
-func (db *DB) FQDNsOfSLD(sld string) []string {
-	db.index()
-	seen := make(map[uint32]struct{})
-	for _, idx := range db.bySLD[db.names.lookup(sld)] {
-		seen[db.row(idx).label] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, db.names.str(id))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ServersOfFQDN returns the distinct server addresses observed serving
-// fqdn, sorted.
-func (db *DB) ServersOfFQDN(fqdn string) []netip.Addr {
-	db.index()
-	return db.distinctServers(db.byFQDN[db.names.lookup(fqdn)])
-}
-
-func (db *DB) distinctServers(idxs []int) []netip.Addr {
-	seen := make(map[netip.Addr]struct{})
-	for _, idx := range idxs {
-		r := db.row(idx)
-		seen[db.names.addr(r.server, r.serverAddr)] = struct{}{}
-	}
-	out := make([]netip.Addr, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// Servers returns every distinct server address in the database, sorted.
-func (db *DB) Servers() []netip.Addr {
-	db.index()
-	out := make([]netip.Addr, 0, len(db.byServer))
-	for a := range db.byServer {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// FQDNs returns every distinct label in the database, sorted.
-func (db *DB) FQDNs() []string {
-	db.index()
-	out := make([]string, 0, len(db.byFQDN))
-	for id := range db.byFQDN {
-		out = append(out, db.names.str(id))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LabelCoverage summarizes the hit ratio per L7 protocol — the measurement

@@ -2,7 +2,7 @@ package flowdb
 
 import (
 	"net/netip"
-	"sync"
+	"reflect"
 	"testing"
 	"time"
 
@@ -37,24 +37,16 @@ func TestAddAndIndexes(t *testing.T) {
 	if db.Len() != 4 {
 		t.Fatalf("Len = %d", db.Len())
 	}
-	if got := db.ByFQDN("www.example.com"); len(got) != 1 || got[0].Label != "www.example.com" {
-		t.Fatalf("ByFQDN = %v", got)
+	// A query is a scan: Load derives each labeled flow's SLD, and an
+	// unlabeled flow has none.
+	slds := map[string]int{}
+	var f LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		slds[f.SLD]++
 	}
-	if got := db.BySLD("example.com"); len(got) != 2 {
-		t.Fatalf("BySLD = %d flows", len(got))
-	}
-	if got := db.ByServer(netip.MustParseAddr("1.1.1.1")); len(got) != 2 {
-		t.Fatalf("ByServer = %d flows", len(got))
-	}
-	if got := db.ByPort(80); len(got) != 2 {
-		t.Fatalf("ByPort = %d flows", len(got))
-	}
-	// Unlabeled flows appear in server/port indexes but not name indexes.
-	if got := db.ByPort(6881); len(got) != 1 || got[0].Labeled {
-		t.Fatalf("unlabeled flow: %v", got)
-	}
-	if got := db.ByFQDN(""); len(got) != 0 {
-		t.Fatalf("empty-label index should be empty: %v", got)
+	if want := map[string]int{"example.com": 2, "other.org": 1, "": 1}; !reflect.DeepEqual(slds, want) {
+		t.Fatalf("flows per SLD = %v, want %v", slds, want)
 	}
 }
 
@@ -73,15 +65,10 @@ func TestDistinctSetters(t *testing.T) {
 	db.Add(lf("b.x.com", "1.1.1.1", 80, flows.L7HTTP, 0))
 	db.Add(lf("a.x.com", "1.1.1.1", 80, flows.L7HTTP, 0)) // duplicate pair
 
-	servers := db.ServersOfFQDN("a.x.com")
-	if len(servers) != 2 {
-		t.Fatalf("ServersOfFQDN = %v", servers)
-	}
-	if servers[0].Compare(servers[1]) >= 0 {
-		t.Fatal("servers not sorted")
-	}
-	if got := db.FQDNsOfSLD("x.com"); len(got) != 2 || got[0] != "a.x.com" {
-		t.Fatalf("FQDNsOfSLD = %v", got)
+	// The log keeps every flow, the duplicate pair included: distinct
+	// sets are the analytics' to build.
+	if db.Len() != 4 || !reflect.DeepEqual(db.At(3), db.At(0)) {
+		t.Fatalf("Len = %d, At(3) = %+v, want 4 and a copy of At(0)", db.Len(), db.At(3))
 	}
 }
 
@@ -89,11 +76,10 @@ func TestGlobalEnumerations(t *testing.T) {
 	db := New()
 	db.Add(lf("a.x.com", "2.2.2.2", 80, flows.L7HTTP, 0))
 	db.Add(lf("b.y.org", "1.1.1.1", 443, flows.L7TLS, 0))
-	if got := db.Servers(); len(got) != 2 || got[0].Compare(got[1]) >= 0 {
-		t.Fatalf("Servers = %v", got)
-	}
-	if got := db.FQDNs(); len(got) != 2 || got[0] != "a.x.com" {
-		t.Fatalf("FQDNs = %v", got)
+	// All enumerates in insertion order, not sorted by server or label.
+	all := db.All()
+	if len(all) != 2 || all[0].Label != "a.x.com" || all[1].Key.ServerIP != netip.MustParseAddr("1.1.1.1") {
+		t.Fatalf("All = %+v", all)
 	}
 }
 
@@ -129,53 +115,4 @@ func TestAtAndAll(t *testing.T) {
 	if db.At(0).Label != "a.x.com" || len(db.All()) != 1 {
 		t.Fatal("At/All broken")
 	}
-}
-
-// TestConcurrentQueriesAfterIngest: once writing has stopped, queries may
-// run concurrently — the first ones race to build the lazy indexes, which
-// must be serialized internally (run under -race).
-func TestConcurrentQueriesAfterIngest(t *testing.T) {
-	db := New()
-	for i := 0; i < 500; i++ {
-		db.Add(LabeledFlow{
-			Record: flows.Record{Key: flows.Key{
-				ClientIP:   netip.MustParseAddr("10.0.0.1"),
-				ServerIP:   netip.AddrFrom4([4]byte{203, 0, 113, byte(i)}),
-				ServerPort: uint16(80 + i%3),
-			}},
-			Label: "cdn.example.com", Labeled: true, Vantage: "EU1",
-		})
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			switch g % 4 {
-			case 0:
-				if got := len(db.ByFQDN("cdn.example.com")); got != 500 {
-					t.Errorf("ByFQDN = %d", got)
-				}
-			case 1:
-				if got := len(db.ByPort(80)); got == 0 {
-					t.Error("ByPort empty")
-				}
-			case 2:
-				if got := len(db.ServersOfFQDN("cdn.example.com")); got != 256 {
-					t.Errorf("ServersOfFQDN = %d", got)
-				}
-			case 3:
-				if got := len(db.Servers()); got != 256 {
-					t.Errorf("Servers = %d", got)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// ByFQDN returns copies of the flows labeled exactly fqdn.
-func (db *DB) ByFQDN(fqdn string) []LabeledFlow {
-	db.index()
-	return db.gather(db.byFQDN[db.names.lookup(fqdn)])
 }

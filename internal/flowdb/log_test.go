@@ -15,8 +15,8 @@ import (
 // logSizes straddle the chunk boundary.
 var logSizes = []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1}
 
-// logFlow is the i-th flow of the log tests; the fields the indexes,
-// Coverage and WriteCSV read all vary with i.
+// logFlow is the i-th flow of the log tests; the fields the analytics
+// scans, Coverage and WriteCSV read all vary with i.
 func logFlow(i int) LabeledFlow {
 	label := ""
 	if i%3 != 0 {
@@ -59,57 +59,24 @@ func checkLog(t *testing.T, db *DB, n int) {
 	}
 }
 
-// TestLogAtAndQueries: At, every index query, Coverage, All and WriteCSV
-// agree with a linear scan of the same flows at sizes around chunkLen.
+// TestLogAtAndQueries: At, Coverage, All and WriteCSV agree with a linear
+// scan of the same flows at sizes around chunkLen.
 func TestLogAtAndQueries(t *testing.T) {
 	for _, n := range logSizes {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			db := logDB(0, n)
 			checkLog(t, db, n)
 
-			byPort := map[uint16][]LabeledFlow{}
-			byServer := map[netip.Addr][]LabeledFlow{}
-			byFQDN := map[string][]LabeledFlow{}
-			bySLD := map[string][]LabeledFlow{}
 			cov := LabelCoverage{Total: map[flows.L7Proto]int{}, Labeled: map[flows.L7Proto]int{}}
 			warmup := time.Duration(n/2) * time.Millisecond
 			for i := 0; i < n; i++ {
 				f := db.At(i)
-				byPort[f.Key.ServerPort] = append(byPort[f.Key.ServerPort], f)
-				byServer[f.Key.ServerIP] = append(byServer[f.Key.ServerIP], f)
-				if f.Labeled {
-					byFQDN[f.Label] = append(byFQDN[f.Label], f)
-					bySLD[f.SLD] = append(bySLD[f.SLD], f)
-				}
 				if f.Start >= warmup {
 					cov.Total[f.L7]++
 					if f.Labeled {
 						cov.Labeled[f.L7]++
 					}
 				}
-			}
-			for p, want := range byPort {
-				if got := db.ByPort(p); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ByPort(%d): %d flows, want %d", p, len(got), len(want))
-				}
-			}
-			for a, want := range byServer {
-				if got := db.ByServer(a); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ByServer(%v): %d flows, want %d", a, len(got), len(want))
-				}
-			}
-			for l, want := range byFQDN {
-				if got := db.ByFQDN(l); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ByFQDN(%q): %d flows, want %d", l, len(got), len(want))
-				}
-			}
-			for s, want := range bySLD {
-				if got := db.BySLD(s); !reflect.DeepEqual(got, want) {
-					t.Fatalf("BySLD(%q): %d flows, want %d", s, len(got), len(want))
-				}
-			}
-			if got := len(db.Servers()); got != len(byServer) {
-				t.Fatalf("Servers: %d, want %d", got, len(byServer))
 			}
 			if got := db.Coverage(warmup); !reflect.DeepEqual(got, cov) {
 				t.Fatalf("Coverage = %+v, want %+v", got, cov)
@@ -157,50 +124,31 @@ func TestLogMergeOrder(t *testing.T) {
 				db := logDB(0, a)
 				db.Merge(logDB(a, b), New(), logDB(a+b, 3))
 				checkLog(t, db, a+b+3)
-				if got := len(db.ByPort(80)); got != (a+b+3+3)/4 {
-					t.Fatalf("ByPort(80) after Merge: %d flows, want %d", got, (a+b+3+3)/4)
-				}
 			})
 		}
 	}
 }
 
-// TestLogQueryResultsStable: queries return copies, so a result is never
-// changed by later writes, and the same query issued after more flows
-// arrive returns the earlier result as its prefix — the lazy indexes are
-// only ever extended.
+// TestLogQueryResultsStable: reads return copies, so a result is never
+// changed by later writes, and All issued after more flows arrive returns
+// the earlier result as its prefix — the log is only ever appended to.
 func TestLogQueryResultsStable(t *testing.T) {
 	db := logDB(0, chunkLen-1)
-	f0 := logFlow(1)
-	queries := map[string]func() []LabeledFlow{
-		"ByFQDN":   func() []LabeledFlow { return db.ByFQDN(f0.Label) },
-		"BySLD":    func() []LabeledFlow { return db.BySLD("s1.example") },
-		"ByServer": func() []LabeledFlow { return db.ByServer(f0.Key.ServerIP) },
-	}
-	before := map[string][]LabeledFlow{}
-	values := map[string][]LabeledFlow{}
-	for name, q := range queries {
-		fs := q()
-		if len(fs) == 0 {
-			t.Fatalf("%s: no flows", name)
-		}
-		before[name] = fs
-		values[name] = append([]LabeledFlow(nil), fs...)
-	}
+	before := db.All()
+	at := db.At(1)
+	values := append([]LabeledFlow(nil), before...)
 	for i := chunkLen - 1; i < 4*chunkLen; i++ {
 		db.Add(logFlow(i))
 	}
-	for name, q := range queries {
-		after := q()
-		if len(after) <= len(before[name]) {
-			t.Fatalf("%s: %d flows after more adds, want more than %d", name, len(after), len(before[name]))
-		}
-		if !reflect.DeepEqual(after[:len(before[name])], values[name]) {
-			t.Fatalf("%s: the earlier result is not a prefix of the later one", name)
-		}
-		if !reflect.DeepEqual(before[name], values[name]) {
-			t.Fatalf("%s: an earlier result changed under later writes", name)
-		}
+	after := db.All()
+	if len(after) != 4*chunkLen {
+		t.Fatalf("All: %d flows after more adds, want %d", len(after), 4*chunkLen)
+	}
+	if !reflect.DeepEqual(after[:len(before)], values) {
+		t.Fatal("the earlier All result is not a prefix of the later one")
+	}
+	if !reflect.DeepEqual(before, values) || !reflect.DeepEqual(at, values[1]) {
+		t.Fatal("an earlier result changed under later writes")
 	}
 }
 

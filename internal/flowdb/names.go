@@ -12,7 +12,7 @@ import (
 // tables need not share anything but this.
 var nameSeed = maphash.MakeSeed()
 
-// noName is the ID lookup returns for a string the table does not hold; no
+// noName is the ID find returns for a string the table does not hold; no
 // row carries it.
 const noName = ^uint32(0)
 
@@ -82,14 +82,6 @@ func (n *names) find(s string, h uint64) uint32 {
 			return noName
 		}
 	}
-}
-
-// lookup returns the ID of s, or noName when no row names s.
-func (n *names) lookup(s string) uint32 {
-	if s == "" {
-		return 0
-	}
-	return n.find(s, hash(s))
 }
 
 // id returns the ID of s, filing s first when the table does not hold it.

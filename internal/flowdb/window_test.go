@@ -259,18 +259,15 @@ func TestWindowedFlushErrorSticky(t *testing.T) {
 func TestDBReset(t *testing.T) {
 	db := New()
 	db.Add(LabeledFlow{Label: "a.example.com", Labeled: true})
-	if got := db.ByFQDN("a.example.com"); len(got) != 1 {
-		t.Fatalf("pre-reset ByFQDN: %d", len(got))
-	}
 	db.Reset()
 	if db.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", db.Len())
 	}
-	if got := db.ByFQDN("a.example.com"); len(got) != 0 {
-		t.Fatalf("post-reset ByFQDN: %d", len(got))
+	if id := db.names.lookup("a.example.com"); id != noName {
+		t.Fatalf("after Reset the name table still files a.example.com as %d", id)
 	}
 	db.Add(LabeledFlow{Label: "b.example.com", Labeled: true})
-	if got := db.ByFQDN("b.example.com"); len(got) != 1 {
-		t.Fatalf("post-reset reuse ByFQDN: %d", len(got))
+	if got := db.At(0); db.Len() != 1 || got.Label != "b.example.com" || got.SLD != "example.com" {
+		t.Fatalf("post-reset reuse: Len %d, At(0) = %+v", db.Len(), got)
 	}
 }
