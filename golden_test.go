@@ -2,8 +2,10 @@ package dnhunter
 
 // Output digests pinned to testdata/golden.txt: one synthetic EU1-FTTH
 // trace through Engine.Run over a grid of shard counts, Clist sizes and
-// history depths, and every experiments.All entry at scale 0.2, seed 1
-// (what `experiments -scale 0.2 -seed 1` prints). A change that means to keep every output byte-identical
+// history depths; the same trace through Server.Serve (drain checkpoints,
+// their restore and rewrite, and window CSVs); every experiments.All entry
+// at scale 0.2, seed 1 (what `experiments -scale 0.2 -seed 1` prints); and
+// the bytes of every named scenario's trace. A change that means to keep every output byte-identical
 // (a performance change, a refactor) must pass this unchanged; a change
 // that moves a digest regenerates the file with
 //
@@ -16,16 +18,20 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/synth"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current outputs")
@@ -70,13 +76,141 @@ func experimentLine(id string, r experiments.Report) string {
 	return fmt.Sprintf("experiments/%s text=%s metrics=%s", id, sha256Hex([]byte(r.Text)), sha256Hex(m.Bytes()))
 }
 
+// Scale and seed of the trace cells.
+const (
+	goldenTraceScale = 0.25
+	goldenTraceSeed  = 1
+)
+
+// goldenTraceScenarios lists the trace cells: the five Table 1 captures,
+// DNS-CHURN and the three TRIVANTAGE vantages, each named as its cell.
+func goldenTraceScenarios() (names []string, scs []synth.Scenario) {
+	for _, name := range append(slices.Clone(synth.ScenarioNames), synth.NameDNSChurn) {
+		names = append(names, name)
+		scs = append(scs, synth.NamedScenario(name, goldenTraceScale, goldenTraceSeed))
+	}
+	for _, sc := range synth.TriVantageScenarios(goldenTraceScale, goldenTraceSeed) {
+		names = append(names, synth.NameTriVantage+"/"+sc.Name)
+		scs = append(scs, sc)
+	}
+	return names, scs
+}
+
+// traceLine renders one trace's golden.txt line: the digest of every
+// packet's (timestamp, length, bytes) in trace order, the digest of Truth
+// in sorted key order, and the packet, flow and DNS-response counts. Ties
+// in timestamp are common, so the packet digest also pins their order.
+func traceLine(name string, tr *synth.Trace) string {
+	h := sha256.New()
+	var hdr [12]byte
+	for _, p := range tr.Packets {
+		binary.LittleEndian.PutUint64(hdr[:8], uint64(p.Timestamp))
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(p.Data)))
+		h.Write(hdr[:])
+		h.Write(p.Data)
+	}
+	truth := make([]string, 0, len(tr.Truth))
+	for k, fqdn := range tr.Truth {
+		truth = append(truth, fmt.Sprintf("%v %v %d %d %d %s\n", k.ClientIP, k.ServerIP, k.ClientPort, k.ServerPort, k.Proto, fqdn))
+	}
+	slices.Sort(truth)
+	return fmt.Sprintf("trace/%s packets=%s truth=%s pkts=%d flows=%d dns=%d", name,
+		hex.EncodeToString(h.Sum(nil)), sha256Hex([]byte(strings.Join(truth, ""))),
+		len(tr.Packets), tr.Flows, tr.DNSResponses)
+}
+
+// serveLines runs tr through Server.Serve and renders the serve cells:
+//   - the drain checkpoint at shards {1, 4} x Clist 4096 x history {0, 2},
+//     and at shards 4 on a millisecond clock, each followed by its restore
+//     in a run over no packets and the rewrite at that run's drain;
+//   - the window CSVs: every window's WriteCSV bytes concatenated at
+//     shards=1, and the sorted union of their rows at shards=2, whose
+//     window row order depends on the schedule.
+//
+// Every cell's output is added to actual under its file name.
+func serveLines(t *testing.T, tr *Trace, actual map[string][]byte) []string {
+	t.Helper()
+	ctx := context.Background()
+	dir := t.TempDir()
+	var lines []string
+	// checkpoint drains packets into a fresh checkpoint, then restores it
+	// in a run over no packets and digests the rewrite.
+	checkpoint := func(name string, shards, history int, packets []Packet) {
+		t.Helper()
+		path := filepath.Join(dir, strings.ReplaceAll(name, "/", "_")+".ckpt")
+		eng := NewEngine(WithShards(shards), WithResolver(ResolverConfig{ClistSize: 4096, History: history}))
+		for _, rewrite := range []bool{false, true} {
+			var src PacketSource = NewLoopSource(packets, 0, 1)
+			cell := name
+			if rewrite {
+				src, cell = NewLoopSource(nil, 0, 1), name+"/rewritten"
+			}
+			rep, err := eng.Server(ServeConfig{CheckpointPath: path}).Serve(ctx, src)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			lines = append(lines, fmt.Sprintf("%s ckpt=%s restored=%d entries=%d",
+				cell, sha256Hex(b), rep.RestoredEntries, rep.CheckpointedEntries))
+			actual[strings.ReplaceAll(cell, "/", "_")+".ckpt"] = b
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		for _, history := range []int{0, 2} {
+			checkpoint(fmt.Sprintf("serve/checkpoint/shards=%d/clist=4096/history=%d", shards, history), shards, history, tr.Packets)
+		}
+	}
+	// The synthetic clock has nanosecond resolution, so no two clients'
+	// DNS responses share a timestamp and the checkpoint merge never meets
+	// a tie across shards. A capture clock that ticks in whole
+	// milliseconds makes such ties, so this cell pins the tie-break.
+	coarse := make([]Packet, len(tr.Packets))
+	for i, p := range tr.Packets {
+		coarse[i] = Packet{Timestamp: p.Timestamp.Truncate(time.Millisecond), Data: p.Data}
+	}
+	checkpoint("serve/checkpoint/shards=4/clist=4096/history=0/clock=1ms", 4, 0, coarse)
+	for _, shards := range []int{1, 2} {
+		name := fmt.Sprintf("serve/windows/shards=%d", shards)
+		var csv bytes.Buffer
+		var rows []string
+		rep, err := NewEngine(WithShards(shards)).Server(ServeConfig{
+			FlushWindow: func(w Window) error {
+				start := csv.Len()
+				if err := w.DB.WriteCSV(&csv); err != nil {
+					return err
+				}
+				b := csv.Bytes()[start:]
+				// Every WriteCSV starts with the header line.
+				b = b[bytes.IndexByte(b, '\n')+1:]
+				rows = append(rows, strings.SplitAfter(string(b), "\n")...)
+				return nil
+			},
+		}).Serve(ctx, tr.Source())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out := csv.Bytes()
+		if shards > 1 {
+			slices.Sort(rows)
+			out = []byte(strings.Join(rows, ""))
+		}
+		lines = append(lines, fmt.Sprintf("%s csv=%s windows=%d rows=%d", name, sha256Hex(out), rep.Windows, rep.Stats.Flows))
+		actual[strings.ReplaceAll(name, "/", "_")+".csv"] = out
+	}
+	return lines
+}
+
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGoldenDigests runs the grid and the experiments and compares each
-// cell's digests with testdata/golden.txt. Every cell's CSV is digested in the engine's own row
+// TestGoldenDigests runs the grid, the serve cells, the experiments and
+// the trace cells and compares each cell's digests with
+// testdata/golden.txt. Every cell's CSV is digested in the engine's own row
 // order: at a fixed shard count the order is recency-driven per shard and
 // merged deterministically, so it is stable run to run (the test checks
 // that by running the first sharded cell twice).
@@ -135,6 +269,7 @@ func TestGoldenDigests(t *testing.T) {
 			break
 		}
 	}
+	lines = append(lines, serveLines(t, tr, actual)...)
 	s := experiments.NewSuite(goldenExpScale, goldenExpSeed)
 	for _, e := range experiments.All {
 		r := e.Run(s)
@@ -143,6 +278,10 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		lines = append(lines, experimentLine(e.ID, r))
 		actual["experiments_"+strings.NewReplacer("/", "_", ":", "_").Replace(e.ID)+".txt"] = []byte(r.Text)
+	}
+	names, scs := goldenTraceScenarios()
+	for i, sc := range scs {
+		lines = append(lines, traceLine(names[i], synth.Generate(sc)))
 	}
 
 	if *updateGolden {
