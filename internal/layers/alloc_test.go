@@ -122,3 +122,35 @@ func TestParseUnhandledZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// The synthesizer builds every frame of a trace through one Builder; once
+// its buffers are warm, neither frame method may allocate.
+func TestBuilderZeroAlloc(t *testing.T) {
+	payload := []byte("GET / HTTP/1.1\r\nHost: example.com\r\n\r\n")
+	for _, tc := range []struct {
+		name     string
+		src, dst netip.Addr
+	}{
+		{"ipv4", ip4a, ip4b},
+		{"ipv6", ip6a, ip6b},
+	} {
+		var b Builder
+		tcp := func() {
+			if _, err := b.TCPFrame(tc.src, tc.dst, 40000, 80, TCPAck|TCPPsh, 1, 1, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		udp := func() {
+			if _, err := b.UDPFrame(tc.dst, tc.src, 53, 40000, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tcp() // warm the buffers to the larger frame
+		if n := testing.AllocsPerRun(1000, tcp); n != 0 {
+			t.Errorf("%s TCPFrame allocates %v/op, want 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(1000, udp); n != 0 {
+			t.Errorf("%s UDPFrame allocates %v/op, want 0", tc.name, n)
+		}
+	}
+}

@@ -309,15 +309,22 @@ func pseudoHeaderSum(src, dst netip.Addr, proto IPProtocol, length int) uint32 {
 }
 
 // transportChecksum finishes a checksum over segment with the pseudo-header
-// for src/dst/proto included.
+// for src/dst/proto included. The segment is summed eight bytes a step as
+// 32-bit words: a one's-complement sum folds to the same 16 bits whatever
+// width its words have (RFC 1071, section 2), and a 64-bit accumulator
+// cannot overflow on a 64 KiB segment.
 func transportChecksum(segment []byte, src, dst netip.Addr, proto IPProtocol) uint16 {
-	sum := pseudoHeaderSum(src, dst, proto, len(segment))
+	sum := uint64(pseudoHeaderSum(src, dst, proto, len(segment)))
+	for len(segment) >= 8 {
+		sum += uint64(binary.BigEndian.Uint32(segment[:4])) + uint64(binary.BigEndian.Uint32(segment[4:8]))
+		segment = segment[8:]
+	}
 	for len(segment) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[:2]))
+		sum += uint64(binary.BigEndian.Uint16(segment[:2]))
 		segment = segment[2:]
 	}
 	if len(segment) == 1 {
-		sum += uint32(segment[0]) << 8
+		sum += uint64(segment[0]) << 8
 	}
 	for sum > 0xffff {
 		sum = sum&0xffff + sum>>16

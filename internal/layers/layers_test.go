@@ -467,3 +467,37 @@ func VerifyUDPChecksum(segment []byte, src, dst netip.Addr) bool {
 	}
 	return transportChecksum(segment, src, dst, IPProtocolUDP) == 0
 }
+
+// transportChecksum sums 32-bit words; it must fold to what the plain
+// RFC 1071 sum over 16-bit words gives, at every segment length and for
+// both address families.
+func TestTransportChecksumMatchesWordSum(t *testing.T) {
+	reference := func(segment []byte, src, dst netip.Addr, proto IPProtocol) uint16 {
+		sum := pseudoHeaderSum(src, dst, proto, len(segment))
+		for ; len(segment) >= 2; segment = segment[2:] {
+			sum += uint32(binary.BigEndian.Uint16(segment))
+		}
+		if len(segment) == 1 {
+			sum += uint32(segment[0]) << 8
+		}
+		for sum > 0xffff {
+			sum = sum&0xffff + sum>>16
+		}
+		return ^uint16(sum)
+	}
+	seg := make([]byte, 1500)
+	for i := range seg {
+		seg[i] = byte(i*131 + i>>3)
+	}
+	ones := bytes.Repeat([]byte{0xff}, 1500)
+	for _, addrs := range [][2]netip.Addr{{ip4a, ip4b}, {ip6a, ip6b}} {
+		for n := 0; n <= len(seg); n++ {
+			for _, b := range [][]byte{seg[:n], ones[:n], seg[len(seg)-n:]} {
+				want := reference(b, addrs[0], addrs[1], IPProtocolTCP)
+				if got := transportChecksum(b, addrs[0], addrs[1], IPProtocolTCP); got != want {
+					t.Fatalf("%v, %d bytes: checksum %#04x, want %#04x", addrs[0], n, got, want)
+				}
+			}
+		}
+	}
+}

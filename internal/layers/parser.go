@@ -142,9 +142,13 @@ var (
 
 // Builder composes full frames for the synthesizer. The zero value uses
 // fixed locally administered MAC addresses; only the IP/transport fields
-// matter to the pipeline.
+// matter to the pipeline. TCPFrame and UDPFrame both build into buffers
+// the Builder owns and reuses: a frame returned by either is overwritten
+// by the next call to either, so copy it before retaining it. Once those
+// buffers have grown to the largest frame built, building allocates
+// nothing.
 type Builder struct {
-	buf []byte
+	seg, buf []byte
 }
 
 var (
@@ -156,42 +160,46 @@ var (
 // is reused on the next call; copy before retaining.
 func (b *Builder) TCPFrame(src, dst netip.Addr, sport, dport uint16, flags TCPFlags, seq, ack uint32, payload []byte) ([]byte, error) {
 	t := TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Window: 65535}
-	seg, err := t.AppendTo(nil, payload, src, dst)
+	seg, err := t.AppendTo(b.seg[:0], payload, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return b.ipFrame(src, dst, IPProtocolTCP, seg)
+	b.seg = seg
+	return b.ipFrame(src, dst, IPProtocolTCP)
 }
 
-// UDPFrame builds Ethernet+IP+UDP with the given payload.
+// UDPFrame builds Ethernet+IP+UDP with the given payload. The returned slice
+// is reused on the next call; copy before retaining.
 func (b *Builder) UDPFrame(src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {
 	u := UDP{SrcPort: sport, DstPort: dport}
-	seg, err := u.AppendTo(nil, payload, src, dst)
+	seg, err := u.AppendTo(b.seg[:0], payload, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return b.ipFrame(src, dst, IPProtocolUDP, seg)
+	b.seg = seg
+	return b.ipFrame(src, dst, IPProtocolUDP)
 }
 
-func (b *Builder) ipFrame(src, dst netip.Addr, proto IPProtocol, seg []byte) ([]byte, error) {
-	b.buf = b.buf[:0]
-	var ipBytes []byte
-	var err error
-	if src.Is4() && dst.Is4() {
-		ip := IPv4{TTL: 64, Protocol: proto, Src: src, Dst: dst}
-		ipBytes, err = ip.AppendTo(nil, seg)
-	} else {
-		ip := IPv6{NextHeader: proto, HopLimit: 64, Src: src, Dst: dst}
-		ipBytes, err = ip.AppendTo(nil, seg)
-	}
-	if err != nil {
-		return nil, err
-	}
+// ipFrame writes the Ethernet and IP headers into b.buf, followed by the
+// transport segment in b.seg.
+func (b *Builder) ipFrame(src, dst netip.Addr, proto IPProtocol) ([]byte, error) {
 	et := EtherTypeIPv4
 	if !src.Is4() {
 		et = EtherTypeIPv6
 	}
 	eth := Ethernet{Dst: builderDstMAC, Src: builderSrcMAC, EtherType: et}
-	b.buf = eth.AppendTo(b.buf, ipBytes)
-	return b.buf, nil
+	frame := eth.AppendTo(b.buf[:0], nil)
+	var err error
+	if src.Is4() && dst.Is4() {
+		ip := IPv4{TTL: 64, Protocol: proto, Src: src, Dst: dst}
+		frame, err = ip.AppendTo(frame, b.seg)
+	} else {
+		ip := IPv6{NextHeader: proto, HopLimit: 64, Src: src, Dst: dst}
+		frame, err = ip.AppendTo(frame, b.seg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	b.buf = frame
+	return frame, nil
 }

@@ -3,9 +3,9 @@ package synth
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
+	"repro/internal/dnswire"
 	"repro/internal/flows"
 	"repro/internal/layers"
 	"repro/internal/netio"
@@ -56,7 +56,12 @@ type Scenario struct {
 // Trace is one generated capture plus the sidecars the experiments need.
 type Trace struct {
 	Scenario Scenario
-	Packets  []netio.Packet
+	// Packets holds the frames in time order, ties in emission order. Each
+	// Data is a view into a chunk of frame bytes shared with other
+	// packets; it stays valid for the trace's lifetime, and its capacity
+	// ends at its length, so an append copies instead of overwriting the
+	// next frame.
+	Packets []netio.Packet
 	// Truth maps each flow to the FQDN the client actually intended —
 	// ground truth for scoring only.
 	Truth map[flows.Key]string
@@ -113,7 +118,14 @@ type generator struct {
 	u       *Universe
 	rng     *stats.RNG
 	builder layers.Builder
+	frames  frameArena
 	trace   *Trace
+
+	// Scratch reused by every emitted DNS response and TCP payload: the
+	// frame builder copies what it needs, and the arena keeps the frame.
+	dnsRecs  []dnswire.Record
+	dnsBuf   []byte
+	c2s, s2c []byte
 
 	orgPick  *stats.WeightedChoice
 	orgs     []*Org
@@ -130,9 +142,7 @@ type generator struct {
 func Generate(sc Scenario) *Trace {
 	g := newGenerator(sc)
 	g.run()
-	sort.SliceStable(g.trace.Packets, func(i, j int) bool {
-		return g.trace.Packets[i].Timestamp < g.trace.Packets[j].Timestamp
-	})
+	g.trace.Packets = g.frames.packets()
 	return g.trace
 }
 

@@ -310,3 +310,18 @@ func TestTriVantageScenarios(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerate synthesizes the batch benchmark's two trace shapes,
+// the representative EU1-FTTH mix and the DNS-heavy DNS-CHURN mix, at
+// scale 2.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range []string{NameEU1FTTH, NameDNSChurn} {
+		b.Run(name, func(b *testing.B) {
+			sc := NamedScenario(name, 2, 1)
+			b.ReportAllocs()
+			for b.Loop() {
+				Generate(sc)
+			}
+		})
+	}
+}

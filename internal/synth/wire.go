@@ -9,7 +9,6 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/flows"
 	"repro/internal/layers"
-	"repro/internal/netio"
 	"repro/internal/stats"
 	"repro/internal/tlswire"
 )
@@ -202,15 +201,16 @@ func minInt(a, b int) int {
 // emitDNSResponse writes the LDNS → client UDP packet.
 func (g *generator) emitDNSResponse(c *client, at time.Duration, fqdn string, addrs []netip.Addr) {
 	g.dnsID++
-	var recs []dnswire.Record
+	g.dnsRecs = g.dnsRecs[:0]
 	for _, a := range addrs {
-		recs = append(recs, dnswire.Record{Name: fqdn, Type: dnswire.TypeA, TTL: 60, Addr: a})
+		g.dnsRecs = append(g.dnsRecs, dnswire.Record{Name: fqdn, Type: dnswire.TypeA, TTL: 60, Addr: a})
 	}
-	msg := dnswire.NewResponse(g.dnsID, fqdn, dnswire.TypeA, recs)
-	raw, err := msg.Pack(nil)
+	msg := dnswire.NewResponse(g.dnsID, fqdn, dnswire.TypeA, g.dnsRecs)
+	raw, err := msg.Pack(g.dnsBuf[:0])
 	if err != nil {
 		return // name too long for the wire; skip silently
 	}
+	g.dnsBuf = raw
 	frame, err := g.builder.UDPFrame(g.ldns, c.addr, 53, 30000+g.dnsID%20000, raw)
 	if err != nil {
 		return
@@ -223,10 +223,7 @@ func (g *generator) addPacket(at time.Duration, frame []byte) {
 	if at > g.sc.Duration {
 		return
 	}
-	g.trace.Packets = append(g.trace.Packets, netio.Packet{
-		Timestamp: at,
-		Data:      append([]byte(nil), frame...),
-	})
+	g.frames.add(at, frame)
 }
 
 // resolveOnly performs a prefetch resolution never followed by a flow.
@@ -347,9 +344,11 @@ func (g *generator) emitFlowKind(c *client, at time.Duration, server netip.Addr,
 		if host == "" {
 			host = "direct-" + server.String()
 		}
-		c2sPayload = []byte(fmt.Sprintf("GET /r%d HTTP/1.1\r\nHost: %s\r\nUser-Agent: synth/1.0\r\n\r\n", c.rng.Intn(1000), host))
+		g.c2s = fmt.Appendf(g.c2s[:0], "GET /r%d HTTP/1.1\r\nHost: %s\r\nUser-Agent: synth/1.0\r\n\r\n", c.rng.Intn(1000), host)
 		body := 200 + c.rng.Intn(2400)
-		s2cPayload = append([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", body)), make([]byte, body)...)
+		g.s2c = fmt.Appendf(g.s2c[:0], "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", body)
+		g.s2c = append(g.s2c, make([]byte, body)...)
+		c2sPayload, s2cPayload = g.c2s, g.s2c
 	case kindTLS:
 		c2sPayload, s2cPayload = g.tlsFlight(c, fqdn, provider)
 	case kindService:
