@@ -30,7 +30,8 @@ var (
 
 // appendName encodes a dotted name at the end of msg, using and updating the
 // compression table (suffix -> offset of its first occurrence). The table
-// may be nil to disable compression.
+// may be nil to disable compression. Each suffix is keyed as the substring
+// of name from a label start, so filing and probing it builds no string.
 func appendName(msg []byte, name string, table map[string]int) ([]byte, error) {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
@@ -39,9 +40,7 @@ func appendName(msg []byte, name string, table map[string]int) ([]byte, error) {
 	if len(name) > maxNameLen-2 {
 		return msg, fmt.Errorf("%w: name too long (%d)", ErrBadName, len(name))
 	}
-	labels := strings.Split(name, ".")
-	for i := range labels {
-		suffix := strings.Join(labels[i:], ".")
+	for suffix := name; ; {
 		if table != nil {
 			if off, ok := table[suffix]; ok && off < 0x3fff {
 				// Emit a pointer to the earlier occurrence and stop.
@@ -51,14 +50,17 @@ func appendName(msg []byte, name string, table map[string]int) ([]byte, error) {
 				table[suffix] = len(msg)
 			}
 		}
-		label := labels[i]
+		label, rest, more := strings.Cut(suffix, ".")
 		if label == "" || len(label) > maxLabelLen {
 			return msg, fmt.Errorf("%w: label %q", ErrBadName, label)
 		}
 		msg = append(msg, byte(len(label)))
 		msg = append(msg, label...)
+		if !more {
+			return append(msg, 0), nil
+		}
+		suffix = rest
 	}
-	return append(msg, 0), nil
 }
 
 // Pre-wrapped errors for name decoding, which runs per captured packet.

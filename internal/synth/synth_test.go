@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -34,6 +35,35 @@ func TestUniverseProvidersWellFormed(t *testing.T) {
 			}
 			seen[a] = struct{}{}
 		}
+	}
+}
+
+// TestPoolHashMatchesGroupID: poolHash hashes the group ID the generator
+// used to build as a string, for every catalog group and for port groups.
+func TestPoolHashMatchesGroupID(t *testing.T) {
+	id := func(hg *HostGroup, provider string) string {
+		if len(hg.Names) > 0 {
+			return provider + "/" + hg.Names[0].Pattern
+		}
+		return provider + fmt.Sprintf("/p%d", hg.Port)
+	}
+	groups := []*HostGroup{{Port: 0}, {Port: 7}, {Port: 443}, {Port: 65535}}
+	for _, o := range BuildUniverse(GeoEU1).Orgs {
+		for _, gs := range o.Groups {
+			for i := range gs {
+				groups = append(groups, &gs[i])
+			}
+		}
+	}
+	for _, hg := range groups {
+		for _, p := range []string{"akamai", "level 3", ""} {
+			if got, want := hg.poolHash(p), fnv32(id(hg, p)); got != want {
+				t.Fatalf("poolHash(%q) of %q = %#x, want %#x", p, id(hg, p), got, want)
+			}
+		}
+	}
+	if got, want := fnvAdd(fnv32("www.example.com"), "*"), fnv32("www.example.com*"); got != want {
+		t.Fatalf("fnvAdd does not continue fnv32: %#x, want %#x", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 	"time"
 
@@ -99,7 +100,7 @@ func (g *generator) selectServers(c *client, at time.Duration, fqdn string, grou
 	if n <= 0 || n > len(pool) {
 		n = len(pool)
 	}
-	offset := int(fnv32(group.groupID(provider.Name))) % len(pool)
+	offset := int(group.poolHash(provider.Name)) % len(pool)
 	active := n
 	if provider.Diurnal {
 		mult := g.diurnal.Value(g.hourOf(at))
@@ -126,12 +127,13 @@ func (g *generator) selectServers(c *client, at time.Duration, fqdn string, grou
 	if provider.Diurnal {
 		multiThresh = 45
 	}
-	if fnv32(fqdn+"*")%100 >= multiThresh {
+	nameHash := fnv32(fqdn)
+	if fnvAdd(nameHash, "*")%100 >= multiThresh {
 		// Pinned names: one server for the whole capture. Per-bin distinct
 		// server counts for an SLD then track how many of its names are
 		// touched per bin, which follows the diurnal load — and the
 		// rotated names below add the active-pool dynamics on top.
-		return []netip.Addr{pool[(offset+int(fnv32(fqdn))%n)%len(pool)]}
+		return []netip.Addr{pool[(offset+int(nameHash)%n)%len(pool)]}
 	}
 	// Answer list length for rotated names: mostly 1, sometimes several
 	// (§6: ~40% of responses carry more than one address; Google up to 16).
@@ -163,7 +165,7 @@ func (g *generator) selectServers(c *client, at time.Duration, fqdn string, grou
 	if provider.Diurnal {
 		jitter = 0.6
 	}
-	start := int(fnv32(fqdn)) % active
+	start := int(nameHash) % active
 	if c.rng.Bool(jitter) {
 		start = c.rng.Intn(active)
 	}
@@ -174,18 +176,36 @@ func (g *generator) selectServers(c *client, at time.Duration, fqdn string, grou
 	return out
 }
 
-// groupID stably identifies a host group for pool slicing.
-func (hg *HostGroup) groupID(provider string) string {
+// poolHash is the FNV-1a hash of the group's stable ID, provider + "/" +
+// its first name pattern, or provider + "/p" + its port for a port group:
+// the offset of its slice of the provider pool. The hash runs over the
+// ID's pieces in turn, so the ID is never built.
+func (hg *HostGroup) poolHash(provider string) uint32 {
+	h := fnvAdd(fnv32(provider), "/")
 	if len(hg.Names) > 0 {
-		return provider + "/" + hg.Names[0].Pattern
+		return fnvAdd(h, hg.Names[0].Pattern)
 	}
-	return provider + fmt.Sprintf("/p%d", hg.Port)
+	var port [6]byte
+	return fnvAddBytes(h, strconv.AppendUint(append(port[:0], 'p'), uint64(hg.Port), 10))
 }
 
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
+// fnv32 is the 32-bit FNV-1a hash of s.
+func fnv32(s string) uint32 { return fnvAdd(2166136261, s) }
+
+// fnvAdd continues the FNV-1a hash h over s: fnvAdd(fnv32(a), b) is
+// fnv32(a + b).
+func fnvAdd(h uint32, s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// fnvAddBytes is fnvAdd over a byte slice.
+func fnvAddBytes(h uint32, b []byte) uint32 {
+	for _, c := range b {
+		h ^= uint32(c)
 		h *= 16777619
 	}
 	return h
