@@ -136,17 +136,17 @@ func TestHandlePacketZeroAlloc(t *testing.T) {
 		OnTag:         func(TagEvent) {},
 		OnDNSResponse: func(DNSEvent) {},
 		OnFlow:        func(flowdb.LabeledFlow) {},
-		DiscardDB:     true,
 	})
 	block := make([]netio.Packet, len(pkts))
 	pass := 0
 	replay := func() {
 		pass++
+		h.DB().Reset() // each pass fills a recycled DB, as a serve window does
 		for _, p := range replayAt(block, pkts, time.Duration(pass)*time.Second) {
 			h.HandlePacket(p)
 		}
 	}
-	replay() // warm: slabs, tag slice, interner, resolver nodes
+	replay() // warm: slabs, tag slice, interner, resolver nodes, DB
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Fatalf("warm HandlePacket pass allocates %v, want 0", n)
 	}
@@ -168,10 +168,9 @@ func TestShardedDispatchZeroAlloc(t *testing.T) {
 		d.rings[i] = newRing(ringDepth, defaultBatch)
 		workers[i] = &shardWorker{
 			h: New(Config{
-				Resolver:  resolverCfg(),
-				Flows:     flows.Config{DisableAutoSweep: true, Seed: seed},
-				OnTag:     func(TagEvent) {},
-				DiscardDB: true,
+				Resolver: resolverCfg(),
+				Flows:    flows.Config{DisableAutoSweep: true, Seed: seed},
+				OnTag:    func(TagEvent) {},
 			}),
 			ring: d.rings[i],
 		}
@@ -182,6 +181,7 @@ func TestShardedDispatchZeroAlloc(t *testing.T) {
 		pass++
 		d.dispatchBlock(replayAt(block, pkts, time.Duration(pass)*time.Second), nil)
 		for _, w := range workers {
+			w.h.DB().Reset()
 			for s := w.ring.tryConsume(); len(s) > 0; s = w.ring.tryConsume() {
 				w.process(s)
 				w.ring.release(s)
@@ -243,7 +243,6 @@ func TestFreshNameOneAlloc(t *testing.T) {
 			}
 			last = lf
 		},
-		DiscardDB: true,
 	})
 	feedAll := func(pkts []netio.Packet) {
 		for _, p := range pkts {
@@ -252,6 +251,7 @@ func TestFreshNameOneAlloc(t *testing.T) {
 	}
 	i := 0
 	step := func() {
+		h.DB().Reset()
 		feedAll(iters[i].dns)
 		feedAll(iters[i].flows)
 		i++

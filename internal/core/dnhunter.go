@@ -67,10 +67,6 @@ type Config struct {
 	// Truth, when set, supplies ground-truth FQDNs for synthetic flows
 	// (used only for scoring, never for labeling).
 	Truth func(flows.Key) string
-	// DiscardDB skips storing finished flows in the database (DB() stays
-	// empty); the OnFlow hook still observes every flow. Streaming mode
-	// sets it to keep heap bounded over unbounded input.
-	DiscardDB bool
 	// Vantage labels every emitted event and flow record with the packet
 	// source's name. The multi-source Engine sets it per vantage pipeline;
 	// empty (the default) leaves records unlabeled, preserving the exact
@@ -166,7 +162,8 @@ func New(cfg Config) *DNHunter {
 	return h
 }
 
-// DB returns the labeled flows database.
+// DB returns the labeled flows database. In serve mode it is the open
+// window, which the engine swaps at every window boundary.
 func (h *DNHunter) DB() *flowdb.DB { return h.db }
 
 // Resolver exposes the cache replica (for diagnostics and experiments).
@@ -298,9 +295,7 @@ func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
 	if tg.Hit {
 		h.stats.LabeledFlows++
 	}
-	if !h.cfg.DiscardDB {
-		h.db.Add(lf)
-	}
+	h.db.Add(lf)
 	if h.cfg.OnFlow != nil {
 		h.cfg.OnFlow(lf)
 	}

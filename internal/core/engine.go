@@ -37,11 +37,12 @@ type EngineConfig struct {
 	// vantage labels events and flow records with the packet source's
 	// name; runSources sets it per vantage pipeline.
 	vantage string
-	// discardDB stops the pipelines from accumulating labeled flows into
-	// Result.DB (it comes back empty). Server.Serve sets it: flows are
-	// observed through Sink.OnFlow and the windowed store instead, so heap
-	// stays bounded over unbounded input.
-	discardDB bool
+	// windows, when non-nil, is serve mode's window hand-off: each
+	// pipeline's DB becomes its open window, sealed at every window
+	// boundary of the capture clock and flushed by the hand-off's flusher
+	// goroutine, so Result.DB comes back empty and heap stays bounded over
+	// unbounded input. Server.Serve sets it.
+	windows *windows
 	// shed, when non-nil, switches the dispatcher→shard rings from
 	// blocking back-pressure to overload shedding with per-shard drop
 	// accounting (see ShedStats). Server.Serve sets it with
@@ -59,9 +60,12 @@ type EngineConfig struct {
 	// fire on the Run goroutine after construction and before the first
 	// packet: tapPipelines receives the shard pipelines (checkpoint
 	// restore/snapshot), tapRings the shard rings, indexed by shard (depth
-	// gauges and dispatcher park counters).
+	// gauges and dispatcher park counters). tapSink wraps the sink the
+	// pipelines call — Sink, already serialized when there are shards —
+	// in the Server's event counters; it must be safe for concurrent use.
 	tapPipelines func([]*DNHunter)
 	tapRings     func([]*ring)
+	tapSink      func(Sink) Sink
 }
 
 // Engine is the concurrent DN-Hunter pipeline. An Engine is an immutable
@@ -161,6 +165,51 @@ func (e *Engine) run(ctx context.Context, src netio.BlockRefSource) (*Result, er
 	return e.runSharded(ctx, src)
 }
 
+// pipelineSink is the sink the pipelines call: Sink, serialized when more
+// than one shard calls it, then wrapped by tapSink.
+func (e *Engine) pipelineSink() Sink {
+	sink := e.cfg.Sink
+	if e.cfg.Shards > 1 {
+		sink = SyncSink(sink)
+	}
+	if e.cfg.tapSink != nil {
+		sink = e.cfg.tapSink(sink)
+	}
+	return sink
+}
+
+// newPipeline builds one shard's pipeline; the sharded engine passes its
+// flow table configuration.
+func (e *Engine) newPipeline(fcfg flows.Config, sink Sink) *DNHunter {
+	fcfg.OnRecord = nil // engine-managed; see EngineConfig.Flows
+	return New(sinkConfig(Config{
+		Resolver: e.cfg.Resolver,
+		Flows:    fcfg,
+		Truth:    e.cfg.Truth,
+		Vantage:  e.cfg.vantage,
+	}, sink))
+}
+
+// abortWindows releases the window flusher, if any, and any pipeline
+// waiting on it, once the read loop failed.
+func (e *Engine) abortWindows() {
+	if ws := e.cfg.windows; ws != nil {
+		ws.abort()
+	}
+}
+
+// finishWindows waits for the window flusher, if any, once every pipeline
+// has sealed its last window or abortWindows released it. It returns
+// runErr, else the flush error.
+func (e *Engine) finishWindows(runErr error) error {
+	if ws := e.cfg.windows; ws != nil {
+		if err := ws.wait(); runErr == nil {
+			return err
+		}
+	}
+	return runErr
+}
+
 // readLoop is the engine's read loop, shared by every pipeline shape: it
 // yields (see yieldEvery), polls the context, reads one block, hands it to
 // consume, and returns the reader's block reference. consume must be done
@@ -195,29 +244,41 @@ func readLoop(ctx context.Context, src netio.BlockRefSource, consume func([]neti
 }
 
 // runSingle is the Shards==1 path: the legacy pipeline, inline, plus
-// context polling. It reproduces the single-threaded results exactly.
+// context polling. It reproduces the single-threaded results exactly. In
+// serve mode the loop also owns the capture clock, and seals the pipeline's
+// window at the packet that opens the next one.
 func (e *Engine) runSingle(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
 	fcfg := e.cfg.Flows
 	fcfg.DisableAutoSweep = false // engine-managed; see EngineConfig.Flows
-	fcfg.OnRecord = nil
-	h := New(sinkConfig(Config{
-		Resolver:  e.cfg.Resolver,
-		Flows:     fcfg,
-		Truth:     e.cfg.Truth,
-		Vantage:   e.cfg.vantage,
-		DiscardDB: e.cfg.discardDB,
-	}, e.cfg.Sink))
+	h := e.newPipeline(fcfg, e.pipelineSink())
 	if e.cfg.tapPipelines != nil {
 		e.cfg.tapPipelines([]*DNHunter{h})
 	}
+	var clock windowClock
+	var win *shardWindow
+	if ws := e.cfg.windows; ws != nil {
+		clock, win = ws.clock(), &shardWindow{ws: ws}
+		ws.start()
+	}
 	err := readLoop(ctx, src, func(pkts []netio.Packet, _ *netio.Block) {
 		for i := range pkts {
+			if start, ok := clock.cross(pkts[i].Timestamp); ok {
+				e.cfg.windows.opened(start)
+				win.roll(h, start)
+			}
 			h.HandlePacket(pkts[i])
 		}
 	})
 	if err != nil {
+		e.abortWindows()
+	} else {
+		h.Close()
+		if win != nil {
+			win.close(h)
+		}
+	}
+	if err := e.finishWindows(err); err != nil {
 		return nil, err
 	}
-	h.Close()
 	return &Result{DB: h.DB(), Stats: h.Stats()}, nil
 }

@@ -39,6 +39,7 @@ const (
 	entryFlow   uint8 = iota // pre-routed flow packet
 	entryDNS                 // UDP/53 payload
 	entryExpire              // idle-expiry command for one flow (key)
+	entryWindow              // serve mode: seal the open window, open the one at `at`
 )
 
 // shardEntry is one pre-parsed unit of shard work. The dispatcher has

@@ -3,18 +3,18 @@ package core
 // Streaming service mode: Serve is Run for unbounded input. A batch Run
 // ingests a finite trace, accumulates every labeled flow in Result.DB,
 // and exits; Serve runs until its context is cancelled, bounds memory by
-// flushing flows through a rolling windowed store (flowdb.Windowed)
-// instead of accumulating them, sheds load instead of stalling the reader
-// when a shard backs up, and checkpoints resolver state so a restart does
-// not lose the DNS→flow context the paper's Clist exists to provide.
+// flushing flows in rolling windows instead of accumulating them (see
+// windows), sheds load instead of stalling the reader when a shard backs
+// up, and checkpoints resolver state so a restart does not lose the
+// DNS→flow context the paper's Clist exists to provide.
 //
 // Graceful drain reuses the batch pipeline's own end-of-capture path
 // rather than duplicating it: cancelling the Serve context does not
 // cancel the inner engine — it makes the packet source report EOF, so the
-// engine takes its normal EOF exit (flush all flows, merge stats, close the
-// sink, flush the final window). Only if the drain exceeds DrainTimeout is
-// the inner context hard-cancelled, which aborts without flushing, exactly
-// like a cancelled batch Run.
+// engine takes its normal EOF exit (flush all flows, flush the final
+// window, merge stats, close the sink). Only if the drain exceeds
+// DrainTimeout is the inner context hard-cancelled, which aborts without
+// flushing, exactly like a cancelled batch Run.
 
 import (
 	"context"
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"strconv"
 	"sync/atomic"
@@ -166,7 +167,7 @@ type ServeMetrics struct {
 	// Shed holds the per-shard overload drop counters.
 	Shed ShedStats
 
-	win   atomic.Pointer[flowdb.Windowed]
+	win   atomic.Pointer[windows]
 	rings atomic.Pointer[[]*ring]
 }
 
@@ -275,15 +276,15 @@ func (m *ServeMetrics) Series() []Series {
 		perShard("shard_dropped_flows_total", "flow-path entries shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.Flows }),
 		perShard("shard_dropped_dns_total", "DNS entries shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.DNS }),
 		perShard("shard_dropped_bytes_total", "payload bytes shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.Bytes }),
-		counter("windows_flushed_total", "completed flow-store windows flushed", func() uint64 {
+		counter("windows_flushed_total", "completed flow windows handed to the window hooks, every shard's part merged", func() uint64 {
 			if w := m.win.Load(); w != nil {
-				return w.WindowsFlushed()
+				return w.win.WindowsFlushed()
 			}
 			return 0
 		}),
-		gauge("window_flush_lag_seconds", "trace time of flows buffered in the open window", func() float64 {
+		gauge("window_flush_lag_seconds", "trace time from the start of the oldest window not yet flushed to the newest packet read", func() float64 {
 			if w := m.win.Load(); w != nil {
-				return w.FlushLag().Seconds()
+				return w.lag(time.Duration(m.clockNs.Load())).Seconds()
 			}
 			return 0
 		}),
@@ -328,9 +329,11 @@ func (m *ServeMetrics) Series() []Series {
 
 // ServeConfig tunes Server.Serve.
 type ServeConfig struct {
-	// Window is the flowdb partition width in trace time; completed
-	// windows are handed to FlushWindow and their memory recycled. Zero
-	// means 5 minutes.
+	// Window is the flow window width in capture time: window k opens at
+	// the first packet at or past its start, and holds every flow emitted
+	// while handling it and the packets after it, up to the packet that
+	// opens window k+1. Completed windows are handed to ObserveWindow and
+	// FlushWindow and their memory recycled. Zero means 5 minutes.
 	Window time.Duration
 	// ObserveWindow sees each completed window before FlushWindow and
 	// before its storage is recycled (flowdb.WindowConfig.Observe) — hang
@@ -338,9 +341,13 @@ type ServeConfig struct {
 	// runs even when FlushWindow is nil.
 	ObserveWindow func(flowdb.Window)
 	// FlushWindow receives each completed window in order (see
-	// flowdb.WindowConfig.Flush for the DB lifetime contract). nil
+	// flowdb.WindowConfig.Flush for the DB lifetime contract): every
+	// shard's flows of the window, shard by shard, so at a fixed shard
+	// count a window's rows come in the same order run to run. nil
 	// discards completed windows: flows are then observable only through
-	// the configured Sink.
+	// the configured Sink. Both window hooks run on one goroutine of the
+	// Server's own, in window order, concurrently with the Sink's calls;
+	// a FlushWindow error is sticky and fails Serve.
 	FlushWindow func(flowdb.Window) error
 	// Shed switches the dispatcher→shard rings from blocking back-pressure
 	// to overload shedding with per-shard drop accounting. Only meaningful
@@ -404,8 +411,11 @@ type Server struct {
 
 // NewServer assembles a streaming server around an engine configuration.
 // The engine's Sink (if any) still observes every event; Serve wraps it
-// to feed the windowed store and the metrics.
+// to count events for the metrics.
 func NewServer(cfg EngineConfig, scfg ServeConfig) *Server {
+	if scfg.Window <= 0 {
+		scfg.Window = 5 * time.Minute
+	}
 	if scfg.DrainTimeout <= 0 {
 		scfg.DrainTimeout = 30 * time.Second
 	}
@@ -426,19 +436,19 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 	if err := s.loadCheckpoint(); err != nil {
 		return nil, err
 	}
-	win := flowdb.NewWindowed(flowdb.WindowConfig{Width: s.scfg.Window, Observe: s.scfg.ObserveWindow, Flush: s.scfg.FlushWindow})
-	s.metrics.win.Store(win)
-
 	cfg := s.cfg
-	cfg.discardDB = true
 	if s.scfg.Shed {
 		cfg.shed = &s.metrics.Shed
 	}
 	cfg.tapPipelines = s.tapPipelines
 	cfg.tapRings = func(rs []*ring) { s.metrics.rings.Store(&rs) }
-	cfg.Sink = &serveSink{inner: cfg.Sink, m: &s.metrics, win: win}
+	cfg.tapSink = func(inner Sink) Sink { return &serveSink{inner: inner, m: &s.metrics} }
 
 	eng := NewEngine(cfg)
+	win := newWindows(s.scfg.Window, eng.Shards(),
+		flowdb.NewWindowed(flowdb.WindowConfig{Observe: s.scfg.ObserveWindow, Flush: s.scfg.FlushWindow}))
+	eng.cfg.windows = win
+	s.metrics.win.Store(win)
 	ds := &drainSource{src: eng.adapt(src), m: &s.metrics}
 	// Supervision sits under the drain wrapper: the drain signal must
 	// keep winning (stop means EOF now, not after a backoff), so the
@@ -510,7 +520,7 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		Stats:           out.Stats,
 		Packets:         s.metrics.packets.Load(),
 		Bytes:           s.metrics.bytes.Load(),
-		Windows:         win.WindowsFlushed(),
+		Windows:         win.win.WindowsFlushed(),
 		Dropped:         s.metrics.Shed.Totals(),
 		RestoredEntries: len(s.restored),
 		SourceRestarts:  s.metrics.restarts.Load(),
@@ -646,16 +656,14 @@ func (d *drainSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error
 	return n, blk, err
 }
 
-// serveSink wraps the user sink: it counts events for the metrics and
-// feeds finished flows into the windowed store. Close flushes the final
-// window before closing the user sink, so the engine's end-of-run
-// sequence (flush tables → emit residual flows → close sink) finishes the
-// last window with every flow included.
+// serveSink counts the pipelines' events for the metrics and passes them
+// on to the user's sink, which the engine has already serialized when more
+// than one shard calls it. The engine closes the user's sink itself, so
+// serveSink's own Close is NopSink's.
 type serveSink struct {
-	inner  Sink
-	m      *ServeMetrics
-	win    *flowdb.Windowed
-	winErr error
+	NopSink
+	inner Sink
+	m     *ServeMetrics
 }
 
 // OnTag implements Sink.
@@ -680,24 +688,201 @@ func (s *serveSink) OnFlow(f flowdb.LabeledFlow) {
 	if f.Labeled {
 		s.m.labeled.Add(1)
 	}
-	if s.winErr == nil {
-		s.winErr = s.win.Add(f)
-	}
 	if s.inner != nil {
 		s.inner.OnFlow(f)
 	}
 }
 
-// Close implements Sink.
-func (s *serveSink) Close() error {
-	err := s.win.Close()
-	if s.winErr != nil {
-		err = s.winErr
+// windows is serve mode's window hand-off, one per Serve. Every shard
+// pipeline, the single-shard one too, appends its finished flows to a
+// window DB of its own (DNHunter.db), with no lock. The goroutine that
+// reads packets owns the capture clock (windowClock): the packet that
+// opens a window opens it on every shard — the dispatcher puts an
+// entryWindow on every ring, never shed — so window k holds the same flows
+// at every shard count, and a shard that gets no traffic still seals.
+// Sealing hands the shard's DB to the one flusher goroutine (run) and
+// takes a recycled one back. Each shard owns two DBs, so a seal waits only
+// when the flusher is a whole window behind. Once the flusher holds window
+// k from every shard, flowdb.Windowed.Flush merges the parts in shard
+// order and runs ObserveWindow and FlushWindow; then the DBs go back to
+// their shards.
+type windows struct {
+	width time.Duration
+	win   *flowdb.Windowed
+	// sealed carries each shard's parts to the flusher, in window order;
+	// free carries the DBs back. A shard has at most two parts in flight
+	// and two DBs, so neither send ever waits for room.
+	sealed []chan sealedPart
+	free   []chan *flowdb.DB
+	// quit is closed when the run aborts: shards stop waiting on the
+	// flusher, and the flusher stops.
+	quit chan struct{}
+	// done is closed when the flusher returns; err, its sticky flush
+	// error, is read after that.
+	done chan struct{}
+	err  error
+	// fromNs is the start of the oldest window not flushed yet, for the
+	// lag gauge; noWindow until the first window opens and after the
+	// last one is flushed.
+	fromNs atomic.Int64
+}
+
+// sealedPart is one shard's part of one window: the window [start,
+// start+width), the start of the window the shard opened next, and
+// whether this is the final window of the run.
+type sealedPart struct {
+	db          *flowdb.DB
+	start, next time.Duration
+	final       bool
+}
+
+// noWindow marks fromNs unset.
+const noWindow = math.MinInt64
+
+// newWindows builds the hand-off for shards pipelines; win completes the
+// windows.
+func newWindows(width time.Duration, shards int, win *flowdb.Windowed) *windows {
+	ws := &windows{
+		width:  width,
+		win:    win,
+		sealed: make([]chan sealedPart, shards),
+		free:   make([]chan *flowdb.DB, shards),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
-	if s.inner != nil {
-		if cerr := s.inner.Close(); err == nil {
-			err = cerr
+	for i := range shards {
+		ws.sealed[i] = make(chan sealedPart, 2)
+		ws.free[i] = make(chan *flowdb.DB, 2)
+		ws.free[i] <- flowdb.New() // the shard's second DB
+	}
+	ws.fromNs.Store(noWindow)
+	return ws
+}
+
+// clock returns the capture clock for the goroutine that reads packets.
+func (ws *windows) clock() windowClock { return windowClock{width: ws.width, end: math.MinInt64} }
+
+// opened records that the reading goroutine opened a window at start; the
+// first one is where the lag gauge starts counting.
+func (ws *windows) opened(start time.Duration) {
+	ws.fromNs.CompareAndSwap(noWindow, int64(start))
+}
+
+// lag is the trace time from the start of the oldest window not flushed
+// yet to clock, the newest packet read; 0 when no window is open.
+func (ws *windows) lag(clock time.Duration) time.Duration {
+	from := ws.fromNs.Load()
+	if from == noWindow {
+		return 0
+	}
+	return max(clock-time.Duration(from), 0)
+}
+
+// start launches the flusher goroutine.
+func (ws *windows) start() { go ws.run() }
+
+// run is the flusher: it takes window after window, one part from every
+// shard in shard order, completes it and hands the DBs back, until the
+// final window or the abort.
+func (ws *windows) run() {
+	defer close(ws.done)
+	parts := make([]*flowdb.DB, len(ws.sealed))
+	for {
+		var p sealedPart
+		for i, c := range ws.sealed {
+			select {
+			case p = <-c:
+				parts[i] = p.db
+			case <-ws.quit:
+				return
+			}
+		}
+		ws.err = ws.win.Flush(p.start, p.start+ws.width, parts...)
+		if p.final {
+			ws.fromNs.Store(noWindow)
+		} else {
+			ws.fromNs.Store(int64(p.next))
+		}
+		for i, db := range parts {
+			db.Reset()
+			if !p.final {
+				ws.free[i] <- db
+			}
+		}
+		if p.final {
+			return
 		}
 	}
-	return err
+}
+
+// seal hands shard i's part to the flusher and returns the DB the shard
+// fills next. After an abort the flusher may be gone: the shard then gets
+// a fresh DB, so the batch in hand can finish, and nothing reads it.
+func (ws *windows) seal(i int, p sealedPart) *flowdb.DB {
+	select {
+	case ws.sealed[i] <- p:
+	case <-ws.quit:
+		return flowdb.New()
+	}
+	if p.final {
+		return nil
+	}
+	select {
+	case db := <-ws.free[i]:
+		return db
+	case <-ws.quit:
+		return flowdb.New()
+	}
+}
+
+// abort releases the shards and the flusher after a failed run.
+func (ws *windows) abort() { close(ws.quit) }
+
+// wait returns once the flusher has returned, with its flush error.
+func (ws *windows) wait() error {
+	<-ws.done
+	return ws.err
+}
+
+// windowClock is the capture clock of the goroutine that reads packets:
+// the end of the open window. The zero value never opens a window (batch
+// runs).
+type windowClock struct {
+	width, end time.Duration
+}
+
+// cross reports whether a packet at at opens a window, and its start: the
+// first packet opens the first window, and a packet at or past the open
+// window's end opens the one it falls in, so an empty stretch of capture
+// costs one window, not one per width.
+func (c *windowClock) cross(at time.Duration) (time.Duration, bool) {
+	if at < c.end || c.width == 0 {
+		return 0, false
+	}
+	start := at.Truncate(c.width)
+	c.end = start + c.width
+	return start, true
+}
+
+// shardWindow is one pipeline's side of the hand-off: which shard it is,
+// and the start of its open window.
+type shardWindow struct {
+	ws    *windows
+	i     int
+	start time.Duration
+	open  bool
+}
+
+// roll seals the open window, if any, and opens the one at start.
+func (s *shardWindow) roll(h *DNHunter, start time.Duration) {
+	if s.open {
+		h.db = s.ws.seal(s.i, sealedPart{db: h.db, start: s.start, next: start})
+	}
+	s.start, s.open = start, true
+}
+
+// close seals the final window, after the pipeline flushed its last flows.
+// The DB goes to the flusher for good; the pipeline keeps none.
+func (s *shardWindow) close(h *DNHunter) {
+	s.ws.seal(s.i, sealedPart{db: h.db, start: s.start, final: true})
 }

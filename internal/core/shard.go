@@ -30,6 +30,10 @@ package core
 //     walks the recency list — FlushIdle's exact rule) and each owning
 //     shard receives an in-band per-flow expiry command, so idle flows are
 //     expired (and split into the same records) regardless of shard count.
+//   - Serve windows. The dispatcher owns the capture clock: before the
+//     packet that opens a window it puts an in-band window command on
+//     every ring, so each shard seals its part of a window at the same
+//     packet the single-shard loop seals at (see windows in serve.go).
 //
 // The intentional deviation: each shard has its own Clist of the configured
 // size, so aggregate eviction behaviour differs from one global Clist once
@@ -70,12 +74,13 @@ const blockLen = 256
 type shardWorker struct {
 	h    *DNHunter
 	ring *ring
+	win  *shardWindow // serve mode's window hand-off; nil in batch runs
 }
 
 // run drains the shard's ring until it closes, then flushes the shard's
-// flow table. When abort is set (cancellation) it keeps consuming — release
-// keeps returning block references — so the dispatcher never blocks on a
-// full ring, but stops processing.
+// flow table and seals its final window. When abort is set (cancellation)
+// it keeps consuming — release keeps returning block references — so the
+// dispatcher never blocks on a full ring, but stops processing.
 func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 	defer wg.Done()
 	for s := w.ring.consume(); s != nil; s = w.ring.consume() {
@@ -86,6 +91,9 @@ func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 	}
 	if !abort.Load() {
 		w.h.Close()
+		if w.win != nil {
+			w.win.close(w.h)
+		}
 	}
 }
 
@@ -100,6 +108,8 @@ func (w *shardWorker) process(s []shardEntry) {
 			w.h.handleDNSPayload(e.key.ClientIP, e.pay, e.at)
 		case entryExpire:
 			w.h.expireFlow(e.key, e.hash)
+		case entryWindow:
+			w.win.roll(w.h, e.at)
 		}
 	}
 }
@@ -123,15 +133,20 @@ type dispatcher struct {
 	// shed, when non-nil, switches enqueue from blocking back-pressure to
 	// overload shedding: entries bound for a full ring are dropped (and
 	// counted per shard) instead of stalling the reader. Serve mode sets
-	// it; batch runs keep the blocking behaviour. Expiry commands and
-	// flow-closing segments are never shed — see enqueue.
+	// it; batch runs keep the blocking behaviour. Expiry and window
+	// commands and flow-closing segments are never shed — see enqueue.
 	shed *ShedStats
+
+	// windows and clock drive serve mode's windows (see openWindow); the
+	// zero clock of a batch run never opens one.
+	windows *windows
+	clock   windowClock
 }
 
 // runSharded is the Shards>1 path.
 func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Result, error) {
 	n := e.cfg.Shards
-	sink := SyncSink(e.cfg.Sink)
+	sink := e.pipelineSink()
 
 	// One shared hash seed: the tracker computes a flow key's hash once at
 	// dispatch and ships it; shard tables (built with the same seed) use it
@@ -143,6 +158,7 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		tracker: tracker,
 		idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
 		shed:    e.cfg.shed,
+		windows: e.cfg.windows,
 	}
 	d.assign = d.shardOf
 	d.expire = d.enqueueExpire
@@ -150,19 +166,16 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 	for i := range workers {
 		fcfg := e.cfg.Flows
 		fcfg.DisableAutoSweep = true // dispatcher drives expiry via tracker commands
-		fcfg.OnRecord = nil          // engine-managed; see EngineConfig.Flows
 		fcfg.Seed = seed
 		d.rings[i] = newRing(ringDepth, e.cfg.batch)
-		workers[i] = &shardWorker{
-			h: New(sinkConfig(Config{
-				Resolver:  e.cfg.Resolver,
-				Flows:     fcfg,
-				Truth:     e.cfg.Truth,
-				Vantage:   e.cfg.vantage,
-				DiscardDB: e.cfg.discardDB,
-			}, sink)),
-			ring: d.rings[i],
+		workers[i] = &shardWorker{h: e.newPipeline(fcfg, sink), ring: d.rings[i]}
+		if d.windows != nil {
+			workers[i].win = &shardWindow{ws: d.windows, i: i}
 		}
+	}
+	if d.windows != nil {
+		d.clock = d.windows.clock()
+		d.windows.start()
 	}
 	if e.cfg.shed != nil {
 		e.cfg.shed.init(n)
@@ -190,12 +203,15 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 	}
 	runErr := readLoop(ctx, src, d.dispatchBlock)
 	abort.Store(runErr != nil)
+	if runErr != nil {
+		e.abortWindows() // a shard may be waiting on the flusher in a seal
+	}
 	for _, r := range d.rings {
 		r.close()
 	}
 	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
+	if err := e.finishWindows(runErr); err != nil {
+		return nil, err
 	}
 
 	// Merge: per-shard databases in shard order (deterministic for a fixed
@@ -266,6 +282,9 @@ func (d *dispatcher) dispatchBlock(pkts []netio.Packet, blk *netio.Block) {
 	d.pkts += uint64(len(pkts))
 	for i := range pkts {
 		at := pkts[i].Timestamp
+		if start, ok := d.clock.cross(at); ok {
+			d.openWindow(start)
+		}
 		if d.route(at, pkts[i].Data, blk) && at-d.sweepMark >= d.idle {
 			d.sweepMark = at
 			d.tracker.ExpireIdle(at, d.expire)
@@ -323,6 +342,15 @@ func (d *dispatcher) route(at time.Duration, frame []byte, blk *netio.Block) boo
 	return true
 }
 
+// openWindow opens the window at start on every shard, ahead of the
+// packet that opened it.
+func (d *dispatcher) openWindow(start time.Duration) {
+	d.windows.opened(start)
+	for sh := range d.rings {
+		d.enqueue(sh, shardEntry{kind: entryWindow, at: start}, nil, nil)
+	}
+}
+
 // enqueueExpire ships one centrally-computed idle expiry to the owning
 // shard, in-band with its packet stream, hash included so the shard's
 // table probe skips hashKey just like the entryFlow path.
@@ -337,15 +365,16 @@ func (d *dispatcher) enqueueExpire(key flows.Key, hash uint64, shard uint32) {
 // byte of payload is copied on this path. In the default (batch) mode a
 // full ring blocks: that is the back-pressure that bounds dispatcher
 // run-ahead. In shed mode the entry is dropped instead (and counted per
-// shard) — a live reader must never stall on a slow shard. Two
+// shard) — a live reader must never stall on a slow shard. Three
 // entry classes are still never shed, because dropping them would corrupt
 // state rather than degrade coverage: expiry commands (auto-sweep is
 // disabled on shard tables, so a dropped expiry leaks the flow entry until
-// drain) and RST/FIN segments (the tracker has already forgotten the flow,
-// so the shard table must see the close too). Both are rare, so the
+// drain), window commands (the flusher needs every shard's part of a
+// window) and RST/FIN segments (the tracker has already forgotten the
+// flow, so the shard table must see the close too). All are rare, so the
 // bounded wait they may incur does not stall the reader at packet rate.
 func (d *dispatcher) enqueue(sh int, e shardEntry, pay []byte, blk *netio.Block) {
-	wait := d.shed == nil || e.kind == entryExpire ||
+	wait := d.shed == nil || e.kind == entryExpire || e.kind == entryWindow ||
 		e.tcp && e.flags&(layers.TCPRst|layers.TCPFin) != 0
 	if len(pay) > 0 {
 		e.pay, e.blk = pay, blk

@@ -13,9 +13,13 @@ import (
 // Ordering guarantees: events for one client (its DNS responses, its flows'
 // tag events, its finished flows) are always delivered in trace order. When
 // the Engine runs with more than one shard, events of *different* clients
-// may interleave arbitrarily; the Engine serializes all Sink calls through
-// a mutex (see SyncSink), so implementations never need internal locking
-// unless they are also read concurrently from outside the pipeline.
+// may interleave arbitrarily; the Engine serializes the configured Sink's
+// calls through a mutex (see SyncSink), so implementations never need
+// internal locking unless they are also read concurrently from outside the
+// pipeline. That lock covers the user's Sink only: serve mode's windows and
+// event counters work outside it, per shard, and the window hooks
+// (ServeConfig.ObserveWindow and FlushWindow) run on a goroutine of their
+// own, concurrently with Sink calls.
 //
 // Close fires exactly once, after the last event of the run, whether the
 // run completed or was cancelled.
@@ -90,8 +94,8 @@ func (s *FuncSink) OnFlow(f flowdb.LabeledFlow) {
 func (s *FuncSink) Close() error { return nil }
 
 // SyncSink wraps s so every call holds a mutex. The sharded Engine applies
-// it automatically; it is exported for consumers who share one sink across
-// independently running pipelines.
+// it to the configured Sink, and to nothing else; it is exported for
+// consumers who share one sink across independently running pipelines.
 func SyncSink(s Sink) Sink {
 	if s == nil {
 		return nil

@@ -96,6 +96,8 @@ type DB struct {
 	// n is the row count.
 	n     int
 	names names
+	// remapIDs is Merge's scratch: the ID each name of a merged DB takes.
+	remapIDs []uint32
 }
 
 // New creates an empty database.
@@ -208,7 +210,8 @@ func (db *DB) row(i int) *row {
 func (db *DB) Merge(others ...*DB) {
 	for _, o := range others {
 		n := o.n // read once: merging a DB into itself appends one copy
-		ids, same := db.names.remap(&o.names)
+		ids, same := db.names.remap(&o.names, db.remapIDs)
+		db.remapIDs = ids
 		for lo := 0; lo < n; lo += chunkLen {
 			src := o.chunks[lo/chunkLen][:min(chunkLen, n-lo)]
 			for len(src) > 0 {

@@ -3,6 +3,7 @@ package flowdb
 import (
 	"hash/maphash"
 	"net/netip"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/swiss"
@@ -120,12 +121,13 @@ func (n *names) deriveSLD(id uint32) {
 func (n *names) sldOf(id uint32) uint32 { return n.slab.At(id).sld - 1 }
 
 // remap files every name of o in n and returns the ID each of o's IDs
-// becomes, with same reporting the identity mapping (rows copied from o
-// need no rewrite). Second-level domains o derived carry over. One lookup
-// per distinct name of o, however many rows use it.
-func (n *names) remap(o *names) (ids []uint32, same bool) {
+// becomes, in ids' storage, with same reporting the identity mapping (rows
+// copied from o need no rewrite). Second-level domains o derived carry
+// over. One lookup per distinct name of o, however many rows use it.
+func (n *names) remap(o *names, ids []uint32) (_ []uint32, same bool) {
 	k := o.count // read once: o may be n itself
-	ids = make([]uint32, k)
+	ids = slices.Grow(ids[:0], int(k))[:k]
+	ids[0] = 0
 	same = true
 	for i := uint32(1); i < k; i++ {
 		ids[i] = n.id(o.str(i))

@@ -187,21 +187,20 @@ func TestWindowedReusesStorage(t *testing.T) {
 			}
 		}
 	}
-	// Both the live and the spare DB must have settled at the chunks one
-	// window needs (one extra slot of slack for the boundary flow).
+	// The open window's DB, reset and refilled at every rotation, must
+	// have settled at the chunks one window needs (one extra slot of slack
+	// for the boundary flow).
 	want := (perWindow + 1 + chunkLen - 1) / chunkLen
 	if c := len(w.cur.chunks); c > want {
 		t.Errorf("current window holds %d chunks after steady state, want <= %d", c, want)
 	}
-	if c := len(w.spare.chunks); c > want {
-		t.Errorf("spare window holds %d chunks after steady state, want <= %d", c, want)
-	}
 }
 
-// TestWindowedRotationZeroesRetained: once a window is flushed, neither
-// DB's name table holds one of its strings, so the flushed flows' strings
-// are garbage at once, not when a later window overwrites them. Rows are
-// pointer-free: the stale ones a recycled chunk keeps pin nothing.
+// TestWindowedRotationZeroesRetained: once a window is flushed, the
+// recycled DB's name table holds none of its strings, so the flushed
+// flows' strings are garbage at once, not when a later window overwrites
+// them. Rows are pointer-free: the stale ones a recycled chunk keeps pin
+// nothing.
 func TestWindowedRotationZeroesRetained(t *testing.T) {
 	w := NewWindowed(WindowConfig{Width: time.Minute})
 	f := wflow(time.Second, "old.example.com")
@@ -221,17 +220,60 @@ func TestWindowedRotationZeroesRetained(t *testing.T) {
 	if w.WindowsFlushed() != 1 || w.cur.Len() != 1 {
 		t.Fatalf("flushed %d windows, current holds %d flows; want 1 and 1", w.WindowsFlushed(), w.cur.Len())
 	}
-	for name, db := range map[string]*DB{"spare": w.spare, "current": w.cur} {
-		// The old names were filed in the table's first slab chunk, which
-		// both DBs keep.
-		for id := range uint32(256) {
-			if s := db.names.str(id); strings.Contains(s, "old") {
-				t.Fatalf("%s DB's name table keeps %q at ID %d", name, s, id)
-			}
+	// The old names were filed in the table's first slab chunk, which the
+	// DB keeps.
+	for id := range uint32(256) {
+		if s := w.cur.names.str(id); strings.Contains(s, "old") {
+			t.Fatalf("the recycled DB's name table keeps %q at ID %d", s, id)
 		}
 	}
-	if len(w.spare.chunks) == 0 {
-		t.Fatal("spare DB dropped its chunks; rotation must keep them for reuse")
+	if len(w.cur.chunks) < 2 {
+		t.Fatal("the recycled DB dropped its chunks; rotation must keep them for reuse")
+	}
+}
+
+// TestWindowedFlushMergesParts: Flush hands the hooks one window holding
+// the parts' rows in argument order, leaves the parts as they were, skips
+// a window with no rows without spending an index, and recycles its merge
+// DB once the hooks return.
+func TestWindowedFlushMergesParts(t *testing.T) {
+	var got []Window
+	var labels [][]string
+	w := NewWindowed(WindowConfig{Flush: func(win Window) error {
+		got = append(got, win)
+		var ls []string
+		for _, f := range win.DB.All() {
+			ls = append(ls, f.Label)
+		}
+		labels = append(labels, ls)
+		return nil
+	}})
+	a, b, c := New(), New(), New()
+	a.Add(wflow(time.Second, "a1.example.com"))
+	a.Add(wflow(2*time.Second, "a2.example.com"))
+	c.Add(wflow(time.Second, "c1.example.com"))
+	if err := w.Flush(0, time.Minute, a, b, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(time.Minute, 2*time.Minute, b, New()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(2*time.Minute, 3*time.Minute, c); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"a1.example.com", "a2.example.com", "c1.example.com"}, {"c1.example.com"}}
+	if len(got) != 2 || fmt.Sprint(labels) != fmt.Sprint(want) {
+		t.Fatalf("flushed %v, want %v", labels, want)
+	}
+	if got[0].Index != 0 || got[0].Start != 0 || got[0].End != time.Minute ||
+		got[1].Index != 1 || got[1].Start != 2*time.Minute || got[1].End != 3*time.Minute {
+		t.Fatalf("window bounds %+v, %+v", got[0], got[1])
+	}
+	if got[1].DB != c || a.Len() != 2 || c.Len() != 1 {
+		t.Fatal("Flush changed its parts, or copied a single part")
+	}
+	if w.merged.Len() != 0 || w.WindowsFlushed() != 2 {
+		t.Fatalf("merge DB holds %d rows after the hooks, %d windows flushed", w.merged.Len(), w.WindowsFlushed())
 	}
 }
 
