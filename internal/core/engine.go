@@ -263,7 +263,6 @@ func (e *Engine) runSingle(ctx context.Context, src netio.BlockRefSource) (*Resu
 	err := readLoop(ctx, src, func(pkts []netio.Packet, _ *netio.Block) {
 		for i := range pkts {
 			if start, ok := clock.cross(pkts[i].Timestamp); ok {
-				e.cfg.windows.opened(start)
 				win.roll(h, start)
 			}
 			h.HandlePacket(pkts[i])

@@ -760,13 +760,7 @@ func newWindows(width time.Duration, shards int, win *flowdb.Windowed) *windows 
 }
 
 // clock returns the capture clock for the goroutine that reads packets.
-func (ws *windows) clock() windowClock { return windowClock{width: ws.width, end: math.MinInt64} }
-
-// opened records that the reading goroutine opened a window at start; the
-// first one is where the lag gauge starts counting.
-func (ws *windows) opened(start time.Duration) {
-	ws.fromNs.CompareAndSwap(noWindow, int64(start))
-}
+func (ws *windows) clock() windowClock { return windowClock{ws: ws, end: math.MinInt64} }
 
 // lag is the trace time from the start of the oldest window not flushed
 // yet to clock, the newest packet read; 0 when no window is open.
@@ -798,19 +792,16 @@ func (ws *windows) run() {
 			}
 		}
 		ws.err = ws.win.Flush(p.start, p.start+ws.width, parts...)
+		for _, db := range parts {
+			db.Reset()
+		}
 		if p.final {
 			ws.fromNs.Store(noWindow)
-		} else {
-			ws.fromNs.Store(int64(p.next))
-		}
-		for i, db := range parts {
-			db.Reset()
-			if !p.final {
-				ws.free[i] <- db
-			}
-		}
-		if p.final {
 			return
+		}
+		ws.fromNs.Store(int64(p.next))
+		for i, db := range parts {
+			ws.free[i] <- db
 		}
 	}
 }
@@ -848,7 +839,8 @@ func (ws *windows) wait() error {
 // the end of the open window. The zero value never opens a window (batch
 // runs).
 type windowClock struct {
-	width, end time.Duration
+	ws  *windows
+	end time.Duration
 }
 
 // cross reports whether a packet at at opens a window, and its start: the
@@ -856,11 +848,12 @@ type windowClock struct {
 // window's end opens the one it falls in, so an empty stretch of capture
 // costs one window, not one per width.
 func (c *windowClock) cross(at time.Duration) (time.Duration, bool) {
-	if at < c.end || c.width == 0 {
+	if at < c.end || c.ws == nil {
 		return 0, false
 	}
-	start := at.Truncate(c.width)
-	c.end = start + c.width
+	start := at.Truncate(c.ws.width)
+	c.end = start + c.ws.width
+	c.ws.fromNs.CompareAndSwap(noWindow, int64(start)) // the lag gauge counts from the first window
 	return start, true
 }
 
@@ -882,7 +875,8 @@ func (s *shardWindow) roll(h *DNHunter, start time.Duration) {
 }
 
 // close seals the final window, after the pipeline flushed its last flows.
-// The DB goes to the flusher for good; the pipeline keeps none.
+// The flusher empties the DB once the window is flushed, and the pipeline
+// adds nothing to it after.
 func (s *shardWindow) close(h *DNHunter) {
 	s.ws.seal(s.i, sealedPart{db: h.db, start: s.start, final: true})
 }

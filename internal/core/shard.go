@@ -137,10 +137,9 @@ type dispatcher struct {
 	// commands and flow-closing segments are never shed — see enqueue.
 	shed *ShedStats
 
-	// windows and clock drive serve mode's windows (see openWindow); the
-	// zero clock of a batch run never opens one.
-	windows *windows
-	clock   windowClock
+	// clock opens serve mode's windows (see openWindow); the zero clock of
+	// a batch run never opens one.
+	clock windowClock
 }
 
 // runSharded is the Shards>1 path.
@@ -158,7 +157,6 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		tracker: tracker,
 		idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
 		shed:    e.cfg.shed,
-		windows: e.cfg.windows,
 	}
 	d.assign = d.shardOf
 	d.expire = d.enqueueExpire
@@ -169,13 +167,13 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		fcfg.Seed = seed
 		d.rings[i] = newRing(ringDepth, e.cfg.batch)
 		workers[i] = &shardWorker{h: e.newPipeline(fcfg, sink), ring: d.rings[i]}
-		if d.windows != nil {
-			workers[i].win = &shardWindow{ws: d.windows, i: i}
+		if ws := e.cfg.windows; ws != nil {
+			workers[i].win = &shardWindow{ws: ws, i: i}
 		}
 	}
-	if d.windows != nil {
-		d.clock = d.windows.clock()
-		d.windows.start()
+	if ws := e.cfg.windows; ws != nil {
+		d.clock = ws.clock()
+		ws.start()
 	}
 	if e.cfg.shed != nil {
 		e.cfg.shed.init(n)
@@ -345,7 +343,6 @@ func (d *dispatcher) route(at time.Duration, frame []byte, blk *netio.Block) boo
 // openWindow opens the window at start on every shard, ahead of the
 // packet that opened it.
 func (d *dispatcher) openWindow(start time.Duration) {
-	d.windows.opened(start)
 	for sh := range d.rings {
 		d.enqueue(sh, shardEntry{kind: entryWindow, at: start}, nil, nil)
 	}

@@ -288,7 +288,7 @@ func TestWarmWindowCycleAllocFree(t *testing.T) {
 		Observe: func(w flowdb.Window) { rows += w.DB.Len() },
 		Flush:   func(flowdb.Window) error { return nil },
 	}))
-	d := &dispatcher{rings: make([]*ring, shards), tracker: flows.NewTracker(nil, 0, seed), windows: ws, clock: ws.clock()}
+	d := &dispatcher{rings: make([]*ring, shards), tracker: flows.NewTracker(nil, 0, seed), clock: ws.clock()}
 	d.idle = d.tracker.IdleTimeout()
 	d.assign, d.expire = d.shardOf, d.enqueueExpire
 	workers := make([]*shardWorker, shards)
