@@ -278,7 +278,7 @@ func (m *ServeMetrics) Series() []Series {
 		perShard("shard_dropped_bytes_total", "payload bytes shed under overload, per shard (only with -shed)", func(s ShedShard) uint64 { return s.Bytes }),
 		counter("windows_flushed_total", "completed flow windows handed to the window hooks, every shard's part merged", func() uint64 {
 			if w := m.win.Load(); w != nil {
-				return w.win.WindowsFlushed()
+				return w.store.WindowsFlushed()
 			}
 			return 0
 		}),
@@ -520,7 +520,7 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		Stats:           out.Stats,
 		Packets:         s.metrics.packets.Load(),
 		Bytes:           s.metrics.bytes.Load(),
-		Windows:         win.win.WindowsFlushed(),
+		Windows:         win.store.WindowsFlushed(),
 		Dropped:         s.metrics.Shed.Totals(),
 		RestoredEntries: len(s.restored),
 		SourceRestarts:  s.metrics.restarts.Load(),
@@ -708,7 +708,7 @@ func (s *serveSink) OnFlow(f flowdb.LabeledFlow) {
 // their shards.
 type windows struct {
 	width time.Duration
-	win   *flowdb.Windowed
+	store *flowdb.Windowed
 	// sealed carries each shard's parts to the flusher, in window order;
 	// free carries the DBs back. A shard has at most two parts in flight
 	// and two DBs, so neither send ever waits for room.
@@ -739,12 +739,12 @@ type sealedPart struct {
 // noWindow marks fromNs unset.
 const noWindow = math.MinInt64
 
-// newWindows builds the hand-off for shards pipelines; win completes the
-// windows.
-func newWindows(width time.Duration, shards int, win *flowdb.Windowed) *windows {
+// newWindows builds the hand-off for shards pipelines; store completes
+// the windows.
+func newWindows(width time.Duration, shards int, store *flowdb.Windowed) *windows {
 	ws := &windows{
 		width:  width,
-		win:    win,
+		store:  store,
 		sealed: make([]chan sealedPart, shards),
 		free:   make([]chan *flowdb.DB, shards),
 		quit:   make(chan struct{}),
@@ -791,7 +791,7 @@ func (ws *windows) run() {
 				return
 			}
 		}
-		ws.err = ws.win.Flush(p.start, p.start+ws.width, parts...)
+		ws.err = ws.store.Flush(p.start, p.start+ws.width, parts...)
 		for _, db := range parts {
 			db.Reset()
 		}

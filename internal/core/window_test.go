@@ -317,7 +317,7 @@ func TestWarmWindowCycleAllocFree(t *testing.T) {
 			}
 		}
 		// Pass p sealed window p-1: wait for the flusher to finish it.
-		for ws.win.WindowsFlushed() < uint64(pass-1) {
+		for ws.store.WindowsFlushed() < uint64(pass-1) {
 			runtime.Gosched()
 		}
 	}
