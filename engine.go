@@ -2,6 +2,8 @@ package dnhunter
 
 import (
 	"context"
+	"net/netip"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/flows"
@@ -18,8 +20,6 @@ type (
 	NopSink = core.NopSink
 	// FuncSink adapts plain functions to the Sink interface.
 	FuncSink = core.FuncSink
-	// FlowsConfig tunes the flow table (idle timeout, client networks).
-	FlowsConfig = flows.Config
 	// PacketSource yields packets in capture order (pcap reader, in-memory
 	// slice, channel, ...).
 	PacketSource = netio.PacketSource
@@ -40,6 +40,17 @@ type (
 	// statistics of the survivors.
 	MultiResult = core.MultiResult
 )
+
+// FlowsConfig tunes each shard's flow table.
+type FlowsConfig struct {
+	// IdleTimeout evicts flows with no traffic for this long. Zero means
+	// the paper-style default of 5 minutes.
+	IdleTimeout time.Duration
+	// ClientNets orients flows when no SYN is seen: an address inside any
+	// of these prefixes is the client. Empty falls back to
+	// first-sender-is-client.
+	ClientNets []netip.Prefix
+}
 
 // Option configures an Engine.
 type Option func(*core.EngineConfig)
@@ -72,11 +83,11 @@ func WithResolver(cfg ResolverConfig) Option {
 }
 
 // WithFlows overrides the per-shard flow-table configuration (idle
-// timeout, client networks). The Engine owns the table's record plumbing
-// and sweep scheduling, so the OnRecord and DisableAutoSweep fields are
-// ignored — observe finished flows through Sink.OnFlow instead.
+// timeout, client networks).
 func WithFlows(cfg FlowsConfig) Option {
-	return func(c *core.EngineConfig) { c.Flows = cfg }
+	return func(c *core.EngineConfig) {
+		c.Flows = flows.Config{IdleTimeout: cfg.IdleTimeout, ClientNets: cfg.ClientNets}
+	}
 }
 
 // WithSink attaches the event sink. The Engine serializes all sink calls

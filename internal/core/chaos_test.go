@@ -134,7 +134,7 @@ func TestChaosPrefixEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean, err := eng().Run(context.Background(),
-		netio.NewSlicePacketSource(tr.Packets[:cut]))
+		netio.NewLoopSource(tr.Packets[:cut], 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func (tb *traceBuilder) httpFlow(at time.Duration, client, server netip.Addr, cp
 }
 
 func (tb *traceBuilder) source() netio.PacketSource {
-	return netio.NewSlicePacketSource(tb.pkts)
+	return netio.NewLoopSource(tb.pkts, 0, 1)
 }
 
 // feed drains src through h one packet at a time and flushes at EOF: the

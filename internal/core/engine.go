@@ -37,35 +37,15 @@ type EngineConfig struct {
 	// vantage labels events and flow records with the packet source's
 	// name; runSources sets it per vantage pipeline.
 	vantage string
-	// windows, when non-nil, is serve mode's window hand-off: each
-	// pipeline's DB becomes its open window, sealed at every window
-	// boundary of the capture clock and flushed by the hand-off's flusher
-	// goroutine, so Result.DB comes back empty and heap stays bounded over
-	// unbounded input. Server.Serve sets it.
-	windows *windows
-	// shed, when non-nil, switches the dispatcher→shard rings from
-	// blocking back-pressure to overload shedding with per-shard drop
-	// accounting (see ShedStats). Server.Serve sets it with
-	// ServeConfig.Shed; the single-shard pipeline has no ring to shed from.
-	shed *ShedStats
+	// server, when non-nil, is the Server this run serves for (see
+	// Server.start): Server.Serve sets it, batch runs leave it nil.
+	server *Server
 
 	// batch sizes the dispatcher→shard rings: each holds ringDepth×batch
 	// entries and a shard takes at most batch from its ring per pass; 0
 	// means defaultBatch. Only the package's tests set it, to drive the
 	// ring's boundaries.
 	batch int
-
-	// tapPipelines and tapRings are the serve-mode instrumentation seams,
-	// settable only from within the package (the Server uses them). Both
-	// fire on the Run goroutine after construction and before the first
-	// packet: tapPipelines receives the shard pipelines (checkpoint
-	// restore/snapshot), tapRings the shard rings, indexed by shard (depth
-	// gauges and dispatcher park counters). tapSink wraps the sink the
-	// pipelines call — Sink, already serialized when there are shards —
-	// in the Server's event counters; it must be safe for concurrent use.
-	tapPipelines func([]*DNHunter)
-	tapRings     func([]*ring)
-	tapSink      func(Sink) Sink
 }
 
 // Engine is the concurrent DN-Hunter pipeline. An Engine is an immutable
@@ -166,14 +146,15 @@ func (e *Engine) run(ctx context.Context, src netio.BlockRefSource) (*Result, er
 }
 
 // pipelineSink is the sink the pipelines call: Sink, serialized when more
-// than one shard calls it, then wrapped by tapSink.
+// than one shard calls it, then, in serve mode, wrapped in the Server's
+// event counters (serveSink), which are safe for concurrent use.
 func (e *Engine) pipelineSink() Sink {
 	sink := e.cfg.Sink
 	if e.cfg.Shards > 1 {
 		sink = SyncSink(sink)
 	}
-	if e.cfg.tapSink != nil {
-		sink = e.cfg.tapSink(sink)
+	if s := e.cfg.server; s != nil {
+		sink = &serveSink{inner: sink, m: &s.metrics}
 	}
 	return sink
 }
@@ -188,26 +169,6 @@ func (e *Engine) newPipeline(fcfg flows.Config, sink Sink) *DNHunter {
 		Truth:    e.cfg.Truth,
 		Vantage:  e.cfg.vantage,
 	}, sink))
-}
-
-// abortWindows releases the window flusher, if any, and any pipeline
-// waiting on it, once the read loop failed.
-func (e *Engine) abortWindows() {
-	if ws := e.cfg.windows; ws != nil {
-		ws.abort()
-	}
-}
-
-// finishWindows waits for the window flusher, if any, once every pipeline
-// has sealed its last window or abortWindows released it. It returns
-// runErr, else the flush error.
-func (e *Engine) finishWindows(runErr error) error {
-	if ws := e.cfg.windows; ws != nil {
-		if err := ws.wait(); runErr == nil {
-			return err
-		}
-	}
-	return runErr
 }
 
 // readLoop is the engine's read loop, shared by every pipeline shape: it
@@ -251,15 +212,8 @@ func (e *Engine) runSingle(ctx context.Context, src netio.BlockRefSource) (*Resu
 	fcfg := e.cfg.Flows
 	fcfg.DisableAutoSweep = false // engine-managed; see EngineConfig.Flows
 	h := e.newPipeline(fcfg, e.pipelineSink())
-	if e.cfg.tapPipelines != nil {
-		e.cfg.tapPipelines([]*DNHunter{h})
-	}
-	var clock windowClock
-	var win *shardWindow
-	if ws := e.cfg.windows; ws != nil {
-		clock, win = ws.clock(), &shardWindow{ws: ws}
-		ws.start()
-	}
+	ws, _ := e.cfg.server.start([]*DNHunter{h}, nil)
+	clock, win := ws.clock(), ws.shard(0)
 	err := readLoop(ctx, src, func(pkts []netio.Packet, _ *netio.Block) {
 		for i := range pkts {
 			if start, ok := clock.cross(pkts[i].Timestamp); ok {
@@ -269,14 +223,12 @@ func (e *Engine) runSingle(ctx context.Context, src netio.BlockRefSource) (*Resu
 		}
 	})
 	if err != nil {
-		e.abortWindows()
+		ws.abort()
 	} else {
 		h.Close()
-		if win != nil {
-			win.close(h)
-		}
+		win.close(h)
 	}
-	if err := e.finishWindows(err); err != nil {
+	if err := ws.wait(err); err != nil {
 		return nil, err
 	}
 	return &Result{DB: h.DB(), Stats: h.Stats()}, nil

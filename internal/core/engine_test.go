@@ -275,7 +275,7 @@ func TestEngineDNSOddPortRouting(t *testing.T) {
 
 	for _, shards := range []int{1, 8} {
 		res, err := NewEngine(EngineConfig{Shards: shards}).Run(
-			context.Background(), netio.NewSlicePacketSource(tb.pkts))
+			context.Background(), netio.NewLoopSource(tb.pkts, 0, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestEngineReaderStats(t *testing.T) {
 		t.Fatalf("got %d ReaderStats, want 1", len(res.Readers))
 	}
 	rs := res.Readers[0]
-	if want := uint64(tr.Source().Len()); rs.Pkts != want {
+	if want := uint64(len(tr.Packets)); rs.Pkts != want {
 		t.Errorf("dispatcher read %d frames, want %d", rs.Pkts, want)
 	}
 	if rs.ShedFrames != 0 {

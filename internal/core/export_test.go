@@ -8,19 +8,21 @@ import (
 	"repro/internal/netio"
 )
 
-// The core-internal source wrappers, for the external test package
-// (sourcecap_test.go, which checks them beside the fault harness and
-// netio's wrappers). Each is built the way the engine builds it, with
-// nothing armed: no drain signal, no source errors.
+// Serve mode's source wrapper, for the external test package
+// (sourcecap_test.go, which checks it beside the fault harness and netio's
+// wrappers), in its two roles: without a RestartPolicy it only counts and
+// drains ("drainSource"); with one it also supervises ("supervisedSource").
+// Each is built the way Serve builds it, with nothing armed: no drain
+// signal, no source errors.
 var InternalWrappersForTest = []struct {
 	Name string
 	Wrap func(netio.BlockRefSource) netio.BlockRefSource
 }{
 	{"drainSource", func(src netio.BlockRefSource) netio.BlockRefSource {
-		return &drainSource{src: src, m: new(ServeMetrics)}
+		return newServeSource(src, nil, new(ServeMetrics))
 	}},
 	{"supervisedSource", func(src netio.BlockRefSource) netio.BlockRefSource {
-		return newSupervisedSource(src, nil, RestartPolicy{}, new(ServeMetrics))
+		return newServeSource(src, &RestartPolicy{}, new(ServeMetrics))
 	}},
 }
 

@@ -95,17 +95,23 @@ func TestSourceUnarmedTransparent(t *testing.T) {
 	}
 }
 
+// unstableLoop replays like a LoopSource but disclaims DataStable, so the
+// adapter copies its frames into pooled blocks, as it does a capture's.
+type unstableLoop struct{ *netio.LoopSource }
+
+func (unstableLoop) DataStable() bool { return false }
+
 // TestSourceUnarmedAllocFree: an unarmed wrapper adds no allocation to the
 // engine's read path, over an inner source the adapter copies into pooled
-// blocks (looping) and one it reads zero-copy (stable slice).
+// blocks (looping, not stable) and one it reads zero-copy (stable slice).
 func TestSourceUnarmedAllocFree(t *testing.T) {
 	pkts := synth.Generate(synth.QuickScenario(11)).Packets
 	for _, tc := range []struct {
 		name string
 		src  netio.PacketSource
 	}{
-		{"loop", netio.NewLoopSource(pkts, 0, 0)},
-		{"slice", netio.NewSlicePacketSource(pkts)},
+		{"loop", unstableLoop{netio.NewLoopSource(pkts, 0, 0)}},
+		{"slice", netio.NewLoopSource(pkts, 0, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const reads, perRead = 20, 64

@@ -98,15 +98,17 @@ func TestTagNeverWaitsForLaterTraffic(t *testing.T) {
 	}
 }
 
-// TestShedOnlyWhenRingFull stalls one shard inside its sink and trickles
-// one flow's packets at it in reads of 1–3: shedding may start only once
+// TestShedOnlyWhenRingFull serves one flow's packets, trickled in reads of
+// 1–3, to a shard stalled inside its sink: shedding may start only once
 // ringDepth×batch entries are queued on that shard's ring — capacity is
 // counted in entries, not in reads — and from then on every packet is shed
-// rather than stalling the reader.
+// rather than stalling the reader. The first packet opens a window, so the
+// window command it puts on the ring ahead of it takes one entry.
 func TestShedOnlyWhenRingFull(t *testing.T) {
 	const (
 		batch    = 16
 		capacity = ringDepth * batch
+		fits     = capacity - 1 // packets queued behind the window command
 		extra    = 7
 	)
 	tb := &traceBuilder{t: t}
@@ -117,40 +119,42 @@ func TestShedOnlyWhenRingFull(t *testing.T) {
 		tb.add(time.Second+time.Duration(i)*time.Microsecond, f, err)
 	}
 
-	// The shard takes the SYN first and stays inside its tag callback,
-	// holding what it consumed unreleased, until the source is done.
+	// The shard takes the window command and the SYN first and stays
+	// inside its tag callback, holding what it consumed unreleased, until
+	// the source is done.
 	resume := make(chan struct{})
 	sink := &FuncSink{Tag: func(TagEvent) { <-resume }}
-	var shed ShedStats
+	srv := NewServer(EngineConfig{Shards: 2, batch: batch, Sink: sink}, ServeConfig{Shed: true})
+	shed := &srv.Metrics().Shed
 	next, reads := 0, 0
 	src := blockFunc(func(dst []netio.Packet) (int, error) {
 		// Every packet handed out so far has been dispatched.
 		got := shed.Totals().Flows
-		if next <= capacity && got != 0 {
-			t.Errorf("%d packets shed with %d of %d entries queued", got, next, capacity)
+		if next <= fits && got != 0 {
+			t.Errorf("%d packets shed with %d of %d entries queued", got, next+1, capacity)
 		}
 		if next == len(tb.pkts) {
-			if got != extra {
-				t.Errorf("%d packets shed past a full ring, want %d", got, extra)
+			if got != extra+1 {
+				t.Errorf("%d packets shed past a full ring, want %d", got, extra+1)
 			}
 			close(resume)
 			return 0, io.EOF
 		}
 		reads++
 		n := 1 + reads%3
-		if next < capacity {
-			n = min(n, capacity-next) // one read ends exactly on the full ring
+		if next < fits {
+			n = min(n, fits-next) // one read ends exactly on the full ring
 		}
 		n = copy(dst[:min(n, len(dst))], tb.pkts[next:])
 		next += n
 		return n, nil
 	})
-	res, err := NewEngine(EngineConfig{Shards: 2, batch: batch, shed: &shed, Sink: sink}).Run(context.Background(), src)
+	rep, err := srv.Serve(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Flows != 1 {
-		t.Fatalf("%d flows, want the one trickled flow", res.Stats.Flows)
+	if rep.Stats.Flows != 1 {
+		t.Fatalf("%d flows, want the one trickled flow", rep.Stats.Flows)
 	}
 }
 

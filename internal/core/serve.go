@@ -20,10 +20,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -355,7 +355,8 @@ type ServeConfig struct {
 	Shed bool
 	// CheckpointPath, when non-empty, names the resolver Clist checkpoint
 	// file: loaded (if present) before serving and rewritten after a
-	// graceful drain. Written atomically (temp file + rename).
+	// graceful drain. Written atomically and durably (temp file, fsync,
+	// rename, directory fsync).
 	CheckpointPath string
 	// DrainTimeout bounds the graceful drain after context cancellation;
 	// past it the engine is hard-cancelled and pending state is dropped
@@ -437,29 +438,9 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		return nil, err
 	}
 	cfg := s.cfg
-	if s.scfg.Shed {
-		cfg.shed = &s.metrics.Shed
-	}
-	cfg.tapPipelines = s.tapPipelines
-	cfg.tapRings = func(rs []*ring) { s.metrics.rings.Store(&rs) }
-	cfg.tapSink = func(inner Sink) Sink { return &serveSink{inner: inner, m: &s.metrics} }
-
+	cfg.server = s
 	eng := NewEngine(cfg)
-	win := newWindows(s.scfg.Window, eng.Shards(),
-		flowdb.NewWindowed(flowdb.WindowConfig{Observe: s.scfg.ObserveWindow, Flush: s.scfg.FlushWindow}))
-	eng.cfg.windows = win
-	s.metrics.win.Store(win)
-	ds := &drainSource{src: eng.adapt(src), m: &s.metrics}
-	// Supervision sits under the drain wrapper: the drain signal must
-	// keep winning (stop means EOF now, not after a backoff), so the
-	// supervisor shares the drainSource's stop flag and aborts any
-	// in-progress recovery when it flips.
-	if s.scfg.Restart != nil {
-		sup := newSupervisedSource(ds.src, eng.adapt, *s.scfg.Restart, &s.metrics)
-		sup.stop = &ds.stop
-		s.metrics.restartBudget.Store(int64(sup.pol.MaxRestarts))
-		ds.src = sup
-	}
+	ss := newServeSource(eng.adapt(src), s.scfg.Restart, &s.metrics)
 
 	// The inner context is NOT derived from ctx: cancellation must drain,
 	// not abort. The engine runs on its own goroutine so Serve can turn
@@ -476,28 +457,20 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 	}
 	runC := make(chan runOut, 1)
 	go func() {
-		res, err := eng.runAndClose(inner, ds)
+		res, err := eng.runAndClose(inner, ss)
 		runC <- runOut{res, err}
 	}()
 
-	var out *Result
+	var r runOut
 	select {
-	case r := <-runC:
-		out = r.res
-		if r.err != nil {
-			return nil, r.err
-		}
+	case r = <-runC:
 	case <-ctx.Done():
 		s.metrics.draining.Store(true)
-		ds.stop.Store(true)
+		ss.stop.Store(true)
 		t := time.NewTimer(s.scfg.DrainTimeout)
 		defer t.Stop()
 		select {
-		case r := <-runC:
-			out = r.res
-			if r.err != nil {
-				return nil, r.err
-			}
+		case r = <-runC:
 		case <-t.C:
 			cancel()
 			// One short grace period for the hard-cancel to unwind the
@@ -505,22 +478,21 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 			g := time.NewTimer(drainGrace)
 			defer g.Stop()
 			select {
-			case r := <-runC:
-				out = r.res
-				if r.err != nil {
-					return nil, r.err
-				}
+			case r = <-runC:
 			case <-g.C:
 				return nil, fmt.Errorf("core: drain timed out after %v: %w", s.scfg.DrainTimeout, ctx.Err())
 			}
 		}
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
 
 	rep := &ServeReport{
-		Stats:           out.Stats,
+		Stats:           r.res.Stats,
 		Packets:         s.metrics.packets.Load(),
 		Bytes:           s.metrics.bytes.Load(),
-		Windows:         win.store.WindowsFlushed(),
+		Windows:         s.metrics.win.Load().store.WindowsFlushed(),
 		Dropped:         s.metrics.Shed.Totals(),
 		RestoredEntries: len(s.restored),
 		SourceRestarts:  s.metrics.restarts.Load(),
@@ -580,80 +552,77 @@ func (s *Server) loadCheckpoint() error {
 	return nil
 }
 
-// tapPipelines is the engine's construction seam: it fires before the
-// first packet, on the Run goroutine, and replays the restored checkpoint
-// into each shard's resolver. Entries route by the same client-address
-// hash the dispatcher uses, so a checkpoint taken at one shard count
-// restores correctly at any other.
-func (s *Server) tapPipelines(hs []*DNHunter) {
+// start is the engine's one call into the Server it serves for, made on
+// the Run goroutine once the pipelines (and, sharded, their rings) exist
+// and before the first packet. It replays the restored checkpoint into the
+// shards' resolvers, publishes the rings to the metrics, sizes the shed
+// counters and starts the window flusher; it returns the window hand-off,
+// and the shed counters when the rings should shed. A nil Server (a batch
+// run) returns nil for both.
+//
+// Restored entries route by the same client-address hash the dispatcher
+// uses, so a checkpoint taken at one shard count restores correctly at any
+// other.
+func (s *Server) start(hs []*DNHunter, rings []*ring) (*windows, *ShedStats) {
+	if s == nil {
+		return nil, nil
+	}
 	s.pipes = hs
-	if len(s.restored) == 0 {
-		return
+	if len(s.restored) > 0 {
+		groups := make([][]resolver.SnapshotEntry, len(hs))
+		for _, se := range s.restored {
+			i := shardOfAddr(se.Client, len(hs))
+			groups[i] = append(groups[i], se)
+		}
+		for i, g := range groups {
+			hs[i].Resolver().Restore(g)
+		}
 	}
-	if len(hs) == 1 {
-		hs[0].Resolver().Restore(s.restored)
-		return
+	var shed *ShedStats
+	if rings != nil {
+		s.metrics.rings.Store(&rings)
+		if s.scfg.Shed {
+			s.metrics.Shed.init(len(rings))
+			shed = &s.metrics.Shed
+		}
 	}
-	groups := make([][]resolver.SnapshotEntry, len(hs))
-	for _, se := range s.restored {
-		i := shardOfAddr(se.Client, len(hs))
-		groups[i] = append(groups[i], se)
-	}
-	for i, g := range groups {
-		hs[i].Resolver().Restore(g)
-	}
+	ws := newWindows(s.scfg.Window, len(hs),
+		flowdb.NewWindowed(flowdb.WindowConfig{Observe: s.scfg.ObserveWindow, Flush: s.scfg.FlushWindow}))
+	s.metrics.win.Store(ws)
+	go ws.run()
+	return ws, shed
 }
 
 // writeCheckpointFile writes the per-shard snapshots as one checkpoint,
-// atomically: temp file in the target directory, fsync, rename.
+// atomically and durably: temp file in the target directory, fsync,
+// rename, then fsync of the directory, so a crash after a clean drain
+// cannot lose the rename.
 func writeCheckpointFile(path string, snaps [][]resolver.SnapshotEntry) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := resolver.WriteSnapshot(f, snaps...); err != nil {
-		f.Close()
+	err = resolver.WriteSnapshot(f, snaps...)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// drainSource wraps the live packet source: it counts packets, bytes, and
-// the trace clock for the metrics, and turns the drain signal (stop) into
-// io.EOF so the engine takes its normal end-of-capture path.
-type drainSource struct {
-	src  netio.BlockRefSource
-	m    *ServeMetrics
-	stop atomic.Bool
-}
-
-// ReadBlockRef implements netio.BlockRefSource.
-func (d *drainSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
-	if d.stop.Load() {
-		return 0, nil, io.EOF
-	}
-	n, blk, err := d.src.ReadBlockRef(dst)
-	if n > 0 {
-		var b uint64
-		for i := 0; i < n; i++ {
-			b += uint64(len(dst[i].Data))
-		}
-		d.m.packets.Add(uint64(n))
-		d.m.bytes.Add(b)
-		d.m.clockNs.Store(int64(dst[n-1].Timestamp))
-	}
-	return n, blk, err
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // serveSink counts the pipelines' events for the metrics and passes them
@@ -759,8 +728,17 @@ func newWindows(width time.Duration, shards int, store *flowdb.Windowed) *window
 	return ws
 }
 
-// clock returns the capture clock for the goroutine that reads packets.
+// clock returns the capture clock for the goroutine that reads packets;
+// a nil hand-off (a batch run) gives a clock that never opens a window.
 func (ws *windows) clock() windowClock { return windowClock{ws: ws, end: math.MinInt64} }
+
+// shard returns shard i's side of the hand-off; nil in a batch run.
+func (ws *windows) shard(i int) *shardWindow {
+	if ws == nil {
+		return nil
+	}
+	return &shardWindow{ws: ws, i: i}
+}
 
 // lag is the trace time from the start of the oldest window not flushed
 // yet to clock, the newest packet read; 0 when no window is open.
@@ -771,9 +749,6 @@ func (ws *windows) lag(clock time.Duration) time.Duration {
 	}
 	return max(clock-time.Duration(from), 0)
 }
-
-// start launches the flusher goroutine.
-func (ws *windows) start() { go ws.run() }
 
 // run is the flusher: it takes window after window, one part from every
 // shard in shard order, completes it and hands the DBs back, until the
@@ -826,18 +801,30 @@ func (ws *windows) seal(i int, p sealedPart) *flowdb.DB {
 	}
 }
 
-// abort releases the shards and the flusher after a failed run.
-func (ws *windows) abort() { close(ws.quit) }
+// abort releases the shards and the flusher, if any, after a failed run.
+func (ws *windows) abort() {
+	if ws != nil {
+		close(ws.quit)
+	}
+}
 
-// wait returns once the flusher has returned, with its flush error.
-func (ws *windows) wait() error {
+// wait returns once the flusher, if any, has returned, after every
+// pipeline sealed its last window or abort released it. It returns runErr,
+// else the flush error.
+func (ws *windows) wait(runErr error) error {
+	if ws == nil {
+		return runErr
+	}
 	<-ws.done
+	if runErr != nil {
+		return runErr
+	}
 	return ws.err
 }
 
 // windowClock is the capture clock of the goroutine that reads packets:
-// the end of the open window. The zero value never opens a window (batch
-// runs).
+// the end of the open window. A clock without a hand-off (batch runs)
+// never opens a window.
 type windowClock struct {
 	ws  *windows
 	end time.Duration
@@ -874,9 +861,12 @@ func (s *shardWindow) roll(h *DNHunter, start time.Duration) {
 	s.start, s.open = start, true
 }
 
-// close seals the final window, after the pipeline flushed its last flows.
-// The flusher empties the DB once the window is flushed, and the pipeline
-// adds nothing to it after.
+// close seals the final window, after the pipeline flushed its last flows;
+// a no-op in a batch run. The flusher empties the DB once the window is
+// flushed, and the pipeline adds nothing to it after.
 func (s *shardWindow) close(h *DNHunter) {
+	if s == nil {
+		return
+	}
 	s.ws.seal(s.i, sealedPart{db: h.db, start: s.start, final: true})
 }

@@ -176,7 +176,7 @@ func TestServeCheckpointRestart(t *testing.T) {
 
 	second := func(path string, shards int) *ServeReport {
 		srv := NewServer(EngineConfig{Shards: shards}, ServeConfig{CheckpointPath: path})
-		rep, err := srv.Serve(context.Background(), netio.NewSlicePacketSource(tr.Packets[half:]))
+		rep, err := srv.Serve(context.Background(), netio.NewLoopSource(tr.Packets[half:], 0, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestServeCheckpointKeepsShardFIFO(t *testing.T) {
 	drain := func(pkts []netio.Packet, shards int, path string) ([]byte, [][]resolver.SnapshotEntry) {
 		t.Helper()
 		srv := NewServer(EngineConfig{Shards: shards}, ServeConfig{CheckpointPath: path})
-		rep, err := srv.Serve(context.Background(), netio.NewSlicePacketSource(pkts))
+		rep, err := srv.Serve(context.Background(), netio.NewLoopSource(pkts, 0, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

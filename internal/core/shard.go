@@ -91,9 +91,7 @@ func (w *shardWorker) run(wg *sync.WaitGroup, abort *atomic.Bool) {
 	}
 	if !abort.Load() {
 		w.h.Close()
-		if w.win != nil {
-			w.win.close(w.h)
-		}
+		w.win.close(w.h)
 	}
 }
 
@@ -156,39 +154,23 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 		rings:   make([]*ring, n),
 		tracker: tracker,
 		idle:    tracker.IdleTimeout(), // lockstep with flows.NewTable's default
-		shed:    e.cfg.shed,
 	}
 	d.assign = d.shardOf
 	d.expire = d.enqueueExpire
 	workers := make([]*shardWorker, n)
+	hs := make([]*DNHunter, n)
 	for i := range workers {
 		fcfg := e.cfg.Flows
 		fcfg.DisableAutoSweep = true // dispatcher drives expiry via tracker commands
 		fcfg.Seed = seed
 		d.rings[i] = newRing(ringDepth, e.cfg.batch)
-		workers[i] = &shardWorker{h: e.newPipeline(fcfg, sink), ring: d.rings[i]}
-		if ws := e.cfg.windows; ws != nil {
-			workers[i].win = &shardWindow{ws: ws, i: i}
-		}
+		hs[i] = e.newPipeline(fcfg, sink)
+		workers[i] = &shardWorker{h: hs[i], ring: d.rings[i]}
 	}
-	if ws := e.cfg.windows; ws != nil {
-		d.clock = ws.clock()
-		ws.start()
-	}
-	if e.cfg.shed != nil {
-		e.cfg.shed.init(n)
-	}
-	if e.cfg.tapPipelines != nil {
-		// Serve-mode seam: expose the shard pipelines (checkpoint restore
-		// writes resolver state here) before the first packet is dispatched.
-		hs := make([]*DNHunter, n)
-		for i, w := range workers {
-			hs[i] = w.h
-		}
-		e.cfg.tapPipelines(hs)
-	}
-	if e.cfg.tapRings != nil {
-		e.cfg.tapRings(d.rings)
+	ws, shed := e.cfg.server.start(hs, d.rings)
+	d.clock, d.shed = ws.clock(), shed
+	for i, w := range workers {
+		w.win = ws.shard(i)
 	}
 
 	var (
@@ -202,13 +184,13 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 	runErr := readLoop(ctx, src, d.dispatchBlock)
 	abort.Store(runErr != nil)
 	if runErr != nil {
-		e.abortWindows() // a shard may be waiting on the flusher in a seal
+		ws.abort() // a shard may be waiting on the flusher in a seal
 	}
 	for _, r := range d.rings {
 		r.close()
 	}
 	wg.Wait()
-	if err := e.finishWindows(runErr); err != nil {
+	if err := ws.wait(runErr); err != nil {
 		return nil, err
 	}
 
@@ -217,9 +199,9 @@ func (e *Engine) runSharded(ctx context.Context, src netio.BlockRefSource) (*Res
 	db := flowdb.New()
 	dbs := make([]*flowdb.DB, n)
 	st := Stats{Parser: d.parser.Stats}
-	for i, w := range workers {
-		dbs[i] = w.h.DB()
-		st.Add(w.h.Stats())
+	for i, h := range hs {
+		dbs[i] = h.DB()
+		st.Add(h.Stats())
 	}
 	db.Merge(dbs...)
 	return &Result{DB: db, Stats: st, Readers: []ReaderStat{dispatchStat(d.pkts, d.rings)}}, nil

@@ -16,8 +16,9 @@ import (
 // may interleave arbitrarily; the Engine serializes the configured Sink's
 // calls through a mutex (see SyncSink), so implementations never need
 // internal locking unless they are also read concurrently from outside the
-// pipeline. That lock covers the user's Sink only: serve mode's windows and
-// event counters work outside it, per shard, and the window hooks
+// pipeline. That lock covers the user's Sink only: in serve mode the
+// Server's event counters wrap the serialized Sink and count outside the
+// lock, each shard fills its own window, and the window hooks
 // (ServeConfig.ObserveWindow and FlushWindow) run on a goroutine of their
 // own, concurrently with Sink calls.
 //

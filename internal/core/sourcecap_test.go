@@ -106,7 +106,7 @@ func TestWrappersPreserveSourceCapabilities(t *testing.T) {
 		open func() netio.PacketSource
 		want copies
 	}{
-		{"stable-slice", func() netio.PacketSource { return netio.NewSlicePacketSource(pkts) }, zeroCopy},
+		{"stable-slice", func() netio.PacketSource { return netio.NewLoopSource(pkts, 0, 1) }, zeroCopy},
 		{"pcap-reader", func() netio.PacketSource {
 			r, err := netio.NewReader(bytes.NewReader(pcap.Bytes()))
 			if err != nil {

@@ -1,16 +1,17 @@
 package core
 
-// Serve-mode source supervision: a live capture feed fails in two very
-// different ways. Transient failures — an exporter hiccup, a short read,
-// a capture ring overrun — deserve a backoff and another try; fatal ones
-// (a closed file, a parse-impossible stream) deserve a clean shutdown.
-// The supervisor sits between the drain wrapper and the real source,
-// classifies every read error, and restarts the source (optionally
-// reopening it) under an exponential-backoff-with-deterministic-jitter
-// policy bounded by an error budget. Everything it does is observable:
-// classified error counters, restart counts, and the remaining budget all
-// surface through ServeMetrics onto /metrics, and any restart marks the
-// server degraded on /healthz.
+// Serve mode's source wrapper: it counts what the engine reads for the
+// metrics, turns the drain signal into end of stream, and — with a
+// RestartPolicy — supervises the source. A live capture feed fails in two
+// very different ways. Transient failures — an exporter hiccup, a short
+// read, a capture ring overrun — deserve a backoff and another try; fatal
+// ones (a closed file, a parse-impossible stream) deserve a clean
+// shutdown. The supervisor classifies every read error and re-reads the
+// source under an exponential-backoff-with-deterministic-jitter policy
+// bounded by an error budget. Everything it does is observable: classified
+// error counters, restart counts, and the remaining budget all surface
+// through ServeMetrics onto /metrics, and any restart marks the server
+// degraded on /healthz.
 
 import (
 	"errors"
@@ -38,10 +39,6 @@ type RestartPolicy struct {
 	// [d/2, d) of the nominal doubling). Zero means 1. Restart timing —
 	// like every fault path — replays exactly from its seed.
 	Seed uint64
-	// Reopen, when set, replaces the source after each transient failure
-	// (e.g. reconnect to an exporter). Its error is fatal. When nil the
-	// existing source is simply read again.
-	Reopen func() (netio.PacketSource, error)
 }
 
 // withDefaults resolves the zero-value fields.
@@ -75,21 +72,22 @@ func DefaultClassify(err error) bool {
 	return errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// supervisedSource wraps a packet source with the restart policy. It is
-// read from the single engine reader goroutine (like any source), so its
-// bookkeeping needs no locking; only the metrics it publishes are shared.
-type supervisedSource struct {
-	src netio.BlockRefSource
-	// adapt is the engine's edge adapter, applied to each source Reopen
-	// hands back.
-	adapt func(netio.PacketSource) netio.BlockRefSource
-	pol   RestartPolicy
-	m     *ServeMetrics
-	// stop is the drain signal shared with the drainSource above it:
-	// during a drain the supervisor gives up immediately (reporting EOF)
-	// instead of sleeping out a backoff.
-	stop *atomic.Bool
-	rng  uint64
+// serveSource wraps the engine-facing source of one Serve. It counts
+// packets, bytes, and the trace clock for the metrics, and turns the drain
+// signal (stop) into io.EOF so the engine takes its normal end-of-capture
+// path. With a policy it also supervises the source: read errors are
+// classified, and transient ones are answered by a backoff and another
+// read. It is read from the single engine reader goroutine (like any
+// source), so its bookkeeping needs no locking; only stop and the metrics
+// it publishes are shared.
+type serveSource struct {
+	src  netio.BlockRefSource
+	m    *ServeMetrics
+	stop atomic.Bool
+	// pol is the restart policy, defaults resolved; nil propagates the
+	// first read error, as a batch Run would.
+	pol *RestartPolicy
+	rng uint64
 	// pending defers recovery of an error that arrived alongside a
 	// partial block: the packets are delivered first, the restart happens
 	// at the next read call, and no input is lost.
@@ -97,19 +95,61 @@ type supervisedSource struct {
 	restarts int
 }
 
-func newSupervisedSource(src netio.BlockRefSource, adapt func(netio.PacketSource) netio.BlockRefSource, pol RestartPolicy, m *ServeMetrics) *supervisedSource {
-	pol = pol.withDefaults()
-	return &supervisedSource{src: src, adapt: adapt, pol: pol, m: m, rng: pol.Seed}
+func newServeSource(src netio.BlockRefSource, pol *RestartPolicy, m *ServeMetrics) *serveSource {
+	s := &serveSource{src: src, m: m}
+	if pol != nil {
+		p := pol.withDefaults()
+		s.pol, s.rng = &p, p.Seed
+		m.restartBudget.Store(int64(p.MaxRestarts))
+	}
+	return s
 }
 
-func (s *supervisedSource) draining() bool { return s.stop != nil && s.stop.Load() }
+// ReadBlockRef implements netio.BlockRefSource.
+func (s *serveSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
+	for {
+		if s.stop.Load() {
+			return 0, nil, io.EOF
+		}
+		if err := s.pending; err != nil {
+			s.pending = nil
+			if rerr := s.recover(err); rerr != nil {
+				return 0, nil, rerr
+			}
+		}
+		n, blk, err := s.src.ReadBlockRef(dst)
+		if n > 0 {
+			var b uint64
+			for i := 0; i < n; i++ {
+				b += uint64(len(dst[i].Data))
+			}
+			s.m.packets.Add(uint64(n))
+			s.m.bytes.Add(b)
+			s.m.clockNs.Store(int64(dst[n-1].Timestamp))
+		}
+		if err == nil || s.pol == nil || errors.Is(err, io.EOF) {
+			return n, blk, err
+		}
+		if n > 0 {
+			// Deliver the partial block now; recover on the next call.
+			s.pending = err
+			return n, blk, nil
+		}
+		if blk != nil {
+			// Defensive: an errored empty read must not leak its handle.
+			blk.Release(1)
+		}
+		if rerr := s.recover(err); rerr != nil {
+			return 0, nil, rerr
+		}
+	}
+}
 
-// recover handles one non-EOF read error: classify, count, back off,
-// optionally reopen. It returns nil when the caller should retry the
-// read, io.EOF when a drain interrupted recovery, and a terminal error
-// otherwise.
-func (s *supervisedSource) recover(err error) error {
-	if s.draining() {
+// recover handles one non-EOF read error: classify, count, back off. It
+// returns nil when the caller should retry the read, io.EOF when a drain
+// interrupted recovery, and a terminal error otherwise.
+func (s *serveSource) recover(err error) error {
+	if s.stop.Load() {
 		return io.EOF
 	}
 	if !DefaultClassify(err) {
@@ -125,16 +165,8 @@ func (s *supervisedSource) recover(err error) error {
 	s.m.restarts.Add(1)
 	s.m.degraded.Store(true)
 	s.sleep(s.backoff(s.restarts))
-	if s.draining() {
+	if s.stop.Load() {
 		return io.EOF
-	}
-	if s.pol.Reopen != nil {
-		nsrc, oerr := s.pol.Reopen()
-		if oerr != nil {
-			s.m.faultFatal.Add(1)
-			return fmt.Errorf("core: reopening source after restart %d: %w", s.restarts, oerr)
-		}
-		s.src = s.adapt(nsrc)
 	}
 	return nil
 }
@@ -143,7 +175,7 @@ func (s *supervisedSource) recover(err error) error {
 // attempt, capped at MaxBackoff, jittered into [d/2, d) by a
 // deterministic seeded generator (decorrelated restarts without
 // irreproducible timing).
-func (s *supervisedSource) backoff(attempt int) time.Duration {
+func (s *serveSource) backoff(attempt int) time.Duration {
 	d := s.pol.MaxBackoff
 	if shift := attempt - 1; shift < 30 {
 		if b := s.pol.BaseBackoff << shift; b < d {
@@ -160,52 +192,11 @@ func (s *supervisedSource) backoff(attempt int) time.Duration {
 
 // sleep waits d, polling the drain signal so a stop never waits out a
 // long backoff.
-func (s *supervisedSource) sleep(d time.Duration) {
+func (s *serveSource) sleep(d time.Duration) {
 	const slice = 5 * time.Millisecond
-	for d > 0 {
-		if s.draining() {
-			return
-		}
-		step := d
-		if step > slice {
-			step = slice
-		}
+	for d > 0 && !s.stop.Load() {
+		step := min(d, slice)
 		time.Sleep(step)
 		d -= step
-	}
-}
-
-// takePending runs deferred recovery from a previous partial delivery.
-func (s *supervisedSource) takePending() error {
-	if s.pending == nil {
-		return nil
-	}
-	err := s.pending
-	s.pending = nil
-	return s.recover(err)
-}
-
-// ReadBlockRef implements netio.BlockRefSource.
-func (s *supervisedSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
-	for {
-		if err := s.takePending(); err != nil {
-			return 0, nil, err
-		}
-		n, blk, err := s.src.ReadBlockRef(dst)
-		if err == nil || errors.Is(err, io.EOF) {
-			return n, blk, err
-		}
-		if n > 0 {
-			// Deliver the partial block now; recover on the next call.
-			s.pending = err
-			return n, blk, nil
-		}
-		if blk != nil {
-			// Defensive: an errored empty read must not leak its handle.
-			blk.Release(1)
-		}
-		if rerr := s.recover(err); rerr != nil {
-			return 0, nil, rerr
-		}
 	}
 }

@@ -128,49 +128,83 @@ func TestServeSupervisorBudget(t *testing.T) {
 	}
 }
 
-// TestServeSupervisorReopen: the policy's Reopen hook replaces the source
-// after a transient failure — the model for reconnecting to an exporter
-// that died rather than hiccuped.
-func TestServeSupervisorReopen(t *testing.T) {
-	tr := synth.Generate(synth.QuickScenario(54))
-	half := len(tr.Packets) / 2
-	reopened := 0
-	pol := testPolicy(3)
-	pol.Reopen = func() (netio.PacketSource, error) {
-		reopened++
-		// The replacement feed resumes from where the first one died.
-		return &flakySource{pkts: tr.Packets[half:]}, nil
-	}
-	// The original feed delivers the first half, then dies (an error, not
-	// a clean EOF), so the supervisor reopens.
-	srv := NewServer(EngineConfig{}, ServeConfig{Window: time.Minute, DrainTimeout: 10 * time.Second, Restart: pol})
-	srcDying := &dyingSource{pkts: tr.Packets[:half], err: transientTestErr{msg: "feed died"}}
-	rep, err := srv.Serve(context.Background(), srcDying)
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if reopened != 1 {
-		t.Errorf("Reopen called %d times, want 1", reopened)
-	}
-	if got, want := rep.Packets, uint64(len(tr.Packets)); got != want {
-		t.Errorf("delivered %d packets, want %d across the reopen", got, want)
-	}
-}
-
-// dyingSource yields pkts then fails with err forever (never a clean EOF).
-type dyingSource struct {
+// partialErrSource replays pkts in reads of up to len(dst) packets and
+// returns err together with the last packets before cut: a partial block,
+// then the error. It reports a read past the error, which only a restart
+// makes.
+type partialErrSource struct {
+	t    *testing.T
 	pkts []netio.Packet
+	cut  int
 	err  error
-	i    int
+	next int
 }
 
-func (d *dyingSource) Next() (netio.Packet, error) {
-	if d.i >= len(d.pkts) {
-		return netio.Packet{}, d.err
+func (s *partialErrSource) ReadBlock(dst []netio.Packet) (int, error) {
+	if s.next == s.cut {
+		s.t.Error("source read again after its error")
+		return 0, io.EOF
 	}
-	p := d.pkts[d.i]
-	d.i++
-	return p, nil
+	n := copy(dst, s.pkts[s.next:s.cut])
+	s.next += n
+	if s.next == s.cut {
+		return n, s.err
+	}
+	return n, nil
+}
+
+func (s *partialErrSource) Next() (netio.Packet, error) {
+	var one [1]netio.Packet
+	_, err := s.ReadBlock(one[:])
+	return one[0], err
+}
+
+// TestServeUnsupervisedSourceError: without a RestartPolicy a source error
+// ends Serve with that error, as it would end a batch Run. The packets read
+// with it are still delivered and counted, and nothing is counted as a
+// fault or a restart.
+func TestServeUnsupervisedSourceError(t *testing.T) {
+	tr := synth.Generate(synth.QuickScenario(54))
+	const cut = 2*blockLen + 88 // the error arrives with a partial third block
+	dnsOver := func(pkts []netio.Packet) int {
+		n := 0
+		sink := &FuncSink{DNS: func(DNSEvent) { n++ }}
+		if _, err := NewEngine(EngineConfig{Sink: sink}).Run(context.Background(), netio.NewLoopSource(pkts, 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	want := dnsOver(tr.Packets[:cut])
+	if want == dnsOver(tr.Packets[:2*blockLen]) {
+		t.Fatal("no DNS response in the partial block: the delivery check would be vacuous")
+	}
+
+	cause := transientTestErr{msg: "exporter hiccup"}
+	dns := 0
+	srv := NewServer(EngineConfig{Sink: &FuncSink{DNS: func(DNSEvent) { dns++ }}},
+		ServeConfig{Window: time.Minute, DrainTimeout: 10 * time.Second})
+	_, err := srv.Serve(context.Background(), &partialErrSource{t: t, pkts: tr.Packets, cut: cut, err: cause})
+	if !errors.Is(err, cause) {
+		t.Fatalf("Serve = %v, want the source error", err)
+	}
+	m := srv.Metrics()
+	if got := m.Packets(); got != cut {
+		t.Errorf("counted %d packets, want the %d read before the error", got, cut)
+	}
+	if dns != want {
+		t.Errorf("%d DNS responses delivered, want %d: packets read with the error were lost", dns, want)
+	}
+	tn := metricValue(t, m, "fault_source_errors_total", "transient")
+	fat := metricValue(t, m, "fault_source_errors_total", "fatal")
+	if tn != 0 || fat != 0 {
+		t.Errorf("source errors = (%v, %v), want none counted without supervision", tn, fat)
+	}
+	if got := metricValue(t, m, "fault_source_restarts_total"); got != 0 {
+		t.Errorf("source restarts = %v, want 0", got)
+	}
+	if m.Degraded() {
+		t.Error("unsupervised run marked degraded")
+	}
 }
 
 // TestServeFreshStartOnCorruptCheckpoint: an invalid checkpoint file

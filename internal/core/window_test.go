@@ -297,13 +297,13 @@ func TestWarmWindowCycleAllocFree(t *testing.T) {
 		workers[i] = &shardWorker{
 			h:    New(Config{Resolver: resolverCfg(), Flows: flows.Config{DisableAutoSweep: true, Seed: seed}}),
 			ring: d.rings[i],
-			win:  &shardWindow{ws: ws, i: i},
+			win:  ws.shard(i),
 		}
 	}
-	ws.start()
+	go ws.run()
 	defer func() {
 		ws.abort()
-		ws.wait()
+		ws.wait(nil)
 	}()
 	block := make([]netio.Packet, len(pkts))
 	pass := 0

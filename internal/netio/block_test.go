@@ -119,14 +119,14 @@ func TestReadBlockTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestSliceSourceReadBlock checks the zero-copy slice implementation,
-// including the n<len(dst) tail and EOF-after-drain.
+// TestSliceSourceReadBlock checks the zero-copy in-memory replay (one
+// LoopSource pass), including the n<len(dst) tail and EOF-after-drain.
 func TestSliceSourceReadBlock(t *testing.T) {
 	pkts := make([]Packet, 10)
 	for i := range pkts {
 		pkts[i] = Packet{Timestamp: time.Duration(i)}
 	}
-	s := NewSlicePacketSource(pkts)
+	s := NewLoopSource(pkts, 0, 1)
 	dst := make([]Packet, 4)
 	var total int
 	for {

@@ -110,7 +110,7 @@ func TestRefAdapterStable(t *testing.T) {
 			for i, fr := range frames {
 				orig[i] = Packet{Timestamp: time.Duration(i + 1), Data: fr}
 			}
-			a := NewRefAdapter(NewSlicePacketSource(orig), nil, retain)
+			a := NewRefAdapter(NewLoopSource(orig, 0, 1), nil, retain)
 			dst := make([]Packet, 8)
 			n, blk, _ := a.ReadBlockRef(dst)
 			if n != len(orig) || blk != nil {

@@ -22,9 +22,10 @@ import (
 // LoopSource replays an in-memory packet slice for a fixed number of
 // passes, or forever, adding a per-pass timestamp offset so time keeps
 // moving monotonically across passes — the run-forever input for soak
-// tests. It implements PacketSource and BlockSource. Packet Data slices
-// alias the backing slice (zero copy), valid until the caller's next
-// read, like every other source.
+// tests, and with one pass the replay of a synthetic trace. It implements
+// PacketSource, BlockSource and StableSource. Packet Data slices alias the
+// backing slice (zero copy), which the source never reuses or modifies, so
+// they stay valid for its lifetime.
 type LoopSource struct {
 	packets []Packet
 	period  time.Duration
@@ -79,6 +80,10 @@ func (l *LoopSource) Next() (Packet, error) {
 	p.Timestamp += l.offset
 	return p, nil
 }
+
+// DataStable implements StableSource: Data aliases the backing slice,
+// which is never reused between reads.
+func (l *LoopSource) DataStable() bool { return true }
 
 // ReadBlock implements BlockSource. A block never spans a pass boundary,
 // so the per-packet offset fixup stays a single addition.

@@ -101,7 +101,7 @@ func TestPacedSourcePacesBlocks(t *testing.T) {
 		{Timestamp: 40 * time.Millisecond, Data: []byte{2}},
 	}
 	dst := make([]Packet, 1)
-	if _, elapsed := drainPaced(t, NewPacedSource(NewSlicePacketSource(pkts), 4), dst); elapsed < 8*time.Millisecond {
+	if _, elapsed := drainPaced(t, NewPacedSource(NewLoopSource(pkts, 0, 1), 4), dst); elapsed < 8*time.Millisecond {
 		t.Fatalf("paced replay took %v, want >= ~10ms", elapsed)
 	}
 	// Pacing is relative to the first packet: a trace that starts 500ms
@@ -110,7 +110,7 @@ func TestPacedSourcePacesBlocks(t *testing.T) {
 		{Timestamp: 500 * time.Millisecond, Data: []byte{1}},
 		{Timestamp: 510 * time.Millisecond, Data: []byte{2}},
 	}
-	if _, elapsed := drainPaced(t, NewPacedSource(NewSlicePacketSource(late), 1), dst); elapsed < 8*time.Millisecond || elapsed > 250*time.Millisecond {
+	if _, elapsed := drainPaced(t, NewPacedSource(NewLoopSource(late, 0, 1), 1), dst); elapsed < 8*time.Millisecond || elapsed > 250*time.Millisecond {
 		t.Fatalf("late-start replay took %v, want ~10ms", elapsed)
 	}
 }
@@ -118,7 +118,7 @@ func TestPacedSourcePacesBlocks(t *testing.T) {
 func TestPacedSourceUnpacedFallback(t *testing.T) {
 	// A non-BlockSource inner source goes through the Next fallback.
 	type nextOnly struct{ PacketSource }
-	p := NewPacedSource(nextOnly{NewSlicePacketSource(loopPackets())}, 1000)
+	p := NewPacedSource(nextOnly{NewLoopSource(loopPackets(), 0, 1)}, 1000)
 	if total, _ := drainPaced(t, p, make([]Packet, 4)); total != 3 {
 		t.Fatalf("fallback replayed %d packets, want 3", total)
 	}

@@ -255,43 +255,3 @@ func (r *Reader) fixupBlock(dst []Packet, n int) {
 		dst[i].Data = r.block[off : off+ln]
 	}
 }
-
-// SlicePacketSource replays an in-memory packet slice. It implements
-// PacketSource and is the zero-copy path between synthesizer and sniffer.
-type SlicePacketSource struct {
-	packets []Packet
-	next    int
-}
-
-// NewSlicePacketSource wraps packets; the slice is not copied.
-func NewSlicePacketSource(packets []Packet) *SlicePacketSource {
-	return &SlicePacketSource{packets: packets}
-}
-
-// Next implements PacketSource.
-func (s *SlicePacketSource) Next() (Packet, error) {
-	if s.next >= len(s.packets) {
-		return Packet{}, io.EOF
-	}
-	p := s.packets[s.next]
-	s.next++
-	return p, nil
-}
-
-// ReadBlock implements BlockSource by handing out packet structs straight
-// from the backing slice — zero copy.
-func (s *SlicePacketSource) ReadBlock(dst []Packet) (int, error) {
-	n := copy(dst, s.packets[s.next:])
-	if n == 0 {
-		return 0, io.EOF
-	}
-	s.next += n
-	return n, nil
-}
-
-// DataStable implements StableSource: packet Data aliases the caller's
-// slice, which is never reused between reads.
-func (s *SlicePacketSource) DataStable() bool { return true }
-
-// Len returns the total number of packets.
-func (s *SlicePacketSource) Len() int { return len(s.packets) }

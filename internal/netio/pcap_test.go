@@ -184,27 +184,25 @@ func TestReaderUnsupportedLinkType(t *testing.T) {
 	}
 }
 
-func TestSlicePacketSource(t *testing.T) {
+// TestLoopSourceDataStable: one pass replays the slice in order, then EOF,
+// and every frame aliases the backing slice, as DataStable promises.
+func TestLoopSourceDataStable(t *testing.T) {
 	pkts := []Packet{{Data: []byte{1}}, {Data: []byte{2}}}
-	s := NewSlicePacketSource(pkts)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	s := NewLoopSource(pkts, 0, 1)
+	if !s.DataStable() {
+		t.Fatal("LoopSource does not declare DataStable")
 	}
-	for i := 0; i < 2; i++ {
+	for i := range pkts {
 		p, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Data[0] != byte(i+1) {
-			t.Fatalf("packet %d = %v", i, p.Data)
+		if &p.Data[0] != &pkts[i].Data[0] {
+			t.Fatalf("packet %d does not alias the backing slice", i)
 		}
 	}
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
-	}
-	s.Reset()
-	if p, err := s.Next(); err != nil || p.Data[0] != 1 {
-		t.Fatalf("after Reset: %v %v", p, err)
 	}
 }
 
@@ -263,9 +261,6 @@ func TestQuickRoundTripArbitraryPayloads(t *testing.T) {
 
 // SnapLen returns the capture snapshot length from the file header.
 func (r *Reader) SnapLen() uint32 { return r.snap }
-
-// Reset rewinds the source to the first packet.
-func (s *SlicePacketSource) Reset() { s.next = 0 }
 
 // ChanPacketSource adapts a channel of packets to PacketSource; the producer
 // closes the channel at end of trace.

@@ -79,9 +79,9 @@ type Trace struct {
 	DNSResponses int
 }
 
-// Source returns a PacketSource replaying the trace.
-func (t *Trace) Source() *netio.SlicePacketSource {
-	return netio.NewSlicePacketSource(t.Packets)
+// Source returns a PacketSource replaying the trace once.
+func (t *Trace) Source() *netio.LoopSource {
+	return netio.NewLoopSource(t.Packets, 0, 1)
 }
 
 // TruthFunc adapts the sidecar for core.Config.Truth.

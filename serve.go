@@ -27,8 +27,8 @@ type (
 	// ShedShard is one shard's overload drop counters.
 	ShedShard = core.ShedShard
 	// RestartPolicy configures serve-mode source supervision
-	// (ServeConfig.Restart): the restart error budget, seeded exponential
-	// backoff, and an optional source reopen.
+	// (ServeConfig.Restart): the restart error budget and seeded
+	// exponential backoff.
 	RestartPolicy = core.RestartPolicy
 	// Window is one completed flow-store partition handed to
 	// ServeConfig.FlushWindow; its DB is valid only during the call.
