@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -150,12 +151,12 @@ func main() {
 	if *showStats {
 		for _, name := range order {
 			fmt.Printf("[%s]\n", name)
-			printStats(perVantage[name])
+			printStats(os.Stdout, perVantage[name])
 		}
 		if len(order) > 0 {
 			fmt.Printf("[aggregate]\n")
 		}
-		printStats(res)
+		printStats(os.Stdout, res)
 	}
 	fmt.Printf("wrote %s (%d flows, %d shards)\n", *outPath, res.DB.Len(), resolvedShards)
 }
@@ -201,19 +202,19 @@ func checkFlags(fs *flag.FlagSet) error {
 	return nil
 }
 
-func printStats(res *dnhunter.Result) {
+func printStats(w io.Writer, res *dnhunter.Result) {
 	st := res.Stats
-	fmt.Printf("packets: %d frames (%d TCP, %d UDP, %d malformed)\n",
+	fmt.Fprintf(w, "packets: %d frames (%d TCP, %d UDP, %d malformed)\n",
 		st.Parser.Frames, st.Parser.TCPSegments, st.Parser.UDPDatagram, st.Parser.Malformed)
-	fmt.Printf("dns: %d responses (%d empty, %d malformed), useless %.0f%%\n",
+	fmt.Fprintf(w, "dns: %d responses (%d empty, %d malformed), useless %.0f%%\n",
 		st.DNSResponses, st.DNSResponsesEmpty, st.DNSMalformed, 100*st.UselessDNSFraction())
-	fmt.Printf("resolver: %s\n", st.Resolver)
-	fmt.Printf("flows: %d total, %d labeled (%.1f%%)\n",
+	fmt.Fprintf(w, "resolver: %s\n", st.Resolver)
+	fmt.Fprintf(w, "flows: %d total, %d labeled (%.1f%%)\n",
 		st.Flows, st.LabeledFlows, 100*float64(st.LabeledFlows)/float64(max64(st.Flows, 1)))
 	cov := res.DB.Coverage(0)
 	for _, p := range []flows.L7Proto{flows.L7HTTP, flows.L7TLS, flows.L7P2P, flows.L7Unknown} {
 		if cov.Total[p] > 0 {
-			fmt.Printf("  %-5s %6d flows, %5.1f%% labeled\n", p, cov.Total[p], 100*cov.Ratio(p))
+			fmt.Fprintf(w, "  %-5s %6d flows, %5.1f%% labeled\n", p, cov.Total[p], 100*cov.Ratio(p))
 		}
 	}
 }

@@ -2,10 +2,11 @@ package dnhunter
 
 // Output digests pinned to testdata/golden.txt: one synthetic EU1-FTTH
 // trace through Engine.Run over a grid of shard counts, Clist sizes and
-// history depths; the same trace through Server.Serve (drain checkpoints,
-// their restore and rewrite, and window CSVs); every experiments.All entry
-// at scale 0.2, seed 1 (what `experiments -scale 0.2 -seed 1` prints); and
-// the bytes of every named scenario's trace. A change that means to keep every output byte-identical
+// history depths; the statistics the dnhunter command prints for one grid
+// cell; the same trace through Server.Serve (drain checkpoints, their
+// restore and rewrite, and window CSVs); every experiments.All entry at
+// scale 0.2, seed 1 (what `experiments -scale 0.2 -seed 1` prints); and the
+// bytes of every named scenario's trace. A change that means to keep every output byte-identical
 // (a performance change, a refactor) must pass this unchanged; a change
 // that moves a digest regenerates the file with
 //
@@ -24,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/netio"
 	"repro/internal/synth"
 )
 
@@ -117,6 +120,44 @@ func traceLine(name string, tr *synth.Trace) string {
 	return fmt.Sprintf("trace/%s packets=%s truth=%s pkts=%d flows=%d dns=%d", name,
 		hex.EncodeToString(h.Sum(nil)), sha256Hex([]byte(strings.Join(truth, ""))),
 		len(tr.Packets), tr.Flows, tr.DNSResponses)
+}
+
+// cliCell is the grid cell the cli/stats cell runs the dnhunter command on.
+var cliCell = goldenCell{shards: 1, clist: 4096, history: 0}
+
+// cliLine runs the dnhunter command over tr, written to a pcap (which keeps
+// timestamps to the microsecond), at cliCell's settings and renders the
+// cli/stats cell: the digest of the statistics it prints, every line but
+// the last ("wrote <path> ...").
+func cliLine(t *testing.T, tr *Trace, actual map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	var pcap bytes.Buffer
+	pw := netio.NewWriter(&pcap)
+	for _, p := range tr.Packets {
+		if err := pw.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pcapPath, csvPath := filepath.Join(dir, "trace.pcap"), filepath.Join(dir, "flows.csv")
+	if err := os.WriteFile(pcapPath, pcap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "dnhunter")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dnhunter").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/dnhunter: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-pcap", pcapPath, "-out", csvPath, "-shards", fmt.Sprint(cliCell.shards),
+		"-clist", fmt.Sprint(cliCell.clist), "-history", fmt.Sprint(cliCell.history)).Output()
+	if err != nil {
+		t.Fatalf("dnhunter: %v", err)
+	}
+	text := out[:bytes.LastIndex(bytes.TrimSuffix(out, []byte("\n")), []byte("\n"))+1]
+	actual["cli_stats.txt"] = text
+	return fmt.Sprintf("cli/stats text=%s", sha256Hex(text))
 }
 
 // serveLines runs tr through Server.Serve and renders the serve cells:
@@ -254,6 +295,7 @@ func TestGoldenDigests(t *testing.T) {
 			break
 		}
 	}
+	lines = append(lines, cliLine(t, tr, actual))
 	lines = append(lines, serveLines(t, tr, actual)...)
 	s := experiments.NewSuite(goldenExpScale, goldenExpSeed)
 	for _, e := range experiments.All {

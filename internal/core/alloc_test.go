@@ -204,10 +204,10 @@ func TestShardedDispatchZeroAlloc(t *testing.T) {
 // carry it. Each iteration answers a fresh name, then opens an HTTP flow
 // (Host: the name in upper case) and a TLS flow (SNI: the name) to the
 // answer; each record's name must be its label's own string. Two more
-// checks tell the mechanisms apart: after an interner wipe between a
-// response and its flows only the label can still supply that string, and
-// a flow no response labeled reads the decoder's string from the one
-// intern table the shard keeps.
+// checks tell the mechanisms apart: a name table sweep between a response
+// and its flows keeps the name its Clist entry references, and a flow no
+// response labeled reads the decoder's string from the one name table the
+// shard keeps.
 func TestFreshNameOneAlloc(t *testing.T) {
 	const warm, runs = 1100, 100 // warm fills the 1024-slot Clist
 	tb := &traceBuilder{t: t}
@@ -266,16 +266,23 @@ func TestFreshNameOneAlloc(t *testing.T) {
 		t.Fatalf("%d of %d records carry their label's own string, want all of %d", reused, recs, 2*i)
 	}
 
-	// The name leaves the intern table before its flows begin.
+	// The name table sweeps between a response and its flows: the Clist
+	// entry's reference keeps the name filed, under the same ID, while the
+	// unreferenced names go.
 	feedAll(iters[i].dns)
-	in := h.table.Names()
-	for j, r := 0, in.Resets; in.Resets == r; j++ {
-		in.Intern(fmt.Appendf(nil, "junk%d", j))
+	id := h.dnsMsg.QuestionID()
+	junk := h.names.Intern([]byte("junk0"))
+	for j := 1; h.names.Str(junk) != ""; j++ {
+		h.names.Intern(fmt.Appendf(nil, "junk%d", j))
+		h.names.Collect()
+	}
+	if h.names.Str(id) != names[i] {
+		t.Fatalf("the sweep freed the referenced name %q (ID %d now %q)", names[i], id, h.names.Str(id))
 	}
 	feedAll(iters[i].flows)
 	i++
 	if recs != 2*i || reused != recs {
-		t.Fatalf("after an interner wipe, %d of %d records carry their label's own string", reused, recs)
+		t.Fatalf("after a sweep, %d of %d records carry their label's own string", reused, recs)
 	}
 
 	// A flow no response labeled names a resolved host: the classifier

@@ -18,6 +18,7 @@ import (
 	"repro/internal/flowdb"
 	"repro/internal/flows"
 	"repro/internal/layers"
+	"repro/internal/names"
 	"repro/internal/netio"
 	"repro/internal/resolver"
 )
@@ -135,7 +136,11 @@ func (s *Stats) Add(o Stats) {
 // runs one of per shard; new code should prefer Engine, which adds
 // context cancellation, error returns, and parallelism.
 type DNHunter struct {
-	cfg    Config
+	cfg Config
+	// names is the pipeline's one name table: the DNS decoder files each
+	// QNAME in it, the resolver's entries and the flow table's flows name
+	// their FQDNs and names by ID in it.
+	names  *names.Table
 	res    *resolver.Resolver
 	table  *flows.Table
 	db     *flowdb.DB
@@ -148,17 +153,17 @@ type DNHunter struct {
 
 // New assembles a pipeline from cfg.
 func New(cfg Config) *DNHunter {
+	nt := names.New()
 	h := &DNHunter{
-		cfg: cfg,
-		res: resolver.New(cfg.Resolver),
-		db:  flowdb.New(),
+		cfg:   cfg,
+		names: nt,
+		res:   resolver.NewWithNames(cfg.Resolver, nt),
+		db:    flowdb.New(),
 	}
 	fcfg := cfg.Flows
 	fcfg.OnRecord = h.onRecord
-	h.table = flows.NewTable(fcfg)
-	// One intern table per pipeline, so per shard: the decoder files each
-	// QNAME in the flow table's, which its classifier files names in too.
-	h.dnsMsg.SetInterner(h.table.Names())
+	h.table = flows.NewTableWithNames(fcfg, nt)
+	h.dnsMsg.SetNames(nt)
 	return h
 }
 
@@ -216,9 +221,11 @@ func (h *DNHunter) expireFlow(key flows.Key, hash uint64) {
 	h.table.ExpireFlow(key, hash)
 }
 
-// Close flushes all in-flight flows (end of capture).
+// Close flushes all in-flight flows (end of capture) and detaches the DB
+// from the pipeline's name table.
 func (h *DNHunter) Close() {
 	h.table.FlushAll()
+	h.db.Detach()
 }
 
 // handleDNSPayload decodes a DNS payload and inserts responses into the
@@ -232,22 +239,19 @@ func (h *DNHunter) handleDNSPayload(client netip.Addr, payload []byte, at time.D
 	if !h.dnsMsg.Header.Response {
 		return // queries carry no answer list
 	}
-	// Unpack lowercases names as it decodes them, so the question name is
-	// used as it is (QueriedName would scan it a second time).
-	var fqdn string
-	if len(h.dnsMsg.Questions) > 0 {
-		fqdn = h.dnsMsg.Questions[0].Name
-	}
+	// Unpack lowercases names as it decodes them and files the question
+	// name in the pipeline's name table, so it is used by ID as it is.
+	fqdn := h.dnsMsg.QuestionID()
 	addrs := h.dnsMsg.AppendAnswerAddrs(h.addrs[:0])
 	h.addrs = addrs
-	if fqdn == "" || len(addrs) == 0 {
+	if fqdn == 0 || len(addrs) == 0 {
 		h.stats.DNSResponsesEmpty++
 		return
 	}
 	h.stats.DNSResponses++
-	h.res.Insert(client, fqdn, addrs, at)
+	h.res.InsertID(client, fqdn, addrs, at)
 	if h.cfg.OnDNSResponse != nil {
-		h.cfg.OnDNSResponse(DNSEvent{At: at, Client: client, FQDN: fqdn, NumAddrs: len(addrs), Vantage: h.cfg.Vantage})
+		h.cfg.OnDNSResponse(DNSEvent{At: at, Client: client, FQDN: h.names.Str(fqdn), NumAddrs: len(addrs), Vantage: h.cfg.Vantage})
 	}
 }
 
@@ -265,7 +269,7 @@ func (h *DNHunter) onNewFlow(key flows.Key, at time.Duration, sawSYN bool, hd fl
 		}
 	}
 	if h.cfg.OnTag != nil {
-		ev := TagEvent{Key: key, At: at, Label: tg.Label, Hit: tg.Hit, SYN: sawSYN, Vantage: h.cfg.Vantage}
+		ev := TagEvent{Key: key, At: at, Label: h.names.Str(tg.Label), Hit: tg.Hit, SYN: sawSYN, Vantage: h.cfg.Vantage}
 		if tg.Hit {
 			ev.PreDNS = at - tg.DNSAt
 		}
@@ -274,12 +278,13 @@ func (h *DNHunter) onNewFlow(key flows.Key, at time.Duration, sawSYN bool, hd fl
 }
 
 // onRecord receives finished flows from the table and emits labeled flows.
-// The table zeroes the flow's tag once it returns.
+// The table zeroes the flow's tag once it returns. The DB files the flow's
+// names by their IDs; strings are only read back for the emitted flow.
 func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
 	tg := h.table.Tag(hd)
 	lf := flowdb.LabeledFlow{
 		Record:  r,
-		Label:   tg.Label,
+		Label:   h.names.Str(tg.Label),
 		Labeled: tg.Hit,
 		PreFlow: tg.PreFlow,
 		Vantage: h.cfg.Vantage,
@@ -295,7 +300,8 @@ func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
 	if tg.Hit {
 		h.stats.LabeledFlows++
 	}
-	h.db.Add(lf)
+	host, sni, cert := h.table.NameIDs(hd)
+	h.db.AddNamed(&lf, h.names, &flowdb.NameIDs{Label: tg.Label, HTTPHost: host, SNI: sni, CertName: cert})
 	if h.cfg.OnFlow != nil {
 		h.cfg.OnFlow(lf)
 	}

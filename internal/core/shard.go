@@ -332,7 +332,7 @@ func (d *dispatcher) openWindow(start time.Duration) {
 
 // enqueueExpire ships one centrally-computed idle expiry to the owning
 // shard, in-band with its packet stream, hash included so the shard's
-// table probe skips hashKey just like the entryFlow path.
+// table probe skips the key hash just like the entryFlow path.
 func (d *dispatcher) enqueueExpire(key flows.Key, hash uint64, shard uint32) {
 	d.enqueue(int(shard), shardEntry{kind: entryExpire, key: key, hash: hash}, nil, nil)
 }

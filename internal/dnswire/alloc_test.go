@@ -3,6 +3,9 @@ package dnswire
 import (
 	"net/netip"
 	"testing"
+	"unsafe"
+
+	"repro/internal/names"
 )
 
 // Steady-state DNS decoding must be allocation-free: one reused Message
@@ -44,6 +47,40 @@ func TestUnpackARecordZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("steady-state A-record decode allocates %v/op, want 0", n)
+	}
+}
+
+// TestUnpackNamesTable: with a name table attached, Unpack files every name
+// in it and names the QNAME by ID; the decoded strings are the table's, an
+// answer owner that points at the QNAME is the QNAME's string, and a warm
+// decode allocates nothing.
+func TestUnpackNamesTable(t *testing.T) {
+	wire := aRecordResponse(t)
+	nt := names.New()
+	var m Message
+	m.SetNames(nt)
+	if err := m.Unpack(wire); err != nil {
+		t.Fatal(err)
+	}
+	q := m.QuestionID()
+	if nt.Str(q) != "cdn7.example.com" || m.Questions[0].Name != nt.Str(q) ||
+		unsafe.StringData(m.Answers[0].Name) != unsafe.StringData(nt.Str(q)) {
+		t.Fatalf("QNAME ID %d spells %q; question %q", q, nt.Str(q), m.Questions[0].Name)
+	}
+	target := nt.ID("edge.cdn.example.net")
+	if unsafe.StringData(m.Answers[0].Target) != unsafe.StringData(nt.Str(target)) || nt.End() != 3 {
+		t.Fatalf("CNAME target %q is not the table's (%d names filed)", m.Answers[0].Target, nt.End()-1)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := m.Unpack(wire); err != nil || m.QuestionID() != q {
+			t.Fatal("bad decode")
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state decode into a name table allocates %v/op, want 0", n)
+	}
+	var query Message
+	if err := query.Unpack(wire); err != nil || query.QuestionID() != 0 {
+		t.Fatalf("without a table QuestionID = %d", query.QuestionID())
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
+
+	"repro/internal/names"
 )
 
 // Type is a DNS RR type.
@@ -116,9 +118,9 @@ type Record struct {
 
 // Message is a whole DNS message. The zero value is ready to use; reusing
 // one Message across Unpack calls reuses its section slices and name
-// buffer, making steady-state decoding allocation-free. Attach a (per
-// pipeline shard) Interner with SetInterner to also deduplicate the name
-// strings themselves.
+// buffer, making steady-state decoding allocation-free. Attach a pipeline
+// shard's name table with SetNames (or an Interner with SetInterner) to
+// also deduplicate the name strings themselves.
 type Message struct {
 	Header      Header
 	Questions   []Question
@@ -127,9 +129,13 @@ type Message struct {
 	Additionals []Record
 
 	// scratch is the reusable name-decode buffer; names are decoded into it
-	// and then converted to strings (through the interner when set).
+	// and then converted to strings (filed in names, or through intern,
+	// when set).
 	scratch []byte
+	names   *names.Table
 	intern  *Interner
+	// qname is the ID of the first question's name in names, or 0.
+	qname uint32
 	// memo holds the names this Unpack decoded, so a compression pointer
 	// to one reuses its string.
 	memo nameMemo
@@ -140,36 +146,52 @@ type Message struct {
 // typically owned by the pipeline shard that owns the Message.
 func (m *Message) SetInterner(in *Interner) { m.intern = in }
 
-// internName converts the scratch-decoded name bytes to a string, through
-// the intern table when one is attached.
-func (m *Message) internName(b []byte) string {
-	if m.intern != nil {
-		return m.intern.Intern(b)
+// SetNames attaches a name table: Unpack files every name it decodes in
+// nt, the decoded strings are nt's, and QuestionID names the QNAME by ID.
+// It takes precedence over an Interner. Unpack first lets nt sweep
+// (names.Table.Collect), so the owner must hold no unreferenced ID of nt
+// across an Unpack: the QNAME's ID is valid until the next one.
+func (m *Message) SetNames(nt *names.Table) { m.names = nt }
+
+// QuestionID returns the ID, in the table SetNames attached, of the first
+// question's name; 0 when there is none or no table is attached.
+func (m *Message) QuestionID() uint32 { return m.qname }
+
+// internName converts the scratch-decoded name bytes to a string, filed in
+// the name table or through the intern table when one is attached, and
+// returns it with its ID (0 without a name table).
+func (m *Message) internName(b []byte) (string, uint32) {
+	switch {
+	case m.names != nil:
+		id := m.names.Intern(b)
+		return m.names.Str(id), id
+	case m.intern != nil:
+		return m.intern.Intern(b), 0
 	}
-	return string(b)
+	return string(b), 0
 }
 
 // readNameAt decodes the name at off into the reusable scratch buffer and
-// returns the interned string plus the caller-side end offset. A name that
-// is only a pointer to a name this message already decoded (every answer
-// owner of the usual response, 0xc00c) is that name's string: no copy and
-// no intern probe.
-func (m *Message) readNameAt(msg []byte, off int) (string, int, error) {
+// returns its string and ID (internName) plus the caller-side end offset.
+// A name that is only a pointer to a name this message already decoded
+// (every answer owner of the usual response, 0xc00c) is that name: no copy
+// and no probe.
+func (m *Message) readNameAt(msg []byte, off int) (string, uint32, int, error) {
 	if off+1 < len(msg) && msg[off]&0xc0 == 0xc0 {
 		ptr := int(msg[off]&0x3f)<<8 | int(msg[off+1])
 		if e := m.memo.at(ptr); e != nil && ptr < off && e.hops < maxHops {
-			m.memo.add(off, e.hops+1, e.total, e.name)
-			return e.name, off + 2, nil
+			m.memo.add(off, e.hops+1, e.total, e.name, e.id)
+			return e.name, e.id, off + 2, nil
 		}
 	}
 	b, end, hops, total, err := appendNameAt(msg, off, m.scratch[:0], &m.memo)
 	if err != nil {
-		return "", 0, err
+		return "", 0, 0, err
 	}
 	m.scratch = b[:0]
-	name := m.internName(b)
-	m.memo.add(off, hops, total, name)
-	return name, end, nil
+	name, id := m.internName(b)
+	m.memo.add(off, hops, total, name, id)
+	return name, id, end, nil
 }
 
 // Pack serializes the message with name compression, appending to buf
@@ -336,12 +358,20 @@ func (m *Message) Unpack(msg []byte) error {
 	off := 12
 	m.memo.n = 0
 	m.Questions = m.Questions[:0]
+	m.qname = 0
+	if m.names != nil {
+		m.names.Collect()
+	}
 	var err error
 	for i := 0; i < qd; i++ {
 		var q Question
-		q.Name, off, err = m.readNameAt(msg, off)
+		var id uint32
+		q.Name, id, off, err = m.readNameAt(msg, off)
 		if err != nil {
 			return err
+		}
+		if i == 0 {
+			m.qname = id
 		}
 		if off+4 > len(msg) {
 			return errQuestionTruncated
@@ -367,7 +397,7 @@ func (m *Message) readRecords(msg []byte, off, n int, dst []Record) ([]Record, i
 	var err error
 	for i := 0; i < n; i++ {
 		var r Record
-		r.Name, off, err = m.readNameAt(msg, off)
+		r.Name, _, off, err = m.readNameAt(msg, off)
 		if err != nil {
 			return dst, off, err
 		}
@@ -399,7 +429,7 @@ func (m *Message) readRecords(msg []byte, off, n int, dst []Record) ([]Record, i
 			copy(a[:], rdata)
 			r.Addr = netip.AddrFrom16(a)
 		case TypeCNAME, TypeNS, TypePTR:
-			r.Target, _, err = m.readNameAt(msg, off)
+			r.Target, _, _, err = m.readNameAt(msg, off)
 			if err != nil {
 				return dst, off, err
 			}
@@ -408,7 +438,7 @@ func (m *Message) readRecords(msg []byte, off, n int, dst []Record) ([]Record, i
 				return dst, off, errBadMXLen
 			}
 			r.Pref = binary.BigEndian.Uint16(rdata[0:2])
-			r.Target, _, err = m.readNameAt(msg, off+2)
+			r.Target, _, _, err = m.readNameAt(msg, off+2)
 			if err != nil {
 				return dst, off, err
 			}
@@ -430,7 +460,7 @@ func (m *Message) readRecords(msg []byte, off, n int, dst []Record) ([]Record, i
 			r.Priority = binary.BigEndian.Uint16(rdata[0:2])
 			r.Weight = binary.BigEndian.Uint16(rdata[2:4])
 			r.Port = binary.BigEndian.Uint16(rdata[4:6])
-			r.Target, _, err = m.readNameAt(msg, off+6)
+			r.Target, _, _, err = m.readNameAt(msg, off+6)
 			if err != nil {
 				return dst, off, err
 			}

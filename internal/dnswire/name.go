@@ -82,7 +82,7 @@ const maxHops = 32
 // 2-byte pointer itself), and the pointers followed and wire bytes of
 // labels read, which bound the name. Decoding into a caller-owned scratch
 // buffer is the allocation-free core of the sniffer's DNS path;
-// Message.readNameAt wraps it with the reusable scratch buffer, the intern
+// Message.readNameAt wraps it with the reusable scratch buffer, the name
 // table and memo, the names already decoded in this message. A pointer to
 // a memoized name start appends that name instead of decoding it again,
 // when the combined name stays inside the hop and length limits; otherwise
@@ -149,10 +149,12 @@ func appendNameAt(msg []byte, off int, dst []byte, memo *nameMemo) (_ []byte, en
 }
 
 // memoName is one name an Unpack decoded: the offset it starts at, the
-// pointers followed and label bytes read decoding it, and its string.
+// pointers followed and label bytes read decoding it, its string and its
+// ID in the message's name table (0 without one).
 type memoName struct {
 	off, hops, total int
 	name             string
+	id               uint32
 }
 
 // nameMemo holds the names one Unpack has decoded.
@@ -172,9 +174,9 @@ func (m *nameMemo) at(off int) *memoName {
 }
 
 // add memoizes a name; once the memo is full, later names are not kept.
-func (m *nameMemo) add(off, hops, total int, name string) {
+func (m *nameMemo) add(off, hops, total int, name string, id uint32) {
 	if m.n < len(m.e) {
-		m.e[m.n] = memoName{off: off, hops: hops, total: total, name: name}
+		m.e[m.n] = memoName{off: off, hops: hops, total: total, name: name, id: id}
 		m.n++
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/flows"
 	"repro/internal/layers"
+	"repro/internal/names"
 )
 
 // LabeledFlow is one flow with the FQDN label the tagger attached.
@@ -42,13 +43,13 @@ type LabeledFlow struct {
 
 // row is a flow as a DB stores it: fixed-size and pointer-free, so the GC
 // never scans a chunk. Strings are IDs into the DB's name table, addresses
-// their 16-byte form plus a word of family and zone ID (names.putAddr), and
+// their 16-byte form plus a word of family and zone ID (putAddr), and
 // the five booleans one flags byte. A row has no SLD: that is a property
-// of its label's ID (names.deriveSLD). TestRowLayout pins the size and the
+// of its label's ID (names.Table.DeriveSLD). TestRowLayout pins the size and the
 // absence of pointers.
 type row struct {
 	client, server         [16]byte
-	clientAddr, serverAddr uint32 // address words (names.putAddr)
+	clientAddr, serverAddr uint32 // address words (putAddr)
 	start, end, dnsDelay   int64
 	pktsC2S, pktsS2C       uint64
 	bytesC2S, bytesS2C     uint64
@@ -85,50 +86,80 @@ const chunkLen = 1024
 // rows back into LabeledFlow values (Load, At, All). A query is a scan:
 // the DB keeps no index.
 //
-// Add, Merge and Reset are not safe for concurrent use with anything.
-// Reads (Len, Load, At, All, Coverage, WriteCSV) write nothing, so once
-// writing has stopped any number of goroutines may read concurrently,
-// with no internal lock.
+// Add, AddNamed, Merge and Reset are not safe for concurrent use with
+// anything. Reads (Len, Load, At, All, Coverage, WriteCSV) write nothing,
+// so once writing has stopped any number of goroutines may read
+// concurrently, with no internal lock.
 type DB struct {
 	// chunks holds rows [c*chunkLen, (c+1)*chunkLen) in chunks[c]. After
 	// Reset it may hold more chunks than n needs; rows past n are stale.
 	chunks []*[chunkLen]row
 	// n is the row count.
 	n     int
-	names names
+	names names.Table
 	// remapIDs is Merge's scratch: the ID each name of a merged DB takes.
 	remapIDs []uint32
+	// cache maps src's name IDs to the DB's (fileFrom).
+	src   *names.Table
+	cache []cached
 }
 
 // New creates an empty database.
 func New() *DB {
 	db := &DB{}
-	db.names.init()
+	db.names.Init()
 	return db
 }
 
 // Add appends one labeled flow. Its SLD is derived from Label when the flow
 // is Labeled (and is "" otherwise), whatever f.SLD holds.
 func (db *DB) Add(f LabeledFlow) {
-	db.encode(&db.tail()[0], &f)
+	db.encode(&db.tail()[0], &f, nil, nil)
 	db.n++
 }
 
-// encode stores f in r, filing its strings in the name table.
-func (db *DB) encode(r *row, f *LabeledFlow) {
+// AddNamed is Add for a pipeline's flow whose Label, HTTPHost, SNI and
+// CertName are the names ids holds in src: the DB files each by ID
+// (fileFrom), so a name it has seen costs no hash and no probe.
+func (db *DB) AddNamed(f *LabeledFlow, src *names.Table, ids *NameIDs) {
+	db.encode(&db.tail()[0], f, src, ids)
+	db.n++
+}
+
+// idOr is n.ID(s), given that known is filed as knownID.
+func idOr(n *names.Table, s, known string, knownID uint32) uint32 {
+	if s == known {
+		return knownID
+	}
+	return n.ID(s)
+}
+
+// encode stores f in r, filing its strings in the name table: its label
+// and names by their IDs in src when src is set (AddNamed), by string
+// otherwise.
+func (db *DB) encode(r *row, f *LabeledFlow, src *names.Table, ids *NameIDs) {
 	n := &db.names
-	r.client, r.clientAddr = n.putAddr(f.Key.ClientIP)
-	r.server, r.serverAddr = n.putAddr(f.Key.ServerIP)
+	r.client, r.clientAddr = putAddr(n, f.Key.ClientIP)
+	r.server, r.serverAddr = putAddr(n, f.Key.ServerIP)
 	r.start, r.end, r.dnsDelay = int64(f.Start), int64(f.End), int64(f.DNSDelay)
 	r.pktsC2S, r.pktsS2C = f.PktsC2S, f.PktsS2C
 	r.bytesC2S, r.bytesS2C = f.BytesC2S, f.BytesS2C
+	if src != nil {
+		r.label = db.fileFrom(src, ids.Label)
+	} else {
+		r.label = n.ID(f.Label)
+	}
 	// Ground truth, HTTP host and SNI usually repeat the label: filing them
 	// then costs a string compare, not a hash and a probe.
-	r.label = n.id(f.Label)
-	r.truth = n.idOr(f.Truth, f.Label, r.label)
-	r.httpHost = n.idOr(f.HTTPHost, f.Label, r.label)
-	r.sni = n.idOr(f.SNI, f.Label, r.label)
-	r.certName, r.vantage = n.id(f.CertName), n.id(f.Vantage)
+	r.truth = idOr(n, f.Truth, f.Label, r.label)
+	if src != nil {
+		r.httpHost, r.sni = db.fileFrom(src, ids.HTTPHost), db.fileFrom(src, ids.SNI)
+		r.certName = db.fileFrom(src, ids.CertName)
+	} else {
+		r.httpHost, r.sni = idOr(n, f.HTTPHost, f.Label, r.label), idOr(n, f.SNI, f.Label, r.label)
+		r.certName = n.ID(f.CertName)
+	}
+	r.vantage = n.ID(f.Vantage)
 	r.clientPort, r.serverPort = f.Key.ClientPort, f.Key.ServerPort
 	r.proto, r.l7, r.state = f.Key.Proto, f.L7, f.State
 	var fl uint8
@@ -140,7 +171,7 @@ func (db *DB) encode(r *row, f *LabeledFlow) {
 	}
 	if f.Labeled {
 		fl |= flagLabeled
-		n.deriveSLD(r.label)
+		n.DeriveSLD(r.label)
 	}
 	if f.PreFlow {
 		fl |= flagPreFlow
@@ -161,8 +192,8 @@ func (db *DB) Load(i int, f *LabeledFlow) {
 	n := &db.names
 	r := db.row(i)
 	f.Key = flows.Key{
-		ClientIP:   n.addr(r.client, r.clientAddr),
-		ServerIP:   n.addr(r.server, r.serverAddr),
+		ClientIP:   getAddr(n, r.client, r.clientAddr),
+		ServerIP:   getAddr(n, r.server, r.serverAddr),
 		ClientPort: r.clientPort,
 		ServerPort: r.serverPort,
 		Proto:      r.proto,
@@ -176,11 +207,11 @@ func (db *DB) Load(i int, f *LabeledFlow) {
 	f.Labeled = r.flags&flagLabeled != 0
 	f.PreFlow = r.flags&flagPreFlow != 0
 	f.FirstAfterDNS = r.flags&flagFirstAfterDNS != 0
-	f.Label, f.Truth, f.Vantage = n.str(r.label), n.str(r.truth), n.str(r.vantage)
-	f.HTTPHost, f.SNI, f.CertName = n.str(r.httpHost), n.str(r.sni), n.str(r.certName)
+	f.Label, f.Truth, f.Vantage = n.Str(r.label), n.Str(r.truth), n.Str(r.vantage)
+	f.HTTPHost, f.SNI, f.CertName = n.Str(r.httpHost), n.Str(r.sni), n.Str(r.certName)
 	f.SLD = ""
 	if f.Labeled {
-		f.SLD = n.str(n.sldOf(r.label))
+		f.SLD = n.Str(n.SLD(r.label))
 	}
 }
 
@@ -210,7 +241,7 @@ func (db *DB) row(i int) *row {
 func (db *DB) Merge(others ...*DB) {
 	for _, o := range others {
 		n := o.n // read once: merging a DB into itself appends one copy
-		ids, same := db.names.remap(&o.names, db.remapIDs)
+		ids, same := db.names.Remap(&o.names, db.remapIDs)
 		db.remapIDs = ids
 		for lo := 0; lo < n; lo += chunkLen {
 			src := o.chunks[lo/chunkLen][:min(chunkLen, n-lo)]
@@ -229,7 +260,7 @@ func (db *DB) Merge(others ...*DB) {
 	}
 }
 
-// remap rewrites r's name IDs through ids (names.remap).
+// remap rewrites r's name IDs through ids (names.Table.Remap).
 func (r *row) remap(ids []uint32) {
 	r.clientAddr = remapAddr(r.clientAddr, ids)
 	r.serverAddr = remapAddr(r.serverAddr, ids)
@@ -246,7 +277,8 @@ func (r *row) remap(ids []uint32) {
 // overwrites them. Not safe for concurrent use, like Add.
 func (db *DB) Reset() {
 	db.n = 0
-	db.names.reset()
+	db.names.Reset()
+	db.cache = db.cache[:0]
 }
 
 // Len returns the number of flows stored.

@@ -186,17 +186,19 @@ func FuzzRowRoundTrip(f *testing.F) {
 			if s == "" || s == fresh.Label || s == stats.SLD(fresh.Label) {
 				continue
 			}
-			if id := db.names.lookup(s); id != noName {
-				t.Fatalf("after Reset the name table still files %q as %d", s, id)
+			if db.filed(s) {
+				t.Fatalf("after Reset the name table still files %q", s)
 			}
 		}
 	})
 }
 
-// lookup returns the ID of s, or noName when no row names s.
-func (n *names) lookup(s string) uint32 {
-	if s == "" {
-		return 0
+// filed reports whether db's name table holds s.
+func (db *DB) filed(s string) bool {
+	for id := range db.names.End() {
+		if db.names.Str(id) == s {
+			return true
+		}
 	}
-	return n.find(s, hash(s))
+	return false
 }

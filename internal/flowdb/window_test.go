@@ -223,7 +223,7 @@ func TestWindowedRotationZeroesRetained(t *testing.T) {
 	// The old names were filed in the table's first slab chunk, which the
 	// DB keeps.
 	for id := range uint32(256) {
-		if s := w.cur.names.str(id); strings.Contains(s, "old") {
+		if s := w.cur.names.Str(id); strings.Contains(s, "old") {
 			t.Fatalf("the recycled DB's name table keeps %q at ID %d", s, id)
 		}
 	}
@@ -305,8 +305,8 @@ func TestDBReset(t *testing.T) {
 	if db.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", db.Len())
 	}
-	if id := db.names.lookup("a.example.com"); id != noName {
-		t.Fatalf("after Reset the name table still files a.example.com as %d", id)
+	if db.filed("a.example.com") {
+		t.Fatal("after Reset the name table still files a.example.com")
 	}
 	db.Add(LabeledFlow{Label: "b.example.com", Labeled: true})
 	if got := db.At(0); db.Len() != 1 || got.Label != "b.example.com" || got.SLD != "example.com" {

@@ -2,13 +2,16 @@ package flows
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/layers"
+	"repro/internal/names"
 	"repro/internal/tlswire"
 )
 
@@ -344,15 +347,16 @@ func TestPrefixesStopGrowing(t *testing.T) {
 		tbl.Add(pkt(client, server, 40000, 443, layers.TCPAck|layers.TCPPsh, tc.row.c2s), 1, nil)
 		tbl.Add(pkt(server, client, 443, 40000, layers.TCPAck|layers.TCPPsh, tc.row.s2c), 2, nil)
 		key := Key{ClientIP: client, ServerIP: server, ClientPort: 40000, ServerPort: 443, Proto: layers.IPProtocolTCP}
-		f := tbl.at(tbl.find(hashKey(tbl.seed, key), key))
+		pk := pack(&key)
+		f := tbl.at(tbl.find(pk.hash(tbl.seed), &pk))
 		if !f.classified || f.l7 == L7TLS && !f.inspected {
 			t.Fatalf("%s: classified %v inspected %v after the first flight", tc.row.name, f.classified, f.inspected)
 		}
 		lens := func() (int, int) {
-			if f.pre == nil {
-				return 0, 0
+			if p := tbl.preOf(f); p != nil {
+				return len(p.c2s), len(p.s2c)
 			}
-			return len(f.pre.c2s), len(f.pre.s2c)
+			return 0, 0
 		}
 		c2s, s2c := lens()
 		if tc.c2s == 0 && c2s != 0 {
@@ -399,7 +403,7 @@ func TestSettledFirstSegmentNotCopied(t *testing.T) {
 		t.Fatalf("active = %d, want %d", got, n)
 	}
 	for i := range uint32(n) {
-		if p := tbl.at(i).pre; p != nil {
+		if p := tbl.preOf(tbl.at(i)); p != nil {
 			t.Fatalf("slot %d allocated a prefix buffer (c2s %d bytes)", i, len(p.c2s))
 		}
 	}
@@ -409,11 +413,39 @@ func TestSettledFirstSegmentNotCopied(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins the size of a flow table slot: a live flow is one
-// entry, its key stored once and its tag inside it.
+// TestEntryLayout pins the recency entries of the flow table and of the
+// Tracker: each holds no pointer, so the GC never scans their slabs, and
+// keeps its size, which sets the bytes a live flow costs. The walk covers
+// nested arrays and structs, so a string or netip.Addr (its zone is a
+// pointer) slipped into either in any form fails here.
 func TestEntryLayout(t *testing.T) {
-	if n := unsafe.Sizeof(entry[flow]{}); n > 256 {
-		t.Fatalf("entry[flow] is %d B, want <= 256 (it was 304 B with a second key copy and two prefix slices)", n)
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{
+		{reflect.TypeOf(entry[flow]{}), 152},
+		{reflect.TypeOf(entry[route]{}), 72},
+	} {
+		if c.typ.Size() != c.size {
+			t.Errorf("%v is %d B, want %d", c.typ, c.typ.Size(), c.size)
+		}
+		var walk func(path string, typ reflect.Type)
+		walk = func(path string, typ reflect.Type) {
+			switch typ.Kind() {
+			case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+				reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			case reflect.Array:
+				walk(path+"[]", typ.Elem())
+			case reflect.Struct:
+				for i := range typ.NumField() {
+					fd := typ.Field(i)
+					walk(path+"."+fd.Name, fd.Type)
+				}
+			default:
+				t.Errorf("%v%s is a %s, which holds a pointer", c.typ, path, typ.Kind())
+			}
+		}
+		walk("", c.typ)
 	}
 }
 
@@ -431,8 +463,8 @@ func TestNamesInterned(t *testing.T) {
 	if unsafe.StringData(recs[0].SNI) != unsafe.StringData(recs[1].CertName) {
 		t.Fatal("equal names from two flows are two strings")
 	}
-	if tbl.names.Len() != 1 {
-		t.Fatalf("interner holds %d names, want 1", tbl.names.Len())
+	if n := tbl.names.End() - 1; n != 1 {
+		t.Fatalf("the name table holds %d names, want 1", n)
 	}
 }
 
@@ -440,15 +472,16 @@ func TestNamesInterned(t *testing.T) {
 // segmentations, through two tables: one whose onNew sets the flow's label
 // (to each name the flow carries, to the SNI lowercased, to another name,
 // to "") and one that sets none. The records must be equal string for
-// string, and a Host, SNI or certificate name equal to the label must be
-// the label's own string. The tls-sni-cert-appdata row carries the mixed-
-// case SNI "Mixed.Case.example": against its lowercase label it stays as
-// sent, since SNI is not lowercased.
+// string, a Host, SNI or certificate name equal to the label must be the
+// label's own string, and once every flow is emitted no reference on any
+// name is left: a sweep empties the table. The tls-sni-cert-appdata row carries the mixed-case SNI
+// "Mixed.Case.example": against its lowercase label it stays as sent,
+// since SNI is not lowercased.
 func TestLabelReuseMatchesUnlabeled(t *testing.T) {
 	var plain, labeled []Record
 	tp := NewTable(Config{OnRecord: func(r Record, _ Handle) { plain = append(plain, r) }})
 	tl := NewTable(Config{OnRecord: func(r Record, _ Handle) { labeled = append(labeled, r) }})
-	var label string
+	var label uint32
 	onNew := func(_ Key, _ time.Duration, _ bool, h Handle) { tl.Tag(h).Label = label }
 	rng := rand.New(rand.NewPCG(3, 7))
 	var at time.Duration
@@ -460,19 +493,68 @@ func TestLabelReuseMatchesUnlabeled(t *testing.T) {
 			runSegments(tp, at, 40000, segs)
 			want := plain[0]
 			for _, l := range []string{want.HTTPHost, want.SNI, want.CertName, strings.ToLower(want.SNI), "other.example", ""} {
-				label = strings.Clone(l) // a string of its own, not the interned one
+				label = tl.names.ID(strings.Clone(l)) // a string of its own, when first filed
 				labeled = labeled[:0]
 				runSegmentsOnNew(tl, at, 40000, segs, onNew)
 				if len(labeled) != 1 || labeled[0] != want {
-					t.Fatalf("%s, label %q: records %+v, unlabeled %+v", row.name, label, labeled, want)
+					t.Fatalf("%s, label %q: records %+v, unlabeled %+v", row.name, l, labeled, want)
 				}
-				got := labeled[0]
+				got, ls := labeled[0], tl.names.Str(label)
 				for _, name := range []string{got.HTTPHost, got.SNI, got.CertName} {
-					if name != "" && name == label && unsafe.StringData(name) != unsafe.StringData(label) {
+					if name != "" && name == ls && unsafe.StringData(name) != unsafe.StringData(ls) {
 						t.Fatalf("%s: name %q equals the label but is another string", row.name, name)
 					}
 				}
+
 			}
+		}
+	}
+	forceSweep(tl.names)
+	for id := range tl.names.End() {
+		if n := tl.names.Str(id); n != "" {
+			t.Fatalf("%q (ID %d) survives a sweep with every flow emitted", n, id)
+		}
+	}
+}
+
+// forceSweep files unreferenced names in nt until its Collect sweeps,
+// which frees every name nothing references.
+func forceSweep(nt *names.Table) {
+	var buf []byte
+	first := nt.Intern([]byte("sweep-junk-0"))
+	for i := 1; nt.Str(first) != ""; i++ {
+		buf = fmt.Appendf(buf[:0], "sweep-junk-%d", i)
+		nt.Intern(buf)
+		nt.Collect()
+	}
+}
+
+// TestLiveFlowNamesSurviveSweep: a name table sweep while flows are live
+// keeps every name they hold — label, SNI, certificate name — though
+// nothing counts a reference on them, and frees them once the flows end.
+func TestLiveFlowNamesSurviveSweep(t *testing.T) {
+	var recs []Record
+	tbl := NewTable(Config{OnRecord: func(r Record, _ Handle) { recs = append(recs, r) }})
+	label := tbl.names.ID("label.example")
+	onNew := func(_ Key, _ time.Duration, _ bool, h Handle) { tbl.Tag(h).Label = label }
+	tbl.Add(pkt(client, server, 40000, 443, layers.TCPSyn, nil), 0, onNew)
+	tbl.Add(pkt(client, server, 40000, 443, layers.TCPAck|layers.TCPPsh, clientHello(t, "sni.example")), 1, nil)
+	tbl.Add(pkt(server, client, 443, 40000, layers.TCPAck|layers.TCPPsh, serverFlight(t, "cert.example")), 2, nil)
+	forceSweep(tbl.names)
+	f := tbl.at(tbl.head)
+	for id, want := range map[uint32]string{f.tag.Label: "label.example", f.sni: "sni.example", f.certName: "cert.example"} {
+		if got := tbl.names.Str(id); got != want {
+			t.Fatalf("after a sweep a live flow's ID %d spells %q, want %q", id, got, want)
+		}
+	}
+	tbl.FlushAll()
+	if len(recs) != 1 || recs[0].SNI != "sni.example" || recs[0].CertName != "cert.example" {
+		t.Fatalf("records %+v", recs)
+	}
+	forceSweep(tbl.names)
+	for id := range tbl.names.End() {
+		if s := tbl.names.Str(id); s != "" {
+			t.Fatalf("%q survives a sweep with no live flow", s)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 	"net/netip"
 	"time"
 
-	"repro/internal/dnswire"
 	"repro/internal/layers"
+	"repro/internal/names"
 	"repro/internal/swiss"
 	"repro/internal/tlswire"
 )
@@ -46,31 +46,6 @@ func (k Key) Reverse() Key {
 		ClientPort: k.ServerPort, ServerPort: k.ClientPort,
 		Proto: k.Proto,
 	}
-}
-
-// equals reports whether k is o. It compares field by field: == on the
-// whole struct, which has padding, would call memequal.
-func (k *Key) equals(o *Key) bool {
-	return k.ClientPort == o.ClientPort && k.ServerPort == o.ServerPort && k.Proto == o.Proto &&
-		k.ClientIP == o.ClientIP && k.ServerIP == o.ServerIP
-}
-
-// reverses reports whether k is o with its endpoints swapped.
-func (k *Key) reverses(o *Key) bool {
-	return k.ClientPort == o.ServerPort && k.ServerPort == o.ClientPort && k.Proto == o.Proto &&
-		k.ClientIP == o.ServerIP && k.ServerIP == o.ClientIP
-}
-
-// hashKey mixes a key for table placement. The two (address, port)
-// endpoint hashes combine by addition, so a key and its Reverse hash
-// identically: one probe resolves a packet in either direction (the probe
-// compares candidates against both orientations), where an
-// orientation-sensitive hash would cost a full second probe for every
-// server→client packet.
-func hashKey(seed uint64, k Key) uint64 {
-	a := swiss.HashU64(swiss.HashAddr(seed, k.ClientIP), uint64(k.ClientPort))
-	b := swiss.HashU64(swiss.HashAddr(seed, k.ServerIP), uint64(k.ServerPort))
-	return swiss.HashU64(a+b, uint64(k.Proto))
 }
 
 // L7Proto is the coarse application classification the paper reports hit
@@ -153,10 +128,12 @@ type Handle uint32
 // lives in the flow's slot, is zero when the flow begins, and is zeroed
 // after the flow's record is emitted.
 type Tag struct {
-	// Label is the FQDN the flow was labeled with; empty on a miss.
-	Label string
 	// DNSAt is the trace time of the DNS response that labeled the flow.
 	DNSAt time.Duration
+	// Label is the ID, in the table's name table, of the FQDN the flow was
+	// labeled with; 0 ("") on a miss. The table keeps the name filed while
+	// the flow lives (holdNames).
+	Label uint32
 	// Hit reports a label; PreFlow that it was attached at the flow's first
 	// segment; FirstUse that the flow was the first its DNS entry labeled.
 	Hit, PreFlow, FirstUse bool
@@ -169,13 +146,14 @@ type flow struct {
 	start, end         time.Duration
 	pktsC2S, pktsS2C   uint64
 	bytesC2S, bytesS2C uint64
-	httpHost, sni      string
-	certName           string
 	tag                Tag
-	// pre holds the first payload bytes of each direction, but only while
-	// something can still read them; nil until the flow first needs one. It
-	// stays with the slot across reuse, so warm churn allocates nothing.
-	pre     *prefixes
+	// The flow's HTTP Host, SNI and certificate name, as IDs in the
+	// table's name table, kept filed while the flow lives (holdNames).
+	httpHost, sni, certName uint32
+	// pre is 1 + the index in Table.pres of the flow's prefix buffers, or
+	// 0 until the flow first needs one. It stays with the slot across
+	// reuse, so warm churn allocates nothing.
+	pre     uint32
 	sawSYN  bool
 	state   TCPState
 	l7      L7Proto
@@ -193,20 +171,29 @@ type flow struct {
 // read in place and never copied here.
 type prefixes struct{ c2s, s2c []byte }
 
-// c2sPrefix returns the client bytes copied so far.
-func (f *flow) c2sPrefix() []byte {
-	if f.pre == nil {
+// preOf returns f's prefix buffers, or nil when it has none.
+func (t *Table) preOf(f *flow) *prefixes {
+	if f.pre == 0 {
 		return nil
 	}
-	return f.pre.c2s
+	return t.pres.At(f.pre - 1)
 }
 
-// prefixes returns f's prefix buffers, allocating them on first need.
-func (f *flow) prefixes() *prefixes {
-	if f.pre == nil {
-		f.pre = new(prefixes)
+// c2sPrefix returns the client bytes copied so far.
+func (t *Table) c2sPrefix(f *flow) []byte {
+	if p := t.preOf(f); p != nil {
+		return p.c2s
 	}
-	return f.pre
+	return nil
+}
+
+// prefixes returns f's prefix buffers, taking a slot for them on first
+// need.
+func (t *Table) prefixes(f *flow) *prefixes {
+	if f.pre == 0 {
+		f.pre = t.pres.Alloc() + 1
+	}
+	return t.pres.At(f.pre - 1)
 }
 
 // prefixCap bounds the per-direction payload prefix retained for
@@ -242,15 +229,18 @@ type Config struct {
 // Table reconstructs flows. Not safe for concurrent use.
 type Table struct {
 	recency[flow]
+	// pres holds the prefix buffers of the flows that needed one (flow.pre),
+	// so the flow entries themselves hold no pointer.
+	pres  swiss.Slab[prefixes]
 	cfg   Config
 	stats TableStats
 	sweep time.Duration // trace time of the last automatic idle sweep
 	// frozen keeps the records finished while OnRecord is nil.
 	frozen []Record
-	// names interns the HTTP Host, SNI and certificate names a flow's
-	// label does not spell (Names); nameBuf is the scratch a name is
-	// lowercased or decoded into before interning.
-	names   *dnswire.Interner
+	// names files the flows' labels and the HTTP Host, SNI and certificate
+	// names they carry; nameBuf is the scratch a name is lowercased or
+	// decoded into before filing.
+	names   *names.Table
 	nameBuf []byte
 	// sweepVisited counts the slots the last FlushIdle examined; tests use
 	// it to pin the O(expired) sweep bound.
@@ -264,9 +254,13 @@ func (t *Table) at(i uint32) *flow { return &t.node(i).val }
 // valid until that flow's OnRecord returns.
 func (t *Table) Tag(h Handle) *Tag { return &t.at(uint32(h)).tag }
 
-// Names returns the table's name interner. The engine hands it to its DNS
-// decoder, so a pipeline shard keeps one string per distinct name.
-func (t *Table) Names() *dnswire.Interner { return t.names }
+// NameIDs returns the IDs of the HTTP Host, SNI and certificate name of
+// the flow with handle h, as its record spells them. Valid until that
+// flow's OnRecord returns.
+func (t *Table) NameIDs(h Handle) (httpHost, sni, certName uint32) {
+	f := t.at(uint32(h))
+	return f.httpHost, f.sni, f.certName
+}
 
 // TableStats counts table activity.
 type TableStats struct {
@@ -284,14 +278,32 @@ func (s *TableStats) Add(o TableStats) {
 	s.Packets += o.Packets
 }
 
-// NewTable creates a flow table.
-func NewTable(cfg Config) *Table {
+// NewTable creates a flow table with a name table of its own.
+func NewTable(cfg Config) *Table { return NewTableWithNames(cfg, names.New()) }
+
+// NewTableWithNames creates a flow table that files names in nt: a
+// pipeline shares one name table between its DNS decoder, its resolver and
+// its flow table, so a flow's label is the ID its Clist entry holds.
+func NewTableWithNames(cfg Config, nt *names.Table) *Table {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	t := &Table{cfg: cfg, names: dnswire.NewInterner(0)}
+	t := &Table{cfg: cfg, names: nt}
 	t.init(cfg.Seed)
+	nt.Hold(t.holdNames)
 	return t
+}
+
+// holdNames hands keep every name a live flow holds: a sweep of the name
+// table keeps them, so the flows count no references.
+func (t *Table) holdNames(keep func(id uint32)) {
+	for i := t.head; i != noIdx; i = t.node(i).next {
+		f := t.at(i)
+		keep(f.tag.Label)
+		keep(f.httpHost)
+		keep(f.sni)
+		keep(f.certName)
+	}
 }
 
 // Stats returns the accumulated counters.
@@ -313,9 +325,9 @@ func (t *Table) Add(d *layers.Decoded, at time.Duration, onNew NewFlowFunc) {
 	if !d.HasTCP && !d.HasUDP {
 		return
 	}
-	var key Key
+	var key packedKey
 	h, slot, c2s := t.orient(d, t.cfg.ClientNets, &key)
-	t.addOriented(key, h, slot, c2s, d.HasTCP, d.TCPFlags, d.Payload, at, onNew)
+	t.addOriented(&key, h, slot, c2s, d.HasTCP, d.TCPFlags, d.Payload, at, onNew)
 }
 
 // OrientedPacket is one pre-routed packet: the sharded dispatcher extracts
@@ -328,8 +340,8 @@ type OrientedPacket struct {
 	Key Key
 	// C2S reports whether the packet travels client→server under Key.
 	C2S bool
-	// Hash, when nonzero, is hashKey(seed, Key) under the seed this table
-	// was built with (Config.Seed, shared with the dispatcher's Tracker);
+	// Hash, when nonzero, is Key's hash under the seed this table was
+	// built with (Config.Seed, shared with the dispatcher's Tracker);
 	// zero makes the table compute it. A nonzero Hash under a mismatched
 	// seed corrupts the index — the engine guarantees the shared seed.
 	Hash uint64
@@ -343,16 +355,18 @@ type OrientedPacket struct {
 // orientation hoisted to the caller; the two are behaviorally identical
 // when the caller's key/direction mirror Add's decision.
 func (t *Table) AddOriented(p *OrientedPacket, at time.Duration, onNew NewFlowFunc) {
+	var key packedKey
+	key.set(p.Key.ClientIP, p.Key.ServerIP, p.Key.ClientPort, p.Key.ServerPort, p.Key.Proto)
 	h := p.Hash
 	if h == 0 {
-		h = hashKey(t.seed, p.Key)
+		h = key.hash(t.seed)
 	}
-	t.addOriented(p.Key, h, t.find(h, p.Key), p.C2S, p.TCP, p.Flags, p.Payload, at, onNew)
+	t.addOriented(&key, h, t.find(h, &key), p.C2S, p.TCP, p.Flags, p.Payload, at, onNew)
 }
 
 // addOriented is the shared post-orientation half of Add. slot is the
 // flow's slab slot when it already exists, else noIdx.
-func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, flags layers.TCPFlags, payload []byte, at time.Duration, onNew NewFlowFunc) {
+func (t *Table) addOriented(key *packedKey, h uint64, slot uint32, c2s, hasTCP bool, flags layers.TCPFlags, payload []byte, at time.Duration, onNew NewFlowFunc) {
 	t.stats.Packets++
 	if slot == noIdx {
 		slot = t.add(key, h)
@@ -366,7 +380,7 @@ func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, fl
 		}
 		t.stats.FlowsCreated++
 		if onNew != nil {
-			onNew(key, at, f.sawSYN, Handle(slot))
+			onNew(key.key(), at, f.sawSYN, Handle(slot))
 		}
 	}
 	t.touch(slot, at)
@@ -380,7 +394,7 @@ func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, fl
 		f.bytesS2C += uint64(len(payload))
 	}
 	if len(payload) > 0 {
-		t.capture(f, &key, payload, c2s)
+		t.capture(f, key, payload, c2s)
 	}
 	if hasTCP {
 		t.advanceTCP(f, flags, slot)
@@ -395,34 +409,34 @@ func (t *Table) addOriented(key Key, h uint64, slot uint32, c2s, hasTCP bool, fl
 // capture classifies or inspects a flow's payload in its direction while
 // anything can still read it, copying the bytes into the flow's prefix only
 // when a later segment must be read with them.
-func (t *Table) capture(f *flow, key *Key, payload []byte, c2s bool) {
+func (t *Table) capture(f *flow, key *packedKey, payload []byte, c2s bool) {
 	if c2s {
 		if f.classified {
 			return
 		}
 		wasTLS := f.l7 == L7TLS
-		if p := f.c2sPrefix(); len(p) > 0 {
-			f.pre.c2s = appendPrefix(p, payload)
-			t.classify(f, key, f.pre.c2s)
+		if pre := t.preOf(f); pre != nil && len(pre.c2s) > 0 {
+			pre.c2s = appendPrefix(pre.c2s, payload)
+			t.classify(f, key, pre.c2s)
 		} else {
 			// A first payload is classified where it lies, and copied only
 			// if it leaves the flow open.
-			p = payload[:min(len(payload), prefixCap)]
+			p := payload[:min(len(payload), prefixCap)]
 			t.classify(f, key, p)
 			if !f.classified {
-				pre := f.prefixes()
+				pre := t.prefixes(f)
 				pre.c2s = append(pre.c2s, p...)
 			}
 		}
-		if !wasTLS && f.l7 == L7TLS && f.pre != nil && len(f.pre.s2c) > 0 {
+		if pre := t.preOf(f); !wasTLS && f.l7 == L7TLS && pre != nil && len(pre.s2c) > 0 {
 			t.inspect(f) // server bytes that arrived before the ClientHello
 		}
 		return
 	}
-	if f.inspected || f.classified && f.l7 != L7TLS || !tlswire.MayLookLikeTLS(f.c2sPrefix()) {
+	if f.inspected || f.classified && f.l7 != L7TLS || !tlswire.MayLookLikeTLS(t.c2sPrefix(f)) {
 		return
 	}
-	pre := f.prefixes()
+	pre := t.prefixes(f)
 	pre.s2c = appendPrefix(pre.s2c, payload)
 	if f.l7 == L7TLS {
 		t.inspect(f)
@@ -462,9 +476,9 @@ func (t *Table) advanceTCP(f *flow, flags layers.TCPFlags, slot uint32) {
 
 // classify sets L7 from the client prefix p of the flow keyed key, and
 // marks the flow classified once no further client byte can change L7 or
-// the name it carries. A name is a string of its own (name), so p may be
-// a packet's payload.
-func (t *Table) classify(f *flow, key *Key, p []byte) {
+// the name it carries. A name is filed by copy (name), so p may be a
+// packet's payload.
+func (t *Table) classify(f *flow, key *packedKey, p []byte) {
 	full := len(p) >= prefixCap
 	switch {
 	case isHTTPRequest(p):
@@ -486,7 +500,7 @@ func (t *Table) classify(f *flow, key *Key, p []byte) {
 	case isBitTorrent(p):
 		f.l7 = L7P2P
 		f.classified = true
-	case key.Proto == layers.IPProtocolUDP && (key.ServerPort == 53 || key.ClientPort == 53):
+	case key.proto == layers.IPProtocolUDP && (key.serverPort == 53 || key.clientPort == 53):
 		f.l7 = L7DNS
 		f.classified = true
 	default:
@@ -498,7 +512,7 @@ func (t *Table) classify(f *flow, key *Key, p []byte) {
 // inspect runs the certificate inspection over the server prefix of a TLS
 // flow, and marks it final once a certificate was read or none can be.
 func (t *Table) inspect(f *flow) {
-	s2c := f.pre.s2c
+	s2c := t.preOf(f).s2c
 	h := tlswire.Scan(s2c)
 	if h.HasCert {
 		t.nameBuf = h.AppendCertName(t.nameBuf[:0])
@@ -507,18 +521,21 @@ func (t *Table) inspect(f *flow) {
 	f.inspected = h.HasCert || h.Done || len(s2c) >= prefixCap
 }
 
-// name returns b as a string of its own: f's label when b spells it — a
+// name returns the ID of the name b spells: f's label when b spells it — a
 // Host, SNI or certificate name usually repeats the name the client
-// resolved, so it costs one compare and no probe — else b interned.
-func (t *Table) name(f *flow, b []byte) string {
-	if string(b) == f.tag.Label {
+// resolved, so it costs one compare and no probe — else b filed. Filing
+// may first sweep the name table: the live flows' names are held
+// (holdNames), so no ID the table hands out goes unkept across the call.
+func (t *Table) name(f *flow, b []byte) uint32 {
+	if string(b) == t.names.Str(f.tag.Label) {
 		return f.tag.Label
 	}
+	t.names.Collect()
 	return t.names.Intern(b)
 }
 
 // lowerName is name applied to the lowercase form of b.
-func (t *Table) lowerName(f *flow, b []byte) string {
+func (t *Table) lowerName(f *flow, b []byte) uint32 {
 	buf := t.nameBuf[:0]
 	for _, c := range b {
 		if 'A' <= c && c <= 'Z' {
@@ -598,31 +615,33 @@ func (t *Table) expire(i uint32) {
 // its prefix buffers' capacity for the next flow, so a steady flow
 // arrival/departure rate creates no garbage.
 func (t *Table) close(i uint32) {
-	e := t.node(i)
-	f := &e.val
-	t.classifyFinal(f)
-	r := Record{
-		Key: e.key, Start: f.start, End: f.end, SawSYN: f.sawSYN, State: f.state,
-		PktsC2S: f.pktsC2S, PktsS2C: f.pktsS2C, BytesC2S: f.bytesC2S, BytesS2C: f.bytesS2C,
-		L7: f.l7, HasCert: f.hasCert, HTTPHost: f.httpHost, SNI: f.sni, CertName: f.certName,
-	}
+	r := t.settle(i)
 	t.remove(i)
 	t.emit(r, Handle(i))
-	if p := f.pre; p != nil {
+	f := t.at(i)
+	if p := t.preOf(f); p != nil {
 		p.c2s, p.s2c = p.c2s[:0], p.s2c[:0]
 	}
 	*f = flow{pre: f.pre}
 }
 
-// classifyFinal settles a flow at close. Every prefix was classified and
-// inspected as it grew, so the only result still open is an HTTP Host
-// header whose line never completed: the prefix will not grow now, so the
-// partial line counts.
-func (t *Table) classifyFinal(f *flow) {
+// settle classifies slot i's flow for the last time and returns its
+// record. Every prefix was classified and inspected as it grew, so the
+// only result still open is an HTTP Host header whose line never
+// completed: the prefix will not grow now, so the partial line counts.
+func (t *Table) settle(i uint32) Record {
+	e := t.node(i)
+	f := &e.val
 	if !f.classified && f.l7 == L7HTTP {
-		if host, ok := httpHost(f.c2sPrefix(), true); ok {
+		if host, ok := httpHost(t.c2sPrefix(f), true); ok {
 			f.httpHost = t.lowerName(f, host)
 		}
+	}
+	n := t.names
+	return Record{
+		Key: e.key.key(), Start: f.start, End: f.end, SawSYN: f.sawSYN, State: f.state,
+		PktsC2S: f.pktsC2S, PktsS2C: f.pktsS2C, BytesC2S: f.bytesC2S, BytesS2C: f.bytesS2C,
+		L7: f.l7, HasCert: f.hasCert, HTTPHost: n.Str(f.httpHost), SNI: n.Str(f.sni), CertName: n.Str(f.certName),
 	}
 }
 
@@ -653,19 +672,30 @@ func (t *Table) FlushIdle(now time.Duration) {
 // one ExpireFlow per victim in-band, so shard tables expire exactly the
 // flows a single-threaded table would, in the same relative order.
 func (t *Table) ExpireFlow(key Key, hash uint64) {
+	var pk packedKey
+	pk.set(key.ClientIP, key.ServerIP, key.ClientPort, key.ServerPort, key.Proto)
 	if hash == 0 {
-		hash = hashKey(t.seed, key)
+		hash = pk.hash(t.seed)
 	}
-	if i := t.find(hash, key); i != noIdx {
+	if i := t.find(hash, &pk); i != noIdx {
 		t.expire(i)
 	}
 }
 
 // FlushAll closes every remaining flow (end of trace), emitting in recency
 // order (least recently touched first) — deterministic for a given packet
-// sequence, where map iteration once made the order vary run to run.
+// sequence, where map iteration once made the order vary run to run. It
+// walks the recency list once, settling and emitting each flow in place,
+// and then empties the index and the slab at once, without a probe per
+// flow. The prefix buffers go with them.
 func (t *Table) FlushAll() {
-	for t.head != noIdx {
-		t.finish(t.head)
+	for i := t.head; i != noIdx; i = t.node(i).next {
+		r := t.settle(i)
+		t.stats.FlowsClosed++
+		t.emit(r, Handle(i))
 	}
+	t.head, t.tail = noIdx, noIdx
+	t.idx.Reset()
+	t.slab.Reset()
+	t.pres.Reset()
 }

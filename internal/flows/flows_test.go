@@ -254,9 +254,11 @@ func TestKeyStringAndReverse(t *testing.T) {
 	}
 }
 
-// TestKeyEquals: the field-by-field comparisons the table probes with agree
+// TestKeyEquals: the packed-key comparisons the table probes with agree
 // with == on the whole key (equals) and on its Reverse (reverses) for keys
-// that differ in any one field, a 4-in-6 twin address included.
+// that differ in any one field, a 4-in-6 twin address included; a packed
+// key unpacks to its key, reverses to its Reverse's packing, and hashes as
+// its reverse does.
 func TestKeyEquals(t *testing.T) {
 	k := Key{ClientIP: client, ServerIP: server, ClientPort: 1, ServerPort: 2, Proto: layers.IPProtocolTCP}
 	variants := []Key{k, k.Reverse()}
@@ -273,11 +275,20 @@ func TestKeyEquals(t *testing.T) {
 		variants = append(variants, o, o.Reverse())
 	}
 	for _, a := range variants {
+		pa := pack(&a)
+		if pa.key() != a {
+			t.Fatalf("%v packs and unpacks to %v", a, pa.key())
+		}
+		r := a.Reverse()
+		if pr := pack(&r); pa.reverse() != pr || pa.hash(7) != pr.hash(7) {
+			t.Fatalf("%v: packed reverse %+v, hash %x; want %+v, hash %x", a, pa.reverse(), pa.hash(7), pr, pr.hash(7))
+		}
 		for _, b := range variants {
-			if got, want := a.equals(&b), a == b; got != want {
+			pb := pack(&b)
+			if got, want := pa.equals(&pb), a == b; got != want {
 				t.Fatalf("%v equals %v = %v, want %v", a, b, got, want)
 			}
-			if got, want := a.reverses(&b), a == b.Reverse(); got != want {
+			if got, want := pa.reverses(&pb), a == b.Reverse(); got != want {
 				t.Fatalf("%v reverses %v = %v, want %v", a, b, got, want)
 			}
 		}
@@ -322,3 +333,75 @@ func TestSplitHTTPHeaderAcrossSegments(t *testing.T) {
 
 // Records returns flows finished while no OnRecord callback was set.
 func (t *Table) Records() []Record { return t.frozen }
+
+// TestFlushAllDrainsAndReuses: FlushAll emits every live flow once, least
+// recently touched first, settling an HTTP Host whose line never ended and
+// releasing every name reference; the table is then empty — no live flow,
+// an empty index — and takes new flows, which a second FlushAll emits.
+func TestFlushAllDrainsAndReuses(t *testing.T) {
+	var recs []Record
+	tbl := NewTable(Config{OnRecord: func(r Record, _ Handle) { recs = append(recs, r) }})
+	label := tbl.names.ID("label.example")
+	onNew := func(_ Key, _ time.Duration, _ bool, h Handle) { tbl.Tag(h).Label = label }
+	const n = 50
+	for i := range n {
+		at := time.Duration(i) * time.Millisecond
+		port := uint16(20000 + i)
+		tbl.Add(pkt(client, server, port, 80, layers.TCPSyn, nil), at, onNew)
+		// Half the flows send a request head cut inside its Host line: it
+		// waits in the flow's prefix until the flush settles it.
+		if i%2 == 0 {
+			tbl.Add(pkt(client, server, port, 80, layers.TCPAck|layers.TCPPsh, []byte("GET / HTTP/1.1\r\nHost: Cut.Example")), at, nil)
+		}
+	}
+	// Touch the first flows again: they move to the back of the order.
+	for i := range 5 {
+		tbl.Add(pkt(server, client, 80, uint16(20000+i), layers.TCPAck, nil), time.Second, nil)
+	}
+	var want []Key
+	for i := tbl.head; i != noIdx; i = tbl.node(i).next {
+		want = append(want, tbl.node(i).key.key())
+	}
+	tbl.FlushAll()
+	if len(recs) != n || len(want) != n {
+		t.Fatalf("FlushAll emitted %d records of %d live flows, want %d", len(recs), len(want), n)
+	}
+	for i, r := range recs {
+		if r.Key != want[i] {
+			t.Fatalf("record %d is %v, want %v (recency order)", i, r.Key, want[i])
+		}
+		if port := r.Key.ClientPort; port%2 == 0 && r.HTTPHost != "cut.example" {
+			t.Fatalf("flow from port %d: host %q, want the settled cut.example", port, r.HTTPHost)
+		}
+	}
+	if tbl.Active() != 0 || tbl.head != noIdx || tbl.tail != noIdx || tbl.idx.Len() != 0 {
+		t.Fatalf("after FlushAll: %d active, head %d, tail %d", tbl.Active(), tbl.head, tbl.tail)
+	}
+	if s := tbl.Stats(); s.FlowsCreated != n || s.FlowsClosed != n {
+		t.Fatalf("stats %+v, want %d created and closed", s, n)
+	}
+	forceSweep(tbl.names)
+	for id := range tbl.names.End() {
+		if s := tbl.names.Str(id); s != "" {
+			t.Fatalf("%q survives a sweep after FlushAll released every flow", s)
+		}
+	}
+
+	recs = recs[:0]
+	runConn(tbl, 2*time.Second, 80, []byte("GET / HTTP/1.1\r\nHost: again.example\r\n\r\n"), nil)
+	tbl.Add(pkt(client, server, 30000, 443, layers.TCPSyn, nil), 3*time.Second, nil)
+	if tbl.Active() != 1 {
+		t.Fatalf("%d active after a closed and an open flow, want 1", tbl.Active())
+	}
+	tbl.FlushAll()
+	if len(recs) != 2 || recs[0].HTTPHost != "again.example" || recs[1].Key.ServerPort != 443 || tbl.Active() != 0 {
+		t.Fatalf("after reuse: records %+v, %d active", recs, tbl.Active())
+	}
+}
+
+// pack returns k packed, as the table stores it.
+func pack(k *Key) packedKey {
+	var p packedKey
+	p.set(k.ClientIP, k.ServerIP, k.ClientPort, k.ServerPort, k.Proto)
+	return p
+}

@@ -12,11 +12,78 @@ import (
 // noIdx is the nil slab index / list link.
 const noIdx = ^uint32(0)
 
+// packedKey is a Key as a recency entry stores it: both addresses in their
+// 16-byte form plus a family bit each, so an IPv4 address and its 4-in-6
+// twin stay distinct, and no pointer (a netip.Addr holds one). Zones are
+// not kept; the packet parser never produces one.
+type packedKey struct {
+	client, server         swiss.Addr16
+	clientPort, serverPort uint16
+	proto                  layers.IPProtocol
+	v4                     uint8 // bit 0: client is IPv4; bit 1: server is IPv4
+}
+
+// set packs the key (client, server, cport, sport, proto) into p. It
+// writes field by field: building a packedKey value and copying it costs
+// as much as the conversion itself.
+func (p *packedKey) set(client, server netip.Addr, cport, sport uint16, proto layers.IPProtocol) {
+	p.client, p.server = swiss.ToAddr16(client), swiss.ToAddr16(server)
+	p.clientPort, p.serverPort, p.proto, p.v4 = cport, sport, proto, 0
+	if client.Is4() {
+		p.v4 |= 1
+	}
+	if server.Is4() {
+		p.v4 |= 2
+	}
+}
+
+// key returns p as a Key.
+func (p *packedKey) key() Key {
+	return Key{
+		ClientIP: p.client.Addr(p.v4&1 != 0), ServerIP: p.server.Addr(p.v4&2 != 0),
+		ClientPort: p.clientPort, ServerPort: p.serverPort, Proto: p.proto,
+	}
+}
+
+// equals reports whether p is o.
+func (p *packedKey) equals(o *packedKey) bool {
+	return p.client == o.client && p.server == o.server &&
+		p.clientPort == o.clientPort && p.serverPort == o.serverPort && p.proto == o.proto && p.v4 == o.v4
+}
+
+// reverses reports whether p is o with its endpoints swapped.
+func (p *packedKey) reverses(o *packedKey) bool {
+	return p.client == o.server && p.server == o.client &&
+		p.clientPort == o.serverPort && p.serverPort == o.clientPort && p.proto == o.proto &&
+		p.v4 == o.v4>>1|o.v4<<1&2
+}
+
+// reverse returns p with its endpoints swapped.
+func (p packedKey) reverse() packedKey {
+	p.client, p.server = p.server, p.client
+	p.clientPort, p.serverPort = p.serverPort, p.clientPort
+	p.v4 = p.v4>>1 | p.v4<<1&2
+	return p
+}
+
+// hash mixes a packed key for table placement. The two (address, port)
+// endpoint hashes combine by addition, so a key and its reverse hash
+// identically: one probe resolves a packet in either direction (the probe
+// compares candidates against both orientations), where an
+// orientation-sensitive hash would cost a full second probe for every
+// server→client packet.
+func (p *packedKey) hash(seed uint64) uint64 {
+	a := swiss.HashU64(swiss.Hash128(seed, p.client.Lo, p.client.Hi), uint64(p.clientPort))
+	b := swiss.HashU64(swiss.Hash128(seed, p.server.Lo, p.server.Hi), uint64(p.serverPort))
+	return swiss.HashU64(a+b, uint64(p.proto))
+}
+
 // entry is one slot of a recency table: a live flow's key, the bookkeeping
-// the table keeps for it, and its owner's per-flow state.
+// the table keeps for it, and its owner's per-flow state. It holds no
+// pointer when V holds none, so the GC never scans the slab.
 type entry[V any] struct {
-	key  Key
-	hash uint64 // hashKey(seed, key)
+	key  packedKey
+	hash uint64 // key.hash(seed)
 	// lastSeen is the table clock at the flow's last packet. Expiry compares
 	// against it rather than the packet time, so the recency list stays
 	// exactly ordered — and the early-stop sweep exact — even when capture
@@ -63,10 +130,10 @@ func (t *recency[V]) Active() int { return t.idx.Len() }
 
 // find returns the slot of key (hashed h), or noIdx. Only the stored
 // orientation matches; orient resolves unoriented packets.
-func (t *recency[V]) find(h uint64, key Key) uint32 {
+func (t *recency[V]) find(h uint64, key *packedKey) uint32 {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
-			if s := p.Slot(m); t.slab.At(s).key.equals(&key) {
+			if s := p.Slot(m); t.slab.At(s).key.equals(key) {
 				return s
 			}
 		}
@@ -81,7 +148,7 @@ func (t *recency[V]) find(h uint64, key Key) uint32 {
 // and its reverse (field by field, without building the reversed key). It
 // returns the slot and whether the packet travels c2s under the stored
 // orientation ((noIdx, true) on a miss).
-func (t *recency[V]) findEither(h uint64, key *Key) (uint32, bool) {
+func (t *recency[V]) findEither(h uint64, key *packedKey) (uint32, bool) {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
 			s := p.Slot(m)
@@ -103,25 +170,21 @@ func pureSYN(tcp bool, flags layers.TCPFlags) bool {
 }
 
 // orient is the one orientation rule: it sets key to a transport packet's
-// canonical client→server key and returns the key's hash, the flow's slot
-// (noIdx for a new flow) and whether the packet travels client→server. A
-// live flow keeps its stored orientation; for a new one a pure SYN marks
-// the sender as the client, then an address inside clientNets (when the
-// other is outside), then the first sender.
-func (t *recency[V]) orient(d *layers.Decoded, clientNets []netip.Prefix, key *Key) (uint64, uint32, bool) {
-	*key = Key{
-		ClientIP: d.SrcIP, ServerIP: d.DstIP,
-		ClientPort: d.SrcPort, ServerPort: d.DstPort,
-		Proto: d.Proto,
-	}
-	h := hashKey(t.seed, *key)
+// canonical client→server key, packed, and returns the key's hash, the
+// flow's slot (noIdx for a new flow) and whether the packet travels
+// client→server. A live flow keeps its stored orientation; for a new one a
+// pure SYN marks the sender as the client, then an address inside
+// clientNets (when the other is outside), then the first sender.
+func (t *recency[V]) orient(d *layers.Decoded, clientNets []netip.Prefix, key *packedKey) (uint64, uint32, bool) {
+	key.set(d.SrcIP, d.DstIP, d.SrcPort, d.DstPort, d.Proto)
+	h := key.hash(t.seed)
 	i, c2s := t.findEither(h, key)
 	if i == noIdx && !pureSYN(d.HasTCP, d.TCPFlags) &&
 		containsAddr(clientNets, d.DstIP) && !containsAddr(clientNets, d.SrcIP) {
 		c2s = false
 	}
 	if !c2s {
-		*key = key.Reverse()
+		*key = key.reverse()
 	}
 	return h, i, c2s
 }
@@ -137,10 +200,10 @@ func containsAddr(nets []netip.Prefix, a netip.Addr) bool {
 
 // add files key (hashed h) in a fresh slot at the recency tail and returns
 // the slot. Its val keeps whatever the slot's previous flow left there.
-func (t *recency[V]) add(key Key, h uint64) uint32 {
+func (t *recency[V]) add(key *packedKey, h uint64) uint32 {
 	i := t.slab.Alloc()
 	e := t.slab.At(i)
-	e.key, e.hash = key, h
+	e.key, e.hash = *key, h
 	t.idx.Insert(h, i, t.hashOf)
 	t.pushBack(i)
 	return i

@@ -55,10 +55,14 @@ func (tk *Tracker) IdleTimeout() time.Duration { return tk.idle }
 // address to pick its shard. The key/direction pair is exactly what the
 // owning shard's Table will compute via AddOriented.
 func (tk *Tracker) Route(d *layers.Decoded, at time.Duration, assign func(netip.Addr) uint32) (Key, bool, uint64, uint32) {
-	var key Key
-	h, i, c2s := tk.orient(d, tk.clientNets, &key)
+	var pk packedKey
+	h, i, c2s := tk.orient(d, tk.clientNets, &pk)
+	key := Key{ClientIP: d.SrcIP, ServerIP: d.DstIP, ClientPort: d.SrcPort, ServerPort: d.DstPort, Proto: d.Proto}
+	if !c2s {
+		key = key.Reverse()
+	}
 	if i == noIdx {
-		i = tk.add(key, h)
+		i = tk.add(&pk, h)
 		tk.node(i).val = route{shard: assign(key.ClientIP)}
 	}
 	tk.touch(i, at)
@@ -88,7 +92,7 @@ func (tk *Tracker) Route(d *layers.Decoded, at time.Duration, assign func(netip.
 func (tk *Tracker) ExpireIdle(now time.Duration, expire func(key Key, hash uint64, shard uint32)) {
 	tk.sweepIdle(now, tk.idle, func(i uint32) {
 		e := tk.node(i)
-		key, hash, shard := e.key, e.hash, e.val.shard
+		key, hash, shard := e.key.key(), e.hash, e.val.shard
 		tk.remove(i)
 		expire(key, hash, shard)
 	})

@@ -42,18 +42,18 @@ func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// The resolver's footprint is its node and entry layout: a pair node must
-// fit one 64-byte cache line and an entry 40 bytes, and neither a node nor
-// a history cell may hold a pointer, so their slab chunks are never scanned
+// The resolver's footprint is its node and entry layout: a pair node
+// fills one 64-byte cache line and an entry 32 bytes, and no node, entry
+// or history cell holds a pointer, so their slab chunks are never scanned
 // by the GC.
 func TestLayout(t *testing.T) {
-	if n := unsafe.Sizeof(pairNode{}); n > 64 {
-		t.Errorf("pairNode is %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(pairNode{}); n != 64 {
+		t.Errorf("pairNode is %d bytes, want 64", n)
 	}
-	if n := unsafe.Sizeof(Entry{}); n > 40 {
-		t.Errorf("Entry is %d bytes, want <= 40", n)
+	if n := unsafe.Sizeof(Entry{}); n != 32 {
+		t.Errorf("Entry is %d bytes, want 32", n)
 	}
-	for _, v := range []any{pairNode{}, histCell{}} {
+	for _, v := range []any{pairNode{}, histCell{}, Entry{}} {
 		if typ := reflect.TypeOf(v); hasPointer(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}

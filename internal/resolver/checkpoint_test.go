@@ -56,9 +56,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				if !ok1 {
 					continue
 				}
-				if e1.FQDN != e2.FQDN || e1.At != e2.At || e1.Used != e2.Used {
+				if r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used != e2.Used {
 					t.Fatalf("entry %d/%v: (%q,%v,%v) vs restored (%q,%v,%v)",
-						i, srv, e1.FQDN, e1.At, e1.Used, e2.FQDN, e2.At, e2.Used)
+						i, srv, r.names.Str(e1.FQDN), e1.At, e1.Used, r2.names.Str(e2.FQDN), e2.At, e2.Used)
 				}
 			}
 		}
@@ -477,18 +477,18 @@ func TestSnapshotOverTombstones(t *testing.T) {
 					e2, ok2 := r2.LookupEntry(ckClient(c), ckServer(s))
 					if ok1 && e1.pos == noSlot {
 						if history == 0 {
-							t.Fatalf("key %d/%d: current entry %q is off the Clist without history", c, s, e1.FQDN)
+							t.Fatalf("key %d/%d: current entry %q is off the Clist without history", c, s, r.names.Str(e1.FQDN))
 						}
 						if ok2 {
-							t.Fatalf("key %d/%d: promoted entry %q restored as %q", c, s, e1.FQDN, e2.FQDN)
+							t.Fatalf("key %d/%d: promoted entry %q restored as %q", c, s, r.names.Str(e1.FQDN), r2.names.Str(e2.FQDN))
 						}
 						continue
 					}
 					if ok1 != ok2 {
 						t.Fatalf("key %d/%d: hit %v vs restored %v", c, s, ok1, ok2)
 					}
-					if ok1 && (e1.FQDN != e2.FQDN || e1.At != e2.At || e1.Used != e2.Used) {
-						t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, e1.FQDN, e1.At, e1.Used, e2.FQDN, e2.At, e2.Used)
+					if ok1 && (r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used != e2.Used) {
+						t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, r.names.Str(e1.FQDN), e1.At, e1.Used, r2.names.Str(e2.FQDN), e2.At, e2.Used)
 					}
 				}
 			}

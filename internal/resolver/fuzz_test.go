@@ -140,7 +140,7 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 	for s := range live {
 		if named[s] == 0 {
 			e := r.entries.At(s)
-			t.Fatalf("op %d: entry %d (%q, Clist index %d) is in the slab but no node or history cell names it", op, s, e.FQDN, int32(e.pos))
+			t.Fatalf("op %d: entry %d (%q, Clist index %d) is in the slab but no node or history cell names it", op, s, r.names.Str(e.FQDN), int32(e.pos))
 		}
 	}
 	for s, n := range named {
@@ -154,7 +154,7 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 			pos = noSlot
 		}
 		if e := r.entries.At(s); e.names != n || e.pos != pos {
-			t.Fatalf("op %d: entry %d (%q) has names=%d pos=%d, want %d and %d", op, s, e.FQDN, e.names, int32(e.pos), n, int32(pos))
+			t.Fatalf("op %d: entry %d (%q) has names=%d pos=%d, want %d and %d", op, s, r.names.Str(e.FQDN), e.names, int32(e.pos), n, int32(pos))
 		}
 	}
 }

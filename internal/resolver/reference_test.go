@@ -273,7 +273,7 @@ func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) 
 	if !ok {
 		return "", false
 	}
-	return e.FQDN, true
+	return r.names.Str(e.FQDN), true
 }
 
 // LookupAll returns every FQDN currently associated with (clientIP,
@@ -287,9 +287,9 @@ func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
 		return nil
 	}
 	n := ft.nodes.At(slot)
-	out := []string{r.entries.At(n.entry).FQDN}
+	out := []string{r.names.Str(r.entries.At(n.entry).FQDN)}
 	for c := n.older; c != noSlot; c = r.hist.At(c).next {
-		out = append(out, r.entries.At(r.hist.At(c).entry).FQDN)
+		out = append(out, r.names.Str(r.entries.At(r.hist.At(c).entry).FQDN))
 	}
 	return out
 }

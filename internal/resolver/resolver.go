@@ -26,12 +26,12 @@
 package resolver
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"time"
 
+	"repro/internal/names"
 	"repro/internal/swiss"
 )
 
@@ -66,8 +66,10 @@ type Stats struct {
 // Entries live in a slab and a slot is reused once no node or history cell
 // names its entry, so an *Entry is valid only until the next Insert.
 type Entry struct {
-	FQDN string
-	At   time.Duration
+	At time.Duration
+	// FQDN is the ID of the entry's name in the resolver's name table,
+	// which the entry holds a reference on.
+	FQDN uint32
 	// refs is the first node of the entry's back-reference list: the nodes
 	// whose current entry it became by Insert, linked in insertion order
 	// through pairNode.prev/next. noSlot when the list is empty.
@@ -86,35 +88,17 @@ type Entry struct {
 	Used bool
 }
 
-// addr16 is an address as the two words of its 16-byte form.
-type addr16 struct{ lo, hi uint64 }
-
-func toAddr16(a netip.Addr) addr16 {
-	b := a.As16()
-	return addr16{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
-}
-
-func (w addr16) addr(is4 bool) netip.Addr {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], w.lo)
-	binary.LittleEndian.PutUint64(b[8:], w.hi)
-	if is4 {
-		return netip.AddrFrom4([4]byte(b[12:]))
-	}
-	return netip.AddrFrom16(b)
-}
-
 // pairKey is a (client, server) key in pointer-free form: both addresses as
 // 16 bytes plus a family bit each, so an IPv4 address and its 4-in-6 twin
 // stay distinct keys. Zones are not kept; the packet parser never produces
 // one.
 type pairKey struct {
-	client, server addr16
+	client, server swiss.Addr16
 	v4             uint8 // bit 0: client is IPv4; bit 1: server is IPv4
 }
 
-func (k pairKey) clientAddr() netip.Addr { return k.client.addr(k.v4&1 != 0) }
-func (k pairKey) serverAddr() netip.Addr { return k.server.addr(k.v4&2 != 0) }
+func (k pairKey) clientAddr() netip.Addr { return k.client.Addr(k.v4&1 != 0) }
+func (k pairKey) serverAddr() netip.Addr { return k.server.Addr(k.v4&2 != 0) }
 
 // pairNode is one flat-table node: its key and cached hash, the slot of its
 // current entry, its links on that entry's back-reference list, and its
@@ -155,14 +139,14 @@ func newPairTable() *pairTable {
 // It writes through a pointer because returning the 40-byte key by value
 // costs a copy on the lookup path.
 func (t *pairTable) key(k *pairKey, client, server netip.Addr) uint64 {
-	k.client, k.server, k.v4 = toAddr16(client), toAddr16(server), 0
+	k.client, k.server, k.v4 = swiss.ToAddr16(client), swiss.ToAddr16(server), 0
 	if client.Is4() {
 		k.v4 |= 1
 	}
 	if server.Is4() {
 		k.v4 |= 2
 	}
-	return swiss.Hash128(swiss.Hash128(t.seed, k.client.lo, k.client.hi), k.server.lo, k.server.hi)
+	return swiss.Hash128(swiss.Hash128(t.seed, k.client.Lo, k.client.Hi), k.server.Lo, k.server.Hi)
 }
 
 func (t *pairTable) hashOf(slot uint32) uint64 { return t.nodes.At(slot).hash }
@@ -202,6 +186,7 @@ func (t *pairTable) remove(slot uint32) {
 // fourth-octet sharding).
 type Resolver struct {
 	cfg     Config
+	names   *names.Table
 	flat    *pairTable
 	entries swiss.Slab[Entry]
 	hist    swiss.Slab[histCell]
@@ -216,12 +201,16 @@ type Resolver struct {
 	stats Stats
 }
 
-// New creates a resolver.
-func New(cfg Config) *Resolver {
+// New creates a resolver with a name table of its own.
+func New(cfg Config) *Resolver { return NewWithNames(cfg, names.New()) }
+
+// NewWithNames creates a resolver whose entries name their FQDNs in nt,
+// the name table its pipeline's DNS decoder files QNAMEs in (InsertID).
+func NewWithNames(cfg Config, nt *names.Table) *Resolver {
 	if cfg.ClistSize <= 0 {
 		cfg.ClistSize = 1 << 20
 	}
-	return &Resolver{cfg: cfg, flat: newPairTable()}
+	return &Resolver{cfg: cfg, names: nt, flat: newPairTable()}
 }
 
 // Stats returns a snapshot of the counters. EntriesAlive is the number of
@@ -237,10 +226,22 @@ func (r *Resolver) Stats() Stats {
 // given server addresses (Algorithm 1, INSERT). Responses with no addresses
 // are counted but change nothing.
 func (r *Resolver) Insert(clientIP netip.Addr, fqdn string, servers []netip.Addr, at time.Duration) {
+	var id uint32
+	if len(servers) > 0 {
+		r.names.Collect()
+		id = r.names.ID(fqdn)
+	}
+	r.InsertID(clientIP, id, servers, at)
+}
+
+// InsertID is Insert for a name already filed in the resolver's name
+// table as fqdn.
+func (r *Resolver) InsertID(clientIP netip.Addr, fqdn uint32, servers []netip.Addr, at time.Duration) {
 	r.stats.Responses++
-	if fqdn == "" || len(servers) == 0 {
+	if fqdn == 0 || len(servers) == 0 {
 		return
 	}
+	r.names.Ref(fqdn)
 	es := r.entries.Alloc()
 	entry := r.entries.At(es)
 	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1, pos: noSlot}
@@ -354,7 +355,8 @@ func (r *Resolver) release(s uint32) {
 		e.names, e.pos = 0, noSlot
 	}
 	if e.names == 0 {
-		e.FQDN = ""
+		r.names.Unref(e.FQDN)
+		e.FQDN = 0
 		r.entries.Free(s)
 	}
 }

@@ -136,7 +136,7 @@ func TestLookupEntryTimestamp(t *testing.T) {
 	r := New(Config{ClistSize: 4})
 	r.Insert(c1, "x.example.com", []netip.Addr{s1}, 42*time.Second)
 	e, ok := r.LookupEntry(c1, s1)
-	if !ok || e.At != 42*time.Second || e.FQDN != "x.example.com" {
+	if !ok || e.At != 42*time.Second || r.names.Str(e.FQDN) != "x.example.com" {
 		t.Fatalf("entry = %+v, %v", e, ok)
 	}
 }

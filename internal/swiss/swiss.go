@@ -1,9 +1,10 @@
 // Package swiss is the repo's one open-addressing hash table: Index, a
 // swiss-style bucket array of uint32 slots, and Slab, the chunked,
 // never-copied store those slots address. The flow table and the
-// dispatcher's flow tracker (internal/flows) and the resolver's (client,
-// server) pair table (internal/resolver) are all an Index over a Slab; the
-// package also holds the multiply-fold hash mixers they key with.
+// dispatcher's flow tracker (internal/flows), the resolver's (client,
+// server) pair table (internal/resolver) and the name tables
+// (internal/names) are all an Index over a Slab; the package also holds
+// the multiply-fold hash mixers they key with.
 //
 // The layout follows the classic swiss-table design (Abseil's flat_hash_map,
 // and Go 1.24's own runtime maps): one control byte per slot — the low 7
@@ -317,13 +318,36 @@ func Mix(a, b uint64) uint64 {
 // HashU64 mixes one 64-bit word into a running hash.
 func HashU64(seed, v uint64) uint64 { return Mix(seed^v, k0) }
 
+// Addr16 is an address as the two words of its 16-byte form: the
+// pointer-free way an entry keeps an address (a netip.Addr holds a
+// pointer), and what HashAddr mixes.
+type Addr16 struct{ Lo, Hi uint64 }
+
+// ToAddr16 returns a in 16-byte form. The zone, and whether a is IPv4 or
+// its 4-in-6 twin, are not kept.
+func ToAddr16(a netip.Addr) Addr16 {
+	b := a.As16()
+	return Addr16{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
+}
+
+// Addr returns w as an address: IPv4 when is4, else IPv6.
+func (w Addr16) Addr(is4 bool) netip.Addr {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], w.Lo)
+	binary.LittleEndian.PutUint64(b[8:], w.Hi)
+	if is4 {
+		return netip.AddrFrom4([4]byte(b[12:]))
+	}
+	return netip.AddrFrom16(b)
+}
+
 // HashAddr mixes an address into a running hash, reading it as two 64-bit
 // words of its 16-byte form. IPv4 and 4-in-6 forms of the same address hash
 // identically (they compare unequal, so this is merely a collision), and
 // zones are ignored for the same reason.
 func HashAddr(seed uint64, a netip.Addr) uint64 {
-	b := a.As16()
-	return Hash128(seed, binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint64(b[8:16]))
+	w := ToAddr16(a)
+	return Hash128(seed, w.Lo, w.Hi)
 }
 
 // Hash128 mixes a 128-bit value, given as its low and high words, into a
