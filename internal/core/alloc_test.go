@@ -267,8 +267,8 @@ func TestFreshNameOneAlloc(t *testing.T) {
 	}
 
 	// The name table sweeps between a response and its flows: the Clist
-	// entry's reference keeps the name filed, under the same ID, while the
-	// unreferenced names go.
+	// entry holding the name keeps it filed, under the same ID, while the
+	// names nothing holds go.
 	feedAll(iters[i].dns)
 	id := h.dnsMsg.QuestionID()
 	junk := h.names.Intern([]byte("junk0"))
@@ -277,7 +277,7 @@ func TestFreshNameOneAlloc(t *testing.T) {
 		h.names.Collect()
 	}
 	if h.names.Str(id) != names[i] {
-		t.Fatalf("the sweep freed the referenced name %q (ID %d now %q)", names[i], id, h.names.Str(id))
+		t.Fatalf("the sweep freed the held name %q (ID %d now %q)", names[i], id, h.names.Str(id))
 	}
 	feedAll(iters[i].flows)
 	i++

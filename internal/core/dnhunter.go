@@ -221,11 +221,9 @@ func (h *DNHunter) expireFlow(key flows.Key, hash uint64) {
 	h.table.ExpireFlow(key, hash)
 }
 
-// Close flushes all in-flight flows (end of capture) and detaches the DB
-// from the pipeline's name table.
+// Close flushes all in-flight flows (end of capture).
 func (h *DNHunter) Close() {
 	h.table.FlushAll()
-	h.db.Detach()
 }
 
 // handleDNSPayload decodes a DNS payload and inserts responses into the
@@ -278,8 +276,7 @@ func (h *DNHunter) onNewFlow(key flows.Key, at time.Duration, sawSYN bool, hd fl
 }
 
 // onRecord receives finished flows from the table and emits labeled flows.
-// The table zeroes the flow's tag once it returns. The DB files the flow's
-// names by their IDs; strings are only read back for the emitted flow.
+// The table zeroes the flow's tag once it returns.
 func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
 	tg := h.table.Tag(hd)
 	lf := flowdb.LabeledFlow{
@@ -300,8 +297,7 @@ func (h *DNHunter) onRecord(r flows.Record, hd flows.Handle) {
 	if tg.Hit {
 		h.stats.LabeledFlows++
 	}
-	host, sni, cert := h.table.NameIDs(hd)
-	h.db.AddNamed(&lf, h.names, &flowdb.NameIDs{Label: tg.Label, HTTPHost: host, SNI: sni, CertName: cert})
+	h.db.Add(lf)
 	if h.cfg.OnFlow != nil {
 		h.cfg.OnFlow(lf)
 	}

@@ -149,8 +149,9 @@ func (m *Message) SetInterner(in *Interner) { m.intern = in }
 // SetNames attaches a name table: Unpack files every name it decodes in
 // nt, the decoded strings are nt's, and QuestionID names the QNAME by ID.
 // It takes precedence over an Interner. Unpack first lets nt sweep
-// (names.Table.Collect), so the owner must hold no unreferenced ID of nt
-// across an Unpack: the QNAME's ID is valid until the next one.
+// (names.Table.Collect), so the owner must hold no ID of nt that no
+// holder keeps across an Unpack: the QNAME's ID is valid until the next
+// one.
 func (m *Message) SetNames(nt *names.Table) { m.names = nt }
 
 // QuestionID returns the ID, in the table SetNames attached, of the first

@@ -86,10 +86,10 @@ const chunkLen = 1024
 // rows back into LabeledFlow values (Load, At, All). A query is a scan:
 // the DB keeps no index.
 //
-// Add, AddNamed, Merge and Reset are not safe for concurrent use with
-// anything. Reads (Len, Load, At, All, Coverage, WriteCSV) write nothing,
-// so once writing has stopped any number of goroutines may read
-// concurrently, with no internal lock.
+// Add, Merge and Reset are not safe for concurrent use with anything.
+// Reads (Len, Load, At, All, Coverage, WriteCSV) write nothing, so once
+// writing has stopped any number of goroutines may read concurrently,
+// with no internal lock.
 type DB struct {
 	// chunks holds rows [c*chunkLen, (c+1)*chunkLen) in chunks[c]. After
 	// Reset it may hold more chunks than n needs; rows past n are stale.
@@ -99,9 +99,6 @@ type DB struct {
 	names names.Table
 	// remapIDs is Merge's scratch: the ID each name of a merged DB takes.
 	remapIDs []uint32
-	// cache maps src's name IDs to the DB's (fileFrom).
-	src   *names.Table
-	cache []cached
 }
 
 // New creates an empty database.
@@ -114,15 +111,7 @@ func New() *DB {
 // Add appends one labeled flow. Its SLD is derived from Label when the flow
 // is Labeled (and is "" otherwise), whatever f.SLD holds.
 func (db *DB) Add(f LabeledFlow) {
-	db.encode(&db.tail()[0], &f, nil, nil)
-	db.n++
-}
-
-// AddNamed is Add for a pipeline's flow whose Label, HTTPHost, SNI and
-// CertName are the names ids holds in src: the DB files each by ID
-// (fileFrom), so a name it has seen costs no hash and no probe.
-func (db *DB) AddNamed(f *LabeledFlow, src *names.Table, ids *NameIDs) {
-	db.encode(&db.tail()[0], f, src, ids)
+	db.encode(&db.tail()[0], &f)
 	db.n++
 }
 
@@ -134,32 +123,21 @@ func idOr(n *names.Table, s, known string, knownID uint32) uint32 {
 	return n.ID(s)
 }
 
-// encode stores f in r, filing its strings in the name table: its label
-// and names by their IDs in src when src is set (AddNamed), by string
-// otherwise.
-func (db *DB) encode(r *row, f *LabeledFlow, src *names.Table, ids *NameIDs) {
+// encode stores f in r, filing its strings in the name table.
+func (db *DB) encode(r *row, f *LabeledFlow) {
 	n := &db.names
 	r.client, r.clientAddr = putAddr(n, f.Key.ClientIP)
 	r.server, r.serverAddr = putAddr(n, f.Key.ServerIP)
 	r.start, r.end, r.dnsDelay = int64(f.Start), int64(f.End), int64(f.DNSDelay)
 	r.pktsC2S, r.pktsS2C = f.PktsC2S, f.PktsS2C
 	r.bytesC2S, r.bytesS2C = f.BytesC2S, f.BytesS2C
-	if src != nil {
-		r.label = db.fileFrom(src, ids.Label)
-	} else {
-		r.label = n.ID(f.Label)
-	}
 	// Ground truth, HTTP host and SNI usually repeat the label: filing them
 	// then costs a string compare, not a hash and a probe.
+	r.label = n.ID(f.Label)
 	r.truth = idOr(n, f.Truth, f.Label, r.label)
-	if src != nil {
-		r.httpHost, r.sni = db.fileFrom(src, ids.HTTPHost), db.fileFrom(src, ids.SNI)
-		r.certName = db.fileFrom(src, ids.CertName)
-	} else {
-		r.httpHost, r.sni = idOr(n, f.HTTPHost, f.Label, r.label), idOr(n, f.SNI, f.Label, r.label)
-		r.certName = n.ID(f.CertName)
-	}
-	r.vantage = n.ID(f.Vantage)
+	r.httpHost = idOr(n, f.HTTPHost, f.Label, r.label)
+	r.sni = idOr(n, f.SNI, f.Label, r.label)
+	r.certName, r.vantage = n.ID(f.CertName), n.ID(f.Vantage)
 	r.clientPort, r.serverPort = f.Key.ClientPort, f.Key.ServerPort
 	r.proto, r.l7, r.state = f.Key.Proto, f.L7, f.State
 	var fl uint8
@@ -278,7 +256,6 @@ func (r *row) remap(ids []uint32) {
 func (db *DB) Reset() {
 	db.n = 0
 	db.names.Reset()
-	db.cache = db.cache[:0]
 }
 
 // Len returns the number of flows stored.

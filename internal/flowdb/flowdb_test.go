@@ -1,7 +1,6 @@
 package flowdb
 
 import (
-	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/flows"
 	"repro/internal/layers"
-	"repro/internal/names"
 )
 
 func lf(label string, server string, port uint16, l7 flows.L7Proto, start time.Duration) LabeledFlow {
@@ -117,46 +115,4 @@ func TestAtAndAll(t *testing.T) {
 	if db.At(0).Label != "a.x.com" || len(db.All()) != 1 {
 		t.Fatal("At/All broken")
 	}
-}
-
-// TestAddNamedFilesByID: flows added by ID from a pipeline's name table
-// read back as Add stores them — after the table swept and reused the ID
-// of a name the DB's cache holds for another name, and after the DB was
-// Reset.
-func TestAddNamedFilesByID(t *testing.T) {
-	src := names.New()
-	db := New()
-	var want []LabeledFlow
-	add := func(label, host, sni, cert string) {
-		f := lf(label, "192.0.2.1", 443, flows.L7TLS, time.Second)
-		f.HTTPHost, f.SNI, f.CertName, f.HasCert = host, sni, cert, cert != ""
-		f.Truth = "truth.example"
-		db.AddNamed(&f, src, &NameIDs{Label: src.ID(label), HTTPHost: src.ID(host), SNI: src.ID(sni), CertName: src.ID(cert)})
-		want = append(want, f)
-	}
-	add("a.example.com", "a.example.com", "", "")
-	add("b.example.org", "", "b.example.org", "*.example.org")
-	add("", "", "", "")
-	checkFlows(t, "AddNamed", db, want)
-
-	// Nothing references the names: a sweep frees them all, and a later
-	// name takes a.example.com's ID.
-	a := src.ID("a.example.com")
-	for i := 0; i < names.Bound; i++ {
-		src.Intern(fmt.Appendf(nil, "junk%d", i))
-	}
-	src.Collect()
-	var reused string
-	for i := 0; src.Str(a) == "" || src.Str(a) == "a.example.com"; i++ {
-		reused = fmt.Sprintf("c%d.example.net", i)
-		src.ID(reused)
-	}
-	add(reused, reused, "", "")
-	add("b.example.org", "", "", "")
-	checkFlows(t, "AddNamed after the source reused an ID", db, want)
-
-	db.Reset()
-	want = want[:0]
-	add(reused, "", reused, "")
-	checkFlows(t, "AddNamed after Reset", db, want)
 }

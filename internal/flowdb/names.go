@@ -47,50 +47,3 @@ func remapAddr(w uint32, ids []uint32) uint32 {
 	}
 	return addr6 + ids[w-addr6]
 }
-
-// NameIDs are a flow's names as IDs in its pipeline's name table, handed
-// to AddNamed with the flow.
-type NameIDs struct{ Label, HTTPHost, SNI, CertName uint32 }
-
-// cached is one entry of a DB's cache of a source table's IDs: the DB's
-// ID for the source ID, valid while the source table is in epoch epoch.
-// The zero value is a miss: no name but "" is filed as 0.
-type cached struct{ id, epoch uint32 }
-
-// fileFrom returns the DB's ID for name id of src, filing it on the
-// first use of that ID in src's epoch: after that, an index and a compare.
-// A sweep of src invalidates the whole cache, so a name is filed again
-// once per sweep, and an ID src freed and reused is never mistaken for
-// the name it held. The cache follows one source table; another one
-// empties it.
-func (db *DB) fileFrom(src *names.Table, id uint32) uint32 {
-	if id == 0 {
-		return 0
-	}
-	if src != db.src {
-		db.src, db.cache = src, db.cache[:0]
-	}
-	if int(id) >= len(db.cache) {
-		n, k := len(db.cache), int(src.End())
-		if k > cap(db.cache) {
-			// src hands out IDs one at a time: grow by doubling, from a
-			// first size most pipelines' tables stay under.
-			c := make([]cached, k, max(k, 2*cap(db.cache), 4096))
-			copy(c, db.cache)
-			db.cache = c
-		} else {
-			db.cache = db.cache[:k]
-			clear(db.cache[n:])
-		}
-	}
-	c := &db.cache[id]
-	if ep := src.Epoch(); c.id == 0 || c.epoch != ep {
-		*c = cached{id: db.names.Copy(src, id), epoch: ep}
-	}
-	return c.id
-}
-
-// Detach drops the DB's cache of its source table's IDs (AddNamed). A
-// pipeline detaches its DB when it stops writing, so a finished DB pins
-// nothing of the pipeline's name table.
-func (db *DB) Detach() { db.src, db.cache = nil, nil }

@@ -517,8 +517,8 @@ func TestLabelReuseMatchesUnlabeled(t *testing.T) {
 	}
 }
 
-// forceSweep files unreferenced names in nt until its Collect sweeps,
-// which frees every name nothing references.
+// forceSweep files names nothing holds in nt until its Collect sweeps,
+// which frees every name no holder keeps.
 func forceSweep(nt *names.Table) {
 	var buf []byte
 	first := nt.Intern([]byte("sweep-junk-0"))
@@ -530,8 +530,8 @@ func forceSweep(nt *names.Table) {
 }
 
 // TestLiveFlowNamesSurviveSweep: a name table sweep while flows are live
-// keeps every name they hold — label, SNI, certificate name — though
-// nothing counts a reference on them, and frees them once the flows end.
+// keeps every name they hold — label, SNI, certificate name — through the
+// flow table's holder, and frees them once the flows end.
 func TestLiveFlowNamesSurviveSweep(t *testing.T) {
 	var recs []Record
 	tbl := NewTable(Config{OnRecord: func(r Record, _ Handle) { recs = append(recs, r) }})

@@ -254,14 +254,6 @@ func (t *Table) at(i uint32) *flow { return &t.node(i).val }
 // valid until that flow's OnRecord returns.
 func (t *Table) Tag(h Handle) *Tag { return &t.at(uint32(h)).tag }
 
-// NameIDs returns the IDs of the HTTP Host, SNI and certificate name of
-// the flow with handle h, as its record spells them. Valid until that
-// flow's OnRecord returns.
-func (t *Table) NameIDs(h Handle) (httpHost, sni, certName uint32) {
-	f := t.at(uint32(h))
-	return f.httpHost, f.sni, f.certName
-}
-
 // TableStats counts table activity.
 type TableStats struct {
 	FlowsCreated uint64

@@ -8,21 +8,19 @@
 // with Str.
 //
 // A Table is a swiss.Index over a swiss.Slab of entries: a filed name
-// costs a 24-B entry plus 5–10 B of index (and 4 B of reference count in a
-// table that counts them), its hash is kept so growing the index reads no
-// string bytes, and its second-level domain is derived once per ID. The
-// flow log (flowdb) keeps one Table per DB, with the same code.
+// costs a 24-B entry plus 5–10 B of index, its hash is kept so growing
+// the index reads no string bytes, and its second-level domain is derived
+// once per ID. The flow log (flowdb) keeps one Table per DB, with the
+// same code.
 //
-// Names are reference counted: a Clist entry holds a reference on its
-// FQDN. A name whose last reference drops stays filed — a name that comes
-// back costs a probe, not an allocation — until the table holds Bound
-// names; then Collect frees every name no reference and no holder keeps in
-// one sweep, and the next sweep waits until the table has grown by as
-// many names as it kept, and by at least Bound. So a returning name is
-// allocated again no sooner than under a table wiped at Bound, and the
-// sweeps cost O(1) amortized per filing. A holder (Hold) keeps the names
-// it hands the sweep without counting: the flow table holds its live
-// flows' names that way, so starting and ending a flow touches no count.
+// A name nothing uses any more stays filed — a name that comes back costs
+// a probe, not an allocation — until the table holds Bound names. Then
+// Collect asks the table's holders (Hold) which names they use — the
+// resolver its Clist entries' FQDNs, the flow table its live flows' names
+// — and frees every other name in one sweep; the next sweep waits until
+// the table has grown by as many names as it kept, and by at least
+// Bound. So a returning name is allocated again no sooner than under a
+// table wiped at Bound, and the sweeps cost O(1) amortized per filing.
 package names
 
 import (
@@ -38,7 +36,7 @@ import (
 const Bound = 1 << 16
 
 // seed keys every table. Tables share it so one table can file another's
-// name with the hash the other cached (Copy).
+// name with the hash the other cached (Remap).
 var seed = maphash.MakeSeed()
 
 // none is the ID find returns for a name the table does not hold.
@@ -52,26 +50,14 @@ type Table struct {
 	slab swiss.Slab[block]
 	// free holds the freed IDs, reused last in first out.
 	free []uint32
-	// refs[id>>refBits][id&refMask] counts the references Ref took on id
-	// and Unref has not dropped. The chunks are added on first need, so a
-	// table nothing references (a DB's) keeps none.
-	refs [][]uint32
 	// end is one past the highest ID ever handed out: the next fresh one.
 	end uint32
 	// live counts the filed names, "" excluded; sweepAt is the count at
 	// which Collect sweeps.
 	live, sweepAt int
-	// epoch counts the sweeps and resets: the only times an ID is freed.
-	epoch uint32
-	// hold hands a sweep the IDs its holder keeps (Hold).
-	hold func(keep func(id uint32))
+	// holders hand a sweep the IDs they use (Hold).
+	holders []func(keep func(id uint32))
 }
-
-// refBits sizes the reference-count chunks: 16,384 counts, 64 KiB.
-const (
-	refBits = 14
-	refMask = 1<<refBits - 1
-)
 
 // block is the slab's unit: eight entries, so a slab chunk is 48 KiB, six
 // whole pages. The allocator serves it exactly; a smaller chunk of
@@ -108,17 +94,13 @@ func (t *Table) fileEmpty() {
 	t.at(t.alloc()).sld = 1 // stats.SLD("") is ""
 }
 
-// Reset empties t, keeping its storage. The dropped strings are released
-// at once, and every ID is new again (Epoch).
+// Reset empties t, keeping its storage and its holders. The dropped
+// strings are released at once, and every ID is new again.
 func (t *Table) Reset() {
 	t.slab.Reset()
 	t.free = t.free[:0]
 	t.ix.Reset()
-	for _, c := range t.refs {
-		clear(c)
-	}
 	t.fileEmpty()
-	t.epoch++
 }
 
 // hash is a name's hash, 32 bits wide: enough for an index of 2^25
@@ -151,11 +133,6 @@ func (t *Table) Str(id uint32) string { return t.at(id).s }
 
 // End is one past the highest ID t has handed out.
 func (t *Table) End() uint32 { return t.end }
-
-// Epoch changes whenever IDs may have been freed, by a sweep or a Reset:
-// while it holds, every ID still names what it named. A cache of t's IDs
-// keeps the epoch it was filled in.
-func (t *Table) Epoch() uint32 { return t.epoch }
 
 // find returns the ID of s, hashed to h, or none.
 func (t *Table) find(s string, h uint64) uint32 {
@@ -193,15 +170,6 @@ func (t *Table) Intern(b []byte) uint32 {
 	return t.file(string(b), h)
 }
 
-// Copy files the name id of src in t and returns its ID in t. It reuses
-// src's cached hash, so it reads the string only to compare it.
-func (t *Table) Copy(src *Table, id uint32) uint32 {
-	if id == 0 {
-		return 0
-	}
-	return t.fileHashed(src.Str(id), src.hashOf(id))
-}
-
 // fileHashed is ID with the hash given.
 func (t *Table) fileHashed(s string, h uint64) uint32 {
 	if id := t.find(s, h); id != none {
@@ -220,59 +188,23 @@ func (t *Table) file(s string, h uint64) uint32 {
 	return id
 }
 
-// Ref takes a reference on id; 0 needs none.
-func (t *Table) Ref(id uint32) {
-	if id == 0 {
-		return
-	}
-	for int(id>>refBits) >= len(t.refs) {
-		t.refs = append(t.refs, make([]uint32, 1<<refBits))
-	}
-	t.refs[id>>refBits][id&refMask]++
-}
+// Hold registers a holder: at every sweep, Collect calls hold and keeps
+// every ID hold hands keep. A table has as many holders as share it.
+func (t *Table) Hold(hold func(keep func(id uint32))) { t.holders = append(t.holders, hold) }
 
-// Unref drops a reference Ref took on id. The name stays filed until a
-// sweep finds it unreferenced.
-func (t *Table) Unref(id uint32) {
-	if id != 0 {
-		t.refs[id>>refBits][id&refMask]--
-	}
-}
-
-// referenced reports whether anything holds a reference on id.
-func (t *Table) referenced(id uint32) bool {
-	return int(id>>refBits) < len(t.refs) && t.refs[id>>refBits][id&refMask] != 0
-}
-
-// Hold registers the table's holder: at every sweep, Collect calls hold
-// and keeps every ID hold hands keep, as if it were referenced.
-func (t *Table) Hold(hold func(keep func(id uint32))) { t.hold = hold }
-
-// Collect frees every name nothing keeps once the table has reached its
-// sweep point (see the package notes), and does nothing otherwise: a name
-// is kept while a reference or the holder keeps it, or while it is the
-// second-level domain DeriveSLD filed for a name kept. An ID nothing keeps
-// is valid only until the next Collect: its owner calls Collect where it
-// holds no such ID.
+// Collect frees every name no holder keeps once the table has reached its
+// sweep point (see the package notes), and does nothing otherwise. An ID
+// no holder keeps is valid only until the next Collect: its owner calls
+// Collect where it holds no such ID. A table whose SLDs were derived
+// (DeriveSLD) is never swept: the sweep does not keep a kept name's SLD.
 func (t *Table) Collect() {
 	if t.live < t.sweepAt {
 		return
 	}
-	// keep marks the names kept and, down each one's SLD chain, the SLDs
-	// derived for them.
 	keep := make([]uint64, (t.end+63)/64)
-	mark := func(id uint32) {
-		for d := id; d != 0 && keep[d/64]&(1<<(d%64)) == 0; d = t.derived(d) {
-			keep[d/64] |= 1 << (d % 64)
-		}
-	}
-	for id := uint32(1); id < t.end; id++ {
-		if t.referenced(id) {
-			mark(id)
-		}
-	}
-	if t.hold != nil {
-		t.hold(mark)
+	mark := func(id uint32) { keep[id/64] |= 1 << (id % 64) }
+	for _, hold := range t.holders {
+		hold(mark)
 	}
 	for id := uint32(1); id < t.end; id++ {
 		if t.Str(id) != "" && keep[id/64]&(1<<(id%64)) == 0 {
@@ -280,7 +212,6 @@ func (t *Table) Collect() {
 		}
 	}
 	t.sweepAt = t.live + max(Bound, t.live)
-	t.epoch++
 }
 
 // release frees the slot of name id, whose SLD goes with it: a name filed
@@ -293,8 +224,7 @@ func (t *Table) release(id uint32) {
 	t.live--
 }
 
-// DeriveSLD files the second-level domain of name id, once per name. A
-// sweep keeps the SLD of every name it keeps.
+// DeriveSLD files the second-level domain of name id, once per name.
 func (t *Table) DeriveSLD(id uint32) {
 	if e := t.at(id); e.sld == 0 { // entries never move
 		e.sld = t.ID(stats.SLD(e.s)) + 1
@@ -304,26 +234,21 @@ func (t *Table) DeriveSLD(id uint32) {
 // SLD returns the ID of the second-level domain DeriveSLD filed for id.
 func (t *Table) SLD(id uint32) uint32 { return t.at(id).sld - 1 }
 
-// derived is SLD for any id: 0 ("") while none is derived.
-func (t *Table) derived(id uint32) uint32 { return max(t.at(id).sld, 1) - 1 }
-
 // Remap files every name of o in t and returns the ID each of o's IDs
-// becomes, in ids' storage (a freed ID of o becomes 0), with same
-// reporting the identity mapping. Second-level domains o derived carry
-// over. One lookup per distinct name of o.
+// becomes, in ids' storage, with same reporting the identity mapping.
+// Second-level domains o derived carry over. One lookup per distinct name
+// of o, with the hash o cached, so a string is read only to compare it. o
+// must never have been swept: every ID below its End names something.
 func (t *Table) Remap(o *Table, ids []uint32) (_ []uint32, same bool) {
-	k := o.end // read once: o may be t itself
+	k := o.End() // read once: o may be t itself
 	ids = slices.Grow(ids[:0], int(k))[:k]
-	clear(ids)
-	same = true
+	ids[0], same = 0, true
 	for i := uint32(1); i < k; i++ {
-		if o.Str(i) != "" { // a freed ID names nothing
-			ids[i] = t.Copy(o, i)
-			same = same && ids[i] == i
-		}
+		ids[i] = t.fileHashed(o.Str(i), o.hashOf(i))
+		same = same && ids[i] == i
 	}
 	for i := uint32(1); i < k; i++ {
-		if s := o.at(i).sld; s != 0 && o.Str(i) != "" {
+		if s := o.at(i).sld; s != 0 {
 			if d := t.at(ids[i]); d.sld == 0 {
 				d.sld = ids[s-1] + 1
 			}

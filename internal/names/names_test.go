@@ -38,41 +38,41 @@ func TestInternFilesOnce(t *testing.T) {
 	}
 }
 
-// TestSweepKeepsReferenced: below Bound names Collect frees nothing; at
-// Bound it frees exactly the unreferenced names, keeps the referenced ones
-// and the SLDs derived for them, and moves the epoch.
-func TestSweepKeepsReferenced(t *testing.T) {
+// holdIDs registers a holder on t that keeps the IDs *ids holds.
+func holdIDs(t *Table, ids *[]uint32) {
+	t.Hold(func(keep func(uint32)) {
+		for _, id := range *ids {
+			keep(id)
+		}
+	})
+}
+
+// TestSweepKeepsHeld: below Bound names Collect frees nothing; at Bound it
+// frees exactly the names no holder keeps, and keeps what every holder
+// keeps — a second holder adds to the first, it does not replace it.
+func TestSweepKeepsHeld(t *testing.T) {
 	tb := New()
-	kept := tb.ID("www.kept.example.org")
-	tb.Ref(kept)
-	tb.DeriveSLD(kept)
-	sld := tb.SLD(kept)
-	if tb.Str(sld) != "example.org" {
-		t.Fatalf("SLD of %q = %q", tb.Str(kept), tb.Str(sld))
-	}
+	first, second := []uint32{tb.ID("www.kept.example.org")}, []uint32{tb.ID("also.kept.example")}
+	holdIDs(tb, &first)
+	holdIDs(tb, &second)
 	dropped := tb.ID("gone.example.net")
-	tb.Ref(dropped)
-	tb.Unref(dropped)
 	junk := fill(tb, "junk", Bound-4) // Bound-1 names filed
 	tb.Collect()
-	if tb.Str(dropped) == "" || tb.Str(junk[0]) == "" || tb.Epoch() != 0 {
+	if tb.Str(dropped) == "" || tb.Str(junk[0]) == "" || tb.live != Bound-1 {
 		t.Fatal("Collect swept below Bound")
 	}
 	tb.ID("one.more")
 	tb.Collect()
-	if tb.Epoch() != 1 {
-		t.Fatalf("Collect at Bound did not sweep (epoch %d)", tb.Epoch())
+	if tb.live != 2 {
+		t.Fatalf("%d names filed after the sweep, want 2", tb.live)
 	}
-	if tb.Str(kept) != "www.kept.example.org" || tb.Str(sld) != "example.org" || tb.SLD(kept) != sld {
-		t.Fatalf("the sweep lost a referenced name or its SLD: %q, %q", tb.Str(kept), tb.Str(sld))
+	if tb.Str(first[0]) != "www.kept.example.org" || tb.Str(second[0]) != "also.kept.example" {
+		t.Fatalf("the sweep lost a held name: %q, %q", tb.Str(first[0]), tb.Str(second[0]))
 	}
 	for _, id := range append(junk, dropped) {
 		if s := tb.Str(id); s != "" {
-			t.Fatalf("the sweep kept the unreferenced %q", s)
+			t.Fatalf("the sweep kept the unheld %q", s)
 		}
-	}
-	if tb.live != 2 {
-		t.Fatalf("%d names filed after the sweep, want 2", tb.live)
 	}
 }
 
@@ -81,31 +81,30 @@ func TestSweepKeepsReferenced(t *testing.T) {
 // sooner than under a table wiped every Bound names.
 func TestSweepSpacing(t *testing.T) {
 	tb := New()
+	var kept []uint32
+	holdIDs(tb, &kept)
 	for _, l := range []int{10, Bound + Bound/2} {
 		tb.Reset()
-		for _, id := range fill(tb, "kept", l) {
-			tb.Ref(id)
-		}
+		kept = fill(tb, "kept", l)
 		fill(tb, "junk", max(Bound-l, 0))
 		tb.Collect() // the first sweep: everything but the kept names goes
 		if tb.live != l {
 			t.Fatalf("L=%d: %d names after the first sweep", l, tb.live)
 		}
-		ep := tb.Epoch()
 		fill(tb, "back", max(Bound, l)-1)
 		tb.Collect()
-		if tb.Epoch() != ep {
+		if tb.live != l+max(Bound, l)-1 {
 			t.Fatalf("L=%d: swept again after %d names", l, max(Bound, l)-1)
 		}
 		tb.ID("last")
 		tb.Collect()
-		if tb.Epoch() == ep || tb.live != l {
+		if tb.live != l {
 			t.Fatalf("L=%d: no sweep after %d names (%d filed)", l, max(Bound, l), tb.live)
 		}
 	}
 }
 
-// TestFreedIDDerivesOwnSLD: an ID a sweep freed and a new name reuses
+// TestFreedIDDerivesOwnSLD: an ID Reset freed and another name reuses
 // spells the new name and derives the new name's SLD, not the old one's.
 func TestFreedIDDerivesOwnSLD(t *testing.T) {
 	tb := New()
@@ -114,39 +113,26 @@ func TestFreedIDDerivesOwnSLD(t *testing.T) {
 	if got := tb.Str(tb.SLD(old)); got != "example.com" {
 		t.Fatalf("SLD = %q", got)
 	}
-	fill(tb, "junk", Bound)
-	tb.Collect()
-	if tb.Str(old) != "" {
-		t.Fatalf("the sweep kept the unreferenced %q", tb.Str(old))
+	tb.Reset()
+	if id := tb.ID("b.other.org"); id != old {
+		t.Fatalf("after Reset the first name took ID %d, want %d", id, old)
 	}
-	// Freed IDs are reused last-in first-out: file until old comes back.
-	var id uint32
-	for i := 0; id != old; i++ {
-		if i > Bound+4 {
-			t.Fatal("the freed ID was never reused")
-		}
-		id = tb.Intern(fmt.Appendf(nil, "b%d.other.org", i))
-	}
-	tb.DeriveSLD(id)
-	if s, d := tb.Str(id), tb.Str(tb.SLD(id)); d != "other.org" {
-		t.Fatalf("reused ID %d spells %q with SLD %q, want other.org", id, s, d)
+	tb.DeriveSLD(old)
+	if got := tb.Str(tb.SLD(old)); got != "other.org" {
+		t.Fatalf("after Reset, ID %d (%q) derives SLD %q, want other.org", old, tb.Str(old), got)
 	}
 }
 
 // TestRemap: another table's names, SLDs included, file under the IDs
-// Remap returns; a freed ID maps to 0; a table remaps onto itself as the
-// identity.
+// Remap returns; a table remaps onto itself as the identity.
 func TestRemap(t *testing.T) {
 	src, dst := New(), New()
 	dst.ID("first.example")
 	a, b := src.ID("x.a.example.com"), src.ID("b.example.net")
 	src.DeriveSLD(a)
-	src.Ref(a)
-	fill(src, "junk", Bound)
-	src.Collect() // frees b and the junk
 	ids, same := dst.Remap(src, nil)
-	if same || dst.Str(ids[a]) != "x.a.example.com" || ids[b] != 0 {
-		t.Fatalf("Remap: same %v, a→%q, b→%d", same, dst.Str(ids[a]), ids[b])
+	if same || dst.Str(ids[a]) != "x.a.example.com" || dst.Str(ids[b]) != "b.example.net" || ids[0] != 0 {
+		t.Fatalf("Remap: same %v, a→%q, b→%q, 0→%d", same, dst.Str(ids[a]), dst.Str(ids[b]), ids[0])
 	}
 	if got := dst.Str(dst.SLD(ids[a])); got != "example.com" {
 		t.Fatalf("remapped SLD %q", got)

@@ -67,8 +67,8 @@ type Stats struct {
 // names its entry, so an *Entry is valid only until the next Insert.
 type Entry struct {
 	At time.Duration
-	// FQDN is the ID of the entry's name in the resolver's name table,
-	// which the entry holds a reference on.
+	// FQDN is the ID of the entry's name in the resolver's name table, 0
+	// once the entry is freed. A sweep of the table keeps it (holdNames).
 	FQDN uint32
 	// refs is the first node of the entry's back-reference list: the nodes
 	// whose current entry it became by Insert, linked in insertion order
@@ -210,7 +210,17 @@ func NewWithNames(cfg Config, nt *names.Table) *Resolver {
 	if cfg.ClistSize <= 0 {
 		cfg.ClistSize = 1 << 20
 	}
-	return &Resolver{cfg: cfg, names: nt, flat: newPairTable()}
+	r := &Resolver{cfg: cfg, names: nt, flat: newPairTable()}
+	nt.Hold(r.holdNames)
+	return r
+}
+
+// holdNames hands keep the FQDN of every entry: a sweep of the name table
+// keeps them, so the entries count no references. A freed entry's is 0.
+func (r *Resolver) holdNames(keep func(id uint32)) {
+	for s := range r.entries.Len() {
+		keep(r.entries.At(s).FQDN)
+	}
 }
 
 // Stats returns a snapshot of the counters. EntriesAlive is the number of
@@ -241,7 +251,6 @@ func (r *Resolver) InsertID(clientIP netip.Addr, fqdn uint32, servers []netip.Ad
 	if fqdn == 0 || len(servers) == 0 {
 		return
 	}
-	r.names.Ref(fqdn)
 	es := r.entries.Alloc()
 	entry := r.entries.At(es)
 	*entry = Entry{FQDN: fqdn, At: at, refs: noSlot, names: 1, pos: noSlot}
@@ -355,7 +364,6 @@ func (r *Resolver) release(s uint32) {
 		e.names, e.pos = 0, noSlot
 	}
 	if e.names == 0 {
-		r.names.Unref(e.FQDN)
 		e.FQDN = 0
 		r.entries.Free(s)
 	}

@@ -291,6 +291,10 @@ func (s *Slab[T]) Alloc() uint32 {
 // Free returns index i for reuse.
 func (s *Slab[T]) Free(i uint32) { s.free = append(s.free, i) }
 
+// Len is one past the highest index handed out: every live index is below
+// it, and so are the freed ones.
+func (s *Slab[T]) Len() uint32 { return s.n }
+
 // Reset frees every index and zeroes the entries handed out, keeping the
 // chunks: refilling the slab allocates nothing, and the old entries pin
 // nothing. Fresh indices start again from 0.
