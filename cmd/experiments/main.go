@@ -31,7 +31,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "client-count scale factor (1.0 ≈ a few hundred clients)")
 	seed := flag.Uint64("seed", 1, "random seed; same seed reproduces identical traces")
 	shards := flag.Int("shards", 1, "parallel pipeline shards (-1 = one per CPU)")
-	liveDays := flag.Int("live-days", 18, "event-mode live window in days (Figs. 6/10/11, Table 8)")
+	liveDays := flag.Int("live-days", 18, "live window in days (Figs. 6/10/11, Table 8)")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	flag.Parse()
 

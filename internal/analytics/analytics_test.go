@@ -105,16 +105,12 @@ func TestFormatTags(t *testing.T) {
 }
 
 func TestTagCloud(t *testing.T) {
-	recs := []flowdb.LabeledFlow{
-		mkFlow("10.0.0.1", "173.194.1.1", 80, "open-tracker.appspot.com", flows.L7HTTP, 0),
-		mkFlow("10.0.0.2", "173.194.1.1", 80, "open-tracker.appspot.com", flows.L7HTTP, 0),
-		mkFlow("10.0.0.1", "173.194.1.2", 80, "todo-7.appspot.com", flows.L7HTTP, 0),
-		mkFlow("10.0.0.1", "1.1.1.1", 80, "www.other.com", flows.L7HTTP, 0),
-	}
-	for i := range recs {
-		recs[i].SLD = stats.SLD(recs[i].Label)
-	}
-	cloud := TagCloud(recs, "appspot.com", 0)
+	db := flowdb.New()
+	db.Add(mkFlow("10.0.0.1", "173.194.1.1", 80, "open-tracker.appspot.com", flows.L7HTTP, 0))
+	db.Add(mkFlow("10.0.0.2", "173.194.1.1", 80, "open-tracker.appspot.com", flows.L7HTTP, 0))
+	db.Add(mkFlow("10.0.0.1", "173.194.1.2", 80, "todo-7.appspot.com", flows.L7HTTP, 0))
+	db.Add(mkFlow("10.0.0.1", "1.1.1.1", 80, "www.other.com", flows.L7HTTP, 0))
+	cloud := TagCloud(db, "appspot.com", 0)
 	if len(cloud) != 2 {
 		t.Fatalf("cloud = %v", cloud)
 	}

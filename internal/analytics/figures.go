@@ -1,14 +1,15 @@
 package analytics
 
 import (
+	"cmp"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/flowdb"
 	"repro/internal/orgdb"
 	"repro/internal/stats"
-	"repro/internal/synth"
 )
 
 // figures.go extracts the measurement series behind the paper's remaining
@@ -77,36 +78,46 @@ type BirthSeries struct {
 	Server []int
 }
 
-// BirthProcess computes Fig. 6 from an event-mode trace: the cumulative
-// number of unique FQDNs, second-level domains, and server addresses over
-// time. FQDNs must keep growing while the other two saturate.
-func BirthProcess(tr *synth.EventTrace, bin time.Duration) *BirthSeries {
-	nBins := int(time.Duration(tr.Scenario.Days)*24*time.Hour/bin) + 1
-	bs := &BirthSeries{Bin: bin, FQDN: make([]int, nBins), SLD: make([]int, nBins), Server: make([]int, nBins)}
-	seenF := map[string]struct{}{}
-	seenS := map[string]struct{}{}
-	seenIP := map[netip.Addr]struct{}{}
-	idx := 0
-	commit := func(upTo int) {
-		for ; idx <= upTo && idx < nBins; idx++ {
-			bs.FQDN[idx] = len(seenF)
-			bs.SLD[idx] = len(seenS)
-			bs.Server[idx] = len(seenIP)
+// BirthProcess computes Fig. 6 from the labeled flows of a window span
+// long: the cumulative number of unique FQDNs, second-level domains, and
+// server addresses per bin. Each entity is born in the bin of its earliest
+// flow Start. FQDNs must keep growing while the other two saturate.
+func BirthProcess(db *flowdb.DB, span, bin time.Duration) *BirthSeries {
+	fqdns := map[string]time.Duration{}
+	slds := map[string]time.Duration{}
+	servers := map[netip.Addr]time.Duration{}
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if !f.Labeled {
+			continue
 		}
+		earliest(fqdns, f.Label, f.Start)
+		earliest(slds, f.SLD, f.Start)
+		earliest(servers, f.Key.ServerIP, f.Start)
 	}
-	for _, ev := range tr.DNS {
-		b := int(ev.At / bin)
-		if b >= idx {
-			commit(b - 1)
-		}
-		seenF[ev.FQDN] = struct{}{}
-		seenS[stats.SLD(ev.FQDN)] = struct{}{}
-		for _, a := range ev.Addrs {
-			seenIP[a] = struct{}{}
-		}
+	n := int(span/bin) + 1
+	return &BirthSeries{Bin: bin, FQDN: births(fqdns, bin, n), SLD: births(slds, bin, n), Server: births(servers, bin, n)}
+}
+
+// earliest keeps in first[k] the earliest at seen for k.
+func earliest[K comparable](first map[K]time.Duration, k K, at time.Duration) {
+	if t, ok := first[k]; !ok || at < t {
+		first[k] = at
 	}
-	commit(nBins - 1)
-	return bs
+}
+
+// births returns, for each of n bins, how many entities were born in or
+// before it; a birth past the last bin counts in the last.
+func births[K comparable](born map[K]time.Duration, bin time.Duration, n int) []int {
+	out := make([]int, n)
+	for _, at := range born {
+		out[min(int(at/bin), n-1)]++
+	}
+	for i := 1; i < n; i++ {
+		out[i] += out[i-1]
+	}
+	return out
 }
 
 // GrowthRatio summarizes Fig. 6's claim: FQDN growth in the last third of
@@ -126,55 +137,61 @@ func (bs *BirthSeries) GrowthRatio(series []int) float64 {
 	return float64(late) / float64(early)
 }
 
-// AppspotReport reproduces Table 8 and Fig. 11 from an event-mode trace.
+// AppspotReport reproduces Table 8 and Fig. 11 from labeled flows.
 type AppspotReport struct {
 	// Table 8 rows.
 	TrackerServices, GeneralServices int
 	TrackerFlows, GeneralFlows       int
 	TrackerC2S, TrackerS2C           uint64
 	GeneralC2S, GeneralS2C           uint64
-	// Timeline[id] lists the active 4-hour bins of tracker #id (Fig. 11).
+	// Timeline[id] lists the active bins of tracker #id (Fig. 11). IDs
+	// count from 1 in first-seen order.
 	Timeline map[int][]int
 }
 
-// AppspotTracking analyses appspot.com traffic in an event trace: trackers
-// versus general apps, plus each tracker's activity timeline.
-func AppspotTracking(tr *synth.EventTrace, bin time.Duration) *AppspotReport {
+// AppspotTracking analyses the appspot.com flows of db: BitTorrent
+// trackers (a label with a "tracker" service token) versus general apps,
+// plus each tracker's activity timeline.
+func AppspotTracking(db *flowdb.DB, bin time.Duration) *AppspotReport {
 	rep := &AppspotReport{Timeline: make(map[int][]int)}
-	trackerSvcs := map[string]struct{}{}
-	generalSvcs := map[string]struct{}{}
-	seenBin := map[int]map[int]struct{}{}
-	for i := range tr.Flows {
-		f := &tr.Flows[i]
-		if stats.SLD(f.Label) != "appspot.com" {
+	type seen struct {
+		first time.Duration
+		bins  map[int]struct{}
+	}
+	trackers := map[string]*seen{}
+	general := map[string]struct{}{}
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if !f.Labeled || f.SLD != "appspot.com" {
 			continue
 		}
-		if id, isTracker := tr.TrackerIDs[f.Label]; isTracker {
-			trackerSvcs[f.Label] = struct{}{}
-			rep.TrackerFlows++
-			rep.TrackerC2S += f.BytesC2S
-			rep.TrackerS2C += f.BytesS2C
-			b := int(f.Start / bin)
-			if seenBin[id] == nil {
-				seenBin[id] = map[int]struct{}{}
-			}
-			seenBin[id][b] = struct{}{}
-		} else {
-			generalSvcs[f.Label] = struct{}{}
+		if !slices.Contains(stats.ServiceTokens(f.Label), "tracker") {
+			general[f.Label] = struct{}{}
 			rep.GeneralFlows++
 			rep.GeneralC2S += f.BytesC2S
 			rep.GeneralS2C += f.BytesS2C
+			continue
 		}
+		t := trackers[f.Label]
+		if t == nil {
+			t = &seen{first: f.Start, bins: map[int]struct{}{}}
+			trackers[f.Label] = t
+		}
+		t.first = min(t.first, f.Start)
+		t.bins[int(f.Start/bin)] = struct{}{}
+		rep.TrackerFlows++
+		rep.TrackerC2S += f.BytesC2S
+		rep.TrackerS2C += f.BytesS2C
 	}
-	rep.TrackerServices = len(trackerSvcs)
-	rep.GeneralServices = len(generalSvcs)
-	for id, bins := range seenBin {
-		var list []int
-		for b := range bins {
-			list = append(list, b)
-		}
-		sort.Ints(list)
-		rep.Timeline[id] = list
+	rep.TrackerServices = len(trackers)
+	rep.GeneralServices = len(general)
+	order := slices.Collect(maps.Keys(trackers))
+	slices.SortFunc(order, func(a, b string) int {
+		return cmp.Or(cmp.Compare(trackers[a].first, trackers[b].first), cmp.Compare(a, b))
+	})
+	for i, name := range order {
+		rep.Timeline[i+1] = slices.Sorted(maps.Keys(trackers[name].bins))
 	}
 	return rep
 }

@@ -1,22 +1,35 @@
 package analytics
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/flowdb"
+	"repro/internal/flows"
 	"repro/internal/synth"
 )
 
-func liveTrace(t *testing.T) *synth.EventTrace {
+// liveSpan is the length of the live window the tests below run.
+const liveSpan = 3 * 24 * time.Hour
+
+// liveDB runs three days of the live window through the engine and
+// returns its labeled flows.
+func liveDB(t *testing.T) *flowdb.DB {
 	t.Helper()
-	return synth.GenerateEvents(synth.LiveScenario{
-		Days: 3, Clients: 30, SessionsPerDay: 4000, Geo: synth.GeoEU1, Seed: 11,
-	})
+	sc := synth.NamedScenario(synth.NameLive, 0.2, 11)
+	sc.Duration = liveSpan
+	res, err := core.NewEngine(core.EngineConfig{}).Run(context.Background(), synth.Generate(sc).Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.DB
 }
 
 func TestBirthProcessShapes(t *testing.T) {
-	tr := liveTrace(t)
-	bs := BirthProcess(tr, 4*time.Hour)
+	bs := BirthProcess(liveDB(t), liveSpan, 4*time.Hour)
 	n := len(bs.FQDN)
 	if n < 10 {
 		t.Fatalf("bins = %d", n)
@@ -44,8 +57,7 @@ func TestBirthProcessShapes(t *testing.T) {
 }
 
 func TestAppspotTracking(t *testing.T) {
-	tr := liveTrace(t)
-	rep := AppspotTracking(tr, 4*time.Hour)
+	rep := AppspotTracking(liveDB(t), 4*time.Hour)
 	if rep.TrackerServices == 0 || rep.GeneralServices == 0 {
 		t.Fatalf("services: %+v", rep)
 	}
@@ -78,9 +90,30 @@ func TestAppspotTracking(t *testing.T) {
 	}
 }
 
+// TestLiveFiguresIgnoreRowOrder: rows filed out of Start order still give
+// each entity its earliest flow, so births land in the earliest bin and
+// tracker IDs follow first-seen order.
+func TestLiveFiguresIgnoreRowOrder(t *testing.T) {
+	db := flowdb.New()
+	db.Add(mkFlow("10.0.0.1", "173.194.1.1", 80, "bt-tracker-02.appspot.com", flows.L7HTTP, 5*time.Hour))
+	db.Add(mkFlow("10.0.0.1", "173.194.1.2", 80, "bt-tracker-01.appspot.com", flows.L7HTTP, 3*time.Hour))
+	db.Add(mkFlow("10.0.0.2", "173.194.1.1", 80, "bt-tracker-02.appspot.com", flows.L7HTTP, time.Hour))
+	db.Add(mkFlow("10.0.0.2", "173.194.1.3", 80, "webapp-001.appspot.com", flows.L7HTTP, 0))
+	rep := AppspotTracking(db, 2*time.Hour)
+	if want := map[int][]int{1: {0, 2}, 2: {1}}; !reflect.DeepEqual(rep.Timeline, want) {
+		t.Errorf("timeline %v, want %v", rep.Timeline, want)
+	}
+	if rep.TrackerServices != 2 || rep.TrackerFlows != 3 || rep.GeneralServices != 1 || rep.GeneralFlows != 1 {
+		t.Errorf("table 8 rows: %+v", rep)
+	}
+	bs := BirthProcess(db, 6*time.Hour, 2*time.Hour)
+	if want := []int{2, 3, 3, 3}; !reflect.DeepEqual(bs.FQDN, want) || !reflect.DeepEqual(bs.Server, want) {
+		t.Errorf("births: FQDN %v, server %v, want %v", bs.FQDN, bs.Server, want)
+	}
+}
+
 func TestBirthProcessEmptyTrace(t *testing.T) {
-	tr := &synth.EventTrace{Scenario: synth.LiveScenario{Days: 1}}
-	bs := BirthProcess(tr, time.Hour)
+	bs := BirthProcess(flowdb.New(), 24*time.Hour, time.Hour)
 	if len(bs.FQDN) == 0 || bs.FQDN[len(bs.FQDN)-1] != 0 {
 		t.Fatalf("empty trace curves: %v", bs.FQDN)
 	}

@@ -91,11 +91,12 @@ func FormatTags(tags []TagScore) string {
 // TagCloud scores every token across all ports for an SLD — the word cloud
 // of Fig. 10 (appspot services). Scores use Eq. 1 over the host prefix of
 // each FQDN under the SLD.
-func TagCloud(recs []flowdb.LabeledFlow, sld string, k int) []TagScore {
+func TagCloud(db *flowdb.DB, sld string, k int) []TagScore {
 	tally := newContentTally()
-	for i := range recs {
-		f := &recs[i]
-		if !f.Labeled || stats.SLD(f.Label) != sld {
+	var f flowdb.LabeledFlow
+	for i := range db.Len() {
+		db.Load(i, &f)
+		if !f.Labeled || f.SLD != sld {
 			continue
 		}
 		if host := stats.HostPrefix(f.Label); host != "" {

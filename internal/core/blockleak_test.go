@@ -88,7 +88,7 @@ func (c *cancelAtSource) Next() (netio.Packet, error) {
 }
 
 // cancelAtBlockSource is cancelAtSource as a BlockSource that promises its
-// frames only until the next read (it does not declare DataStable).
+// frames only until the next read (it has no ReadBlockRef).
 type cancelAtBlockSource struct{ cancelAtSource }
 
 func (c *cancelAtBlockSource) ReadBlock(dst []netio.Packet) (int, error) {

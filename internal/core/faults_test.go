@@ -95,15 +95,19 @@ func TestSourceUnarmedTransparent(t *testing.T) {
 	}
 }
 
-// unstableLoop replays like a LoopSource but disclaims DataStable, so the
-// adapter copies its frames into pooled blocks, as it does a capture's.
-type unstableLoop struct{ *netio.LoopSource }
+// unstableLoop replays a LoopSource through Next and ReadBlock only, not
+// its ReadBlockRef, so the adapter copies its frames into pooled blocks, as
+// it does a capture's.
+type unstableLoop struct{ loop *netio.LoopSource }
 
-func (unstableLoop) DataStable() bool { return false }
+func (u unstableLoop) Next() (netio.Packet, error) { return u.loop.Next() }
+
+func (u unstableLoop) ReadBlock(dst []netio.Packet) (int, error) { return u.loop.ReadBlock(dst) }
 
 // TestSourceUnarmedAllocFree: an unarmed wrapper adds no allocation to the
 // engine's read path, over an inner source the adapter copies into pooled
-// blocks (looping, not stable) and one it reads zero-copy (stable slice).
+// blocks (looping, Next and ReadBlock only) and one it reads zero-copy
+// (the LoopSource's own ReadBlockRef).
 func TestSourceUnarmedAllocFree(t *testing.T) {
 	pkts := synth.Generate(synth.QuickScenario(11)).Packets
 	for _, tc := range []struct {

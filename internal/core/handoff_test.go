@@ -22,8 +22,8 @@ import (
 
 // blockFunc is a packet source whose every read is one call of the
 // function: it may return fewer packets than asked for (a short read) and
-// may block (a quiet link). It does not declare DataStable, so the sharded
-// engine copies its frames into pooled blocks, as it does for a capture.
+// may block (a quiet link). It has no ReadBlockRef, so the sharded engine
+// copies its frames into pooled blocks, as it does for a capture.
 type blockFunc func(dst []netio.Packet) (int, error)
 
 func (f blockFunc) ReadBlock(dst []netio.Packet) (int, error) { return f(dst) }

@@ -25,10 +25,11 @@ const tagScorePort = 25
 // AblationClistSize sweeps L and reports the overall hit ratio: the paper's
 // §6 dimensioning argument (L must cover ~1 h of responses for ~98%
 // efficiency). Undersized Clists evict entries before their flows arrive.
-// Each size runs the cached EU1-FTTH trace again on one shard, because a
-// Clist per shard changes eviction.
+// Each size runs the EU1-FTTH trace again on one shard, because a Clist per
+// shard changes eviction; the trace is generated anew, since a cached run
+// keeps no packets.
 func (s *Suite) AblationClistSize() Report {
-	tr := s.Run(synth.NameEU1FTTH).Trace
+	tr := synth.Generate(synth.NamedScenario(synth.NameEU1FTTH, s.Scale, s.Seed))
 	var r Report
 	var b strings.Builder
 	b.WriteString("Ablation: Clist size vs. labeling hit ratio (EU1-FTTH)\n")

@@ -31,7 +31,7 @@ func (s *Suite) TriVantage() *core.MultiResult {
 	var sources []core.NamedSource
 	for _, sc := range synth.TriVantageScenarios(s.Scale, s.Seed) {
 		tr := synth.Generate(sc)
-		s.triTraces = append(s.triTraces, tr)
+		s.triOrgs = append(s.triOrgs, tr.OrgDB)
 		sources = append(sources, core.NamedSource{Name: sc.Name, Src: tr.Source(), Truth: tr.TruthFunc()})
 	}
 	eng := core.NewEngine(core.EngineConfig{Shards: s.Shards})
@@ -62,7 +62,7 @@ func (s *Suite) crossVantagePipeline() *analytics.Pipeline {
 	multi := s.TriVantage()
 	var data []analytics.VantageData
 	for i, name := range multi.Vantages {
-		data = append(data, analytics.VantageData{Name: name, DB: multi.PerVantage[name].DB, Orgs: s.triTraces[i].OrgDB})
+		data = append(data, analytics.VantageData{Name: name, DB: multi.PerVantage[name].DB, Orgs: s.triOrgs[i]})
 	}
 	lookup := analytics.OrgLookupVantages(data)
 	names := analytics.VantageNames(data)

@@ -379,7 +379,7 @@ func TestFigure11Timeline(t *testing.T) {
 	}
 	// Persistent trackers span most bins; at least one should cover > half
 	// the window.
-	nBins := shared.Live().Scenario.Days * 6
+	nBins := int(shared.Live().Trace.Scenario.Duration / liveBin)
 	best := 0
 	for _, bins := range rep.Timeline {
 		if len(bins) > best {

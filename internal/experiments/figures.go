@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -87,7 +88,7 @@ func (s *Suite) Figure6() Report {
 	bs := s.birthSeries()
 	var b strings.Builder
 	n := len(bs.FQDN)
-	b.WriteString("Figure 6: unique-entity birth processes (event-mode live trace)\n")
+	b.WriteString("Figure 6: unique-entity birth processes (live window)\n")
 	fmt.Fprintf(&b, "  final: FQDN=%d  SLD=%d  serverIP=%d\n", bs.FQDN[n-1], bs.SLD[n-1], bs.Server[n-1])
 	fmt.Fprintf(&b, "  late/early growth ratio: FQDN=%.2f  SLD=%.2f  serverIP=%.2f\n",
 		bs.GrowthRatio(bs.FQDN), bs.GrowthRatio(bs.SLD), bs.GrowthRatio(bs.Server))
@@ -100,10 +101,10 @@ func (s *Suite) Figure6() Report {
 	}}
 }
 
-// birthSeries counts unique FQDNs, SLDs and servers over the live window
-// in 4-h bins.
+// birthSeries counts unique FQDNs, SLDs and servers over the live window.
 func (s *Suite) birthSeries() *analytics.BirthSeries {
-	return analytics.BirthProcess(s.Live(), 4*time.Hour)
+	live := s.Live()
+	return analytics.BirthProcess(live.DB, live.Trace.Scenario.Duration, liveBin)
 }
 
 // domainTree builds the domain-structure tree of sld on US-3G, the data
@@ -166,12 +167,21 @@ func (s *Suite) Figure9() Report {
 
 // tagCloud scores the top 15 appspot.com tokens of the live window.
 func (s *Suite) tagCloud() []analytics.TagScore {
-	return analytics.TagCloud(s.Live().Flows, "appspot.com", 15)
+	return analytics.TagCloud(s.Live().DB, "appspot.com", 15)
 }
 
-// Figure10 renders the appspot tag cloud.
+// Figure10 renders the appspot tag cloud. Its metrics are the rank and
+// score of the best token naming a tracker (0 when none does).
 func (s *Suite) Figure10() Report {
-	return Report{Text: "Figure 10: appspot.com service tag cloud (top 15)\n  " + analytics.FormatTags(s.tagCloud()) + "\n"}
+	cloud := s.tagCloud()
+	var rank, score float64
+	if i := slices.IndexFunc(cloud, func(t analytics.TagScore) bool { return strings.Contains(t.Token, "tracker") }); i >= 0 {
+		rank, score = float64(i+1), cloud[i].Score
+	}
+	return Report{
+		Text:    "Figure 10: appspot.com service tag cloud (top 15)\n  " + analytics.FormatTags(cloud) + "\n",
+		Metrics: []Metric{{"tracker-rank", rank}, {"tracker-score", score}},
+	}
 }
 
 // Figure11 renders the tracker activity timeline.
@@ -184,9 +194,10 @@ func (s *Suite) Figure11() Report {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	days := s.Live().Scenario.Days
-	nBins := days * 6
+	nBins := int(s.Live().Trace.Scenario.Duration / liveBin)
+	most := 0
 	for _, id := range ids {
+		most = max(most, len(rep.Timeline[id]))
 		row := make([]byte, nBins)
 		for i := range row {
 			row[i] = '.'
@@ -198,7 +209,10 @@ func (s *Suite) Figure11() Report {
 		}
 		fmt.Fprintf(&b, "  %2d %s\n", id, row)
 	}
-	return Report{Text: b.String()}
+	return Report{Text: b.String(), Metrics: []Metric{
+		{"trackers", float64(len(ids))},
+		{"max-tracker-bins", float64(most)},
+	}}
 }
 
 // delayCDFs returns the first-flow and any-flow DNS-to-flow delay CDFs of

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flowdb"
 	"repro/internal/flows"
+	"repro/internal/orgdb"
 	"repro/internal/synth"
 )
 
@@ -37,14 +38,14 @@ type Suite struct {
 	Shards int
 
 	runs map[string]*ScenarioRun
-	live *synth.EventTrace
-	// LiveDays shortens the 18-day window for quick runs (0 = 18).
+	// LiveDays overrides the duration of the live window in days (0 keeps
+	// its 18).
 	LiveDays int
 	// tri caches the multi-vantage TRIVANTAGE ingestion (see
-	// crossvantage.go); triTraces keeps the generated traces in vantage
-	// order for their OrgDB sidecars.
-	tri       *core.MultiResult
-	triTraces []*synth.Trace
+	// crossvantage.go); triOrgs keeps each vantage's IP → organization
+	// table, in vantage order.
+	tri     *core.MultiResult
+	triOrgs []*orgdb.DB
 }
 
 // NewSuite creates a suite at the given scale (1.0 ≈ full laptop scale).
@@ -53,15 +54,25 @@ func NewSuite(scale float64, seed uint64) *Suite {
 }
 
 // Run returns the pipeline output for a named scenario, generating it on
-// first use.
+// first use. The trace's packets and ground-truth sidecar are dropped once
+// the engine has read them: the DB holds every flow's truth.
 func (s *Suite) Run(name string) *ScenarioRun {
 	if r, ok := s.runs[name]; ok {
 		return r
 	}
-	r := runTrace(synth.Generate(synth.NamedScenario(name, s.Scale, s.Seed)), core.EngineConfig{Shards: s.Shards})
+	sc := synth.NamedScenario(name, s.Scale, s.Seed)
+	if name == synth.NameLive && s.LiveDays > 0 {
+		sc.Duration = time.Duration(s.LiveDays) * 24 * time.Hour
+	}
+	r := runTrace(synth.Generate(sc), core.EngineConfig{Shards: s.Shards})
+	r.Trace.Packets, r.Trace.Truth = nil, nil
 	s.runs[name] = r
 	return r
 }
+
+// Live returns the run of the live window (synth.NameLive), the data behind
+// Figs. 6, 10, 11 and Table 8.
+func (s *Suite) Live() *ScenarioRun { return s.Run(synth.NameLive) }
 
 // runTrace runs tr through an engine built from cfg, recording DNS
 // response times in trace order.
@@ -83,28 +94,6 @@ func runTrace(tr *synth.Trace, cfg core.EngineConfig) *ScenarioRun {
 	run.DB = res.DB
 	run.Stats = res.Stats
 	return run
-}
-
-// Live returns the 18-day event-mode trace, generating it on first use.
-func (s *Suite) Live() *synth.EventTrace {
-	if s.live == nil {
-		sc := synth.DefaultLive18d(s.Seed)
-		if s.LiveDays > 0 {
-			sc.Days = s.LiveDays
-		}
-		if s.Scale < 1 {
-			sc.Clients = int(float64(sc.Clients) * s.Scale)
-			sc.SessionsPerDay = int(float64(sc.SessionsPerDay) * s.Scale)
-			if sc.Clients < 5 {
-				sc.Clients = 5
-			}
-			if sc.SessionsPerDay < 500 {
-				sc.SessionsPerDay = 500
-			}
-		}
-		s.live = synth.GenerateEvents(sc)
-	}
-	return s.live
 }
 
 // Table1 reproduces the dataset-description table: duration, peak DNS
@@ -263,17 +252,20 @@ func (s *Suite) Table7() Report {
 	return s.tagTable("Table 7: Keyword extraction, ephemeral ports", synth.NameUS3G, Table7Ports)
 }
 
-// appspot tracks the appspot services of the live window in 4-h bins:
-// the data behind Table 8 and Fig. 11.
+// liveBin is the time bin of the live-window figures.
+const liveBin = 4 * time.Hour
+
+// appspot tracks the appspot services of the live window: the data behind
+// Table 8 and Fig. 11.
 func (s *Suite) appspot() *analytics.AppspotReport {
-	return analytics.AppspotTracking(s.Live(), 4*time.Hour)
+	return analytics.AppspotTracking(s.Live().DB, liveBin)
 }
 
 // Table8 reproduces the appspot service mix from the live deployment.
 func (s *Suite) Table8() Report {
 	rep := s.appspot()
 	var b strings.Builder
-	b.WriteString("Table 8: Appspot services (event-mode live trace)\n")
+	b.WriteString("Table 8: Appspot services (live window)\n")
 	fmt.Fprintf(&b, "  %-22s %9s %8s %10s %10s\n", "Service type", "Services", "Flows", "C2S bytes", "S2C bytes")
 	fmt.Fprintf(&b, "  %-22s %9d %8d %10d %10d\n", "BitTorrent trackers",
 		rep.TrackerServices, rep.TrackerFlows, rep.TrackerC2S, rep.TrackerS2C)

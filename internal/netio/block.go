@@ -214,20 +214,14 @@ func (p *BlockPool) Stats() BlockPoolStats {
 // partial block).
 //
 // Writing a packet source: implement Next. Optionally add ReadBlock (bulk
-// reads), DataStable (buffers never reused, so no copy is needed), or — for
-// a source that frames straight into pooled blocks — ReadBlockRef. A wrapper
+// reads) or ReadBlockRef — for a source that frames straight into pooled
+// blocks, or one whose frames stay valid for its lifetime and so come with
+// a nil block (an in-memory replay). A wrapper
 // around another source implements Next and ReadBlockRef over a RefAdapter
 // of its inner source, never the optional methods: the adapter is the only
 // code that knows them.
 type BlockRefSource interface {
 	ReadBlockRef(dst []Packet) (n int, blk *Block, err error)
-}
-
-// StableSource marks a PacketSource whose Packet.Data slices stay valid for
-// the source's lifetime (no buffer reuse between reads). RefAdapter skips
-// the copy into pooled blocks for such sources.
-type StableSource interface {
-	DataStable() bool
 }
 
 // RefAdapter turns any PacketSource into a BlockRefSource, picking the
@@ -250,8 +244,7 @@ type RefAdapter struct {
 // whether the consumer keeps payloads past its next read (the sharded
 // engine's rings do; the single-shard pipeline does not).
 //
-// With retain, a source that already frames into blocks is delegated to,
-// a StableSource is read zero-copy (nil blocks), and anything else has each
+// With retain, a BlockRefSource is delegated to, and anything else has each
 // frame copied once into a pooled block, since its reuse contract forbids
 // keeping its buffers. Without retain nothing is ever copied and the pool is
 // never touched: frames are borrowed until the next read (nil blocks), and
@@ -267,8 +260,7 @@ func NewRefAdapter(src PacketSource, pool *BlockPool, retain bool) *RefAdapter {
 		a.ref = rs
 		return a
 	}
-	ss, ok := src.(StableSource)
-	a.copy = retain && !(ok && ss.DataStable())
+	a.copy = retain
 	return a
 }
 

@@ -99,9 +99,10 @@ func edgeFrames() [][]byte {
 	return frames
 }
 
-// TestRefAdapterStable: a StableSource's frames pass through zero-copy —
+// TestRefAdapterStable: a LoopSource's frames pass through zero-copy —
 // nil block, Data aliasing the source's own storage — with or without
-// retain, whatever their length.
+// retain, whatever their length: with retain through its ReadBlockRef,
+// without through its ReadBlock.
 func TestRefAdapterStable(t *testing.T) {
 	frames := edgeFrames()
 	for _, retain := range []bool{false, true} {

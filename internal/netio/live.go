@@ -23,9 +23,9 @@ import (
 // passes, or forever, adding a per-pass timestamp offset so time keeps
 // moving monotonically across passes — the run-forever input for soak
 // tests, and with one pass the replay of a synthetic trace. It implements
-// PacketSource, BlockSource and StableSource. Packet Data slices alias the
-// backing slice (zero copy), which the source never reuses or modifies, so
-// they stay valid for its lifetime.
+// PacketSource, BlockSource and BlockRefSource. Packet Data slices alias
+// the backing slice (zero copy), which the source never reuses or
+// modifies, so they stay valid for its lifetime.
 type LoopSource struct {
 	packets []Packet
 	period  time.Duration
@@ -81,9 +81,13 @@ func (l *LoopSource) Next() (Packet, error) {
 	return p, nil
 }
 
-// DataStable implements StableSource: Data aliases the backing slice,
-// which is never reused between reads.
-func (l *LoopSource) DataStable() bool { return true }
+// ReadBlockRef implements BlockRefSource: ReadBlock's frames with a nil
+// block, since they alias the backing slice, which the source never reuses
+// or modifies.
+func (l *LoopSource) ReadBlockRef(dst []Packet) (int, *Block, error) {
+	n, err := l.ReadBlock(dst)
+	return n, nil, err
+}
 
 // ReadBlock implements BlockSource. A block never spans a pass boundary,
 // so the per-packet offset fixup stays a single addition.

@@ -185,13 +185,11 @@ func TestReaderUnsupportedLinkType(t *testing.T) {
 }
 
 // TestLoopSourceDataStable: one pass replays the slice in order, then EOF,
-// and every frame aliases the backing slice, as DataStable promises.
+// and every frame aliases the backing slice, whether read by Next or by
+// ReadBlockRef, which vouches for that storage with a nil block.
 func TestLoopSourceDataStable(t *testing.T) {
 	pkts := []Packet{{Data: []byte{1}}, {Data: []byte{2}}}
 	s := NewLoopSource(pkts, 0, 1)
-	if !s.DataStable() {
-		t.Fatal("LoopSource does not declare DataStable")
-	}
 	for i := range pkts {
 		p, err := s.Next()
 		if err != nil {
@@ -203,6 +201,16 @@ func TestLoopSourceDataStable(t *testing.T) {
 	}
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
+	}
+	dst := make([]Packet, 4)
+	n, blk, err := NewLoopSource(pkts, 0, 1).ReadBlockRef(dst)
+	if n != len(pkts) || blk != nil || err != nil {
+		t.Fatalf("ReadBlockRef = (%d, %v, %v), want (%d, nil, nil)", n, blk, err, len(pkts))
+	}
+	for i := range pkts {
+		if &dst[i].Data[0] != &pkts[i].Data[0] {
+			t.Fatalf("block read: packet %d does not alias the backing slice", i)
+		}
 	}
 }
 
@@ -276,10 +284,6 @@ func (c *ChanPacketSource) Next() (Packet, error) {
 	}
 	return p, nil
 }
-
-// DataStable implements StableSource: the producer owns each packet's Data
-// and must not reuse it after sending (the documented channel contract).
-func (c *ChanPacketSource) DataStable() bool { return true }
 
 // ReadBlock implements BlockSource: one blocking receive, then whatever is
 // already queued, so a fast producer amortizes channel wakeups per block.

@@ -49,6 +49,10 @@ type Scenario struct {
 	// ServiceMix is the fraction of sessions hitting port-bound services
 	// instead of web pages.
 	ServiceMix float64
+	// AppspotShare of sessions contact appspot.com services: BitTorrent
+	// tracker announces and general web apps (the live window's Table 8
+	// and Figs. 10/11). Zero builds no appspot model and draws nothing.
+	AppspotShare float64
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -131,6 +135,7 @@ type generator struct {
 	orgs     []*Org
 	svcPick  *stats.WeightedChoice
 	services []*Service
+	appspot  *appspotModel // nil unless AppspotShare > 0
 
 	ldns    netip.Addr
 	diurnal stats.Diurnal
@@ -175,6 +180,9 @@ func newGenerator(sc Scenario) *generator {
 		g.trace.ServiceGT[s.Port] = s.GroundTruth
 	}
 	g.svcPick = stats.NewWeightedChoice(sw)
+	if sc.AppspotShare > 0 {
+		g.appspot = newAppspotModel(g.rng, sc.Duration)
+	}
 	return g
 }
 
@@ -262,6 +270,10 @@ func (g *generator) runClient(c *client) {
 
 // session generates one user action: a web page visit or a service contact.
 func (g *generator) session(c *client, at time.Duration) {
+	if g.appspot != nil && c.rng.Bool(g.sc.AppspotShare) {
+		g.appspotSession(c, at)
+		return
+	}
 	if c.rng.Bool(g.sc.ServiceMix) {
 		g.serviceSession(c, at)
 		return
@@ -407,6 +419,25 @@ func (g *generator) serviceSession(c *client, at time.Duration) {
 	provider := g.u.Providers[svc.Provider]
 	group := &HostGroup{Provider: svc.Provider, Servers: provider.Servers, Port: svc.Port}
 	g.resolveAndFetch(c, at, fqdn, nil, group, provider, true)
+}
+
+// appspotSession resolves one appspot.com service and opens one HTTP flow
+// to it: a tracker announce or a general app request.
+func (g *generator) appspotSession(c *client, at time.Duration) {
+	fqdn, kind := g.appspot.pick(c.rng, at)
+	if fqdn == "" {
+		return
+	}
+	group := &g.u.FindOrg("appspot.com").Groups[g.sc.Geo][0]
+	provider := g.u.Providers[group.Provider]
+	addrs := g.resolve(c, at, fqdn, group, provider)
+	if len(addrs) == 0 {
+		return
+	}
+	server := addrs[c.rng.Intn(len(addrs))]
+	if flowAt := at + g.flowDelay(c); flowAt < g.sc.Duration {
+		g.emitFlowKind(c, flowAt, server, 80, fqdn, provider, kind)
+	}
 }
 
 // tunnelSession opens a flow with no DNS visibility at all — HTTP/HTTPS

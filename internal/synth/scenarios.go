@@ -27,6 +27,11 @@ const (
 	// TriVantageScenarios and ingest the three traces through
 	// Engine.RunSources.
 	NameTriVantage = "TRIVANTAGE"
+	// NameLive is the 18-day live window of the paper's EU1 deployment
+	// (April 2012): the data behind Fig. 6's birth processes and the
+	// appspot analysis of Table 8 and Figs. 10/11. It is not one of the
+	// Table 1 captures.
+	NameLive = "LIVE"
 )
 
 // ScenarioNames lists the five Table 1 captures in paper order.
@@ -121,6 +126,17 @@ func NamedScenario(name string, scale float64, seed uint64) Scenario {
 			MobileFraction: 0.10, TunnelFraction: 0.01,
 			P2PFraction: 0.04, WarmCacheFraction: 0,
 			ServiceMix: 0.20, Seed: seed,
+		}
+	case NameLive:
+		// Web browsing plus appspot services only, at a per-client rate
+		// low enough that eighteen days of packets stay tractable.
+		return Scenario{
+			Name: name, Geo: GeoEU1,
+			Duration: 18 * 24 * time.Hour, StartHour: 0,
+			Clients: n(150), SessionRate: 2.5,
+			DelayMu: -1.5, DelaySigma: 1.0,
+			PrefetchFactor: 1, LatePrefetchProb: 0.05,
+			AppspotShare: 0.1, Seed: seed,
 		}
 	default:
 		panic("synth: unknown scenario " + name)

@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,37 +260,39 @@ func TestNamedScenarioUnknownPanics(t *testing.T) {
 	NamedScenario("nope", 1, 1)
 }
 
-func TestGenerateEventsShape(t *testing.T) {
-	sc := LiveScenario{Days: 2, Clients: 20, SessionsPerDay: 2000, Geo: GeoEU1, Seed: 5}
-	tr := GenerateEvents(sc)
-	if len(tr.Flows) < 500 {
-		t.Fatalf("too few flows: %d", len(tr.Flows))
+func TestLiveScenarioShape(t *testing.T) {
+	sc := NamedScenario(NameLive, 0.2, 5)
+	sc.Duration = 2 * 24 * time.Hour
+	tr := Generate(sc)
+	if tr.Flows < 500 || tr.DNSResponses == 0 {
+		t.Fatalf("flows=%d dns=%d", tr.Flows, tr.DNSResponses)
 	}
-	if len(tr.DNS) == 0 {
-		t.Fatal("no DNS events")
-	}
-	for i := 1; i < len(tr.Flows); i++ {
-		if tr.Flows[i].Start < tr.Flows[i-1].Start {
-			t.Fatal("flows unsorted")
+	var trackers, apps int
+	for _, fqdn := range tr.Truth {
+		switch {
+		case strings.HasPrefix(fqdn, "bt-tracker-"):
+			trackers++
+		case strings.HasPrefix(fqdn, "webapp-"):
+			apps++
 		}
 	}
-	// Every flow labeled with ground truth.
-	for _, f := range tr.Flows[:50] {
-		if !f.Labeled || f.Label == "" {
-			t.Fatalf("event-mode flow unlabeled: %+v", f)
-		}
-	}
-	if len(tr.TrackerIDs) == 0 {
-		t.Fatal("no appspot trackers observed")
+	// Trackers dominate the appspot sessions (Table 8).
+	if apps == 0 || trackers <= apps {
+		t.Fatalf("tracker flows %d, general app flows %d", trackers, apps)
 	}
 }
 
-func TestGenerateEventsDeterministic(t *testing.T) {
-	sc := LiveScenario{Days: 1, Clients: 10, SessionsPerDay: 1000, Geo: GeoEU1, Seed: 9}
-	a := GenerateEvents(sc)
-	b := GenerateEvents(sc)
-	if len(a.Flows) != len(b.Flows) || len(a.DNS) != len(b.DNS) {
-		t.Fatalf("non-deterministic event mode: %d/%d flows", len(a.Flows), len(b.Flows))
+func TestLiveScenarioDeterministic(t *testing.T) {
+	sc := NamedScenario(NameLive, 0.1, 9)
+	sc.Duration = 24 * time.Hour
+	a, b := Generate(sc), Generate(sc)
+	if len(a.Packets) != len(b.Packets) {
+		t.Fatalf("non-deterministic live window: %d/%d packets", len(a.Packets), len(b.Packets))
+	}
+	for i := range a.Packets {
+		if a.Packets[i].Timestamp != b.Packets[i].Timestamp || !bytes.Equal(a.Packets[i].Data, b.Packets[i].Data) {
+			t.Fatalf("packet %d differs", i)
+		}
 	}
 }
 

@@ -303,6 +303,8 @@ const (
 	kindTLS
 	kindService
 	kindBT
+	kindAnnounce // HTTP: a BitTorrent tracker announce, small response
+	kindApp      // HTTP: a general web app request, large response
 )
 
 // emitFlow opens one HTTP-or-TLS flow, choosing the port from the TLS coin
@@ -359,13 +361,13 @@ func (g *generator) emitFlowKind(c *client, at time.Duration, server netip.Addr,
 
 	var c2sPayload, s2cPayload []byte
 	switch kind {
-	case kindHTTP:
+	case kindHTTP, kindAnnounce, kindApp:
 		host := fqdn
 		if host == "" {
 			host = "direct-" + server.String()
 		}
 		g.c2s = fmt.Appendf(g.c2s[:0], "GET /r%d HTTP/1.1\r\nHost: %s\r\nUser-Agent: synth/1.0\r\n\r\n", c.rng.Intn(1000), host)
-		body := 200 + c.rng.Intn(2400)
+		body := httpBody(c.rng, kind)
 		g.s2c = fmt.Appendf(g.s2c[:0], "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", body)
 		g.s2c = append(g.s2c, make([]byte, body)...)
 		c2sPayload, s2cPayload = g.c2s, g.s2c
@@ -389,6 +391,17 @@ func (g *generator) emitFlowKind(c *client, at time.Duration, server netip.Addr,
 	send(true, layers.TCPFin|layers.TCPAck, uint32(1+len(c2sPayload)), uint32(1+len(s2cPayload)), nil)
 	t += rtt / 2
 	send(false, layers.TCPFin|layers.TCPAck, uint32(1+len(s2cPayload)), uint32(2+len(c2sPayload)), nil)
+}
+
+// httpBody draws the size of an HTTP response body for a flow of kind.
+func httpBody(rng *stats.RNG, kind flowKind) int {
+	switch kind {
+	case kindAnnounce:
+		return 100 + rng.Intn(400)
+	case kindApp:
+		return 4000 + rng.Intn(28000)
+	}
+	return 200 + rng.Intn(2400)
 }
 
 // rttMillis samples a round-trip time from the scenario's access profile.
