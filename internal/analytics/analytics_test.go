@@ -301,6 +301,29 @@ func TestReverseLookupCompare(t *testing.T) {
 	}
 }
 
+// TestReverseLookupCompareRowOrder: a server's label is that of its
+// earliest-starting labeled flow, ties to the lower flow key, whatever
+// order the rows were added in (a sharded run merges them differently).
+func TestReverseLookupCompareRowOrder(t *testing.T) {
+	fs := []flowdb.LabeledFlow{
+		mkFlow("10.0.0.1", "1.1.1.1", 80, "", flows.L7HTTP, 0),
+		mkFlow("10.0.0.9", "1.1.1.1", 80, "late.x.com", flows.L7HTTP, 2*time.Second),
+		mkFlow("10.0.0.5", "1.1.1.1", 80, "www.x.com", flows.L7HTTP, time.Second),
+		mkFlow("10.0.0.2", "1.1.1.1", 80, "tie.y.com", flows.L7HTTP, time.Second),
+	}
+	zone := map[netip.Addr]string{netip.MustParseAddr("1.1.1.1"): "tie.y.com"}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 2, 0, 3}} {
+		db := flowdb.New()
+		for _, i := range order {
+			db.Add(fs[i])
+		}
+		res := ReverseLookupCompare(db, zone, 10, stats.NewRNG(1))
+		if res.Total != 1 || res.Counts[MatchExact] != 1 {
+			t.Fatalf("order %v: %+v, want the exact match of 10.0.0.2's label", order, res)
+		}
+	}
+}
+
 func TestCertCompare(t *testing.T) {
 	mk := func(label string, cert string, has bool) flowdb.LabeledFlow {
 		f := mkFlow("10.0.0.1", "1.1.1.1", 443, label, flows.L7TLS, 0)

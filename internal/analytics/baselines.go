@@ -1,10 +1,12 @@
 package analytics
 
 import (
+	"cmp"
 	"maps"
 	"net/netip"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/flowdb"
 	"repro/internal/flows"
@@ -83,17 +85,22 @@ func classifyNames(label, answer string) MatchClass {
 func ReverseLookupCompare(db *flowdb.DB, zone map[netip.Addr]string, n int, rng *stats.RNG) CompareResult {
 	res := CompareResult{Counts: make(map[MatchClass]int)}
 	// Every distinct server address, labeled or not, with the label of its
-	// first labeled flow.
+	// earliest-starting labeled flow, ties to the lower flow key: the pick
+	// must not depend on row order, which differs with the shard count.
 	type firstLabel struct {
 		label   string
 		labeled bool
+		start   time.Duration
+		key     flows.Key
 	}
 	labels := make(map[netip.Addr]firstLabel)
 	var f flowdb.LabeledFlow
 	for i := range db.Len() {
 		db.Load(i, &f)
-		if l, ok := labels[f.Key.ServerIP]; !ok || !l.labeled && f.Labeled {
-			labels[f.Key.ServerIP] = firstLabel{f.Label, f.Labeled}
+		l, ok := labels[f.Key.ServerIP]
+		if !ok || f.Labeled && (!l.labeled || f.Start < l.start ||
+			f.Start == l.start && compareClientSide(f.Key, l.key) < 0) {
+			labels[f.Key.ServerIP] = firstLabel{f.Label, f.Labeled, f.Start, f.Key}
 		}
 	}
 	servers := slices.SortedFunc(maps.Keys(labels), netip.Addr.Compare)
@@ -111,6 +118,13 @@ func ReverseLookupCompare(db *flowdb.DB, zone map[netip.Addr]string, n int, rng 
 		res.Total++
 	}
 	return res
+}
+
+// compareClientSide orders the keys of two flows to one server address by
+// their other fields.
+func compareClientSide(a, b flows.Key) int {
+	return cmp.Or(a.ClientIP.Compare(b.ClientIP), cmp.Compare(a.ClientPort, b.ClientPort),
+		cmp.Compare(a.ServerPort, b.ServerPort), cmp.Compare(a.Proto, b.Proto))
 }
 
 // CertCompare reproduces Table 4 over every TLS flow DN-Hunter labeled:

@@ -77,6 +77,16 @@ func TestTable3Shape(t *testing.T) {
 	}
 }
 
+// TestTable3ShardInvariant: T3 labels each sampled server from its flows,
+// not from their row order, so its text is the same at any shard count.
+func TestTable3ShardInvariant(t *testing.T) {
+	one, four := NewSuite(0.2, 1), NewSuite(0.2, 1)
+	four.Shards = 4
+	if a, b := one.Table3().Text, four.Table3().Text; a != b {
+		t.Fatalf("T3 at 1 shard:\n%s\nat 4 shards:\n%s", a, b)
+	}
+}
+
 func TestTable4Shape(t *testing.T) {
 	// Paper: exact 18%, generic 19%, different 40%, none 23% — certificate
 	// inspection resolves a minority of flows exactly.

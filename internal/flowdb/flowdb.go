@@ -42,14 +42,14 @@ type LabeledFlow struct {
 }
 
 // row is a flow as a DB stores it: fixed-size and pointer-free, so the GC
-// never scans a chunk. Strings are IDs into the DB's name table, addresses
-// their 16-byte form plus a word of family and zone ID (putAddr), and
-// the five booleans one flags byte. A row has no SLD: that is a property
-// of its label's ID (names.Table.DeriveSLD). TestRowLayout pins the size and the
+// never scans a chunk. Strings are IDs into the DB's name table; an IPv4
+// address is stored inline and an IPv6 one as an index into the DB's IPv6
+// log (putAddr), its family a flag; the five booleans and the two family
+// bits share one flags byte. A row has no SLD: that is a property of its
+// label's ID (names.Table.DeriveSLD). TestRowLayout pins the size and the
 // absence of pointers.
 type row struct {
-	client, server         [16]byte
-	clientAddr, serverAddr uint32 // address words (putAddr)
+	client, server         uint32 // address words (putAddr)
 	start, end, dnsDelay   int64
 	pktsC2S, pktsS2C       uint64
 	bytesC2S, bytesS2C     uint64
@@ -70,10 +70,12 @@ const (
 	flagLabeled
 	flagPreFlow
 	flagFirstAfterDNS
+	flagClient4 // client is an inline IPv4 address
+	flagServer4 // server is an inline IPv4 address
 )
 
-// chunkLen is the number of rows per storage chunk. 1024 rows of 128 B fill
-// whole 8 KiB pages (16 of them), so a chunk wastes nothing to size-class
+// chunkLen is the number of rows per storage chunk. 1024 rows of 96 B fill
+// whole 8 KiB pages (12 of them), so a chunk wastes nothing to size-class
 // rounding; TestChunkFillsPages pins that.
 const chunkLen = 1024
 
@@ -82,9 +84,9 @@ const chunkLen = 1024
 // Flows live in a log of fixed-size chunks of compact rows: every chunk is
 // full except the last, and no chunk is ever regrown, moved or copied. Add
 // encodes one row into the last chunk (plus one chunk allocation every
-// chunkLen flows), filing its strings in the DB's name table; reads decode
-// rows back into LabeledFlow values (Load, At, All). A query is a scan:
-// the DB keeps no index.
+// chunkLen flows), filing its strings in the DB's name table and its IPv6
+// addresses in the DB's IPv6 log; reads decode rows back into LabeledFlow
+// values (Load, At, All). A query is a scan: the DB keeps no index.
 //
 // Add, Merge and Reset are not safe for concurrent use with anything.
 // Reads (Len, Load, At, All, Coverage, WriteCSV) write nothing, so once
@@ -97,6 +99,8 @@ type DB struct {
 	// n is the row count.
 	n     int
 	names names.Table
+	// v6 is the IPv6 log: the addresses of the rows' IPv6 address words.
+	v6 []addr6
 	// remapIDs is Merge's scratch: the ID each name of a merged DB takes.
 	remapIDs []uint32
 }
@@ -123,11 +127,18 @@ func idOr(n *names.Table, s, known string, knownID uint32) uint32 {
 	return n.ID(s)
 }
 
-// encode stores f in r, filing its strings in the name table.
+// encode stores f in r, filing its strings in the name table and its IPv6
+// addresses in the IPv6 log.
 func (db *DB) encode(r *row, f *LabeledFlow) {
 	n := &db.names
-	r.client, r.clientAddr = putAddr(n, f.Key.ClientIP)
-	r.server, r.serverAddr = putAddr(n, f.Key.ServerIP)
+	var fl uint8
+	var is4 bool
+	if r.client, is4 = db.putAddr(f.Key.ClientIP); is4 {
+		fl |= flagClient4
+	}
+	if r.server, is4 = db.putAddr(f.Key.ServerIP); is4 {
+		fl |= flagServer4
+	}
 	r.start, r.end, r.dnsDelay = int64(f.Start), int64(f.End), int64(f.DNSDelay)
 	r.pktsC2S, r.pktsS2C = f.PktsC2S, f.PktsS2C
 	r.bytesC2S, r.bytesS2C = f.BytesC2S, f.BytesS2C
@@ -140,7 +151,6 @@ func (db *DB) encode(r *row, f *LabeledFlow) {
 	r.certName, r.vantage = n.ID(f.CertName), n.ID(f.Vantage)
 	r.clientPort, r.serverPort = f.Key.ClientPort, f.Key.ServerPort
 	r.proto, r.l7, r.state = f.Key.Proto, f.L7, f.State
-	var fl uint8
 	if f.SawSYN {
 		fl |= flagSawSYN
 	}
@@ -170,8 +180,8 @@ func (db *DB) Load(i int, f *LabeledFlow) {
 	n := &db.names
 	r := db.row(i)
 	f.Key = flows.Key{
-		ClientIP:   getAddr(n, r.client, r.clientAddr),
-		ServerIP:   getAddr(n, r.server, r.serverAddr),
+		ClientIP:   db.getAddr(r.client, r.flags&flagClient4 != 0),
+		ServerIP:   db.getAddr(r.server, r.flags&flagServer4 != 0),
 		ClientPort: r.clientPort,
 		ServerPort: r.serverPort,
 		Proto:      r.proto,
@@ -214,21 +224,38 @@ func (db *DB) row(i int) *row {
 // Merge appends every flow of the others into db, in argument order, so
 // merging shards 0..N-1 is deterministic for a fixed shard count. Each
 // source's names are filed in db's table with one lookup per distinct
-// name; its rows are then copied chunk by chunk, their IDs rewritten only
-// when the two tables number names differently.
+// name, and its IPv6 log is appended to db's; its rows are then copied
+// chunk by chunk, their IDs rewritten only when the two tables number
+// names differently, and their IPv6 log indices only when db's log held
+// addresses before.
 func (db *DB) Merge(others ...*DB) {
 	for _, o := range others {
-		n := o.n // read once: merging a DB into itself appends one copy
+		// Read once: merging a DB into itself appends one copy.
+		n, m := o.n, len(o.v6)
 		ids, same := db.names.Remap(&o.names, db.remapIDs)
 		db.remapIDs = ids
+		base := uint32(len(db.v6))
+		db.v6 = append(db.v6, o.v6[:m]...)
+		if !same {
+			added := db.v6[base:]
+			for i := range added {
+				added[i].zone = ids[added[i].zone]
+			}
+		}
+		rebase := base != 0 && m != 0
 		for lo := 0; lo < n; lo += chunkLen {
 			src := o.chunks[lo/chunkLen][:min(chunkLen, n-lo)]
 			for len(src) > 0 {
 				dst := db.tail()
 				k := copy(dst, src)
-				if !same {
+				if !same || rebase {
 					for i := range dst[:k] {
-						dst[i].remap(ids)
+						if !same {
+							dst[i].remap(ids)
+						}
+						if rebase {
+							dst[i].rebase(base)
+						}
 					}
 				}
 				db.n += k
@@ -240,22 +267,21 @@ func (db *DB) Merge(others ...*DB) {
 
 // remap rewrites r's name IDs through ids (names.Table.Remap).
 func (r *row) remap(ids []uint32) {
-	r.clientAddr = remapAddr(r.clientAddr, ids)
-	r.serverAddr = remapAddr(r.serverAddr, ids)
 	r.label, r.truth = ids[r.label], ids[r.truth]
 	r.httpHost, r.sni = ids[r.httpHost], ids[r.sni]
 	r.certName, r.vantage = ids[r.certName], ids[r.vantage]
 }
 
-// Reset empties the database for reuse. It keeps its chunks and the name
-// table's storage, so a steady-state consumer (the windowed store rotating
-// partitions) stops allocating once its high-water mark is reached. Rows
-// hold no pointers and need no zeroing; emptying the name table is what
-// releases the old flows' strings, now rather than when a later window
-// overwrites them. Not safe for concurrent use, like Add.
+// Reset empties the database for reuse. It keeps its chunks, its IPv6 log
+// and the name table's storage, so a steady-state consumer (the windowed
+// store rotating partitions) stops allocating once its high-water mark is
+// reached. Rows hold no pointers and need no zeroing; emptying the name
+// table is what releases the old flows' strings, now rather than when a
+// later window overwrites them. Not safe for concurrent use, like Add.
 func (db *DB) Reset() {
 	db.n = 0
 	db.names.Reset()
+	db.v6 = db.v6[:0]
 }
 
 // Len returns the number of flows stored.

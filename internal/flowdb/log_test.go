@@ -180,3 +180,36 @@ func TestChunkFillsPages(t *testing.T) {
 			chunkLen, unsafe.Sizeof(row{}), size, page-size%page)
 	}
 }
+
+// BenchmarkAddLoad adds one flow and loads it back per op, on a DB reset
+// every chunkLen flows so it stays in one chunk and allocates nothing once
+// warm. B/row is the heap a full chunk of such flows holds per flow: its
+// row plus its share of the IPv6 log.
+func BenchmarkAddLoad(b *testing.B) {
+	for _, tc := range []struct{ name, client, server string }{
+		{"ipv4", "10.0.0.1", "192.0.2.1"},
+		{"ipv6", "2001:db8::1", "2001:db8:1::2"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			f := lf("www.example.com", tc.server, 443, flows.L7TLS, time.Second)
+			f.Key.ClientIP = netip.MustParseAddr(tc.client)
+			db := New()
+			for range chunkLen {
+				db.Add(f)
+			}
+			held := uintptr(len(db.chunks))*unsafe.Sizeof([chunkLen]row{}) +
+				uintptr(cap(db.v6))*unsafe.Sizeof(addr6{})
+			b.ReportAllocs()
+			var out LabeledFlow
+			b.ResetTimer()
+			for i := range b.N {
+				if i%chunkLen == 0 {
+					db.Reset()
+				}
+				db.Add(f)
+				db.Load(i%chunkLen, &out)
+			}
+			b.ReportMetric(float64(held)/chunkLen, "B/row")
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package flowdb
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
 	"reflect"
@@ -13,13 +14,13 @@ import (
 	"repro/internal/stats"
 )
 
-// TestRowLayout: a stored flow is at most 136 B and holds no pointer, so
+// TestRowLayout: a stored flow is at most 96 B and holds no pointer, so
 // the GC never scans a chunk. The walk covers nested arrays and structs,
 // so a string or netip.Addr (its zone is a pointer) slipped into row in
 // any form fails here.
 func TestRowLayout(t *testing.T) {
-	if size := unsafe.Sizeof(row{}); size > 136 {
-		t.Fatalf("row is %d B, want <= 136", size)
+	if size := unsafe.Sizeof(row{}); size > 96 {
+		t.Fatalf("row is %d B, want <= 96", size)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -201,4 +202,92 @@ func (db *DB) filed(s string) bool {
 		}
 	}
 	return false
+}
+
+// mergeFlow is the i-th flow of FuzzMergeRoundTrip: kind's low two bits
+// pick the client's form and the next two the server's (IPv4, IPv6, IPv6
+// with a zone, the zero Addr), and its label and zone vary with i so the
+// DBs below number names differently.
+func mergeFlow(kind byte, i int) LabeledFlow {
+	addr := func(form byte) netip.Addr {
+		switch form & 3 {
+		case 0:
+			return netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), form})
+		case 1:
+			return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 8: byte(i >> 8), 9: byte(i), 15: form})
+		case 2:
+			return netip.AddrFrom16([16]byte{0xfe, 0x80, 8: byte(i >> 8), 9: byte(i), 15: form}).
+				WithZone(fmt.Sprintf("eth%d", i%3))
+		}
+		return netip.Addr{}
+	}
+	f := LabeledFlow{
+		Record: flows.Record{
+			Key: flows.Key{
+				ClientIP: addr(kind), ServerIP: addr(kind >> 2),
+				ClientPort: uint16(i), ServerPort: 443, Proto: layers.IPProtocolTCP,
+			},
+			Start: time.Duration(i), End: time.Duration(i + 1),
+		},
+		Label:   fmt.Sprintf("h%d.example", (i*7+int(kind))%5),
+		Labeled: kind&16 != 0,
+	}
+	f.Truth = f.Label
+	return f
+}
+
+// FuzzMergeRoundTrip: Merge keeps every row's addresses, whose IPv6 forms
+// live in each DB's IPv6 log. The input deals IPv4 rows, IPv6 rows with
+// and without a zone, and zero-Addr rows into three DBs, which are merged
+// in every order into a fresh DB, into a Reset DB that held IPv6 rows and
+// into a DB holding IPv6 rows already, and then into themselves; every
+// merged row must decode to the flow that was added.
+func FuzzMergeRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x01, 0x02})
+	f.Add([]byte{0x05, 0x0a, 0x0f, 0x16, 0x1b, 0x0c, 0x03, 0x30, 0x31, 0x32})
+	f.Add([]byte{0xff, 0x5a, 0x96, 0x27, 0x48, 0xe1, 0x7c, 0x13, 0x66, 0x81, 0x9d, 0x42})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lists [3][]LabeledFlow
+		for i, b := range data {
+			lists[i%3] = append(lists[i%3], mergeFlow(b, i))
+		}
+		add := func(db *DB, fs ...LabeledFlow) *DB {
+			for _, f := range fs {
+				db.Add(f)
+			}
+			return db
+		}
+		// v6 is a few rows with IPv6 addresses at both ends, some zoned.
+		v6 := []LabeledFlow{mergeFlow(0x05, 1000), mergeFlow(0x0a, 1001), mergeFlow(0x06, 1002)}
+		dsts := []struct {
+			name string
+			new  func() (*DB, []LabeledFlow)
+		}{
+			{"fresh", func() (*DB, []LabeledFlow) { return New(), nil }},
+			{"reset", func() (*DB, []LabeledFlow) {
+				db := add(New(), v6...)
+				db.Reset()
+				return db, nil
+			}},
+			{"filled", func() (*DB, []LabeledFlow) {
+				return add(New(), v6...), append([]LabeledFlow(nil), v6...)
+			}},
+		}
+		for _, p := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			for _, d := range dsts {
+				dst, want := d.new()
+				srcs := make([]*DB, 3)
+				for k, i := range p {
+					srcs[k] = add(New(), lists[i]...)
+					want = append(want, lists[i]...)
+				}
+				what := fmt.Sprintf("%s dst, order %v", d.name, p)
+				dst.Merge(srcs...)
+				checkFlows(t, what, dst, want)
+				dst.Merge(dst)
+				checkFlows(t, what+", self-Merge", dst, append(want, want...))
+			}
+		}
+	})
 }

@@ -89,10 +89,10 @@ func (r *Resolver) Snapshot() []SnapshotEntry {
 		// All of an entry's nodes share one client: they are linked only by
 		// the Insert call that created the entry.
 		node := r.flat.nodes.At(e.refs)
-		se := SnapshotEntry{Client: node.key.clientAddr(), FQDN: r.names.Str(e.FQDN), At: e.At, Used: e.Used}
+		se := SnapshotEntry{Client: node.clientAddr(), FQDN: r.names.Str(e.FQDN), At: e.At, Used: e.Used}
 		k := 0
 		for {
-			servers[k] = node.key.serverAddr()
+			servers[k] = node.serverAddr()
 			if k++; node.next == e.refs {
 				break
 			}

@@ -125,7 +125,7 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 			}
 			n := ft.nodes.At(slot)
 			named[n.entry]++
-			for c := n.older; c != noSlot; c = r.hist.At(c).next {
+			for c := r.head(slot); c != noSlot; c = r.hist.At(c).next {
 				named[r.hist.At(c).entry]++
 			}
 		}

@@ -288,7 +288,7 @@ func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
 	}
 	n := ft.nodes.At(slot)
 	out := []string{r.names.Str(r.entries.At(n.entry).FQDN)}
-	for c := n.older; c != noSlot; c = r.hist.At(c).next {
+	for c := r.head(slot); c != noSlot; c = r.hist.At(c).next {
 		out = append(out, r.names.Str(r.entries.At(r.hist.At(c).entry).FQDN))
 	}
 	return out

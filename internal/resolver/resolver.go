@@ -6,7 +6,7 @@
 // to the map keys pointing at it make eviction O(refs) with no garbage
 // collection pass, exactly as the paper describes; here they are prev/next
 // links threaded through the key nodes themselves, so eviction walks an
-// entry's nodes by slot and never re-hashes a key.
+// entry's nodes by slot and never probes for a key.
 //
 // An entry whose every key was re-pointed by a newer response (lines 11–15),
 // and which no history cell holds, can never be returned by LOOKUP again. It
@@ -97,22 +97,24 @@ type pairKey struct {
 	v4             uint8 // bit 0: client is IPv4; bit 1: server is IPv4
 }
 
-func (k pairKey) clientAddr() netip.Addr { return k.client.Addr(k.v4&1 != 0) }
-func (k pairKey) serverAddr() netip.Addr { return k.server.Addr(k.v4&2 != 0) }
-
-// pairNode is one flat-table node: its key and cached hash, the slot of its
-// current entry, its links on that entry's back-reference list, and its
-// newest history cell. Nodes live in a slab addressed by the uint32 slots of
-// the swiss index and hold no pointer, so the GC never scans them; slots are
-// recycled on remove, so cross-statement references use slots, never
-// *pairNode.
+// pairNode is one flat-table node: its key's fields, flattened so the
+// family byte packs beside the links, the slot of its current entry and its
+// links on that entry's back-reference list. It caches no hash: hashOf
+// recomputes it from the key, which the probe that found the node has read
+// already. A node's newest history cell lives in Resolver.older, so a
+// resolver without history pays nothing for it. Nodes live in a slab
+// addressed by the uint32 slots of the swiss index and hold no pointer, so
+// the GC never scans them; slots are recycled on remove, so cross-statement
+// references use slots, never *pairNode.
 type pairNode struct {
-	key        pairKey
-	hash       uint64
-	entry      uint32
-	prev, next uint32 // back-reference links; prev is noSlot when unlinked
-	older      uint32 // newest history cell, or noSlot
+	client, server swiss.Addr16
+	entry          uint32
+	prev, next     uint32 // back-reference links; prev is noSlot when unlinked
+	v4             uint8  // pairKey.v4
 }
+
+func (n *pairNode) clientAddr() netip.Addr { return n.client.Addr(n.v4&1 != 0) }
+func (n *pairNode) serverAddr() netip.Addr { return n.server.Addr(n.v4&2 != 0) }
 
 // histCell is one history entry of a node (Config.History); a node's cells
 // form a list, newest first.
@@ -146,10 +148,17 @@ func (t *pairTable) key(k *pairKey, client, server netip.Addr) uint64 {
 	if server.Is4() {
 		k.v4 |= 2
 	}
-	return swiss.Hash128(swiss.Hash128(t.seed, k.client.Lo, k.client.Hi), k.server.Lo, k.server.Hi)
+	return t.hash(k.client, k.server)
 }
 
-func (t *pairTable) hashOf(slot uint32) uint64 { return t.nodes.At(slot).hash }
+func (t *pairTable) hash(client, server swiss.Addr16) uint64 {
+	return swiss.Hash128(swiss.Hash128(t.seed, client.Lo, client.Hi), server.Lo, server.Hi)
+}
+
+func (t *pairTable) hashOf(slot uint32) uint64 {
+	n := t.nodes.At(slot)
+	return t.hash(n.client, n.server)
+}
 
 // find returns the node slot for k, or noSlot. It compares the key field
 // by field: == on the whole struct would call memequal.
@@ -157,7 +166,7 @@ func (t *pairTable) find(k *pairKey, h uint64) uint32 {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
 			s := p.Slot(m)
-			if n := &t.nodes.At(s).key; n.client == k.client && n.server == k.server && n.v4 == k.v4 {
+			if n := t.nodes.At(s); n.client == k.client && n.server == k.server && n.v4 == k.v4 {
 				return s
 			}
 		}
@@ -168,16 +177,16 @@ func (t *pairTable) find(k *pairKey, h uint64) uint32 {
 }
 
 // insert creates an unlinked node for k → entry and returns its slot.
-func (t *pairTable) insert(k pairKey, h uint64, entry uint32) uint32 {
+func (t *pairTable) insert(k *pairKey, h uint64, entry uint32) uint32 {
 	slot := t.nodes.Alloc()
-	*t.nodes.At(slot) = pairNode{key: k, hash: h, entry: entry, prev: noSlot, next: noSlot, older: noSlot}
+	*t.nodes.At(slot) = pairNode{client: k.client, server: k.server, v4: k.v4, entry: entry, prev: noSlot, next: noSlot}
 	t.idx.Insert(h, slot, t.hashOf)
 	return slot
 }
 
 // remove erases the key at slot from the index and recycles the node.
 func (t *pairTable) remove(slot uint32) {
-	t.idx.Delete(t.nodes.At(slot).hash, slot)
+	t.idx.Delete(t.hashOf(slot), slot)
 	t.nodes.Free(slot)
 }
 
@@ -190,6 +199,9 @@ type Resolver struct {
 	flat    *pairTable
 	entries swiss.Slab[Entry]
 	hist    swiss.Slab[histCell]
+	// older holds each node's newest history cell, or noSlot, by node
+	// slot; nil when Config.History is 0.
+	older []uint32
 	// clist holds entry slots, or noSlot for a tombstone: the place of an
 	// entry freed once superseded. It grows on demand up to cfg.ClistSize
 	// and only then behaves as a ring. The FIFO semantics are identical to
@@ -262,7 +274,15 @@ func (r *Resolver) InsertID(clientIP netip.Addr, fqdn uint32, servers []netip.Ad
 		h := ft.key(&k, clientIP, serverIP)
 		slot := ft.find(&k, h)
 		if slot == noSlot {
-			slot = ft.insert(k, h, es)
+			slot = ft.insert(&k, h, es)
+			if r.cfg.History > 0 {
+				// A fresh node slot is the next index, a reused one below it.
+				if int(slot) == len(r.older) {
+					r.older = append(r.older, noSlot)
+				} else {
+					r.older[slot] = noSlot
+				}
+			}
 		} else {
 			// Replace the old reference (Algorithm 1, lines 11–15): the old
 			// entry loses this node; optionally it is retained as history.
@@ -271,7 +291,7 @@ func (r *Resolver) InsertID(clientIP netip.Addr, fqdn uint32, servers []netip.Ad
 			old := n.entry
 			r.unlink(slot)
 			if r.cfg.History > 0 && r.entries.At(old).FQDN != fqdn {
-				r.pushHistory(n, old)
+				r.pushHistory(slot, old)
 			} else {
 				r.release(old)
 			}
@@ -334,12 +354,12 @@ func (r *Resolver) unlink(slot uint32) {
 	n.prev, n.next = noSlot, noSlot
 }
 
-// pushHistory files old as n's newest history entry and drops the cell
-// beyond Config.History, if any.
-func (r *Resolver) pushHistory(n *pairNode, old uint32) {
+// pushHistory files old as the newest history entry of the node at slot
+// and drops the cell beyond Config.History, if any.
+func (r *Resolver) pushHistory(slot, old uint32) {
 	c := r.hist.Alloc()
-	*r.hist.At(c) = histCell{entry: old, next: n.older}
-	n.older = c
+	*r.hist.At(c) = histCell{entry: old, next: r.older[slot]}
+	r.older[slot] = c
 	for i := 1; i < r.cfg.History; i++ {
 		if c = r.hist.At(c).next; c == noSlot {
 			return
@@ -351,6 +371,14 @@ func (r *Resolver) pushHistory(n *pairNode, old uint32) {
 		r.release(r.hist.At(drop).entry)
 		r.hist.Free(drop)
 	}
+}
+
+// head returns the newest history cell of the node at slot, or noSlot.
+func (r *Resolver) head(slot uint32) uint32 {
+	if r.cfg.History == 0 {
+		return noSlot
+	}
+	return r.older[slot]
 }
 
 // release drops one name of the entry at slot s and recycles the slot when
@@ -387,17 +415,17 @@ func (r *Resolver) evict(s uint32) {
 		slot := e.refs
 		r.unlink(slot)
 		r.release(s)
-		n := ft.nodes.At(slot)
-		if n.older == noSlot {
+		c := r.head(slot)
+		if c == noSlot {
 			ft.remove(slot)
 			r.stats.EvictedRefs++
 			continue
 		}
 		// The promoted entry stays off the node's back-reference list: it
 		// lost its link when it was replaced.
-		h := *r.hist.At(n.older)
-		r.hist.Free(n.older)
-		n.entry, n.older = h.entry, h.next
+		h := *r.hist.At(c)
+		r.hist.Free(c)
+		ft.nodes.At(slot).entry, r.older[slot] = h.entry, h.next
 	}
 	r.release(s) // the Clist's name
 }
