@@ -260,8 +260,8 @@ func (h *DNHunter) onNewFlow(key flows.Key, at time.Duration, sawSYN bool, hd fl
 	tg := h.table.Tag(hd)
 	if e, ok := h.res.LookupEntry(key.ClientIP, key.ServerIP); ok {
 		*tg = flows.Tag{Label: e.FQDN, DNSAt: e.At, Hit: true, PreFlow: sawSYN}
-		if !e.Used {
-			e.Used = true
+		if !e.Used() {
+			e.SetUsed()
 			tg.FirstUse = true
 			h.stats.UsedEntries++
 		}

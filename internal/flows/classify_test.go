@@ -415,16 +415,18 @@ func TestSettledFirstSegmentNotCopied(t *testing.T) {
 
 // TestEntryLayout pins the recency entries of the flow table and of the
 // Tracker: each holds no pointer, so the GC never scans their slabs, and
-// keeps its size, which sets the bytes a live flow costs. The walk covers
-// nested arrays and structs, so a string or netip.Addr (its zone is a
-// pointer) slipped into either in any form fails here.
+// keeps its size, which sets the bytes a live flow costs. A flow table
+// entry is 128 B, so a 256-entry slab chunk is exactly one 32 KiB size
+// class. The walk covers nested arrays and structs, so a string or
+// netip.Addr (its zone is a pointer) slipped into either in any form fails
+// here.
 func TestEntryLayout(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
 		size uintptr
 	}{
-		{reflect.TypeOf(entry[flow]{}), 152},
-		{reflect.TypeOf(entry[route]{}), 72},
+		{reflect.TypeOf(entry[flow]{}), 128},
+		{reflect.TypeOf(entry[route]{}), 48},
 	} {
 		if c.typ.Size() != c.size {
 			t.Errorf("%v is %d B, want %d", c.typ, c.typ.Size(), c.size)

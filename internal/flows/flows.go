@@ -317,7 +317,7 @@ func (t *Table) Add(d *layers.Decoded, at time.Duration, onNew NewFlowFunc) {
 	if !d.HasTCP && !d.HasUDP {
 		return
 	}
-	var key packedKey
+	var key probeKey
 	h, slot, c2s := t.orient(d, t.cfg.ClientNets, &key)
 	t.addOriented(&key, h, slot, c2s, d.HasTCP, d.TCPFlags, d.Payload, at, onNew)
 }
@@ -347,7 +347,7 @@ type OrientedPacket struct {
 // orientation hoisted to the caller; the two are behaviorally identical
 // when the caller's key/direction mirror Add's decision.
 func (t *Table) AddOriented(p *OrientedPacket, at time.Duration, onNew NewFlowFunc) {
-	var key packedKey
+	var key probeKey
 	key.set(p.Key.ClientIP, p.Key.ServerIP, p.Key.ClientPort, p.Key.ServerPort, p.Key.Proto)
 	h := p.Hash
 	if h == 0 {
@@ -358,7 +358,7 @@ func (t *Table) AddOriented(p *OrientedPacket, at time.Duration, onNew NewFlowFu
 
 // addOriented is the shared post-orientation half of Add. slot is the
 // flow's slab slot when it already exists, else noIdx.
-func (t *Table) addOriented(key *packedKey, h uint64, slot uint32, c2s, hasTCP bool, flags layers.TCPFlags, payload []byte, at time.Duration, onNew NewFlowFunc) {
+func (t *Table) addOriented(key *probeKey, h uint64, slot uint32, c2s, hasTCP bool, flags layers.TCPFlags, payload []byte, at time.Duration, onNew NewFlowFunc) {
 	t.stats.Packets++
 	if slot == noIdx {
 		slot = t.add(key, h)
@@ -401,7 +401,7 @@ func (t *Table) addOriented(key *packedKey, h uint64, slot uint32, c2s, hasTCP b
 // capture classifies or inspects a flow's payload in its direction while
 // anything can still read it, copying the bytes into the flow's prefix only
 // when a later segment must be read with them.
-func (t *Table) capture(f *flow, key *packedKey, payload []byte, c2s bool) {
+func (t *Table) capture(f *flow, key *probeKey, payload []byte, c2s bool) {
 	if c2s {
 		if f.classified {
 			return
@@ -470,7 +470,7 @@ func (t *Table) advanceTCP(f *flow, flags layers.TCPFlags, slot uint32) {
 // marks the flow classified once no further client byte can change L7 or
 // the name it carries. A name is filed by copy (name), so p may be a
 // packet's payload.
-func (t *Table) classify(f *flow, key *packedKey, p []byte) {
+func (t *Table) classify(f *flow, key *probeKey, p []byte) {
 	full := len(p) >= prefixCap
 	switch {
 	case isHTTPRequest(p):
@@ -631,7 +631,7 @@ func (t *Table) settle(i uint32) Record {
 	}
 	n := t.names
 	return Record{
-		Key: e.key.key(), Start: f.start, End: f.end, SawSYN: f.sawSYN, State: f.state,
+		Key: e.key.key(&t.pairs), Start: f.start, End: f.end, SawSYN: f.sawSYN, State: f.state,
 		PktsC2S: f.pktsC2S, PktsS2C: f.pktsS2C, BytesC2S: f.bytesC2S, BytesS2C: f.bytesS2C,
 		L7: f.l7, HasCert: f.hasCert, HTTPHost: n.Str(f.httpHost), SNI: n.Str(f.sni), CertName: n.Str(f.certName),
 	}
@@ -664,7 +664,7 @@ func (t *Table) FlushIdle(now time.Duration) {
 // one ExpireFlow per victim in-band, so shard tables expire exactly the
 // flows a single-threaded table would, in the same relative order.
 func (t *Table) ExpireFlow(key Key, hash uint64) {
-	var pk packedKey
+	var pk probeKey
 	pk.set(key.ClientIP, key.ServerIP, key.ClientPort, key.ServerPort, key.Proto)
 	if hash == 0 {
 		hash = pk.hash(t.seed)
@@ -679,7 +679,7 @@ func (t *Table) ExpireFlow(key Key, hash uint64) {
 // sequence, where map iteration once made the order vary run to run. It
 // walks the recency list once, settling and emitting each flow in place,
 // and then empties the index and the slab at once, without a probe per
-// flow. The prefix buffers go with them.
+// flow. The side cells and prefix buffers go with them.
 func (t *Table) FlushAll() {
 	for i := t.head; i != noIdx; i = t.node(i).next {
 		r := t.settle(i)
@@ -689,5 +689,6 @@ func (t *Table) FlushAll() {
 	t.head, t.tail = noIdx, noIdx
 	t.idx.Reset()
 	t.slab.Reset()
+	t.pairs.Reset()
 	t.pres.Reset()
 }

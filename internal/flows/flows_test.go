@@ -254,41 +254,54 @@ func TestKeyStringAndReverse(t *testing.T) {
 	}
 }
 
-// TestKeyEquals: the packed-key comparisons the table probes with agree
-// with == on the whole key (equals) and on its Reverse (reverses) for keys
-// that differ in any one field, a 4-in-6 twin address included; a packed
-// key unpacks to its key, reverses to its Reverse's packing, and hashes as
-// its reverse does.
+// TestKeyEquals: the comparisons the table probes with agree with == on
+// the whole key (equals) and on its Reverse (reverses) for keys that differ
+// in any one field, IPv6 and 4-in-6 twin addresses included; a stored key
+// unpacks to its key, a probe key reverses to its Reverse's probe key and
+// hashes as it does. Every key is stored in one table, so the IPv6 ones
+// are compared through their side cells.
 func TestKeyEquals(t *testing.T) {
 	k := Key{ClientIP: client, ServerIP: server, ClientPort: 1, ServerPort: 2, Proto: layers.IPProtocolTCP}
-	variants := []Key{k, k.Reverse()}
+	v6 := Key{ClientIP: netip.MustParseAddr("fd00::1"), ServerIP: netip.MustParseAddr("2001:db8::1"), ClientPort: 1, ServerPort: 2, Proto: layers.IPProtocolTCP}
+	variants := []Key{k, k.Reverse(), v6, v6.Reverse()}
 	for _, edit := range []func(*Key){
 		func(o *Key) { o.ClientIP = netip.MustParseAddr("10.1.2.4") },
 		func(o *Key) { o.ClientIP = netip.AddrFrom16(client.As16()) },
+		func(o *Key) { o.ServerIP = netip.AddrFrom16(server.As16()) },
+		func(o *Key) { o.ClientIP = netip.MustParseAddr("fd00::1") },
 		func(o *Key) { o.ServerIP = netip.MustParseAddr("203.0.113.51") },
 		func(o *Key) { o.ClientPort = 3 },
 		func(o *Key) { o.ServerPort = 3 },
 		func(o *Key) { o.Proto = layers.IPProtocolUDP },
 	} {
-		o := k
-		edit(&o)
-		variants = append(variants, o, o.Reverse())
+		for _, base := range []Key{k, v6} {
+			o := base
+			edit(&o)
+			variants = append(variants, o, o.Reverse())
+		}
 	}
+	tbl := NewTable(Config{})
 	for _, a := range variants {
 		pa := pack(&a)
 		if pa.key() != a {
 			t.Fatalf("%v packs and unpacks to %v", a, pa.key())
 		}
 		r := a.Reverse()
-		if pr := pack(&r); pa.reverse() != pr || pa.hash(7) != pr.hash(7) {
-			t.Fatalf("%v: packed reverse %+v, hash %x; want %+v, hash %x", a, pa.reverse(), pa.hash(7), pr, pr.hash(7))
+		rev := pa
+		rev.reverse()
+		if pr := pack(&r); rev != pr || pa.hash(7) != pr.hash(7) {
+			t.Fatalf("%v: reversed probe key %+v, hash %x; want %+v, hash %x", a, rev, pa.hash(7), pr, pr.hash(7))
+		}
+		sa := &tbl.node(tbl.add(&pa, pa.hash(tbl.seed))).key
+		if got := sa.key(&tbl.pairs); got != a {
+			t.Fatalf("%v is stored as %v", a, got)
 		}
 		for _, b := range variants {
 			pb := pack(&b)
-			if got, want := pa.equals(&pb), a == b; got != want {
+			if got, want := sa.equals(&tbl.pairs, &pb), a == b; got != want {
 				t.Fatalf("%v equals %v = %v, want %v", a, b, got, want)
 			}
-			if got, want := pa.reverses(&pb), a == b.Reverse(); got != want {
+			if got, want := sa.reverses(&tbl.pairs, &pb), a == b.Reverse(); got != want {
 				t.Fatalf("%v reverses %v = %v, want %v", a, b, got, want)
 			}
 		}
@@ -360,7 +373,7 @@ func TestFlushAllDrainsAndReuses(t *testing.T) {
 	}
 	var want []Key
 	for i := tbl.head; i != noIdx; i = tbl.node(i).next {
-		want = append(want, tbl.node(i).key.key())
+		want = append(want, tbl.node(i).key.key(&tbl.pairs))
 	}
 	tbl.FlushAll()
 	if len(recs) != n || len(want) != n {
@@ -399,9 +412,9 @@ func TestFlushAllDrainsAndReuses(t *testing.T) {
 	}
 }
 
-// pack returns k packed, as the table stores it.
-func pack(k *Key) packedKey {
-	var p packedKey
+// pack returns k as a probe key.
+func pack(k *Key) probeKey {
+	var p probeKey
 	p.set(k.ClientIP, k.ServerIP, k.ClientPort, k.ServerPort, k.Proto)
 	return p
 }

@@ -189,18 +189,29 @@ func (m *modelTable) flushAll() {
 
 // --- fuzz driver -----------------------------------------------------------
 
+// The address pools hold IPv6 addresses and 4-in-6 twins of IPv4 ones
+// (distinct keys that the client nets do not contain), so some keys are
+// two IPv4 addresses, stored inline, and the rest take a side cell.
 var (
 	fuzzClients = []netip.Addr{
 		netip.MustParseAddr("10.0.0.1"),
 		netip.MustParseAddr("10.0.0.2"),
 		netip.MustParseAddr("10.0.9.9"),
 		netip.MustParseAddr("192.0.2.77"), // outside the client nets
+		netip.MustParseAddr("fd00::1"),
+		netip.MustParseAddr("::ffff:10.0.0.1"),
+		netip.MustParseAddr("fd00::2"),
+		netip.MustParseAddr("::ffff:192.0.2.77"),
 	}
 	fuzzServers = []netip.Addr{
 		netip.MustParseAddr("203.0.113.1"),
 		netip.MustParseAddr("203.0.113.2"),
 		netip.MustParseAddr("203.0.113.3"),
 		netip.MustParseAddr("198.51.100.4"),
+		netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::ffff:203.0.113.1"),
+		netip.MustParseAddr("2001:db8::2"),
+		netip.MustParseAddr("::ffff:198.51.100.4"),
 	}
 )
 
@@ -220,8 +231,8 @@ func decodeOp(b []byte, cur time.Duration) (*layers.Decoded, time.Duration, bool
 	if b[0]&0x0F == 0x0F {
 		return nil, cur, true // explicit FlushIdle
 	}
-	src := fuzzClients[int(b[0]>>4)&3]
-	dst := fuzzServers[int(b[1])&3]
+	src := fuzzClients[int(b[0]>>4)&3|int(b[0]>>5)&4]
+	dst := fuzzServers[int(b[1])&3|int(b[1]>>4)&4]
 	sport := 40000 + uint16(b[1]>>2)&0x0F
 	dport := uint16(80)
 	if b[1]&0x80 != 0 {
@@ -276,6 +287,7 @@ func FuzzTableVsMapModel(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0xFF, 0x0F, 0x00, 0x00, 0xFF})
 	f.Add([]byte{0x10, 0x81, 0x20, 0x02, 0x50, 0x81, 0x20, 0x02, 0x0F, 0x00, 0x00, 0x80})
 	f.Add([]byte{0x20, 0x03, 0xFF, 0x10, 0x60, 0x03, 0xFF, 0x10, 0x00, 0x00, 0x01, 0x00})
+	f.Add([]byte{0x80, 0x40, 0x00, 0x01, 0xC0, 0x40, 0x01, 0x00, 0x90, 0x41, 0x04, 0x01, 0x50, 0x01, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := Config{
 			IdleTimeout: 2 * time.Second,

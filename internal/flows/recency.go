@@ -12,70 +12,75 @@ import (
 // noIdx is the nil slab index / list link.
 const noIdx = ^uint32(0)
 
-// packedKey is a Key as a recency entry stores it: both addresses in their
-// 16-byte form plus a family bit each, so an IPv4 address and its 4-in-6
-// twin stay distinct, and no pointer (a netip.Addr holds one). Zones are
-// not kept; the packet parser never produces one.
+// packedKey is a Key as a recency entry stores it: its address pair as a
+// swiss.Pairs word and family bits — two IPv4 addresses inline, any other
+// pair in a side cell of the table's recency.pairs — then its ports and
+// protocol, in 16 bytes and no pointer (a netip.Addr holds one).
 type packedKey struct {
-	client, server         swiss.Addr16
+	pair                   uint64 // swiss.Pairs word
 	clientPort, serverPort uint16
 	proto                  layers.IPProtocol
-	v4                     uint8 // bit 0: client is IPv4; bit 1: server is IPv4
+	fam                    uint8 // swiss family bits
+}
+
+// probeKey is a Key as a probe builds it from a packet, on the stack: both
+// addresses in full (swiss.PairKey), so it compares with a stored key's
+// side cell without filing one.
+type probeKey struct {
+	pair                   swiss.PairKey
+	clientPort, serverPort uint16
+	proto                  layers.IPProtocol
 }
 
 // set packs the key (client, server, cport, sport, proto) into p. It
-// writes field by field: building a packedKey value and copying it costs
-// as much as the conversion itself.
-func (p *packedKey) set(client, server netip.Addr, cport, sport uint16, proto layers.IPProtocol) {
-	p.client, p.server = swiss.ToAddr16(client), swiss.ToAddr16(server)
-	p.clientPort, p.serverPort, p.proto, p.v4 = cport, sport, proto, 0
-	if client.Is4() {
-		p.v4 |= 1
-	}
-	if server.Is4() {
-		p.v4 |= 2
-	}
+// writes field by field: building a probeKey value and copying it costs as
+// much as the conversion itself.
+func (p *probeKey) set(client, server netip.Addr, cport, sport uint16, proto layers.IPProtocol) {
+	p.pair.Set(client, server)
+	p.clientPort, p.serverPort, p.proto = cport, sport, proto
 }
 
 // key returns p as a Key.
-func (p *packedKey) key() Key {
-	return Key{
-		ClientIP: p.client.Addr(p.v4&1 != 0), ServerIP: p.server.Addr(p.v4&2 != 0),
-		ClientPort: p.clientPort, ServerPort: p.serverPort, Proto: p.proto,
-	}
+func (p *probeKey) key() Key {
+	c, s := p.pair.Addrs()
+	return Key{ClientIP: c, ServerIP: s, ClientPort: p.clientPort, ServerPort: p.serverPort, Proto: p.proto}
 }
 
-// equals reports whether p is o.
-func (p *packedKey) equals(o *packedKey) bool {
-	return p.client == o.client && p.server == o.server &&
-		p.clientPort == o.clientPort && p.serverPort == o.serverPort && p.proto == o.proto && p.v4 == o.v4
-}
-
-// reverses reports whether p is o with its endpoints swapped.
-func (p *packedKey) reverses(o *packedKey) bool {
-	return p.client == o.server && p.server == o.client &&
-		p.clientPort == o.serverPort && p.serverPort == o.clientPort && p.proto == o.proto &&
-		p.v4 == o.v4>>1|o.v4<<1&2
-}
-
-// reverse returns p with its endpoints swapped.
-func (p packedKey) reverse() packedKey {
-	p.client, p.server = p.server, p.client
+// reverse swaps p's endpoints.
+func (p *probeKey) reverse() {
+	p.pair.Reverse()
 	p.clientPort, p.serverPort = p.serverPort, p.clientPort
-	p.v4 = p.v4>>1 | p.v4<<1&2
-	return p
 }
 
-// hash mixes a packed key for table placement. The two (address, port)
-// endpoint hashes combine by addition, so a key and its reverse hash
-// identically: one probe resolves a packet in either direction (the probe
-// compares candidates against both orientations), where an
-// orientation-sensitive hash would cost a full second probe for every
-// server→client packet.
-func (p *packedKey) hash(seed uint64) uint64 {
-	a := swiss.HashU64(swiss.Hash128(seed, p.client.Lo, p.client.Hi), uint64(p.clientPort))
-	b := swiss.HashU64(swiss.Hash128(seed, p.server.Lo, p.server.Hi), uint64(p.serverPort))
-	return swiss.HashU64(a+b, uint64(p.proto))
+// hash mixes a probe key for table placement. The two (address, port)
+// endpoint hashes combine by addition (swiss.PairKey.HashEnds), so a key
+// and its reverse hash identically: one probe resolves a packet in either
+// direction (the probe compares candidates against both orientations),
+// where an orientation-sensitive hash would cost a full second probe for
+// every server→client packet.
+func (p *probeKey) hash(seed uint64) uint64 {
+	return swiss.HashU64(p.pair.HashEnds(seed, p.clientPort, p.serverPort), uint64(p.proto))
+}
+
+// equals reports whether k, whose side cell is in ps, is p.
+func (k *packedKey) equals(ps *swiss.Pairs, p *probeKey) bool {
+	return k.clientPort == p.clientPort && k.serverPort == p.serverPort && k.proto == p.proto &&
+		ps.Equal(k.pair, k.fam, &p.pair)
+}
+
+// reverses reports whether k, whose side cell is in ps, is p with its
+// endpoints swapped.
+func (k *packedKey) reverses(ps *swiss.Pairs, p *probeKey) bool {
+	return k.clientPort == p.serverPort && k.serverPort == p.clientPort && k.proto == p.proto &&
+		ps.Reverses(k.pair, k.fam, &p.pair)
+}
+
+// key returns k, whose side cell is in ps, as a Key.
+func (k *packedKey) key(ps *swiss.Pairs) Key {
+	var p probeKey
+	ps.Load(&p.pair, k.pair, k.fam)
+	p.clientPort, p.serverPort, p.proto = k.clientPort, k.serverPort, k.proto
+	return p.key()
 }
 
 // entry is one slot of a recency table: a live flow's key, the bookkeeping
@@ -83,7 +88,7 @@ func (p *packedKey) hash(seed uint64) uint64 {
 // pointer when V holds none, so the GC never scans the slab.
 type entry[V any] struct {
 	key  packedKey
-	hash uint64 // key.hash(seed)
+	hash uint64 // the probeKey hash of key under the table's seed
 	// lastSeen is the table clock at the flow's last packet. Expiry compares
 	// against it rather than the packet time, so the recency list stays
 	// exactly ordered — and the early-stop sweep exact — even when capture
@@ -102,8 +107,11 @@ type entry[V any] struct {
 // stops where the Table's stops. Slots are recycled after remove, so
 // references across statements use uint32 slots, never *entry.
 type recency[V any] struct {
-	idx        swiss.Index
-	slab       swiss.Slab[entry[V]]
+	idx  swiss.Index
+	slab swiss.Slab[entry[V]]
+	// pairs holds the side cells of the entries' non-IPv4 address pairs:
+	// add takes one and remove frees it.
+	pairs      swiss.Pairs
 	seed       uint64
 	head, tail uint32
 	// clock is the maximum packet time observed; entries are stamped with
@@ -130,10 +138,10 @@ func (t *recency[V]) Active() int { return t.idx.Len() }
 
 // find returns the slot of key (hashed h), or noIdx. Only the stored
 // orientation matches; orient resolves unoriented packets.
-func (t *recency[V]) find(h uint64, key *packedKey) uint32 {
+func (t *recency[V]) find(h uint64, key *probeKey) uint32 {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
-			if s := p.Slot(m); t.slab.At(s).key.equals(key) {
+			if s := p.Slot(m); t.slab.At(s).key.equals(&t.pairs, key) {
 				return s
 			}
 		}
@@ -148,13 +156,13 @@ func (t *recency[V]) find(h uint64, key *packedKey) uint32 {
 // and its reverse (field by field, without building the reversed key). It
 // returns the slot and whether the packet travels c2s under the stored
 // orientation ((noIdx, true) on a miss).
-func (t *recency[V]) findEither(h uint64, key *packedKey) (uint32, bool) {
+func (t *recency[V]) findEither(h uint64, key *probeKey) (uint32, bool) {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
 			s := p.Slot(m)
-			if k := &t.slab.At(s).key; k.equals(key) {
+			if k := &t.slab.At(s).key; k.equals(&t.pairs, key) {
 				return s, true
-			} else if k.reverses(key) {
+			} else if k.reverses(&t.pairs, key) {
 				return s, false
 			}
 		}
@@ -175,7 +183,7 @@ func pureSYN(tcp bool, flags layers.TCPFlags) bool {
 // client→server. A live flow keeps its stored orientation; for a new one a
 // pure SYN marks the sender as the client, then an address inside
 // clientNets (when the other is outside), then the first sender.
-func (t *recency[V]) orient(d *layers.Decoded, clientNets []netip.Prefix, key *packedKey) (uint64, uint32, bool) {
+func (t *recency[V]) orient(d *layers.Decoded, clientNets []netip.Prefix, key *probeKey) (uint64, uint32, bool) {
 	key.set(d.SrcIP, d.DstIP, d.SrcPort, d.DstPort, d.Proto)
 	h := key.hash(t.seed)
 	i, c2s := t.findEither(h, key)
@@ -184,7 +192,7 @@ func (t *recency[V]) orient(d *layers.Decoded, clientNets []netip.Prefix, key *p
 		c2s = false
 	}
 	if !c2s {
-		*key = key.reverse()
+		key.reverse()
 	}
 	return h, i, c2s
 }
@@ -200,10 +208,14 @@ func containsAddr(nets []netip.Prefix, a netip.Addr) bool {
 
 // add files key (hashed h) in a fresh slot at the recency tail and returns
 // the slot. Its val keeps whatever the slot's previous flow left there.
-func (t *recency[V]) add(key *packedKey, h uint64) uint32 {
+func (t *recency[V]) add(key *probeKey, h uint64) uint32 {
 	i := t.slab.Alloc()
 	e := t.slab.At(i)
-	e.key, e.hash = *key, h
+	e.key = packedKey{
+		pair: t.pairs.Put(&key.pair), fam: key.pair.Fam,
+		clientPort: key.clientPort, serverPort: key.serverPort, proto: key.proto,
+	}
+	e.hash = h
 	t.idx.Insert(h, i, t.hashOf)
 	t.pushBack(i)
 	return i
@@ -222,9 +234,12 @@ func (t *recency[V]) touch(i uint32, at time.Duration) {
 	t.slab.At(i).lastSeen = t.clock
 }
 
-// remove drops slot i from the index and the list and frees it.
+// remove drops slot i from the index and the list and frees it and its
+// side cell.
 func (t *recency[V]) remove(i uint32) {
-	t.idx.Delete(t.slab.At(i).hash, i)
+	e := t.slab.At(i)
+	t.idx.Delete(e.hash, i)
+	t.pairs.Free(e.key.pair, e.key.fam)
 	t.unlink(i)
 	t.slab.Free(i)
 }

@@ -42,16 +42,60 @@ func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// The resolver's footprint is its node and entry layout: a pair node is
-// 48 bytes (no cached hash, no history head) and an entry 32 bytes, and
-// no node, entry or history cell holds a pointer, so their slab chunks are
-// never scanned by the GC.
-func TestLayout(t *testing.T) {
-	if n := unsafe.Sizeof(pairNode{}); n != 48 {
-		t.Errorf("pairNode is %d bytes, want 48", n)
+// Eviction churn runs on recycled nodes too: every insert names a server
+// whose key the Clist evicted, so it files a fresh node and its eviction
+// removes one. A key that is not two IPv4 addresses takes a side cell,
+// which the removal must free: each measured op inserts more keys than a
+// slab chunk holds, so a leaked cell shows as a fresh chunk every op.
+func TestEvictionChurnZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		client netip.Addr
+		server func(i int) netip.Addr
+	}{
+		{"ipv4", netip.MustParseAddr("10.0.0.1"), func(i int) netip.Addr { return netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}) }},
+		{"ipv6", netip.MustParseAddr("fd00::1"), func(i int) netip.Addr {
+			return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: byte(i)})
+		}},
+	} {
+		r := New(Config{ClistSize: 32})
+		servers := make([]netip.Addr, 64)
+		for i := range servers {
+			servers[i] = tc.server(i)
+		}
+		i := 0
+		insert := func() {
+			j := i % len(servers)
+			r.Insert(tc.client, "cdn.example.com", servers[j:j+1], time.Duration(i))
+			i++
+		}
+		for range 128 {
+			insert()
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			for range 300 {
+				insert()
+			}
+		}); n != 0 {
+			t.Errorf("%s: eviction churn allocates %v per 300 inserts, want 0", tc.name, n)
+		}
+		if st := r.Stats(); st.EvictedRefs == 0 {
+			t.Errorf("%s: no key was evicted", tc.name)
+		}
 	}
-	if n := unsafe.Sizeof(Entry{}); n != 32 {
-		t.Errorf("Entry is %d bytes, want 32", n)
+}
+
+// The resolver's footprint is its node and entry layout: a pair node is
+// 24 bytes (an IPv4 key inline, no cached hash, no history head) and an
+// entry 24 bytes (the Used flag rides in the name count), and no node,
+// entry or history cell holds a pointer, so their slab chunks are never
+// scanned by the GC.
+func TestLayout(t *testing.T) {
+	if n := unsafe.Sizeof(pairNode{}); n != 24 {
+		t.Errorf("pairNode is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(Entry{}); n != 24 {
+		t.Errorf("Entry is %d bytes, want 24", n)
 	}
 	for _, v := range []any{pairNode{}, histCell{}, Entry{}} {
 		if typ := reflect.TypeOf(v); hasPointer(typ) {

@@ -82,21 +82,18 @@ func (r *Resolver) Snapshot() []SnapshotEntry {
 	var n, nsrv int
 	// names bounds an entry's linked nodes: it counts its Clist slot and
 	// every node naming it, linked or (with history) not.
-	r.eachLive(func(e *Entry) { n, nsrv = n+1, nsrv+int(e.names)-1 })
+	r.eachLive(func(e *Entry) { n, nsrv = n+1, nsrv+int(e.count())-1 })
 	out := make([]SnapshotEntry, 0, n)
 	servers := make([]netip.Addr, nsrv)
 	r.eachLive(func(e *Entry) {
 		// All of an entry's nodes share one client: they are linked only by
 		// the Insert call that created the entry.
-		node := r.flat.nodes.At(e.refs)
-		se := SnapshotEntry{Client: node.clientAddr(), FQDN: r.names.Str(e.FQDN), At: e.At, Used: e.Used}
+		ft := r.flat
+		se := SnapshotEntry{FQDN: r.names.Str(e.FQDN), At: e.At, Used: e.Used()}
 		k := 0
-		for {
-			servers[k] = node.serverAddr()
-			if k++; node.next == e.refs {
-				break
-			}
-			node = r.flat.nodes.At(node.next)
+		for slot := e.refs; k == 0 || slot != e.refs; slot = ft.nodes.At(slot).next {
+			se.Client, servers[k] = ft.addrs(slot)
+			k++
 		}
 		se.Servers, servers = servers[:k:k], servers[k:]
 		out = append(out, se)
@@ -142,7 +139,7 @@ func (r *Resolver) Restore(entries []SnapshotEntry) {
 			// any of them resolves it. The lookup it counts is undone with
 			// the other counters below.
 			if e, ok := r.LookupEntry(se.Client, se.Servers[0]); ok {
-				e.Used = true
+				e.SetUsed()
 			}
 		}
 	}

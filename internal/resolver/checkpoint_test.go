@@ -35,7 +35,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		// Mark a few entries used through the public lookup path.
 		for i := 0; i < 10; i++ {
 			if e, ok := r.LookupEntry(ckClient(i%8), ckServer(2*i)); ok {
-				e.Used = true
+				e.SetUsed()
 			}
 		}
 
@@ -56,9 +56,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				if !ok1 {
 					continue
 				}
-				if r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used != e2.Used {
+				if r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used() != e2.Used() {
 					t.Fatalf("entry %d/%v: (%q,%v,%v) vs restored (%q,%v,%v)",
-						i, srv, r.names.Str(e1.FQDN), e1.At, e1.Used, r2.names.Str(e2.FQDN), e2.At, e2.Used)
+						i, srv, r.names.Str(e1.FQDN), e1.At, e1.Used(), r2.names.Str(e2.FQDN), e2.At, e2.Used())
 				}
 			}
 		}
@@ -453,7 +453,7 @@ func TestSnapshotOverTombstones(t *testing.T) {
 			for c := range clients {
 				for s := 0; s < servers; s += 2 {
 					if e, ok := r.LookupEntry(ckClient(c), ckServer(s)); ok {
-						e.Used = true
+						e.SetUsed()
 					}
 				}
 			}
@@ -487,8 +487,8 @@ func TestSnapshotOverTombstones(t *testing.T) {
 					if ok1 != ok2 {
 						t.Fatalf("key %d/%d: hit %v vs restored %v", c, s, ok1, ok2)
 					}
-					if ok1 && (r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used != e2.Used) {
-						t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, r.names.Str(e1.FQDN), e1.At, e1.Used, r2.names.Str(e2.FQDN), e2.At, e2.Used)
+					if ok1 && (r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used() != e2.Used()) {
+						t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, r.names.Str(e1.FQDN), e1.At, e1.Used(), r2.names.Str(e2.FQDN), e2.At, e2.Used())
 					}
 				}
 			}

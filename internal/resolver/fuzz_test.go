@@ -18,9 +18,9 @@ import (
 // insert, on every statistic, on every LookupAll history list and on the
 // Snapshot (FIFO order, each entry's live servers in link order), through
 // arbitrary insert/lookup sequences with heavy Clist eviction. The address
-// pools hold 4-in-6 twins, which hash like their IPv4 forms but are
-// distinct keys, and an insert may name the same server twice, as a DNS
-// answer can. After every operation the entry slab must hold exactly the
+// pools hold IPv6 addresses and 4-in-6 twins, distinct keys that take a
+// side cell where two IPv4 addresses are stored inline, and an insert may
+// name the same server twice, as a DNS answer can. After every operation the entry slab must hold exactly the
 // entries a node or a history cell names (checkSlab): a superseded entry
 // leaves it at once, and only a tombstone keeps its Clist place.
 
@@ -118,7 +118,7 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 	ft := r.flat
 	for _, cl := range fzClients {
 		for _, sv := range fzServers {
-			var k pairKey
+			var k swiss.PairKey
 			slot := ft.find(&k, ft.key(&k, cl, sv))
 			if slot == noSlot {
 				continue
@@ -153,7 +153,7 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 		} else {
 			pos = noSlot
 		}
-		if e := r.entries.At(s); e.names != n || e.pos != pos {
+		if e := r.entries.At(s); e.count() != n || e.pos != pos {
 			t.Fatalf("op %d: entry %d (%q) has names=%d pos=%d, want %d and %d", op, s, r.names.Str(e.FQDN), e.names, int32(e.pos), n, int32(pos))
 		}
 	}
@@ -245,7 +245,7 @@ func TestEntriesAliveIncremental(t *testing.T) {
 		for i, s := range r.clist {
 			if s == noSlot {
 				n++
-			} else if e := r.entries.At(s); e.names > 0 && e.pos == uint32(i) {
+			} else if e := r.entries.At(s); e.count() > 0 && e.pos == uint32(i) {
 				n++
 			}
 		}

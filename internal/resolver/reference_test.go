@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/swiss"
 )
 
 // orderedRef is the reference model the flat pair table is tested against:
@@ -281,7 +283,7 @@ func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) 
 // name. The multi-label extension discussed in §6.
 func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
 	ft := r.flat
-	var k pairKey
+	var k swiss.PairKey
 	slot := ft.find(&k, ft.key(&k, clientIP, serverIP))
 	if slot == noSlot {
 		return nil

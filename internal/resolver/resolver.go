@@ -74,47 +74,47 @@ type Entry struct {
 	// whose current entry it became by Insert, linked in insertion order
 	// through pairNode.prev/next. noSlot when the list is empty.
 	refs uint32
-	// names counts what names the entry: its Clist slot until eviction,
-	// and every node whose current or history entry it is. The entry's slot
-	// is recycled when the count drops to zero, or to one while the entry
-	// still holds its Clist slot: then only the ring names it, and the slot
-	// becomes a tombstone.
+	// names counts, below usedBit, what names the entry: its Clist slot
+	// until eviction, and every node whose current or history entry it is.
+	// The entry's slot is recycled when the count drops to zero, or to one
+	// while the entry still holds its Clist slot: then only the ring names
+	// it, and the slot becomes a tombstone. usedBit is the Used flag.
 	names uint32
 	// pos is the entry's Clist index: noSlot until the entry is filed and
 	// after its eviction.
 	pos uint32
-	// Used is set by the flow tagger when the entry labels its first flow;
-	// entries never used measure the paper's "useless DNS" (Table 9).
-	Used bool
 }
 
-// pairKey is a (client, server) key in pointer-free form: both addresses as
-// 16 bytes plus a family bit each, so an IPv4 address and its 4-in-6 twin
-// stay distinct keys. Zones are not kept; the packet parser never produces
-// one.
-type pairKey struct {
-	client, server swiss.Addr16
-	v4             uint8 // bit 0: client is IPv4; bit 1: server is IPv4
-}
+// usedBit is the bit of Entry.names that holds the Used flag.
+const usedBit = 1 << 31
 
-// pairNode is one flat-table node: its key's fields, flattened so the
-// family byte packs beside the links, the slot of its current entry and its
-// links on that entry's back-reference list. It caches no hash: hashOf
-// recomputes it from the key, which the probe that found the node has read
-// already. A node's newest history cell lives in Resolver.older, so a
-// resolver without history pays nothing for it. Nodes live in a slab
+// Used reports whether the entry has labeled a flow (SetUsed); entries
+// never used measure the paper's "useless DNS" (Table 9).
+func (e *Entry) Used() bool { return e.names&usedBit != 0 }
+
+// SetUsed marks the entry used: the flow tagger calls it when the entry
+// labels its first flow.
+func (e *Entry) SetUsed() { e.names |= usedBit }
+
+// count returns the number of names the entry has.
+func (e *Entry) count() uint32 { return e.names &^ usedBit }
+
+// pairNode is one flat-table node: its (client, server) key as a
+// swiss.Pairs word and family bits — two IPv4 addresses inline, any other
+// pair in a side cell of pairTable.pairs — the slot of its current entry
+// and its links on that entry's back-reference list. It caches no hash:
+// hashOf recomputes it from the key, which the probe that found the node
+// has read already. A node's newest history cell lives in Resolver.older,
+// so a resolver without history pays nothing for it. Nodes live in a slab
 // addressed by the uint32 slots of the swiss index and hold no pointer, so
 // the GC never scans them; slots are recycled on remove, so cross-statement
 // references use slots, never *pairNode.
 type pairNode struct {
-	client, server swiss.Addr16
-	entry          uint32
-	prev, next     uint32 // back-reference links; prev is noSlot when unlinked
-	v4             uint8  // pairKey.v4
+	pair       uint64 // swiss.Pairs word of the key
+	entry      uint32
+	prev, next uint32 // back-reference links; prev is noSlot when unlinked
+	fam        uint8  // swiss family bits of the key
 }
-
-func (n *pairNode) clientAddr() netip.Addr { return n.client.Addr(n.v4&1 != 0) }
-func (n *pairNode) serverAddr() netip.Addr { return n.server.Addr(n.v4&2 != 0) }
 
 // histCell is one history entry of a node (Config.History); a node's cells
 // form a list, newest first.
@@ -124,10 +124,12 @@ type histCell struct{ entry, next uint32 }
 const noSlot = ^uint32(0)
 
 // pairTable is the flat lookup structure: a swiss index over a pairNode
-// slab, keyed by the combined (client, server) address pair.
+// slab, keyed by the combined (client, server) address pair, and the side
+// cells of its non-IPv4 keys.
 type pairTable struct {
 	idx   swiss.Index
 	nodes swiss.Slab[pairNode]
+	pairs swiss.Pairs
 	seed  uint64
 }
 
@@ -138,35 +140,32 @@ func newPairTable() *pairTable {
 }
 
 // key fills k with the pair key of (client, server) and returns its hash.
-// It writes through a pointer because returning the 40-byte key by value
-// costs a copy on the lookup path.
-func (t *pairTable) key(k *pairKey, client, server netip.Addr) uint64 {
-	k.client, k.server, k.v4 = swiss.ToAddr16(client), swiss.ToAddr16(server), 0
-	if client.Is4() {
-		k.v4 |= 1
-	}
-	if server.Is4() {
-		k.v4 |= 2
-	}
-	return t.hash(k.client, k.server)
-}
-
-func (t *pairTable) hash(client, server swiss.Addr16) uint64 {
-	return swiss.Hash128(swiss.Hash128(t.seed, client.Lo, client.Hi), server.Lo, server.Hi)
+// It writes through a pointer because returning the key by value costs a
+// copy on the lookup path.
+func (t *pairTable) key(k *swiss.PairKey, client, server netip.Addr) uint64 {
+	k.Set(client, server)
+	return k.Hash(t.seed)
 }
 
 func (t *pairTable) hashOf(slot uint32) uint64 {
 	n := t.nodes.At(slot)
-	return t.hash(n.client, n.server)
+	return t.pairs.Hash(t.seed, n.pair, n.fam)
 }
 
-// find returns the node slot for k, or noSlot. It compares the key field
-// by field: == on the whole struct would call memequal.
-func (t *pairTable) find(k *pairKey, h uint64) uint32 {
+// addrs returns the key of the node at slot.
+func (t *pairTable) addrs(slot uint32) (client, server netip.Addr) {
+	n := t.nodes.At(slot)
+	var k swiss.PairKey
+	t.pairs.Load(&k, n.pair, n.fam)
+	return k.Addrs()
+}
+
+// find returns the node slot for k, or noSlot.
+func (t *pairTable) find(k *swiss.PairKey, h uint64) uint32 {
 	for p := t.idx.Probe(h); ; p = p.Next() {
 		for m := p.Match(); m != 0; m &= m - 1 {
 			s := p.Slot(m)
-			if n := t.nodes.At(s); n.client == k.client && n.server == k.server && n.v4 == k.v4 {
+			if n := t.nodes.At(s); t.pairs.Equal(n.pair, n.fam, k) {
 				return s
 			}
 		}
@@ -177,16 +176,19 @@ func (t *pairTable) find(k *pairKey, h uint64) uint32 {
 }
 
 // insert creates an unlinked node for k → entry and returns its slot.
-func (t *pairTable) insert(k *pairKey, h uint64, entry uint32) uint32 {
+func (t *pairTable) insert(k *swiss.PairKey, h uint64, entry uint32) uint32 {
 	slot := t.nodes.Alloc()
-	*t.nodes.At(slot) = pairNode{client: k.client, server: k.server, v4: k.v4, entry: entry, prev: noSlot, next: noSlot}
+	*t.nodes.At(slot) = pairNode{pair: t.pairs.Put(k), fam: k.Fam, entry: entry, prev: noSlot, next: noSlot}
 	t.idx.Insert(h, slot, t.hashOf)
 	return slot
 }
 
-// remove erases the key at slot from the index and recycles the node.
+// remove erases the key at slot from the index and recycles the node and
+// its side cell.
 func (t *pairTable) remove(slot uint32) {
 	t.idx.Delete(t.hashOf(slot), slot)
+	n := t.nodes.At(slot)
+	t.pairs.Free(n.pair, n.fam)
 	t.nodes.Free(slot)
 }
 
@@ -270,7 +272,7 @@ func (r *Resolver) InsertID(clientIP netip.Addr, fqdn uint32, servers []netip.Ad
 	ft := r.flat
 	for _, serverIP := range servers {
 		r.stats.Addresses++
-		var k pairKey
+		var k swiss.PairKey
 		h := ft.key(&k, clientIP, serverIP)
 		slot := ft.find(&k, h)
 		if slot == noSlot {
@@ -387,11 +389,11 @@ func (r *Resolver) head(slot uint32) uint32 {
 // a tombstone that keeps its FIFO place.
 func (r *Resolver) release(s uint32) {
 	e := r.entries.At(s)
-	if e.names--; e.names == 1 && e.pos != noSlot {
+	if e.names--; e.count() == 1 && e.pos != noSlot {
 		r.clist[e.pos] = noSlot
 		e.names, e.pos = 0, noSlot
 	}
-	if e.names == 0 {
+	if e.count() == 0 {
 		e.FQDN = 0
 		r.entries.Free(s)
 	}
@@ -437,7 +439,7 @@ func (r *Resolver) evict(s uint32) {
 func (r *Resolver) LookupEntry(clientIP, serverIP netip.Addr) (*Entry, bool) {
 	r.stats.Lookups++
 	ft := r.flat
-	var k pairKey
+	var k swiss.PairKey
 	if slot := ft.find(&k, ft.key(&k, clientIP, serverIP)); slot != noSlot {
 		r.stats.Hits++
 		return r.entries.At(ft.nodes.At(slot).entry), true

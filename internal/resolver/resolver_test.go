@@ -3,6 +3,7 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -295,15 +296,51 @@ func TestQuickHashAndOrderedAgree(t *testing.T) {
 	}
 }
 
+// BenchmarkInsert inserts one three-server response per op, each from the
+// next of 65,536 clients, into a 64k-entry Clist, with IPv4 and with IPv6
+// addresses. B/key is the heap a resolver filled with 16,384 such
+// responses holds per (client, server) key: the key's node, its side cell
+// unless it is two IPv4 addresses, and its share of the entry, the Clist
+// and the index.
 func BenchmarkInsert(b *testing.B) {
-	r := New(Config{ClistSize: 1 << 16})
-	servers := []netip.Addr{s1, s2, s3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
-		r.Insert(cl, "bench.example.com", servers, time.Duration(i))
+	for _, tc := range []struct {
+		name string
+		addr func(net byte, i int) netip.Addr
+	}{
+		{"ipv4", func(net byte, i int) netip.Addr { return netip.AddrFrom4([4]byte{net, 0, byte(i >> 8), byte(i)}) }},
+		{"ipv6", func(net byte, i int) netip.Addr {
+			return netip.AddrFrom16([16]byte{0xfd, net, 14: byte(i >> 8), 15: byte(i)})
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			servers := []netip.Addr{tc.addr(203, 1), tc.addr(203, 2), tc.addr(203, 3)}
+			perKey := heldPerKey(servers, tc.addr)
+			r := New(Config{ClistSize: 1 << 16})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Insert(tc.addr(10, i), "bench.example.com", servers, time.Duration(i))
+			}
+			b.ReportMetric(perKey, "B/key")
+		})
 	}
+}
+
+// heldPerKey returns the heap a resolver holds per key once filled with
+// 16,384 responses naming servers, each from its own client addr(10, i).
+func heldPerKey(servers []netip.Addr, addr func(byte, int) netip.Addr) float64 {
+	const responses = 1 << 14
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := New(Config{ClistSize: responses})
+	for i := range responses {
+		r.Insert(addr(10, i), "bench.example.com", servers, time.Duration(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(responses*len(servers))
 }
 
 func BenchmarkLookupHit(b *testing.B) {

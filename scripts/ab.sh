@@ -15,7 +15,10 @@
 # by the metric's "better" direction), the exact two-sided sign-test p
 # over the pairs that differ, and "equal" when all N pairs are equal, the
 # case of a metric deterministic per seed. Every run's JSON line is kept
-# in .bench_build/ab/runs-<rev>-<workload>.txt.
+# in .bench_build/ab/runs-<rev>-<workload>.txt. The table's header names
+# the change side's tree (git describe --always --dirty): the change side is
+# built from the working tree as it is at the start, so REV=HEAD on a dirty
+# tree is not an A/A run, and the script warns of it.
 set -euo pipefail
 if (($# < 3)); then
   echo "usage: $0 REV WORKLOAD N [SECONDS]" >&2
@@ -27,6 +30,10 @@ ab="$root/.bench_build/ab"
 export GOCACHE="$root/.bench_build/gocache" GOFLAGS=-mod=mod GOTOOLCHAIN=local GOWORK=off
 
 sha=$(git -C "$root" rev-parse --short "$rev")
+tree=$(git -C "$root" describe --always --dirty)
+if [[ $(git -C "$root" rev-parse "$rev") == $(git -C "$root" rev-parse HEAD) && $tree == *-dirty ]]; then
+  echo "warning: REV is HEAD but the working tree is dirty ($tree): the change side runs the uncommitted edits, so this is not an A/A run" >&2
+fi
 src="$ab/src-$sha"
 rm -rf "$src"
 mkdir -p "$src" "$ab/out-parent" "$ab/out-change"
@@ -57,6 +64,7 @@ for ((seed = 1; seed <= n; seed++)); do
   fi
 done
 
+echo "$workload, $n pairs: parent $sha, change $tree"
 # Each run line becomes "side seed metric value" rows; each end-to-end
 # metric of BENCHMARK.json its "name better" row.
 metrics=$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
