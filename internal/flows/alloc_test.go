@@ -46,11 +46,11 @@ func TestTableHitZeroAlloc(t *testing.T) {
 func TestTableChurnSteadyStateAlloc(t *testing.T) {
 	const idle = time.Minute
 	for _, fam := range []struct {
-		name     string
+		suffix   string
 		src, dst netip.Addr
 	}{
-		{"ipv4", netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("192.0.2.10")},
-		{"ipv6", netip.MustParseAddr("fd00::1"), netip.MustParseAddr("2001:db8::10")},
+		{"", netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("192.0.2.10")},
+		{"_ipv6", netip.MustParseAddr("fd00::1"), netip.MustParseAddr("2001:db8::10")},
 	} {
 		src, dst := fam.src, fam.dst
 		for _, tc := range []struct {
@@ -70,7 +70,7 @@ func TestTableChurnSteadyStateAlloc(t *testing.T) {
 					Proto: layers.IPProtocolTCP}, 0)
 			}},
 		} {
-			t.Run(fam.name+"/"+tc.name, func(t *testing.T) {
+			t.Run(tc.name+fam.suffix, func(t *testing.T) {
 				tbl := NewTable(Config{IdleTimeout: idle, DisableAutoSweep: true, OnRecord: func(Record, Handle) {}})
 				var now time.Duration
 				cycle := func(port uint16) {

@@ -128,7 +128,7 @@ func hasPointer(t reflect.Type) bool {
 // response, the cost that sizes a deployment's L: 4,096 responses from 64
 // clients, each carrying three servers no earlier response named.
 func TestFillBytesPerResponse(t *testing.T) {
-	const responses, budget = 4096, 256
+	const responses, budget = 4096, 192
 	r := New(Config{})
 	var servers [3]netip.Addr
 	var before, after runtime.MemStats
