@@ -71,7 +71,6 @@ func main() {
 	outPath := flag.String("out", "flows.csv", "output CSV of labeled flows")
 	shards := flag.Int("shards", 1, "parallel pipeline shards per vantage (-1 = one per CPU)")
 	clist := flag.Int("clist", 1<<20, "resolver Clist size L (per shard)")
-	history := flag.Int("history", 0, "multi-label history per (client,server) key")
 	showStats := flag.Bool("stats", true, "print pipeline statistics")
 	flag.Parse()
 	if err := checkFlags(flag.CommandLine); err != nil {
@@ -92,7 +91,7 @@ func main() {
 
 	opts := []dnhunter.Option{
 		dnhunter.WithShards(*shards),
-		dnhunter.WithResolver(dnhunter.ResolverConfig{ClistSize: *clist, History: *history}),
+		dnhunter.WithResolver(dnhunter.ResolverConfig{ClistSize: *clist}),
 	}
 	open := func(path string) *netio.Reader {
 		in, err := os.Open(path)
@@ -170,7 +169,6 @@ var flagBounds = []struct {
 	want string
 }{
 	{"clist", func(v float64) bool { return v >= 1 }, "at least 1"},
-	{"history", func(v float64) bool { return v >= 0 }, "at least 0"},
 	{"shards", func(v float64) bool { return v >= -1 }, "at least -1 (one per CPU)"},
 	{"loop", func(v float64) bool { return v >= 0 }, "at least 0 (forever)"},
 	{"window", func(v float64) bool { return v > 0 }, "positive"},
@@ -210,18 +208,11 @@ func printStats(w io.Writer, res *dnhunter.Result) {
 		st.DNSResponses, st.DNSResponsesEmpty, st.DNSMalformed, 100*st.UselessDNSFraction())
 	fmt.Fprintf(w, "resolver: %s\n", st.Resolver)
 	fmt.Fprintf(w, "flows: %d total, %d labeled (%.1f%%)\n",
-		st.Flows, st.LabeledFlows, 100*float64(st.LabeledFlows)/float64(max64(st.Flows, 1)))
+		st.Flows, st.LabeledFlows, 100*float64(st.LabeledFlows)/float64(max(st.Flows, 1)))
 	cov := res.DB.Coverage(0)
 	for _, p := range []flows.L7Proto{flows.L7HTTP, flows.L7TLS, flows.L7P2P, flows.L7Unknown} {
 		if cov.Total[p] > 0 {
 			fmt.Fprintf(w, "  %-5s %6d flows, %5.1f%% labeled\n", p, cov.Total[p], 100*cov.Ratio(p))
 		}
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

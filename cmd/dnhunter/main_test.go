@@ -18,8 +18,6 @@ func TestCheckFlags(t *testing.T) {
 		{"-clist=0", "-clist 0: must be at least 1"},
 		{"-clist=-5", "-clist -5: must be at least 1"},
 		{"-clist=1", ""},
-		{"-history=-1", "-history -1: must be at least 0"},
-		{"-history=0", ""},
 		{"-shards=-2", "-shards -2: must be at least -1 (one per CPU)"},
 		{"-shards=-1", ""},
 		{"-loop=-1", "-loop -1: must be at least 0 (forever)"},
@@ -35,7 +33,6 @@ func TestCheckFlags(t *testing.T) {
 		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		fs.Int("clist", 1<<20, "")
-		fs.Int("history", 0, "")
 		fs.Int("shards", 1, "")
 		fs.Int("loop", 1, "")
 		fs.Duration("window", 5*time.Minute, "")
@@ -60,7 +57,6 @@ func TestCheckFlagsBatch(t *testing.T) {
 	fs := flag.NewFlagSet("dnhunter", flag.ContinueOnError)
 	fs.Int("shards", 1, "")
 	fs.Int("clist", 1<<20, "")
-	fs.Int("history", 0, "")
 	if err := checkFlags(fs); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}

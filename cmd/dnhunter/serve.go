@@ -43,7 +43,6 @@ func runServe(args []string) {
 	shards := fs.Int("shards", 1, "parallel pipeline shards (-1 = one per CPU)")
 	clientNets := fs.String("client-nets", "", "comma-separated client CIDRs (e.g. 10.0.0.0/16); orients flows toward these clients")
 	clist := fs.Int("clist", 1<<20, "resolver Clist size L (per shard)")
-	history := fs.Int("history", 0, "multi-label history per (client,server) key")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after a stop signal")
 	srcRestarts := fs.Int("source-restarts", 0, "supervise the source: restart up to N times on transient read errors (0 disables supervision)")
 	srcBackoff := fs.Duration("source-backoff", 50*time.Millisecond, "first restart's nominal backoff, doubling per consecutive restart")
@@ -124,7 +123,7 @@ func runServe(args []string) {
 
 	opts := []dnhunter.Option{
 		dnhunter.WithShards(*shards),
-		dnhunter.WithResolver(dnhunter.ResolverConfig{ClistSize: *clist, History: *history}),
+		dnhunter.WithResolver(dnhunter.ResolverConfig{ClistSize: *clist}),
 	}
 	if *clientNets != "" {
 		var fcfg dnhunter.FlowsConfig

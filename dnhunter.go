@@ -79,7 +79,7 @@ type (
 	FlowDB = flowdb.DB
 	// FlowKey identifies a flow client → server.
 	FlowKey = flows.Key
-	// ResolverConfig tunes the DNS cache replica (Clist size, history).
+	// ResolverConfig tunes the DNS cache replica (its Clist size).
 	ResolverConfig = resolver.Config
 	// Trace is one synthetic capture with its sidecars.
 	Trace = synth.Trace

@@ -77,7 +77,7 @@ func WithReaders(int) Option {
 }
 
 // WithResolver overrides the per-shard resolver configuration (default:
-// 1M-entry Clist, no history).
+// 1M-entry Clist).
 func WithResolver(cfg ResolverConfig) Option {
 	return func(c *core.EngineConfig) { c.Resolver = cfg }
 }

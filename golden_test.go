@@ -1,8 +1,8 @@
 package dnhunter
 
 // Output digests pinned to testdata/golden.txt: one synthetic EU1-FTTH
-// trace through Engine.Run over a grid of shard counts, Clist sizes and
-// history depths; the statistics the dnhunter command prints for one grid
+// trace through Engine.Run over a grid of shard counts and Clist sizes; the
+// statistics the dnhunter command prints for one grid
 // cell; the same trace through Server.Serve (drain checkpoints, their
 // restore and rewrite, and window CSVs); every experiments.All entry at
 // scale 0.2, seed 1 (what `experiments -scale 0.2 -seed 1` prints); and the
@@ -43,11 +43,11 @@ const goldenPath = "testdata/golden.txt"
 
 // goldenCell is one point of the digest grid.
 type goldenCell struct {
-	shards, clist, history int
+	shards, clist int
 }
 
 func (c goldenCell) name() string {
-	return fmt.Sprintf("shards=%d/clist=%d/history=%d", c.shards, c.clist, c.history)
+	return fmt.Sprintf("shards=%d/clist=%d", c.shards, c.clist)
 }
 
 // goldenOutputs is what a cell produces: the flow CSV in the engine's row
@@ -123,7 +123,7 @@ func traceLine(name string, tr *synth.Trace) string {
 }
 
 // cliCell is the grid cell the cli/stats cell runs the dnhunter command on.
-var cliCell = goldenCell{shards: 1, clist: 4096, history: 0}
+var cliCell = goldenCell{shards: 1, clist: 4096}
 
 // cliLine runs the dnhunter command over tr, written to a pcap (which keeps
 // timestamps to the microsecond), at cliCell's settings and renders the
@@ -151,7 +151,7 @@ func cliLine(t *testing.T, tr *Trace, actual map[string][]byte) string {
 		t.Fatalf("go build ./cmd/dnhunter: %v\n%s", err, out)
 	}
 	out, err := exec.Command(bin, "-pcap", pcapPath, "-out", csvPath, "-shards", fmt.Sprint(cliCell.shards),
-		"-clist", fmt.Sprint(cliCell.clist), "-history", fmt.Sprint(cliCell.history)).Output()
+		"-clist", fmt.Sprint(cliCell.clist)).Output()
 	if err != nil {
 		t.Fatalf("dnhunter: %v", err)
 	}
@@ -161,8 +161,8 @@ func cliLine(t *testing.T, tr *Trace, actual map[string][]byte) string {
 }
 
 // serveLines runs tr through Server.Serve and renders the serve cells:
-//   - the drain checkpoint at shards {1, 4} x Clist 4096 x history {0, 2},
-//     and at shards 4 on a millisecond clock, each followed by its restore
+//   - the drain checkpoint at shards {1, 4} x Clist 4096, and at shards 4
+//     on a millisecond clock, each followed by its restore
 //     in a run over no packets and the rewrite at that run's drain;
 //   - the window CSVs: every window's WriteCSV bytes concatenated, at
 //     shards=1 and at shards=2, where each window holds the shards' parts
@@ -176,10 +176,10 @@ func serveLines(t *testing.T, tr *Trace, actual map[string][]byte) []string {
 	var lines []string
 	// checkpoint drains packets into a fresh checkpoint, then restores it
 	// in a run over no packets and digests the rewrite.
-	checkpoint := func(name string, shards, history int, packets []Packet) {
+	checkpoint := func(name string, shards int, packets []Packet) {
 		t.Helper()
 		path := filepath.Join(dir, strings.ReplaceAll(name, "/", "_")+".ckpt")
-		eng := NewEngine(WithShards(shards), WithResolver(ResolverConfig{ClistSize: 4096, History: history}))
+		eng := NewEngine(WithShards(shards), WithResolver(ResolverConfig{ClistSize: 4096}))
 		for _, rewrite := range []bool{false, true} {
 			var src PacketSource = NewLoopSource(packets, 0, 1)
 			cell := name
@@ -200,9 +200,7 @@ func serveLines(t *testing.T, tr *Trace, actual map[string][]byte) []string {
 		}
 	}
 	for _, shards := range []int{1, 4} {
-		for _, history := range []int{0, 2} {
-			checkpoint(fmt.Sprintf("serve/checkpoint/shards=%d/clist=4096/history=%d", shards, history), shards, history, tr.Packets)
-		}
+		checkpoint(fmt.Sprintf("serve/checkpoint/shards=%d/clist=4096", shards), shards, tr.Packets)
 	}
 	// The synthetic clock has nanosecond resolution, so no two clients'
 	// DNS responses share a timestamp and the checkpoint merge never meets
@@ -212,7 +210,7 @@ func serveLines(t *testing.T, tr *Trace, actual map[string][]byte) []string {
 	for i, p := range tr.Packets {
 		coarse[i] = Packet{Timestamp: p.Timestamp.Truncate(time.Millisecond), Data: p.Data}
 	}
-	checkpoint("serve/checkpoint/shards=4/clist=4096/history=0/clock=1ms", 4, 0, coarse)
+	checkpoint("serve/checkpoint/shards=4/clist=4096/clock=1ms", 4, coarse)
 	for _, shards := range []int{1, 2} {
 		name := fmt.Sprintf("serve/windows/shards=%d", shards)
 		var csv bytes.Buffer
@@ -245,15 +243,13 @@ func TestGoldenDigests(t *testing.T) {
 	var cells []goldenCell
 	for _, shards := range []int{1, 4} {
 		for _, clist := range []int{1 << 20, 4096, 128} {
-			for _, history := range []int{0, 2} {
-				cells = append(cells, goldenCell{shards, clist, history})
-			}
+			cells = append(cells, goldenCell{shards, clist})
 		}
 	}
 
 	run := func(c goldenCell) goldenOutputs {
 		t.Helper()
-		eng := NewEngine(WithShards(c.shards), WithResolver(ResolverConfig{ClistSize: c.clist, History: c.history}))
+		eng := NewEngine(WithShards(c.shards), WithResolver(ResolverConfig{ClistSize: c.clist}))
 		res, err := eng.Run(context.Background(), tr.Source())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name(), err)

@@ -53,7 +53,7 @@ type DNSEvent struct {
 
 // Config assembles a pipeline.
 type Config struct {
-	// Resolver configuration (Clist size, history).
+	// Resolver configuration (Clist size).
 	Resolver resolver.Config
 	// Flows configures the flow table (timeouts, client networks).
 	Flows flows.Config

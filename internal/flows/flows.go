@@ -211,7 +211,8 @@ type Config struct {
 	// first-sender-is-client.
 	ClientNets []netip.Prefix
 	// OnRecord, when non-nil, receives each finished flow along with its
-	// (about-to-be-recycled) table handle.
+	// (about-to-be-recycled) table handle. Without it a finished flow is
+	// dropped.
 	OnRecord func(Record, Handle)
 	// DisableAutoSweep turns off the amortized idle sweep inside Add. The
 	// sharded engine sets it and expires flows via explicit ExpireFlow
@@ -235,8 +236,6 @@ type Table struct {
 	cfg   Config
 	stats TableStats
 	sweep time.Duration // trace time of the last automatic idle sweep
-	// frozen keeps the records finished while OnRecord is nil.
-	frozen []Record
 	// names files the flows' labels and the HTTP Host, SNI and certificate
 	// names they carry; nameBuf is the scratch a name is lowercased or
 	// decoded into before filing.
@@ -640,9 +639,7 @@ func (t *Table) settle(i uint32) Record {
 func (t *Table) emit(r Record, h Handle) {
 	if t.cfg.OnRecord != nil {
 		t.cfg.OnRecord(r, h)
-		return
 	}
-	t.frozen = append(t.frozen, r)
 }
 
 // FlushIdle closes every flow idle longer than the configured timeout as

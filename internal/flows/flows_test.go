@@ -48,10 +48,10 @@ func runConn(t *Table, at time.Duration, dport uint16, c2s, s2c []byte) {
 }
 
 func TestBasicTCPFlow(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	req := []byte("GET /index.html HTTP/1.1\r\nHost: www.example.com\r\n\r\n")
 	runConn(tbl, 0, 80, req, []byte("HTTP/1.1 200 OK\r\n\r\n"))
-	recs := tbl.Records()
+	recs := records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -78,7 +78,7 @@ func TestBasicTCPFlow(t *testing.T) {
 }
 
 func TestTLSFlowWithSNIAndCert(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	chBody, err := (&tlswire.ClientHello{ServerName: "mail.google.com"}).Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestTLSFlowWithSNIAndCert(t *testing.T) {
 		t.Fatal(err)
 	}
 	runConn(tbl, 0, 443, ch, flight)
-	recs := tbl.Records()
+	recs := records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -118,22 +118,22 @@ func TestTLSFlowWithSNIAndCert(t *testing.T) {
 }
 
 func TestBitTorrentClassification(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	hs := append([]byte{19}, []byte("BitTorrent protocol")...)
 	hs = append(hs, make([]byte, 48)...)
 	runConn(tbl, 0, 6881, hs, nil)
-	recs := tbl.Records()
+	recs := records()
 	if len(recs) != 1 || recs[0].L7 != L7P2P {
 		t.Fatalf("records = %+v", recs)
 	}
 }
 
 func TestUDPDNSClassification(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	tbl.Add(udpPkt(client, server, 50000, 53, []byte{0, 1, 1, 0}), 0, nil)
 	tbl.Add(udpPkt(server, client, 53, 50000, []byte{0, 1, 0x81, 0x80}), time.Millisecond, nil)
 	tbl.FlushAll()
-	recs := tbl.Records()
+	recs := records()
 	if len(recs) != 1 || recs[0].L7 != L7DNS {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -143,10 +143,10 @@ func TestUDPDNSClassification(t *testing.T) {
 }
 
 func TestRSTClosesFlow(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	tbl.Add(pkt(client, server, 40000, 80, layers.TCPSyn, nil), 0, nil)
 	tbl.Add(pkt(server, client, 80, 40000, layers.TCPRst, nil), time.Millisecond, nil)
-	recs := tbl.Records()
+	recs := records()
 	if len(recs) != 1 || recs[0].State != StateReset {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -157,11 +157,11 @@ func TestRSTClosesFlow(t *testing.T) {
 
 func TestMidstreamOrientationByClientNets(t *testing.T) {
 	nets := []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}
-	tbl := NewTable(Config{ClientNets: nets})
+	tbl, records := recordingTable(Config{ClientNets: nets})
 	// First observed packet travels server -> client (no SYN).
 	tbl.Add(pkt(server, client, 80, 40000, layers.TCPAck|layers.TCPPsh, []byte("HTTP/1.1 200 OK\r\n")), 0, nil)
 	tbl.FlushAll()
-	recs := tbl.Records()
+	recs := records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -226,21 +226,21 @@ func TestOnRecordCallback(t *testing.T) {
 	var got []Record
 	tbl := NewTable(Config{OnRecord: func(r Record, _ Handle) { got = append(got, r) }})
 	runConn(tbl, 0, 80, []byte("GET / HTTP/1.1\r\nHost: a.b\r\n\r\n"), nil)
-	if len(got) != 1 || len(tbl.Records()) != 0 {
-		t.Fatalf("callback got %d, frozen %d", len(got), len(tbl.Records()))
+	if len(got) != 1 {
+		t.Fatalf("callback got %d records, want 1", len(got))
 	}
 }
 
 func TestTwoConcurrentFlowsSameHosts(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	tbl.Add(pkt(client, server, 40000, 80, layers.TCPSyn, nil), 0, nil)
 	tbl.Add(pkt(client, server, 40001, 80, layers.TCPSyn, nil), 0, nil)
 	if tbl.Active() != 2 {
 		t.Fatalf("active = %d", tbl.Active())
 	}
 	tbl.FlushAll()
-	if len(tbl.Records()) != 2 {
-		t.Fatalf("records = %d", len(tbl.Records()))
+	if len(records()) != 2 {
+		t.Fatalf("records = %d", len(records()))
 	}
 }
 
@@ -309,9 +309,9 @@ func TestKeyEquals(t *testing.T) {
 }
 
 func TestHTTPHostLowercased(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	runConn(tbl, 0, 80, []byte("GET / HTTP/1.1\r\nHost: WWW.Example.COM\r\n\r\n"), nil)
-	if h := tbl.Records()[0].HTTPHost; h != "www.example.com" {
+	if h := records()[0].HTTPHost; h != "www.example.com" {
 		t.Fatalf("host = %q", h)
 	}
 }
@@ -333,19 +333,24 @@ func TestIgnoresNonTransportPackets(t *testing.T) {
 }
 
 func TestSplitHTTPHeaderAcrossSegments(t *testing.T) {
-	tbl := NewTable(Config{})
+	tbl, records := recordingTable(Config{})
 	tbl.Add(pkt(client, server, 40000, 80, layers.TCPSyn, nil), 0, nil)
 	tbl.Add(pkt(client, server, 40000, 80, layers.TCPAck|layers.TCPPsh, []byte("GET / HTTP/1.1\r\nHo")), 1, nil)
 	tbl.Add(pkt(client, server, 40000, 80, layers.TCPAck|layers.TCPPsh, []byte("st: split.example.com\r\n\r\n")), 2, nil)
 	tbl.FlushAll()
-	r := tbl.Records()[0]
+	r := records()[0]
 	if r.L7 != L7HTTP || r.HTTPHost != "split.example.com" {
 		t.Fatalf("got %v %q", r.L7, r.HTTPHost)
 	}
 }
 
-// Records returns flows finished while no OnRecord callback was set.
-func (t *Table) Records() []Record { return t.frozen }
+// recordingTable returns a table with cfg whose OnRecord collects every
+// finished flow, and a func that returns the flows collected so far.
+func recordingTable(cfg Config) (*Table, func() []Record) {
+	var recs []Record
+	cfg.OnRecord = func(r Record, _ Handle) { recs = append(recs, r) }
+	return NewTable(cfg), func() []Record { return recs }
+}
 
 // TestFlushAllDrainsAndReuses: FlushAll emits every live flow once, least
 // recently touched first, settling an HTTP Host whose line never ended and

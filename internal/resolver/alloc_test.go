@@ -9,36 +9,33 @@ import (
 	"unsafe"
 )
 
-// Once the Clist has wrapped, the resolver runs on recycled entries, nodes
-// and history cells: a saturated steady state must insert and look up
-// without allocating, with or without history.
+// Once the Clist has wrapped, the resolver runs on recycled entries and
+// nodes: a saturated steady state must insert and look up without
+// allocating.
 
 func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 	client := netip.MustParseAddr("10.0.0.1")
 	servers := []netip.Addr{netip.MustParseAddr("192.0.2.10"), netip.MustParseAddr("192.0.2.11")}
-	// Two names alternate so that, with history on, every replacement
-	// files the displaced entry and drops the oldest.
+	// Two names alternate, so every replacement frees the displaced entry.
 	names := [2]string{"cdn.example.com", "img.example.com"}
-	for _, history := range []int{0, 2} {
-		r := New(Config{ClistSize: 32, History: history})
-		// Fill the Clist past capacity so eviction and the free lists kick in.
-		i := 0
-		for ; i < 128; i++ {
-			r.Insert(client, names[i%2], servers, time.Duration(i))
+	r := New(Config{ClistSize: 32})
+	// Fill the Clist past capacity so eviction and the free lists kick in.
+	i := 0
+	for ; i < 128; i++ {
+		r.Insert(client, names[i%2], servers, time.Duration(i))
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		i++
+		r.Insert(client, names[i%2], servers, time.Second)
+	}); n != 0 {
+		t.Fatalf("steady-state insert allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := r.Lookup(client, servers[0]); !ok {
+			t.Fatal("lookup miss")
 		}
-		if n := testing.AllocsPerRun(1000, func() {
-			i++
-			r.Insert(client, names[i%2], servers, time.Second)
-		}); n != 0 {
-			t.Fatalf("History %d: steady-state insert allocates %v/op, want 0", history, n)
-		}
-		if n := testing.AllocsPerRun(1000, func() {
-			if _, ok := r.Lookup(client, servers[0]); !ok {
-				t.Fatal("lookup miss")
-			}
-		}); n != 0 {
-			t.Fatalf("History %d: lookup allocates %v/op, want 0", history, n)
-		}
+	}); n != 0 {
+		t.Fatalf("lookup allocates %v/op, want 0", n)
 	}
 }
 
@@ -86,10 +83,9 @@ func TestEvictionChurnZeroAlloc(t *testing.T) {
 }
 
 // The resolver's footprint is its node and entry layout: a pair node is
-// 24 bytes (an IPv4 key inline, no cached hash, no history head) and an
-// entry 24 bytes (the Used flag rides in the name count), and no node,
-// entry or history cell holds a pointer, so their slab chunks are never
-// scanned by the GC.
+// 24 bytes (an IPv4 key inline, no cached hash) and an entry 24 bytes (the
+// Used flag rides in the name count), and neither holds a pointer, so their
+// slab chunks are never scanned by the GC.
 func TestLayout(t *testing.T) {
 	if n := unsafe.Sizeof(pairNode{}); n != 24 {
 		t.Errorf("pairNode is %d bytes, want 24", n)
@@ -97,7 +93,7 @@ func TestLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Entry{}); n != 24 {
 		t.Errorf("Entry is %d bytes, want 24", n)
 	}
-	for _, v := range []any{pairNode{}, histCell{}, Entry{}} {
+	for _, v := range []any{pairNode{}, Entry{}} {
 		if typ := reflect.TypeOf(v); hasPointer(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}

@@ -11,11 +11,10 @@ package resolver
 // sequence.
 //
 // The snapshot is compacting: tombstones (the Clist places of entries
-// freed once every key and history cell naming them was superseded) and
-// entries kept only by a history cell are skipped, so a restored Clist
-// holds only live state and may be shorter than the original. Restore replays entries through Insert, which
-// rebuilds the lookup table and the back-references exactly as the
-// original inserts did.
+// freed once every key naming them was superseded) are skipped, so a
+// restored Clist holds only live state and may be shorter than the
+// original. Restore replays entries through Insert, which rebuilds the
+// lookup table and the back-references exactly as the original inserts did.
 //
 // The wire format is a small versioned binary framing (netip.Addr does
 // not survive encoding/gob): addresses are length-prefixed
@@ -74,14 +73,13 @@ type SnapshotEntry struct {
 }
 
 // Snapshot returns the live Clist in FIFO order (oldest first).
-// Tombstones and entries with no remaining back-references are skipped;
-// see the package notes on compaction. Every entry's Servers is carved from
-// one backing array, so a snapshot costs the same few allocations at any
-// size.
+// Tombstones are skipped; see the package notes on compaction. Every
+// entry's Servers is carved from one backing array, so a snapshot costs the
+// same few allocations at any size.
 func (r *Resolver) Snapshot() []SnapshotEntry {
 	var n, nsrv int
-	// names bounds an entry's linked nodes: it counts its Clist slot and
-	// every node naming it, linked or (with history) not.
+	// names counts an entry's Clist slot and every node naming it, each of
+	// them on its back-reference list.
 	r.eachLive(func(e *Entry) { n, nsrv = n+1, nsrv+int(e.count())-1 })
 	out := make([]SnapshotEntry, 0, n)
 	servers := make([]netip.Addr, nsrv)
@@ -101,19 +99,17 @@ func (r *Resolver) Snapshot() []SnapshotEntry {
 	return out
 }
 
-// eachLive calls fn on every Clist entry that still has back-references,
-// in FIFO order (oldest first). Tombstones are skipped without touching the
-// entry slab.
+// eachLive calls fn on every Clist entry in FIFO order (oldest first).
+// Tombstones are skipped without touching the entry slab; every other
+// entry has a back-reference, since an entry no node names is tombstoned
+// at once.
 func (r *Resolver) eachLive(fn func(*Entry)) {
 	// Until the ring wraps, next is 0 and slots 0..len-1 are FIFO order;
 	// after that the oldest entry sits at next.
 	for _, part := range [2][]uint32{r.clist[r.next:], r.clist[:r.next]} {
 		for _, s := range part {
-			if s == noSlot {
-				continue
-			}
-			if e := r.entries.At(s); e.refs != noSlot {
-				fn(e)
+			if s != noSlot {
+				fn(r.entries.At(s))
 			}
 		}
 	}

@@ -15,13 +15,13 @@ import (
 // orderedRef (reference_test.go) — the paper's two-level structure with a
 // sorted-slice inner map over a plain FIFO Clist. The resolver and the
 // model must agree on every lookup, on the client count after every
-// insert, on every statistic, on every LookupAll history list and on the
-// Snapshot (FIFO order, each entry's live servers in link order), through
-// arbitrary insert/lookup sequences with heavy Clist eviction. The address
-// pools hold IPv6 addresses and 4-in-6 twins, distinct keys that take a
-// side cell where two IPv4 addresses are stored inline, and an insert may
-// name the same server twice, as a DNS answer can. After every operation the entry slab must hold exactly the
-// entries a node or a history cell names (checkSlab): a superseded entry
+// insert, on every statistic and on the Snapshot (FIFO order, each entry's
+// live servers in link order), through arbitrary insert/lookup sequences
+// with heavy Clist eviction. The address pools hold IPv6 addresses and
+// 4-in-6 twins, distinct keys that take a side cell where two IPv4
+// addresses are stored inline, and an insert may name the same server
+// twice, as a DNS answer can. After every operation the entry slab must
+// hold exactly the entries a node names (checkSlab): a superseded entry
 // leaves it at once, and only a tombstone keeps its Clist place.
 
 var (
@@ -45,9 +45,9 @@ var (
 // runDifferential replays ops against the resolver and the model and cross-checks
 // behaviour after every operation; see the file comment for the contract.
 // An insert names 1..maxAddrs servers.
-func runDifferential(t *testing.T, data []byte, clistSize, history, maxAddrs int) {
+func runDifferential(t *testing.T, data []byte, clistSize, maxAddrs int) {
 	t.Helper()
-	cfg := Config{ClistSize: clistSize, History: history}
+	cfg := Config{ClistSize: clistSize}
 	h, o := New(cfg), newOrderedRef(cfg)
 
 	at := time.Duration(0)
@@ -92,29 +92,25 @@ func runDifferential(t *testing.T, data []byte, clistSize, history, maxAddrs int
 	if hs, os := h.Snapshot(), o.snapshot(); !reflect.DeepEqual(hs, os) {
 		t.Fatalf("snapshots diverge:\n flat    %v\n ordered %v", hs, os)
 	}
-	// Full cross-product sweep, including LookupAll history contents.
+	// Full cross-product sweep.
 	for _, cl := range fzClients {
 		for _, sv := range fzServers {
-			ha, oa := h.LookupAll(cl, sv), o.LookupAll(cl, sv)
-			if len(ha) != len(oa) {
-				t.Fatalf("LookupAll(%v,%v): %v vs %v", cl, sv, ha, oa)
-			}
-			for k := range ha {
-				if ha[k] != oa[k] {
-					t.Fatalf("LookupAll(%v,%v): %v vs %v", cl, sv, ha, oa)
-				}
+			hf, hok := h.Lookup(cl, sv)
+			of, ook := o.Lookup(cl, sv)
+			if hok != ook || hf != of {
+				t.Fatalf("Lookup(%v,%v) = %q,%v (flat) vs %q,%v (ordered)", cl, sv, hf, hok, of, ook)
 			}
 		}
 	}
 }
 
-// checkSlab asserts that r's entry slab holds exactly the entries a node or
-// a history cell names, and that each one's name count and Clist place are
-// what the nodes, the cells and the ring say. Every node has a client and a
-// server from the fuzz pools, so their cross product reaches them all.
+// checkSlab asserts that r's entry slab holds exactly the entries a node
+// names, and that each one's name count and Clist place are what the nodes
+// and the ring say. Every node has a client and a server from the fuzz
+// pools, so their cross product reaches them all.
 func checkSlab(t *testing.T, r *Resolver, op int) {
 	t.Helper()
-	named := map[uint32]uint32{} // entry slot → nodes and history cells naming it
+	named := map[uint32]uint32{} // entry slot → nodes naming it
 	ft := r.flat
 	for _, cl := range fzClients {
 		for _, sv := range fzServers {
@@ -123,11 +119,7 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 			if slot == noSlot {
 				continue
 			}
-			n := ft.nodes.At(slot)
-			named[n.entry]++
-			for c := r.head(slot); c != noSlot; c = r.hist.At(c).next {
-				named[r.hist.At(c).entry]++
-			}
+			named[ft.nodes.At(slot).entry]++
 		}
 	}
 	filed := map[uint32]uint32{} // entry slot → Clist index
@@ -140,12 +132,12 @@ func checkSlab(t *testing.T, r *Resolver, op int) {
 	for s := range live {
 		if named[s] == 0 {
 			e := r.entries.At(s)
-			t.Fatalf("op %d: entry %d (%q, Clist index %d) is in the slab but no node or history cell names it", op, s, r.names.Str(e.FQDN), int32(e.pos))
+			t.Fatalf("op %d: entry %d (%q, Clist index %d) is in the slab but no node names it", op, s, r.names.Str(e.FQDN), int32(e.pos))
 		}
 	}
 	for s, n := range named {
 		if !live[s] {
-			t.Fatalf("op %d: entry %d is named by %d nodes or cells but was freed", op, s, n)
+			t.Fatalf("op %d: entry %d is named by %d nodes but was freed", op, s, n)
 		}
 		pos, ok := filed[s]
 		if ok {
@@ -178,20 +170,20 @@ func liveSlots[T any](s *swiss.Slab[T]) map[uint32]bool {
 // FuzzFlatVsOrderedResolver pits the flat open-addressing table against the
 // two-level reference model over random insert/lookup/evict sequences.
 func FuzzFlatVsOrderedResolver(f *testing.F) {
-	f.Add([]byte{0x01, 0x40, 0x12, 0x81, 0x00, 0x00}, uint8(4), uint8(0))
-	f.Add([]byte{0x00, 0x00, 0x10, 0x00, 0x40, 0x20, 0x80, 0x00, 0x00}, uint8(2), uint8(2))
-	f.Add([]byte{0x03, 0xC0, 0xFF, 0x83, 0x04, 0x01, 0x02, 0x80, 0x33}, uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, clist, history uint8) {
-		runDifferential(t, data, 1+int(clist)%64, int(history)%3, 3)
+	f.Add([]byte{0x01, 0x40, 0x12, 0x81, 0x00, 0x00}, uint8(4))
+	f.Add([]byte{0x00, 0x00, 0x10, 0x00, 0x40, 0x20, 0x80, 0x00, 0x00}, uint8(2))
+	f.Add([]byte{0x03, 0xC0, 0xFF, 0x83, 0x04, 0x01, 0x02, 0x80, 0x33}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, clist uint8) {
+		runDifferential(t, data, 1+int(clist)%64, 3)
 	})
 }
 
 // TestFlatVsOrderedSeeded exercises the differential contract on plain
-// `go test` runs with fixed pseudo-random streams across Clist/history
-// shapes that force heavy eviction, recycling, and history promotion.
+// `go test` runs with fixed pseudo-random streams across Clist sizes that
+// force heavy eviction and recycling.
 func TestFlatVsOrderedSeeded(t *testing.T) {
 	for _, tc := range []struct {
-		clist, history int
+		clist int
 		// twins draws every client from the twin pair 10.0.0.1 /
 		// ::ffff:10.0.0.1 and every first server from 203.0.113.1 /
 		// ::ffff:203.0.113.1.
@@ -199,14 +191,14 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 		// addrs is the most servers one insert names (0 means 3).
 		addrs int
 	}{
-		{1, 0, false, 0}, {3, 0, false, 0}, {8, 0, false, 0}, {64, 0, false, 0}, {2, 1, false, 0}, {5, 2, false, 0}, {16, 2, false, 0},
-		{6, 2, true, 0},
+		{1, false, 0}, {2, false, 0}, {3, false, 0}, {5, false, 0}, {8, false, 0}, {16, false, 0}, {64, false, 0},
+		{6, true, 0},
 		// Responses of up to four addresses, each counted in and out of
-		// the client count at once, with history promotion and eviction.
-		{1, 2, false, 4},
+		// the client count at once, with eviction.
+		{1, false, 4},
 	} {
 		data := make([]byte, 3*2048)
-		s := uint64(tc.clist*31 + tc.history*7 + 1)
+		s := uint64(tc.clist*31 + tc.addrs*7 + 1)
 		for i := range data {
 			s += 0x9E3779B97F4A7C15
 			z := s
@@ -216,7 +208,7 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 			data[i] = byte(z >> 40)
 		}
 		addrs := cmp.Or(tc.addrs, 3)
-		name := fmt.Sprintf("clist=%d,history=%d", tc.clist, tc.history)
+		name := fmt.Sprintf("clist=%d", tc.clist)
 		if tc.addrs != 0 {
 			name += fmt.Sprintf(",addrs=%d", tc.addrs)
 		}
@@ -228,7 +220,7 @@ func TestFlatVsOrderedSeeded(t *testing.T) {
 			}
 		}
 		t.Run(name, func(t *testing.T) {
-			runDifferential(t, data, tc.clist, tc.history, addrs)
+			runDifferential(t, data, tc.clist, addrs)
 		})
 	}
 }

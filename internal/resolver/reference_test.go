@@ -7,18 +7,15 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"repro/internal/swiss"
 )
 
 // orderedRef is the reference model the flat pair table is tested against:
 // the paper's two-level lookup structure stated plainly — clientIP → an
 // ordered serverIP map (a sorted slice searched by binary search, O(log n)
-// like the paper's C++ std::map) → node — over a preallocated FIFO Clist.
+// like the paper's C++ std::map) → entry — over a preallocated FIFO Clist.
 // It has no hashing, slabs or free lists, and keeps the same Stats as the
 // Resolver, so the differential tests can compare every counter.
 type orderedRef struct {
-	cfg     Config
 	clients map[netip.Addr]*orderedServerMap
 	clist   []*refEntry
 	next    int
@@ -28,7 +25,6 @@ type orderedRef struct {
 
 func newOrderedRef(cfg Config) *orderedRef {
 	return &orderedRef{
-		cfg:     cfg,
 		clients: make(map[netip.Addr]*orderedServerMap),
 		clist:   make([]*refEntry, cfg.ClistSize),
 	}
@@ -52,52 +48,45 @@ func (e *refEntry) removeServer(srv netip.Addr) {
 	}
 }
 
-// node holds the newest entry for a (client, server) key plus bounded
-// history of displaced entries, newest first.
-type node struct {
-	entry *refEntry
-	older []*refEntry
-}
-
-// orderedServerMap is one client's inner map: entries sorted by server
-// address, looked up by binary search. Matches the strict-weak-ordering
-// criterion the paper describes for its C++ maps.
+// orderedServerMap is one client's inner map: each server's newest entry,
+// sorted by server address and looked up by binary search. Matches the
+// strict-weak-ordering criterion the paper describes for its C++ maps.
 type orderedServerMap struct {
-	keys  []netip.Addr
-	nodes []*node
+	keys    []netip.Addr
+	entries []*refEntry
 }
 
 func (m *orderedServerMap) search(a netip.Addr) int {
 	return sort.Search(len(m.keys), func(i int) bool { return m.keys[i].Compare(a) >= 0 })
 }
 
-func (m *orderedServerMap) get(a netip.Addr) (*node, bool) {
+func (m *orderedServerMap) get(a netip.Addr) (*refEntry, bool) {
 	i := m.search(a)
 	if i < len(m.keys) && m.keys[i] == a {
-		return m.nodes[i], true
+		return m.entries[i], true
 	}
 	return nil, false
 }
 
-func (m *orderedServerMap) put(a netip.Addr, n *node) {
+func (m *orderedServerMap) put(a netip.Addr, e *refEntry) {
 	i := m.search(a)
 	if i < len(m.keys) && m.keys[i] == a {
-		m.nodes[i] = n
+		m.entries[i] = e
 		return
 	}
 	m.keys = append(m.keys, netip.Addr{})
-	m.nodes = append(m.nodes, nil)
+	m.entries = append(m.entries, nil)
 	copy(m.keys[i+1:], m.keys[i:])
-	copy(m.nodes[i+1:], m.nodes[i:])
+	copy(m.entries[i+1:], m.entries[i:])
 	m.keys[i] = a
-	m.nodes[i] = n
+	m.entries[i] = e
 }
 
 func (m *orderedServerMap) del(a netip.Addr) {
 	i := m.search(a)
 	if i < len(m.keys) && m.keys[i] == a {
 		m.keys = append(m.keys[:i], m.keys[i+1:]...)
-		m.nodes = append(m.nodes[:i], m.nodes[i+1:]...)
+		m.entries = append(m.entries[:i], m.entries[i+1:]...)
 	}
 }
 
@@ -119,20 +108,11 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 	}
 	for _, srv := range servers {
 		m.stats.Addresses++
-		if n, ok := sm.get(srv); ok {
-			old := n.entry
+		if old, ok := sm.get(srv); ok {
 			old.removeServer(srv)
 			m.stats.Replaced++
-			if m.cfg.History > 0 && old.fqdn != fqdn {
-				n.older = append([]*refEntry{old}, n.older...)
-				if len(n.older) > m.cfg.History {
-					n.older = n.older[:m.cfg.History]
-				}
-			}
-			n.entry = e
-		} else {
-			sm.put(srv, &node{entry: e})
 		}
+		sm.put(srv, e)
 		e.servers = append(e.servers, srv)
 	}
 	if old := m.clist[m.next]; old != nil && old.live {
@@ -142,8 +122,8 @@ func (m *orderedRef) Insert(client netip.Addr, fqdn string, servers []netip.Addr
 	m.next = (m.next + 1) % len(m.clist)
 }
 
-// evict removes every key still pointing at e, promoting history where a
-// key has some and dropping a client whose inner map empties.
+// evict removes every key still pointing at e, dropping a client whose
+// inner map empties.
 func (m *orderedRef) evict(e *refEntry) {
 	m.stats.Evictions++
 	for _, srv := range e.servers {
@@ -151,27 +131,13 @@ func (m *orderedRef) evict(e *refEntry) {
 		if !ok {
 			continue
 		}
-		n, ok := sm.get(srv)
-		if !ok {
+		if cur, ok := sm.get(srv); !ok || cur != e {
 			continue
 		}
-		if n.entry == e {
-			if len(n.older) > 0 {
-				n.entry, n.older = n.older[0], n.older[1:]
-				continue
-			}
-			sm.del(srv)
-			m.stats.EvictedRefs++
-			if sm.size() == 0 {
-				delete(m.clients, e.client)
-			}
-			continue
-		}
-		for i, h := range n.older {
-			if h == e {
-				n.older = append(n.older[:i], n.older[i+1:]...)
-				break
-			}
+		sm.del(srv)
+		m.stats.EvictedRefs++
+		if sm.size() == 0 {
+			delete(m.clients, e.client)
 		}
 	}
 	e.servers = nil
@@ -179,38 +145,17 @@ func (m *orderedRef) evict(e *refEntry) {
 	m.alive--
 }
 
-func (m *orderedRef) node(client, server netip.Addr) *node {
-	if sm, ok := m.clients[client]; ok {
-		if n, ok := sm.get(server); ok {
-			return n
-		}
-	}
-	return nil
-}
-
 // Lookup is Algorithm 1's LOOKUP.
 func (m *orderedRef) Lookup(client, server netip.Addr) (string, bool) {
 	m.stats.Lookups++
-	n := m.node(client, server)
-	if n == nil {
-		m.stats.Misses++
-		return "", false
+	if sm, ok := m.clients[client]; ok {
+		if e, ok := sm.get(server); ok {
+			m.stats.Hits++
+			return e.fqdn, true
+		}
 	}
-	m.stats.Hits++
-	return n.entry.fqdn, true
-}
-
-// LookupAll returns the key's FQDNs, newest first.
-func (m *orderedRef) LookupAll(client, server netip.Addr) []string {
-	n := m.node(client, server)
-	if n == nil {
-		return nil
-	}
-	out := []string{n.entry.fqdn}
-	for _, h := range n.older {
-		out = append(out, h.fqdn)
-	}
-	return out
+	m.stats.Misses++
+	return "", false
 }
 
 // snapshot is the model's Snapshot: a FIFO walk of the Clist, oldest first,
@@ -237,7 +182,7 @@ func TestOrderedServerMapOps(t *testing.T) {
 	m := &orderedServerMap{}
 	addrs := []netip.Addr{s3, s1, s2}
 	for i, a := range addrs {
-		m.put(a, &node{entry: &refEntry{fqdn: fmt.Sprintf("e%d", i)}})
+		m.put(a, &refEntry{fqdn: fmt.Sprintf("e%d", i)})
 	}
 	if m.size() != 3 {
 		t.Fatalf("size = %d", m.size())
@@ -248,11 +193,11 @@ func TestOrderedServerMapOps(t *testing.T) {
 			t.Fatalf("keys unsorted: %v", m.keys)
 		}
 	}
-	if n, ok := m.get(s1); !ok || n.entry.fqdn != "e1" {
-		t.Fatalf("get(s1) = %v %v", n, ok)
+	if e, ok := m.get(s1); !ok || e.fqdn != "e1" {
+		t.Fatalf("get(s1) = %v %v", e, ok)
 	}
-	m.put(s1, &node{entry: &refEntry{fqdn: "replaced"}})
-	if n, _ := m.get(s1); n.entry.fqdn != "replaced" {
+	m.put(s1, &refEntry{fqdn: "replaced"})
+	if e, _ := m.get(s1); e.fqdn != "replaced" {
 		t.Fatal("put did not replace")
 	}
 	m.del(s1)
@@ -276,22 +221,4 @@ func (r *Resolver) Lookup(clientIP, serverIP netip.Addr) (fqdn string, ok bool) 
 		return "", false
 	}
 	return r.names.Str(e.FQDN), true
-}
-
-// LookupAll returns every FQDN currently associated with (clientIP,
-// serverIP), newest first. With Config.History == 0 this is at most one
-// name. The multi-label extension discussed in §6.
-func (r *Resolver) LookupAll(clientIP, serverIP netip.Addr) []string {
-	ft := r.flat
-	var k swiss.PairKey
-	slot := ft.find(&k, ft.key(&k, clientIP, serverIP))
-	if slot == noSlot {
-		return nil
-	}
-	n := ft.nodes.At(slot)
-	out := []string{r.names.Str(r.entries.At(n.entry).FQDN)}
-	for c := r.head(slot); c != noSlot; c = r.hist.At(c).next {
-		out = append(out, r.names.Str(r.entries.At(r.hist.At(c).entry).FQDN))
-	}
-	return out
 }

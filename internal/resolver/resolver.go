@@ -8,21 +8,21 @@
 // links threaded through the key nodes themselves, so eviction walks an
 // entry's nodes by slot and never probes for a key.
 //
-// An entry whose every key was re-pointed by a newer response (lines 11–15),
-// and which no history cell holds, can never be returned by LOOKUP again. It
-// leaves the entry slab at once; its Clist slot keeps its FIFO place as a
-// tombstone, so the eviction sequence is the paper's, and a superseded slot
-// costs the 4 bytes of its ring cell instead of a whole entry.
+// An entry whose every key was re-pointed by a newer response (lines 11–15)
+// can never be returned by LOOKUP again. It leaves the entry slab at once;
+// its Clist slot keeps its FIFO place as a tombstone, so the eviction
+// sequence is the paper's, and a superseded slot costs the 4 bytes of its
+// ring cell instead of a whole entry.
 //
 // The lookup structure is the paper's footnote-2 hash-map option, with the
 // two-level clientIP → serverIP → entry maps flattened into a single
 // swiss-style open-addressing table keyed by the combined (client, server)
 // address pair: one probe per lookup instead of two chained hash maps. Key
-// nodes, Clist entries and history cells live in slabs and name each other
-// by uint32 slot; the nodes, the history cells and the Clist ring hold no
-// pointer, so the GC never scans them. The paper's two-level ordered
-// structure (C++ std::map) lives on in the package tests as the reference
-// model the differential tests and fuzzer compare this table against.
+// nodes and Clist entries live in slabs and name each other by uint32 slot;
+// the nodes and the Clist ring hold no pointer, so the GC never scans them.
+// The paper's two-level ordered structure (C++ std::map) lives on in the
+// package tests as the reference model the differential tests and fuzzer
+// compare this table against.
 package resolver
 
 import (
@@ -41,12 +41,6 @@ type Config struct {
 	// the implied caching time covers ~1 hour of responses (§6). Zero means
 	// 1<<20 entries.
 	ClistSize int
-	// History keeps up to this many previous FQDNs per (client, server)
-	// key; when the current entry is evicted the newest of them is promoted
-	// (§6 discusses the <4% confusion from last-writer-wins and a
-	// multi-label extension). Zero keeps only the latest (the paper's
-	// default behaviour).
-	History int
 }
 
 // Stats counts resolver activity.
@@ -63,8 +57,8 @@ type Stats struct {
 }
 
 // Entry is one Clist entry: an FQDN with the time its response was seen.
-// Entries live in a slab and a slot is reused once no node or history cell
-// names its entry, so an *Entry is valid only until the next Insert.
+// Entries live in a slab and a slot is reused once no node names its entry,
+// so an *Entry is valid only until the next Insert.
 type Entry struct {
 	At time.Duration
 	// FQDN is the ID of the entry's name in the resolver's name table, 0
@@ -75,10 +69,10 @@ type Entry struct {
 	// through pairNode.prev/next. noSlot when the list is empty.
 	refs uint32
 	// names counts, below usedBit, what names the entry: its Clist slot
-	// until eviction, and every node whose current or history entry it is.
-	// The entry's slot is recycled when the count drops to zero, or to one
-	// while the entry still holds its Clist slot: then only the ring names
-	// it, and the slot becomes a tombstone. usedBit is the Used flag.
+	// until eviction, and every node whose current entry it is. The entry's
+	// slot is recycled when the count drops to zero, or to one while the
+	// entry still holds its Clist slot: then only the ring names it, and the
+	// slot becomes a tombstone. usedBit is the Used flag.
 	names uint32
 	// pos is the entry's Clist index: noSlot until the entry is filed and
 	// after its eviction.
@@ -104,21 +98,16 @@ func (e *Entry) count() uint32 { return e.names &^ usedBit }
 // pair in a side cell of pairTable.pairs — the slot of its current entry
 // and its links on that entry's back-reference list. It caches no hash:
 // hashOf recomputes it from the key, which the probe that found the node
-// has read already. A node's newest history cell lives in Resolver.older,
-// so a resolver without history pays nothing for it. Nodes live in a slab
-// addressed by the uint32 slots of the swiss index and hold no pointer, so
-// the GC never scans them; slots are recycled on remove, so cross-statement
-// references use slots, never *pairNode.
+// has read already. Nodes live in a slab addressed by the uint32 slots of
+// the swiss index and hold no pointer, so the GC never scans them; slots are
+// recycled on remove, so cross-statement references use slots, never
+// *pairNode.
 type pairNode struct {
 	pair       uint64 // swiss.Pairs word of the key
 	entry      uint32
-	prev, next uint32 // back-reference links; prev is noSlot when unlinked
+	prev, next uint32 // back-reference links
 	fam        uint8  // swiss family bits of the key
 }
-
-// histCell is one history entry of a node (Config.History); a node's cells
-// form a list, newest first.
-type histCell struct{ entry, next uint32 }
 
 // noSlot is the nil slab index.
 const noSlot = ^uint32(0)
@@ -178,7 +167,7 @@ func (t *pairTable) find(k *swiss.PairKey, h uint64) uint32 {
 // insert creates an unlinked node for k → entry and returns its slot.
 func (t *pairTable) insert(k *swiss.PairKey, h uint64, entry uint32) uint32 {
 	slot := t.nodes.Alloc()
-	*t.nodes.At(slot) = pairNode{pair: t.pairs.Put(k), fam: k.Fam, entry: entry, prev: noSlot, next: noSlot}
+	*t.nodes.At(slot) = pairNode{pair: t.pairs.Put(k), fam: k.Fam, entry: entry}
 	t.idx.Insert(h, slot, t.hashOf)
 	return slot
 }
@@ -200,10 +189,6 @@ type Resolver struct {
 	names   *names.Table
 	flat    *pairTable
 	entries swiss.Slab[Entry]
-	hist    swiss.Slab[histCell]
-	// older holds each node's newest history cell, or noSlot, by node
-	// slot; nil when Config.History is 0.
-	older []uint32
 	// clist holds entry slots, or noSlot for a tombstone: the place of an
 	// entry freed once superseded. It grows on demand up to cfg.ClistSize
 	// and only then behaves as a ring. The FIFO semantics are identical to
@@ -277,26 +262,13 @@ func (r *Resolver) InsertID(clientIP netip.Addr, fqdn uint32, servers []netip.Ad
 		slot := ft.find(&k, h)
 		if slot == noSlot {
 			slot = ft.insert(&k, h, es)
-			if r.cfg.History > 0 {
-				// A fresh node slot is the next index, a reused one below it.
-				if int(slot) == len(r.older) {
-					r.older = append(r.older, noSlot)
-				} else {
-					r.older[slot] = noSlot
-				}
-			}
 		} else {
 			// Replace the old reference (Algorithm 1, lines 11–15): the old
-			// entry loses this node; optionally it is retained as history.
+			// entry loses this node.
 			r.stats.Replaced++
 			n := ft.nodes.At(slot)
-			old := n.entry
 			r.unlink(slot)
-			if r.cfg.History > 0 && r.entries.At(old).FQDN != fqdn {
-				r.pushHistory(slot, old)
-			} else {
-				r.release(old)
-			}
+			r.release(n.entry)
 			n.entry = es
 		}
 		entry.names++
@@ -335,14 +307,10 @@ func (r *Resolver) link(slot uint32) {
 	first.prev = slot
 }
 
-// unlink takes the node at slot off its entry's back-reference list, if it
-// is on one: a node whose entry was promoted from history is not.
+// unlink takes the node at slot off its entry's back-reference list.
 func (r *Resolver) unlink(slot uint32) {
 	nodes := &r.flat.nodes
 	n := nodes.At(slot)
-	if n.prev == noSlot {
-		return
-	}
 	e := r.entries.At(n.entry)
 	if n.next == slot {
 		e.refs = noSlot
@@ -353,40 +321,12 @@ func (r *Resolver) unlink(slot uint32) {
 			e.refs = n.next
 		}
 	}
-	n.prev, n.next = noSlot, noSlot
-}
-
-// pushHistory files old as the newest history entry of the node at slot
-// and drops the cell beyond Config.History, if any.
-func (r *Resolver) pushHistory(slot, old uint32) {
-	c := r.hist.Alloc()
-	*r.hist.At(c) = histCell{entry: old, next: r.older[slot]}
-	r.older[slot] = c
-	for i := 1; i < r.cfg.History; i++ {
-		if c = r.hist.At(c).next; c == noSlot {
-			return
-		}
-	}
-	last := r.hist.At(c)
-	if drop := last.next; drop != noSlot {
-		last.next = noSlot
-		r.release(r.hist.At(drop).entry)
-		r.hist.Free(drop)
-	}
-}
-
-// head returns the newest history cell of the node at slot, or noSlot.
-func (r *Resolver) head(slot uint32) uint32 {
-	if r.cfg.History == 0 {
-		return noSlot
-	}
-	return r.older[slot]
 }
 
 // release drops one name of the entry at slot s and recycles the slot when
-// none is left, or when only its Clist slot is: no node or history cell
-// names it, so LOOKUP can never return it again, and its ring cell becomes
-// a tombstone that keeps its FIFO place.
+// none is left, or when only its Clist slot is: no node names it, so LOOKUP
+// can never return it again, and its ring cell becomes a tombstone that
+// keeps its FIFO place.
 func (r *Resolver) release(s uint32) {
 	e := r.entries.At(s)
 	if e.names--; e.count() == 1 && e.pos != noSlot {
@@ -399,10 +339,9 @@ func (r *Resolver) release(s uint32) {
 	}
 }
 
-// evict takes the entry at slot s out of the Clist: every node on its
-// back-reference list promotes its newest history entry if it has one and
-// is removed otherwise — by slot, with no hash or probe. A tombstone's entry
-// is gone already, so evicting one only counts.
+// evict takes the entry at slot s out of the Clist and removes every node
+// on its back-reference list — by slot, with no hash or probe. A
+// tombstone's entry is gone already, so evicting one only counts.
 func (r *Resolver) evict(s uint32) {
 	r.stats.Evictions++
 	if s == noSlot {
@@ -417,17 +356,8 @@ func (r *Resolver) evict(s uint32) {
 		slot := e.refs
 		r.unlink(slot)
 		r.release(s)
-		c := r.head(slot)
-		if c == noSlot {
-			ft.remove(slot)
-			r.stats.EvictedRefs++
-			continue
-		}
-		// The promoted entry stays off the node's back-reference list: it
-		// lost its link when it was replaced.
-		h := *r.hist.At(c)
-		r.hist.Free(c)
-		ft.nodes.At(slot).entry, r.older[slot] = h.entry, h.next
+		ft.remove(slot)
+		r.stats.EvictedRefs++
 	}
 	r.release(s) // the Clist's name
 }

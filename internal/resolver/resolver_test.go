@@ -142,54 +142,6 @@ func TestLookupEntryTimestamp(t *testing.T) {
 	}
 }
 
-func TestHistoryLookupAll(t *testing.T) {
-	r := New(Config{ClistSize: 16, History: 2})
-	r.Insert(c1, "first.example.com", []netip.Addr{s1}, 0)
-	r.Insert(c1, "second.example.com", []netip.Addr{s1}, 0)
-	r.Insert(c1, "third.example.com", []netip.Addr{s1}, 0)
-	all := r.LookupAll(c1, s1)
-	want := []string{"third.example.com", "second.example.com", "first.example.com"}
-	if len(all) != 3 {
-		t.Fatalf("LookupAll = %v", all)
-	}
-	for i := range want {
-		if all[i] != want[i] {
-			t.Fatalf("LookupAll = %v, want %v", all, want)
-		}
-	}
-	// History bounded at 2.
-	r.Insert(c1, "fourth.example.com", []netip.Addr{s1}, 0)
-	if all := r.LookupAll(c1, s1); len(all) != 3 {
-		t.Fatalf("history not bounded: %v", all)
-	}
-}
-
-func TestHistoryPromotionOnEviction(t *testing.T) {
-	r := New(Config{ClistSize: 2, History: 2})
-	r.Insert(c1, "older.example.com", []netip.Addr{s1}, 0) // slot 0
-	r.Insert(c1, "newer.example.com", []netip.Addr{s1}, 0) // slot 1; older kept in history
-	// Recycle slot 0 is a no-op for the key (older is history), then slot 1
-	// eviction must promote older back.
-	r.Insert(c1, "pad1.example.com", []netip.Addr{s2}, 0) // slot 0: evicts nothing live? (older already displaced)
-	r.Insert(c1, "pad2.example.com", []netip.Addr{s3}, 0) // slot 1: evicts newer -> promote older
-	got, ok := r.Lookup(c1, s1)
-	if !ok || got != "older.example.com" {
-		t.Fatalf("Lookup = %q %v, want promoted history entry", got, ok)
-	}
-}
-
-func TestLookupAllNoHistoryMode(t *testing.T) {
-	r := New(Config{ClistSize: 8})
-	r.Insert(c1, "a.example.com", []netip.Addr{s1}, 0)
-	r.Insert(c1, "b.example.com", []netip.Addr{s1}, 0)
-	if all := r.LookupAll(c1, s1); len(all) != 1 || all[0] != "b.example.com" {
-		t.Fatalf("LookupAll = %v", all)
-	}
-	if all := r.LookupAll(c2, s1); all != nil {
-		t.Fatalf("LookupAll for unknown client = %v", all)
-	}
-}
-
 func TestOrderedMapKindBehavesIdentically(t *testing.T) {
 	r := New(Config{ClistSize: 64})
 	for i := 0; i < 50; i++ {

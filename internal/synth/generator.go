@@ -301,7 +301,7 @@ func (g *generator) webSession(c *client, at time.Duration) {
 			}
 			if e.expiry > at {
 				server := e.servers[c.rng.Intn(len(e.servers))]
-				g.emitFlow(c, at+g.flowDelay(c), server, 0, fqdn, e.provider, 0.3, "")
+				g.emitFlow(c, at+g.flowDelay(c), server, fqdn, e.provider, 0.3)
 				return
 			}
 		}
@@ -415,7 +415,7 @@ func (g *generator) serviceSession(c *client, at time.Duration) {
 		weights = append(weights, n.Weight)
 	}
 	n := svc.Names[stats.NewWeightedChoice(weights).Sample(c.rng)]
-	fqdn := replaceHash(n.FQDN, fmt.Sprint(1+c.rng.Intn(maxInt(n.N, 1))))
+	fqdn := replaceHash(n.FQDN, fmt.Sprint(1+c.rng.Intn(max(n.N, 1))))
 	provider := g.u.Providers[svc.Provider]
 	group := &HostGroup{Provider: svc.Provider, Servers: provider.Servers, Port: svc.Port}
 	g.resolveAndFetch(c, at, fqdn, nil, group, provider, true)
@@ -447,7 +447,7 @@ func (g *generator) tunnelSession(c *client, at time.Duration) {
 	provider := g.u.Providers["amazon"]
 	servers := g.u.ServerAddrs("amazon")
 	server := servers[c.rng.Intn(len(servers))]
-	g.emitFlow(c, at, server, 0, "", provider, 0.6, "")
+	g.emitFlow(c, at, server, "", provider, 0.6)
 }
 
 // p2pActivity generates BitTorrent peer-wire flows (no DNS) and tracker
@@ -466,12 +466,4 @@ func (g *generator) p2pActivity(c *client) {
 		})
 		g.emitBT(c, at, peer)
 	}
-}
-
-// maxInt avoids importing math for two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -149,7 +149,7 @@ func (g *generator) selectServers(c *client, at time.Duration, fqdn string, grou
 	case r < 0.60 || maxAddrs == 1:
 		nAddrs = 1
 	case r < 0.85:
-		nAddrs = 2 + c.rng.Intn(maxInt(1, minInt(9, maxAddrs-1)))
+		nAddrs = 2 + c.rng.Intn(max(1, min(9, maxAddrs-1)))
 	default:
 		nAddrs = 1 + c.rng.Intn(maxAddrs)
 	}
@@ -209,13 +209,6 @@ func fnvAddBytes(h uint32, b []byte) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // emitDNSResponse writes the LDNS → client UDP packet.
@@ -307,22 +300,15 @@ const (
 	kindApp      // HTTP: a general web app request, large response
 )
 
-// emitFlow opens one HTTP-or-TLS flow, choosing the port from the TLS coin
-// when the caller passes port 0.
-func (g *generator) emitFlow(c *client, at time.Duration, server netip.Addr, port uint16, fqdn string, provider *Provider, tlsFrac float64, _ string) {
+// emitFlow opens one flow: TLS on port 443 with probability tlsFrac, HTTP
+// on port 80 otherwise.
+func (g *generator) emitFlow(c *client, at time.Duration, server netip.Addr, fqdn string, provider *Provider, tlsFrac float64) {
 	if at >= g.sc.Duration {
 		return
 	}
-	kind := kindHTTP
-	if c.rng.Bool(tlsFrac) || port == 443 {
-		kind = kindTLS
-	}
-	if port == 0 {
-		if kind == kindTLS {
-			port = 443
-		} else {
-			port = 80
-		}
+	kind, port := kindHTTP, uint16(80)
+	if c.rng.Bool(tlsFrac) {
+		kind, port = kindTLS, 443
 	}
 	g.emitFlowKind(c, at, server, port, fqdn, provider, kind)
 }
