@@ -419,69 +419,73 @@ func TestSnapshotOverTombstones(t *testing.T) {
 	// At most 2×4 keys name an entry at once, so most of the 64 slots must
 	// be tombstones.
 	const L, clients, servers = 64, 2, 4
-	cfg := Config{ClistSize: L}
-	r, o := New(cfg), newOrderedRef(cfg)
-	rng := rand.New(rand.NewPCG(7, 0))
-	for i := 0; i < 20*L; i++ {
-		srv := []netip.Addr{ckServer(rng.IntN(servers))}
-		if rng.IntN(3) == 0 {
-			srv = append(srv, ckServer(rng.IntN(servers)))
+	// The subtest name records the configuration the test has always run:
+	// a bare Clist with no history cells behind it.
+	t.Run("history=0", func(t *testing.T) {
+		cfg := Config{ClistSize: L}
+		r, o := New(cfg), newOrderedRef(cfg)
+		rng := rand.New(rand.NewPCG(7, 0))
+		for i := 0; i < 20*L; i++ {
+			srv := []netip.Addr{ckServer(rng.IntN(servers))}
+			if rng.IntN(3) == 0 {
+				srv = append(srv, ckServer(rng.IntN(servers)))
+			}
+			cl, fq, at := ckClient(rng.IntN(clients)), fmt.Sprintf("h%d.example.com", rng.IntN(5)), time.Duration(i)*time.Second
+			r.Insert(cl, fq, srv, at)
+			o.Insert(cl, fq, srv, at)
 		}
-		cl, fq, at := ckClient(rng.IntN(clients)), fmt.Sprintf("h%d.example.com", rng.IntN(5)), time.Duration(i)*time.Second
-		r.Insert(cl, fq, srv, at)
-		o.Insert(cl, fq, srv, at)
-	}
-	tombs := 0
-	for _, s := range r.clist {
-		if s == noSlot {
-			tombs++
+		tombs := 0
+		for _, s := range r.clist {
+			if s == noSlot {
+				tombs++
+			}
 		}
-	}
-	if st := r.Stats(); st.Evictions == 0 || st.EntriesAlive != L || tombs < L/2 {
-		t.Fatalf("want a wrapped Clist of %d slots, half of them tombstones: %+v, %d tombstones", L, st, tombs)
-	}
-	snap := r.Snapshot()
-	if want := o.snapshot(); !reflect.DeepEqual(snap, want) {
-		t.Fatalf("snapshot diverges from the model's FIFO:\n got  %v\n want %v", snap, want)
-	}
+		if st := r.Stats(); st.Evictions == 0 || st.EntriesAlive != L || tombs < L/2 {
+			t.Fatalf("want a wrapped Clist of %d slots, half of them tombstones: %+v, %d tombstones", L, st, tombs)
+		}
+		snap := r.Snapshot()
+		if want := o.snapshot(); !reflect.DeepEqual(snap, want) {
+			t.Fatalf("snapshot diverges from the model's FIFO:\n got  %v\n want %v", snap, want)
+		}
 
-	// Mark every other key used, so the round trip carries Used too.
-	for c := range clients {
-		for s := 0; s < servers; s += 2 {
-			if e, ok := r.LookupEntry(ckClient(c), ckServer(s)); ok {
-				e.SetUsed()
+		// Mark every other key used, so the round trip carries Used too.
+		for c := range clients {
+			for s := 0; s < servers; s += 2 {
+				if e, ok := r.LookupEntry(ckClient(c), ckServer(s)); ok {
+					e.SetUsed()
+				}
 			}
 		}
-	}
-	snap = r.Snapshot()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	read, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := New(cfg)
-	r2.Restore(read)
-	if got := r2.Snapshot(); !reflect.DeepEqual(got, snap) {
-		t.Fatalf("restored snapshot differs:\n got  %v\n want %v", got, snap)
-	}
-	for c := range clients {
-		for s := range servers {
-			e1, ok1 := r.LookupEntry(ckClient(c), ckServer(s))
-			e2, ok2 := r2.LookupEntry(ckClient(c), ckServer(s))
-			if ok1 && e1.pos == noSlot {
-				t.Fatalf("key %d/%d: current entry %q is off the Clist", c, s, r.names.Str(e1.FQDN))
-			}
-			if ok1 != ok2 {
-				t.Fatalf("key %d/%d: hit %v vs restored %v", c, s, ok1, ok2)
-			}
-			if ok1 && (r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used() != e2.Used()) {
-				t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, r.names.Str(e1.FQDN), e1.At, e1.Used(), r2.names.Str(e2.FQDN), e2.At, e2.Used())
+		snap = r.Snapshot()
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2 := New(cfg)
+		r2.Restore(read)
+		if got := r2.Snapshot(); !reflect.DeepEqual(got, snap) {
+			t.Fatalf("restored snapshot differs:\n got  %v\n want %v", got, snap)
+		}
+		for c := range clients {
+			for s := range servers {
+				e1, ok1 := r.LookupEntry(ckClient(c), ckServer(s))
+				e2, ok2 := r2.LookupEntry(ckClient(c), ckServer(s))
+				if ok1 && e1.pos == noSlot {
+					t.Fatalf("key %d/%d: current entry %q is off the Clist", c, s, r.names.Str(e1.FQDN))
+				}
+				if ok1 != ok2 {
+					t.Fatalf("key %d/%d: hit %v vs restored %v", c, s, ok1, ok2)
+				}
+				if ok1 && (r.names.Str(e1.FQDN) != r2.names.Str(e2.FQDN) || e1.At != e2.At || e1.Used() != e2.Used()) {
+					t.Fatalf("key %d/%d: (%q,%v,%v) vs restored (%q,%v,%v)", c, s, r.names.Str(e1.FQDN), e1.At, e1.Used(), r2.names.Str(e2.FQDN), e2.At, e2.Used())
+				}
 			}
 		}
-	}
+	})
 }
 
 // readSnapshotBodyRef is the body parser as first written, through a
