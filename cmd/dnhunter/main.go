@@ -173,7 +173,6 @@ var flagBounds = []struct {
 	{"loop", func(v float64) bool { return v >= 0 }, "at least 0 (forever)"},
 	{"window", func(v float64) bool { return v > 0 }, "positive"},
 	{"speedup", func(v float64) bool { return v >= 0 }, "at least 0 (full speed)"},
-	{"source-restarts", func(v float64) bool { return v >= 0 }, "at least 0 (no supervision)"},
 }
 
 // checkFlags rejects out-of-range values of the numeric flags fs defines;

@@ -27,8 +27,6 @@ func TestCheckFlags(t *testing.T) {
 		{"-window=1ns", ""},
 		{"-speedup=-0.5", "-speedup -0.5: must be at least 0 (full speed)"},
 		{"-speedup=0", ""},
-		{"-source-restarts=-1", "-source-restarts -1: must be at least 0 (no supervision)"},
-		{"-source-restarts=0", ""},
 	} {
 		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -37,7 +35,6 @@ func TestCheckFlags(t *testing.T) {
 		fs.Int("loop", 1, "")
 		fs.Duration("window", 5*time.Minute, "")
 		fs.Float64("speedup", 0, "")
-		fs.Int("source-restarts", 0, "")
 		if err := fs.Parse([]string{tc.arg}); err != nil {
 			t.Fatalf("%s: %v", tc.arg, err)
 		}

@@ -37,16 +37,13 @@ func runServe(args []string) {
 	speedup := fs.Float64("speedup", 0, "pace replay to the capture timeline at this multiple; 0 replays at full speed")
 	window := fs.Duration("window", 5*time.Minute, "flow-store window width (trace time)")
 	shed := fs.Bool("shed", false, "shed load instead of stalling the reader when a shard backs up (needs -shards > 1)")
-	checkpoint := fs.String("checkpoint", "", "resolver checkpoint file: restored at start, rewritten after a clean drain")
+	checkpoint := fs.String("checkpoint", "", "resolver checkpoint file: restored at start, rewritten at drain")
 	analyticsOn := fs.Bool("analytics", false, "run the standard streaming analytics queries; adds /analytics.json and top-k gauges to /metrics")
 	spool := fs.String("spool", "", "directory receiving one CSV per completed window; empty discards windows")
 	shards := fs.Int("shards", 1, "parallel pipeline shards (-1 = one per CPU)")
 	clientNets := fs.String("client-nets", "", "comma-separated client CIDRs (e.g. 10.0.0.0/16); orients flows toward these clients")
 	clist := fs.Int("clist", 1<<20, "resolver Clist size L (per shard)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after a stop signal")
-	srcRestarts := fs.Int("source-restarts", 0, "supervise the source: restart up to N times on transient read errors (0 disables supervision)")
-	srcBackoff := fs.Duration("source-backoff", 50*time.Millisecond, "first restart's nominal backoff, doubling per consecutive restart")
-	srcBackoffMax := fs.Duration("source-backoff-max", 5*time.Second, "backoff ceiling for supervised restarts")
 	fs.Parse(args)
 	if err := checkFlags(fs); err != nil {
 		log.Print(err)
@@ -102,14 +99,6 @@ func runServe(args []string) {
 		CheckpointPath: *checkpoint,
 		DrainTimeout:   *drainTimeout,
 	}
-	if *srcRestarts > 0 {
-		scfg.Restart = &dnhunter.RestartPolicy{
-			MaxRestarts: *srcRestarts,
-			BaseBackoff: *srcBackoff,
-			MaxBackoff:  *srcBackoffMax,
-			Seed:        *seed,
-		}
-	}
 	if dir := *spool; dir != "" {
 		scfg.FlushWindow = func(w dnhunter.Window) error {
 			return spoolWindow(dir, w)
@@ -150,8 +139,10 @@ func runServe(args []string) {
 	// SIGINT/SIGTERM trigger the graceful drain, not an abort.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// A source error still drains and checkpoints: the report comes back
+	// with the error, which ends the run once the report is printed.
 	rep, err := srv.Serve(ctx, src)
-	if err != nil {
+	if rep == nil {
 		log.Fatal(err)
 	}
 
@@ -169,10 +160,6 @@ func runServe(args []string) {
 		fmt.Printf("shed: %d flow entries, %d dns entries, %d bytes\n",
 			rep.Dropped.Flows, rep.Dropped.DNS, rep.Dropped.Bytes)
 	}
-	if rep.SourceRestarts > 0 {
-		fmt.Printf("degraded: source restarted %d times (transient errors recovered)\n",
-			rep.SourceRestarts)
-	}
 	if *checkpoint != "" {
 		if rep.FreshStart != "" {
 			fmt.Printf("checkpoint: rejected (%s); started fresh\n", rep.FreshStart)
@@ -183,6 +170,9 @@ func runServe(args []string) {
 	if pipe != nil {
 		fmt.Printf("analytics: observed %d flows across %s\n",
 			pipe.Observed(), strings.Join(pipe.Names(), ", "))
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -3,13 +3,15 @@ package core_test
 // The chaos suite: every synthetic scenario is driven through the full
 // serve pipeline under randomized-but-replayable fault schedules, and the
 // run must end cleanly — no deadlock, a drain inside DrainTimeout, a
-// balanced block pool, and (for prefix-cut faults) output byte-identical
-// to an unfaulted run over the same prefix. Any failing seed replays
-// exactly: CHAOS_SEED=<n> go test ./internal/core -run Randomized.
+// balanced block pool, and (for prefix-cut faults: an early EOF, or a
+// read error, which ends a serve run) output byte-identical to an
+// unfaulted run over the same prefix. Any failing seed replays exactly:
+// CHAOS_SEED=<n> go test ./internal/core -run Randomized.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -21,12 +23,16 @@ import (
 	"repro/internal/synth"
 )
 
-// chaosFaults derives a full fault configuration from one seed. Every
-// schedule is keyed off the seed, so a (scenario, seed) pair replays the
-// identical fault sequence.
-func chaosFaults(seed uint64) faultSourceConfig {
+// chaosFaults derives a full fault configuration from one seed for a trace
+// of pkts packets. Every schedule is keyed off the seed, so a (scenario,
+// seed) pair replays the identical fault sequence. The read error ends a
+// serve run, so it fires once, on a read call drawn from the seed in the
+// second half of the trace's reads: the other faults run over most of the
+// stream first.
+func chaosFaults(seed uint64, pkts int) faultSourceConfig {
+	reads := uint64(pkts / core.ReadBlockLen) // at least this many read calls
 	return faultSourceConfig{
-		Err:         EveryP(0.01, seed),
+		Err:         At(reads/2 + splitmix64(seed)%(reads-reads/2)),
 		Stall:       EveryP(0.005, seed+1),
 		StallFor:    200 * time.Microsecond,
 		ShortBlock:  EveryP(0.05, seed+2),
@@ -46,30 +52,21 @@ func chaosServe(t *testing.T, sc synth.Scenario, seed uint64) {
 	tr := synth.Generate(sc)
 	before := netio.DefaultBlockPool().Stats()
 
-	src := newFaultSource(tr.Source(), chaosFaults(seed))
+	src := newFaultSource(tr.Source(), chaosFaults(seed, len(tr.Packets)))
 	sink := newFaultSink(nil, faultSinkConfig{
 		Block:    EveryP(0.002, seed+6),
 		BlockFor: 100 * time.Microsecond,
 	})
 	srv := core.NewServer(
 		core.EngineConfig{Shards: 2, Sink: sink},
-		core.ServeConfig{
-			Window:       time.Minute,
-			DrainTimeout: 10 * time.Second,
-			Restart: &core.RestartPolicy{
-				MaxRestarts: 1 << 20, // chaos wants recovery, not budget death
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  2 * time.Millisecond,
-				Seed:        seed,
-			},
-		},
+		core.ServeConfig{Window: time.Minute, DrainTimeout: 10 * time.Second},
 	)
 
 	start := time.Now()
 	rep, err := srv.Serve(context.Background(), src)
 	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("seed %d: Serve = %v", seed, err)
+	if !errors.Is(err, ErrInjected) || rep == nil {
+		t.Fatalf("seed %d: Serve = (%v, %v), want a report and the injected read error", seed, rep, err)
 	}
 	if elapsed > 30*time.Second {
 		t.Fatalf("seed %d: run took %v — drain bound not honored", seed, elapsed)
@@ -122,7 +119,9 @@ func TestChaosRandomized(t *testing.T) {
 
 // TestChaosPrefixEquivalence: a mid-stream EOF fault At(N) must be
 // indistinguishable from a capture that simply ended after N packets —
-// same stats, byte-identical CSV.
+// same stats, byte-identical CSV. Under Serve a read error At(N) is one
+// too: the windows and the checkpoint equal a clean serve's over the
+// packets read before it.
 func TestChaosPrefixEquivalence(t *testing.T) {
 	tr := synth.Generate(synth.QuickScenario(21))
 	cut := len(tr.Packets) / 2
@@ -152,6 +151,20 @@ func TestChaosPrefixEquivalence(t *testing.T) {
 	if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
 		t.Error("CSV output diverges between the EOF fault and the true prefix")
 	}
+
+	reads := uint64(cut / core.ReadBlockLen)
+	got := serveOutputs(t, newFaultSource(tr.Source(), faultSourceConfig{Err: At(reads)}), 1)
+	if !errors.Is(got.err, ErrInjected) || got.rep == nil {
+		t.Fatalf("serve: Serve = (%v, %v), want a report and the injected read error", got.rep, got.err)
+	}
+	if got.packets == 0 || got.packets >= uint64(len(tr.Packets)) {
+		t.Fatalf("serve: read %d of %d packets, want a proper prefix", got.packets, len(tr.Packets))
+	}
+	want := serveOutputs(t, netio.NewLoopSource(tr.Packets[:got.packets], 0, 1), 1)
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+	sameOutputs(t, got, want)
 }
 
 // TestChaosCheckpointCorruption: seeded corruption of a real checkpoint

@@ -10,21 +10,20 @@ import (
 
 // Serve mode's source wrapper, for the external test package
 // (sourcecap_test.go, which checks it beside the fault harness and netio's
-// wrappers), in its two roles: without a RestartPolicy it only counts and
-// drains ("drainSource"); with one it also supervises ("supervisedSource").
-// Each is built the way Serve builds it, with nothing armed: no drain
-// signal, no source errors.
+// wrappers). It counts and drains ("drainSource"), and is built the way
+// Serve builds it, with nothing armed: no drain signal, no source error.
 var InternalWrappersForTest = []struct {
 	Name string
 	Wrap func(netio.BlockRefSource) netio.BlockRefSource
 }{
 	{"drainSource", func(src netio.BlockRefSource) netio.BlockRefSource {
-		return newServeSource(src, nil, new(ServeMetrics))
-	}},
-	{"supervisedSource", func(src netio.BlockRefSource) netio.BlockRefSource {
-		return newServeSource(src, &RestartPolicy{}, new(ServeMetrics))
+		return &serveSource{src: src, m: new(ServeMetrics)}
 	}},
 }
+
+// ReadBlockLen is the most packets the engine asks its source for in one
+// read call.
+const ReadBlockLen = blockLen
 
 // metricValue reads one sample of a ServeMetrics family through Series,
 // the way /metrics renders it; it reports a missing family or label set

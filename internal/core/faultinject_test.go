@@ -99,29 +99,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// transientErr marks an error as transient: core.DefaultClassify treats a
-// source that returned it as restartable rather than dead.
-type transientErr struct{ err error }
-
-func (e transientErr) Error() string   { return e.err.Error() }
-func (e transientErr) Unwrap() error   { return e.err }
-func (e transientErr) Transient() bool { return true }
-
-// Transient wraps err so it reports Transient() == true through any
-// errors.As walk — the marker the serve-mode source supervisor's default
-// classifier keys restarts on. errors.Is against the wrapped error still
-// holds.
-func Transient(err error) error { return transientErr{err: err} }
-
-// ErrInjected is the default error a firing faultSourceConfig.Err schedule
-// returns. It is transient, so a supervised source recovers from it by
-// restarting; set faultSourceConfig.ErrValue to a non-transient error to
-// rehearse fatal classification instead.
-var ErrInjected = Transient(errors.New("fault: injected read error"))
+// ErrInjected is the error a firing faultSourceConfig.Err schedule
+// returns.
+var ErrInjected = errors.New("fault: injected read error")
 
 // ErrSinkInjected is the default error a firing faultSinkConfig.Err
 // schedule arms; the wrapped sink's Close returns it.
-var ErrSinkInjected = Transient(errors.New("fault: injected sink error"))
+var ErrSinkInjected = errors.New("fault: injected sink error")
 
 // faultSourceConfig arms the fault kinds a faultSource injects. Every
 // field pairs a Schedule (nil = never) with the fault's parameters. Two operation
@@ -138,11 +122,10 @@ var ErrSinkInjected = Transient(errors.New("fault: injected sink error"))
 // seed) pair replays the exact same fault sequence.
 type faultSourceConfig struct {
 	// Err injects a mid-stream read error: the firing call returns
-	// ErrValue (default ErrInjected, which is transient) without consuming
-	// input. The stream is NOT poisoned — a retrying caller (e.g. the
-	// serve supervisor) resumes where it left off.
-	Err      Schedule
-	ErrValue error
+	// ErrInjected without consuming input. The stream is NOT poisoned — a
+	// caller that reads again resumes where it left off; serve mode does
+	// not, and ends the stream at the error.
+	Err Schedule
 
 	// EOF ends the stream early: the firing packet index and everything
 	// after it are cut, and the source reports io.EOF from then on. The
@@ -193,7 +176,6 @@ type faultSource struct {
 	src netio.PacketSource
 	ref *netio.RefAdapter
 	cfg faultSourceConfig
-	err error // resolved ErrValue
 
 	off   bool   // nothing armed: delegate with zero bookkeeping
 	done  bool   // EOF fault latched
@@ -206,17 +188,12 @@ type faultSource struct {
 // the wrapper is transparent: identical packets, timestamps, block handles,
 // and errors, at one boolean test of overhead per call.
 func newFaultSource(src netio.PacketSource, cfg faultSourceConfig) *faultSource {
-	s := &faultSource{src: src, ref: netio.NewRefAdapter(src, nil, true), cfg: cfg, off: !cfg.armed()}
-	s.err = cfg.ErrValue
-	if s.err == nil {
-		s.err = ErrInjected
-	}
-	return s
+	return &faultSource{src: src, ref: netio.NewRefAdapter(src, nil, true), cfg: cfg, off: !cfg.armed()}
 }
 
 // enter runs the stream-level faults for one read call and reports
-// whether the call should abort with err (errors.Is-able against
-// ErrValue) before touching the wrapped source.
+// whether the call should abort with err (ErrInjected, or io.EOF after
+// the EOF fault) before touching the wrapped source.
 func (s *faultSource) enter() (short bool, err error) {
 	n := s.calls
 	s.calls++
@@ -227,7 +204,7 @@ func (s *faultSource) enter() (short bool, err error) {
 		return false, io.EOF
 	}
 	if fire(s.cfg.Err, n, s.at) {
-		return false, s.err
+		return false, ErrInjected
 	}
 	return fire(s.cfg.ShortBlock, n, s.at), nil
 }

@@ -185,7 +185,7 @@ func TestSourceErrResumable(t *testing.T) {
 		_, err := src.Next()
 		if errors.Is(err, ErrInjected) {
 			injected++
-			continue // a supervisor would back off and retry; we just retry
+			continue // read again past the error
 		}
 		if err != nil {
 			break
@@ -283,25 +283,6 @@ func TestSourceShortBlock(t *testing.T) {
 	}
 	if total != len(tr.Packets) {
 		t.Errorf("delivered %d packets, want %d", total, len(tr.Packets))
-	}
-}
-
-// TestTransientMarker: the Transient wrapper satisfies the supervisor's
-// default classifier and keeps errors.Is against the cause.
-func TestTransientMarker(t *testing.T) {
-	cause := errors.New("socket reset")
-	err := Transient(cause)
-	if !core.DefaultClassify(err) {
-		t.Error("Transient error classified fatal")
-	}
-	if !errors.Is(err, cause) {
-		t.Error("Transient broke errors.Is to the cause")
-	}
-	if core.DefaultClassify(cause) {
-		t.Error("unmarked error classified transient")
-	}
-	if !core.DefaultClassify(ErrInjected) || !core.DefaultClassify(ErrSinkInjected) {
-		t.Error("package sentinels must be transient")
 	}
 }
 

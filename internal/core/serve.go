@@ -12,14 +12,16 @@ package core
 // rather than duplicating it: cancelling the Serve context does not
 // cancel the inner engine — it makes the packet source report EOF, so the
 // engine takes its normal EOF exit (flush all flows, flush the final
-// window, merge stats, close the sink). Only if the drain exceeds
-// DrainTimeout is the inner context hard-cancelled, which aborts without
-// flushing, exactly like a cancelled batch Run.
+// window, merge stats, close the sink). A source error ends the stream the
+// same way, so it too drains and checkpoints before Serve returns it. Only
+// if the drain exceeds DrainTimeout is the inner context hard-cancelled,
+// which aborts without flushing, exactly like a cancelled batch Run.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -154,15 +156,10 @@ type ServeMetrics struct {
 	restored     atomic.Uint64
 	draining     atomic.Bool
 
-	// Fault surface (see supervisor.go and loadCheckpoint): classified
-	// source-error counters, restart accounting, checkpoint fresh starts,
-	// and the degraded flag /healthz reports.
-	faultTransient atomic.Uint64
-	faultFatal     atomic.Uint64
-	restarts       atomic.Uint64
-	restartBudget  atomic.Int64 // total budget; 0 = supervision off
-	freshStarts    atomic.Uint64
-	degraded       atomic.Bool
+	// Fault surface (see loadCheckpoint): checkpoint fresh starts, and
+	// the degraded flag /healthz reports.
+	freshStarts atomic.Uint64
+	degraded    atomic.Bool
 
 	// Shed holds the per-shard overload drop counters.
 	Shed ShedStats
@@ -179,10 +176,9 @@ func (m *ServeMetrics) Packets() uint64 { return m.packets.Load() }
 func (m *ServeMetrics) Draining() bool { return m.draining.Load() }
 
 // Degraded reports whether the engine is serving in a degraded state: the
-// source needed at least one supervised restart, or the checkpoint was
-// rejected and serving began from a counted fresh start. Degraded is
-// sticky for the run — it marks "results may have gaps", which a later
-// recovery does not un-happen.
+// checkpoint was rejected and serving began from a counted fresh start,
+// with an empty Clist. Degraded is sticky for the run — it marks "labels
+// may have gaps" until the Clist re-warms.
 func (m *ServeMetrics) Degraded() bool { return m.degraded.Load() }
 
 // RingDepths returns each shard ring's backlog — published-but-unreleased
@@ -310,19 +306,8 @@ func (m *ServeMetrics) Series() []Series {
 			return 0
 		}),
 		gauge("restored_entries", "resolver entries restored from the checkpoint at startup", m.restored.Load),
-		{Name: "fault_source_errors_total", Type: "counter", Labels: []string{"class"},
-			Help: "source read errors by supervisor classification: transient (recovered by restart) or fatal (ended the run)",
-			Read: func(emit func(float64, ...string)) {
-				emit(float64(m.faultTransient.Load()), "transient")
-				emit(float64(m.faultFatal.Load()), "fatal")
-			}},
-		counter("fault_source_restarts_total", "supervised source restarts completed", m.restarts.Load),
 		counter("fault_checkpoint_fresh_starts_total", "checkpoint files rejected at startup (corrupt, truncated or future-version), each answered by serving from empty resolver state", m.freshStarts.Load),
-		gauge("fault_error_budget_total", "restart budget configured by the policy (0 = supervision off)", m.restartBudget.Load),
-		gauge("fault_error_budget_remaining", "restarts left before transient source errors become fatal", func() int64 {
-			return max(m.restartBudget.Load()-int64(m.restarts.Load()), 0)
-		}),
-		gauge("degraded", "1 after any source restart or checkpoint fresh start; sticky for the run, since the output already has gaps", flag(&m.degraded)),
+		gauge("degraded", "1 after a checkpoint fresh start; sticky for the run, since labels have gaps until the Clist re-warms", flag(&m.degraded)),
 		gauge("draining", "1 while draining after a stop signal", flag(&m.draining)),
 	}
 }
@@ -362,15 +347,10 @@ type ServeConfig struct {
 	// past it the engine is hard-cancelled and pending state is dropped
 	// (no checkpoint is written). Zero means 30 seconds.
 	DrainTimeout time.Duration
-	// Restart, when non-nil, supervises the packet source: read errors
-	// are classified transient or fatal, and transient ones restart the
-	// source under exponential backoff with deterministic jitter, bounded
-	// by an error budget. nil propagates the first source error, as a
-	// batch Run would.
-	Restart *RestartPolicy
 }
 
-// ServeReport is the outcome of one graceful Serve.
+// ServeReport is the outcome of one Serve that drained: a clean one, or
+// one a source error ended.
 type ServeReport struct {
 	// Stats are the merged pipeline statistics, as in a batch Result.
 	Stats Stats
@@ -384,9 +364,6 @@ type ServeReport struct {
 	// RestoredEntries is the resolver state loaded from the checkpoint at
 	// startup; CheckpointedEntries is the state written at drain.
 	RestoredEntries, CheckpointedEntries int
-	// SourceRestarts counts supervised source restarts during the run
-	// (transient errors the RestartPolicy recovered from).
-	SourceRestarts uint64
 	// FreshStart, when non-empty, records why the configured checkpoint
 	// was rejected at startup: the run served from empty resolver state
 	// rather than failing. Empty when the checkpoint loaded (or none was
@@ -430,9 +407,12 @@ func (s *Server) Metrics() *ServeMetrics { return &s.metrics }
 // Serve streams src through the pipeline until ctx is cancelled, then
 // drains gracefully: the source is made to report EOF, in-flight flows
 // are flushed through the sink and the final window, and — with a
-// CheckpointPath — resolver state is written for the next run. Serve
-// returns a nil error on a clean drain; it returns ctx.Err() only when
-// the drain exceeded DrainTimeout and state was dropped.
+// CheckpointPath — resolver state is written for the next run. A source
+// error ends the stream the same way: the packets read with it are
+// delivered, the run drains and checkpoints, and Serve returns the report
+// together with the error. Serve returns a nil error on a clean drain; it
+// returns ctx.Err() only when the drain exceeded DrainTimeout and state
+// was dropped.
 func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeReport, error) {
 	if err := s.loadCheckpoint(); err != nil {
 		return nil, err
@@ -440,7 +420,7 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 	cfg := s.cfg
 	cfg.server = s
 	eng := NewEngine(cfg)
-	ss := newServeSource(eng.adapt(src), s.scfg.Restart, &s.metrics)
+	ss := &serveSource{src: eng.adapt(src), m: &s.metrics}
 
 	// The inner context is NOT derived from ctx: cancellation must drain,
 	// not abort. The engine runs on its own goroutine so Serve can turn
@@ -495,7 +475,6 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 		Windows:         s.metrics.win.Load().store.WindowsFlushed(),
 		Dropped:         s.metrics.Shed.Totals(),
 		RestoredEntries: len(s.restored),
-		SourceRestarts:  s.metrics.restarts.Load(),
 		FreshStart:      s.freshStart,
 	}
 	if s.scfg.CheckpointPath != "" {
@@ -507,10 +486,50 @@ func (s *Server) Serve(ctx context.Context, src netio.PacketSource) (*ServeRepor
 			rep.CheckpointedEntries += len(snaps[i])
 		}
 		if err := writeCheckpointFile(s.scfg.CheckpointPath, snaps); err != nil {
+			rep.CheckpointedEntries = 0 // nothing was written
 			return rep, fmt.Errorf("core: writing checkpoint: %w", err)
 		}
 	}
+	if ss.err != nil {
+		return rep, fmt.Errorf("core: packet source: %w", ss.err)
+	}
 	return rep, nil
+}
+
+// serveSource wraps the engine-facing source of one Serve. It counts
+// packets, bytes and the trace clock for the metrics, and ends the stream
+// with io.EOF on the drain signal (stop) or on the source's first error,
+// which it keeps in err for Serve; the packets read with that error are
+// delivered first. Either way the engine takes its normal end-of-capture
+// path. It is read from the single engine reader goroutine, like any
+// source; only stop and the metrics are shared, and Serve reads err after
+// the run has returned.
+type serveSource struct {
+	src  netio.BlockRefSource
+	m    *ServeMetrics
+	stop atomic.Bool
+	err  error
+}
+
+// ReadBlockRef implements netio.BlockRefSource.
+func (s *serveSource) ReadBlockRef(dst []netio.Packet) (int, *netio.Block, error) {
+	if s.err != nil || s.stop.Load() {
+		return 0, nil, io.EOF
+	}
+	n, blk, err := s.src.ReadBlockRef(dst)
+	if n > 0 {
+		var b uint64
+		for i := 0; i < n; i++ {
+			b += uint64(len(dst[i].Data))
+		}
+		s.m.packets.Add(uint64(n))
+		s.m.bytes.Add(b)
+		s.m.clockNs.Store(int64(dst[n-1].Timestamp))
+	}
+	if err != nil && err != io.EOF {
+		s.err, err = err, io.EOF
+	}
+	return n, blk, err
 }
 
 // loadCheckpoint reads the configured checkpoint file. A missing file is

@@ -182,7 +182,7 @@ func TestMetricsMatchStatsJSON(t *testing.T) {
 	}
 	// The run had two shards with shedding on and a top-k pipeline: every
 	// labeled family is present.
-	for _, f := range []string{"ring_depth", "reader_mesh_full_parks_total", "shard_dropped_dns_total", "fault_source_errors_total", "analytics_topk"} {
+	for _, f := range []string{"ring_depth", "reader_mesh_full_parks_total", "shard_dropped_dns_total", "shard_dropped_bytes_total", "analytics_topk"} {
 		if !seen[prefix+f] {
 			t.Errorf("exposition lacks %s%s", prefix, f)
 		}

@@ -13,8 +13,8 @@
 // Endpoints:
 //
 //	GET /healthz         200 "ok" while serving, 200 "degraded" while serving
-//	                     after source restarts or a checkpoint fresh start,
-//	                     503 "draining" during drain
+//	                     after a checkpoint fresh start, 503 "draining"
+//	                     during drain
 //	GET /metrics         Prometheus text exposition (see OPERATIONS.md)
 //	GET /stats.json      the same families as one JSON object keyed by
 //	                     name without the dnhunter_ prefix
@@ -124,8 +124,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	// Draining wins: the pod is going away, stop routing to it. Degraded
-	// still answers 200 — the engine is serving, just with gaps (source
-	// restarts, checkpoint fresh start) — so orchestrators keep it while
+	// still answers 200 — the engine is serving, just with label gaps
+	// after a checkpoint fresh start — so orchestrators keep it while
 	// operators alert on the body or on dnhunter_degraded.
 	if s.cfg.Metrics.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)

@@ -17,7 +17,8 @@ type (
 	// ServeConfig tunes streaming mode: window width, flush hook, overload
 	// shedding, checkpoint path, drain timeout.
 	ServeConfig = core.ServeConfig
-	// ServeReport is the outcome of one graceful Serve.
+	// ServeReport is the outcome of one Serve that drained: a clean one,
+	// or one a source error ended.
 	ServeReport = core.ServeReport
 	// ServeMetrics is the live, concurrently readable state of a serving
 	// engine (packets, flows, drops, windows, ring depths).
@@ -26,10 +27,6 @@ type (
 	Server = core.Server
 	// ShedShard is one shard's overload drop counters.
 	ShedShard = core.ShedShard
-	// RestartPolicy configures serve-mode source supervision
-	// (ServeConfig.Restart): the restart error budget and seeded
-	// exponential backoff.
-	RestartPolicy = core.RestartPolicy
 	// Window is one completed flow-store partition handed to
 	// ServeConfig.FlushWindow; its DB is valid only during the call.
 	Window = flowdb.Window
